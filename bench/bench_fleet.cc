@@ -79,7 +79,6 @@ FleetConfig GridFleetConfig(const PolicyBundle& bundle) {
   config.server.workers = 2;
   config.server.queue_capacity = 64;
   config.server.batch.max_batch = 8;
-  config.server.batch.max_delay_ms = 1.0;
   config.server.cost.fixed_ms = 1.0;
   config.server.cost.per_example_ms = 0.25;
   config.server.default_deadline_ms = 40.0;

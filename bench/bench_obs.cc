@@ -202,7 +202,6 @@ FleetTracingResult BenchFleetTracing() {
   config.server.workers = 2;
   config.server.queue_capacity = 64;
   config.server.batch.max_batch = 8;
-  config.server.batch.max_delay_ms = 1.0;
   config.server.cost.fixed_ms = 1.0;
   config.server.cost.per_example_ms = 0.25;
   config.server.default_deadline_ms = 50.0;

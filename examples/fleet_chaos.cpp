@@ -45,7 +45,6 @@ dlsys::FleetConfig MakeFleetConfig() {
   config.server.workers = 2;
   config.server.queue_capacity = 64;
   config.server.batch.max_batch = 8;
-  config.server.batch.max_delay_ms = 1.0;
   config.server.cost = {1.0, 0.25};
   config.server.default_deadline_ms = 50.0;
   config.restart_ms = 1000.0;     // checkpointed restart downtime

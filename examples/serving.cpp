@@ -68,7 +68,6 @@ int main() {
   ServerConfig config;
   config.workers = 2;
   config.batch.max_batch = 8;
-  config.batch.max_delay_ms = 0.2;
   config.queue_capacity = 64;
   config.default_deadline_ms = 50.0;
   auto created = Server::Create(&registry, config);

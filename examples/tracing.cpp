@@ -47,7 +47,6 @@ int main() {
   serve_config.workers = 2;
   serve_config.queue_capacity = 64;
   serve_config.batch.max_batch = 8;
-  serve_config.batch.max_delay_ms = 0.3;
   serve_config.default_deadline_ms = 1e6;
   auto server = Server::Create(&registry, serve_config);
   DLSYS_CHECK(server.ok(), "server config invalid");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "src/core/rng.h"
@@ -42,6 +43,29 @@ void AppendD(std::string* out, const char* key, double v, bool comma = true) {
   std::snprintf(buf, sizeof(buf), "\"%s\": %.6f%s", key, v,
                 comma ? ", " : "");
   *out += buf;
+}
+
+/// Request conservation, checked at the end of every Run: each offered
+/// request ends in exactly one terminal bucket (delivered in time,
+/// missed, or shed for one reason), and each was either admitted by a
+/// replica, routed into a dead one, or shed before admission. A silent
+/// loss or a double count breaks one of the two identities.
+Status CheckRequestLedger(const FleetReport& r) {
+  const int64_t shed =
+      r.shed_queue_full + r.shed_deadline + r.shed_draining + r.shed_unhealthy;
+  const int64_t terminal = r.completed_ok + r.missed + shed;
+  if (r.offered != terminal) {
+    return Status::Internal(
+        "request ledger: offered " + std::to_string(r.offered) +
+        " != completed_ok + missed + shed " + std::to_string(terminal));
+  }
+  const int64_t routed = r.admitted + r.failed_dead_replica + shed;
+  if (r.offered != routed) {
+    return Status::Internal(
+        "request ledger: offered " + std::to_string(r.offered) +
+        " != admitted + failed_dead_replica + shed " + std::to_string(routed));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -879,8 +903,13 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
           case Server::Outcome::kShedDraining:
             ++report.shed_draining;
             break;
-          default:
+          case Server::Outcome::kNoSuchModel:
             return Status::Internal("model missing from replica registry");
+          case Server::Outcome::kInvalidRequest:
+            return Status::Internal(
+                "fleet payload does not match the deployed shape");
+          case Server::Outcome::kAdmitted:
+            break;  // unreachable: handled above
         }
       }
     }
@@ -1005,6 +1034,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       }
     }
   }
+  DLSYS_RETURN_NOT_OK(CheckRequestLedger(report));
   return report;
 }
 

@@ -101,7 +101,7 @@ struct RequestPathRecord {
   std::string tenant;       ///< normalized ("default" when untenanted)
   int replica = -1;         ///< fleet replica slot; -1 standalone
   int64_t incarnation = 0;  ///< replica incarnation that served it
-  int slot = -1;            ///< slot-pool lane; -1 in legacy batch mode
+  int slot = -1;            ///< slot-pool lane that carried the request
   int64_t send_ns = 0;      ///< client handed the request to the router
   int64_t admit_ns = 0;     ///< arrived + admitted at the replica
   int64_t quota_open_ns = 0;  ///< tenant bucket funded it (clamped to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace dlsys {
 
@@ -43,6 +44,11 @@ Status ValidateServerConfig(const ServerConfig& config) {
   if (config.batch.max_batch < 1) {
     return Status::InvalidArgument("batch.max_batch must be >= 1");
   }
+  if (config.batch.max_batch >
+      std::numeric_limits<int>::max() / config.workers) {
+    return Status::InvalidArgument(
+        "workers * batch.max_batch must fit an int: it sizes the slot pool");
+  }
   if (config.queue_capacity < config.batch.max_batch) {
     return Status::InvalidArgument(
         "queue_capacity must be >= batch.max_batch so a full batch can form");
@@ -67,10 +73,6 @@ Status ValidateServerConfig(const ServerConfig& config) {
         "cost.per_example_ms must be finite and non-negative");
   }
   const SlotSchedulerConfig& sched = config.scheduler;
-  if (sched.slots_per_worker < 0) {
-    return Status::InvalidArgument(
-        "scheduler.slots_per_worker must be >= 0 (0 selects batch.max_batch)");
-  }
   if (sched.priority_classes < 1) {
     return Status::InvalidArgument("scheduler.priority_classes must be >= 1");
   }

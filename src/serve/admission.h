@@ -14,7 +14,7 @@
 /// Under overload a serving system must shed, not queue: an unbounded
 /// queue turns excess offered load into unbounded latency for everyone
 /// (the classic open-loop collapse). Admission is decided at arrival from
-/// two tests — a hard per-model queue bound, and a deadline-feasibility
+/// two tests — a hard server-wide queue bound, and a deadline-feasibility
 /// check that predicts when the request's batch would finish under the
 /// declared service-cost model. Both inputs are simulated quantities
 /// (queue state and modeled service time, never wall-clock measurements),
@@ -63,15 +63,8 @@ struct TenantPolicy {
   int priority = 0;
 };
 
-/// \brief Configuration of the continuous-batching slot scheduler.
+/// \brief QoS policy of the continuous-batching slot scheduler.
 struct SlotSchedulerConfig {
-  /// Selects the slot scheduler. The legacy FIFO-prefix batching path
-  /// stays the default for one release migration window; it is retired
-  /// next release.
-  bool use_slots = false;
-  /// Slot lanes per worker; each lane holds one in-flight request. 0
-  /// selects batch.max_batch (a full engine batch per worker).
-  int slots_per_worker = 0;
   /// Number of strict priority classes (>= 1).
   int priority_classes = 1;
   /// Deficit-weighted-fair selection across tenants. Off, freed slots
@@ -88,29 +81,35 @@ struct SlotSchedulerConfig {
 
 /// \brief Front-door configuration for a Server.
 struct ServerConfig {
-  /// Engine replicas serving concurrently; each drives its own
-  /// MicroBatcher-style coalescing slot on the worker pool.
+  /// Engine replicas serving concurrently; each owns batch.max_batch
+  /// slot lanes and runs one step (one engine batch) at a time.
   int workers = 2;
-  /// Per-model bound on admitted-but-undispatched requests. Admission
-  /// sheds (never blocks, never queues past this) when a model's queue
-  /// is full. Must be >= batch.max_batch so one full batch can form.
+  /// Server-wide bound on admitted-but-undispatched requests: those
+  /// queued in the tenant scheduler plus those loaded into a lane, across
+  /// every model. Admission sheds (never blocks, never queues past this)
+  /// when it is reached. Must be >= batch.max_batch so one full batch can
+  /// form.
   int64_t queue_capacity = 64;
-  /// Batch coalescing policy (same knobs as the MicroBatcher front door):
-  /// dispatch at max_batch pending, or when the oldest waited max_delay_ms.
+  /// Batch policy. The server reads only max_batch: the slot lanes per
+  /// worker, so the largest step a worker runs. A step departs as soon
+  /// as its worker is idle (continuous batching never waits to coalesce),
+  /// so max_delay_ms is not consulted; ValidateServerConfig still checks
+  /// it, and the MicroBatcher front door, which shares the type, uses it.
   MicroBatcherConfig batch;
   /// Deadline budget applied when Submit passes no explicit deadline.
   double default_deadline_ms = 50.0;
   /// The declared service-time model used for admission and scheduling.
   ServiceCostModel cost;
-  /// Continuous-batching slot scheduler with multi-tenant QoS; see
-  /// SlotSchedulerConfig. Default off (legacy FIFO path) this release.
+  /// Multi-tenant QoS of the slot scheduler (priority classes, token-
+  /// bucket quotas, DWFQ); see SlotSchedulerConfig.
   SlotSchedulerConfig scheduler;
 };
 
 /// \brief Validates every user-settable field of \p config: worker count
-/// >= 1, queue bound >= max_batch >= 1, non-negative finite delay,
+/// >= 1, queue bound >= max_batch >= 1, workers * max_batch within int
+/// range (it sizes the slot pool), non-negative finite delay,
 /// positive finite deadline, non-negative finite cost terms, and the
-/// slot-scheduler QoS block (slot count, priority classes, per-tenant
+/// slot-scheduler QoS block (priority classes, per-tenant
 /// rate/burst/weight/priority). Returns InvalidArgument on the first
 /// violation — configuration is user input, so errors surface as Status,
 /// not DLSYS_CHECK aborts.
@@ -122,7 +121,7 @@ Status ValidateServerConfig(const ServerConfig& config);
 /// chaos-suite post-mortems can tell overload, infeasibility, drains,
 /// and routing blackouts apart.
 enum class ShedReason {
-  kQueueFull,           ///< the model's bounded queue is at capacity
+  kQueueFull,           ///< the server's bounded queue is at capacity
   kDeadlineInfeasible,  ///< predicted completion already misses the deadline
   kDraining,            ///< the replica is draining ahead of scale-down
   kUnhealthyReplica,    ///< the router found no healthy replica to take it
@@ -141,7 +140,7 @@ enum class AdmissionDecision {
 
 /// \brief Everything the admission policy looks at, all simulated.
 struct AdmissionInputs {
-  int64_t queue_depth = 0;        ///< undispatched requests for the model
+  int64_t queue_depth = 0;        ///< undispatched requests, server-wide
   int64_t prospective_batch = 0;  ///< batch size if this request joins
   double batch_ready_ms = 0.0;    ///< when that batch could dispatch
   double earliest_worker_free_ms = 0.0;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
-#include <vector>
 
 namespace dlsys {
 
@@ -17,7 +17,8 @@ constexpr double kTokenSlack = 1e-9;
 }  // namespace
 
 TenantScheduler::TenantScheduler(const SlotSchedulerConfig& config)
-    : config_(config) {}
+    : config_(config),
+      cursor_(static_cast<size_t>(std::max(0, config.priority_classes))) {}
 
 const TenantPolicy& TenantScheduler::PolicyFor(
     const std::string& tenant) const {
@@ -70,10 +71,10 @@ bool TenantScheduler::QuotaOpen(const TenantState& state,
 }
 
 int64_t TenantScheduler::FirstMatch(const TenantState& state,
-                                    const SnapFilter& filter) {
-  if (!filter) return state.queue.empty() ? -1 : 0;
+                                    const ModelSnapshot* pin) {
+  if (pin == nullptr) return state.queue.empty() ? -1 : 0;
   for (size_t i = 0; i < state.queue.size(); ++i) {
-    if (filter(state.queue[i].snap.get())) return static_cast<int64_t>(i);
+    if (state.queue[i].snap.get() == pin) return static_cast<int64_t>(i);
   }
   return -1;
 }
@@ -93,87 +94,91 @@ SlotRequest TenantScheduler::Serve(TenantState* state, int64_t pos,
 }
 
 std::optional<SlotRequest> TenantScheduler::PickFifo(
-    double now_ms, const SnapFilter& filter) {
+    double now_ms, const ModelSnapshot* pin) {
   // The control path: priority classes still order service, but inside a
   // class the pick is global FIFO by request id — exactly the policy
   // under which one hot tenant starves the rest.
   for (int cls = 0; cls < config_.priority_classes; ++cls) {
-    std::string best;
+    TenantState* best = nullptr;
     int64_t best_pos = -1;
     int64_t best_id = std::numeric_limits<int64_t>::max();
     for (auto& [name, state] : tenants_) {
       if (state.policy.priority != cls || state.queue.empty()) continue;
       if (!QuotaOpen(state, now_ms)) continue;
-      const int64_t pos = FirstMatch(state, filter);
+      const int64_t pos = FirstMatch(state, pin);
       if (pos < 0) continue;
       const int64_t id = state.queue[static_cast<size_t>(pos)].id;
       if (id < best_id) {
         best_id = id;
-        best = name;
+        best = &state;
         best_pos = pos;
       }
     }
-    if (best_pos >= 0) {
-      return Serve(&tenants_.find(best)->second, best_pos, now_ms);
-    }
+    if (best != nullptr) return Serve(best, best_pos, now_ms);
   }
   return std::nullopt;
 }
 
+TenantScheduler::TenantMap::iterator TenantScheduler::RingFrom(
+    TenantMap::iterator it, int cls) {
+  for (;; ++it) {
+    if (it == tenants_.end()) it = tenants_.begin();
+    const TenantState& state = it->second;
+    if (state.policy.priority == cls && !state.queue.empty()) return it;
+  }
+}
+
 std::optional<SlotRequest> TenantScheduler::PickNext(
-    double now_ms, const SnapFilter& filter) {
+    double now_ms, const ModelSnapshot* pin) {
   if (depth_ == 0) return std::nullopt;
-  if (!config_.fair_queueing) return PickFifo(now_ms, filter);
+  if (!config_.fair_queueing) return PickFifo(now_ms, pin);
 
   for (int cls = 0; cls < config_.priority_classes; ++cls) {
-    // The class's scan ring: backlogged tenants in name order.
-    std::vector<std::string> ring;
+    // The class's scan ring is its backlogged tenants in name order,
+    // walked in place over tenants_ by RingFrom, so a pick allocates
+    // nothing.
+    int64_t ring_size = 0;
     double min_weight = kInf;
     bool any_eligible = false;
     for (auto& [name, state] : tenants_) {
       if (state.policy.priority != cls || state.queue.empty()) continue;
-      ring.push_back(name);
+      ++ring_size;
       min_weight = std::min(min_weight, state.policy.weight);
-      if (QuotaOpen(state, now_ms) && FirstMatch(state, filter) >= 0) {
+      if (QuotaOpen(state, now_ms) && FirstMatch(state, pin) >= 0) {
         any_eligible = true;
       }
     }
     if (!any_eligible) continue;  // strict priority is over *eligible* work
 
-    size_t i = 0;
-    if (auto cit = cursor_.find(cls); cit != cursor_.end()) {
-      i = static_cast<size_t>(
-          std::lower_bound(ring.begin(), ring.end(), cit->second) -
-          ring.begin());
-      if (i == ring.size()) i = 0;
-    }
+    std::string& cursor = cursor_[static_cast<size_t>(cls)];
+    auto it = RingFrom(tenants_.lower_bound(cursor), cls);
     // A tenant reaches a full unit of deficit after at most
     // ceil(1/min_weight) top-ups, so the scan is bounded.
     const int64_t max_visits =
-        static_cast<int64_t>(ring.size()) *
-        (2 + static_cast<int64_t>(std::ceil(1.0 / min_weight)));
+        ring_size * (2 + static_cast<int64_t>(std::ceil(1.0 / min_weight)));
     for (int64_t visits = 0; visits < max_visits; ++visits) {
-      TenantState& state = tenants_.find(ring[i])->second;
+      TenantState& state = it->second;
+      // Taken before Serve, which may empty this tenant's queue.
+      const auto next = RingFrom(std::next(it), cls);
       const bool eligible =
-          QuotaOpen(state, now_ms) && FirstMatch(state, filter) >= 0;
+          QuotaOpen(state, now_ms) && FirstMatch(state, pin) >= 0;
       if (!eligible) {
         state.deficit = 0.0;  // blocked tenants bank no credit
-        i = (i + 1) % ring.size();
+        it = next;
         continue;
       }
       if (state.deficit < 1.0) state.deficit += state.policy.weight;
       if (state.deficit < 1.0) {
-        i = (i + 1) % ring.size();
+        it = next;
         continue;
       }
       state.deficit -= 1.0;
-      const int64_t pos = FirstMatch(state, filter);
-      SlotRequest request = Serve(&state, pos, now_ms);
+      SlotRequest request = Serve(&state, FirstMatch(state, pin), now_ms);
       // The cursor stays while the tenant's credit and backlog last, so
       // a weight-w tenant takes ~w consecutive slots per rotation.
       const bool stay = state.deficit >= 1.0 && !state.queue.empty() &&
                         QuotaOpen(state, now_ms);
-      cursor_[cls] = stay ? ring[i] : ring[(i + 1) % ring.size()];
+      cursor = stay ? it->first : next->first;
       return request;
     }
     DLSYS_CHECK(false, "DWFQ scan failed to converge");

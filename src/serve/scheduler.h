@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/serve/admission.h"
 #include "src/serve/registry.h"
@@ -46,7 +46,8 @@
 
 namespace dlsys {
 
-/// \brief One admitted request waiting for a slot (state: queued).
+/// \brief One admitted request: queued in the TenantScheduler, then
+/// loaded into a slot lane, then carried by the step that executes it.
 struct SlotRequest {
   int64_t id = 0;
   int64_t trace_rid = -1;    ///< fleet rid from RequestTrace, -1 local
@@ -60,6 +61,7 @@ struct SlotRequest {
   /// decomposer splits queue wait into quota delay [arrival, quota_open]
   /// vs slot wait [quota_open, dispatch] along this boundary.
   double quota_open_ms = 0.0;
+  int slot = -1;             ///< lane it was loaded into; -1 while queued
   std::shared_ptr<ModelSnapshot> snap;  ///< version bound at admission
   Tensor input;              ///< flat copy, (in_elems)
 };
@@ -67,10 +69,6 @@ struct SlotRequest {
 /// \brief Priority + quota + DWFQ selection over per-tenant FIFO queues.
 class TenantScheduler {
  public:
-  /// \brief Accepts a request whose snapshot the pick must match (e.g.
-  /// the version already loaded on a candidate worker). Null matches any.
-  using SnapFilter = std::function<bool(const ModelSnapshot*)>;
-
   explicit TenantScheduler(const SlotSchedulerConfig& config);
 
   /// \brief The resolved policy for \p tenant (override or default).
@@ -83,13 +81,15 @@ class TenantScheduler {
   int64_t depth() const { return depth_; }
 
   /// \brief Picks the next request to serve at simulated \p now_ms under
-  /// priority -> quota -> DWFQ, restricted to requests whose snapshot
-  /// passes \p filter; nullopt when nothing is eligible. Charges the
-  /// winner's token bucket and deficit. Deterministic; state mutations on
-  /// a failed scan (deficit resets, cursor advances) are themselves pure
-  /// functions of simulated state, so replay is unaffected.
+  /// priority -> quota -> DWFQ; nullopt when nothing is eligible. A
+  /// non-null \p pin restricts the pick to requests bound to that
+  /// snapshot (the version already loaded on the worker being filled).
+  /// Charges the winner's token bucket and deficit. Deterministic; state
+  /// mutations on a failed scan (deficit resets, cursor advances) are
+  /// themselves pure functions of simulated state, so replay is
+  /// unaffected.
   std::optional<SlotRequest> PickNext(double now_ms,
-                                      const SnapFilter& filter = {});
+                                      const ModelSnapshot* pin = nullptr);
 
   /// \brief Earliest simulated time >= \p now_ms at which \p tenant's
   /// bucket holds a full token (now_ms when unlimited or already funded).
@@ -126,6 +126,8 @@ class TenantScheduler {
     int64_t served = 0;
   };
 
+  using TenantMap = std::map<std::string, TenantState>;
+
   TenantState& StateFor(const std::string& tenant);
   /// Settles \p state's bucket forward to \p now_ms.
   void Refill(TenantState* state, double now_ms) const;
@@ -133,19 +135,23 @@ class TenantScheduler {
   double TokensAt(const TenantState& state, double now_ms) const;
   /// True when quota allows a service at \p now_ms.
   bool QuotaOpen(const TenantState& state, double now_ms) const;
-  /// Index of the first queued request of \p state passing \p filter,
-  /// or -1.
-  static int64_t FirstMatch(const TenantState& state, const SnapFilter& filter);
+  /// Index of the first queued request of \p state bound to \p pin (any
+  /// snapshot when null), or -1.
+  static int64_t FirstMatch(const TenantState& state, const ModelSnapshot* pin);
   /// Serves entry \p pos of \p state: charges quota, pops, returns it.
   SlotRequest Serve(TenantState* state, int64_t pos, double now_ms);
 
-  std::optional<SlotRequest> PickFifo(double now_ms, const SnapFilter& filter);
+  /// The first tenant at or after \p it, wrapping past the end, that
+  /// is backlogged in class \p cls; one must exist.
+  TenantMap::iterator RingFrom(TenantMap::iterator it, int cls);
+
+  std::optional<SlotRequest> PickFifo(double now_ms, const ModelSnapshot* pin);
 
   SlotSchedulerConfig config_;
-  std::map<std::string, TenantState> tenants_;  ///< name order = scan order
+  TenantMap tenants_;  ///< name order = scan order
   /// Per-priority-class DWFQ cursor: the tenant name the next scan
-  /// starts at (lower_bound; wraps).
-  std::map<int, std::string> cursor_;
+  /// starts at (lower_bound; wraps). Empty starts at the first tenant.
+  std::vector<std::string> cursor_;
   int64_t depth_ = 0;
 };
 

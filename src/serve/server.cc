@@ -1,6 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -51,19 +52,12 @@ Server::Server(ModelRegistry* registry, const ServerConfig& config)
     : registry_(registry),
       config_(config),
       pool_(config.workers - 1),
-      worker_free_ms_(static_cast<size_t>(config.workers), 0.0) {
-  if (config_.scheduler.use_slots) {
-    scheduler_ = std::make_unique<TenantScheduler>(config_.scheduler);
-    slots_ = std::make_unique<SlotPool>(
-        config_.workers, static_cast<int>(lanes_per_worker()));
-    loaded_.resize(static_cast<size_t>(config_.workers));
-  }
-}
-
-int64_t Server::lanes_per_worker() const {
-  return config_.scheduler.slots_per_worker > 0
-             ? config_.scheduler.slots_per_worker
-             : config_.batch.max_batch;
+      worker_free_ms_(static_cast<size_t>(config.workers), 0.0),
+      scheduler_(config.scheduler),
+      slots_(config.workers, static_cast<int>(config.batch.max_batch)),
+      loaded_(static_cast<size_t>(config.workers)),
+      fill_order_(static_cast<size_t>(config.workers)) {
+  std::iota(fill_order_.begin(), fill_order_.end(), 0);
 }
 
 Result<int64_t> Server::Publish(const std::string& model,
@@ -71,41 +65,14 @@ Result<int64_t> Server::Publish(const std::string& model,
                                 const Shape& example_shape,
                                 const EngineConfig& engine_config) {
   EngineConfig ec = engine_config;
-  // In slot mode a step batches every loaded lane, so staging must fit a
-  // full lane complement as well as the legacy batch ceiling.
-  const int64_t floor = config_.scheduler.use_slots
-                            ? std::max(config_.batch.max_batch,
-                                       lanes_per_worker())
-                            : config_.batch.max_batch;
-  if (ec.max_batch < floor) {
-    ec.max_batch = floor;
+  // A step batches every loaded lane, so staging must fit a full lane
+  // complement.
+  if (ec.max_batch < config_.batch.max_batch) {
+    ec.max_batch = config_.batch.max_batch;
   }
   auto snap = CompileSnapshot(net, example_shape, config_.workers, ec);
   if (!snap.ok()) return snap.status();
   return registry_->Publish(model, std::move(snap).value());
-}
-
-int64_t Server::BatchPrefix(const std::deque<QueueEntry>& queue,
-                            double* ready_ms) const {
-  const int64_t mb = config_.batch.max_batch;
-  const ModelSnapshot* snap = queue.front().snap.get();
-  int64_t n = 0;
-  while (n < static_cast<int64_t>(queue.size()) && n < mb &&
-         queue[n].snap.get() == snap) {
-    ++n;
-  }
-  // A batch closes when it fills, or when a different-version request
-  // arrives behind it (it can never grow past that point), or when the
-  // oldest member's delay budget expires — whichever is earliest.
-  double closed_ms = kInf;
-  if (n == mb) {
-    closed_ms = queue[n - 1].arrival_ms;
-  } else if (n < static_cast<int64_t>(queue.size())) {
-    closed_ms = queue[n].arrival_ms;
-  }
-  *ready_ms =
-      std::min(closed_ms, queue.front().arrival_ms + config_.batch.max_delay_ms);
-  return n;
 }
 
 Server::SubmitResult Server::Submit(const std::string& model,
@@ -114,16 +81,11 @@ Server::SubmitResult Server::Submit(const std::string& model,
                                     const std::string& tenant,
                                     const obs::RequestTrace* rtrace) {
   DLSYS_CHECK(arrival_ms >= clock_ms_, "Submit arrivals must be monotone");
-  const bool slot_mode = scheduler_ != nullptr;
-  // Work due strictly before this arrival happens first; a batch delay or
-  // step completion landing exactly at arrival_ms instead waits for the
-  // non-strict pass below, so it can coalesce (or seat) this request
-  // (same-tick semantics, matching MicroBatcher::Submit).
-  if (slot_mode) {
-    SlotAdvance(arrival_ms, /*strict=*/true);
-  } else {
-    DispatchDue(arrival_ms, /*strict=*/true);
-  }
+  // Work due strictly before this arrival happens first; a step
+  // completion or quota refill landing exactly at arrival_ms instead
+  // waits for the non-strict pass below, so the lane it frees can seat
+  // this request.
+  RunUntil(arrival_ms, /*strict=*/true);
   clock_ms_ = arrival_ms;
 
   const std::string tenant_name =
@@ -153,94 +115,45 @@ Server::SubmitResult Server::Submit(const std::string& model,
   DLSYS_CHECK(static_cast<int>(snap->replicas.size()) >= config_.workers,
               "snapshot has fewer replicas than serving workers");
   DLSYS_CHECK(snap->engine_config.max_batch >= config_.batch.max_batch,
-              "snapshot engine batch ceiling below the server batch policy");
-  if (slot_mode) {
-    DLSYS_CHECK(snap->engine_config.max_batch >= lanes_per_worker(),
-                "snapshot engine batch ceiling below the slot lane count");
+              "snapshot engine batch ceiling below the slot lane count");
+  if (example.size() != snap->in_elems) {
+    // A malformed request is the client's error, not the server's: turn
+    // it away without touching the queue.
+    ++rejected_bad_shape_;
+    DLSYS_COUNTER_ADD("serve.rejected.bad_shape", 1);
+    DLSYS_TRACE_INSTANT_SIM("serve.rejected.bad_shape", "serve", arrival_ms,
+                            erid);
+    result.outcome = Outcome::kInvalidRequest;
+    return result;
   }
-  DLSYS_CHECK(example.size() == snap->in_elems,
-              "example does not match the model's per-example input shape");
   result.version = snap->version;
 
   const double budget = deadline_budget_ms > 0.0 ? deadline_budget_ms
                                                  : config_.default_deadline_ms;
   const ServiceCostModel scaled_cost = ScaledCost();
 
+  // The backlog is everything queued or loaded. The request can start no
+  // earlier than its tenant's quota opens, and no earlier than the
+  // backlog clears at the pool's steady drain rate (workers * lanes
+  // requests per full step). The prediction is biased optimistic, so
+  // sheds under-trigger rather than over-trigger.
+  const int64_t lanes = config_.batch.max_batch;
+  const int64_t backlog = queue_depth();
   AdmissionInputs in;
   in.arrival_ms = arrival_ms;
   in.deadline_budget_ms = budget;
   in.draining = draining_;
-  if (slot_mode) {
-    // Slot-mode prediction: the backlog is everything queued or loaded;
-    // the request can start no earlier than its tenant's quota opens, and
-    // no earlier than the backlog clears at the pool's steady drain rate
-    // (workers * lanes requests per full step). Like the legacy branch
-    // the prediction is biased optimistic, so sheds under-trigger.
-    const int64_t lanes = lanes_per_worker();
-    const int64_t backlog = scheduler_->depth() + slots_->TotalLoaded();
-    in.queue_depth = backlog;
-    in.prospective_batch = std::min<int64_t>(lanes, backlog + 1);
-    in.batch_ready_ms = std::max(
-        arrival_ms, scheduler_->QuotaBacklogMs(tenant_name, arrival_ms));
-    const double step_ms = EstimateServiceMs(scaled_cost, lanes);
-    const double backlog_ms =
-        step_ms > 0.0 ? static_cast<double>(backlog) * step_ms /
-                            (static_cast<double>(config_.workers) *
-                             static_cast<double>(lanes))
-                      : 0.0;
-    const double free =
-        *std::min_element(worker_free_ms_.begin(), worker_free_ms_.end());
-    in.earliest_worker_free_ms = std::max(free, arrival_ms) + backlog_ms;
-  } else {
-    const int64_t mb = config_.batch.max_batch;
-    // Predict this request's batch from the queue's FIFO grouping: it
-    // joins the trailing group when that group shares its snapshot and
-    // has room, otherwise it opens a new group behind everything queued.
-    auto qit = queues_.find(model);
-    const int64_t depth =
-        qit == queues_.end() ? 0 : static_cast<int64_t>(qit->second.size());
-    std::vector<int64_t> ahead_sizes;
-    int64_t tail_size = 0;
-    double tail_front_arrival = 0.0;
-    const ModelSnapshot* tail_snap = nullptr;
-    for (int64_t i = 0; i < depth;) {
-      const std::deque<QueueEntry>& q = qit->second;
-      const ModelSnapshot* gs = q[i].snap.get();
-      int64_t n = 0;
-      while (i + n < depth && n < mb && q[i + n].snap.get() == gs) ++n;
-      if (i + n == depth) {
-        tail_size = n;
-        tail_front_arrival = q[i].arrival_ms;
-        tail_snap = gs;
-      } else {
-        ahead_sizes.push_back(n);
-      }
-      i += n;
-    }
-    const bool joins_tail = tail_snap == snap.get() && tail_size < mb;
-    if (!joins_tail && tail_size > 0) ahead_sizes.push_back(tail_size);
-
-    in.queue_depth = depth;
-    in.prospective_batch = joins_tail ? tail_size + 1 : 1;
-    if (in.prospective_batch == mb) {
-      in.batch_ready_ms = arrival_ms;  // this request completes the batch
-    } else if (joins_tail) {
-      in.batch_ready_ms = std::max(
-          arrival_ms, tail_front_arrival + config_.batch.max_delay_ms);
-    } else {
-      in.batch_ready_ms = arrival_ms + config_.batch.max_delay_ms;
-    }
-    // Predicted worker availability: replay the queued-ahead groups onto
-    // the earliest-free worker under the cost model. Their own ready times
-    // are ignored (assumed dispatchable at this arrival), which biases the
-    // prediction optimistic — sheds under-, never over-trigger from it.
-    std::vector<double> free = worker_free_ms_;
-    for (int64_t g : ahead_sizes) {
-      auto w = std::min_element(free.begin(), free.end());
-      *w = std::max(*w, arrival_ms) + EstimateServiceMs(scaled_cost, g);
-    }
-    in.earliest_worker_free_ms = *std::min_element(free.begin(), free.end());
-  }
+  in.queue_depth = backlog;
+  in.prospective_batch = std::min<int64_t>(lanes, backlog + 1);
+  in.batch_ready_ms = std::max(
+      arrival_ms, scheduler_.QuotaBacklogMs(tenant_name, arrival_ms));
+  const double step_ms = EstimateServiceMs(scaled_cost, lanes);
+  const double backlog_ms =
+      step_ms > 0.0 ? static_cast<double>(backlog) * step_ms /
+                          (static_cast<double>(config_.workers) *
+                           static_cast<double>(lanes))
+                    : 0.0;
+  in.earliest_worker_free_ms = earliest_worker_free_ms() + backlog_ms;
 
   ServerConfig decision_config = config_;
   decision_config.cost = scaled_cost;
@@ -282,42 +195,21 @@ Server::SubmitResult Server::Submit(const std::string& model,
   TenantCounterAdd(tenant_name, "admitted", 1);
   DLSYS_TRACE_INSTANT_SIM("serve.admit", "serve", arrival_ms, erid);
 
-  if (slot_mode) {
-    SlotRequest req;
-    req.id = result.id;
-    req.trace_rid = trace_rid;
-    req.tenant = tenant_name;
-    req.priority = scheduler_->PolicyFor(tenant_name).priority;
-    req.arrival_ms = arrival_ms;
-    req.deadline_ms = arrival_ms + budget;
-    req.input = Tensor({snap->in_elems});
-    std::copy(example.data(), example.data() + snap->in_elems,
-              req.input.data());
-    req.snap = std::move(snap);
-    scheduler_->Enqueue(std::move(req));
-    // Seat the request immediately if a lane is free (or frees exactly
-    // now), and let idle workers depart with whatever is loaded.
-    SlotAdvance(arrival_ms, /*strict=*/false);
-  } else {
-    QueueEntry entry;
-    entry.id = result.id;
-    entry.trace_rid = trace_rid;
-    entry.tenant = tenant_name;
-    entry.arrival_ms = arrival_ms;
-    // Legacy batch mode has no quota gate: the whole queue wait is slot
-    // (batch) wait in the decomposition.
-    entry.quota_open_ms = arrival_ms;
-    entry.deadline_ms = arrival_ms + budget;
-    entry.input = Tensor({snap->in_elems});
-    std::copy(example.data(), example.data() + snap->in_elems,
-              entry.input.data());
-    entry.snap = std::move(snap);
-    queues_[model].push_back(std::move(entry));
-
-    // Now dispatch anything due *at* arrival_ms too — a full batch formed
-    // by this request, or a delay expiring on this exact tick.
-    DispatchDue(arrival_ms, /*strict=*/false);
-  }
+  SlotRequest req;
+  req.id = result.id;
+  req.trace_rid = trace_rid;
+  req.tenant = tenant_name;
+  req.priority = scheduler_.PolicyFor(tenant_name).priority;
+  req.arrival_ms = arrival_ms;
+  req.deadline_ms = arrival_ms + budget;
+  req.input = Tensor({snap->in_elems});
+  std::copy(example.data(), example.data() + snap->in_elems,
+            req.input.data());
+  req.snap = std::move(snap);
+  scheduler_.Enqueue(std::move(req));
+  // Seat the request immediately if a lane is free (or frees exactly
+  // now), and let idle workers depart with whatever is loaded.
+  RunUntil(arrival_ms, /*strict=*/false);
   result.outcome = Outcome::kAdmitted;
   return result;
 }
@@ -330,16 +222,8 @@ ServiceCostModel Server::ScaledCost() const {
 }
 
 int64_t Server::DropQueued() {
-  int64_t dropped = 0;
-  if (scheduler_ != nullptr) {
-    dropped += scheduler_->DropAll();
-    dropped += slots_->DropLoaded(clock_ms_);
-    for (std::vector<QueueEntry>& lane : loaded_) lane.clear();
-  }
-  for (auto& [name, queue] : queues_) {
-    dropped += static_cast<int64_t>(queue.size());
-    queue.clear();
-  }
+  const int64_t dropped = scheduler_.DropAll() + slots_.DropLoaded(clock_ms_);
+  for (std::vector<SlotRequest>& lanes : loaded_) lanes.clear();
   dropped_queued_ += dropped;
   if (dropped > 0) {
     DLSYS_COUNTER_ADD("serve.dropped_queued", dropped);
@@ -349,14 +233,7 @@ int64_t Server::DropQueued() {
 }
 
 int64_t Server::queue_depth() const {
-  int64_t depth = 0;
-  if (scheduler_ != nullptr) {
-    depth += scheduler_->depth() + slots_->TotalLoaded();
-  }
-  for (const auto& [name, queue] : queues_) {
-    depth += static_cast<int64_t>(queue.size());
-  }
-  return depth;
+  return scheduler_.depth() + slots_.TotalLoaded();
 }
 
 double Server::earliest_worker_free_ms() const {
@@ -367,48 +244,35 @@ double Server::earliest_worker_free_ms() const {
 
 void Server::AdvanceTo(double now_ms) {
   DLSYS_CHECK(now_ms >= clock_ms_, "AdvanceTo must be monotone");
-  if (scheduler_ != nullptr) {
-    SlotAdvance(now_ms, /*strict=*/false);
-  } else {
-    DispatchDue(now_ms, /*strict=*/false);
-  }
+  RunUntil(now_ms, /*strict=*/false);
   clock_ms_ = now_ms;
 }
 
+double Server::NextEventMs(double cursor_ms) const {
+  // In-flight steps complete at their modeled finish times; each
+  // completion frees lanes and may start the worker's next step.
+  double next = kInf;
+  bool any_free_lane = false;
+  for (int w = 0; w < config_.workers; ++w) {
+    if (slots_.ExecutingCount(w) > 0) next = std::min(next, worker_free_ms_[w]);
+    if (slots_.FreeLanes(w) > 0) any_free_lane = true;
+  }
+  // A quota refill strictly in the future can unblock a queued request.
+  // Anything eligible *now* is already seated (RunUntil leaves the pool
+  // saturated), so a refill at or before the cursor is not an event; and
+  // if free lanes exist only behind a worker's snapshot pin, that worker
+  // is necessarily executing, so a completion event already covers
+  // progress.
+  if (scheduler_.depth() > 0 && any_free_lane) {
+    const double q = scheduler_.NextEligibleMs(cursor_ms);
+    if (q > cursor_ms) next = std::min(next, q);
+  }
+  return next;
+}
+
 double Server::NextActionableMs() const {
-  double best = -1.0;
-  const auto consider = [&best](double t) {
-    if (best < 0.0 || t < best) best = t;
-  };
-  if (scheduler_ != nullptr) {
-    // In-flight steps complete at their modeled finish times; each
-    // completion frees lanes and may start the worker's next step.
-    bool any_free_lane = false;
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0) consider(worker_free_ms_[w]);
-      if (slots_->FreeLanes(w) > 0) any_free_lane = true;
-    }
-    // A quota refill strictly in the future can unblock a queued request.
-    // Anything eligible *now* is already seated (SlotAdvance leaves the
-    // pool saturated), so a refill at or before the clock is not an
-    // event; and if free lanes exist only behind a version-homogeneity
-    // constraint, the constraining worker is necessarily executing, so a
-    // completion event already covers progress.
-    if (scheduler_->depth() > 0 && any_free_lane) {
-      const double q = scheduler_->NextEligibleMs(clock_ms_);
-      if (q > clock_ms_) consider(q);
-    }
-    return best;
-  }
-  for (const auto& [name, queue] : queues_) {
-    if (queue.empty()) continue;
-    double ready = 0.0;
-    BatchPrefix(queue, &ready);
-    const double t = std::max(
-        ready, *std::min_element(worker_free_ms_.begin(), worker_free_ms_.end()));
-    consider(t);
-  }
-  return best;
+  const double next = NextEventMs(clock_ms_);
+  return next == kInf ? -1.0 : next;
 }
 
 void Server::Drain() {
@@ -417,70 +281,6 @@ void Server::Drain() {
     if (next < 0.0) break;
     AdvanceTo(std::max(clock_ms_, next));
   }
-}
-
-void Server::DispatchDue(double limit_ms, bool strict) {
-  while (true) {
-    double best_time = kInf;
-    std::string best_model;
-    for (const auto& [name, queue] : queues_) {
-      if (queue.empty()) continue;
-      double ready = 0.0;
-      BatchPrefix(queue, &ready);
-      const double t =
-          std::max(ready, *std::min_element(worker_free_ms_.begin(),
-                                            worker_free_ms_.end()));
-      if (t < best_time) {  // map order breaks ties by model name
-        best_time = t;
-        best_model = name;
-      }
-    }
-    if (best_model.empty()) break;
-    if (strict ? best_time >= limit_ms : best_time > limit_ms) break;
-    StageDispatch(&queues_[best_model], best_time);
-  }
-  FlushWave();
-}
-
-void Server::StageDispatch(std::deque<QueueEntry>* queue, double dispatch_ms) {
-  double ready = 0.0;
-  const int64_t n = BatchPrefix(*queue, &ready);
-  const std::shared_ptr<ModelSnapshot>& snap = queue->front().snap;
-
-  // Lowest-index earliest-free worker, so assignment is deterministic.
-  int worker = 0;
-  for (int w = 1; w < config_.workers; ++w) {
-    if (worker_free_ms_[w] < worker_free_ms_[worker]) worker = w;
-  }
-  // A replica's staging buffers hold exactly one batch; if this (snapshot,
-  // worker) pair is already staged in the pending wave, execute the wave
-  // before overwriting them.
-  for (const ExecTask& t : wave_) {
-    if (t.snap.get() == snap.get() && t.worker == worker) {
-      FlushWave();
-      break;
-    }
-  }
-
-  ExecTask task;
-  task.snap = snap;  // copy before moving entries out of the queue
-  task.worker = worker;
-  task.batch_size = n;
-  task.dispatch_ms = dispatch_ms;
-  task.finish_ms = dispatch_ms + EstimateServiceMs(ScaledCost(), n);
-  task.members.reserve(static_cast<size_t>(n));
-  ModelSnapshot::Replica& rep = task.snap->replicas[worker];
-  for (int64_t j = 0; j < n; ++j) {
-    QueueEntry entry = std::move(queue->front());
-    queue->pop_front();
-    std::copy(entry.input.data(), entry.input.data() + task.snap->in_elems,
-              rep.in_staging.data() + j * task.snap->in_elems);
-    task.members.push_back(std::move(entry));
-  }
-  worker_free_ms_[worker] = task.finish_ms;
-  ++batches_;
-  DLSYS_COUNTER_ADD("serve.batches", 1);
-  wave_.push_back(std::move(task));
 }
 
 void Server::FlushWave() {
@@ -513,26 +313,26 @@ void Server::FlushWave() {
     DLSYS_HISTOGRAM_RECORD("serve.measured_service_ms",
                            task.measured_service_ms);
     for (size_t j = 0; j < task.members.size(); ++j) {
-      QueueEntry& entry = task.members[j];
+      SlotRequest& req = task.members[j];
       Completion c;
-      c.id = entry.id;
-      c.rid = entry.trace_rid >= 0 ? entry.trace_rid : entry.id;
+      c.id = req.id;
+      c.rid = req.trace_rid >= 0 ? req.trace_rid : req.id;
       c.model = task.snap->model;
-      c.tenant = entry.tenant.empty() ? std::string("default") : entry.tenant;
+      c.tenant = std::move(req.tenant);
       c.version = task.snap->version;
-      c.arrival_ms = entry.arrival_ms;
+      c.arrival_ms = req.arrival_ms;
       // The quota horizon was a prediction at enqueue time; DWFQ rotation
       // can serve before or after it, so clamp it into the realized
       // [arrival, dispatch] interval the decomposition splits.
       c.quota_open_ms = std::max(
-          entry.arrival_ms, std::min(entry.quota_open_ms, task.dispatch_ms));
+          req.arrival_ms, std::min(req.quota_open_ms, task.dispatch_ms));
       c.dispatch_ms = task.dispatch_ms;
       c.finish_ms = task.finish_ms;
-      c.deadline_ms = entry.deadline_ms;
+      c.deadline_ms = req.deadline_ms;
       c.batch_size = task.batch_size;
       c.worker = task.worker;
-      c.slot = entry.slot;
-      c.deadline_missed = task.finish_ms > entry.deadline_ms;
+      c.slot = req.slot;
+      c.deadline_missed = task.finish_ms > req.deadline_ms;
       c.measured_service_ms = task.measured_service_ms;
       c.output = Tensor(task.snap->example_output_shape);
       const float* row =
@@ -562,7 +362,7 @@ void Server::FlushWave() {
       const int64_t dispatch_ns = obs::SimNs(c.dispatch_ms);
       const int64_t finish_ns = obs::SimNs(c.finish_ms);
       const int64_t root =
-          entry.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
+          req.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
       const int64_t queue_span = obs::QueueSpanId(c.rid);
       DLSYS_TRACE_EMIT_SIM_NS("serve.queue", "serve", arrival_ns,
                               dispatch_ns - arrival_ns, c.rid, queue_span,
@@ -604,26 +404,13 @@ void Server::RecordTenantCompletion(const Completion& completion) {
   TenantLatencyRecord(completion.tenant, latency);
 }
 
-void Server::SlotAdvance(double limit_ms, bool strict) {
+void Server::RunUntil(double limit_ms, bool strict) {
   // Seat anything already eligible at the current clock (usually a no-op:
   // every public mutation leaves the pool saturated).
   double cursor = clock_ms_;
-  SlotRefillAndStart(cursor);
+  RefillAndStart(cursor);
   while (true) {
-    // Next event: the earliest in-flight step completion, or the earliest
-    // strictly-future quota refill that could seat a queued request.
-    double next = kInf;
-    bool any_free_lane = false;
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0) {
-        next = std::min(next, worker_free_ms_[w]);
-      }
-      if (slots_->FreeLanes(w) > 0) any_free_lane = true;
-    }
-    if (scheduler_->depth() > 0 && any_free_lane) {
-      const double q = scheduler_->NextEligibleMs(cursor);
-      if (q > cursor) next = std::min(next, q);
-    }
+    const double next = NextEventMs(cursor);
     if (next == kInf) break;
     if (strict ? next >= limit_ms : next > limit_ms) break;
     cursor = std::max(cursor, next);
@@ -631,78 +418,61 @@ void Server::SlotAdvance(double limit_ms, bool strict) {
     // the scheduler at once and idle workers depart immediately — no
     // drain barrier between steps.
     for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0 && worker_free_ms_[w] <= cursor) {
-        slots_->CompleteStep(w, cursor);
+      if (slots_.ExecutingCount(w) > 0 && worker_free_ms_[w] <= cursor) {
+        slots_.CompleteStep(w, cursor);
       }
     }
-    SlotRefillAndStart(cursor);
+    RefillAndStart(cursor);
   }
   FlushWave();
 }
 
-int Server::SlotRefillAndStart(double now_ms) {
-  int placed_total = 0;
+void Server::RefillAndStart(double now_ms) {
   while (true) {
     int placed = 0;
     // Fill workers in service order — the worker whose next step departs
     // soonest first, lowest index on ties — so a request the scheduler
     // releases lands where it completes earliest.
-    std::vector<int> order(static_cast<size_t>(config_.workers));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return std::max(worker_free_ms_[a], now_ms) <
-             std::max(worker_free_ms_[b], now_ms);
+    std::sort(fill_order_.begin(), fill_order_.end(), [&](int a, int b) {
+      const double fa = std::max(worker_free_ms_[a], now_ms);
+      const double fb = std::max(worker_free_ms_[b], now_ms);
+      return fa < fb || (fa == fb && a < b);
     });
-    for (int w : order) {
-      while (slots_->FreeLanes(w) > 0) {
-        // A worker's pending lanes stay version-homogeneous: once a lane
-        // is loaded, further loads must match its snapshot. An empty
+    for (int w : fill_order_) {
+      std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(w)];
+      while (slots_.FreeLanes(w) > 0) {
+        // A worker's loaded lanes stay version-homogeneous: once a lane is
+        // loaded, further loads are pinned to its snapshot. An empty
         // worker accepts anything.
-        TenantScheduler::SnapFilter filter;
-        if (!loaded_[static_cast<size_t>(w)].empty()) {
-          const ModelSnapshot* pending =
-              loaded_[static_cast<size_t>(w)].front().snap.get();
-          filter = [pending](const ModelSnapshot* s) { return s == pending; };
-        }
-        std::optional<SlotRequest> pick = scheduler_->PickNext(now_ms, filter);
+        const ModelSnapshot* pin =
+            lanes.empty() ? nullptr : lanes.front().snap.get();
+        std::optional<SlotRequest> pick = scheduler_.PickNext(now_ms, pin);
         if (!pick.has_value()) break;
-        const int slot = slots_->Load(w, pick->id, now_ms);
-        QueueEntry entry;
-        entry.id = pick->id;
-        entry.trace_rid = pick->trace_rid;
-        entry.tenant = std::move(pick->tenant);
-        entry.slot = slot;
-        entry.arrival_ms = pick->arrival_ms;
-        entry.quota_open_ms = pick->quota_open_ms;
-        entry.deadline_ms = pick->deadline_ms;
-        entry.snap = std::move(pick->snap);
-        entry.input = std::move(pick->input);
-        loaded_[static_cast<size_t>(w)].push_back(std::move(entry));
+        pick->slot = slots_.Load(w, pick->id, now_ms);
+        lanes.push_back(std::move(*pick));
         ++placed;
-        ++placed_total;
       }
     }
     int started = 0;
     for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) == 0 &&
+      if (slots_.ExecutingCount(w) == 0 &&
           !loaded_[static_cast<size_t>(w)].empty()) {
-        SlotStartStep(w, now_ms);
+        StartStep(w, now_ms);
         ++started;
       }
     }
-    // A departed step clears its worker's version constraint, which can
-    // unlock further loads — loop until the pool is saturated.
+    // A departed step clears its worker's snapshot pin, which can unlock
+    // further loads — loop until the pool is saturated.
     if (placed == 0 && started == 0) break;
   }
-  return placed_total;
 }
 
-void Server::SlotStartStep(int worker, double now_ms) {
-  std::vector<QueueEntry>& members = loaded_[static_cast<size_t>(worker)];
-  const int n = slots_->BeginStep(worker, now_ms);
-  DLSYS_CHECK(n == static_cast<int>(members.size()),
+void Server::StartStep(int worker, double now_ms) {
+  std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(worker)];
+  const int n = slots_.BeginStep(worker, now_ms);
+  DLSYS_CHECK(n == static_cast<int>(lanes.size()),
               "loaded payloads out of sync with loaded lanes");
-  const std::shared_ptr<ModelSnapshot>& snap = members.front().snap;
+  const std::shared_ptr<ModelSnapshot>& snap = lanes.front().snap;
   // A replica's staging buffers hold exactly one batch; if this (snapshot,
   // worker) pair is already staged in the pending wave, execute the wave
   // before overwriting them.
@@ -719,16 +489,16 @@ void Server::SlotStartStep(int worker, double now_ms) {
   task.batch_size = n;
   task.dispatch_ms = now_ms;
   task.finish_ms = now_ms + EstimateServiceMs(ScaledCost(), n);
-  task.members.reserve(members.size());
   ModelSnapshot::Replica& rep = task.snap->replicas[worker];
-  for (size_t j = 0; j < members.size(); ++j) {
-    std::copy(members[j].input.data(),
-              members[j].input.data() + task.snap->in_elems,
+  for (size_t j = 0; j < lanes.size(); ++j) {
+    std::copy(lanes[j].input.data(),
+              lanes[j].input.data() + task.snap->in_elems,
               rep.in_staging.data() + static_cast<int64_t>(j) *
                                           task.snap->in_elems);
-    task.members.push_back(std::move(members[j]));
   }
-  members.clear();
+  task.members.assign(std::make_move_iterator(lanes.begin()),
+                      std::make_move_iterator(lanes.end()));
+  lanes.clear();  // keeps its capacity for the next loads
   worker_free_ms_[worker] = task.finish_ms;
   ++batches_;
   DLSYS_COUNTER_ADD("serve.batches", 1);
@@ -745,6 +515,8 @@ MetricsReport Server::metrics() const {
   report.Set("serve.shed.draining", static_cast<double>(shed_draining_));
   report.Set("serve.dropped_queued", static_cast<double>(dropped_queued_));
   report.Set("serve.no_such_model", static_cast<double>(no_such_model_));
+  report.Set("serve.rejected.bad_shape",
+             static_cast<double>(rejected_bad_shape_));
   report.Set("serve.deadline_missed", static_cast<double>(deadline_missed_));
   report.Set("serve.batches", static_cast<double>(batches_));
   report.Set("serve.swaps", static_cast<double>(registry_->swap_count()));

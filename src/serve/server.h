@@ -2,7 +2,6 @@
 #define DLSYS_SERVE_SERVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,7 +17,7 @@
 #include "src/serve/slots.h"
 
 /// \file server.h
-/// \brief The serving front door: bounded queues, deadline-aware
+/// \brief The serving front door: a bounded queue, deadline-aware
 /// admission, and an SLO-tracked worker pool over hot-swappable models.
 ///
 /// ## Simulated decisions, real execution
@@ -35,26 +34,25 @@
 /// (`Completion::measured_service_ms`), so benches can compare the model
 /// against reality.
 ///
-/// ## Two scheduling modes
+/// ## Continuous batching
 ///
-/// With `config.scheduler.use_slots` off (the default this release) the
-/// server batches version-homogeneous FIFO prefixes per model queue,
-/// coalescing up to batch.max_delay_ms — the legacy PR-4 path. With it
-/// on, the server runs *continuous batching* over a fixed pool of
-/// per-worker request slots (src/serve/slots.h): a freed slot refills
-/// immediately from the TenantScheduler (src/serve/scheduler.h) under
-/// priority classes, per-tenant token-bucket quotas, and deficit-
-/// weighted-fair queueing, and an idle worker dispatches whatever is
-/// loaded without waiting for a batch to fill or drain. Requests carry a
-/// tenant id either way; per-tenant accounting is mode-independent.
+/// Each worker owns batch.max_batch request lanes of a SlotPool
+/// (src/serve/slots.h). An admitted request queues in the TenantScheduler
+/// (src/serve/scheduler.h), which fills a freed lane under priority
+/// classes, per-tenant token-bucket quotas and deficit-weighted-fair
+/// queueing. An idle worker departs with whatever it has loaded as one
+/// engine batch (a step), and a lane freed by a finished step refills the
+/// same instant — no waiting for a batch to fill, no drain barrier
+/// between batches. batch.max_delay_ms is therefore never consulted.
+/// Every request carries a tenant id ("default" when none is given).
 ///
 /// ## Version binding and hot swap
 ///
 /// Each admitted request binds the model snapshot current *at admission*
-/// (one registry Acquire). Batches are version-homogeneous in both modes
-/// (slot loading never mixes snapshots within a worker's pending lanes),
-/// so a Publish mid-load never mixes versions inside a batch and never
-/// loses a request: queued requests finish on the snapshot they bound.
+/// (one registry Acquire). A worker's loaded lanes are pinned to one
+/// snapshot, so every batch is version-homogeneous: a Publish mid-load
+/// never mixes versions inside a batch and never loses a request, and
+/// queued requests finish on the snapshot they bound.
 ///
 /// ## Threading contract
 ///
@@ -79,6 +77,9 @@ class Server {
     kShedDeadline,
     kShedDraining,
     kNoSuchModel,
+    /// The example's size does not match the model's per-example input;
+    /// rejected without touching the queue.
+    kInvalidRequest,
   };
 
   /// \brief Submit verdict; \p id is assigned to every offered request,
@@ -102,14 +103,14 @@ class Server {
     double arrival_ms = 0.0;    ///< simulated
     /// Simulated time the tenant's quota funded the request, clamped to
     /// [arrival_ms, dispatch_ms] — the quota-delay / slot-wait boundary
-    /// of the critical-path decomposition. arrival_ms in legacy mode.
+    /// of the critical-path decomposition.
     double quota_open_ms = 0.0;
     double dispatch_ms = 0.0;   ///< simulated batch start
     double finish_ms = 0.0;     ///< dispatch + modeled service time
     double deadline_ms = 0.0;   ///< absolute simulated deadline
     int64_t batch_size = 0;     ///< requests sharing the dispatch
     int worker = 0;             ///< replica index that executed it
-    int slot = -1;              ///< slot-pool lane (-1 in legacy mode)
+    int slot = -1;              ///< slot-pool lane that carried it
     bool deadline_missed = false;  ///< finish_ms > deadline_ms
     /// Real wall time of the batch's engine call (informational only;
     /// never feeds scheduling).
@@ -134,17 +135,18 @@ class Server {
                           const EngineConfig& engine_config = {});
 
   /// \brief Offers one request at simulated time \p arrival_ms (monotone;
-  /// checked). \p example must match the model's per-example input shape.
+  /// checked). An \p example whose size differs from the model's
+  /// per-example input is rejected with Outcome::kInvalidRequest.
   /// \p deadline_budget_ms <= 0 selects config.default_deadline_ms.
   /// \p tenant attributes the request for QoS and accounting; empty maps
   /// to "default".
   ///
-  /// Order of operations: dispatch every batch due strictly before
-  /// arrival_ms, then decide admission against the declared cost model
-  /// (in slot mode the prediction folds in the tenant's token-bucket
-  /// wait and the slot backlog), then (if admitted) enqueue and dispatch
-  /// anything due at arrival_ms — so a batch whose delay expires exactly
-  /// now coalesces this request, and a slot freed exactly now takes it.
+  /// Order of operations: process every step completion and quota refill
+  /// due strictly before arrival_ms, then decide admission against the
+  /// declared cost model (the prediction folds in the tenant's
+  /// token-bucket wait and the slot backlog), then (if admitted) enqueue
+  /// and process everything due at arrival_ms — so a lane freed exactly
+  /// now takes this request.
   ///
   /// \p rtrace, when non-null, is the fleet's request context: every sim
   /// span and instant this request emits is keyed by rtrace->rid instead
@@ -156,12 +158,13 @@ class Server {
                       const obs::RequestTrace* rtrace = nullptr);
 
   /// \brief Advances the simulated clock to \p now_ms (monotone; checked),
-  /// dispatching every batch whose dispatch time is due, and executes
-  /// them for real as one fork-join wave.
+  /// completing every step due by then and starting the steps the freed
+  /// lanes refill, and executes them for real as one fork-join wave.
   void AdvanceTo(double now_ms);
 
-  /// \brief Earliest simulated time a pending batch becomes dispatchable,
-  /// or -1 when all queues are empty. Drives event loops:
+  /// \brief Earliest simulated time of the next event (a step completion,
+  /// or a quota refill that can seat a queued request), or -1 when
+  /// nothing is in flight or queued. Drives event loops:
   /// `AdvanceTo(max(clock_ms(), NextActionableMs()))`.
   double NextActionableMs() const;
 
@@ -182,13 +185,16 @@ class Server {
   void SetCostScale(double scale) { cost_scale_ = scale; }
   double cost_scale() const { return cost_scale_; }
 
-  /// \brief Discards every admitted-but-undispatched request (a crash
-  /// loses its queue) and returns how many died. Completions are not
-  /// produced for them; the caller owns the accounting.
+  /// \brief Discards every admitted-but-undispatched request — those
+  /// queued in the scheduler and those loaded into a lane whose step has
+  /// not departed (a crash loses them) — and returns how many died.
+  /// Completions are not produced for them; the caller owns the
+  /// accounting. Executing steps are untouched.
   int64_t DropQueued();
 
-  /// \brief Admitted-but-undispatched requests across all models — the
-  /// load signal fleet routers compare replicas by.
+  /// \brief Admitted-but-undispatched requests (queued plus loaded)
+  /// across all models — the load signal fleet routers compare replicas
+  /// by.
   int64_t queue_depth() const;
 
   /// \brief Simulated time the least-busy worker frees up (clock_ms when
@@ -206,8 +212,8 @@ class Server {
   /// \brief The validated configuration.
   const ServerConfig& config() const { return config_; }
 
-  /// \brief Per-tenant serving tallies (mode-independent; the fairness
-  /// bound and the E37 bench read goodput from these).
+  /// \brief Per-tenant serving tallies (the fairness bound and the E37
+  /// bench read goodput from these).
   struct TenantStats {
     int64_t offered = 0;
     int64_t admitted = 0;
@@ -224,18 +230,15 @@ class Server {
     return tenants_;
   }
 
-  /// \brief The slot pool (occupancy timeline, per-slot states), or
-  /// nullptr when the legacy FIFO path is active.
-  const SlotPool* slot_pool() const { return slots_.get(); }
-
-  /// \brief Resolved slot lanes per worker (scheduler.slots_per_worker,
-  /// or batch.max_batch when 0).
-  int64_t lanes_per_worker() const;
+  /// \brief The slot pool (occupancy timeline, per-slot states); never
+  /// null.
+  const SlotPool* slot_pool() const { return &slots_; }
 
   /// \brief Counters + latency quantiles under "serve.*" keys:
   /// offered/admitted/no_such_model/deadline_missed/batches, structured
   /// shed reasons as "serve.shed.<reason>" (queue_full /
-  /// deadline_infeasible / draining), per-model
+  /// deadline_infeasible / draining), malformed requests as
+  /// "serve.rejected.bad_shape", per-model
   /// "serve.<model>.served_v<N>", simulated latency under
   /// "serve.latency.*", real engine wall time under "serve.measured.*",
   /// and per-tenant "serve.tenant.<name>.*" tallies with
@@ -243,28 +246,14 @@ class Server {
   MetricsReport metrics() const;
 
  private:
-  /// One admitted, not-yet-dispatched request.
-  struct QueueEntry {
-    int64_t id = 0;
-    int64_t trace_rid = -1;    ///< fleet rid from RequestTrace, -1 local
-    std::string tenant;        ///< normalized tenant id
-    int slot = -1;             ///< bound slot index (slot mode only)
-    double arrival_ms = 0.0;
-    double quota_open_ms = 0.0;  ///< predicted quota horizon (= arrival
-                                 ///< in legacy mode)
-    double deadline_ms = 0.0;  ///< absolute
-    std::shared_ptr<ModelSnapshot> snap;
-    Tensor input;  ///< flat copy, (in_elems)
-  };
-
-  /// One dispatched batch awaiting real execution in the current wave.
+  /// One departed step awaiting real execution in the current wave.
   struct ExecTask {
     std::shared_ptr<ModelSnapshot> snap;
     int worker = 0;
     int64_t batch_size = 0;
     double dispatch_ms = 0.0;
     double finish_ms = 0.0;
-    std::vector<QueueEntry> members;
+    std::vector<SlotRequest> members;  ///< in lane-load order
     double measured_service_ms = 0.0;  ///< stamped by the executing thread
     Status status;                     ///< engine verdict, checked on flush
   };
@@ -274,27 +263,22 @@ class Server {
   /// The declared cost model with the current fault scale applied.
   ServiceCostModel ScaledCost() const;
 
-  /// Size of the version-homogeneous FIFO prefix (<= max_batch) and the
-  /// simulated time it becomes dispatchable.
-  int64_t BatchPrefix(const std::deque<QueueEntry>& queue,
-                      double* ready_ms) const;
-  /// Dispatches every due batch: strictly before \p limit_ms when
-  /// \p strict, else at or before it.
-  void DispatchDue(double limit_ms, bool strict);
-  /// Pops the front batch of \p queue and stages it onto a worker.
-  void StageDispatch(std::deque<QueueEntry>* queue, double dispatch_ms);
   /// Runs the staged wave on the thread pool and records completions.
   void FlushWave();
 
-  /// Slot-mode event loop: processes step completions and quota refills
-  /// in simulated-time order, strictly before \p limit_ms when \p strict,
+  /// The next event after \p cursor_ms: the earliest in-flight step
+  /// completion, or the earliest strictly-later quota refill that could
+  /// seat a queued request; infinity when there is none.
+  double NextEventMs(double cursor_ms) const;
+  /// The event loop: processes step completions and quota refills in
+  /// simulated-time order, strictly before \p limit_ms when \p strict,
   /// else at or before it. Ends with a FlushWave.
-  void SlotAdvance(double limit_ms, bool strict);
+  void RunUntil(double limit_ms, bool strict);
   /// Refills free lanes from the scheduler and starts steps on idle
-  /// workers at \p now_ms; returns how many requests were placed.
-  int SlotRefillAndStart(double now_ms);
+  /// workers at \p now_ms, until the pool is saturated.
+  void RefillAndStart(double now_ms);
   /// Departs \p worker's loaded lanes as one real batch at \p now_ms.
-  void SlotStartStep(int worker, double now_ms);
+  void StartStep(int worker, double now_ms);
   /// Folds one finished request into per-tenant and global accounting.
   void RecordTenantCompletion(const Completion& completion);
 
@@ -306,16 +290,17 @@ class Server {
   int64_t next_id_ = 0;
   bool draining_ = false;
   double cost_scale_ = 1.0;
-  std::map<std::string, std::deque<QueueEntry>> queues_;
   std::vector<double> worker_free_ms_;
   std::vector<ExecTask> wave_;
 
-  // Slot mode (config_.scheduler.use_slots): the tenant scheduler holds
-  // queued requests, the pool tracks lane states, loaded_[w] holds the
-  // payloads bound to worker w's loaded lanes in load order.
-  std::unique_ptr<TenantScheduler> scheduler_;
-  std::unique_ptr<SlotPool> slots_;
-  std::vector<std::vector<QueueEntry>> loaded_;
+  // The tenant scheduler holds queued requests, the pool tracks lane
+  // states, loaded_[w] holds the requests bound to worker w's loaded
+  // lanes in load order, and fill_order_ is RefillAndStart's reused
+  // worker ordering.
+  TenantScheduler scheduler_;
+  SlotPool slots_;
+  std::vector<std::vector<SlotRequest>> loaded_;
+  std::vector<int> fill_order_;
 
   std::vector<Completion> completions_;
   LatencyHistogram latency_;
@@ -327,11 +312,12 @@ class Server {
   int64_t shed_draining_ = 0;
   int64_t dropped_queued_ = 0;
   int64_t no_such_model_ = 0;
+  int64_t rejected_bad_shape_ = 0;
   int64_t deadline_missed_ = 0;
   int64_t batches_ = 0;
   /// served request count per (model, version)
   std::map<std::string, std::map<int64_t, int64_t>> served_;
-  /// per-tenant tallies, mode-independent (name order)
+  /// per-tenant tallies (name order)
   std::map<std::string, TenantStats> tenants_;
 };
 

@@ -18,7 +18,9 @@ const char* SlotStateName(SlotState state) {
 }
 
 SlotPool::SlotPool(int workers, int lanes_per_worker)
-    : workers_(workers), lanes_(lanes_per_worker) {
+    : workers_(workers),
+      lanes_(lanes_per_worker),
+      counts_(static_cast<size_t>(workers)) {
   DLSYS_CHECK(workers >= 1, "slot pool needs at least one worker");
   DLSYS_CHECK(lanes_per_worker >= 1, "slot pool needs at least one lane");
   slots_.resize(static_cast<size_t>(workers) *
@@ -42,38 +44,6 @@ const Slot& SlotPool::At(int worker, int lane) const {
                 static_cast<size_t>(lane)];
 }
 
-int SlotPool::FreeLanes(int worker) const {
-  int n = 0;
-  for (int l = 0; l < lanes_; ++l) {
-    if (At(worker, l).state == SlotState::kFree) ++n;
-  }
-  return n;
-}
-
-int SlotPool::LoadedCount(int worker) const {
-  int n = 0;
-  for (int l = 0; l < lanes_; ++l) {
-    if (At(worker, l).state == SlotState::kLoaded) ++n;
-  }
-  return n;
-}
-
-int SlotPool::ExecutingCount(int worker) const {
-  int n = 0;
-  for (int l = 0; l < lanes_; ++l) {
-    if (At(worker, l).state == SlotState::kExecuting) ++n;
-  }
-  return n;
-}
-
-int64_t SlotPool::TotalLoaded() const {
-  int64_t n = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.state == SlotState::kLoaded) ++n;
-  }
-  return n;
-}
-
 void SlotPool::Note(double now_ms) {
   if (occupied_ > peak_occupancy_) peak_occupancy_ = occupied_;
   if (!timeline_.empty() && timeline_.back().first == now_ms) {
@@ -91,6 +61,8 @@ int SlotPool::Load(int worker, int64_t request_id, double now_ms) {
     slot.state = SlotState::kLoaded;
     slot.request_id = request_id;
     slot.since_ms = now_ms;
+    ++counts_[static_cast<size_t>(worker)].loaded;
+    ++total_loaded_;
     ++occupied_;
     ++total_loads_;
     DLSYS_COUNTER_ADD("serve.slots.loads", 1);
@@ -110,6 +82,10 @@ int SlotPool::BeginStep(int worker, double now_ms) {
     slot.since_ms = now_ms;
     ++joined;
   }
+  WorkerCounts& c = counts_[static_cast<size_t>(worker)];
+  c.loaded -= joined;
+  c.executing += joined;
+  total_loaded_ -= joined;
   if (joined > 0) Note(now_ms);
   return joined;
 }
@@ -125,6 +101,7 @@ int SlotPool::CompleteStep(int worker, double now_ms) {
     --occupied_;
     ++completed;
   }
+  counts_[static_cast<size_t>(worker)].executing -= completed;
   if (completed > 0) Note(now_ms);
   return completed;
 }
@@ -136,9 +113,11 @@ int64_t SlotPool::DropLoaded(double now_ms) {
     slot.state = SlotState::kFree;
     slot.request_id = -1;
     slot.since_ms = now_ms;
+    --counts_[static_cast<size_t>(slot.worker)].loaded;
     --occupied_;
     ++dropped;
   }
+  total_loaded_ -= dropped;
   if (dropped > 0) Note(now_ms);
   return dropped;
 }

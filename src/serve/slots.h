@@ -1,6 +1,7 @@
 #ifndef DLSYS_SERVE_SLOTS_H_
 #define DLSYS_SERVE_SLOTS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -67,13 +68,20 @@ class SlotPool {
   int size() const { return static_cast<int>(slots_.size()); }
 
   /// \brief Free lanes of \p worker.
-  int FreeLanes(int worker) const;
+  int FreeLanes(int worker) const {
+    const WorkerCounts& c = counts_[static_cast<size_t>(worker)];
+    return lanes_ - c.loaded - c.executing;
+  }
   /// \brief Loaded (bound, not yet stepping) lanes of \p worker.
-  int LoadedCount(int worker) const;
+  int LoadedCount(int worker) const {
+    return counts_[static_cast<size_t>(worker)].loaded;
+  }
   /// \brief Lanes riding \p worker's in-flight step.
-  int ExecutingCount(int worker) const;
+  int ExecutingCount(int worker) const {
+    return counts_[static_cast<size_t>(worker)].executing;
+  }
   /// \brief Loaded lanes across the pool.
-  int64_t TotalLoaded() const;
+  int64_t TotalLoaded() const { return total_loaded_; }
   /// \brief Loaded + executing lanes across the pool.
   int occupancy() const { return occupied_; }
 
@@ -117,9 +125,18 @@ class SlotPool {
   /// Records the post-transition occupancy at \p now_ms.
   void Note(double now_ms);
 
+  /// Per-worker lane tallies, kept in step with the slot states so the
+  /// scheduler's per-event queries are O(1).
+  struct WorkerCounts {
+    int loaded = 0;
+    int executing = 0;
+  };
+
   int workers_;
   int lanes_;
   std::vector<Slot> slots_;  ///< slot (w, l) lives at index w * lanes_ + l
+  std::vector<WorkerCounts> counts_;  ///< by worker
+  int64_t total_loaded_ = 0;
   int occupied_ = 0;
   int peak_occupancy_ = 0;
   int64_t total_loads_ = 0;

@@ -46,7 +46,6 @@ FleetConfig TestFleetConfig() {
   config.server.workers = 2;
   config.server.queue_capacity = 64;
   config.server.batch.max_batch = 8;
-  config.server.batch.max_delay_ms = 1.0;
   config.server.cost.fixed_ms = 1.0;
   config.server.cost.per_example_ms = 0.25;
   config.server.default_deadline_ms = 50.0;
@@ -402,6 +401,32 @@ TEST(FleetTest, TenantedLoadSlicesEveryRequestAndReplays) {
   EXPECT_NE(json.find("\"t0\": {"), std::string::npos);
   const FleetReport r2 = run();
   EXPECT_EQ(json, FleetReportJson(r2));
+}
+
+// Every Run checks request conservation before it returns, so a run
+// that silently loses or double-counts a request fails with Internal.
+// Both recovery modes are covered: a checkpointed restart keeps the
+// crashed server, whose DropQueued discards queued and loaded requests.
+TEST(FleetTest, EveryScenarioBalancesTheRequestLedger) {
+  for (const FleetRecovery recovery :
+       {FleetRecovery::kCheckpointedRestart, FleetRecovery::kColdReplace}) {
+    FleetConfig config = TestFleetConfig();
+    config.recovery = recovery;
+    for (const std::string& name : ScenarioNames()) {
+      auto scenario = MakeScenario(name, 0.5);
+      ASSERT_TRUE(scenario.ok()) << name;
+      auto report = RunFleet(config, scenario.value(), TestLoad());
+      ASSERT_TRUE(report.ok())
+          << name << " / " << FleetRecoveryName(recovery) << ": "
+          << report.status().ToString();
+      const FleetReport& r = report.value();
+      const int64_t shed = r.shed_queue_full + r.shed_deadline +
+                           r.shed_draining + r.shed_unhealthy;
+      EXPECT_GT(r.offered, 0) << name;
+      EXPECT_EQ(r.offered, r.completed_ok + r.missed + shed) << name;
+      EXPECT_EQ(r.offered, r.admitted + r.failed_dead_replica + shed) << name;
+    }
+  }
 }
 
 // Acceptance: a crash storm with checkpointed restarts must lose work

@@ -599,7 +599,6 @@ TEST(TraceTest, ServedRequestLifecycleReconstructableByRid) {
   config.workers = 1;
   config.queue_capacity = 16;
   config.batch.max_batch = 2;
-  config.batch.max_delay_ms = 1.0;
   config.default_deadline_ms = 1e6;
   config.cost = {1.0, 0.1};
   auto created = Server::Create(&registry, config);
@@ -656,7 +655,6 @@ TEST(CounterRegistryTest, ServerBumpsServeCounters) {
   config.workers = 1;
   config.queue_capacity = 4;
   config.batch.max_batch = 1;
-  config.batch.max_delay_ms = 0.0;
   config.default_deadline_ms = 1e6;
   config.cost = {1.0, 0.0};
   auto created = Server::Create(&registry, config);

@@ -171,6 +171,11 @@ TEST(ServerConfigTest, ValidateCatchesEachBadField) {
   EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
 
   c = ServerConfig{};
+  c.batch.max_batch = int64_t{1} << 40;  // slot count must fit an int
+  c.queue_capacity = c.batch.max_batch;
+  EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
+
+  c = ServerConfig{};
   c.batch.max_delay_ms = -0.5;
   EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
 
@@ -205,7 +210,6 @@ TEST(ServerTest, ShedsWhenQueueIsFullInsteadOfQueuingUnboundedly) {
   config.workers = 1;
   config.queue_capacity = 4;
   config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 1000.0;  // only full batches dispatch
   config.default_deadline_ms = 1e6;    // deadline never the limiter here
   config.cost = {1.0, 0.0};
   auto created = Server::Create(&registry, config);
@@ -226,19 +230,22 @@ TEST(ServerTest, ShedsWhenQueueIsFullInsteadOfQueuingUnboundedly) {
       ++shed;
     }
   }
-  // First batch of 4 dispatches on the spot (frees the queue), next 4
-  // wait for the busy worker, and the rest bounce off the full queue.
-  EXPECT_EQ(admitted, 8);
-  EXPECT_EQ(shed, 2);
+  // The first request departs alone on the idle worker. The next four
+  // fill the queue bound while it executes — three loaded into the
+  // worker's free lanes, one queued in the scheduler behind them — and
+  // the rest bounce off the full queue.
+  EXPECT_EQ(admitted, 5);
+  EXPECT_EQ(shed, 5);
+  EXPECT_EQ(server->queue_depth(), config.queue_capacity);
   server->Drain();
-  EXPECT_EQ(server->completions().size(), 8u);  // no admitted request lost
+  EXPECT_EQ(server->completions().size(), 5u);  // no admitted request lost
 
   const MetricsReport m = server->metrics();
   EXPECT_EQ(m.Get("serve.offered"), 10.0);
-  EXPECT_EQ(m.Get("serve.admitted"), 8.0);
-  EXPECT_EQ(m.Get("serve.shed.queue_full"), 2.0);
-  EXPECT_EQ(m.Get("serve.batches"), 2.0);
-  EXPECT_EQ(m.Get("serve.latency.count"), 8.0);
+  EXPECT_EQ(m.Get("serve.admitted"), 5.0);
+  EXPECT_EQ(m.Get("serve.shed.queue_full"), 5.0);
+  EXPECT_EQ(m.Get("serve.batches"), 2.0);  // the lone first, then a full 4
+  EXPECT_EQ(m.Get("serve.latency.count"), 5.0);
 }
 
 TEST(ServerTest, ShedsWhenPredictedFinishMissesDeadline) {
@@ -247,7 +254,6 @@ TEST(ServerTest, ShedsWhenPredictedFinishMissesDeadline) {
   config.workers = 1;
   config.queue_capacity = 64;
   config.batch.max_batch = 1;
-  config.batch.max_delay_ms = 0.0;
   config.default_deadline_ms = 15.0;
   config.cost = {10.0, 0.0};  // each dispatch occupies the worker 10ms
   auto created = Server::Create(&registry, config);
@@ -305,7 +311,6 @@ TEST(ServerTest, DrainingShedsNewWorkButFinishesQueuedWork) {
   ServerConfig config;
   config.workers = 1;
   config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 1000.0;  // hold the batch open
   config.default_deadline_ms = 1e6;
   config.cost = {1.0, 0.0};
   auto created = Server::Create(&registry, config);
@@ -316,8 +321,12 @@ TEST(ServerTest, DrainingShedsNewWorkButFinishesQueuedWork) {
   Rng rng(4);
   Tensor x({16});
   x.FillGaussian(&rng, 1.0f);
-  EXPECT_EQ(server->Submit("m", x, 0.0).outcome, Server::Outcome::kAdmitted);
-  EXPECT_EQ(server->Submit("m", x, 0.0).outcome, Server::Outcome::kAdmitted);
+  // The first request departs alone on the idle worker; the other two
+  // stay queued in its lanes behind the executing step.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(server->Submit("m", x, 0.0).outcome,
+              Server::Outcome::kAdmitted);
+  }
   EXPECT_EQ(server->queue_depth(), 2);
 
   server->SetDraining(true);
@@ -329,7 +338,7 @@ TEST(ServerTest, DrainingShedsNewWorkButFinishesQueuedWork) {
   // The graceful half of a scale-down: everything admitted before the
   // drain still completes.
   server->Drain();
-  EXPECT_EQ(server->completions().size(), 2u);
+  EXPECT_EQ(server->completions().size(), 3u);
   EXPECT_EQ(server->queue_depth(), 0);
 
   server->SetDraining(false);
@@ -343,7 +352,6 @@ TEST(ServerTest, DropQueuedLosesOnlyUndispatchedRequests) {
   ServerConfig config;
   config.workers = 1;
   config.batch.max_batch = 2;
-  config.batch.max_delay_ms = 1000.0;
   config.default_deadline_ms = 1e6;
   config.cost = {1.0, 0.0};
   auto created = Server::Create(&registry, config);
@@ -354,19 +362,24 @@ TEST(ServerTest, DropQueuedLosesOnlyUndispatchedRequests) {
   Rng rng(5);
   Tensor x({16});
   x.FillGaussian(&rng, 1.0f);
-  // First two form a full batch and dispatch immediately; the third
-  // stays queued behind the busy worker.
+  // The first request departs alone on the idle worker. The second is
+  // loaded into the worker's other lane behind the executing step, and
+  // the third, with no free lane left, stays queued in the scheduler.
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(server->Submit("m", x, 0.0).outcome,
               Server::Outcome::kAdmitted);
   }
-  EXPECT_EQ(server->queue_depth(), 1);
-  EXPECT_EQ(server->DropQueued(), 1);  // the crash loses its queue...
+  EXPECT_EQ(server->queue_depth(), 2);
+  // The crash loses the queued request and the loaded lane...
+  EXPECT_EQ(server->DropQueued(), 2);
   EXPECT_EQ(server->queue_depth(), 0);
+  EXPECT_EQ(server->slot_pool()->occupancy(), 1);  // the executing lane
   EXPECT_EQ(server->DropQueued(), 0);
   server->Drain();
-  // ...but not the already-dispatched batch.
-  EXPECT_EQ(server->completions().size(), 2u);
+  // ...but not the already-departed step.
+  ASSERT_EQ(server->completions().size(), 1u);
+  EXPECT_EQ(server->completions()[0].id, 0);
+  EXPECT_EQ(server->metrics().Get("serve.dropped_queued"), 2.0);
 }
 
 TEST(ServerTest, CostScaleSlowsFutureDecisionsOnly) {
@@ -374,7 +387,6 @@ TEST(ServerTest, CostScaleSlowsFutureDecisionsOnly) {
   ServerConfig config;
   config.workers = 1;
   config.batch.max_batch = 1;
-  config.batch.max_delay_ms = 0.0;
   config.default_deadline_ms = 1e6;
   config.cost = {2.0, 1.0};
   auto created = Server::Create(&registry, config);
@@ -440,7 +452,6 @@ SwapTrace RunSwapScenario(const Sequential& net1, const Sequential& net2,
   config.workers = 2;
   config.queue_capacity = 64;
   config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 0.5;
   config.default_deadline_ms = 1e6;  // nothing sheds; we count completions
   auto created = Server::Create(&registry, config);
   EXPECT_TRUE(created.ok());
@@ -550,7 +561,6 @@ TEST(ServerTest, ConcurrentPublishDuringServingKeepsVersionsBitwise) {
   config.workers = 2;
   config.queue_capacity = 64;
   config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 0.2;
   config.default_deadline_ms = 1e6;
   auto created = Server::Create(&registry, config);
   ASSERT_TRUE(created.ok());
@@ -602,7 +612,6 @@ TEST(LoadGenTest, OpenLoopReplaysBitForBit) {
     config.workers = 2;
     config.queue_capacity = 32;
     config.batch.max_batch = 8;
-    config.batch.max_delay_ms = 0.3;
     config.default_deadline_ms = 5.0;
     auto created = Server::Create(&registry, config);
     EXPECT_TRUE(created.ok());
@@ -651,7 +660,6 @@ TEST(LoadGenTest, ClosedLoopCompletesEveryClientBudget) {
   config.workers = 2;
   config.queue_capacity = 32;
   config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 0.2;
   config.default_deadline_ms = 50.0;
   auto created = Server::Create(&registry, config);
   ASSERT_TRUE(created.ok());
@@ -679,14 +687,6 @@ TEST(LoadGenTest, ClosedLoopCompletesEveryClientBudget) {
 
 TEST(ServerConfigTest, ValidateCatchesBadQosFields) {
   ServerConfig c;
-  c.scheduler.use_slots = true;
-  EXPECT_TRUE(ValidateServerConfig(c).ok());
-
-  c = ServerConfig{};
-  c.scheduler.slots_per_worker = -1;
-  EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
-
-  c = ServerConfig{};
   c.scheduler.priority_classes = 0;
   EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
 
@@ -731,7 +731,6 @@ SlotRequest MakeSlotRequest(int64_t id, const std::string& tenant,
 
 TEST(TenantSchedulerTest, TokenBucketGatesAndRefillsDeterministically) {
   SlotSchedulerConfig config;
-  config.use_slots = true;
   config.default_policy.rate_rps = 100.0;  // one token per 10 simulated ms
   config.default_policy.burst = 1.0;
   TenantScheduler sched(config);
@@ -760,7 +759,6 @@ TEST(TenantSchedulerTest, TokenBucketGatesAndRefillsDeterministically) {
 
 TEST(TenantSchedulerTest, DeficitWeightedFairSharesFollowWeights) {
   SlotSchedulerConfig config;
-  config.use_slots = true;
   config.enforce_quotas = false;
   config.tenants["a"].weight = 2.0;
   config.tenants["b"].weight = 1.0;
@@ -779,7 +777,6 @@ TEST(TenantSchedulerTest, DeficitWeightedFairSharesFollowWeights) {
 
 TEST(TenantSchedulerTest, StrictPriorityYieldsOnlyToEligibleWork) {
   SlotSchedulerConfig config;
-  config.use_slots = true;
   config.priority_classes = 2;
   config.tenants["hi"].priority = 0;
   config.tenants["hi"].rate_rps = 100.0;
@@ -808,7 +805,6 @@ TEST(TenantSchedulerTest, StrictPriorityYieldsOnlyToEligibleWork) {
 
 TEST(TenantSchedulerTest, FifoControlServesGloballyByRequestId) {
   SlotSchedulerConfig config;
-  config.use_slots = true;
   config.fair_queueing = false;
   config.enforce_quotas = false;
   config.tenants["a"].weight = 5.0;  // ignored by the FIFO control path
@@ -846,7 +842,6 @@ SlotTrace RunSlotScenario() {
   config.queue_capacity = 512;  // hold the full overload backlog
   config.batch.max_batch = 4;   // = slot lanes per worker
   config.default_deadline_ms = 1e6;
-  config.scheduler.use_slots = true;
   auto created = Server::Create(&registry, config);
   EXPECT_TRUE(created.ok());
   std::unique_ptr<Server> server = std::move(created).value();
@@ -955,7 +950,6 @@ TenantedLoadReport RunHotTenantMix(bool fair) {
   config.default_deadline_ms = 5.0;
   config.cost.fixed_ms = 0.2;
   config.cost.per_example_ms = 0.2;  // step(4) = 1 ms -> ~8 req/ms fleet
-  config.scheduler.use_slots = true;
   config.scheduler.fair_queueing = fair;
   config.scheduler.enforce_quotas = fair;
   config.scheduler.default_policy.rate_rps = 1500.0;
@@ -1000,7 +994,6 @@ TEST(SlotServerTest, TenantStatsAndMetricsAccountEveryRequest) {
   config.workers = 2;
   config.batch.max_batch = 4;
   config.default_deadline_ms = 1e6;
-  config.scheduler.use_slots = true;
   auto created = Server::Create(&registry, config);
   ASSERT_TRUE(created.ok());
   std::unique_ptr<Server> server = std::move(created).value();
@@ -1072,7 +1065,6 @@ TEST(SlotServerTest, CompletionBoundariesDecomposeBitwise) {
   config.default_deadline_ms = 1e6;
   config.cost.fixed_ms = 1.0;
   config.cost.per_example_ms = 0.25;
-  config.scheduler.use_slots = true;
   config.scheduler.enforce_quotas = true;
   // 1 token per 2 ms against 0.2 ms arrival spacing: the token bucket
   // must delay most of the burst, making quota_open > arrival.
@@ -1132,33 +1124,40 @@ TEST(SlotServerTest, CompletionBoundariesDecomposeBitwise) {
   }
 }
 
-TEST(ServerTest, LegacyModeChargesQueueWaitToSlotWait) {
+TEST(ServerTest, DefaultConfigServesThroughSlotLanes) {
   RuntimeConfig::SetThreads(1);
   ModelRegistry registry;
-  ServerConfig config;
-  config.workers = 1;
-  config.queue_capacity = 32;
-  config.batch.max_batch = 4;
-  config.default_deadline_ms = 1e6;
-  config.cost.fixed_ms = 1.0;
-  config.cost.per_example_ms = 0.25;
+  const ServerConfig config;
   auto created = Server::Create(&registry, config);
   ASSERT_TRUE(created.ok());
   std::unique_ptr<Server> server = std::move(created).value();
   ASSERT_TRUE(server->Publish("m", MakeNet(103), {16}).ok());
+  ASSERT_NE(server->slot_pool(), nullptr);
+  EXPECT_EQ(server->slot_pool()->size(),
+            config.workers * static_cast<int>(config.batch.max_batch));
+
   Rng rng(104);
   Tensor x({16});
-  for (int i = 0; i < 8; ++i) {
+  constexpr int kRequests = 32;
+  for (int i = 0; i < kRequests; ++i) {
     x.FillGaussian(&rng, 1.0f);
-    ASSERT_EQ(server->Submit("m", x, static_cast<double>(i) * 0.1).outcome,
+    // Arrivals faster than a step, so later requests share lanes.
+    ASSERT_EQ(server->Submit("m", x, static_cast<double>(i) * 0.01).outcome,
               Server::Outcome::kAdmitted);
   }
   server->Drain();
-  for (const Server::Completion& c : server->completions()) {
-    EXPECT_EQ(c.slot, -1);
+
+  const std::vector<Server::Completion>& done = server->completions();
+  ASSERT_EQ(done.size(), static_cast<size_t>(kRequests));
+  int64_t batched = 0;
+  for (const Server::Completion& c : done) {
+    EXPECT_GE(c.slot, 0) << "every request rides a slot lane";
+    EXPECT_LT(c.slot, server->slot_pool()->size());
     EXPECT_EQ(c.rid, c.id) << "no RequestTrace: rid falls back to the id";
-    // Legacy batching has no quota stage: the whole queue wait is slot
-    // wait, so quota_open degenerates to the arrival.
+    EXPECT_EQ(c.tenant, "default");
+    if (c.batch_size > 1) ++batched;
+    // The default policy sets no quota, so the whole queue wait is slot
+    // wait and the decomposition still sums bitwise to the latency.
     EXPECT_DOUBLE_EQ(c.quota_open_ms, c.arrival_ms);
     const obs::PathComponents comp =
         obs::DecomposePath(RecordFromCompletion(c));
@@ -1166,6 +1165,37 @@ TEST(ServerTest, LegacyModeChargesQueueWaitToSlotWait) {
     EXPECT_EQ(comp.total_ns(),
               obs::SimNs(c.finish_ms) - obs::SimNs(c.arrival_ms));
   }
+  EXPECT_GT(batched, 0) << "continuous batching should share steps";
+}
+
+TEST(ServerTest, WrongSizedExampleIsRejectedNotFatal) {
+  ModelRegistry registry;
+  auto created = Server::Create(&registry, ServerConfig{});
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Server> server = std::move(created).value();
+  ASSERT_TRUE(server->Publish("m", MakeNet(105), {16}).ok());
+
+  // A malformed client request is turned away, not a process abort.
+  const Tensor bad({15});
+  const Server::SubmitResult rejected = server->Submit("m", bad, 0.0);
+  EXPECT_EQ(rejected.outcome, Server::Outcome::kInvalidRequest);
+  EXPECT_EQ(rejected.version, 0);
+  EXPECT_EQ(server->queue_depth(), 0);
+
+  // The server keeps serving well-formed requests.
+  Rng rng(106);
+  Tensor good({16});
+  good.FillGaussian(&rng, 1.0f);
+  EXPECT_EQ(server->Submit("m", good, 0.0).outcome,
+            Server::Outcome::kAdmitted);
+  server->Drain();
+  ASSERT_EQ(server->completions().size(), 1u);
+  EXPECT_EQ(server->completions()[0].id, 1);
+
+  const MetricsReport m = server->metrics();
+  EXPECT_EQ(m.Get("serve.offered"), 2.0);
+  EXPECT_EQ(m.Get("serve.admitted"), 1.0);
+  EXPECT_EQ(m.Get("serve.rejected.bad_shape"), 1.0);
 }
 
 TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
@@ -1186,7 +1216,6 @@ TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
     ServerConfig config;
     config.workers = 2;
     config.batch.max_batch = 4;
-    config.scheduler.use_slots = true;
     auto created = Server::Create(&registry, config);
     EXPECT_TRUE(created.ok());
     std::unique_ptr<Server> server = std::move(created).value();
