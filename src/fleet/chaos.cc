@@ -36,13 +36,6 @@ const char* FaultKindName(FaultKind kind) {
 }
 
 Status ValidateChaosScenario(const ChaosScenario& scenario) {
-  if (scenario.background_crash_prob < 0.0 ||
-      scenario.background_crash_prob > 1.0) {
-    return Status::InvalidArgument("background_crash_prob must be in [0, 1]");
-  }
-  if (scenario.drop_prob < 0.0 || scenario.drop_prob > 1.0) {
-    return Status::InvalidArgument("drop_prob must be in [0, 1]");
-  }
   for (const FleetFaultEvent& e : scenario.events) {
     if (!(e.start_ms >= 0.0) || !std::isfinite(e.start_ms)) {
       return Status::InvalidArgument(
@@ -74,8 +67,6 @@ Result<CompiledChaos> CompileChaos(const ChaosScenario& scenario,
 
   CompiledChaos out;
   out.plan.seed = scenario.seed;
-  out.plan.crash_prob = scenario.background_crash_prob;
-  out.plan.drop_prob = scenario.drop_prob;
 
   for (size_t ei = 0; ei < scenario.events.size(); ++ei) {
     const FleetFaultEvent& e = scenario.events[ei];

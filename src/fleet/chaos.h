@@ -32,10 +32,9 @@
 /// A scenario *compiles* onto the PR-2 `FaultPlan`/`FaultInjector`
 /// machinery with serving replicas standing where training workers stood
 /// and fleet driver ticks standing where rounds stood: crash storms
-/// become scheduled CrashEvents, background crash/drop probabilities
-/// become the injector's stateless per-(replica, tick) draws. The same
-/// (seed, scenario) therefore replays the exact same fault trace
-/// bit-for-bit at any DLSYS_THREADS.
+/// become scheduled CrashEvents that the injector fires at their
+/// (replica, tick). The same (seed, scenario) therefore replays the
+/// exact same fault trace bit-for-bit at any DLSYS_THREADS.
 
 namespace dlsys {
 
@@ -66,25 +65,19 @@ struct FleetFaultEvent {
 /// \brief Declarative, seed-replayable chaos for one fleet run.
 struct ChaosScenario {
   std::string name = "steady";
-  uint64_t seed = 0;  ///< folded into every affected-set and fault draw
+  uint64_t seed = 0;  ///< folded into every affected-set draw
   std::vector<FleetFaultEvent> events;
-  /// Extra per-(replica, tick) crash probability (background attrition),
-  /// drawn through FaultInjector::CrashesAt.
-  double background_crash_prob = 0.0;
-  /// Per-request message-loss probability, drawn through
-  /// FaultInjector::FailedAttempts and costed by NetworkModel retries.
-  double drop_prob = 0.0;
 };
 
-/// \brief Validates event times, fractions in (0, 1], severities >= 1,
-/// probabilities in [0, 1]. InvalidArgument otherwise.
+/// \brief Validates event times, fractions in (0, 1] and severities >= 1.
+/// InvalidArgument otherwise.
 Status ValidateChaosScenario(const ChaosScenario& scenario);
 
 /// \brief A scenario lowered onto replica slots and driver ticks.
 struct CompiledChaos {
   /// Replicas-as-workers fault plan: scheduled crashes for every crash
-  /// storm target (round = tick index), plus the background crash and
-  /// drop probabilities. Feed to FaultInjector(plan, replica_slots).
+  /// storm target (round = tick index). Feed to
+  /// FaultInjector(plan, replica_slots).
   FaultPlan plan;
   /// Per event (same order as scenario.events), the affected replicas.
   std::vector<std::vector<int>> targets;

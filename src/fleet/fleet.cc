@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -66,6 +67,365 @@ Status CheckRequestLedger(const FleetReport& r) {
         " != admitted + failed_dead_replica + shed " + std::to_string(routed));
   }
   return Status::OK();
+}
+
+/// The bad-version canary: which replica bakes the new version and since
+/// when, how much of the traffic routed to it degraded, and the verdict
+/// at the end of the bake. It keeps every replica's delivered latencies,
+/// because any active replica can become the canary and the p99 check
+/// compares its bake window against its own history before the rollout.
+class Canary {
+ public:
+  struct Verdict {
+    bool failed = false;         ///< a degraded-fraction or p99 failure
+    bool p99_regressed = false;  ///< the windowed-p99 check fired
+  };
+
+  Canary(const CanaryConfig& config, int slots)
+      : config_(config), latencies_(static_cast<size_t>(slots)) {}
+
+  int replica() const { return replica_; }
+  double severity() const { return severity_; }
+  /// True while \p replica bakes a new version.
+  bool On(int replica) const { return active_ && replica_ == replica; }
+
+  void Start(int replica, double t_ms, double severity) {
+    active_ = true;
+    replica_ = replica;
+    started_ms_ = t_ms;
+    severity_ = severity;
+    offered_ = 0;
+    degraded_ = 0;
+    baseline_ = latencies_[static_cast<size_t>(replica)].size();
+  }
+  /// A crash of the canary replica abandons its bake.
+  void Abandon(int replica) {
+    if (On(replica)) active_ = false;
+  }
+  void Routed(int replica) {
+    if (On(replica)) ++offered_;
+  }
+  /// A request routed to \p replica was shed or missed its deadline.
+  void Degraded(int replica) {
+    if (On(replica)) ++degraded_;
+  }
+  void Delivered(int replica, double latency_ms) {
+    latencies_[static_cast<size_t>(replica)].push_back(latency_ms);
+  }
+
+  /// Ends a bake that has run bake_ms by \p t_ms and returns its
+  /// verdict; nullopt when no bake is due.
+  std::optional<Verdict> Judge(double t_ms);
+
+ private:
+  const CanaryConfig config_;
+  bool active_ = false;
+  int replica_ = -1;
+  double started_ms_ = 0.0;
+  double severity_ = 1.0;
+  int64_t offered_ = 0;
+  int64_t degraded_ = 0;
+  size_t baseline_ = 0;  ///< latencies_[replica_] entries before rollout
+  /// Per replica, the client-observed latency of every response it
+  /// delivered, in delivery order.
+  std::vector<std::vector<double>> latencies_;
+};
+
+std::optional<Canary::Verdict> Canary::Judge(double t_ms) {
+  if (!active_ || t_ms < started_ms_ + config_.bake_ms) return std::nullopt;
+  active_ = false;
+  Verdict v;
+  // Windowed p99 regression: a latency lemon whose responses still land
+  // inside the deadline produces zero degraded deliveries, so the bake
+  // also compares the canary's p99 during the bake against its own
+  // pre-rollout baseline.
+  if (config_.max_p99_regression > 0.0) {
+    const std::vector<double>& lat = latencies_[static_cast<size_t>(replica_)];
+    const auto split = lat.begin() + static_cast<ptrdiff_t>(baseline_);
+    std::vector<double> base(lat.begin(), split);
+    std::vector<double> bake(split, lat.end());
+    const size_t mins = static_cast<size_t>(config_.min_p99_samples);
+    if (base.size() >= mins && bake.size() >= mins) {
+      const double p99_base = Percentile(&base, 0.99);
+      v.p99_regressed =
+          p99_base > 0.0 &&
+          Percentile(&bake, 0.99) > config_.max_p99_regression * p99_base;
+    }
+  }
+  const double degraded =
+      offered_ > 0
+          ? static_cast<double>(degraded_) / static_cast<double>(offered_)
+          : 0.0;
+  v.failed = degraded > config_.max_degraded_fraction || v.p99_regressed;
+  return v;
+}
+
+/// The request ledger: the only code that records how a fleet request
+/// ends — offered, admitted, shed, delivered in time, late, lost on a
+/// dead route, or lost in a crash. It holds the responses travelling
+/// back to their clients and lands each at its delivery time, tallying
+/// it into the report's totals, tenant rows and SLO windows, the
+/// critical-path attribution and the burn-rate alerter. Close folds the
+/// windows into the report and checks request conservation.
+class RequestLedger {
+ public:
+  /// \p arrivals and \p tenant_of are indexed by rid; they, \p config,
+  /// \p canary and \p report must outlive the ledger.
+  RequestLedger(const FleetConfig& config, const std::vector<double>& arrivals,
+                const std::vector<std::string>& tenant_of, double deadline_ms,
+                Canary* canary, FleetReport* report)
+      : config_(config),
+        arrivals_(arrivals),
+        tenant_of_(tenant_of),
+        deadline_ms_(deadline_ms),
+        canary_(canary),
+        report_(report),
+        aggregator_(config.attribution),
+        alerter_(config.slo) {}
+
+  /// The tenant \p rid was drawn for; empty when the load is untenanted.
+  const std::string& tenant(int64_t rid) const {
+    static const std::string kUntenanted;
+    return tenant_of_.empty() ? kUntenanted
+                              : tenant_of_[static_cast<size_t>(rid)];
+  }
+
+  void Offer(int64_t rid) {
+    ++report_->offered;
+    if (FleetReport::TenantRow* row = TenantRow(rid)) ++row->offered;
+    ++report_->windows[Window(arrivals_[static_cast<size_t>(rid)])].offered;
+  }
+  void Admit(int64_t rid) {
+    ++report_->admitted;
+    if (FleetReport::TenantRow* row = TenantRow(rid)) ++row->admitted;
+  }
+  /// Turned away; \p reason is the report counter naming why.
+  void Shed(int64_t rid, int64_t FleetReport::*reason) {
+    ++(report_->*reason);
+    if (FleetReport::TenantRow* row = TenantRow(rid)) ++row->shed;
+    ++report_->windows[Window(arrivals_[static_cast<size_t>(rid)])].shed;
+  }
+  /// Routed into a crashed-but-undetected replica: the client gives up
+  /// at \p deliver_ms.
+  void DeadRoute(int64_t rid, int replica, double deliver_ms) {
+    ++report_->failed_dead_replica;
+    DLSYS_COUNTER_ADD("fleet.failed.dead_replica", 1);
+    outstanding_.push_back(Delivery{rid, replica, deliver_ms, 0.0, {}});
+  }
+
+  /// A dispatched request's response, on its way back to the client.
+  void Respond(const Server::Completion& c, int replica, int64_t incarnation,
+               double return_hop_ms) {
+    const double sent_ms = arrivals_[static_cast<size_t>(c.rid)];
+    const double deliver_ms = c.finish_ms + return_hop_ms;
+    // Quantize the path boundaries to integer sim-ns with the same
+    // quantizer the sim-track spans use, so the decomposition sums
+    // bitwise to the rendered end-to-end span.
+    obs::RequestPathRecord rec;
+    rec.rid = c.rid;
+    rec.tenant = c.tenant;
+    rec.replica = replica;
+    rec.incarnation = incarnation;
+    rec.slot = c.slot;
+    rec.send_ns = obs::SimNs(sent_ms);
+    rec.admit_ns = obs::SimNs(c.arrival_ms);
+    rec.quota_open_ns = obs::SimNs(c.quota_open_ms);
+    rec.dispatch_ns = obs::SimNs(c.dispatch_ms);
+    rec.finish_ns = obs::SimNs(c.finish_ms);
+    rec.deliver_ns = obs::SimNs(deliver_ms);
+    rec.deadline_ok = deliver_ms <= sent_ms + deadline_ms_;
+    outstanding_.push_back(
+        Delivery{c.rid, replica, deliver_ms, c.finish_ms, std::move(rec)});
+  }
+
+  /// \p replica crashed at \p at_ms in \p incarnation: every request in
+  /// \p lost dies with it, and so does each response it would have
+  /// finished after the crash.
+  void Crash(int replica, int64_t incarnation, double at_ms,
+             const std::map<int64_t, double>& lost) {
+    for (Delivery& d : outstanding_) {
+      if (d.record && d.replica == replica &&
+          d.record->incarnation == incarnation && d.finish_ms > at_ms) {
+        d.record.reset();
+        d.deliver_ms = at_ms;
+      }
+    }
+    for (const auto& [rid, return_hop_ms] : lost) {
+      outstanding_.push_back(Delivery{rid, replica, at_ms, 0.0, {}});
+    }
+  }
+
+  /// Lands every response due by \p now_ms.
+  void Land(double now_ms) {
+    size_t kept = 0;
+    for (size_t i = 0; i < outstanding_.size(); ++i) {
+      if (outstanding_[i].deliver_ms <= now_ms) {
+        Finalize(outstanding_[i]);
+      } else {
+        // A self-move would empty the record's tenant string.
+        if (kept != i) outstanding_[kept] = std::move(outstanding_[i]);
+        ++kept;
+      }
+    }
+    outstanding_.resize(kept);
+  }
+
+  /// Active replicas at \p t_ms; a window keeps the count at its close.
+  void RecordActive(double t_ms, int active) {
+    const size_t idx = static_cast<size_t>(t_ms / config_.window_ms);
+    if (idx >= active_.size()) active_.resize(idx + 1, 0);
+    active_[idx] = active;
+  }
+
+  bool in_flight() const { return !outstanding_.empty(); }
+
+  /// Lands everything still in flight, then fills the report's p99,
+  /// windows, attribution, alerts, steady state and time to recover,
+  /// and checks request conservation.
+  Status Close(double load_end_ms);
+
+ private:
+  struct Delivery {
+    int64_t rid = 0;
+    int replica = -1;
+    double deliver_ms = 0.0;
+    double finish_ms = 0.0;  ///< server-side finish; 0 without a record
+    /// Critical-path boundary stamps of a response that reaches its
+    /// client; dead routes and crash losses have none (their latency is
+    /// unmeasured). Fed to the aggregator and alerter only when landed,
+    /// once the response is known to have survived every crash.
+    std::optional<obs::RequestPathRecord> record;
+  };
+
+  /// Index of the report window holding \p t_ms; the windows and their
+  /// latency samples grow to reach it.
+  size_t Window(double t_ms) {
+    const size_t idx =
+        t_ms <= 0.0 ? 0 : static_cast<size_t>(t_ms / config_.window_ms);
+    if (idx >= report_->windows.size()) {
+      report_->windows.resize(idx + 1);
+      latencies_.resize(idx + 1);
+    }
+    return idx;
+  }
+  FleetReport::TenantRow* TenantRow(int64_t rid) {
+    const std::string& name = tenant(rid);
+    return name.empty() ? nullptr : &report_->tenants[name];
+  }
+
+  void Finalize(const Delivery& d) {
+    const size_t wi = Window(d.deliver_ms);
+    FleetWindow& w = report_->windows[wi];
+    FleetReport::TenantRow* row = TenantRow(d.rid);
+    if (d.record && d.record->deadline_ok) {
+      ++w.completed_ok;
+      ++report_->completed_ok;
+      if (row != nullptr) ++row->completed_ok;
+    } else {
+      ++w.missed;
+      ++report_->missed;
+      if (row != nullptr) ++row->missed;
+      canary_->Degraded(d.replica);
+    }
+    if (!d.record) return;
+    const obs::RequestPathRecord& rec = *d.record;
+    const double latency_ms =
+        d.deliver_ms - arrivals_[static_cast<size_t>(d.rid)];
+    latencies_[wi].push_back(latency_ms);
+    canary_->Delivered(d.replica, latency_ms);
+#if DLSYS_OBS
+    const int64_t root = obs::RequestSpanId(rec.rid);
+    DLSYS_TRACE_EMIT_SIM_NS("fleet.request", "fleet", rec.send_ns,
+                            rec.deliver_ns - rec.send_ns, rec.rid, root, -1);
+    DLSYS_TRACE_EMIT_SIM_NS(
+        "fleet.return", "fleet", rec.finish_ns, rec.deliver_ns - rec.finish_ns,
+        rec.rid, obs::ComponentSpanId(rec.rid, obs::PathComponent::kReturnHop),
+        root);
+#endif
+    report_->path_records.push_back(rec);
+    alerter_.Record(rec, aggregator_.Record(rec));
+  }
+
+  const FleetConfig& config_;
+  const std::vector<double>& arrivals_;
+  const std::vector<std::string>& tenant_of_;
+  const double deadline_ms_;
+  Canary* const canary_;
+  FleetReport* const report_;
+  obs::AttributionAggregator aggregator_;
+  obs::BurnRateAlerter alerter_;
+  std::vector<Delivery> outstanding_;
+  std::vector<std::vector<double>> latencies_;  ///< per report window
+  std::vector<int> active_;  ///< per window, active replicas at its close
+};
+
+Status RequestLedger::Close(double load_end_ms) {
+  for (const Delivery& d : outstanding_) Finalize(d);
+  outstanding_.clear();
+  FleetReport& report = *report_;
+  report.attribution = aggregator_.report();
+  report.alerts = alerter_.Evaluate();
+
+  // The fleet-wide p99 is over the union of the window samples.
+  const double window_ms = config_.window_ms;
+  std::vector<double> fleet_latencies;
+  for (size_t i = 0; i < report.windows.size(); ++i) {
+    FleetWindow& w = report.windows[i];
+    fleet_latencies.insert(fleet_latencies.end(), latencies_[i].begin(),
+                           latencies_[i].end());
+    w.start_ms = static_cast<double>(i) * window_ms;
+    w.p99_ms = Percentile(&latencies_[i], 0.99);
+    w.goodput_rps = static_cast<double>(w.completed_ok) * 1000.0 / window_ms;
+    w.active_replicas = i < active_.size() ? active_[i] : 0;
+  }
+  report.p99_ms = Percentile(&fleet_latencies, 0.99);
+
+  // Steady state over complete pre-fault windows inside the load span.
+  // Recovery is detected on the *served fraction* (completed_ok /
+  // offered per window) rather than absolute goodput, so a diurnal load
+  // decline after the fault does not read as an outage: time-to-recover
+  // is the first post-fault window opening a run of recover_streak
+  // windows whose served fraction is back within 10% of the pre-fault
+  // mean.
+  const auto served_fraction = [](const FleetWindow& w) {
+    return w.offered > 0 ? static_cast<double>(w.completed_ok) /
+                               static_cast<double>(w.offered)
+                         : 1.0;
+  };
+  size_t limit = static_cast<size_t>(load_end_ms / window_ms);
+  limit = std::min(limit, report.windows.size());
+  const double fault = report.fault_start_ms;
+  const size_t fault_w =
+      fault >= 0.0 ? static_cast<size_t>(fault / window_ms) : limit;
+  double steady_sum = 0.0;
+  double steady_frac_sum = 0.0;
+  size_t steady_n = 0;
+  for (size_t i = 0; i < std::min(fault_w, limit); ++i) {
+    steady_sum += report.windows[i].goodput_rps;
+    steady_frac_sum += served_fraction(report.windows[i]);
+    ++steady_n;
+  }
+  report.steady_goodput_rps =
+      steady_n > 0 ? steady_sum / static_cast<double>(steady_n) : 0.0;
+  const double steady_frac =
+      steady_n > 0 ? steady_frac_sum / static_cast<double>(steady_n) : 0.0;
+  if (fault >= 0.0 && steady_frac > 0.0) {
+    const double bar = 0.9 * steady_frac;
+    const size_t streak = static_cast<size_t>(config_.recover_streak);
+    for (size_t i = fault_w; i + streak <= limit; ++i) {
+      bool recovered = true;
+      for (size_t j = 0; j < streak; ++j) {
+        recovered =
+            recovered && served_fraction(report.windows[i + j]) >= bar;
+      }
+      if (recovered) {
+        report.time_to_recover_ms =
+            std::max(0.0, static_cast<double>(i) * window_ms - fault);
+        break;
+      }
+    }
+  }
+  return CheckRequestLedger(report);
 }
 
 }  // namespace
@@ -253,30 +613,22 @@ struct Fleet::Replica {
     kDown,          ///< crashed; restarting, usable at ready_ms
   };
 
-  /// Fleet-side record of one admitted, not-yet-delivered request.
-  struct PendingReq {
-    double client_t_ms = 0.0;
-    double client_deadline_ms = 0.0;  ///< absolute end-to-end deadline
-    double return_hop_ms = 0.0;
-    std::string tenant;  ///< empty when the load is untenanted
-  };
+  /// Executes work: takes crash draws, advances its clock, drains.
+  bool serving() const {
+    return state == State::kActive || state == State::kDraining;
+  }
 
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<Server> server;
   State state = State::kInactive;
   double ready_ms = 0.0;
-  int64_t incarnation = 0;  ///< completed recoveries; doubles as the
-                            ///< injector generation for crash draws
+  int64_t incarnation = 0;  ///< completed recoveries; a crash invalidates
+                            ///< only the responses of its own incarnation
   double net_scale = 1.0;   ///< slow-partition latency factor
   size_t harvested = 0;     ///< server completions consumed so far
-  std::map<int64_t, PendingReq> pending;
-  // Canary accounting, reset at each rollout.
-  int64_t offered_since_rollout = 0;
-  int64_t degraded_since_rollout = 0;
-  /// Client-observed latencies of every delivery this replica served, in
-  /// delivery order; the canary verdict compares the p99 of the bake
-  /// suffix against the pre-rollout prefix.
-  std::vector<double> lat_history;
+  /// Admitted requests its server has not dispatched yet, by fleet rid,
+  /// with the return hop each response will pay.
+  std::map<int64_t, double> pending;
 };
 
 Fleet::Fleet(const FleetConfig& config) : config_(config) {}
@@ -353,8 +705,8 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
   Autoscaler autoscaler(scale_cfg, ReplicaCapacityRps(config_.server));
 
   const std::vector<double> arrivals = GenerateTraceArrivals(load);
-  // Tenant attribution of the arrival stream (empty mix = untenanted,
-  // byte-identical behavior); rid indexes this in step 7.
+  // Tenant attribution of the arrival stream, indexed by rid (empty mix =
+  // untenanted, byte-identical behavior).
   const std::vector<std::string> tenant_of =
       AssignTenants(load.tenant_mix, load.seed,
                     static_cast<int64_t>(arrivals.size()));
@@ -377,168 +729,11 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     }
   }
 
-  // ---- windowed SLO accumulators ----------------------------------
-  struct WindowAcc {
-    int64_t offered = 0;
-    int64_t ok = 0;
-    int64_t missed = 0;
-    int64_t shed = 0;
-    std::vector<double> lat;
-  };
-  const double window_ms = config_.window_ms;
-  std::vector<WindowAcc> windows;
-  std::vector<int> win_active;
-  auto window_at = [&](double t) -> WindowAcc& {
-    const size_t idx =
-        t <= 0.0 ? 0 : static_cast<size_t>(t / window_ms);
-    if (idx >= windows.size()) windows.resize(idx + 1);
-    return windows[idx];
-  };
-  std::vector<double> all_lat;
-
-  // ---- critical-path attribution + burn-rate alerting -------------
-  obs::AttributionAggregator aggregator(config_.attribution);
-  obs::BurnRateAlerter alerter(config_.slo);
-
-  // ---- in-flight deliveries ---------------------------------------
-  struct Delivery {
-    double deliver_ms = 0.0;
-    double latency_ms = 0.0;
-    bool ok = false;
-    bool record_latency = false;
-    int replica = -1;
-    int64_t incarnation = 0;
-    double finish_ms = 0.0;  ///< server-side finish; 0 for dead routes
-    std::string tenant;      ///< empty when the load is untenanted
-    /// Critical-path boundary stamps, valid when has_record. Built at
-    /// harvest but fed to the aggregator/alerter only at finalize, when
-    /// the delivery is known to have survived crash invalidation.
-    obs::RequestPathRecord record;
-    bool has_record = false;
-  };
-  std::vector<Delivery> outstanding;
-
-  struct CanaryState {
-    bool active = false;
-    int replica = -1;
-    double started_ms = 0.0;
-    double severity = 1.0;
-    /// lat_history length at rollout: entries before it are the baseline,
-    /// entries after it are the bake window.
-    size_t baseline_lat = 0;
-  };
-  CanaryState canary;
+  Canary canary(config_.canary, slots);
+  RequestLedger ledger(config_, arrivals, tenant_of, deadline_ms, &canary,
+                       &report);
   std::vector<bool> event_started(scenario.events.size(), false);
   std::vector<bool> event_ended(scenario.events.size(), false);
-
-  auto finalize = [&](const Delivery& d) {
-    WindowAcc& w = window_at(d.deliver_ms);
-    if (d.ok) {
-      ++w.ok;
-      ++report.completed_ok;
-      if (!d.tenant.empty()) ++report.tenants[d.tenant].completed_ok;
-    } else {
-      ++w.missed;
-      ++report.missed;
-      if (!d.tenant.empty()) ++report.tenants[d.tenant].missed;
-      if (canary.active && d.replica == canary.replica) {
-        ++replicas_[static_cast<size_t>(d.replica)]->degraded_since_rollout;
-      }
-    }
-    if (d.record_latency) {
-      w.lat.push_back(d.latency_ms);
-      all_lat.push_back(d.latency_ms);
-      if (d.replica >= 0) {
-        replicas_[static_cast<size_t>(d.replica)]->lat_history.push_back(
-            d.latency_ms);
-      }
-      if (d.has_record) {
-        const obs::RequestPathRecord& rec = d.record;
-#if DLSYS_OBS
-        const int64_t root = obs::RequestSpanId(rec.rid);
-        DLSYS_TRACE_EMIT_SIM_NS("fleet.request", "fleet", rec.send_ns,
-                                rec.deliver_ns - rec.send_ns, rec.rid, root,
-                                -1);
-        DLSYS_TRACE_EMIT_SIM_NS(
-            "fleet.return", "fleet", rec.finish_ns,
-            rec.deliver_ns - rec.finish_ns, rec.rid,
-            obs::ComponentSpanId(rec.rid, obs::PathComponent::kReturnHop),
-            root);
-#endif
-        report.path_records.push_back(rec);
-        alerter.Record(rec, aggregator.Record(rec));
-      }
-    }
-  };
-
-  auto harvest = [&](int slot) {
-    Replica& r = *replicas_[static_cast<size_t>(slot)];
-    const std::vector<Server::Completion>& done = r.server->completions();
-    for (size_t i = r.harvested; i < done.size(); ++i) {
-      const Server::Completion& c = done[i];
-      auto it = r.pending.find(c.id);
-      if (it == r.pending.end()) continue;  // pre-crash id reused: ignore
-      Delivery d;
-      d.deliver_ms = c.finish_ms + it->second.return_hop_ms;
-      d.latency_ms = d.deliver_ms - it->second.client_t_ms;
-      d.ok = d.deliver_ms <= it->second.client_deadline_ms;
-      d.record_latency = true;
-      d.replica = slot;
-      d.incarnation = r.incarnation;
-      d.finish_ms = c.finish_ms;
-      d.tenant = it->second.tenant;
-      // Quantize the path boundaries to integer sim-ns with the same
-      // quantizer the sim-track spans use, so the decomposition sums
-      // bitwise to the rendered end-to-end span.
-      d.record.rid = c.rid;
-      d.record.tenant = c.tenant;
-      d.record.replica = slot;
-      d.record.incarnation = r.incarnation;
-      d.record.slot = c.slot;
-      d.record.send_ns = obs::SimNs(it->second.client_t_ms);
-      d.record.admit_ns = obs::SimNs(c.arrival_ms);
-      d.record.quota_open_ns = obs::SimNs(c.quota_open_ms);
-      d.record.dispatch_ns = obs::SimNs(c.dispatch_ms);
-      d.record.finish_ns = obs::SimNs(c.finish_ms);
-      d.record.deliver_ns = obs::SimNs(d.deliver_ms);
-      d.record.deadline_ok = d.ok;
-      d.has_record = true;
-      outstanding.push_back(d);
-      r.pending.erase(it);
-    }
-    r.harvested = done.size();
-  };
-
-  auto crash = [&](int slot, double at_ms) {
-    Replica& r = *replicas_[static_cast<size_t>(slot)];
-    ++report.crashes;
-    DLSYS_COUNTER_ADD("fleet.crash", 1);
-    DLSYS_TRACE_INSTANT_SIM("fleet.crash", "fleet", at_ms, slot);
-    // The queue dies with the replica; so do its in-flight batches
-    // (stamped to finish after the crash instant).
-    report.dropped_queued += r.server->DropQueued();
-    WindowAcc& w = window_at(at_ms);
-    w.missed += static_cast<int64_t>(r.pending.size());
-    report.missed += static_cast<int64_t>(r.pending.size());
-    for (const auto& [id, p] : r.pending) {
-      if (!p.tenant.empty()) ++report.tenants[p.tenant].missed;
-    }
-    r.pending.clear();
-    for (Delivery& d : outstanding) {
-      if (d.replica == slot && d.incarnation == r.incarnation &&
-          d.finish_ms > at_ms) {
-        d.ok = false;
-        d.record_latency = false;
-        d.deliver_ms = at_ms;
-      }
-    }
-    r.state = State::kDown;
-    r.ready_ms =
-        at_ms + (config_.recovery == FleetRecovery::kCheckpointedRestart
-                     ? config_.restart_ms
-                     : config_.replace_ms);
-    if (canary.active && canary.replica == slot) canary.active = false;
-  };
 
   auto republish = [&](int slot) -> Status {
     auto version = replicas_[static_cast<size_t>(slot)]->server->Publish(
@@ -546,24 +741,23 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     return version.ok() ? Status::OK() : version.status();
   };
 
-  auto restart_due = [&](int slot, double at_ms) -> Status {
+  // Hands every request \p slot's server dispatched since the last
+  // harvest to the ledger as a response on its way back.
+  auto harvest = [&](int slot) {
     Replica& r = *replicas_[static_cast<size_t>(slot)];
-    if (config_.recovery == FleetRecovery::kColdReplace) {
-      // A fresh instance: new registry, new server, republished model.
-      r.registry = std::make_unique<ModelRegistry>();
-      auto server = Server::Create(r.registry.get(), config_.server);
-      if (!server.ok()) return server.status();
-      r.server = std::move(server).value();
-      r.harvested = 0;
-      Status pub = republish(slot);
-      if (!pub.ok()) return pub;
+    const std::vector<Server::Completion>& done = r.server->completions();
+    for (size_t i = r.harvested; i < done.size(); ++i) {
+      const Server::Completion& c = done[i];
+      // Every completion is a request this fleet submitted and still
+      // waits on: a crash forgets only undispatched requests, and the
+      // crashed server drops those too.
+      const auto it = r.pending.find(c.rid);
+      DLSYS_CHECK(it != r.pending.end(),
+                  "completion of a request the fleet is not waiting on");
+      ledger.Respond(c, slot, r.incarnation, it->second);
+      r.pending.erase(it);
     }
-    ++r.incarnation;
-    r.state = State::kActive;
-    ++report.restarts;
-    DLSYS_COUNTER_ADD("fleet.restart", 1);
-    DLSYS_TRACE_INSTANT_SIM("fleet.restart", "fleet", at_ms, slot);
-    return Status::OK();
+    r.harvested = done.size();
   };
 
   // ---- the tick loop ----------------------------------------------
@@ -573,7 +767,6 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
   double next_decide = scale_cfg.decide_interval_ms;
   int64_t arrivals_in_decide = 0;
   size_t next_arrival = 0;
-  int64_t request_index = 0;
   std::vector<ReplicaView> view(static_cast<size_t>(slots));
 
   for (int64_t k = 0;; ++k) {
@@ -587,8 +780,20 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
         r.state = State::kActive;
         tracker.Reset(i);
       } else if (r.state == State::kDown && r.ready_ms <= T) {
-        Status restarted = restart_due(i, T);
-        if (!restarted.ok()) return restarted;
+        if (config_.recovery == FleetRecovery::kColdReplace) {
+          // A fresh instance: new registry, new server, republished model.
+          r.registry = std::make_unique<ModelRegistry>();
+          auto server = Server::Create(r.registry.get(), config_.server);
+          if (!server.ok()) return server.status();
+          r.server = std::move(server).value();
+          r.harvested = 0;
+          DLSYS_RETURN_NOT_OK(republish(i));
+        }
+        ++r.incarnation;
+        r.state = State::kActive;
+        ++report.restarts;
+        DLSYS_COUNTER_ADD("fleet.restart", 1);
+        DLSYS_TRACE_INSTANT_SIM("fleet.restart", "fleet", T, i);
       } else if (r.state == State::kDraining && r.pending.empty() &&
                  r.server->queue_depth() == 0) {
         r.server->SetDraining(false);
@@ -603,7 +808,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
         event_started[e] = true;
         switch (ev.kind) {
           case FaultKind::kCrashStorm:
-            break;  // compiled into the fault plan; fires in step 3
+            break;  // compiled into the fault plan; fires in step 4
           case FaultKind::kSlowPartition:
             for (int t : targets[e]) {
               replicas_[static_cast<size_t>(t)]->net_scale = ev.severity;
@@ -624,14 +829,10 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
               }
             }
             if (c < 0) break;  // nothing active to canary onto
-            Status pub = republish(c);
-            if (!pub.ok()) return pub;
-            Replica& cr = *replicas_[static_cast<size_t>(c)];
-            cr.server->SetCostScale(ev.severity);
-            cr.offered_since_rollout = 0;
-            cr.degraded_since_rollout = 0;
-            canary = CanaryState{true, c, T, ev.severity,
-                                 cr.lat_history.size()};
+            DLSYS_RETURN_NOT_OK(republish(c));
+            replicas_[static_cast<size_t>(c)]->server->SetCostScale(
+                ev.severity);
+            canary.Start(c, T, ev.severity);
             ++report.rollouts;
             DLSYS_COUNTER_ADD("fleet.rollout", 1);
             DLSYS_TRACE_INSTANT_SIM("fleet.rollout", "fleet", T, c);
@@ -660,73 +861,49 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     }
 
     // 3. Canary bake verdict.
-    if (canary.active && T >= canary.started_ms + config_.canary.bake_ms) {
-      Replica& cr = *replicas_[static_cast<size_t>(canary.replica)];
-      const double degraded =
-          cr.offered_since_rollout > 0
-              ? static_cast<double>(cr.degraded_since_rollout) /
-                    static_cast<double>(cr.offered_since_rollout)
-              : 0.0;
-      // Windowed p99 regression: a latency lemon whose responses still
-      // land inside the deadline produces zero degraded deliveries, so
-      // the bake also compares the canary's p99 during the bake against
-      // its own pre-rollout baseline.
-      bool lat_regressed = false;
-      if (config_.canary.max_p99_regression > 0.0) {
-        const size_t mins =
-            static_cast<size_t>(config_.canary.min_p99_samples);
-        const size_t split =
-            std::min(canary.baseline_lat, cr.lat_history.size());
-        std::vector<double> base(cr.lat_history.begin(),
-                                 cr.lat_history.begin() +
-                                     static_cast<ptrdiff_t>(split));
-        std::vector<double> bake(cr.lat_history.begin() +
-                                     static_cast<ptrdiff_t>(split),
-                                 cr.lat_history.end());
-        if (base.size() >= mins && bake.size() >= mins) {
-          const double p99_base = Percentile(&base, 0.99);
-          const double p99_bake = Percentile(&bake, 0.99);
-          lat_regressed =
-              p99_base > 0.0 &&
-              p99_bake > config_.canary.max_p99_regression * p99_base;
-        }
+    if (const std::optional<Canary::Verdict> verdict = canary.Judge(T)) {
+      const int c = canary.replica();
+      if (verdict->p99_regressed) {
+        DLSYS_COUNTER_ADD("fleet.canary.p99_regression", 1);
+        if (config_.canary.auto_rollback) ++report.p99_rollbacks;
       }
-      if (degraded > config_.canary.max_degraded_fraction || lat_regressed) {
-        if (lat_regressed) {
-          DLSYS_COUNTER_ADD("fleet.canary.p99_regression", 1);
-          if (config_.canary.auto_rollback) ++report.p99_rollbacks;
-        }
-        if (config_.canary.auto_rollback) {
-          Status pub = republish(canary.replica);
-          if (!pub.ok()) return pub;
-          cr.server->SetCostScale(1.0);
-          ++report.rollbacks;
-          DLSYS_COUNTER_ADD("fleet.rollback", 1);
-          DLSYS_TRACE_INSTANT_SIM("fleet.rollback", "fleet", T,
-                                  canary.replica);
-        }
-        // Without auto_rollback the bad canary just keeps serving.
-      } else {
+      if (!verdict->failed) {
         // Bake passed: the (possibly slow) version rolls out fleet-wide.
         for (int i = 0; i < slots; ++i) {
           Replica& r = *replicas_[static_cast<size_t>(i)];
-          if (i == canary.replica || r.state != State::kActive) continue;
-          Status pub = republish(i);
-          if (!pub.ok()) return pub;
-          r.server->SetCostScale(canary.severity);
+          if (i == c || r.state != State::kActive) continue;
+          DLSYS_RETURN_NOT_OK(republish(i));
+          r.server->SetCostScale(canary.severity());
         }
+      } else if (config_.canary.auto_rollback) {
+        DLSYS_RETURN_NOT_OK(republish(c));
+        replicas_[static_cast<size_t>(c)]->server->SetCostScale(1.0);
+        ++report.rollbacks;
+        DLSYS_COUNTER_ADD("fleet.rollback", 1);
+        DLSYS_TRACE_INSTANT_SIM("fleet.rollback", "fleet", T, c);
       }
-      canary.active = false;
+      // Without auto_rollback a failed canary just keeps serving.
     }
 
-    // 4. Crash draws for this tick (scheduled storms + background).
+    // 4. Scheduled crashes due at this tick.
     for (int i = 0; i < slots; ++i) {
       Replica& r = *replicas_[static_cast<size_t>(i)];
-      if (r.state != State::kActive && r.state != State::kDraining) continue;
-      if (injector.CrashesAt(i, k, r.incarnation)) {
-        injector.ConsumeCrash(i, k);
-        crash(i, T);
-      }
+      if (!r.serving() || !injector.CrashesAt(i, k, r.incarnation)) continue;
+      injector.ConsumeCrash(i, k);
+      ++report.crashes;
+      DLSYS_COUNTER_ADD("fleet.crash", 1);
+      DLSYS_TRACE_INSTANT_SIM("fleet.crash", "fleet", T, i);
+      // The queue dies with the replica; so do its in-flight batches
+      // (stamped to finish after the crash instant).
+      report.dropped_queued += r.server->DropQueued();
+      ledger.Crash(i, r.incarnation, T, r.pending);
+      r.pending.clear();
+      r.state = State::kDown;
+      r.ready_ms =
+          T + (config_.recovery == FleetRecovery::kCheckpointedRestart
+                   ? config_.restart_ms
+                   : config_.replace_ms);
+      canary.Abandon(i);
     }
 
     // 5. Health probes: a down replica fails its probe, everything else
@@ -783,8 +960,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
             r.state = State::kInactive;  // cancel the pending order
             --excess;
             ++report.scale_downs;
-          } else if (r.state == State::kActive &&
-                     !(canary.active && canary.replica == i)) {
+          } else if (r.state == State::kActive && !canary.On(i)) {
             r.server->SetDraining(true);
             tracker.MarkUnhealthy(i);
             r.state = State::kDraining;
@@ -798,22 +974,13 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       next_decide += scale_cfg.decide_interval_ms;
     }
 
-    // 7. Route and submit this tick's arrivals.
+    // 7. Route and submit this tick's arrivals; rid counts every arrival
+    // in order.
     while (next_arrival < arrivals.size() && arrivals[next_arrival] < now) {
       const double t = arrivals[next_arrival];
-      ++next_arrival;
-      const int64_t rid = request_index++;
+      const int64_t rid = static_cast<int64_t>(next_arrival++);
       ++arrivals_in_decide;
-      ++report.offered;
-      // rid counts every arrival in order, so it indexes tenant_of.
-      const std::string tenant =
-          tenant_of.empty() ? std::string()
-                            : tenant_of[static_cast<size_t>(rid)];
-      FleetReport::TenantRow* trow =
-          tenant.empty() ? nullptr : &report.tenants[tenant];
-      if (trow != nullptr) ++trow->offered;
-      WindowAcc& aw = window_at(t);
-      ++aw.offered;
+      ledger.Offer(rid);
       for (int i = 0; i < slots; ++i) {
         Replica& r = *replicas_[static_cast<size_t>(i)];
         // A crashed-but-undetected replica stays in the rotation: that
@@ -834,42 +1001,24 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
         DLSYS_COUNTER_ADD("serve.shed.unhealthy_replica", 1);
         DLSYS_TRACE_INSTANT_SIM("serve.shed.unhealthy_replica", "fleet", t,
                                 rid);
-        ++report.shed_unhealthy;
-        ++aw.shed;
-        if (trow != nullptr) ++trow->shed;
+        ledger.Shed(rid, &FleetReport::shed_unhealthy);
         continue;
       }
       Replica& r = *replicas_[static_cast<size_t>(pick)];
       const NetworkModel net =
           r.net_scale != 1.0 ? config_.network.WithLatencyScaled(r.net_scale)
                              : config_.network;
-      int64_t lost = 0;
-      if (scenario.drop_prob > 0.0) {
-        lost = injector.FailedAttempts(pick, k, rid, net.max_retries);
-      }
-      const double fwd_ms =
-          net.TransferWithRetries(config_.request_bytes, lost) * 1000.0;
+      const double fwd_ms = net.TransferSeconds(config_.request_bytes) * 1000.0;
       const double ret_ms =
           net.TransferSeconds(config_.response_bytes) * 1000.0;
-      if (canary.active && pick == canary.replica) {
-        ++r.offered_since_rollout;
-      }
+      canary.Routed(pick);
       if (r.state == State::kDown) {
         // Routed into the detection gap: the request times out.
-        ++report.failed_dead_replica;
-        DLSYS_COUNTER_ADD("fleet.failed.dead_replica", 1);
-        Delivery d;
-        d.deliver_ms = t + fwd_ms + net.timeout_seconds * 1000.0;
-        d.ok = false;
-        d.record_latency = false;
-        d.replica = pick;
-        d.incarnation = r.incarnation;
-        d.tenant = tenant;
-        outstanding.push_back(d);
+        ledger.DeadRoute(rid, pick, t + fwd_ms + net.timeout_seconds * 1000.0);
         continue;
       }
       // Arrival at the replica, clamped to its clock so per-server
-      // submits stay monotone even when retry penalties vary.
+      // submits stay monotone.
       const double ta = std::max(t + fwd_ms, r.server->clock_ms());
       const double budget = (t + deadline_ms) - ret_ms - ta;
       DLSYS_TRACE_EMIT_SIM_NS(
@@ -880,77 +1029,52 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       const obs::RequestTrace rtrace{rid, r.incarnation};
       const Server::SubmitResult sr =
           r.server->Submit(model_, example, ta, budget > 0.0 ? budget : 1e-9,
-                           tenant, &rtrace);
-      const bool admitted = sr.outcome == Server::Outcome::kAdmitted;
-      if (admitted) {
-        ++report.admitted;
-        if (trow != nullptr) ++trow->admitted;
-        r.pending[sr.id] =
-            Replica::PendingReq{t, t + deadline_ms, ret_ms, tenant};
-      } else {
-        ++aw.shed;
-        if (trow != nullptr) ++trow->shed;
-        if (canary.active && pick == canary.replica) {
-          ++r.degraded_since_rollout;
-        }
-        switch (sr.outcome) {
-          case Server::Outcome::kShedQueueFull:
-            ++report.shed_queue_full;
-            break;
-          case Server::Outcome::kShedDeadline:
-            ++report.shed_deadline;
-            break;
-          case Server::Outcome::kShedDraining:
-            ++report.shed_draining;
-            break;
-          case Server::Outcome::kNoSuchModel:
-            return Status::Internal("model missing from replica registry");
-          case Server::Outcome::kInvalidRequest:
-            return Status::Internal(
-                "fleet payload does not match the deployed shape");
-          case Server::Outcome::kAdmitted:
-            break;  // unreachable: handled above
-        }
+                           ledger.tenant(rid), &rtrace);
+      int64_t FleetReport::*shed_reason = nullptr;
+      switch (sr.outcome) {
+        case Server::Outcome::kAdmitted:
+          ledger.Admit(rid);
+          r.pending[rid] = ret_ms;
+          continue;
+        case Server::Outcome::kShedQueueFull:
+          shed_reason = &FleetReport::shed_queue_full;
+          break;
+        case Server::Outcome::kShedDeadline:
+          shed_reason = &FleetReport::shed_deadline;
+          break;
+        case Server::Outcome::kShedDraining:
+          shed_reason = &FleetReport::shed_draining;
+          break;
+        case Server::Outcome::kNoSuchModel:
+          return Status::Internal("model missing from replica registry");
+        case Server::Outcome::kInvalidRequest:
+          return Status::Internal(
+              "fleet payload does not match the deployed shape");
       }
+      canary.Degraded(pick);
+      ledger.Shed(rid, shed_reason);
     }
 
     // 8. Advance every serving replica to the tick end and collect what
-    // finished.
+    // it dispatched.
     for (const auto& r : replicas_) {
-      if ((r->state == State::kActive || r->state == State::kDraining) &&
-          r->server->clock_ms() < now) {
+      if (r->serving() && r->server->clock_ms() < now) {
         r->server->AdvanceTo(now);
       }
     }
     for (int i = 0; i < slots; ++i) harvest(i);
 
-    // 9. Deliver responses due by the tick end.
-    {
-      size_t kept = 0;
-      for (size_t i = 0; i < outstanding.size(); ++i) {
-        if (outstanding[i].deliver_ms <= now) {
-          finalize(outstanding[i]);
-        } else {
-          outstanding[kept++] = outstanding[i];
-        }
-      }
-      outstanding.resize(kept);
+    // 9. Land the responses due by the tick end, and record the active
+    // replicas for this tick's window.
+    ledger.Land(now);
+    int active = 0;
+    for (const auto& r : replicas_) {
+      if (r->state == State::kActive) ++active;
     }
-
-    // Record the active-replica count for this tick's window (the last
-    // tick in a window wins, i.e. the count at window close).
-    {
-      const size_t widx = static_cast<size_t>(T / window_ms);
-      if (widx >= win_active.size()) win_active.resize(widx + 1, 0);
-      int active = 0;
-      for (const auto& r : replicas_) {
-        if (r->state == State::kActive) ++active;
-      }
-      win_active[widx] = active;
-    }
+    ledger.RecordActive(T, active);
 
     if (T >= load_end) {
-      bool inflight = !outstanding.empty();
+      bool inflight = ledger.in_flight();
       for (const auto& r : replicas_) {
         inflight = inflight || !r->pending.empty();
       }
@@ -961,80 +1085,10 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
   // Force-drain whatever survived the tail limit.
   for (int i = 0; i < slots; ++i) {
     Replica& r = *replicas_[static_cast<size_t>(i)];
-    if ((r.state == State::kActive || r.state == State::kDraining) &&
-        r.server->queue_depth() > 0) {
-      r.server->Drain();
-    }
+    if (r.serving() && r.server->queue_depth() > 0) r.server->Drain();
     harvest(i);
   }
-  for (const Delivery& d : outstanding) finalize(d);
-  outstanding.clear();
-  report.attribution = aggregator.report();
-  report.alerts = alerter.Evaluate();
-
-  // ---- fold windows into the report -------------------------------
-  report.p99_ms = Percentile(&all_lat, 0.99);
-  report.windows.reserve(windows.size());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    WindowAcc& acc = windows[i];
-    FleetWindow w;
-    w.start_ms = static_cast<double>(i) * window_ms;
-    w.offered = acc.offered;
-    w.completed_ok = acc.ok;
-    w.missed = acc.missed;
-    w.shed = acc.shed;
-    w.p99_ms = Percentile(&acc.lat, 0.99);
-    w.goodput_rps = static_cast<double>(acc.ok) * 1000.0 / window_ms;
-    w.active_replicas = i < win_active.size() ? win_active[i] : 0;
-    report.windows.push_back(w);
-  }
-
-  // Steady state over complete pre-fault windows inside the load span.
-  // Recovery is detected on the *served fraction* (completed_ok /
-  // offered per window) rather than absolute goodput, so a diurnal load
-  // decline after the fault does not read as an outage: time-to-recover
-  // is the first post-fault window opening a run of recover_streak
-  // windows whose served fraction is back within 10% of the pre-fault
-  // mean.
-  const auto served_fraction = [](const FleetWindow& w) {
-    return w.offered > 0 ? static_cast<double>(w.completed_ok) /
-                               static_cast<double>(w.offered)
-                         : 1.0;
-  };
-  size_t limit = static_cast<size_t>(load_end / window_ms);
-  limit = std::min(limit, report.windows.size());
-  const double fault = report.fault_start_ms;
-  const size_t fault_w =
-      fault >= 0.0 ? static_cast<size_t>(fault / window_ms) : limit;
-  double steady_sum = 0.0;
-  double steady_frac_sum = 0.0;
-  size_t steady_n = 0;
-  for (size_t i = 0; i < std::min(fault_w, limit); ++i) {
-    steady_sum += report.windows[i].goodput_rps;
-    steady_frac_sum += served_fraction(report.windows[i]);
-    ++steady_n;
-  }
-  report.steady_goodput_rps =
-      steady_n > 0 ? steady_sum / static_cast<double>(steady_n) : 0.0;
-  const double steady_frac =
-      steady_n > 0 ? steady_frac_sum / static_cast<double>(steady_n) : 0.0;
-  if (fault >= 0.0 && steady_frac > 0.0) {
-    const double bar = 0.9 * steady_frac;
-    const size_t streak = static_cast<size_t>(config_.recover_streak);
-    for (size_t i = fault_w; i + streak <= limit; ++i) {
-      bool recovered = true;
-      for (size_t j = 0; j < streak; ++j) {
-        recovered =
-            recovered && served_fraction(report.windows[i + j]) >= bar;
-      }
-      if (recovered) {
-        report.time_to_recover_ms =
-            std::max(0.0, static_cast<double>(i) * window_ms - fault);
-        break;
-      }
-    }
-  }
-  DLSYS_RETURN_NOT_OK(CheckRequestLedger(report));
+  DLSYS_RETURN_NOT_OK(ledger.Close(load_end));
   return report;
 }
 

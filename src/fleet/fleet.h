@@ -27,11 +27,35 @@
 /// ## Composition
 ///
 /// Each replica slot owns a full PR-4 serving stack (ModelRegistry +
-/// Server). The fleet driver is a single-threaded event loop over fixed
-/// simulated ticks: per tick it fires chaos transitions (compiled onto
-/// the PR-2 FaultInjector with replicas as workers and ticks as rounds),
-/// health probes, autoscaler decisions, the canary state machine, then
-/// routes this tick's trace arrivals and advances every live server.
+/// Server). The fleet driver is a single-threaded loop over fixed
+/// simulated ticks. Per tick, in this order, it:
+///
+///  1. fires replica timers: provisioning and restarts complete, drains
+///     finish;
+///  2. applies the chaos event transitions due (a scenario compiles onto
+///     the distributed FaultInjector with replicas as workers and ticks
+///     as rounds); a bad-version rollout starts the canary;
+///  3. takes the canary's bake verdict: roll back, or push fleet-wide;
+///  4. crashes the replicas the fault plan schedules for this tick;
+///  5. runs the health probes due;
+///  6. runs the autoscaler decisions due;
+///  7. routes and submits this tick's trace arrivals;
+///  8. advances every serving replica to the tick end and hands what it
+///     dispatched to the request ledger;
+///  9. lands the responses due by the tick end.
+///
+/// Two components own one decision each. The *request ledger* is the
+/// only code that records how a request ends: offered, admitted, shed,
+/// delivered in time, late, lost on a dead route, or lost in a crash. It
+/// holds the responses in flight, tallies the SLO windows, tenant rows,
+/// attribution and burn-rate alerts, and checks request conservation
+/// before Run returns. The *canary* owns the bake: its replica, start,
+/// severity, the traffic it was offered and how much of it degraded,
+/// and the per-replica latency history its p99 check compares. The
+/// replica lifecycle steps (timers, crashes, scaling) use the health
+/// tracker, the report, the canary and republishing, which is all the
+/// driver holds, so they stay inline in the loop, each in one place.
+///
 /// Request *execution* stays real — dispatched batches run through each
 /// server's compiled engine replicas — while every *decision* (routing,
 /// admission, scaling, rollback) is a function of simulated quantities

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -358,73 +359,124 @@ TEST(FleetTest, SteadyScenarioServesEverything) {
   EXPECT_NE(json.find("\"windows\": ["), std::string::npos);
 }
 
+// The second input makes each network hop longer than a tick, so every
+// response is still in flight when a tick ends and the driver keeps it
+// across ticks; its path record must keep its tenant all the way.
 TEST(FleetTest, TenantedLoadSlicesEveryRequestAndReplays) {
   auto scenario = MakeScenario("steady", 0.5);
   ASSERT_TRUE(scenario.ok());
   TraceLoadConfig load = TestLoad();
   load.tenant_mix = HotTenantMix(3, 4.0);
+  FleetConfig long_hops = TestFleetConfig();
+  long_hops.network.latency_seconds = 0.06;
+  TraceLoadConfig long_hop_load = load;
+  long_hop_load.deadline_ms = 200.0;
+  const std::vector<std::pair<FleetConfig, TraceLoadConfig>> inputs = {
+      {TestFleetConfig(), load}, {long_hops, long_hop_load}};
 
-  const auto run = [&]() {
-    auto report = RunFleet(TestFleetConfig(), scenario.value(), load);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  };
-  const FleetReport r1 = run();
+  for (const auto& input : inputs) {
+    const auto run = [&]() {
+      auto report = RunFleet(input.first, scenario.value(), input.second);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      return std::move(report).value();
+    };
+    const FleetReport r1 = run();
 
-  // Every request lands in exactly one tenant row, and each row obeys
-  // the same identities as the aggregate counters.
-  ASSERT_EQ(r1.tenants.size(), 3u);
-  int64_t offered = 0, admitted = 0, ok = 0, missed = 0, shed = 0;
-  for (const auto& [tenant, row] : r1.tenants) {
-    EXPECT_GT(row.offered, 0) << tenant;
-    EXPECT_EQ(row.offered, row.admitted + row.shed) << tenant;
-    EXPECT_EQ(row.admitted, row.completed_ok + row.missed) << tenant;
-    offered += row.offered;
-    admitted += row.admitted;
-    ok += row.completed_ok;
-    missed += row.missed;
-    shed += row.shed;
+    // Every request lands in exactly one tenant row, and each row obeys
+    // the same identities as the aggregate counters.
+    ASSERT_EQ(r1.tenants.size(), 3u);
+    int64_t offered = 0, admitted = 0, ok = 0, missed = 0, shed = 0;
+    for (const auto& [tenant, row] : r1.tenants) {
+      EXPECT_GT(row.offered, 0) << tenant;
+      EXPECT_EQ(row.offered, row.admitted + row.shed) << tenant;
+      EXPECT_EQ(row.admitted, row.completed_ok + row.missed) << tenant;
+      offered += row.offered;
+      admitted += row.admitted;
+      ok += row.completed_ok;
+      missed += row.missed;
+      shed += row.shed;
+    }
+    EXPECT_EQ(offered, r1.offered);
+    EXPECT_EQ(admitted, r1.admitted);
+    EXPECT_EQ(ok, r1.completed_ok);
+    EXPECT_EQ(missed, r1.missed);
+    EXPECT_EQ(shed, r1.shed_queue_full + r1.shed_deadline +
+                        r1.shed_draining + r1.shed_unhealthy);
+    // The hot tenant carries ~2/3 of the offered load.
+    EXPECT_GT(r1.tenants.at("t0").offered, 2 * r1.tenants.at("t1").offered);
+    // Every delivered request's critical path names its tenant's row.
+    ASSERT_FALSE(r1.path_records.empty());
+    for (const obs::RequestPathRecord& rec : r1.path_records) {
+      ASSERT_EQ(r1.tenants.count(rec.tenant), 1u) << "rid " << rec.rid;
+    }
+
+    // The export grows a byte-stable "tenants" section, and the whole
+    // tenanted run replays byte-for-byte.
+    const std::string json = FleetReportJson(r1);
+    EXPECT_NE(json.find("\"tenants\": {"), std::string::npos);
+    EXPECT_NE(json.find("\"t0\": {"), std::string::npos);
+    const FleetReport r2 = run();
+    EXPECT_EQ(json, FleetReportJson(r2));
   }
-  EXPECT_EQ(offered, r1.offered);
-  EXPECT_EQ(admitted, r1.admitted);
-  EXPECT_EQ(ok, r1.completed_ok);
-  EXPECT_EQ(missed, r1.missed);
-  EXPECT_EQ(shed, r1.shed_queue_full + r1.shed_deadline + r1.shed_draining +
-                      r1.shed_unhealthy);
-  // The hot tenant carries ~2/3 of the offered load.
-  EXPECT_GT(r1.tenants.at("t0").offered, 2 * r1.tenants.at("t1").offered);
-
-  // The export grows a byte-stable "tenants" section, and the whole
-  // tenanted run replays byte-for-byte.
-  const std::string json = FleetReportJson(r1);
-  EXPECT_NE(json.find("\"tenants\": {"), std::string::npos);
-  EXPECT_NE(json.find("\"t0\": {"), std::string::npos);
-  const FleetReport r2 = run();
-  EXPECT_EQ(json, FleetReportJson(r2));
 }
 
 // Every Run checks request conservation before it returns, so a run
 // that silently loses or double-counts a request fails with Internal.
 // Both recovery modes are covered: a checkpointed restart keeps the
 // crashed server, whose DropQueued discards queued and loaded requests.
+// The last input is the one whose crash storm catches admitted requests
+// still queued: one slow worker per replica and a tenanted load, so
+// those crash losses must also reach the tenant rows.
 TEST(FleetTest, EveryScenarioBalancesTheRequestLedger) {
+  struct Input {
+    std::string scenario;
+    FleetConfig config;
+    TraceLoadConfig load;
+    bool drops_queued = false;
+  };
   for (const FleetRecovery recovery :
        {FleetRecovery::kCheckpointedRestart, FleetRecovery::kColdReplace}) {
     FleetConfig config = TestFleetConfig();
     config.recovery = recovery;
+    std::vector<Input> inputs;
     for (const std::string& name : ScenarioNames()) {
-      auto scenario = MakeScenario(name, 0.5);
+      inputs.push_back({name, config, TestLoad()});
+    }
+    Input loaded{"crash_storm", config, TestLoad(), true};
+    loaded.config.server.workers = 1;
+    loaded.config.server.cost.fixed_ms = 10.0;
+    loaded.config.server.cost.per_example_ms = 1.0;
+    loaded.load.tenant_mix = BalancedTenantMix(3);
+    inputs.push_back(loaded);
+
+    for (const Input& in : inputs) {
+      const std::string name =
+          in.scenario + " / " + FleetRecoveryName(recovery);
+      auto scenario = MakeScenario(in.scenario, 0.5);
       ASSERT_TRUE(scenario.ok()) << name;
-      auto report = RunFleet(config, scenario.value(), TestLoad());
-      ASSERT_TRUE(report.ok())
-          << name << " / " << FleetRecoveryName(recovery) << ": "
-          << report.status().ToString();
+      auto report = RunFleet(in.config, scenario.value(), in.load);
+      ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
       const FleetReport& r = report.value();
       const int64_t shed = r.shed_queue_full + r.shed_deadline +
                            r.shed_draining + r.shed_unhealthy;
       EXPECT_GT(r.offered, 0) << name;
       EXPECT_EQ(r.offered, r.completed_ok + r.missed + shed) << name;
       EXPECT_EQ(r.offered, r.admitted + r.failed_dead_replica + shed) << name;
+      if (!in.drops_queued) continue;
+      EXPECT_GT(r.dropped_queued, 0) << name;
+      FleetReport::TenantRow sum;
+      for (const auto& [tenant, row] : r.tenants) {
+        sum.offered += row.offered;
+        sum.admitted += row.admitted;
+        sum.completed_ok += row.completed_ok;
+        sum.missed += row.missed;
+        sum.shed += row.shed;
+      }
+      EXPECT_EQ(sum.offered, r.offered) << name;
+      EXPECT_EQ(sum.admitted, r.admitted) << name;
+      EXPECT_EQ(sum.completed_ok, r.completed_ok) << name;
+      EXPECT_EQ(sum.missed, r.missed) << name;
+      EXPECT_EQ(sum.shed, shed) << name;
     }
   }
 }
@@ -553,39 +605,80 @@ TEST(FleetTest, ReactiveAutoscalerAddsReplicasUnderFlashCrowd) {
 }
 
 // Acceptance: the exported fleet metrics JSON and the simulated-clock
-// trace slice replay byte-for-byte when only DLSYS_THREADS changes.
+// trace slice replay byte-for-byte when only DLSYS_THREADS changes. The
+// second input stages every fault kind on a tenanted load, so the replay
+// also covers the chaos event edges, the canary verdict and the tenant
+// rows.
 TEST(FleetTest, ChaosRunReplaysBitwiseAcrossThreadCounts) {
-  auto scenario = MakeScenario("crash_storm", 0.5);
-  ASSERT_TRUE(scenario.ok());
-  const TraceLoadConfig load = TestLoad(8000.0, 400.0);
+  auto storm = MakeScenario("crash_storm", 0.5);
+  ASSERT_TRUE(storm.ok());
+  ChaosScenario composite;
+  composite.name = "composite";
+  composite.seed = 0x5CE4A210ULL;
+  FleetFaultEvent crash;
+  crash.kind = FaultKind::kCrashStorm;
+  crash.start_ms = 1500.0;
+  crash.fraction = 0.5;
+  FleetFaultEvent slow;
+  slow.kind = FaultKind::kSlowPartition;
+  slow.start_ms = 3000.0;
+  slow.duration_ms = 1000.0;
+  slow.severity = 40.0;
+  FleetFaultEvent gray;
+  gray.kind = FaultKind::kGrayFailure;
+  gray.start_ms = 4500.0;
+  gray.duration_ms = 1000.0;
+  gray.fraction = 0.34;
+  gray.severity = 8.0;
+  FleetFaultEvent bad;
+  bad.kind = FaultKind::kBadVersionRollout;
+  bad.start_ms = 5500.0;
+  bad.fraction = 1.0;
+  bad.severity = 24.0;
+  composite.events = {crash, slow, gray, bad};
+  TraceLoadConfig tenanted = TestLoad(8000.0, 400.0);
+  tenanted.tenant_mix = BalancedTenantMix(3);
+  const std::vector<std::pair<ChaosScenario, TraceLoadConfig>> inputs = {
+      {storm.value(), TestLoad(8000.0, 400.0)}, {composite, tenanted}};
 
-  const auto run_at = [&](int threads, std::string* json, std::string* trace,
-                          std::string* attr) {
-    RuntimeConfig::SetThreads(threads);
-    obs::ResetTrace();
-    obs::SetTracingEnabled(true);
-    auto report = RunFleet(TestFleetConfig(), scenario.value(), load);
-    obs::SetTracingEnabled(false);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    *json = FleetReportJson(report.value());
-    *trace = obs::ChromeTraceJson(obs::SimTrackOnly(obs::DrainTrace()));
-    *attr = obs::AttributionReportJson(report.value().attribution);
-    obs::ResetTrace();
-  };
+  for (const auto& input : inputs) {
+    const ChaosScenario& scenario = input.first;
+    const TraceLoadConfig& load = input.second;
+    const auto run_at = [&](int threads, std::string* json, std::string* trace,
+                            std::string* attr) {
+      RuntimeConfig::SetThreads(threads);
+      obs::ResetTrace();
+      obs::SetTracingEnabled(true);
+      auto report = RunFleet(TestFleetConfig(), scenario, load);
+      obs::SetTracingEnabled(false);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      *json = FleetReportJson(report.value());
+      *trace = obs::ChromeTraceJson(obs::SimTrackOnly(obs::DrainTrace()));
+      *attr = obs::AttributionReportJson(report.value().attribution);
+      obs::ResetTrace();
+    };
 
-  std::string json1, trace1, attr1, json8, trace8, attr8;
-  run_at(1, &json1, &trace1, &attr1);
-  run_at(8, &json8, &trace8, &attr8);
-  RuntimeConfig::SetThreads(1);
+    std::string json1, trace1, attr1, json8, trace8, attr8;
+    run_at(1, &json1, &trace1, &attr1);
+    run_at(8, &json8, &trace8, &attr8);
+    RuntimeConfig::SetThreads(1);
 
-  EXPECT_EQ(json1, json8)
-      << "fleet metrics export must be bitwise thread-count independent";
-  EXPECT_FALSE(trace1.empty());
-  EXPECT_EQ(trace1, trace8)
-      << "sim-track trace slice must be bitwise thread-count independent";
-  EXPECT_FALSE(attr1.empty());
-  EXPECT_EQ(attr1, attr8)
-      << "attribution report must be bitwise thread-count independent";
+    EXPECT_EQ(json1, json8) << scenario.name
+        << ": fleet metrics export must be bitwise thread-count independent";
+    EXPECT_FALSE(trace1.empty());
+    EXPECT_EQ(trace1, trace8) << scenario.name
+        << ": sim-track trace slice must be bitwise thread-count independent";
+    EXPECT_FALSE(attr1.empty());
+    EXPECT_EQ(attr1, attr8) << scenario.name
+        << ": attribution report must be bitwise thread-count independent";
+    if (scenario.name == "composite") {
+      // The staged faults all register: two replicas crash, the canary
+      // rolls back on the p99 check, and every tenant gets a row.
+      EXPECT_NE(json1.find("\"crashes\": 2,"), std::string::npos);
+      EXPECT_NE(json1.find("\"p99_rollbacks\": 1,"), std::string::npos);
+      EXPECT_NE(json1.find("\"t2\": {"), std::string::npos);
+    }
+  }
 }
 
 // ------------------------------- critical-path attribution + burn rate
