@@ -15,7 +15,8 @@
 // additionally write the critical-path attribution report and the
 // sim-track request-trace slice, which must be byte-identical across
 // thread counts too. Pass --smoke (or DLSYS_BENCH_SMOKE=1) for a
-// seconds-scale CI run.
+// seconds-scale CI run. The grid run exits non-zero when any bundle's
+// bad_version cell records no rollback.
 
 #include <cstdint>
 #include <cstdio>
@@ -93,7 +94,10 @@ FleetConfig GridFleetConfig(const PolicyBundle& bundle) {
   config.recovery = bundle.recovery;
   config.restart_ms = 1500.0 * TimeScale();
   config.replace_ms = 4000.0 * TimeScale();
-  config.canary.bake_ms = 1500.0 * TimeScale();
+  // Not scaled: the bake must route enough requests to the canary for its
+  // latency check (min_p99_samples) at either load, and a 375 ms smoke
+  // bake saw too few to roll the bad version back.
+  config.canary.bake_ms = 1500.0;
   config.tick_ms = 50.0;
   config.window_ms = 500.0 * TimeScale();
   return config;
@@ -214,6 +218,7 @@ int main(int argc, char** argv) {
   RuntimeConfig::SetThreads(1);
 
   std::vector<GridCell> grid;
+  int missed_rollbacks = 0;
   for (const std::string& scenario : ScenarioNames()) {
     for (const PolicyBundle& bundle : Bundles()) {
       auto report = RunCell(bundle, scenario);
@@ -234,6 +239,11 @@ int main(int argc, char** argv) {
           static_cast<long long>(r.rollbacks),
           static_cast<long long>(r.scale_ups),
           static_cast<long long>(r.scale_downs));
+      if (scenario == "bad_version" && r.rollbacks == 0) {
+        std::printf("  bad_version under %s never rolled back\n",
+                    bundle.name);
+        ++missed_rollbacks;
+      }
       grid.push_back({scenario, bundle.name, r});
     }
   }
@@ -270,5 +280,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_fleet.json (%zu cells)\n", grid.size());
-  return 0;
+  // A canary that lets a bad version through is a failed run, not a
+  // number to report.
+  return missed_rollbacks == 0 ? 0 : 1;
 }

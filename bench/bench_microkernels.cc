@@ -145,7 +145,7 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
          }},
         {"fp32_conv_gemm",
          [&] {
-           ConvGemmBiasInto(op.a.data(), op.bt.data(), op.bias.data(),
+           ConvGemmBiasInto(op.a.data(), op.b.data(), op.bias.data(),
                             op.c.data(), m, k, n);
            g_sink = op.c[0];
          }},

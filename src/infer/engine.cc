@@ -25,6 +25,25 @@ using infer::OpKind;
 using infer::OpNode;
 
 constexpr int64_t kEwGrain = 1 << 15;  ///< elementwise elements per range
+constexpr int64_t kTapGrain = 4;        ///< im2col patch rows per range
+
+/// A half-open range [lo, hi) of output coordinates.
+struct OutRange {
+  int64_t lo;
+  int64_t hi;
+};
+
+/// The output coordinates o whose input coordinate o * stride - pad + t
+/// lies inside [0, extent), clipped to [0, out_extent): where a conv tap
+/// at offset t reads the input rather than the zero border.
+OutRange InsideRange(int64_t t, int64_t pad, int64_t stride, int64_t extent,
+                     int64_t out_extent) {
+  auto ceil_div = [stride](int64_t x) {
+    return x <= 0 ? 0 : (x + stride - 1) / stride;
+  };
+  const int64_t lo = std::min(out_extent, ceil_div(pad - t));
+  return {lo, std::max(lo, std::min(out_extent, ceil_div(extent + pad - t)))};
+}
 
 /// Must match TensorArena's slot alignment (src/infer/arena.cc): the
 /// unpacked-size accounting below mirrors what Reserve would commit.
@@ -54,9 +73,12 @@ Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
         ShapeToString(example_shape));
   }
 
+  auto passes = infer::ResolvePassConfig(config.passes);
+  if (!passes.ok()) return passes.status();
+
   InferenceEngine eng;
   eng.config_ = config;
-  eng.passes_ = infer::ResolvePassConfig(config.passes);
+  eng.passes_ = passes.value();
 
   DLSYS_TRACE_SPAN("engine.compile", "compile");
   auto lowered = OpGraph::Lower(net, example_shape, config.numeric);
@@ -684,33 +706,41 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       const float* pb = node.bias.data();
       const bool relu = node.relu_fused;
       if (config_.conv_algo == ConvAlgo::kIm2col) {
-        const int64_t kk = ic * kernel * kernel;  // patch width
-        const int64_t positions = ho * wo;
+        const int64_t kk = ic * kernel * kernel;  // taps: patch rows
+        const int64_t positions = ho * wo;         // patch columns
         float* patches = arena_.Floats(step.im2col);
         for (int64_t img = 0; img < batch; ++img) {
           const float* xin = in + img * ic * h * w;
-          // Patch layout: row = output position, columns in (ic, ky, kx)
-          // order — the direct nest's term order — with out-of-image taps
-          // zero-filled.
-          ParallelFor(0, positions, 16, [=](int64_t p0, int64_t p1) {
-            for (int64_t pos = p0; pos < p1; ++pos) {
-              const int64_t oy = pos / wo, ox = pos % wo;
-              const int64_t iy0 = oy * stride - pad;
-              const int64_t ix0 = ox * stride - pad;
-              float* prow = patches + pos * kk;
-              int64_t q = 0;
-              for (int64_t cc = 0; cc < ic; ++cc) {
-                const float* xplane = xin + cc * h * w;
-                for (int64_t ky = 0; ky < kernel; ++ky) {
-                  const int64_t iy = iy0 + ky;
-                  for (int64_t kx = 0; kx < kernel; ++kx, ++q) {
-                    const int64_t ix = ix0 + kx;
-                    prow[q] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                                  ? xplane[iy * w + ix]
-                                  : 0.0f;
+          // Patch layout (K x N, the GEMM's B operand): row = tap in
+          // (ic, ky, kx) order — the direct nest's term order — and column
+          // = output position. A tap reads the input inside one rectangle
+          // of output positions, [oy_lo, oy_hi) x [ox_lo, ox_hi), worked
+          // out once per tap; the rest of its row is the zero border.
+          ParallelFor(0, kk, kTapGrain, [=](int64_t q0, int64_t q1) {
+            for (int64_t q = q0; q < q1; ++q) {
+              const int64_t cc = q / (kernel * kernel);
+              const int64_t ky = q / kernel % kernel;
+              const int64_t kx = q % kernel;
+              const auto [oy_lo, oy_hi] = InsideRange(ky, pad, stride, h, ho);
+              const auto [ox_lo, ox_hi] = InsideRange(kx, pad, stride, w, wo);
+              const float* xplane = xin + cc * h * w;
+              float* prow = patches + q * positions;
+              std::fill(prow, prow + oy_lo * wo, 0.0f);
+              for (int64_t oy = oy_lo; oy < oy_hi; ++oy) {
+                float* dst = prow + oy * wo;
+                const float* src = xplane + (oy * stride - pad + ky) * w +
+                                   (ox_lo * stride - pad + kx);
+                std::fill(dst, dst + ox_lo, 0.0f);
+                if (stride == 1) {
+                  std::copy(src, src + (ox_hi - ox_lo), dst + ox_lo);
+                } else {
+                  for (int64_t ox = ox_lo; ox < ox_hi; ++ox) {
+                    dst[ox] = src[(ox - ox_lo) * stride];
                   }
                 }
+                std::fill(dst + ox_hi, dst + wo, 0.0f);
               }
+              std::fill(prow + oy_hi * wo, prow + positions, 0.0f);
             }
           });
           if (relu) {

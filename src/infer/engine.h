@@ -83,7 +83,8 @@ class InferenceEngine {
   /// \p example_shape (no batch dimension).
   ///
   /// Returns InvalidArgument when shapes do not thread through the
-  /// pipeline or the config is malformed, and Unimplemented for layer
+  /// pipeline, the config is malformed or DLSYS_PASSES names an unknown
+  /// pass, and Unimplemented for layer
   /// types the engine does not recognize. Dropout layers compile to
   /// identity, matching inference-mode training semantics.
   static Result<InferenceEngine> Compile(const Sequential& net,

@@ -161,17 +161,17 @@ Status ParsePassList(const std::string& spec, PassConfig* out) {
   return Status::OK();
 }
 
-PassConfig ResolvePassConfig(const PassConfig& base) {
+Result<PassConfig> ResolvePassConfig(const PassConfig& base) {
   const char* env = std::getenv("DLSYS_PASSES");
   if (env == nullptr || env[0] == '\0') return base;
   const std::string spec(env);
   if (spec == "default") return base;
   PassConfig config;
-  const Status parsed = ParsePassList(spec, &config);
   // A forced pass list that silently fell back would invalidate any
-  // parity or perf conclusion drawn from the run — same policy as
-  // DLSYS_ISA.
-  DLSYS_CHECK(parsed.ok(), parsed.message().c_str());
+  // parity or perf conclusion drawn from the run, so a bad spelling is
+  // an error, never the base config.
+  const Status parsed = ParsePassList(spec, &config);
+  if (!parsed.ok()) return parsed;
   return config;
 }
 

@@ -41,8 +41,10 @@
 /// Each pass is individually toggleable via EngineConfig::passes, and the
 /// `DLSYS_PASSES` environment variable overrides the config (values:
 /// `all`, `none`, `default`, or a comma list like `fuse,pack` naming the
-/// passes to enable). An unknown spelling aborts — a forced pass list that
-/// silently fell back would invalidate any conclusion drawn from the run.
+/// passes to enable). An unknown spelling fails Compile with
+/// InvalidArgument — a forced pass list that silently fell back would
+/// invalidate any conclusion drawn from the run, and an environment knob
+/// must not abort the process.
 
 namespace dlsys {
 
@@ -70,9 +72,9 @@ struct PassStats {
 Status ParsePassList(const std::string& spec, PassConfig* out);
 
 /// \brief Applies the DLSYS_PASSES environment override (if set) to
-/// \p base and returns the effective config. Aborts on a malformed
-/// override, mirroring DLSYS_ISA.
-PassConfig ResolvePassConfig(const PassConfig& base);
+/// \p base and returns the effective config, or ParsePassList's
+/// InvalidArgument on a malformed override (never a silent fallback).
+Result<PassConfig> ResolvePassConfig(const PassConfig& base);
 
 /// \brief Runs the enabled rewrite passes over \p graph in pipeline
 /// order, tracing one span per pass and bumping infer.pass.* counters.

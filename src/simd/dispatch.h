@@ -81,11 +81,6 @@ struct KernelTable {
   void (*matmul_tb_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k,
                           int64_t n) = nullptr;
-  /// C[:, j0:j1) = bias + A(MxK) * B(NxK)^T columns (conv epilogue order).
-  void (*conv_gemm_bias_cols)(const float* a, const float* b,
-                              const float* bias, float* c, int64_t m,
-                              int64_t k, int64_t n, int64_t j0,
-                              int64_t j1) = nullptr;
   /// C[i0:i1, :] = A(MxK) * B(NxK)^T over int8, exact int32 accumulation.
   void (*int8_gemm_rows)(const int8_t* a, const int8_t* b, int32_t* c,
                          int64_t i0, int64_t i1, int64_t k,
@@ -109,8 +104,12 @@ struct KernelTable {
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,
                                 int relu) = nullptr;
-  /// conv_gemm_bias_cols with the activation fused into the column pass
-  /// (relu != 0 applies max(x, 0) to each finished output element).
+  /// C[:, j0:j1) = act(bias(M) + A(MxK) * B(KxN)) columns: the conv GEMM,
+  /// with B the tap-major im2col patch matrix (row = tap, column = output
+  /// position). Each element is a double accumulator started at its
+  /// row's bias, adding float products in ascending p (the direct conv's
+  /// order); relu != 0 clamps each element to max(x, 0) as it is stored,
+  /// relu == 0 stores it as is.
   void (*conv_gemm_bias_act_cols)(const float* a, const float* b,
                                   const float* bias, float* c, int64_t m,
                                   int64_t k, int64_t n, int64_t j0,

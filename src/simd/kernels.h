@@ -40,7 +40,7 @@ namespace simd {
 struct KernelTable;
 
 /// Scalar reference table: always available, bitwise identical to the
-/// pre-dispatch kernels (same source moved verbatim, same build flags).
+/// pre-dispatch kernels (same per-element chains, same build flags).
 const KernelTable* GetScalarTable();
 /// AVX2 table, or nullptr when not compiled into this binary.
 const KernelTable* GetAvx2Table();
@@ -49,7 +49,8 @@ const KernelTable* GetAvx512Table();
 
 // ------------------------------------------------------ scalar kernels
 // Bodies are the pre-SIMD kernels from src/tensor/ops.cc and
-// src/tensor/int8_gemm.cc, moved verbatim; see kernels_scalar.cc.
+// src/tensor/int8_gemm.cc, moved verbatim except the conv GEMM's register
+// tile (same per-element chain); see kernels_scalar.cc.
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n);
@@ -58,9 +59,6 @@ void MatMulTransARangeScalar(const float* a, const float* b, float* c,
                              int64_t n);
 void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
                              int64_t i0, int64_t i1, int64_t k, int64_t n);
-void ConvGemmBiasColsScalar(const float* a, const float* b, const float* bias,
-                            float* c, int64_t m, int64_t k, int64_t n,
-                            int64_t j0, int64_t j1);
 void Int8GemmRowsScalar(const int8_t* a, const int8_t* b, int32_t* c,
                         int64_t i0, int64_t i1, int64_t k, int64_t n);
 void Q8GemmRowsScalar(const int8_t* a, const float* a_scales, const int8_t* b,

@@ -144,8 +144,8 @@ void MatMulTransARangeAvx2(const float* a, const float* b, float* c,
 /// _mm256_add_pd advances every column's chain by exactly one p.
 inline void DotCols4Avx2(const float* arow, const float* b0, const float* b1,
                          const float* b2, const float* b3, int64_t k,
-                         double init, float* out) {
-  __m256d acc = _mm256_set1_pd(init);
+                         float* out) {
+  __m256d acc = _mm256_setzero_pd();
   int64_t p = 0;
   for (; p + 4 <= k; p += 4) {
     __m128 r0 = _mm_loadu_ps(b0 + p);
@@ -184,7 +184,7 @@ void MatMulTransBRangeAvx2(const float* a, const float* b, float* c,
     int64_t j = 0;
     for (; j + 4 <= n; j += 4) {
       DotCols4Avx2(arow, b + (j + 0) * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, 0.0, c + i * n + j);
+                   b + (j + 3) * k, k, c + i * n + j);
     }
     for (; j < n; ++j) {
       const float* brow = b + j * k;
@@ -195,24 +195,95 @@ void MatMulTransBRangeAvx2(const float* a, const float* b, float* c,
   }
 }
 
-void ConvGemmBiasColsAvx2(const float* a, const float* b, const float* bias,
-                          float* c, int64_t m, int64_t k, int64_t n,
-                          int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
-    int64_t j = j0;
-    for (; j + 4 <= j1; j += 4) {
-      DotCols4Avx2(arow, b + (j + 0) * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, bias_i, c + i * n + j);
+/// Conv GEMM register tile: MR output channels x 8 positions, each channel
+/// two double accumulators of four started at its bias. Per tap p the tile
+/// reads one contiguous run of B row p (masked to the first nr positions
+/// on a short tile) and reuses it for every channel: float multiply by the
+/// channel's broadcast weight, widen, double add — the scalar tile's exact
+/// chain, with no transpose. The run is multiplied as two 4-float halves,
+/// so each product widens straight into its accumulator with no lane
+/// extract. relu is applied as the tile is stored. The unroll pragmas
+/// flatten the channel loops so the accumulator arrays stay in registers
+/// (unrolled later, GCC stores them to the stack on every tap).
+template <int MR, bool kShort>
+inline void ConvTileAvx2(const float* a, const float* b, const float* bias,
+                         float* c, int64_t k, int64_t n, int64_t i, int64_t j,
+                         int64_t nr, int relu) {
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(nr)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256d lo[MR], hi[MR];
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+    lo[ii] = hi[ii] = _mm256_set1_pd(static_cast<double>(bias[i + ii]));
+  }
+  const float* arow = a + i * k;
+  const float* brow = b + j;
+  for (int64_t p = 0; p < k; ++p, brow += n) {
+    __m128 b0, b1;
+    if constexpr (kShort) {
+      const __m256 bv = _mm256_maskload_ps(brow, mask);
+      b0 = _mm256_castps256_ps128(bv);
+      b1 = _mm256_extractf128_ps(bv, 1);
+    } else {
+      b0 = _mm_loadu_ps(brow);
+      b1 = _mm_loadu_ps(brow + 4);
     }
-    for (; j < j1; ++j) {
-      const float* brow = b + j * k;
-      double s = bias_i;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
+#pragma GCC unroll 4
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m128 w = _mm_set1_ps(arow[ii * k + p]);
+      lo[ii] = _mm256_add_pd(lo[ii], _mm256_cvtps_pd(_mm_mul_ps(w, b0)));
+      hi[ii] = _mm256_add_pd(hi[ii], _mm256_cvtps_pd(_mm_mul_ps(w, b1)));
     }
   }
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+    __m256 v = _mm256_set_m128(_mm256_cvtpd_ps(hi[ii]),
+                               _mm256_cvtpd_ps(lo[ii]));
+    if (relu != 0) v = _mm256_max_ps(v, _mm256_setzero_ps());
+    float* crow = c + (i + ii) * n + j;
+    if constexpr (kShort) {
+      _mm256_maskstore_ps(crow, mask, v);
+    } else {
+      _mm256_storeu_ps(crow, v);
+    }
+  }
+}
+
+/// One column strip [j, j + nr) of every output channel, four channels
+/// per tile.
+template <bool kShort>
+void ConvStripAvx2(const float* a, const float* b, const float* bias,
+                   float* c, int64_t m, int64_t k, int64_t n, int64_t j,
+                   int64_t nr, int relu) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    ConvTileAvx2<4, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+  }
+  switch (m - i) {
+    case 3:
+      ConvTileAvx2<3, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    case 2:
+      ConvTileAvx2<2, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    case 1:
+      ConvTileAvx2<1, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    default:
+      break;
+  }
+}
+
+void ConvGemmBiasActColsAvx2(const float* a, const float* b,
+                             const float* bias, float* c, int64_t m,
+                             int64_t k, int64_t n, int64_t j0, int64_t j1,
+                             int relu) {
+  int64_t j = j0;
+  for (; j + 8 <= j1; j += 8) {
+    ConvStripAvx2<false>(a, b, bias, c, m, k, n, j, 8, relu);
+  }
+  if (j < j1) ConvStripAvx2<true>(a, b, bias, c, m, k, n, j, j1 - j, relu);
 }
 
 // ------------------------------------------------------ fused epilogues
@@ -241,24 +312,6 @@ void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
       const float v = crow[j] + bias[j];
       crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
     }
-  }
-}
-
-void ConvGemmBiasActColsAvx2(const float* a, const float* b,
-                             const float* bias, float* c, int64_t m,
-                             int64_t k, int64_t n, int64_t j0, int64_t j1,
-                             int relu) {
-  ConvGemmBiasColsAvx2(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  const __m256 zero = _mm256_setzero_ps();
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    int64_t j = j0;
-    for (; j + 8 <= j1; j += 8) {
-      _mm256_storeu_ps(crow + j,
-                       _mm256_max_ps(_mm256_loadu_ps(crow + j), zero));
-    }
-    for (; j < j1; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
   }
 }
 
@@ -397,7 +450,6 @@ const KernelTable kAvx2Table = {
     &MatMulRangeAvx2,
     &MatMulTransARangeAvx2,
     &MatMulTransBRangeAvx2,
-    &ConvGemmBiasColsAvx2,
     &Int8GemmRowsAvx2,
     &Q8GemmRowsAvx2,
     &Q4GemmRowsAvx2,

@@ -140,7 +140,7 @@ void MatMulTransARangeAvx512(const float* a, const float* b, float* c,
 /// in-register transpose turns eight row loads into per-p column vectors;
 /// each _mm512_add_pd advances all eight chains by exactly one p.
 inline void DotCols8Avx512(const float* arow, const float* b, int64_t j,
-                           int64_t k, double init, float* out) {
+                           int64_t k, float* out) {
   const float* b0 = b + (j + 0) * k;
   const float* b1 = b + (j + 1) * k;
   const float* b2 = b + (j + 2) * k;
@@ -149,7 +149,7 @@ inline void DotCols8Avx512(const float* arow, const float* b, int64_t j,
   const float* b5 = b + (j + 5) * k;
   const float* b6 = b + (j + 6) * k;
   const float* b7 = b + (j + 7) * k;
-  __m512d acc = _mm512_set1_pd(init);
+  __m512d acc = _mm512_setzero_pd();
   int64_t p = 0;
   for (; p + 8 <= k; p += 8) {
     __m256 r0 = _mm256_loadu_ps(b0 + p);
@@ -224,7 +224,7 @@ void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
     const float* arow = a + i * k;
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
-      DotCols8Avx512(arow, b, j, k, 0.0, c + i * n + j);
+      DotCols8Avx512(arow, b, j, k, c + i * n + j);
     }
     for (; j < n; ++j) {
       const float* brow = b + j * k;
@@ -235,22 +235,95 @@ void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
   }
 }
 
-void ConvGemmBiasColsAvx512(const float* a, const float* b, const float* bias,
-                            float* c, int64_t m, int64_t k, int64_t n,
-                            int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
-    int64_t j = j0;
-    for (; j + 8 <= j1; j += 8) {
-      DotCols8Avx512(arow, b, j, k, bias_i, c + i * n + j);
+/// Conv GEMM register tile: MR output channels x 16 positions, each channel
+/// two double accumulators of eight started at its bias. Per tap p the tile
+/// reads one contiguous run of B row p (masked to the first nr positions
+/// on a short tile) and reuses it for every channel: float multiply by the
+/// channel's broadcast weight, widen, double add — the scalar tile's exact
+/// chain, with no transpose. The run is multiplied as two 8-float halves,
+/// so each product widens straight into its accumulator with no lane
+/// extract. relu is applied as the tile is stored. The unroll pragmas
+/// flatten the channel loops so the accumulator arrays stay in registers
+/// (unrolled later, GCC stores them to the stack on every tap).
+template <int MR, bool kShort>
+inline void ConvTileAvx512(const float* a, const float* b, const float* bias,
+                           float* c, int64_t k, int64_t n, int64_t i,
+                           int64_t j, int64_t nr, int relu) {
+  const __mmask16 mask = static_cast<__mmask16>((1u << nr) - 1u);
+  __m512d lo[MR], hi[MR];
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+    lo[ii] = hi[ii] = _mm512_set1_pd(static_cast<double>(bias[i + ii]));
+  }
+  const float* arow = a + i * k;
+  const float* brow = b + j;
+  for (int64_t p = 0; p < k; ++p, brow += n) {
+    __m256 b0, b1;
+    if constexpr (kShort) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask, brow);
+      b0 = _mm512_castps512_ps256(bv);
+      b1 = _mm512_extractf32x8_ps(bv, 1);
+    } else {
+      b0 = _mm256_loadu_ps(brow);
+      b1 = _mm256_loadu_ps(brow + 8);
     }
-    for (; j < j1; ++j) {
-      const float* brow = b + j * k;
-      double s = bias_i;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
+#pragma GCC unroll 4
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m256 w = _mm256_set1_ps(arow[ii * k + p]);
+      lo[ii] = _mm512_add_pd(lo[ii], _mm512_cvtps_pd(_mm256_mul_ps(w, b0)));
+      hi[ii] = _mm512_add_pd(hi[ii], _mm512_cvtps_pd(_mm256_mul_ps(w, b1)));
     }
+  }
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+    __m512 v = _mm512_insertf32x8(
+        _mm512_castps256_ps512(_mm512_cvtpd_ps(lo[ii])),
+        _mm512_cvtpd_ps(hi[ii]), 1);
+    if (relu != 0) v = _mm512_max_ps(v, _mm512_setzero_ps());
+    float* crow = c + (i + ii) * n + j;
+    if constexpr (kShort) {
+      _mm512_mask_storeu_ps(crow, mask, v);
+    } else {
+      _mm512_storeu_ps(crow, v);
+    }
+  }
+}
+
+/// One column strip [j, j + nr) of every output channel, four channels
+/// per tile.
+template <bool kShort>
+void ConvStripAvx512(const float* a, const float* b, const float* bias,
+                     float* c, int64_t m, int64_t k, int64_t n, int64_t j,
+                     int64_t nr, int relu) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    ConvTileAvx512<4, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+  }
+  switch (m - i) {
+    case 3:
+      ConvTileAvx512<3, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    case 2:
+      ConvTileAvx512<2, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    case 1:
+      ConvTileAvx512<1, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      break;
+    default:
+      break;
+  }
+}
+
+void ConvGemmBiasActColsAvx512(const float* a, const float* b,
+                               const float* bias, float* c, int64_t m,
+                               int64_t k, int64_t n, int64_t j0, int64_t j1,
+                               int relu) {
+  int64_t j = j0;
+  for (; j + 16 <= j1; j += 16) {
+    ConvStripAvx512<false>(a, b, bias, c, m, k, n, j, 16, relu);
+  }
+  if (j < j1) {
+    ConvStripAvx512<true>(a, b, bias, c, m, k, n, j, j1 - j, relu);
   }
 }
 
@@ -279,24 +352,6 @@ void MatMulBiasActRangeAvx512(const float* a, const float* b,
       const float v = crow[j] + bias[j];
       crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
     }
-  }
-}
-
-void ConvGemmBiasActColsAvx512(const float* a, const float* b,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  ConvGemmBiasColsAvx512(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  const __m512 zero = _mm512_setzero_ps();
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    int64_t j = j0;
-    for (; j + 16 <= j1; j += 16) {
-      _mm512_storeu_ps(crow + j,
-                       _mm512_max_ps(_mm512_loadu_ps(crow + j), zero));
-    }
-    for (; j < j1; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
   }
 }
 
@@ -417,7 +472,6 @@ const KernelTable kAvx512Table = {
     &MatMulRangeAvx512,
     &MatMulTransARangeAvx512,
     &MatMulTransBRangeAvx512,
-    &ConvGemmBiasColsAvx512,
     &Int8GemmRowsAvx512,
     &Q8GemmRowsAvx512,
     &Q4GemmRowsAvx512,

@@ -5,11 +5,13 @@
 #include "src/simd/kernels.h"
 
 /// \file kernels_scalar.cc
-/// \brief The always-available reference kernels. The fp32 and int8
-/// bodies are the pre-dispatch kernels from src/tensor/ops.cc and
+/// \brief The always-available reference kernels. The fp32 GEMM and
+/// int8 bodies are the pre-dispatch kernels from src/tensor/ops.cc and
 /// src/tensor/int8_gemm.cc, moved verbatim and compiled with the same
-/// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt), so
-/// a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
+/// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt);
+/// the conv GEMM is a register tile over the tap-major patch matrix that
+/// keeps the pre-dispatch kernel's per-element chain. So a
+/// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
 /// tree before the SIMD backend existed. The q8/q4 block kernels are the
 /// scalar references the SIMD variants bit-compare against.
 
@@ -134,36 +136,89 @@ void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
   }
 }
 
-void ConvGemmBiasColsScalar(const float* a, const float* b, const float* bias,
-                            float* c, int64_t m, int64_t k, int64_t n,
-                            int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
-    int64_t j = j0;
-    for (; j + 4 <= j1; j += 4) {
-      const float* b0 = b + (j + 0) * k;
-      const float* b1 = b + (j + 1) * k;
-      const float* b2 = b + (j + 2) * k;
-      const float* b3 = b + (j + 3) * k;
-      double s0 = bias_i, s1 = bias_i, s2 = bias_i, s3 = bias_i;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      c[i * n + j + 0] = static_cast<float>(s0);
-      c[i * n + j + 1] = static_cast<float>(s1);
-      c[i * n + j + 2] = static_cast<float>(s2);
-      c[i * n + j + 3] = static_cast<float>(s3);
+// Conv GEMM: C[:, j0:j1) = act(bias + A(MxK) * B(KxN)) with B the
+// tap-major im2col patch matrix (row p = tap, column j = output position).
+// Register tile: kConvMr output channels x kConvNr positions of double
+// accumulators, each started at its channel's bias. Per tap p the tile
+// reads one contiguous run of B row p and reuses it for every channel:
+// float multiply, widen, double add, ascending p — the direct
+// convolution's exact operation sequence, which every ISA reproduces.
+// relu (when set) clamps each element as it is stored.
+
+namespace {
+constexpr int64_t kConvMr = 4;   // output channels per register tile
+constexpr int64_t kConvNr = 16;  // output positions per register tile
+
+inline float ConvAct(double acc, int relu) {
+  const float v = static_cast<float>(acc);
+  return relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
+}
+
+/// A full tile. One named accumulator row per channel (not a 2-D array)
+/// is what lets the compiler keep all four rows in vector registers.
+void ConvTileScalar(const float* a, const float* b, const float* bias,
+                    float* c, int64_t k, int64_t n, int64_t i, int64_t j,
+                    int relu) {
+  double s0[kConvNr], s1[kConvNr], s2[kConvNr], s3[kConvNr];
+  for (int64_t jj = 0; jj < kConvNr; ++jj) {
+    s0[jj] = static_cast<double>(bias[i + 0]);
+    s1[jj] = static_cast<double>(bias[i + 1]);
+    s2[jj] = static_cast<double>(bias[i + 2]);
+    s3[jj] = static_cast<double>(bias[i + 3]);
+  }
+  const float* a0 = a + i * k;
+  const float* a1 = a0 + k;
+  const float* a2 = a1 + k;
+  const float* a3 = a2 + k;
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n + j;
+    const float w0 = a0[p], w1 = a1[p], w2 = a2[p], w3 = a3[p];
+    for (int64_t jj = 0; jj < kConvNr; ++jj) {
+      const float bv = brow[jj];
+      s0[jj] += w0 * bv;
+      s1[jj] += w1 * bv;
+      s2[jj] += w2 * bv;
+      s3[jj] += w3 * bv;
     }
-    for (; j < j1; ++j) {
-      const float* brow = b + j * k;
-      double s = bias_i;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
+  }
+  float* c0 = c + i * n + j;
+  for (int64_t jj = 0; jj < kConvNr; ++jj) {
+    c0[jj] = ConvAct(s0[jj], relu);
+    c0[n + jj] = ConvAct(s1[jj], relu);
+    c0[2 * n + jj] = ConvAct(s2[jj], relu);
+    c0[3 * n + jj] = ConvAct(s3[jj], relu);
+  }
+}
+
+/// An edge tile (fewer channels or positions): the same chain, one
+/// element at a time.
+void ConvEdgeScalar(const float* a, const float* b, const float* bias,
+                    float* c, int64_t k, int64_t n, int64_t i, int64_t j,
+                    int64_t mr, int64_t nr, int relu) {
+  for (int64_t ii = i; ii < i + mr; ++ii) {
+    const float* arow = a + ii * k;
+    for (int64_t jj = j; jj < j + nr; ++jj) {
+      double acc = static_cast<double>(bias[ii]);
+      for (int64_t p = 0; p < k; ++p) acc += arow[p] * b[p * n + jj];
+      c[ii * n + jj] = ConvAct(acc, relu);
+    }
+  }
+}
+}  // namespace
+
+void ConvGemmBiasActColsScalar(const float* a, const float* b,
+                               const float* bias, float* c, int64_t m,
+                               int64_t k, int64_t n, int64_t j0, int64_t j1,
+                               int relu) {
+  for (int64_t j = j0; j < j1; j += kConvNr) {
+    const int64_t nr = std::min(kConvNr, j1 - j);
+    for (int64_t i = 0; i < m; i += kConvMr) {
+      const int64_t mr = std::min(kConvMr, m - i);
+      if (mr == kConvMr && nr == kConvNr) {
+        ConvTileScalar(a, b, bias, c, k, n, i, j, relu);
+      } else {
+        ConvEdgeScalar(a, b, bias, c, k, n, i, j, mr, nr, relu);
+      }
     }
   }
 }
@@ -185,20 +240,6 @@ void MatMulBiasActRangeScalar(const float* a, const float* b,
     for (int64_t j = 0; j < n; ++j) {
       const float v = crow[j] + bias[j];
       crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
-
-void ConvGemmBiasActColsScalar(const float* a, const float* b,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  ConvGemmBiasColsScalar(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = j0; j < j1; ++j) {
-      crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
     }
   }
 }
@@ -311,7 +352,6 @@ const KernelTable kScalarTable = {
     &MatMulRangeScalar,
     &MatMulTransARangeScalar,
     &MatMulTransBRangeScalar,
-    &ConvGemmBiasColsScalar,
     &Int8GemmRowsScalar,
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,

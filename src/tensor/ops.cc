@@ -120,9 +120,9 @@ void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
   // so the column range is what gets partitioned. Each element is owned by
   // exactly one range and accumulated bias-first, ascending-p, in a double
   // — the direct convolution's exact operation sequence in every table.
-  auto* kernel = kt.conv_gemm_bias_cols;
+  auto* kernel = kt.conv_gemm_bias_act_cols;
   ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {
-    kernel(a, b, bias, c, m, k, n, j0, j1);
+    kernel(a, b, bias, c, m, k, n, j0, j1, 0);
   });
 }
 

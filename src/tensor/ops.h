@@ -54,17 +54,20 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
-/// \brief C(MxN) = bias(M) + A(MxK) * B(NxK)^T into caller storage, with
+/// \brief C(MxN) = bias(M) + A(MxK) * B(KxN) into caller storage, with
 /// the convolution forward's accumulation semantics.
 ///
 /// Each output element starts from bias[i] in a double accumulator and
-/// adds float products a[i,p]*b[j,p] in ascending p — exactly the
+/// adds float products a[i,p]*b[p,j] in ascending p — exactly the
 /// (ic, ky, kx) term order of Conv2D's direct loop nest. With A = the
-/// (out_ch x in_ch*k*k) weight matrix and B = im2col patches (positions x
-/// in_ch*k*k), the result is the conv output plane, bitwise identical to
-/// the direct path on finite data (padded zero taps add +/-0.0f products,
-/// which leave a finite accumulator unchanged). Register-tiled over four
-/// output columns, row-parallel, allocation-free.
+/// (out_ch x in_ch*k*k) weight matrix and B = the tap-major im2col patch
+/// matrix (in_ch*k*k taps x positions, MatMulInto's K x N layout), the
+/// result is the conv output plane, bitwise identical to the direct path
+/// on finite data (padded zero taps add +/-0.0f products, which leave a
+/// finite accumulator unchanged). The column range is split across
+/// workers; each range runs register tiles of up to four output channels
+/// by a vector of positions, one contiguous load of B per tap shared by
+/// the tile's channels. Allocation-free.
 void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
                       float* c, int64_t m, int64_t k, int64_t n);
 
@@ -83,8 +86,8 @@ void MatMulBiasActInto(const float* a, const float* b, const float* bias,
                        float* c, int64_t m, int64_t k, int64_t n, bool relu);
 
 /// \brief ConvGemmBiasInto with an optional relu fused into the column
-/// kernel (applied to each finished output element; bitwise identical to
-/// a separate relu pass over the output).
+/// kernel (applied to each finished output element as it is stored;
+/// bitwise identical to a separate relu pass over the output).
 void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
                          float* c, int64_t m, int64_t k, int64_t n,
                          bool relu);

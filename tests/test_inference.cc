@@ -166,29 +166,100 @@ TEST(InferenceEngineTest, MlpBitwiseMatchesSequentialAcrossThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
-TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
-  Rng rng(32);
-  Sequential net = MakeCnn(12, 4, 6, 5);
-  net.Init(&rng);
-  Tensor x({3, 1, 12, 12});
-  x.FillGaussian(&rng, 1.0f);
-  RuntimeConfig::SetThreads(1);
-  const Tensor ref = net.Forward(x, CacheMode::kNoCache);
+/// A conv net and the per-example input shape it compiles for. The cases
+/// give im2col different zero borders: MakeCnn's 3x3 stride-1 pad-1
+/// convs, then the shapes below.
+struct ConvCase {
+  const char* label;
+  Sequential net;
+  Shape shape;
+};
 
-  for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
-    EngineConfig config;
-    config.max_batch = 8;
-    config.conv_algo = algo;
-    auto compiled = InferenceEngine::Compile(net, {1, 12, 12}, config);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    InferenceEngine engine = std::move(compiled).value();
-    for (int threads : {1, 2, 8}) {
-      RuntimeConfig::SetThreads(threads);
-      auto y = engine.Predict(x);
-      ASSERT_TRUE(y.ok()) << y.status().ToString();
-      EXPECT_TRUE(BitwiseEqual(*y, ref))
-          << "algo=" << (algo == ConvAlgo::kIm2col ? "im2col" : "direct")
-          << " threads=" << threads;
+std::vector<ConvCase> MakeConvCases() {
+  std::vector<ConvCase> cases;
+  cases.push_back({"3x3_pad1", MakeCnn(12, 4, 6, 5), {1, 12, 12}});
+  {
+    // LeNet's first conv: 5x5 pad 2 keeps the extent.
+    Sequential net;
+    net.Emplace<Conv2D>(1, 4, 5, 1, 2);
+    net.Emplace<ReLU>();
+    net.Emplace<MaxPool2D>(2);
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(4 * 6 * 6, 5);
+    cases.push_back({"5x5_pad2", std::move(net), {1, 12, 12}});
+  }
+  {
+    // Stride 2, no padding, and no ReLU after the conv: the unfused
+    // ConvGemmBiasInto path. 11 -> 5.
+    Sequential net;
+    net.Emplace<Conv2D>(2, 3, 3, 2, 0);
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(3 * 5 * 5, 4);
+    cases.push_back({"stride2_pad0", std::move(net), {2, 11, 11}});
+  }
+  {
+    // Stride 2, pad 1 on an odd extent: 13 -> 7, so the first and the
+    // last output row each read one zero-border tap row.
+    Sequential net;
+    net.Emplace<Conv2D>(1, 6, 3, 2, 1);
+    net.Emplace<ReLU>();
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(6 * 7 * 7, 3);
+    cases.push_back({"stride2_pad1_odd", std::move(net), {1, 13, 13}});
+  }
+  {
+    // Three input channels on a non-square plane, then a 5x5 pad-2 conv
+    // wider than the pooled plane is tall: 10x14 -> 5x7.
+    Sequential net;
+    net.Emplace<Conv2D>(3, 5, 3, 1, 1);
+    net.Emplace<ReLU>();
+    net.Emplace<MaxPool2D>(2);
+    net.Emplace<Conv2D>(5, 4, 5, 1, 2);
+    net.Emplace<ReLU>();
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(4 * 5 * 7, 4);
+    cases.push_back({"in_ch3", std::move(net), {3, 10, 14}});
+  }
+  return cases;
+}
+
+TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
+  // Every conv shape, both conv algorithms, every supported ISA, threads
+  // 1/2/8: the engine's output equals Sequential::Forward(kNoCache) bit
+  // for bit (and so the two algorithms equal each other).
+  Rng rng(32);
+  const simd::Isa initial_isa = simd::ActiveIsa();
+  for (ConvCase& c : MakeConvCases()) {
+    c.net.Init(&rng);
+    Shape batch_shape = c.shape;
+    batch_shape.insert(batch_shape.begin(), 3);
+    Tensor x(batch_shape);
+    x.FillGaussian(&rng, 1.0f);
+    RuntimeConfig::SetThreads(1);
+    const Tensor ref = c.net.Forward(x, CacheMode::kNoCache);
+
+    for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
+      EngineConfig config;
+      config.max_batch = 8;
+      config.conv_algo = algo;
+      auto compiled = InferenceEngine::Compile(c.net, c.shape, config);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      InferenceEngine engine = std::move(compiled).value();
+      for (simd::Isa isa :
+           {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+        if (!simd::IsaSupported(isa)) continue;
+        simd::SetIsa(isa);
+        for (int threads : {1, 2, 8}) {
+          RuntimeConfig::SetThreads(threads);
+          auto y = engine.Predict(x);
+          ASSERT_TRUE(y.ok()) << y.status().ToString();
+          EXPECT_TRUE(BitwiseEqual(*y, ref))
+              << c.label << " algo="
+              << (algo == ConvAlgo::kIm2col ? "im2col" : "direct")
+              << " isa=" << simd::IsaName(isa) << " threads=" << threads;
+        }
+      }
+      simd::SetIsa(initial_isa);
     }
   }
   RuntimeConfig::SetThreads(1);
@@ -892,6 +963,21 @@ TEST(PassPipelineTest, DlsysPassesEnvOverridesConfig) {
     ASSERT_TRUE(compiled.ok());
     EXPECT_FALSE(std::move(compiled).value().pass_config().fuse);
   }
+}
+
+TEST(PassPipelineTest, BadDlsysPassesFailsCompileWithoutAborting) {
+  // An environment knob must never abort the process (a server Publish
+  // compiles an engine); a misspelt pass must not fall back silently
+  // either, so Compile reports it.
+  Rng rng(58);
+  Sequential net = MakeMlp(16, {32}, 4);
+  net.Init(&rng);
+  PassEnvOverride env("fuse,bogus");
+  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(compiled.status().message().find("bogus"), std::string::npos)
+      << compiled.status().ToString();
 }
 
 TEST(PassPipelineTest, ParsePassListSpellings) {

@@ -1,6 +1,7 @@
 // Tests for the SIMD microkernel backend (src/simd): dispatch registry
 // behavior, bit-parity of every per-ISA kernel table against the scalar
-// reference at thread counts 1/2/8 on unaligned/tail shapes, block
+// reference (the conv GEMM against a naive in-test loop) at thread counts
+// 1/2/8 on unaligned/tail shapes, block
 // quantization round-trip error bounds (q8 and q4), the q4 nibble packing
 // layout, and the kernel.dispatch.* observability counters.
 
@@ -46,12 +47,14 @@ bool BitwiseEqual(const float* a, const float* b, int64_t count) {
 
 // Deliberately awkward GEMM extents: nothing is a multiple of the 4/8/16/32
 // vector and tile widths, so every SIMD kernel's row-tail, column-tail, and
-// reduction-tail paths execute alongside the full-tile fast path.
+// reduction-tail paths execute alongside the full-tile fast path (m = 2
+// and 6 give the conv tile its two-channel remainder).
 struct GemmShape {
   int64_t m, k, n;
 };
 const GemmShape kTailShapes[] = {
-    {1, 1, 1}, {3, 7, 5}, {5, 31, 17}, {7, 33, 33}, {13, 65, 47}, {33, 96, 80},
+    {1, 1, 1},    {3, 7, 5},    {5, 31, 17}, {7, 33, 33},
+    {13, 65, 47}, {33, 96, 80}, {2, 9, 23},  {6, 27, 50},
 };
 
 TEST(DispatchTest, ParseIsaSpellings) {
@@ -74,7 +77,7 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->matmul_range, nullptr);
   EXPECT_NE(table->matmul_ta_range, nullptr);
   EXPECT_NE(table->matmul_tb_range, nullptr);
-  EXPECT_NE(table->conv_gemm_bias_cols, nullptr);
+  EXPECT_NE(table->conv_gemm_bias_act_cols, nullptr);
   EXPECT_NE(table->int8_gemm_rows, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
   EXPECT_NE(table->q4_gemm_rows, nullptr);
@@ -153,19 +156,37 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
+/// Independent conv-GEMM reference over the K x N patch layout: per
+/// element, the direct convolution's chain — a double started at the bias,
+/// float products widened and added in ascending p — then the optional
+/// relu clamp. A plain loop, sharing no code with any kernel table.
+std::vector<float> NaiveConvGemm(const Tensor& a, const Tensor& b,
+                                 const Tensor& bias, const GemmShape& s,
+                                 bool relu) {
+  std::vector<float> c(static_cast<size_t>(s.m * s.n));
+  for (int64_t i = 0; i < s.m; ++i) {
+    for (int64_t j = 0; j < s.n; ++j) {
+      double acc = bias[i];
+      for (int64_t p = 0; p < s.k; ++p) {
+        const float prod = a[i * s.k + p] * b[p * s.n + j];
+        acc += prod;
+      }
+      const float v = static_cast<float>(acc);
+      c[static_cast<size_t>(i * s.n + j)] = relu ? (v > 0.0f ? v : 0.0f) : v;
+    }
+  }
+  return c;
+}
+
 TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
   IsaRestore restore;
   Rng rng(33);
   for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), bt({s.n, s.k}), bias({s.m});
+    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.m});
     a.FillGaussian(&rng, 1.0f);
-    bt.FillGaussian(&rng, 1.0f);
+    b.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
-
-    // Reference: the scalar range kernel over the full column span.
-    std::vector<float> ref(static_cast<size_t>(s.m * s.n));
-    simd::ConvGemmBiasColsScalar(a.data(), bt.data(), bias.data(), ref.data(),
-                                 s.m, s.k, s.n, 0, s.n);
+    const std::vector<float> ref = NaiveConvGemm(a, b, bias, s, false);
 
     std::vector<float> c(static_cast<size_t>(s.m * s.n));
     for (simd::Isa isa : SupportedIsas()) {
@@ -177,7 +198,7 @@ TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
                      std::to_string(s.m) + " k=" + std::to_string(s.k) +
                      " n=" + std::to_string(s.n));
         std::fill(c.begin(), c.end(), -1.0f);  // stale data must be overwritten
-        ConvGemmBiasInto(a.data(), bt.data(), bias.data(), c.data(), s.m, s.k,
+        ConvGemmBiasInto(a.data(), b.data(), bias.data(), c.data(), s.m, s.k,
                          s.n);
         EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n));
       }
@@ -236,27 +257,20 @@ TEST(SimdParityTest, ConvGemmBiasActBitwiseEqualsSeparateRelu) {
   IsaRestore restore;
   Rng rng(36);
   for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), bt({s.n, s.k}), bias({s.m});
+    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.m});
     a.FillGaussian(&rng, 1.0f);
-    bt.FillGaussian(&rng, 1.0f);
+    b.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
 
     for (const bool relu : {false, true}) {
-      simd::SetIsa(simd::Isa::kScalar);
-      RuntimeConfig::SetThreads(1);
-      std::vector<float> ref(static_cast<size_t>(s.m * s.n));
-      ConvGemmBiasInto(a.data(), bt.data(), bias.data(), ref.data(), s.m,
-                       s.k, s.n);
-      if (relu) {
-        for (float& v : ref) v = v > 0.0f ? v : 0.0f;
-      }
+      const std::vector<float> ref = NaiveConvGemm(a, b, bias, s, relu);
       std::vector<float> c(static_cast<size_t>(s.m * s.n));
       for (simd::Isa isa : SupportedIsas()) {
         simd::SetIsa(isa);
         for (int threads : {1, 2, 8}) {
           RuntimeConfig::SetThreads(threads);
           std::fill(c.begin(), c.end(), -1.0f);
-          ConvGemmBiasActInto(a.data(), bt.data(), bias.data(), c.data(),
+          ConvGemmBiasActInto(a.data(), b.data(), bias.data(), c.data(),
                               s.m, s.k, s.n, relu);
           EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n))
               << "isa=" << simd::IsaName(isa) << " threads=" << threads
