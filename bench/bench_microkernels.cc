@@ -1,16 +1,21 @@
-// Microkernel bench (E34): ISA x format sweep of the dispatched GEMM
+// Microkernel bench (E34): ISA x format sweep of the dispatched
 // microkernels — fp32 matmul / fp32 transB / conv-GEMM / int8 / q8-block /
-// q4-block at the E31 serving shape (64x768x768) and one tail shape —
-// plus the lookup primitives (B+-tree, RMI, bloom) behind the learned-index
-// experiments. Per-cell latency quantiles come from the PR-5
-// CounterRegistry histogram (obs::SharedHistogram), not local timing
-// plumbing; results land in BENCH_microkernels.json with speedup vs the
-// scalar table per cell.
+// q4-block GEMMs and the q8 row quantizer — at the E31 serving shape
+// (64x768x768), one tail shape, and the two q8 GEMMs of the served int8
+// MLP (8x32x128 and 8x128x10), plus the lookup primitives (B+-tree, RMI,
+// bloom) behind the learned-index experiments. Per-cell latency quantiles
+// come from the CounterRegistry histogram (obs::SharedHistogram), not
+// local timing plumbing; results land in BENCH_microkernels.json with
+// speedup vs the scalar table per cell.
+//
+// The sweep is also a cross-ISA parity gate: every cell's output is
+// bit-compared against the scalar table's on the same operands, and any
+// mismatch makes the binary exit 1.
 //
 // Standalone binary (not google-benchmark): the sweep forces each SIMD
 // table via simd::SetIsa between sections, which must not interleave with
 // a framework's own repetition scheduling. Pass --smoke (or set
-// DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at tiny shapes.
+// DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at small shapes.
 
 #include <algorithm>
 #include <cstdint>
@@ -91,6 +96,9 @@ struct GemmOperands {
   std::vector<int8_t> ia, ib;
   std::vector<int32_t> iacc;
   std::vector<float> c;
+  Tensor c_tb;
+  std::vector<int8_t> q_vals;  ///< q8_quantize_rows output: codes ...
+  std::vector<float> q_scales;  ///< ... and block scales of A
 
   explicit GemmOperands(const GemmShape& shape, Rng* rng) : s(shape) {
     a = Tensor({s.m, s.k});
@@ -109,10 +117,21 @@ struct GemmOperands {
     for (int8_t& v : ib) v = static_cast<int8_t>(rng->Next() % 255 - 127);
     iacc.resize(static_cast<size_t>(s.m * s.n));
     c.resize(static_cast<size_t>(s.m * s.n));
+    q_vals.resize(qa8.values.size());
+    q_scales.resize(qa8.scales.size());
   }
 };
 
-std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
+/// The bytes of \p v, for the parity comparison.
+template <typename T>
+std::string Bytes(const T* v, size_t count) {
+  return std::string(reinterpret_cast<const char*>(v), count * sizeof(T));
+}
+
+/// Runs the sweep; \p parity_failures counts cells whose output differs
+/// from the scalar table's by a single bit.
+std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
+                                int* parity_failures) {
   const int iters = g_smoke ? 3 : 15;
   std::vector<SweepCell> cells;
   Rng rng(61);
@@ -128,51 +147,70 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
     const int64_t m = shape.m, k = shape.k, n = shape.n;
     const int64_t kp = op.qa8.padded_cols;
 
+    const size_t mn = static_cast<size_t>(m * n);
     struct KernelDef {
       const char* name;
       std::function<void()> run;
+      std::function<std::string()> output;  ///< the bytes run() wrote
     };
     const std::vector<KernelDef> kernels = {
         {"fp32_matmul",
          [&] {
            MatMulInto(op.a.data(), op.b.data(), op.c.data(), m, k, n);
            g_sink = op.c[0];
-         }},
+         },
+         [&] { return Bytes(op.c.data(), mn); }},
         {"fp32_matmul_tb",
          [&] {
-           Tensor out = MatMulTransB(op.a, op.bt);
-           g_sink = out[0];
-         }},
+           op.c_tb = MatMulTransB(op.a, op.bt);
+           g_sink = op.c_tb[0];
+         },
+         [&] { return Bytes(op.c_tb.data(), mn); }},
         {"fp32_conv_gemm",
          [&] {
            ConvGemmBiasInto(op.a.data(), op.b.data(), op.bias.data(),
                             op.c.data(), m, k, n);
            g_sink = op.c[0];
-         }},
+         },
+         [&] { return Bytes(op.c.data(), mn); }},
         {"int8_rowwise",
          [&] {
            Int8GemmTransBInto(op.ia.data(), op.ib.data(), op.iacc.data(), m,
                               k, n);
            g_sink = static_cast<float>(op.iacc[0]);
-         }},
+         },
+         [&] { return Bytes(op.iacc.data(), mn); }},
         {"q8_block",
          [&] {
            Q8BlockGemmTransBInto(op.qa8.values.data(), op.qa8.scales.data(),
                                  op.qb8.values.data(), op.qb8.scales.data(),
                                  op.c.data(), m, kp, n);
            g_sink = op.c[0];
-         }},
+         },
+         [&] { return Bytes(op.c.data(), mn); }},
         {"q4_block",
          [&] {
            Q4BlockGemmTransBInto(op.qa8.values.data(), op.qa8.scales.data(),
                                  op.qb4.values.data(), op.qb4.scales.data(),
                                  op.c.data(), m, kp, n);
            g_sink = op.c[0];
+         },
+         [&] { return Bytes(op.c.data(), mn); }},
+        {"q8_quantize_rows",
+         [&] {
+           Q8BlockQuantizeRowsInto(op.a.data(), m, k, op.q_vals.data(),
+                                   op.q_scales.data());
+           g_sink = op.q_scales[0];
+         },
+         [&] {
+           return Bytes(op.q_vals.data(), op.q_vals.size()) +
+                  Bytes(op.q_scales.data(), op.q_scales.size());
          }},
     };
 
     for (const KernelDef& kernel : kernels) {
       double scalar_p50 = 0.0;
+      std::string scalar_out;
       for (simd::Isa isa : isas) {
         simd::SetIsa(isa);
         SweepCell cell;
@@ -180,7 +218,15 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
         cell.kernel = kernel.name;
         cell.isa = simd::IsaName(isa);
         cell.q = TimeKernel(iters, kernel.run);
-        if (isa == simd::Isa::kScalar) scalar_p50 = cell.q.p50_ms;
+        if (isa == simd::Isa::kScalar) {
+          scalar_p50 = cell.q.p50_ms;
+          scalar_out = kernel.output();
+        } else if (kernel.output() != scalar_out) {
+          std::printf("PARITY MISMATCH: %s %s %s differs from scalar\n",
+                      cell.shape.c_str(), cell.kernel.c_str(),
+                      cell.isa.c_str());
+          ++*parity_failures;
+        }
         cell.speedup_vs_scalar =
             cell.q.p50_ms > 0.0 ? scalar_p50 / cell.q.p50_ms : 0.0;
         cells.push_back(cell);
@@ -273,14 +319,19 @@ int main(int argc, char** argv) {
     shapes.push_back({64, 768, 768});  // E31 serving shape
     shapes.push_back({61, 765, 771});  // unaligned tails on every dimension
   }
+  // The served int8 MLP's two q8 GEMMs (online_serve's 32->128->10 at
+  // batch 8): the regime where quantization, not the GEMM, dominated.
+  shapes.push_back({8, 32, 128});
+  shapes.push_back({8, 128, 10});
 
-  const std::vector<SweepCell> cells = RunSweep(shapes);
-  std::printf("%-12s %-15s %-8s %10s %10s %9s\n", "shape", "kernel", "isa",
+  int parity_failures = 0;
+  const std::vector<SweepCell> cells = RunSweep(shapes, &parity_failures);
+  std::printf("%-12s %-17s %-8s %10s %10s %9s\n", "shape", "kernel", "isa",
               "p50_ms", "p99_ms", "vs_scalar");
   double best_e31_speedup = 0.0;
   std::string best_e31_cell;
   for (const SweepCell& cell : cells) {
-    std::printf("%-12s %-15s %-8s %10.4f %10.4f %8.2fx\n", cell.shape.c_str(),
+    std::printf("%-12s %-17s %-8s %10.4f %10.4f %8.2fx\n", cell.shape.c_str(),
                 cell.kernel.c_str(), cell.isa.c_str(), cell.q.p50_ms,
                 cell.q.p99_ms, cell.speedup_vs_scalar);
     if (cell.shape == shapes[0].Name() &&
@@ -333,5 +384,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_microkernels.json\n");
+  if (parity_failures > 0) {
+    std::printf("FAIL: %d cell(s) differ from the scalar table\n",
+                parity_failures);
+    return 1;
+  }
+  std::printf("parity: every cell bit-equal to the scalar table\n");
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "src/runtime/runtime.h"
+#include "src/simd/dispatch.h"
 
 namespace dlsys {
 
@@ -309,37 +310,29 @@ int64_t Q4BlockMatrix::PackedBytes() const {
              static_cast<int64_t>(sizeof(float));
 }
 
-void Q8BlockQuantizeRowInto(const float* row, int64_t cols, int8_t* values,
-                            float* scales) {
-  const int64_t kp = PadToQuantBlock(cols);
-  const int64_t nb = kp / kQuantBlock;
-  for (int64_t b = 0; b < nb; ++b) {
-    const int64_t j0 = b * kQuantBlock;
-    const int64_t j1 = std::min<int64_t>(j0 + kQuantBlock, cols);
-    float maxabs = 0.0f;
-    for (int64_t j = j0; j < j1; ++j) {
-      const float a = std::abs(row[j]);
-      maxabs = a > maxabs ? a : maxabs;
-    }
-    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-    const float inv = 1.0f / scale;
-    scales[b] = scale;
-    for (int64_t j = j0; j < j1; ++j) {
-      const long q = std::lround(row[j] * inv);
-      values[j] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
-    }
-    for (int64_t j = j1; j < j0 + kQuantBlock; ++j) values[j] = 0;
-  }
-}
-
 void Q8BlockQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
                              int8_t* values, float* scales) {
   const int64_t kp = PadToQuantBlock(cols);
   const int64_t nb = kp / kQuantBlock;
+  auto* quantize = simd::ActiveKernels().q8_quantize_row;
   ParallelFor(0, rows, 4, [=](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
-      Q8BlockQuantizeRowInto(x + i * cols, cols, values + i * kp,
-                             scales + i * nb);
+      quantize(x + i * cols, cols, values + i * kp, scales + i * nb);
+    }
+  });
+}
+
+void Q8BiasActQuantizeRowsInto(float* x, const float* bias, int64_t rows,
+                               int64_t cols, bool relu, int8_t* values,
+                               float* scales) {
+  const int64_t kp = PadToQuantBlock(cols);
+  const int64_t nb = kp / kQuantBlock;
+  auto* epilogue = simd::ActiveKernels().q8_bias_act_quantize_row;
+  ParallelFor(0, rows, 8, [=](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      epilogue(x + i * cols, bias, cols, relu ? 1 : 0,
+               values != nullptr ? values + i * kp : nullptr,
+               values != nullptr ? scales + i * nb : nullptr);
     }
   });
 }

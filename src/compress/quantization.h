@@ -163,19 +163,24 @@ Q8BlockMatrix Q8BlockQuantizeRows(const Tensor& t);
 /// \brief Allocation-free q8 block quantization into caller storage
 /// (\p values: rows * PadToQuantBlock(cols) int8, \p scales: rows *
 /// PadToQuantBlock(cols)/kQuantBlock floats). Pad codes are written as 0.
-/// Row-parallel; the engine's int8 path quantizes activations with this
-/// inside the zero-allocation hot loop.
+/// Row-parallel through the active SIMD table's q8_quantize_row, which is
+/// bitwise identical on every ISA; the engine's int8 path quantizes
+/// activations with this inside the zero-allocation hot loop, and weight
+/// folding uses it through Q8BlockQuantizeRows.
 void Q8BlockQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
                              int8_t* values, float* scales);
 
-/// \brief Single-row body of Q8BlockQuantizeRowsInto: quantizes \p cols
-/// floats into PadToQuantBlock(cols) codes and one scale per block.
-/// Serial — callers parallelize across rows. The engine's quant/dequant
-/// elimination pass calls this from a GEMM epilogue so adjacent quantized
-/// layers hand codes straight through; extracting the shared body is what
-/// keeps that path bit-identical to a standalone re-quantization.
-void Q8BlockQuantizeRowInto(const float* row, int64_t cols, int8_t* values,
-                            float* scales);
+/// \brief The int8 engine's fused dense epilogue: x = act(x + bias) in
+/// place over \p rows rows of \p cols floats (act = relu when \p relu),
+/// then, when \p values is non-null, the q8 block quantization of the
+/// updated rows into \p values / \p scales in Q8BlockQuantizeRowsInto's
+/// layout. One pass per row through the active SIMD table; bitwise equal
+/// to a bias/relu loop followed by Q8BlockQuantizeRowsInto. Under the
+/// quant/dequant elimination pass this hands the consumer's codes
+/// straight through.
+void Q8BiasActQuantizeRowsInto(float* x, const float* bias, int64_t rows,
+                               int64_t cols, bool relu, int8_t* values,
+                               float* scales);
 
 /// \brief Symmetric per-block q4 quantization of a rank-2 tensor.
 Q4BlockMatrix Q4BlockQuantizeRows(const Tensor& t);

@@ -13,6 +13,7 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/runtime/runtime.h"
+#include "src/simd/dispatch.h"
 #include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
 
@@ -62,6 +63,9 @@ bool IsQuantDense(OpKind kind) {
 Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
                                                  const Shape& example_shape,
                                                  const EngineConfig& config) {
+  // Environment knobs first: a bad DLSYS_ISA is reported here (and so by
+  // Server::Publish) rather than aborting the process.
+  if (Status isa = simd::IsaEnvStatus(); !isa.ok()) return isa;
   if (config.max_batch < 1) {
     return Status::InvalidArgument("inference compile: max_batch must be >= 1, got " +
                                    std::to_string(config.max_batch));
@@ -569,30 +573,18 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
         Q4BlockGemmTransBInto(qv, qs, wv4, ws, out, batch, kp, out_f);
       }
       // Epilogue: bias, absorbed relu, and (under quant elimination) the
-      // row quantization the consumer would otherwise redo. The GEMM's
-      // ParallelFor join above guarantees the input codes are fully
-      // consumed before a shared code buffer is overwritten.
+      // row quantization the consumer would otherwise redo, in one SIMD
+      // pass per row. The GEMM's ParallelFor join above guarantees the
+      // input codes are fully consumed before a shared code buffer is
+      // overwritten.
       const float* pb = node.bias.data();
-      const bool relu = node.relu_fused;
       int8_t* oqv =
           node.quant_out ? arena_.Int8s(step.qout_vals) : nullptr;
       float* oqs =
           node.quant_out ? arena_.Floats(step.qout_scales) : nullptr;
-      const int64_t kp_out = PadToQuantBlock(out_f);
       if (node.epilogue_fused) {
-        ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            float* row = out + i * out_f;
-            for (int64_t j = 0; j < out_f; ++j) {
-              const float v = row[j] + pb[j];
-              row[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
-            }
-            if (oqv != nullptr) {
-              Q8BlockQuantizeRowInto(row, out_f, oqv + i * kp_out,
-                                     oqs + i * (kp_out / kQuantBlock));
-            }
-          }
-        });
+        Q8BiasActQuantizeRowsInto(out, pb, batch, out_f, node.relu_fused, oqv,
+                                  oqs);
         return;
       }
       ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
@@ -601,14 +593,7 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
           for (int64_t j = 0; j < out_f; ++j) row[j] += pb[j];
         }
       });
-      if (oqv != nullptr) {
-        ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            Q8BlockQuantizeRowInto(out + i * out_f, out_f, oqv + i * kp_out,
-                                   oqs + i * (kp_out / kQuantBlock));
-          }
-        });
-      }
+      if (oqv != nullptr) Q8BlockQuantizeRowsInto(out, batch, out_f, oqv, oqs);
       return;
     }
     case OpKind::kRelu: {

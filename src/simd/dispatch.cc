@@ -1,6 +1,7 @@
 #include "src/simd/dispatch.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -55,26 +56,40 @@ const KernelTable* SupportedTable(Isa isa) {
   return (table != nullptr && CpuCanRun(isa)) ? table : nullptr;
 }
 
-/// Resolves the startup table once: DLSYS_ISA if set (abort on an unknown
-/// or unsupported request — a forced path must never silently fall back),
-/// else the best table this binary+CPU pair can run.
+/// Reads DLSYS_ISA: OK with *forced = nullptr when unset or empty, OK with
+/// the named table when this build and CPU can run it, else an
+/// InvalidArgument naming the value.
+Status ReadIsaEnv(const KernelTable** forced) {
+  *forced = nullptr;
+  const char* env = std::getenv("DLSYS_ISA");
+  if (env == nullptr || env[0] == '\0') return Status::OK();
+  Isa requested = Isa::kScalar;
+  if (!ParseIsa(env, &requested)) {
+    return Status::InvalidArgument(std::string("DLSYS_ISA=") + env +
+                                   " is not one of scalar, avx2, avx512");
+  }
+  *forced = SupportedTable(requested);
+  if (*forced == nullptr) {
+    return Status::InvalidArgument(std::string("DLSYS_ISA=") + env +
+                                   " names an ISA this build/CPU cannot run");
+  }
+  return Status::OK();
+}
+
+/// Resolves the startup table once: DLSYS_ISA if it names a runnable ISA,
+/// else the best table this binary+CPU pair can run. A rejected value is
+/// reported on stderr here (kernels may run outside any engine) and as a
+/// Status by every Compile, so it neither aborts nor falls back silently.
 const KernelTable* ResolveStartupTable() {
-  if (const char* env = std::getenv("DLSYS_ISA");
-      env != nullptr && env[0] != '\0') {
-    Isa requested = Isa::kScalar;
-    DLSYS_CHECK(ParseIsa(env, &requested),
-                "DLSYS_ISA must be scalar, avx2, or avx512");
-    const KernelTable* table = SupportedTable(requested);
-    DLSYS_CHECK(table != nullptr,
-                "DLSYS_ISA requests an ISA this build/CPU cannot run");
-    return table;
+  const KernelTable* forced = nullptr;
+  const Status env = ReadIsaEnv(&forced);
+  if (forced != nullptr) return forced;
+  const KernelTable* best = SupportedTable(BestSupportedIsa());
+  if (!env.ok()) {
+    std::fprintf(stderr, "dlsys: %s; running the %s kernels\n",
+                 env.message().c_str(), IsaName(best->isa));
   }
-  for (int i = kNumIsas - 1; i >= 0; --i) {
-    if (const KernelTable* table = SupportedTable(static_cast<Isa>(i))) {
-      return table;
-    }
-  }
-  return GetScalarTable();  // unreachable: scalar is always registered
+  return best;
 }
 
 std::atomic<const KernelTable*>& ActiveTableCell() {
@@ -125,6 +140,11 @@ void SetIsa(Isa isa) {
   DLSYS_CHECK(table != nullptr,
               "SetIsa: requested ISA not supported by this build/CPU");
   ActiveTableCell().store(table, std::memory_order_release);
+}
+
+Status IsaEnvStatus() {
+  const KernelTable* forced = nullptr;
+  return ReadIsaEnv(&forced);
 }
 
 const KernelTable& ActiveKernels() {

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "src/core/status.h"
+
 /// \file dispatch.h
 /// \brief Runtime CPU-feature dispatch for the hot GEMM microkernels.
 ///
@@ -17,12 +19,18 @@
 /// ## Forcing a path
 ///
 /// - `DLSYS_ISA=scalar|avx2|avx512` (environment, read once at first
-///   dispatch) forces that table; requesting an ISA the CPU or the build
-///   cannot run aborts with a clear message — a forced path that silently
-///   fell back would invalidate any parity or perf conclusion drawn from
-///   the run.
+///   dispatch) forces that table. An unknown value, or an ISA the CPU or
+///   the build cannot run, never aborts and never falls back silently —
+///   a forced path that quietly ran another table would invalidate any
+///   parity or perf conclusion drawn from the run. IsaEnvStatus() turns
+///   it into an InvalidArgument that InferenceEngine::Compile (and so
+///   Server::Publish) returns before anything else; kernels used outside
+///   an engine keep the best supported table and write one stderr line
+///   naming the rejected value.
 /// - SetIsa() is the API equivalent for tests and benches; call it between
 ///   kernels (like RuntimeConfig::SetThreads), not inside a ParallelFor.
+///   Unlike the environment it aborts on an unsupported ISA: that is API
+///   misuse, not outside input.
 /// - Building with -DDLSYS_SIMD=OFF compiles the AVX translation units to
 ///   stubs: only the scalar table exists, and because the scalar kernels
 ///   are the pre-dispatch sources compiled with the same flags, that build
@@ -30,10 +38,12 @@
 ///
 /// ## Observability
 ///
-/// Each dispatched kernel launch tags its trace span with the ISA-specific
+/// Each dispatched GEMM launch tags its trace span with the ISA-specific
 /// category ("kernel.scalar" / "kernel.avx2" / "kernel.avx512") and bumps
 /// the `kernel.dispatch.<isa>` counter, so an exported Perfetto trace or a
-/// registry snapshot shows which microkernel actually ran.
+/// registry snapshot shows which microkernel actually ran. The q8 row
+/// entries (quantizer, fused epilogue) run once per row inside a caller's
+/// step and carry neither: a span per row would cost more than the row.
 ///
 /// Determinism: dispatch never changes results. fp32 kernels are bitwise
 /// identical across every ISA (see src/simd/kernels.h for the contract);
@@ -114,6 +124,19 @@ struct KernelTable {
                                   const float* bias, float* c, int64_t m,
                                   int64_t k, int64_t n, int64_t j0,
                                   int64_t j1, int relu) = nullptr;
+  /// q8 block quantization of one row (see Q8BlockMatrix): \p cols floats
+  /// into PadToQuantBlock(cols) codes, pad codes 0, and one scale per
+  /// 32-element block. Every q8 activation and weight quantization runs
+  /// through this entry; callers parallelize across rows.
+  void (*q8_quantize_row)(const float* row, int64_t cols, int8_t* values,
+                          float* scales) = nullptr;
+  /// The int8 dense epilogue for one row: row[j] = act(row[j] + bias[j])
+  /// in place (act = relu when relu != 0), then, when values != nullptr,
+  /// q8_quantize_row of the updated row into values/scales — one pass per
+  /// block, sharing q8_quantize_row's per-block code.
+  void (*q8_bias_act_quantize_row)(float* row, const float* bias,
+                                   int64_t cols, int relu, int8_t* values,
+                                   float* scales) = nullptr;
 };
 
 /// \brief True when \p isa is both compiled into this binary and runnable
@@ -132,6 +155,11 @@ Isa ActiveIsa();
 /// (DLSYS_CHECK) when unsupported — a forced path must never silently
 /// fall back. Call between kernels, not inside a ParallelFor body.
 void SetIsa(Isa isa);
+
+/// \brief Checks DLSYS_ISA as it reads now: OK when unset, empty, or
+/// naming an ISA this build and CPU can run; otherwise InvalidArgument
+/// naming the value. Never aborts.
+Status IsaEnvStatus();
 
 /// \brief Parses a DLSYS_ISA spelling ("scalar"/"avx2"/"avx512") into
 /// \p out; returns false on an unknown spelling.

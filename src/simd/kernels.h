@@ -26,7 +26,32 @@
 ///   associative: any vector order is exact, so they are bit-exact by
 ///   construction. The per-block float epilogue of the q8/q4 kernels
 ///   follows the scalar chain (ascending block index, float(dot) *
-///   (a_scale * b_scale)) element-for-element.
+///   (a_scale * b_scale)) element-for-element. A column tile reduces the
+///   int32 block dots of all its outputs together (still exact) and then
+///   runs each output's float chain in its own lane.
+/// - the q8 quantizer (q8_quantize_row, and the fused epilogue that ends
+///   in it) reproduces the scalar `std::lround` loop per block:
+///   - the block max is |x| folded with `a > m ? a : m` from m = 0. NaN
+///     never wins that compare and every candidate is a non-negative
+///     float, so the max does not depend on order or lane layout;
+///   - scale = max > 0 ? max / 127 : 1 and inv = 1 / scale are the same
+///     two scalar float operations the reference runs;
+///   - y = x * inv rounds half away from zero as t = trunc(y), q = t +
+///     (y - t >= 0.5) - (y - t <= -0.5): for |y| < 2^23 the difference
+///     y - t is exact, and above that y is already an integer;
+///   - q is clamped to [-127, 127], and lanes past `cols` (the pad) are
+///     forced to code 0 whatever the arithmetic gave them.
+///   A finite inv keeps |y| near 127: |x| <= max, and scale and inv are
+///   each one rounding from max / 127 (a denormal scale that still has a
+///   finite inverse is at least 2^-128, so its rounding error stays below
+///   2^-20), so q fits the 32-bit conversion with room to spare. An
+///   infinite inv (a zero or denormal max whose scale underflows) makes
+///   y = +-inf, or NaN where x = 0; an infinite x makes inv = 0 and
+///   y = NaN. glibc's x86-64 lround returns LONG_MIN for all three, which
+///   the clamp sends to -127; the vector path keeps them non-finite
+///   through t and q, converts them to INT32_MIN, and clamps that to
+///   -127 too. Zeroing the pad lanes matters exactly there: a pad lane
+///   holds x = 0, and 0 * inf is NaN.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
 /// needs (-mavx2 / -mavx512*) and self-guards, so the binary stays safe to
@@ -74,6 +99,10 @@ void ConvGemmBiasActColsScalar(const float* a, const float* b,
                                const float* bias, float* c, int64_t m,
                                int64_t k, int64_t n, int64_t j0, int64_t j1,
                                int relu);
+void Q8QuantizeRowScalar(const float* row, int64_t cols, int8_t* values,
+                         float* scales);
+void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
+                                int relu, int8_t* values, float* scales);
 
 }  // namespace simd
 }  // namespace dlsys

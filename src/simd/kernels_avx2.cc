@@ -371,17 +371,63 @@ void Int8GemmRowsAvx2(const int8_t* a, const int8_t* b, int32_t* c,
 
 // ------------------------------------------------------- block-quantized
 
-/// Exact int32 dot of one 32-element q8 block pair.
-inline int32_t DotQ8BlockAvx2(const int8_t* a, const int8_t* b) {
-  const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-  const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-  const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-  const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-  const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-  const __m256i b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-  const __m256i acc = _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo),
-                                       _mm256_madd_epi16(a_hi, b_hi));
-  return HorizontalSumI32(acc);
+/// Lane c of the result is the sum of the 8 int32 lanes of p[c]: eight
+/// horizontal reductions done together (hadd within 128-bit lanes, then
+/// one cross-lane add). Integer adds, so any order is exact.
+inline __m256i ReduceDots8Avx2(const __m256i* p) {
+  // h0123, 128-bit lane L: the lane-L sums of p[0] .. p[3]; h4567 likewise.
+  const __m256i h0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(p[0], p[1]),
+                                          _mm256_hadd_epi32(p[2], p[3]));
+  const __m256i h4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(p[4], p[5]),
+                                          _mm256_hadd_epi32(p[6], p[7]));
+  return _mm256_add_epi32(_mm256_permute2x128_si256(h0123, h4567, 0x20),
+                          _mm256_permute2x128_si256(h0123, h4567, 0x31));
+}
+
+/// A column tile of the q8 GEMM: outputs [j, j + nr) of row i, nr <= 8.
+/// Per block, the 8 columns' int32 dots are reduced together and each lane
+/// then adds float(dot) * (a_scale * b_scale) to its own float chain, in
+/// ascending block order — the scalar chain per output. Lanes past nr
+/// re-read column j and are never stored.
+inline void Q8TileAvx2(const int8_t* arow, const float* as, const int8_t* b,
+                       const float* b_scales, float* crow, int64_t j,
+                       int64_t nr, int64_t kp, int64_t nb) {
+  const int8_t* bcol[8];
+  alignas(32) int32_t scale_idx[8];
+  alignas(32) int32_t store_mask[8];
+  for (int64_t c = 0; c < 8; ++c) {
+    const int64_t col = j + (c < nr ? c : 0);
+    bcol[c] = b + col * kp;
+    scale_idx[c] = static_cast<int32_t>(col * nb);
+    store_mask[c] = c < nr ? -1 : 0;
+  }
+  const __m256i vidx =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(scale_idx));
+  __m256 sum = _mm256_setzero_ps();
+  for (int64_t bb = 0; bb < nb; ++bb) {
+    const __m256i va = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(arow + bb * 32));
+    const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
+    const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
+    __m256i p[8];
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) {
+      const __m256i vb = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(bcol[c] + bb * 32));
+      const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
+      const __m256i b_hi =
+          _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
+      p[c] = _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo),
+                              _mm256_madd_epi16(a_hi, b_hi));
+    }
+    const __m256 dot = _mm256_cvtepi32_ps(ReduceDots8Avx2(p));
+    const __m256 bs = _mm256_i32gather_ps(b_scales + bb, vidx, 4);
+    const __m256 ab = _mm256_mul_ps(_mm256_set1_ps(as[bb]), bs);
+    sum = _mm256_add_ps(sum, _mm256_mul_ps(dot, ab));
+  }
+  _mm256_maskstore_ps(
+      crow + j,
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(store_mask)), sum);
 }
 
 void Q8GemmRowsAvx2(const int8_t* a, const float* a_scales, const int8_t* b,
@@ -391,15 +437,9 @@ void Q8GemmRowsAvx2(const int8_t* a, const float* a_scales, const int8_t* b,
   for (int64_t i = i0; i < i1; ++i) {
     const int8_t* arow = a + i * kp;
     const float* as = a_scales + i * nb;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* brow = b + j * kp;
-      const float* bs = b_scales + j * nb;
-      float sum = 0.0f;
-      for (int64_t bb = 0; bb < nb; ++bb) {
-        const int32_t dot = DotQ8BlockAvx2(arow + bb * 32, brow + bb * 32);
-        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
-      }
-      c[i * n + j] = sum;
+    for (int64_t j = 0; j < n; j += 8) {
+      Q8TileAvx2(arow, as, b, b_scales, c + i * n, j,
+                 std::min<int64_t>(8, n - j), kp, nb);
     }
   }
 }
@@ -444,6 +484,105 @@ void Q4GemmRowsAvx2(const int8_t* a, const float* a_scales, const uint8_t* b,
   }
 }
 
+// ------------------------------------------------------- q8 quantizer
+//
+// Bit-exact with Q8QuantizeRowScalar by the argument in kernels.h. One
+// block is four ymm of 8 floats; a short last block loads through zero
+// masks and stores its pad lanes as code 0.
+
+/// lround(y) clamped to [-127, 127] per lane, as int32; lanes where
+/// \p valid is 0 are 0. Non-finite y converts to INT32_MIN and clamps to
+/// -127, as glibc's lround + clamp does.
+inline __m256i RoundClampAvx2(__m256 y, __m256i valid) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 t = _mm256_round_ps(y, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256 d = _mm256_sub_ps(y, t);
+  const __m256 up =
+      _mm256_and_ps(_mm256_cmp_ps(d, _mm256_set1_ps(0.5f), _CMP_GE_OQ), one);
+  const __m256 down =
+      _mm256_and_ps(_mm256_cmp_ps(d, _mm256_set1_ps(-0.5f), _CMP_LE_OQ), one);
+  const __m256 q = _mm256_sub_ps(_mm256_add_ps(t, up), down);
+  const __m256i qi = _mm256_min_epi32(
+      _mm256_max_epi32(_mm256_cvttps_epi32(q), _mm256_set1_epi32(-127)),
+      _mm256_set1_epi32(127));
+  return _mm256_and_si256(qi, valid);
+}
+
+/// Lane masks for the four 8-float quarters of the block starting at j0:
+/// all-ones where the element is inside the row.
+inline void BlockMasksAvx2(int64_t j0, int64_t cols, __m256i* k) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const int32_t valid = static_cast<int32_t>(std::min<int64_t>(32, cols - j0));
+  for (int q = 0; q < 4; ++q) {
+    k[q] = _mm256_cmpgt_epi32(_mm256_set1_epi32(valid - 8 * q), iota);
+  }
+}
+
+/// Quantizes one block held in v[0..3] (8 elements each), whose lanes
+/// outside k[0..3] are +0: writes 32 codes and the block scale.
+inline void QuantizeBlockAvx2(const __m256* v, const __m256i* k,
+                              int8_t* values, float* scale) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  __m256 m = _mm256_setzero_ps();
+  for (int q = 0; q < 4; ++q) {
+    m = _mm256_max_ps(_mm256_and_ps(v[q], abs_mask), m);
+  }
+  __m128 m4 =
+      _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
+  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+  m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
+  const float maxabs = _mm_cvtss_f32(m4);
+  const float s = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+  const __m256 inv = _mm256_set1_ps(1.0f / s);
+  *scale = s;
+  __m256i q[4];
+  for (int i = 0; i < 4; ++i) {
+    q[i] = RoundClampAvx2(_mm256_mul_ps(v[i], inv), k[i]);
+  }
+  // The saturating packs work per 128-bit lane, so dword d of `packed`
+  // holds elements 8*(d%4) + 4*(d/4) .. +3; the permute restores element
+  // order. Every code is in [-127, 127], so no pack saturates.
+  const __m256i packed = _mm256_packs_epi16(_mm256_packs_epi32(q[0], q[1]),
+                                            _mm256_packs_epi32(q[2], q[3]));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(values),
+      _mm256_permutevar8x32_epi32(packed,
+                                  _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7)));
+}
+
+void Q8QuantizeRowAvx2(const float* row, int64_t cols, int8_t* values,
+                       float* scales) {
+  for (int64_t j0 = 0, b = 0; j0 < cols; j0 += 32, ++b) {
+    __m256i k[4];
+    __m256 v[4];
+    BlockMasksAvx2(j0, cols, k);
+    for (int q = 0; q < 4; ++q) {
+      v[q] = _mm256_maskload_ps(row + j0 + 8 * q, k[q]);
+    }
+    QuantizeBlockAvx2(v, k, values + j0, scales + b);
+  }
+}
+
+/// act(x + bias) matches the scalar `v > 0.0f ? v : 0.0f` through
+/// _mm256_max_ps(v, 0), as in MatMulBiasActRangeAvx2.
+void Q8BiasActQuantizeRowAvx2(float* row, const float* bias, int64_t cols,
+                              int relu, int8_t* values, float* scales) {
+  const __m256 zero = _mm256_setzero_ps();
+  for (int64_t j0 = 0, b = 0; j0 < cols; j0 += 32, ++b) {
+    __m256i k[4];
+    __m256 v[4];
+    BlockMasksAvx2(j0, cols, k);
+    for (int q = 0; q < 4; ++q) {
+      float* r = row + j0 + 8 * q;
+      v[q] = _mm256_add_ps(_mm256_maskload_ps(r, k[q]),
+                           _mm256_maskload_ps(bias + j0 + 8 * q, k[q]));
+      if (relu != 0) v[q] = _mm256_max_ps(v[q], zero);
+      _mm256_maskstore_ps(r, k[q], v[q]);
+    }
+    if (values != nullptr) QuantizeBlockAvx2(v, k, values + j0, scales + b);
+  }
+}
+
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
     "kernel.avx2",
@@ -455,6 +594,8 @@ const KernelTable kAvx2Table = {
     &Q4GemmRowsAvx2,
     &MatMulBiasActRangeAvx2,
     &ConvGemmBiasActColsAvx2,
+    &Q8QuantizeRowAvx2,
+    &Q8BiasActQuantizeRowAvx2,
 };
 
 }  // namespace

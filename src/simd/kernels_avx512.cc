@@ -401,13 +401,69 @@ void Int8GemmRowsAvx512(const int8_t* a, const int8_t* b, int32_t* c,
 
 // ------------------------------------------------------- block-quantized
 
-/// Exact int32 dot of one 32-element q8 block pair: one extend+madd each.
-inline int32_t DotQ8BlockAvx512(const int8_t* a, const int8_t* b) {
-  const __m512i a16 = _mm512_cvtepi8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)));
-  const __m512i b16 = _mm512_cvtepi8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)));
-  return _mm512_reduce_add_epi32(_mm512_madd_epi16(a16, b16));
+/// Lane c of the result is the sum of the 16 int32 lanes of p[c]: sixteen
+/// horizontal reductions done together by unpack-and-add (pairs, then
+/// quads within each 128-bit lane) and two 128-bit-lane shuffle rounds.
+/// Integer adds, so any order is exact.
+inline __m512i ReduceDots16Avx512(const __m512i* p) {
+  __m512i s2[8], s4[4];
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) {
+    s2[c] = _mm512_add_epi32(_mm512_unpacklo_epi32(p[2 * c], p[2 * c + 1]),
+                             _mm512_unpackhi_epi32(p[2 * c], p[2 * c + 1]));
+  }
+  // s4[c], 128-bit lane L: the lane-L sums of p[4c] .. p[4c + 3].
+#pragma GCC unroll 4
+  for (int c = 0; c < 4; ++c) {
+    s4[c] = _mm512_add_epi32(_mm512_unpacklo_epi64(s2[2 * c], s2[2 * c + 1]),
+                             _mm512_unpackhi_epi64(s2[2 * c], s2[2 * c + 1]));
+  }
+  constexpr int kEven = _MM_SHUFFLE(2, 0, 2, 0);
+  constexpr int kOdd = _MM_SHUFFLE(3, 1, 3, 1);
+  const __m512i t01 =
+      _mm512_add_epi32(_mm512_shuffle_i32x4(s4[0], s4[1], kEven),
+                       _mm512_shuffle_i32x4(s4[0], s4[1], kOdd));
+  const __m512i t23 =
+      _mm512_add_epi32(_mm512_shuffle_i32x4(s4[2], s4[3], kEven),
+                       _mm512_shuffle_i32x4(s4[2], s4[3], kOdd));
+  return _mm512_add_epi32(_mm512_shuffle_i32x4(t01, t23, kEven),
+                          _mm512_shuffle_i32x4(t01, t23, kOdd));
+}
+
+/// A column tile of the q8 GEMM: outputs [j, j + nr) of row i, nr <= 16.
+/// Per block, the 16 columns' int32 dots are reduced together and each
+/// lane then adds float(dot) * (a_scale * b_scale) to its own float
+/// chain, in ascending block order — the scalar chain per output. Lanes
+/// past nr re-read column j and are never stored.
+inline void Q8TileAvx512(const int8_t* arow, const float* as, const int8_t* b,
+                         const float* b_scales, float* crow, int64_t j,
+                         int64_t nr, int64_t kp, int64_t nb) {
+  const int8_t* bcol[16];
+  alignas(64) int32_t scale_idx[16];
+  for (int64_t c = 0; c < 16; ++c) {
+    const int64_t col = j + (c < nr ? c : 0);
+    bcol[c] = b + col * kp;
+    scale_idx[c] = static_cast<int32_t>(col * nb);
+  }
+  const __m512i vidx = _mm512_load_si512(scale_idx);
+  __m512 sum = _mm512_setzero_ps();
+  for (int64_t bb = 0; bb < nb; ++bb) {
+    const __m512i a16 = _mm512_cvtepi8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + bb * 32)));
+    __m512i p[16];
+#pragma GCC unroll 16
+    for (int c = 0; c < 16; ++c) {
+      const __m512i b16 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(bcol[c] + bb * 32)));
+      p[c] = _mm512_madd_epi16(a16, b16);
+    }
+    const __m512 dot = _mm512_cvtepi32_ps(ReduceDots16Avx512(p));
+    const __m512 bs = _mm512_i32gather_ps(vidx, b_scales + bb, 4);
+    const __m512 ab = _mm512_mul_ps(_mm512_set1_ps(as[bb]), bs);
+    sum = _mm512_add_ps(sum, _mm512_mul_ps(dot, ab));
+  }
+  _mm512_mask_storeu_ps(crow + j, static_cast<__mmask16>((1u << nr) - 1u),
+                        sum);
 }
 
 void Q8GemmRowsAvx512(const int8_t* a, const float* a_scales, const int8_t* b,
@@ -417,15 +473,9 @@ void Q8GemmRowsAvx512(const int8_t* a, const float* a_scales, const int8_t* b,
   for (int64_t i = i0; i < i1; ++i) {
     const int8_t* arow = a + i * kp;
     const float* as = a_scales + i * nb;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* brow = b + j * kp;
-      const float* bs = b_scales + j * nb;
-      float sum = 0.0f;
-      for (int64_t bb = 0; bb < nb; ++bb) {
-        const int32_t dot = DotQ8BlockAvx512(arow + bb * 32, brow + bb * 32);
-        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
-      }
-      c[i * n + j] = sum;
+    for (int64_t j = 0; j < n; j += 16) {
+      Q8TileAvx512(arow, as, b, b_scales, c + i * n, j,
+                   std::min<int64_t>(16, n - j), kp, nb);
     }
   }
 }
@@ -466,6 +516,94 @@ void Q4GemmRowsAvx512(const int8_t* a, const float* a_scales,
   }
 }
 
+// ------------------------------------------------------- q8 quantizer
+//
+// Bit-exact with Q8QuantizeRowScalar by the argument in kernels.h. One
+// block is two zmm of 16 floats; a short last block loads with zero masks
+// and stores its pad lanes as code 0.
+
+/// lround(y) clamped to [-127, 127] per lane, as int32; lanes outside
+/// \p valid are 0. Non-finite y converts to INT32_MIN and clamps to -127,
+/// as glibc's lround + clamp does.
+inline __m512i RoundClampAvx512(__m512 y, __mmask16 valid) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 t =
+      _mm512_roundscale_ps(y, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m512 d = _mm512_sub_ps(y, t);
+  __m512 q = _mm512_mask_add_ps(
+      t, _mm512_cmp_ps_mask(d, _mm512_set1_ps(0.5f), _CMP_GE_OQ), t, one);
+  q = _mm512_mask_sub_ps(
+      q, _mm512_cmp_ps_mask(d, _mm512_set1_ps(-0.5f), _CMP_LE_OQ), q, one);
+  const __m512i qi = _mm512_min_epi32(
+      _mm512_max_epi32(_mm512_cvttps_epi32(q), _mm512_set1_epi32(-127)),
+      _mm512_set1_epi32(127));
+  return _mm512_maskz_mov_epi32(valid, qi);
+}
+
+/// Quantizes one block held in v0 (elements 0..15) and v1 (16..31), whose
+/// lanes outside k0/k1 are +0: writes 32 codes and the block scale.
+inline void QuantizeBlockAvx512(__m512 v0, __m512 v1, __mmask16 k0,
+                                __mmask16 k1, int8_t* values, float* scale) {
+  const __m512 m = _mm512_max_ps(
+      _mm512_abs_ps(v1),
+      _mm512_max_ps(_mm512_abs_ps(v0), _mm512_setzero_ps()));
+  const float maxabs = _mm512_reduce_max_ps(m);
+  const float s = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+  const __m512 inv = _mm512_set1_ps(1.0f / s);
+  *scale = s;
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(values),
+      _mm512_cvtepi32_epi8(RoundClampAvx512(_mm512_mul_ps(v0, inv), k0)));
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(values + 16),
+      _mm512_cvtepi32_epi8(RoundClampAvx512(_mm512_mul_ps(v1, inv), k1)));
+}
+
+/// Load masks for the two halves of the block starting at j0.
+inline void BlockMasksAvx512(int64_t j0, int64_t cols, __mmask16* k0,
+                             __mmask16* k1) {
+  const int64_t valid = std::min<int64_t>(32, cols - j0);
+  *k0 = static_cast<__mmask16>(valid >= 16 ? 0xFFFFu : (1u << valid) - 1u);
+  *k1 = static_cast<__mmask16>(valid >= 32 ? 0xFFFFu
+                               : valid > 16 ? (1u << (valid - 16)) - 1u
+                                            : 0u);
+}
+
+void Q8QuantizeRowAvx512(const float* row, int64_t cols, int8_t* values,
+                         float* scales) {
+  for (int64_t j0 = 0, b = 0; j0 < cols; j0 += 32, ++b) {
+    __mmask16 k0, k1;
+    BlockMasksAvx512(j0, cols, &k0, &k1);
+    QuantizeBlockAvx512(_mm512_maskz_loadu_ps(k0, row + j0),
+                        _mm512_maskz_loadu_ps(k1, row + j0 + 16), k0, k1,
+                        values + j0, scales + b);
+  }
+}
+
+/// act(x + bias) matches the scalar `v > 0.0f ? v : 0.0f` through
+/// _mm512_max_ps(v, 0), as in MatMulBiasActRangeAvx512.
+void Q8BiasActQuantizeRowAvx512(float* row, const float* bias, int64_t cols,
+                                int relu, int8_t* values, float* scales) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (int64_t j0 = 0, b = 0; j0 < cols; j0 += 32, ++b) {
+    __mmask16 k0, k1;
+    BlockMasksAvx512(j0, cols, &k0, &k1);
+    __m512 v0 = _mm512_add_ps(_mm512_maskz_loadu_ps(k0, row + j0),
+                              _mm512_maskz_loadu_ps(k0, bias + j0));
+    __m512 v1 = _mm512_add_ps(_mm512_maskz_loadu_ps(k1, row + j0 + 16),
+                              _mm512_maskz_loadu_ps(k1, bias + j0 + 16));
+    if (relu != 0) {
+      v0 = _mm512_max_ps(v0, zero);
+      v1 = _mm512_max_ps(v1, zero);
+    }
+    _mm512_mask_storeu_ps(row + j0, k0, v0);
+    _mm512_mask_storeu_ps(row + j0 + 16, k1, v1);
+    if (values != nullptr) {
+      QuantizeBlockAvx512(v0, v1, k0, k1, values + j0, scales + b);
+    }
+  }
+}
+
 const KernelTable kAvx512Table = {
     Isa::kAvx512,
     "kernel.avx512",
@@ -477,6 +615,8 @@ const KernelTable kAvx512Table = {
     &Q4GemmRowsAvx512,
     &MatMulBiasActRangeAvx512,
     &ConvGemmBiasActColsAvx512,
+    &Q8QuantizeRowAvx512,
+    &Q8BiasActQuantizeRowAvx512,
 };
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "src/simd/dispatch.h"
@@ -12,8 +13,9 @@
 /// the conv GEMM is a register tile over the tap-major patch matrix that
 /// keeps the pre-dispatch kernel's per-element chain. So a
 /// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
-/// tree before the SIMD backend existed. The q8/q4 block kernels are the
-/// scalar references the SIMD variants bit-compare against.
+/// tree before the SIMD backend existed. The q8/q4 block kernels and the
+/// q8 quantizer are the scalar references the SIMD variants bit-compare
+/// against.
 
 namespace dlsys {
 namespace simd {
@@ -345,6 +347,49 @@ void Q4GemmRowsScalar(const int8_t* a, const float* a_scales,
   }
 }
 
+// ------------------------------------------------------- q8 quantizer
+//
+// The reference the AVX2 and AVX-512 quantizers reproduce bit for bit
+// (see the parity contract in kernels.h): the quantizer body from
+// src/compress/quantization.cc moved verbatim, one std::lround per
+// element.
+
+namespace {
+constexpr int64_t kQuantBlock = 32;  // elements per q8 block scale
+}  // namespace
+
+void Q8QuantizeRowScalar(const float* row, int64_t cols, int8_t* values,
+                         float* scales) {
+  const int64_t kp = (cols + kQuantBlock - 1) / kQuantBlock * kQuantBlock;
+  const int64_t nb = kp / kQuantBlock;
+  for (int64_t b = 0; b < nb; ++b) {
+    const int64_t j0 = b * kQuantBlock;
+    const int64_t j1 = std::min<int64_t>(j0 + kQuantBlock, cols);
+    float maxabs = 0.0f;
+    for (int64_t j = j0; j < j1; ++j) {
+      const float a = std::abs(row[j]);
+      maxabs = a > maxabs ? a : maxabs;
+    }
+    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+    const float inv = 1.0f / scale;
+    scales[b] = scale;
+    for (int64_t j = j0; j < j1; ++j) {
+      const long q = std::lround(row[j] * inv);
+      values[j] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
+    }
+    for (int64_t j = j1; j < j0 + kQuantBlock; ++j) values[j] = 0;
+  }
+}
+
+void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
+                                int relu, int8_t* values, float* scales) {
+  for (int64_t j = 0; j < cols; ++j) {
+    const float v = row[j] + bias[j];
+    row[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
+  }
+  if (values != nullptr) Q8QuantizeRowScalar(row, cols, values, scales);
+}
+
 namespace {
 const KernelTable kScalarTable = {
     Isa::kScalar,
@@ -357,6 +402,8 @@ const KernelTable kScalarTable = {
     &Q4GemmRowsScalar,
     &MatMulBiasActRangeScalar,
     &ConvGemmBiasActColsScalar,
+    &Q8QuantizeRowScalar,
+    &Q8BiasActQuantizeRowScalar,
 };
 }  // namespace
 

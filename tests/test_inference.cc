@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -38,34 +39,42 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.bytes())) == 0;
 }
 
-/// Pins DLSYS_PASSES for a test's lifetime and restores the prior value on
-/// exit. The env var overrides EngineConfig::passes in every Compile, so
-/// tests that assert graph structure must pin it — otherwise the CI
-/// passes-off job (which exports DLSYS_PASSES=none for the whole suite)
-/// would disable the rewrites they are asserting on.
-class PassEnvOverride {
+/// Pins an environment variable for a scope (nullptr unsets it) and
+/// restores the prior value on exit.
+class EnvOverride {
  public:
-  explicit PassEnvOverride(const char* value) {
-    const char* prev = std::getenv("DLSYS_PASSES");
+  EnvOverride(const char* name, const char* value) : name_(name) {
+    const char* prev = std::getenv(name);
     had_prev_ = prev != nullptr;
     if (had_prev_) prev_ = prev;
     if (value != nullptr) {
-      setenv("DLSYS_PASSES", value, 1);
+      setenv(name, value, 1);
     } else {
-      unsetenv("DLSYS_PASSES");
+      unsetenv(name);
     }
   }
-  ~PassEnvOverride() {
+  ~EnvOverride() {
     if (had_prev_) {
-      setenv("DLSYS_PASSES", prev_.c_str(), 1);
+      setenv(name_.c_str(), prev_.c_str(), 1);
     } else {
-      unsetenv("DLSYS_PASSES");
+      unsetenv(name_.c_str());
     }
   }
 
  private:
+  std::string name_;
   bool had_prev_ = false;
   std::string prev_;
+};
+
+/// Pins DLSYS_PASSES. The env var overrides EngineConfig::passes in every
+/// Compile, so tests that assert graph structure must pin it — otherwise
+/// the CI passes-off job (which exports DLSYS_PASSES=none for the whole
+/// suite) would disable the rewrites they are asserting on.
+class PassEnvOverride : public EnvOverride {
+ public:
+  explicit PassEnvOverride(const char* value)
+      : EnvOverride("DLSYS_PASSES", value) {}
 };
 
 // ------------------------------------------------------------ TensorArena
@@ -512,6 +521,113 @@ TEST(QuantizedEngineTest, DeterministicAcrossThreadCountsAndIsas) {
         const Tensor y = std::move(engine.Predict(x)).value();
         EXPECT_TRUE(BitwiseEqual(y, ref))
             << "numeric=" << (numeric == EngineNumeric::kInt8 ? "int8" : "int4")
+            << " isa=" << simd::IsaName(isa) << " threads=" << threads;
+      }
+    }
+    simd::SetIsa(initial_isa);
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+// ------------------------------------------ pinned quantized engine outputs
+
+/// SplitMix64's finalizer: the integer hash every parameter and input of
+/// the pinned grid below is drawn from.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// k * unit with k a hash-drawn integer in [-range, range] and unit a
+/// power of two: exactly representable, so the grid's values depend on no
+/// libm routine.
+float HashedFloat(uint64_t seed, uint64_t i, int64_t range, float unit) {
+  const uint64_t span = static_cast<uint64_t>(2 * range + 1);
+  const int64_t k =
+      static_cast<int64_t>(Mix64(Mix64(seed) ^ i) % span) - range;
+  return static_cast<float>(k) * unit;
+}
+
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// FNV-1a over the output bits of the pinned grid, computed on the tree
+/// before the SIMD q8 quantizer existed. The grid only uses IEEE + x /
+/// on exactly representable values, so any change to a quantized kernel
+/// that moves one output bit moves this digest.
+constexpr uint64_t kQuantizedEngineDigest = 0x73ed0285b4399281ull;
+
+TEST(QuantizedEngineTest, OutputsMatchPinnedDigest) {
+  // The grid: input widths off the 32-element block, one and two hidden
+  // layers, int8 and int4 weights, inputs scaled by 2^-20, 1 and 2^6,
+  // batch 1..8. Every engine is compiled per DLSYS_PASSES setting and
+  // then predicted under every supported ISA and thread count.
+  const int64_t kWidths[] = {7, 45, 77};
+  const std::vector<std::vector<int64_t>> kHidden = {{40}, {50, 33}};
+  const float kScales[] = {0x1p-20f, 1.0f, 0x1p6f};
+  const simd::Isa initial_isa = simd::ActiveIsa();
+  for (const char* passes : {"none", "all"}) {
+    PassEnvOverride env(passes);
+    std::vector<InferenceEngine> engines;
+    std::vector<int64_t> widths;
+    uint64_t seed = 0;
+    for (EngineNumeric numeric : {EngineNumeric::kInt8, EngineNumeric::kInt4}) {
+      for (int64_t in : kWidths) {
+        for (const std::vector<int64_t>& hidden : kHidden) {
+          Sequential net = MakeMlp(in, hidden, 5);
+          for (Tensor* p : net.Params()) {
+            ++seed;
+            for (int64_t i = 0; i < p->size(); ++i) {
+              (*p)[i] =
+                  HashedFloat(seed, static_cast<uint64_t>(i), 254, 0x1p-8f);
+            }
+          }
+          EngineConfig config;
+          config.max_batch = 8;
+          config.numeric = numeric;
+          auto compiled = InferenceEngine::Compile(net, {in}, config);
+          ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+          engines.push_back(std::move(compiled).value());
+          widths.push_back(in);
+        }
+      }
+    }
+    for (simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::IsaSupported(isa)) continue;
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        uint64_t digest = kFnvOffset;
+        for (size_t e = 0; e < engines.size(); ++e) {
+          for (float scale : kScales) {
+            for (int64_t batch = 1; batch <= 8; ++batch) {
+              Tensor x({batch, widths[e]});
+              for (int64_t i = 0; i < x.size(); ++i) {
+                x[i] = HashedFloat(1000 + e, static_cast<uint64_t>(i), 1000,
+                                   0x1p-7f) *
+                       scale;
+              }
+              const Tensor y = std::move(engines[e].Predict(x)).value();
+              digest = Fnv1a(digest, y.data(), static_cast<size_t>(y.bytes()));
+            }
+          }
+        }
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llx",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, kQuantizedEngineDigest)
+            << "new digest " << hex << " passes=" << passes
             << " isa=" << simd::IsaName(isa) << " threads=" << threads;
       }
     }
@@ -977,6 +1093,22 @@ TEST(PassPipelineTest, BadDlsysPassesFailsCompileWithoutAborting) {
   ASSERT_FALSE(compiled.ok());
   EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(compiled.status().message().find("bogus"), std::string::npos)
+      << compiled.status().ToString();
+}
+
+TEST(InferenceEngineTest, BadDlsysIsaFailsCompileWithoutAborting) {
+  // Like DLSYS_PASSES: an unknown ISA must neither abort nor be silently
+  // replaced by another table, so every Compile reports it — also after
+  // the kernel table was resolved under a valid value.
+  Rng rng(59);
+  Sequential net = MakeMlp(16, {32}, 4);
+  net.Init(&rng);
+  ASSERT_TRUE(InferenceEngine::Compile(net, {16}, EngineConfig{8}).ok());
+  EnvOverride env("DLSYS_ISA", "avx9");
+  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(compiled.status().message().find("avx9"), std::string::npos)
       << compiled.status().ToString();
 }
 

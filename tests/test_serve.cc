@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -1166,6 +1167,28 @@ TEST(ServerTest, DefaultConfigServesThroughSlotLanes) {
               obs::SimNs(c.finish_ms) - obs::SimNs(c.arrival_ms));
   }
   EXPECT_GT(batched, 0) << "continuous batching should share steps";
+}
+
+TEST(ServerTest, BadDlsysIsaFailsPublishNotFatal) {
+  ModelRegistry registry;
+  auto created = Server::Create(&registry, ServerConfig{});
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Server> server = std::move(created).value();
+  const char* prev = std::getenv("DLSYS_ISA");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("DLSYS_ISA", "avx9", 1);
+  const Result<int64_t> published = server->Publish("m", MakeNet(107), {16});
+  if (prev != nullptr) {
+    setenv("DLSYS_ISA", saved.c_str(), 1);
+  } else {
+    unsetenv("DLSYS_ISA");
+  }
+  ASSERT_FALSE(published.ok());
+  EXPECT_EQ(published.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(published.status().message().find("avx9"), std::string::npos);
+  // Nothing was published, and a valid environment publishes as before.
+  EXPECT_EQ(registry.Acquire("m"), nullptr);
+  EXPECT_TRUE(server->Publish("m", MakeNet(107), {16}).ok());
 }
 
 TEST(ServerTest, WrongSizedExampleIsRejectedNotFatal) {

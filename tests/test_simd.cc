@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,6 +47,18 @@ std::vector<simd::Isa> SupportedIsas() {
 
 bool BitwiseEqual(const float* a, const float* b, int64_t count) {
   return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) == 0;
+}
+
+const simd::KernelTable* TableFor(simd::Isa isa) {
+  switch (isa) {
+    case simd::Isa::kScalar:
+      return simd::GetScalarTable();
+    case simd::Isa::kAvx2:
+      return simd::GetAvx2Table();
+    case simd::Isa::kAvx512:
+      return simd::GetAvx512Table();
+  }
+  return nullptr;
 }
 
 // Deliberately awkward GEMM extents: nothing is a multiple of the 4/8/16/32
@@ -81,6 +97,9 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->int8_gemm_rows, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
   EXPECT_NE(table->q4_gemm_rows, nullptr);
+  EXPECT_NE(table->matmul_bias_act_range, nullptr);
+  EXPECT_NE(table->q8_quantize_row, nullptr);
+  EXPECT_NE(table->q8_bias_act_quantize_row, nullptr);
 }
 
 TEST(DispatchTest, SetIsaSelectsMatchingTable) {
@@ -97,6 +116,41 @@ TEST(DispatchTest, SetIsaSelectsMatchingTable) {
 
 TEST(DispatchTest, BestSupportedIsaIsSupported) {
   EXPECT_TRUE(simd::IsaSupported(simd::BestSupportedIsa()));
+}
+
+TEST(DispatchDeathTest, BadIsaEnvKeepsBestTableAndSaysSo) {
+  // Kernels used outside any engine have no caller to return a Status
+  // to: a rejected DLSYS_ISA keeps the best supported table and names the
+  // value on stderr, and the process goes on. The threadsafe style
+  // re-executes the binary, so the child resolves its table afresh under
+  // the pinned value.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("DLSYS_ISA", "avx9", 1);
+        std::exit(simd::ActiveIsa() == simd::BestSupportedIsa() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "DLSYS_ISA=avx9");
+}
+
+TEST(DispatchTest, IsaEnvStatusNamesRejectedValue) {
+  const char* prev = std::getenv("DLSYS_ISA");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("DLSYS_ISA", "avx9", 1);
+  const Status unknown = simd::IsaEnvStatus();
+  setenv("DLSYS_ISA", "scalar", 1);
+  const Status scalar = simd::IsaEnvStatus();
+  setenv("DLSYS_ISA", "", 1);
+  const Status empty = simd::IsaEnvStatus();
+  if (prev != nullptr) {
+    setenv("DLSYS_ISA", saved.c_str(), 1);
+  } else {
+    unsetenv("DLSYS_ISA");
+  }
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("avx9"), std::string::npos);
+  EXPECT_TRUE(scalar.ok());
+  EXPECT_TRUE(empty.ok());
 }
 
 #if DLSYS_OBS
@@ -361,6 +415,247 @@ TEST(SimdParityTest, BlockGemmBitExactAcrossIsasAndThreads) {
                               qb4.values.data(), qb4.scales.data(), c.data(),
                               m, kp, n);
         EXPECT_TRUE(BitwiseEqual(c.data(), ref4.data(), m * n));
+      }
+    }
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+// ------------------------------------------------- q8 quantizer parity
+
+/// The q8 row quantizer as it stood before it became a kernel-table entry,
+/// kept verbatim as an independent reference: one std::lround per element.
+void ReferenceQ8QuantizeRow(const float* row, int64_t cols, int8_t* values,
+                            float* scales) {
+  const int64_t kp = PadToQuantBlock(cols);
+  const int64_t nb = kp / kQuantBlock;
+  for (int64_t b = 0; b < nb; ++b) {
+    const int64_t j0 = b * kQuantBlock;
+    const int64_t j1 = std::min<int64_t>(j0 + kQuantBlock, cols);
+    float maxabs = 0.0f;
+    for (int64_t j = j0; j < j1; ++j) {
+      const float a = std::abs(row[j]);
+      maxabs = a > maxabs ? a : maxabs;
+    }
+    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+    const float inv = 1.0f / scale;
+    scales[b] = scale;
+    for (int64_t j = j0; j < j1; ++j) {
+      const long q = std::lround(row[j] * inv);
+      values[j] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
+    }
+    for (int64_t j = j1; j < j0 + kQuantBlock; ++j) values[j] = 0;
+  }
+}
+
+float FloatFromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// Row generators for the quantizer parity test, each aimed at one corner
+/// of the exactness argument in src/simd/kernels.h.
+enum class QuantRowKind {
+  kGaussian,    ///< ordinary activations
+  kTies,        ///< exact +-k.5 ties and +-126.5 / +-127 after scaling
+  kTinyMax,     ///< block max 0 or denormal: the scale underflows
+  kNonFinite,   ///< Gaussian with +-inf and NaN mixed in
+  kRandomBits,  ///< arbitrary 32-bit patterns
+};
+
+std::vector<float> MakeQuantRow(QuantRowKind kind, int64_t cols, Rng* rng) {
+  std::vector<float> row(static_cast<size_t>(cols));
+  switch (kind) {
+    case QuantRowKind::kGaussian:
+      for (float& v : row) v = static_cast<float>(rng->Gaussian(0.0, 3.0));
+      break;
+    case QuantRowKind::kTies: {
+      // max = 127 * 2^e makes the scale 2^e and the inverse exact, so
+      // (k + 0.5) * 2^e lands exactly on a tie after scaling.
+      const float unit =
+          std::ldexp(1.0f, static_cast<int>(rng->Next() % 41) - 20);
+      const float edges[] = {126.5f, -126.5f, 127.0f, -127.0f};
+      for (int64_t j = 0; j < cols; ++j) {
+        const int64_t t = static_cast<int64_t>(rng->Next() % 253) - 126;
+        const float half = (rng->Next() % 4 == 0) ? 0.0f : 0.5f;
+        float v = static_cast<float>(t) + (t < 0 ? -half : half);
+        if (rng->Next() % 8 == 0) v = edges[rng->Next() % 4];
+        row[static_cast<size_t>(j)] = v * unit;
+      }
+      for (int64_t j = 0; j < cols; j += kQuantBlock) {
+        row[static_cast<size_t>(j)] = edges[2 + rng->Next() % 2] * unit;
+      }
+      break;
+    }
+    case QuantRowKind::kTinyMax: {
+      // Every block, the tail block included, gets a max of 0, a
+      // denormal, or a tiny normal whose scale max/127 is denormal, so
+      // inv = 1/scale is infinite (the scale underflows to 0 or its
+      // inverse overflows) or huge there.
+      const float maxes[] = {0.0f,    FloatFromBits(1), FloatFromBits(0x7F),
+                             1e-40f,  1e-38f,           1e-37f,
+                             1e-36f};
+      for (int64_t j0 = 0; j0 < cols; j0 += kQuantBlock) {
+        const float m = maxes[rng->Next() % (sizeof(maxes) / sizeof(maxes[0]))];
+        for (int64_t j = j0; j < std::min(j0 + kQuantBlock, cols); ++j) {
+          const uint64_t r = rng->Next() % 4;
+          row[static_cast<size_t>(j)] =
+              r == 0 ? 0.0f : r == 1 ? m : r == 2 ? -m : m * 0.5f;
+        }
+      }
+      break;
+    }
+    case QuantRowKind::kNonFinite: {
+      const float specials[] = {std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(),
+                                std::numeric_limits<float>::quiet_NaN(),
+                                -std::numeric_limits<float>::quiet_NaN()};
+      for (float& v : row) {
+        v = rng->Next() % 6 == 0 ? specials[rng->Next() % 4]
+                                 : static_cast<float>(rng->Gaussian());
+      }
+      break;
+    }
+    case QuantRowKind::kRandomBits:
+      for (float& v : row) {
+        v = FloatFromBits(static_cast<uint32_t>(rng->Next()));
+      }
+      break;
+  }
+  return row;
+}
+
+const int64_t kQuantCols[] = {1, 31, 32, 33, 97, 128, 200};
+const QuantRowKind kQuantKinds[] = {
+    QuantRowKind::kGaussian, QuantRowKind::kTies, QuantRowKind::kTinyMax,
+    QuantRowKind::kNonFinite, QuantRowKind::kRandomBits};
+
+TEST(QuantizerParityTest, EveryIsaMatchesLroundReference) {
+  Rng rng(41);
+  for (int64_t cols : kQuantCols) {
+    const int64_t kp = PadToQuantBlock(cols);
+    const int64_t nb = kp / kQuantBlock;
+    std::vector<int8_t> ref_vals(static_cast<size_t>(kp));
+    std::vector<float> ref_scales(static_cast<size_t>(nb));
+    std::vector<int8_t> vals(static_cast<size_t>(kp));
+    std::vector<float> scales(static_cast<size_t>(nb));
+    for (QuantRowKind kind : kQuantKinds) {
+      int mismatches = 0;
+      for (int r = 0; r < 300; ++r) {
+        const std::vector<float> row = MakeQuantRow(kind, cols, &rng);
+        ReferenceQ8QuantizeRow(row.data(), cols, ref_vals.data(),
+                               ref_scales.data());
+        for (simd::Isa isa : SupportedIsas()) {
+          const simd::KernelTable& table = *TableFor(isa);
+          std::fill(vals.begin(), vals.end(), int8_t{55});
+          std::fill(scales.begin(), scales.end(), -3.0f);
+          table.q8_quantize_row(row.data(), cols, vals.data(), scales.data());
+          const bool same =
+              std::memcmp(vals.data(), ref_vals.data(), vals.size()) == 0 &&
+              BitwiseEqual(scales.data(), ref_scales.data(), nb);
+          if (!same && ++mismatches <= 3) {
+            ADD_FAILURE() << "isa=" << simd::IsaName(isa) << " cols=" << cols
+                          << " kind=" << static_cast<int>(kind) << " row=" << r;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "cols=" << cols
+                               << " kind=" << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(QuantizerParityTest, FusedEpilogueMatchesBiasReluThenLround) {
+  Rng rng(42);
+  for (int64_t cols : kQuantCols) {
+    const int64_t kp = PadToQuantBlock(cols);
+    const int64_t nb = kp / kQuantBlock;
+    std::vector<int8_t> ref_vals(static_cast<size_t>(kp));
+    std::vector<float> ref_scales(static_cast<size_t>(nb));
+    std::vector<int8_t> vals(static_cast<size_t>(kp));
+    std::vector<float> scales(static_cast<size_t>(nb));
+    for (QuantRowKind kind : kQuantKinds) {
+      for (int r = 0; r < 100; ++r) {
+        const std::vector<float> x = MakeQuantRow(kind, cols, &rng);
+        // Half the rows get a zero bias, so the special rows reach the
+        // quantizer unchanged; the rest a Gaussian one.
+        std::vector<float> bias(static_cast<size_t>(cols), 0.0f);
+        if (r % 2 == 1) {
+          for (float& v : bias) v = static_cast<float>(rng.Gaussian());
+        }
+        for (const int relu : {0, 1}) {
+          std::vector<float> ref = x;
+          for (size_t j = 0; j < ref.size(); ++j) {
+            const float v = ref[j] + bias[j];
+            ref[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
+          }
+          ReferenceQ8QuantizeRow(ref.data(), cols, ref_vals.data(),
+                                 ref_scales.data());
+          for (simd::Isa isa : SupportedIsas()) {
+            SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                         " cols=" + std::to_string(cols) +
+                         " kind=" + std::to_string(static_cast<int>(kind)) +
+                         " relu=" + std::to_string(relu));
+            const simd::KernelTable& table = *TableFor(isa);
+            std::vector<float> row = x;
+            std::fill(vals.begin(), vals.end(), int8_t{55});
+            std::fill(scales.begin(), scales.end(), -3.0f);
+            table.q8_bias_act_quantize_row(row.data(), bias.data(), cols, relu,
+                                           vals.data(), scales.data());
+            ASSERT_TRUE(BitwiseEqual(row.data(), ref.data(), cols));
+            ASSERT_EQ(std::memcmp(vals.data(), ref_vals.data(), vals.size()),
+                      0);
+            ASSERT_TRUE(BitwiseEqual(scales.data(), ref_scales.data(), nb));
+            // Without a code buffer the entry is the bias/relu pass alone.
+            row = x;
+            table.q8_bias_act_quantize_row(row.data(), bias.data(), cols, relu,
+                                           nullptr, nullptr);
+            ASSERT_TRUE(BitwiseEqual(row.data(), ref.data(), cols));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizerParityTest, RowsIntoMatchesReferenceAcrossIsasAndThreads) {
+  IsaRestore restore;
+  Rng rng(43);
+  const int64_t rows = 37;
+  for (int64_t cols : kQuantCols) {
+    const int64_t kp = PadToQuantBlock(cols);
+    const int64_t nb = kp / kQuantBlock;
+    std::vector<float> x;
+    for (int64_t i = 0; i < rows; ++i) {
+      const std::vector<float> row = MakeQuantRow(
+          kQuantKinds[static_cast<size_t>(i) % std::size(kQuantKinds)], cols,
+          &rng);
+      x.insert(x.end(), row.begin(), row.end());
+    }
+    std::vector<int8_t> ref_vals(static_cast<size_t>(rows * kp));
+    std::vector<float> ref_scales(static_cast<size_t>(rows * nb));
+    for (int64_t i = 0; i < rows; ++i) {
+      ReferenceQ8QuantizeRow(x.data() + i * cols, cols,
+                             ref_vals.data() + i * kp,
+                             ref_scales.data() + i * nb);
+    }
+    std::vector<int8_t> vals(ref_vals.size());
+    std::vector<float> scales(ref_scales.size());
+    for (simd::Isa isa : SupportedIsas()) {
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                     " threads=" + std::to_string(threads) +
+                     " cols=" + std::to_string(cols));
+        std::fill(vals.begin(), vals.end(), int8_t{55});
+        std::fill(scales.begin(), scales.end(), -3.0f);
+        Q8BlockQuantizeRowsInto(x.data(), rows, cols, vals.data(),
+                                scales.data());
+        EXPECT_EQ(std::memcmp(vals.data(), ref_vals.data(), vals.size()), 0);
+        EXPECT_TRUE(BitwiseEqual(scales.data(), ref_scales.data(),
+                                 rows * nb));
       }
     }
   }
