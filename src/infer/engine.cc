@@ -63,9 +63,12 @@ bool IsQuantDense(OpKind kind) {
 Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
                                                  const Shape& example_shape,
                                                  const EngineConfig& config) {
-  // Environment knobs first: a bad DLSYS_ISA is reported here (and so by
-  // Server::Publish) rather than aborting the process.
+  // Environment knobs first: a bad DLSYS_ISA or DLSYS_THREADS is reported
+  // here (and so by Server::Publish) rather than aborting the process.
   if (Status isa = simd::IsaEnvStatus(); !isa.ok()) return isa;
+  if (Status threads = RuntimeConfig::ThreadsEnvStatus(); !threads.ok()) {
+    return threads;
+  }
   if (config.max_batch < 1) {
     return Status::InvalidArgument("inference compile: max_batch must be >= 1, got " +
                                    std::to_string(config.max_batch));

@@ -27,8 +27,11 @@
 ///
 /// Counter* / Gauge* / SharedHistogram* handles returned by the registry
 /// are valid for the process lifetime (Reset zeroes values, never
-/// invalidates handles), so hot sites cache them in function-local
-/// statics — see DLSYS_COUNTER_ADD.
+/// invalidates handles), so hot sites resolve a name once and keep the
+/// handle: fixed names in the function-local static of DLSYS_COUNTER_ADD,
+/// names built at runtime in whatever record owns them (a serving
+/// Tenant holds its "serve.tenant.<name>.*" handles). Resolving a name
+/// takes the registry mutex, so never do it per event.
 
 namespace dlsys {
 namespace obs {
@@ -143,43 +146,6 @@ class CounterRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<SharedHistogram>> histograms_;
 };
-
-/// \brief Registry-direct counter add for **runtime-built names**
-/// (e.g. "serve.tenant." + name + ".served"). The DLSYS_COUNTER_ADD
-/// macro caches its handle in a function-local static, which silently
-/// pins the *first* name a site ever sees — wrong for dynamic names.
-/// This helper pays one registry map lookup instead; still a no-op
-/// under -DDLSYS_OBS=0.
-inline void CounterAddDynamic(const std::string& name, int64_t delta) {
-#if DLSYS_OBS
-  CounterRegistry::Global().counter(name)->Add(delta);
-#else
-  (void)name;
-  (void)delta;
-#endif
-}
-
-/// \brief Registry-direct histogram record for runtime-built names; see
-/// CounterAddDynamic.
-inline void HistogramRecordDynamic(const std::string& name, double ms) {
-#if DLSYS_OBS
-  CounterRegistry::Global().histogram(name)->Record(ms);
-#else
-  (void)name;
-  (void)ms;
-#endif
-}
-
-/// \brief Registry-direct gauge set for runtime-built names; see
-/// CounterAddDynamic.
-inline void GaugeSetDynamic(const std::string& name, int64_t value) {
-#if DLSYS_OBS
-  CounterRegistry::Global().gauge(name)->Set(value);
-#else
-  (void)name;
-  (void)value;
-#endif
-}
 
 }  // namespace obs
 }  // namespace dlsys

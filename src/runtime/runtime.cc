@@ -1,9 +1,11 @@
 #include "src/runtime/runtime.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "src/obs/trace.h"
@@ -16,14 +18,33 @@ namespace {
 /// parallel calls then run inline instead of deadlocking on the pool.
 thread_local bool t_in_parallel_region = false;
 
-int ReadEnvThreads() {
-  const char* env = std::getenv("DLSYS_THREADS");
-  if (env != nullptr) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<int>(v);
-  }
+int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
+}
+
+/// Parses DLSYS_THREADS into \p threads (0 when unset or empty). Only a
+/// whole decimal integer in [1, kMaxThreads] is accepted; anything else
+/// is an InvalidArgument naming the value.
+Status ReadEnvThreads(int* threads) {
+  *threads = 0;
+  const char* env = std::getenv("DLSYS_THREADS");
+  if (env == nullptr || env[0] == '\0') return Status::OK();
+  int64_t value = 0;
+  for (const char* c = env; *c != '\0' && value <= kMaxThreads; ++c) {
+    if (*c < '0' || *c > '9') {
+      value = -1;
+      break;
+    }
+    value = value * 10 + (*c - '0');
+  }
+  if (value < 1 || value > kMaxThreads) {
+    return Status::InvalidArgument(std::string("DLSYS_THREADS=") + env +
+                                   " is not a whole number in [1, " +
+                                   std::to_string(kMaxThreads) + "]");
+  }
+  *threads = static_cast<int>(value);
+  return Status::OK();
 }
 
 /// Pool state guarded by a mutex; the pool is rebuilt on SetThreads.
@@ -38,10 +59,18 @@ struct Runtime {
     return *r;
   }
 
-  /// Resolves the env/hardware default on first use.
+  /// Resolves the env/hardware default on first use. A rejected
+  /// DLSYS_THREADS keeps the hardware default and says so once; Compile
+  /// reports it as a Status.
   void EnsureResolved() {
     if (threads == 0) {
-      default_threads = ReadEnvThreads();
+      int env_threads = 0;
+      const Status env = ReadEnvThreads(&env_threads);
+      default_threads = env_threads > 0 ? env_threads : HardwareThreads();
+      if (!env.ok()) {
+        std::fprintf(stderr, "dlsys: %s; using %d threads\n",
+                     env.message().c_str(), default_threads);
+      }
       threads = default_threads;
     }
   }
@@ -79,6 +108,11 @@ int RuntimeConfig::DefaultThreads() {
   std::lock_guard<std::mutex> lock(rt.mu);
   rt.EnsureResolved();
   return rt.default_threads;
+}
+
+Status RuntimeConfig::ThreadsEnvStatus() {
+  int threads = 0;
+  return ReadEnvThreads(&threads);
 }
 
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "src/core/status.h"
+
 /// \file runtime.h
 /// \brief The CPU execution runtime: process-wide thread configuration and
 /// the deterministic ParallelFor primitive every hot kernel dispatches
@@ -27,8 +29,18 @@
 /// std::thread::hardware_concurrency() as the default. A value of 1
 /// disables the pool entirely: ParallelFor then invokes the body inline on
 /// the calling thread, byte-for-byte the legacy single-threaded path.
+///
+/// DLSYS_THREADS must be a whole decimal integer in [1, kMaxThreads]. Any
+/// other value never aborts and never falls back silently: the runtime
+/// keeps the hardware default and names the value in one stderr line, and
+/// RuntimeConfig::ThreadsEnvStatus() turns it into an InvalidArgument that
+/// InferenceEngine::Compile (and so Server::Publish) returns.
 
 namespace dlsys {
+
+/// \brief The largest DLSYS_THREADS value accepted. The pool starts one
+/// OS thread per worker, so a larger value is refused rather than run.
+inline constexpr int kMaxThreads = 1024;
 
 /// \brief Process-wide runtime configuration (thread count).
 ///
@@ -45,6 +57,11 @@ class RuntimeConfig {
 
   /// \brief The default the process started with (env or hardware).
   static int DefaultThreads();
+
+  /// \brief Checks DLSYS_THREADS as it reads now: OK when unset, empty, or
+  /// a whole decimal integer in [1, kMaxThreads]; otherwise InvalidArgument
+  /// naming the value. Never aborts and never starts a thread.
+  static Status ThreadsEnvStatus();
 };
 
 /// \brief Non-owning reference to a `void(int64_t, int64_t)` callable.

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <tuple>
 #include <utility>
+
+#include "src/obs/counters.h"
 
 namespace dlsys {
 
@@ -16,61 +19,76 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTokenSlack = 1e-9;
 }  // namespace
 
-TenantScheduler::TenantScheduler(const SlotSchedulerConfig& config)
-    : config_(config),
-      cursor_(static_cast<size_t>(std::max(0, config.priority_classes))) {}
-
-const TenantPolicy& TenantScheduler::PolicyFor(
-    const std::string& tenant) const {
-  auto it = config_.tenants.find(tenant);
-  return it == config_.tenants.end() ? config_.default_policy : it->second;
+Tenant::Tenant(const std::string& tenant_name,
+               const TenantPolicy& tenant_policy)
+    : name(tenant_name), policy(tenant_policy), tokens(policy.burst) {
+#if DLSYS_OBS
+  // DLSYS_COUNTER_ADD caches one handle per call site, which cannot serve
+  // a per-tenant name; each record resolves its own handles once instead.
+  obs::CounterRegistry& registry = obs::CounterRegistry::Global();
+  const std::string prefix = "serve.tenant." + name + ".";
+  counters.offered = registry.counter(prefix + "offered");
+  counters.admitted = registry.counter(prefix + "admitted");
+  counters.completed = registry.counter(prefix + "completed");
+  counters.deadline_missed = registry.counter(prefix + "deadline_missed");
+  counters.shed_queue_full = registry.counter(prefix + "shed.queue_full");
+  counters.shed_deadline =
+      registry.counter(prefix + "shed.deadline_infeasible");
+  counters.shed_draining = registry.counter(prefix + "shed.draining");
+  counters.latency = registry.histogram(prefix + "latency_ms");
+#endif
 }
 
-TenantScheduler::TenantState& TenantScheduler::StateFor(
-    const std::string& tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    TenantState state;
-    state.policy = PolicyFor(tenant);
-    state.tokens = state.policy.burst;  // buckets start full
-    it = tenants_.emplace(tenant, std::move(state)).first;
+TenantScheduler::TenantScheduler(const SlotSchedulerConfig& config)
+    : config_(config),
+      cursor_(static_cast<size_t>(std::max(0, config.priority_classes)),
+              tenants_.end()) {}
+
+Tenant& TenantScheduler::Intern(const std::string& name) {
+  auto it = tenants_.lower_bound(name);
+  if (it == tenants_.end() || it->first != name) {
+    const auto policy = config_.tenants.find(name);
+    it = tenants_.emplace_hint(
+        it, std::piecewise_construct, std::forward_as_tuple(name),
+        std::forward_as_tuple(name, policy == config_.tenants.end()
+                                        ? config_.default_policy
+                                        : policy->second));
   }
   return it->second;
 }
 
 void TenantScheduler::Enqueue(SlotRequest request) {
-  TenantState& state = StateFor(request.tenant);
+  Tenant& state = *request.tenant;
   // Stamp the quota horizon the admission predictor already computes:
   // the earliest the bucket funds this request behind the tenant's
   // current backlog. Attribution reads it back as the quota/slot-wait
   // boundary (clamped to [arrival, dispatch] at completion, since DWFQ
   // rotation can serve slightly before or after the prediction).
   request.quota_open_ms =
-      std::max(request.arrival_ms,
-               QuotaBacklogMs(request.tenant, request.arrival_ms));
+      std::max(request.arrival_ms, QuotaBacklogMs(state, request.arrival_ms));
   state.queue.push_back(std::move(request));
   ++depth_;
 }
 
-double TenantScheduler::TokensAt(const TenantState& state,
+double TenantScheduler::TokensAt(const Tenant& state,
                                  double now_ms) const {
   const double elapsed = std::max(0.0, now_ms - state.refill_ms);
   return std::min(state.policy.burst,
                   state.tokens + state.policy.rate_rps * elapsed / 1000.0);
 }
 
-void TenantScheduler::Refill(TenantState* state, double now_ms) const {
+void TenantScheduler::Refill(Tenant* state, double now_ms) const {
   state->tokens = TokensAt(*state, now_ms);
   state->refill_ms = std::max(state->refill_ms, now_ms);
 }
 
-bool TenantScheduler::QuotaOpen(const TenantState& state,
+bool TenantScheduler::QuotaOpen(const Tenant& state,
                                 double now_ms) const {
   if (!config_.enforce_quotas || state.policy.rate_rps <= 0.0) return true;
   return TokensAt(state, now_ms) >= 1.0 - kTokenSlack;
 }
 
-int64_t TenantScheduler::FirstMatch(const TenantState& state,
+int64_t TenantScheduler::FirstMatch(const Tenant& state,
                                     const ModelSnapshot* pin) {
   if (pin == nullptr) return state.queue.empty() ? -1 : 0;
   for (size_t i = 0; i < state.queue.size(); ++i) {
@@ -79,7 +97,7 @@ int64_t TenantScheduler::FirstMatch(const TenantState& state,
   return -1;
 }
 
-SlotRequest TenantScheduler::Serve(TenantState* state, int64_t pos,
+SlotRequest TenantScheduler::Serve(Tenant* state, int64_t pos,
                                    double now_ms) {
   Refill(state, now_ms);
   if (config_.enforce_quotas && state->policy.rate_rps > 0.0) {
@@ -99,7 +117,7 @@ std::optional<SlotRequest> TenantScheduler::PickFifo(
   // class the pick is global FIFO by request id — exactly the policy
   // under which one hot tenant starves the rest.
   for (int cls = 0; cls < config_.priority_classes; ++cls) {
-    TenantState* best = nullptr;
+    Tenant* best = nullptr;
     int64_t best_pos = -1;
     int64_t best_id = std::numeric_limits<int64_t>::max();
     for (auto& [name, state] : tenants_) {
@@ -123,7 +141,7 @@ TenantScheduler::TenantMap::iterator TenantScheduler::RingFrom(
     TenantMap::iterator it, int cls) {
   for (;; ++it) {
     if (it == tenants_.end()) it = tenants_.begin();
-    const TenantState& state = it->second;
+    const Tenant& state = it->second;
     if (state.policy.priority == cls && !state.queue.empty()) return it;
   }
 }
@@ -150,14 +168,14 @@ std::optional<SlotRequest> TenantScheduler::PickNext(
     }
     if (!any_eligible) continue;  // strict priority is over *eligible* work
 
-    std::string& cursor = cursor_[static_cast<size_t>(cls)];
-    auto it = RingFrom(tenants_.lower_bound(cursor), cls);
+    TenantMap::iterator& cursor = cursor_[static_cast<size_t>(cls)];
+    auto it = RingFrom(cursor, cls);
     // A tenant reaches a full unit of deficit after at most
     // ceil(1/min_weight) top-ups, so the scan is bounded.
     const int64_t max_visits =
         ring_size * (2 + static_cast<int64_t>(std::ceil(1.0 / min_weight)));
     for (int64_t visits = 0; visits < max_visits; ++visits) {
-      TenantState& state = it->second;
+      Tenant& state = it->second;
       // Taken before Serve, which may empty this tenant's queue.
       const auto next = RingFrom(std::next(it), cls);
       const bool eligible =
@@ -178,7 +196,7 @@ std::optional<SlotRequest> TenantScheduler::PickNext(
       // a weight-w tenant takes ~w consecutive slots per rotation.
       const bool stay = state.deficit >= 1.0 && !state.queue.empty() &&
                         QuotaOpen(state, now_ms);
-      cursor = stay ? it->first : next->first;
+      cursor = stay ? it : next;
       return request;
     }
     DLSYS_CHECK(false, "DWFQ scan failed to converge");
@@ -186,31 +204,22 @@ std::optional<SlotRequest> TenantScheduler::PickNext(
   return std::nullopt;
 }
 
-double TenantScheduler::QuotaReadyMs(const std::string& tenant,
+double TenantScheduler::QuotaReadyMs(const Tenant& tenant,
                                      double now_ms) const {
-  if (!config_.enforce_quotas) return now_ms;
-  const TenantPolicy& policy = PolicyFor(tenant);
-  if (policy.rate_rps <= 0.0) return now_ms;
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return now_ms;  // untouched bucket starts full
-  const double tokens = TokensAt(it->second, now_ms);
+  if (!config_.enforce_quotas || tenant.policy.rate_rps <= 0.0) return now_ms;
+  const double tokens = TokensAt(tenant, now_ms);
   if (tokens >= 1.0 - kTokenSlack) return now_ms;
-  return now_ms + (1.0 - tokens) * 1000.0 / policy.rate_rps;
+  return now_ms + (1.0 - tokens) * 1000.0 / tenant.policy.rate_rps;
 }
 
-double TenantScheduler::QuotaBacklogMs(const std::string& tenant,
+double TenantScheduler::QuotaBacklogMs(const Tenant& tenant,
                                        double now_ms) const {
-  if (!config_.enforce_quotas) return now_ms;
-  const TenantPolicy& policy = PolicyFor(tenant);
-  if (policy.rate_rps <= 0.0) return now_ms;
-  auto it = tenants_.find(tenant);
-  const double queued =
-      it == tenants_.end() ? 0.0 : static_cast<double>(it->second.queue.size());
-  const double tokens =
-      it == tenants_.end() ? policy.burst : TokensAt(it->second, now_ms);
+  if (!config_.enforce_quotas || tenant.policy.rate_rps <= 0.0) return now_ms;
+  const double queued = static_cast<double>(tenant.queue.size());
+  const double tokens = TokensAt(tenant, now_ms);
   const double needed = queued + 1.0;
   if (tokens >= needed - kTokenSlack) return now_ms;
-  return now_ms + (needed - tokens) * 1000.0 / policy.rate_rps;
+  return now_ms + (needed - tokens) * 1000.0 / tenant.policy.rate_rps;
 }
 
 double TenantScheduler::NextEligibleMs(double now_ms) const {
@@ -218,7 +227,7 @@ double TenantScheduler::NextEligibleMs(double now_ms) const {
   double best = kInf;
   for (const auto& [name, state] : tenants_) {
     if (state.queue.empty()) continue;
-    best = std::min(best, QuotaReadyMs(name, now_ms));
+    best = std::min(best, QuotaReadyMs(state, now_ms));
     if (best <= now_ms) return now_ms;
   }
   return best == kInf ? -1.0 : best;
@@ -232,11 +241,6 @@ int64_t TenantScheduler::DropAll() {
   }
   depth_ -= dropped;
   return dropped;
-}
-
-int64_t TenantScheduler::served(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.served;
 }
 
 }  // namespace dlsys

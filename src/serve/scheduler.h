@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/metrics.h"
 #include "src/serve/admission.h"
 #include "src/serve/registry.h"
 #include "src/tensor/tensor.h"
@@ -41,18 +42,25 @@
 /// All state (tokens, deficits, cursors) is a pure function of the
 /// simulated clock and the arrival sequence: refills are computed from
 /// declared rates, ties break by tenant name (map order) and request id,
-/// and nothing reads wall time. The same arrivals replay to the same
-/// picks bit for bit at any DLSYS_THREADS.
+/// and nothing reads wall time. Scans run in name order whatever order
+/// tenants first arrive in. The same arrivals replay to the same picks
+/// bit for bit at any DLSYS_THREADS.
 
 namespace dlsys {
 
-/// \brief One admitted request: queued in the TenantScheduler, then
-/// loaded into a slot lane, then carried by the step that executes it.
+namespace obs {
+class Counter;
+class SharedHistogram;
+}  // namespace obs
+
+struct Tenant;
+
+/// \brief One admitted request: queued in its tenant's FIFO, then loaded
+/// into a slot lane, then carried by the step that executes it.
 struct SlotRequest {
   int64_t id = 0;
   int64_t trace_rid = -1;    ///< fleet rid from RequestTrace, -1 local
-  std::string tenant;
-  int priority = 0;          ///< resolved priority class
+  Tenant* tenant = nullptr;  ///< interned at Submit; owned by the scheduler
   double arrival_ms = 0.0;
   double deadline_ms = 0.0;  ///< absolute
   /// Predicted simulated time the tenant's token bucket funds this
@@ -66,15 +74,78 @@ struct SlotRequest {
   Tensor input;              ///< flat copy, (in_elems)
 };
 
+/// \brief Per-tenant serving tallies (the fairness bound and the E37
+/// bench read goodput from these).
+struct TenantStats {
+  int64_t offered = 0;
+  int64_t admitted = 0;
+  int64_t completed = 0;
+  int64_t deadline_missed = 0;
+  int64_t shed_queue_full = 0;
+  int64_t shed_deadline = 0;
+  int64_t shed_draining = 0;
+  LatencyHistogram latency;  ///< simulated finish - arrival
+};
+
+/// \brief Everything serving keeps about one tenant: its policy, its
+/// queue and quota/DWFQ state, its tallies, and its registry handles.
+/// Server::Submit interns the tenant name into this record once, at the
+/// tenant's first request; every later step of a request reaches it
+/// through SlotRequest::tenant.
+struct Tenant {
+  /// Resolves the tenant's "serve.tenant.<name>.*" registry entries
+  /// (left null under DLSYS_OBS=OFF); the bucket starts full.
+  Tenant(const std::string& tenant_name, const TenantPolicy& tenant_policy);
+  Tenant(const Tenant&) = delete;
+  Tenant& operator=(const Tenant&) = delete;
+
+  const std::string name;     ///< normalized ("default" when none given)
+  const TenantPolicy policy;  ///< the override for name, else the default
+
+  std::deque<SlotRequest> queue;  ///< admitted, not yet loaded; FIFO
+  double tokens;                  ///< token bucket, in requests
+  double refill_ms = 0.0;  ///< simulated time tokens was last settled
+  double deficit = 0.0;    ///< DWFQ credit, in requests
+  int64_t served = 0;      ///< requests picked so far
+
+  TenantStats stats;
+
+  /// Registry mirrors of stats, one per tally.
+  struct Counters {
+    obs::Counter* offered = nullptr;
+    obs::Counter* admitted = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* deadline_missed = nullptr;
+    obs::Counter* shed_queue_full = nullptr;
+    obs::Counter* shed_deadline = nullptr;
+    obs::Counter* shed_draining = nullptr;
+    obs::SharedHistogram* latency = nullptr;
+  } counters;
+};
+
 /// \brief Priority + quota + DWFQ selection over per-tenant FIFO queues.
+///
+/// Owns every Tenant record. Requests and DWFQ cursors point into the
+/// record map, so the scheduler is neither copyable nor movable.
 class TenantScheduler {
  public:
+  /// Tenant records by name. Map nodes never move, so a Tenant* stays
+  /// valid for the scheduler's lifetime; map order is the scan order.
+  using TenantMap = std::map<std::string, Tenant>;
+
   explicit TenantScheduler(const SlotSchedulerConfig& config);
+  TenantScheduler(const TenantScheduler&) = delete;
+  TenantScheduler& operator=(const TenantScheduler&) = delete;
 
-  /// \brief The resolved policy for \p tenant (override or default).
-  const TenantPolicy& PolicyFor(const std::string& tenant) const;
+  /// \brief The record of tenant \p name, created with its resolved
+  /// policy on first use. One map lookup.
+  Tenant& Intern(const std::string& name);
 
-  /// \brief Queues \p request behind its tenant's earlier requests.
+  /// \brief Every tenant interned so far, in name order.
+  const TenantMap& tenants() const { return tenants_; }
+
+  /// \brief Queues \p request behind its tenant's earlier requests;
+  /// request.tenant must be a record of this scheduler.
   void Enqueue(SlotRequest request);
 
   /// \brief Requests queued across all tenants.
@@ -94,7 +165,7 @@ class TenantScheduler {
   /// \brief Earliest simulated time >= \p now_ms at which \p tenant's
   /// bucket holds a full token (now_ms when unlimited or already funded).
   /// Pure: nothing is charged.
-  double QuotaReadyMs(const std::string& tenant, double now_ms) const;
+  double QuotaReadyMs(const Tenant& tenant, double now_ms) const;
 
   /// \brief Earliest simulated time >= \p now_ms at which \p tenant's
   /// bucket could have funded one more request *behind everything the
@@ -102,7 +173,7 @@ class TenantScheduler {
   /// admission path folds this into the deadline-feasibility prediction,
   /// so a tenant flooding past its quota converts into deadline sheds
   /// charged to itself instead of queueing delay charged to everyone.
-  double QuotaBacklogMs(const std::string& tenant, double now_ms) const;
+  double QuotaBacklogMs(const Tenant& tenant, double now_ms) const;
 
   /// \brief Earliest simulated time >= \p now_ms at which *some* queued
   /// request becomes quota-eligible, or -1 when nothing is queued. Pure.
@@ -113,33 +184,18 @@ class TenantScheduler {
   /// \brief Discards every queued request (crash path); returns count.
   int64_t DropAll();
 
-  /// \brief Requests served (picked) so far for \p tenant.
-  int64_t served(const std::string& tenant) const;
-
  private:
-  struct TenantState {
-    TenantPolicy policy;
-    std::deque<SlotRequest> queue;
-    double tokens = 0.0;
-    double refill_ms = 0.0;  ///< simulated time tokens was last settled
-    double deficit = 0.0;    ///< DWFQ credit, in requests
-    int64_t served = 0;
-  };
-
-  using TenantMap = std::map<std::string, TenantState>;
-
-  TenantState& StateFor(const std::string& tenant);
   /// Settles \p state's bucket forward to \p now_ms.
-  void Refill(TenantState* state, double now_ms) const;
+  void Refill(Tenant* state, double now_ms) const;
   /// Tokens the bucket would hold at \p now_ms without settling it.
-  double TokensAt(const TenantState& state, double now_ms) const;
+  double TokensAt(const Tenant& state, double now_ms) const;
   /// True when quota allows a service at \p now_ms.
-  bool QuotaOpen(const TenantState& state, double now_ms) const;
+  bool QuotaOpen(const Tenant& state, double now_ms) const;
   /// Index of the first queued request of \p state bound to \p pin (any
   /// snapshot when null), or -1.
-  static int64_t FirstMatch(const TenantState& state, const ModelSnapshot* pin);
+  static int64_t FirstMatch(const Tenant& state, const ModelSnapshot* pin);
   /// Serves entry \p pos of \p state: charges quota, pops, returns it.
-  SlotRequest Serve(TenantState* state, int64_t pos, double now_ms);
+  SlotRequest Serve(Tenant* state, int64_t pos, double now_ms);
 
   /// The first tenant at or after \p it, wrapping past the end, that
   /// is backlogged in class \p cls; one must exist.
@@ -148,10 +204,10 @@ class TenantScheduler {
   std::optional<SlotRequest> PickFifo(double now_ms, const ModelSnapshot* pin);
 
   SlotSchedulerConfig config_;
-  TenantMap tenants_;  ///< name order = scan order
-  /// Per-priority-class DWFQ cursor: the tenant name the next scan
-  /// starts at (lower_bound; wraps). Empty starts at the first tenant.
-  std::vector<std::string> cursor_;
+  TenantMap tenants_;
+  /// Per-priority-class DWFQ cursor: the tenant the next scan starts at;
+  /// end() starts at the first tenant.
+  std::vector<TenantMap::iterator> cursor_;
   int64_t depth_ = 0;
 };
 

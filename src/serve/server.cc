@@ -14,27 +14,14 @@ namespace dlsys {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The DLSYS_COUNTER_ADD macro caches its Counter* in a function-local
-// static, which is wrong for names built from tenant ids; tenant-keyed
-// metrics go through the registry-direct dynamic-name helpers. The
-// DLSYS_OBS guard keeps the name concatenation out of obs-off builds.
-void TenantCounterAdd(const std::string& tenant, const char* what,
-                      int64_t delta) {
+/// Bumps one per-tenant tally and the registry counter mirroring it (a
+/// no-op under DLSYS_OBS=OFF, where the handle is null).
+void Tally(int64_t* stat, obs::Counter* counter) {
+  ++*stat;
 #if DLSYS_OBS
-  obs::CounterAddDynamic("serve.tenant." + tenant + "." + what, delta);
+  counter->Add(1);
 #else
-  (void)tenant;
-  (void)what;
-  (void)delta;
-#endif
-}
-
-void TenantLatencyRecord(const std::string& tenant, double ms) {
-#if DLSYS_OBS
-  obs::HistogramRecordDynamic("serve.tenant." + tenant + ".latency_ms", ms);
-#else
-  (void)tenant;
-  (void)ms;
+  (void)counter;
 #endif
 }
 }  // namespace
@@ -88,9 +75,11 @@ Server::SubmitResult Server::Submit(const std::string& model,
   RunUntil(arrival_ms, /*strict=*/true);
   clock_ms_ = arrival_ms;
 
-  const std::string tenant_name =
-      tenant.empty() ? std::string("default") : tenant;
-  TenantStats& ts = tenants_[tenant_name];
+  // The request's only tenant-name lookup; everything after reaches the
+  // record through this reference or SlotRequest::tenant.
+  static const std::string kDefaultTenant = "default";
+  Tenant& record = scheduler_.Intern(tenant.empty() ? kDefaultTenant : tenant);
+  TenantStats& ts = record.stats;
 
   SubmitResult result;
   result.id = next_id_++;
@@ -99,11 +88,10 @@ Server::SubmitResult Server::Submit(const std::string& model,
   // and replica-side spans of one request under one id.
   const int64_t trace_rid =
       rtrace != nullptr && rtrace->rid >= 0 ? rtrace->rid : -1;
-  const int64_t erid = trace_rid >= 0 ? trace_rid : result.id;
-  ++offered_;
-  ++ts.offered;
+  [[maybe_unused]] const int64_t erid =
+      trace_rid >= 0 ? trace_rid : result.id;
+  Tally(&ts.offered, record.counters.offered);
   DLSYS_COUNTER_ADD("serve.offered", 1);
-  TenantCounterAdd(tenant_name, "offered", 1);
 
   std::shared_ptr<ModelSnapshot> snap = registry_->Acquire(model);
   if (snap == nullptr) {
@@ -145,8 +133,8 @@ Server::SubmitResult Server::Submit(const std::string& model,
   in.draining = draining_;
   in.queue_depth = backlog;
   in.prospective_batch = std::min<int64_t>(lanes, backlog + 1);
-  in.batch_ready_ms = std::max(
-      arrival_ms, scheduler_.QuotaBacklogMs(tenant_name, arrival_ms));
+  in.batch_ready_ms =
+      std::max(arrival_ms, scheduler_.QuotaBacklogMs(record, arrival_ms));
   const double step_ms = EstimateServiceMs(scaled_cost, lanes);
   const double backlog_ms =
       step_ms > 0.0 ? static_cast<double>(backlog) * step_ms /
@@ -159,28 +147,22 @@ Server::SubmitResult Server::Submit(const std::string& model,
   decision_config.cost = scaled_cost;
   switch (DecideAdmission(decision_config, in)) {
     case AdmissionDecision::kShedQueueFull:
-      ++shed_queue_full_;
-      ++ts.shed_queue_full;
+      Tally(&ts.shed_queue_full, record.counters.shed_queue_full);
       DLSYS_COUNTER_ADD("serve.shed.queue_full", 1);
-      TenantCounterAdd(tenant_name, "shed.queue_full", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.queue_full", "serve", arrival_ms,
                               erid);
       result.outcome = Outcome::kShedQueueFull;
       return result;
     case AdmissionDecision::kShedDeadline:
-      ++shed_deadline_;
-      ++ts.shed_deadline;
+      Tally(&ts.shed_deadline, record.counters.shed_deadline);
       DLSYS_COUNTER_ADD("serve.shed.deadline_infeasible", 1);
-      TenantCounterAdd(tenant_name, "shed.deadline_infeasible", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.deadline_infeasible", "serve",
                               arrival_ms, erid);
       result.outcome = Outcome::kShedDeadline;
       return result;
     case AdmissionDecision::kShedDraining:
-      ++shed_draining_;
-      ++ts.shed_draining;
+      Tally(&ts.shed_draining, record.counters.shed_draining);
       DLSYS_COUNTER_ADD("serve.shed.draining", 1);
-      TenantCounterAdd(tenant_name, "shed.draining", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.draining", "serve", arrival_ms,
                               erid);
       result.outcome = Outcome::kShedDraining;
@@ -189,17 +171,14 @@ Server::SubmitResult Server::Submit(const std::string& model,
       break;
   }
 
-  ++admitted_;
-  ++ts.admitted;
+  Tally(&ts.admitted, record.counters.admitted);
   DLSYS_COUNTER_ADD("serve.admitted", 1);
-  TenantCounterAdd(tenant_name, "admitted", 1);
   DLSYS_TRACE_INSTANT_SIM("serve.admit", "serve", arrival_ms, erid);
 
   SlotRequest req;
   req.id = result.id;
   req.trace_rid = trace_rid;
-  req.tenant = tenant_name;
-  req.priority = scheduler_.PolicyFor(tenant_name).priority;
+  req.tenant = &record;
   req.arrival_ms = arrival_ms;
   req.deadline_ms = arrival_ms + budget;
   req.input = Tensor({snap->in_elems});
@@ -318,7 +297,7 @@ void Server::FlushWave() {
       c.id = req.id;
       c.rid = req.trace_rid >= 0 ? req.trace_rid : req.id;
       c.model = task.snap->model;
-      c.tenant = std::move(req.tenant);
+      c.tenant = req.tenant->name;
       c.version = task.snap->version;
       c.arrival_ms = req.arrival_ms;
       // The quota horizon was a prediction at enqueue time; DWFQ rotation
@@ -338,13 +317,20 @@ void Server::FlushWave() {
       const float* row =
           rep.out_staging.data() + static_cast<int64_t>(j) * task.snap->out_elems;
       std::copy(row, row + task.snap->out_elems, c.output.data());
+      Tenant& tenant = *req.tenant;
+      const double latency = c.finish_ms - c.arrival_ms;
       if (c.deadline_missed) {
-        ++deadline_missed_;
+        Tally(&tenant.stats.deadline_missed, tenant.counters.deadline_missed);
         DLSYS_COUNTER_ADD("serve.deadline_missed", 1);
       }
-      latency_.Record(c.finish_ms - c.arrival_ms);
-      DLSYS_HISTOGRAM_RECORD("serve.latency_ms", c.finish_ms - c.arrival_ms);
+      latency_.Record(latency);
+      DLSYS_HISTOGRAM_RECORD("serve.latency_ms", latency);
+      Tally(&tenant.stats.completed, tenant.counters.completed);
       DLSYS_COUNTER_ADD("serve.completed", 1);
+      tenant.stats.latency.Record(latency);
+#if DLSYS_OBS
+      tenant.counters.latency->Record(latency);
+#endif
       // The request's whole life on the simulated-clock track, keyed by
       // rid: a queue umbrella (admission -> dispatch) with quota-wait and
       // slot-wait children splitting it at the quota horizon, the execute
@@ -384,24 +370,10 @@ void Server::FlushWave() {
       DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
 #endif
       ++served_[c.model][c.version];
-      RecordTenantCompletion(c);
       completions_.push_back(std::move(c));
     }
   }
   wave_.clear();
-}
-
-void Server::RecordTenantCompletion(const Completion& completion) {
-  TenantStats& ts = tenants_[completion.tenant];
-  ++ts.completed;
-  TenantCounterAdd(completion.tenant, "completed", 1);
-  if (completion.deadline_missed) {
-    ++ts.deadline_missed;
-    TenantCounterAdd(completion.tenant, "deadline_missed", 1);
-  }
-  const double latency = completion.finish_ms - completion.arrival_ms;
-  ts.latency.Record(latency);
-  TenantLatencyRecord(completion.tenant, latency);
 }
 
 void Server::RunUntil(double limit_ms, bool strict) {
@@ -448,7 +420,7 @@ void Server::RefillAndStart(double now_ms) {
             lanes.empty() ? nullptr : lanes.front().snap.get();
         std::optional<SlotRequest> pick = scheduler_.PickNext(now_ms, pin);
         if (!pick.has_value()) break;
-        pick->slot = slots_.Load(w, pick->id, now_ms);
+        pick->slot = slots_.Load(w, now_ms);
         lanes.push_back(std::move(*pick));
         ++placed;
       }
@@ -505,30 +477,26 @@ void Server::StartStep(int worker, double now_ms) {
   wave_.push_back(std::move(task));
 }
 
+std::map<std::string, Server::TenantStats> Server::tenant_stats() const {
+  std::map<std::string, TenantStats> stats;
+  for (const auto& [name, tenant] : scheduler_.tenants()) {
+    stats.emplace_hint(stats.end(), name, tenant.stats);
+  }
+  return stats;
+}
+
 MetricsReport Server::metrics() const {
   MetricsReport report;
-  report.Set("serve.offered", static_cast<double>(offered_));
-  report.Set("serve.admitted", static_cast<double>(admitted_));
-  report.Set("serve.shed.queue_full", static_cast<double>(shed_queue_full_));
-  report.Set("serve.shed.deadline_infeasible",
-             static_cast<double>(shed_deadline_));
-  report.Set("serve.shed.draining", static_cast<double>(shed_draining_));
-  report.Set("serve.dropped_queued", static_cast<double>(dropped_queued_));
-  report.Set("serve.no_such_model", static_cast<double>(no_such_model_));
-  report.Set("serve.rejected.bad_shape",
-             static_cast<double>(rejected_bad_shape_));
-  report.Set("serve.deadline_missed", static_cast<double>(deadline_missed_));
-  report.Set("serve.batches", static_cast<double>(batches_));
-  report.Set("serve.swaps", static_cast<double>(registry_->swap_count()));
-  for (const auto& [model, by_version] : served_) {
-    for (const auto& [version, count] : by_version) {
-      report.Set("serve." + model + ".served_v" + std::to_string(version),
-                 static_cast<double>(count));
-    }
-  }
-  latency_.ReportInto(&report, "serve.latency");
-  measured_.ReportInto(&report, "serve.measured");
-  for (const auto& [name, ts] : tenants_) {
+  // The server-wide request tallies are the sums of the tenant records'.
+  TenantStats total;
+  for (const auto& [name, tenant] : scheduler_.tenants()) {
+    const TenantStats& ts = tenant.stats;
+    total.offered += ts.offered;
+    total.admitted += ts.admitted;
+    total.deadline_missed += ts.deadline_missed;
+    total.shed_queue_full += ts.shed_queue_full;
+    total.shed_deadline += ts.shed_deadline;
+    total.shed_draining += ts.shed_draining;
     const std::string prefix = "serve.tenant." + name;
     report.Set(prefix + ".offered", static_cast<double>(ts.offered));
     report.Set(prefix + ".admitted", static_cast<double>(ts.admitted));
@@ -543,6 +511,29 @@ MetricsReport Server::metrics() const {
                static_cast<double>(ts.shed_draining));
     ts.latency.ReportInto(&report, prefix + ".latency");
   }
+  report.Set("serve.offered", static_cast<double>(total.offered));
+  report.Set("serve.admitted", static_cast<double>(total.admitted));
+  report.Set("serve.shed.queue_full",
+             static_cast<double>(total.shed_queue_full));
+  report.Set("serve.shed.deadline_infeasible",
+             static_cast<double>(total.shed_deadline));
+  report.Set("serve.shed.draining", static_cast<double>(total.shed_draining));
+  report.Set("serve.dropped_queued", static_cast<double>(dropped_queued_));
+  report.Set("serve.no_such_model", static_cast<double>(no_such_model_));
+  report.Set("serve.rejected.bad_shape",
+             static_cast<double>(rejected_bad_shape_));
+  report.Set("serve.deadline_missed",
+             static_cast<double>(total.deadline_missed));
+  report.Set("serve.batches", static_cast<double>(batches_));
+  report.Set("serve.swaps", static_cast<double>(registry_->swap_count()));
+  for (const auto& [model, by_version] : served_) {
+    for (const auto& [version, count] : by_version) {
+      report.Set("serve." + model + ".served_v" + std::to_string(version),
+                 static_cast<double>(count));
+    }
+  }
+  latency_.ReportInto(&report, "serve.latency");
+  measured_.ReportInto(&report, "serve.measured");
   return report;
 }
 

@@ -44,7 +44,10 @@
 /// engine batch (a step), and a lane freed by a finished step refills the
 /// same instant — no waiting for a batch to fill, no drain barrier
 /// between batches. batch.max_delay_ms is therefore never consulted.
-/// Every request carries a tenant id ("default" when none is given).
+/// Every request carries a tenant id ("default" when none is given),
+/// which Submit interns once into the scheduler's Tenant record; names
+/// are looked up again only by metrics(), tenant_stats() and
+/// Completion::tenant.
 ///
 /// ## Version binding and hot swap
 ///
@@ -212,25 +215,14 @@ class Server {
   /// \brief The validated configuration.
   const ServerConfig& config() const { return config_; }
 
-  /// \brief Per-tenant serving tallies (the fairness bound and the E37
-  /// bench read goodput from these).
-  struct TenantStats {
-    int64_t offered = 0;
-    int64_t admitted = 0;
-    int64_t completed = 0;
-    int64_t deadline_missed = 0;
-    int64_t shed_queue_full = 0;
-    int64_t shed_deadline = 0;
-    int64_t shed_draining = 0;
-    LatencyHistogram latency;  ///< simulated finish - arrival
-  };
+  /// \brief Per-tenant serving tallies; see src/serve/scheduler.h.
+  using TenantStats = dlsys::TenantStats;
 
-  /// \brief Tallies per normalized tenant name, in name order.
-  const std::map<std::string, TenantStats>& tenant_stats() const {
-    return tenants_;
-  }
+  /// \brief A copy of every tenant's tallies by normalized tenant name,
+  /// in name order.
+  std::map<std::string, TenantStats> tenant_stats() const;
 
-  /// \brief The slot pool (occupancy timeline, per-slot states); never
+  /// \brief The slot pool (size, occupancy and its timeline); never
   /// null.
   const SlotPool* slot_pool() const { return &slots_; }
 
@@ -279,8 +271,6 @@ class Server {
   void RefillAndStart(double now_ms);
   /// Departs \p worker's loaded lanes as one real batch at \p now_ms.
   void StartStep(int worker, double now_ms);
-  /// Folds one finished request into per-tenant and global accounting.
-  void RecordTenantCompletion(const Completion& completion);
 
   ModelRegistry* registry_;
   ServerConfig config_;
@@ -293,7 +283,8 @@ class Server {
   std::vector<double> worker_free_ms_;
   std::vector<ExecTask> wave_;
 
-  // The tenant scheduler holds queued requests, the pool tracks lane
+  // The tenant scheduler owns every tenant record (policy, queued
+  // requests, quota and DWFQ state, tallies), the pool tracks lane
   // states, loaded_[w] holds the requests bound to worker w's loaded
   // lanes in load order, and fill_order_ is RefillAndStart's reused
   // worker ordering.
@@ -305,20 +296,14 @@ class Server {
   std::vector<Completion> completions_;
   LatencyHistogram latency_;
   LatencyHistogram measured_;
-  int64_t offered_ = 0;
-  int64_t admitted_ = 0;
-  int64_t shed_queue_full_ = 0;
-  int64_t shed_deadline_ = 0;
-  int64_t shed_draining_ = 0;
+  // Offered, admitted, shed and deadline-missed requests are tallied per
+  // tenant only; metrics() sums the records.
   int64_t dropped_queued_ = 0;
   int64_t no_such_model_ = 0;
   int64_t rejected_bad_shape_ = 0;
-  int64_t deadline_missed_ = 0;
   int64_t batches_ = 0;
   /// served request count per (model, version)
   std::map<std::string, std::map<int64_t, int64_t>> served_;
-  /// per-tenant tallies (name order)
-  std::map<std::string, TenantStats> tenants_;
 };
 
 }  // namespace dlsys

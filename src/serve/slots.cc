@@ -5,43 +5,14 @@
 
 namespace dlsys {
 
-const char* SlotStateName(SlotState state) {
-  switch (state) {
-    case SlotState::kFree:
-      return "free";
-    case SlotState::kLoaded:
-      return "loaded";
-    case SlotState::kExecuting:
-      return "executing";
-  }
-  return "unknown";
-}
-
 SlotPool::SlotPool(int workers, int lanes_per_worker)
-    : workers_(workers),
-      lanes_(lanes_per_worker),
-      counts_(static_cast<size_t>(workers)) {
+    : lanes_(lanes_per_worker) {
   DLSYS_CHECK(workers >= 1, "slot pool needs at least one worker");
   DLSYS_CHECK(lanes_per_worker >= 1, "slot pool needs at least one lane");
-  slots_.resize(static_cast<size_t>(workers) *
-                static_cast<size_t>(lanes_per_worker));
-  for (int w = 0; w < workers; ++w) {
-    for (int l = 0; l < lanes_per_worker; ++l) {
-      Slot& slot = At(w, l);
-      slot.index = w * lanes_per_worker + l;
-      slot.worker = w;
-    }
-  }
-}
-
-Slot& SlotPool::At(int worker, int lane) {
-  return slots_[static_cast<size_t>(worker) * static_cast<size_t>(lanes_) +
-                static_cast<size_t>(lane)];
-}
-
-const Slot& SlotPool::At(int worker, int lane) const {
-  return slots_[static_cast<size_t>(worker) * static_cast<size_t>(lanes_) +
-                static_cast<size_t>(lane)];
+  states_.assign(static_cast<size_t>(workers) *
+                     static_cast<size_t>(lanes_per_worker),
+                 SlotState::kFree);
+  counts_.resize(static_cast<size_t>(workers));
 }
 
 void SlotPool::Note(double now_ms) {
@@ -54,34 +25,37 @@ void SlotPool::Note(double now_ms) {
   DLSYS_GAUGE_SET("serve.slots.occupied", occupied_);
 }
 
-int SlotPool::Load(int worker, int64_t request_id, double now_ms) {
-  for (int l = 0; l < lanes_; ++l) {
-    Slot& slot = At(worker, l);
-    if (slot.state != SlotState::kFree) continue;
-    slot.state = SlotState::kLoaded;
-    slot.request_id = request_id;
-    slot.since_ms = now_ms;
+int SlotPool::Transition(int worker, SlotState from, SlotState to) {
+  int moved = 0;
+  const size_t first = static_cast<size_t>(worker) * static_cast<size_t>(lanes_);
+  for (size_t i = first; i < first + static_cast<size_t>(lanes_); ++i) {
+    if (states_[i] != from) continue;
+    states_[i] = to;
+    ++moved;
+  }
+  return moved;
+}
+
+int SlotPool::Load(int worker, double now_ms) {
+  const int first = worker * lanes_;
+  for (int index = first; index < first + lanes_; ++index) {
+    SlotState& state = states_[static_cast<size_t>(index)];
+    if (state != SlotState::kFree) continue;
+    state = SlotState::kLoaded;
     ++counts_[static_cast<size_t>(worker)].loaded;
     ++total_loaded_;
     ++occupied_;
-    ++total_loads_;
     DLSYS_COUNTER_ADD("serve.slots.loads", 1);
     Note(now_ms);
-    return slot.index;
+    return index;
   }
   DLSYS_CHECK(false, "Load called on a worker with no free lane");
   return -1;
 }
 
 int SlotPool::BeginStep(int worker, double now_ms) {
-  int joined = 0;
-  for (int l = 0; l < lanes_; ++l) {
-    Slot& slot = At(worker, l);
-    if (slot.state != SlotState::kLoaded) continue;
-    slot.state = SlotState::kExecuting;
-    slot.since_ms = now_ms;
-    ++joined;
-  }
+  const int joined = Transition(worker, SlotState::kLoaded,
+                                SlotState::kExecuting);
   WorkerCounts& c = counts_[static_cast<size_t>(worker)];
   c.loaded -= joined;
   c.executing += joined;
@@ -91,33 +65,23 @@ int SlotPool::BeginStep(int worker, double now_ms) {
 }
 
 int SlotPool::CompleteStep(int worker, double now_ms) {
-  int completed = 0;
-  for (int l = 0; l < lanes_; ++l) {
-    Slot& slot = At(worker, l);
-    if (slot.state != SlotState::kExecuting) continue;
-    slot.state = SlotState::kFree;
-    slot.request_id = -1;
-    slot.since_ms = now_ms;
-    --occupied_;
-    ++completed;
-  }
+  const int completed =
+      Transition(worker, SlotState::kExecuting, SlotState::kFree);
   counts_[static_cast<size_t>(worker)].executing -= completed;
+  occupied_ -= completed;
   if (completed > 0) Note(now_ms);
   return completed;
 }
 
 int64_t SlotPool::DropLoaded(double now_ms) {
   int64_t dropped = 0;
-  for (Slot& slot : slots_) {
-    if (slot.state != SlotState::kLoaded) continue;
-    slot.state = SlotState::kFree;
-    slot.request_id = -1;
-    slot.since_ms = now_ms;
-    --counts_[static_cast<size_t>(slot.worker)].loaded;
-    --occupied_;
-    ++dropped;
+  for (int w = 0; w < static_cast<int>(counts_.size()); ++w) {
+    const int lost = Transition(w, SlotState::kLoaded, SlotState::kFree);
+    counts_[static_cast<size_t>(w)].loaded -= lost;
+    dropped += lost;
   }
   total_loaded_ -= dropped;
+  occupied_ -= static_cast<int>(dropped);
   if (dropped > 0) Note(now_ms);
   return dropped;
 }

@@ -44,18 +44,6 @@ enum class SlotState {
   kExecuting,  ///< request riding the worker's in-flight step
 };
 
-/// \brief Stable lowercase name ("free", "loaded", "executing").
-const char* SlotStateName(SlotState state);
-
-/// \brief One persistent request lane.
-struct Slot {
-  int index = 0;                      ///< global slot id
-  int worker = 0;                     ///< owning worker
-  SlotState state = SlotState::kFree;
-  int64_t request_id = -1;            ///< bound request; -1 when free
-  double since_ms = 0.0;              ///< simulated time of last transition
-};
-
 /// \brief Fixed pool of `workers * lanes_per_worker` slots with
 /// deterministic lowest-index-first allocation and an occupancy timeline.
 class SlotPool {
@@ -63,18 +51,12 @@ class SlotPool {
   /// \brief Builds the pool; both arguments must be >= 1 (checked).
   SlotPool(int workers, int lanes_per_worker);
 
-  int workers() const { return workers_; }
-  int lanes_per_worker() const { return lanes_; }
-  int size() const { return static_cast<int>(slots_.size()); }
+  int size() const { return static_cast<int>(states_.size()); }
 
   /// \brief Free lanes of \p worker.
   int FreeLanes(int worker) const {
     const WorkerCounts& c = counts_[static_cast<size_t>(worker)];
     return lanes_ - c.loaded - c.executing;
-  }
-  /// \brief Loaded (bound, not yet stepping) lanes of \p worker.
-  int LoadedCount(int worker) const {
-    return counts_[static_cast<size_t>(worker)].loaded;
   }
   /// \brief Lanes riding \p worker's in-flight step.
   int ExecutingCount(int worker) const {
@@ -85,9 +67,9 @@ class SlotPool {
   /// \brief Loaded + executing lanes across the pool.
   int occupancy() const { return occupied_; }
 
-  /// \brief Binds \p request_id to the lowest-index free slot of
-  /// \p worker (checked: one must exist) and returns the slot index.
-  int Load(int worker, int64_t request_id, double now_ms);
+  /// \brief Loads a request into the lowest-index free slot of \p worker
+  /// (checked: one must exist) and returns the slot index.
+  int Load(int worker, double now_ms);
 
   /// \brief Moves every loaded slot of \p worker to kExecuting (the
   /// worker's next step departs) and returns how many joined it.
@@ -102,9 +84,6 @@ class SlotPool {
   /// are untouched: their batches already left.
   int64_t DropLoaded(double now_ms);
 
-  /// \brief Every slot, by index.
-  const std::vector<Slot>& slots() const { return slots_; }
-
   /// \brief (t_ms, occupied) after all transitions at each distinct
   /// simulated time — same-time entries coalesce to the final value, so
   /// a zero here means the pool was actually empty at that instant. The
@@ -114,14 +93,13 @@ class SlotPool {
     return timeline_;
   }
 
-  /// \brief Total Load() calls over the pool's lifetime.
-  int64_t total_loads() const { return total_loads_; }
   /// \brief Highest occupancy ever observed.
   int peak_occupancy() const { return peak_occupancy_; }
 
  private:
-  Slot& At(int worker, int lane);
-  const Slot& At(int worker, int lane) const;
+  /// Moves every lane of \p worker in state \p from to \p to; returns
+  /// how many moved.
+  int Transition(int worker, SlotState from, SlotState to);
   /// Records the post-transition occupancy at \p now_ms.
   void Note(double now_ms);
 
@@ -132,14 +110,12 @@ class SlotPool {
     int executing = 0;
   };
 
-  int workers_;
   int lanes_;
-  std::vector<Slot> slots_;  ///< slot (w, l) lives at index w * lanes_ + l
+  std::vector<SlotState> states_;  ///< slot (w, l) at index w * lanes_ + l
   std::vector<WorkerCounts> counts_;  ///< by worker
   int64_t total_loaded_ = 0;
   int occupied_ = 0;
   int peak_occupancy_ = 0;
-  int64_t total_loads_ = 0;
   std::vector<std::pair<double, int>> timeline_;
 };
 

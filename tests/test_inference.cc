@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/compress/quantization.h"
@@ -1110,6 +1111,65 @@ TEST(InferenceEngineTest, BadDlsysIsaFailsCompileWithoutAborting) {
   EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(compiled.status().message().find("avx9"), std::string::npos)
       << compiled.status().ToString();
+}
+
+TEST(RuntimeEnvTest, ThreadsEnvStatusAcceptsOnlyWholeCountsInRange) {
+  // Only the status function reads these values: none of them is ever
+  // resolved into a worker pool.
+  for (const char* good : {"1", "4", "0008", "1024"}) {
+    EnvOverride env("DLSYS_THREADS", good);
+    EXPECT_TRUE(RuntimeConfig::ThreadsEnvStatus().ok()) << good;
+  }
+  for (const char* unset : {static_cast<const char*>(nullptr), ""}) {
+    EnvOverride env("DLSYS_THREADS", unset);
+    EXPECT_TRUE(RuntimeConfig::ThreadsEnvStatus().ok());
+  }
+  // Prefixes, signs, blanks, zero, and counts past kMaxThreads (one that
+  // overflows an int among them) used to be truncated, narrowed or
+  // silently replaced by the hardware count.
+  for (const char* bad : {"abc", "4abc", "0", "-2", "+4", " 4", "4 ", "2.5",
+                          "1025", "3000000000", "99999999999999999999"}) {
+    EnvOverride env("DLSYS_THREADS", bad);
+    const Status st = RuntimeConfig::ThreadsEnvStatus();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find(std::string("DLSYS_THREADS=") + bad),
+              std::string::npos)
+        << st.ToString();
+  }
+}
+
+TEST(InferenceEngineTest, BadDlsysThreadsFailsCompileWithoutAborting) {
+  Rng rng(60);
+  Sequential net = MakeMlp(16, {32}, 4);
+  net.Init(&rng);
+  {
+    EnvOverride env("DLSYS_THREADS", "4abc");
+    auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
+    ASSERT_FALSE(compiled.ok());
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(compiled.status().message().find("4abc"), std::string::npos)
+        << compiled.status().ToString();
+  }
+  EXPECT_TRUE(InferenceEngine::Compile(net, {16}, EngineConfig{8}).ok());
+}
+
+TEST(RuntimeEnvDeathTest, BadThreadsEnvKeepsHardwareDefaultAndSaysSo) {
+  // Kernels outside any engine have no caller to return a Status to: a
+  // rejected DLSYS_THREADS keeps the hardware count and names the value
+  // on stderr. The threadsafe style re-executes the binary, so the child
+  // resolves its thread count afresh under the pinned value.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("DLSYS_THREADS", "4abc", 1);
+        const unsigned hw = std::thread::hardware_concurrency();
+        const int want = hw >= 1 ? static_cast<int>(hw) : 1;
+        std::exit(RuntimeConfig::Threads() == want &&
+                          RuntimeConfig::DefaultThreads() == want
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "DLSYS_THREADS=4abc");
 }
 
 TEST(PassPipelineTest, ParsePassListSpellings) {

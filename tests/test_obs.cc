@@ -770,31 +770,6 @@ TEST(TraceTest, EngineStepsCarryCostTags) {
             4 * (2 * 32 * 48 + 2 * 48 * 10));
 }
 
-// -------------------------------------- dynamic-name registry helpers
-
-TEST(CounterRegistryTest, DynamicNameHelpersReachRegistry) {
-  CounterRegistry& reg = CounterRegistry::Global();
-  const std::string tenant = "dyn0";
-  const std::string counter_name = "test.dynamic." + tenant + ".count";
-  const std::string hist_name = "test.dynamic." + tenant + ".latency_ms";
-  const std::string gauge_name = "test.dynamic." + tenant + ".gauge";
-  const int64_t before = reg.counter(counter_name)->Value();
-  // The DLSYS_COUNTER_* macros cache their handle in a function-local
-  // static, which is wrong for names built at runtime; these helpers hit
-  // the registry per call, so every distinct name gets its own metric.
-  obs::CounterAddDynamic(counter_name, 2);
-  obs::CounterAddDynamic(counter_name, 3);
-  obs::HistogramRecordDynamic(hist_name, 1.5);
-  obs::HistogramRecordDynamic(hist_name, 2.5);
-  obs::GaugeSetDynamic(gauge_name, 17);
-  EXPECT_EQ(reg.counter(counter_name)->Value() - before, 5);
-  EXPECT_GE(reg.histogram(hist_name)->Count(), 2);
-  EXPECT_EQ(reg.gauge(gauge_name)->Value(), 17);
-  const std::string json = reg.ExportJson();
-  EXPECT_NE(json.find(counter_name), std::string::npos);
-  EXPECT_NE(json.find(hist_name), std::string::npos);
-}
-
 // ----------------------------------------------- ring overflow drops
 
 TEST(TraceTest, RingOverflowBumpsDroppedSpansCounter) {

@@ -1,25 +1,30 @@
 // Tests for the serving layer (src/serve): RCU hot-swap correctness
 // (every completed request's output is bitwise the version it was
 // admitted under, at any DLSYS_THREADS), bounded-queue and deadline
-// admission, deterministic bit-for-bit load replay, and thread-safety of
-// registry publish/acquire under real concurrency (the TSan target).
+// admission, deterministic bit-for-bit load replay, thread-safety of
+// registry publish/acquire under real concurrency (the TSan target), and
+// a behaviour oracle pinning digests of six replayed configurations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/core/rng.h"
 #include "src/nn/train.h"
 #include "src/obs/attribution.h"
+#include "src/obs/counters.h"
 #include "src/runtime/runtime.h"
 #include "src/serve/admission.h"
 #include "src/serve/loadgen.h"
@@ -30,11 +35,6 @@
 
 namespace dlsys {
 namespace {
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.bytes())) == 0;
-}
 
 /// A small trained-free MLP; distinct seeds give distinct weights.
 Sequential MakeNet(uint64_t seed) {
@@ -463,7 +463,9 @@ SwapTrace RunSwapScenario(const Sequential& net1, const Sequential& net2,
   double t = 0.0;
   for (size_t i = 0; i < inputs.size(); ++i) {
     t += 0.05;
-    if (i == 100) EXPECT_TRUE(server->Publish("m", net2, {16}).ok());
+    if (i == 100) {
+      EXPECT_TRUE(server->Publish("m", net2, {16}).ok());
+    }
     trace.outcomes.push_back(server->Submit("m", inputs[i], t).outcome);
   }
   server->Drain();
@@ -721,12 +723,10 @@ TEST(ServerConfigTest, ValidateCatchesBadQosFields) {
   EXPECT_EQ(ValidateServerConfig(c).code(), StatusCode::kInvalidArgument);
 }
 
-SlotRequest MakeSlotRequest(int64_t id, const std::string& tenant,
-                            int priority = 0) {
+SlotRequest MakeSlotRequest(int64_t id, Tenant* tenant) {
   SlotRequest r;
   r.id = id;
   r.tenant = tenant;
-  r.priority = priority;
   return r;
 }
 
@@ -735,8 +735,9 @@ TEST(TenantSchedulerTest, TokenBucketGatesAndRefillsDeterministically) {
   config.default_policy.rate_rps = 100.0;  // one token per 10 simulated ms
   config.default_policy.burst = 1.0;
   TenantScheduler sched(config);
+  Tenant& a = sched.Intern("a");
   for (int64_t id = 0; id < 3; ++id) {
-    sched.Enqueue(MakeSlotRequest(id, "a"));
+    sched.Enqueue(MakeSlotRequest(id, &a));
   }
   EXPECT_EQ(sched.depth(), 3);
 
@@ -753,8 +754,8 @@ TEST(TenantSchedulerTest, TokenBucketGatesAndRefillsDeterministically) {
   EXPECT_DOUBLE_EQ(sched.NextEligibleMs(10.0), 20.0);
   // The backlog-aware horizon sees the still-queued request ahead: one
   // more request behind it needs two token arrivals from an empty bucket.
-  EXPECT_DOUBLE_EQ(sched.QuotaBacklogMs("a", 10.0), 30.0);
-  EXPECT_EQ(sched.served("a"), 2);
+  EXPECT_DOUBLE_EQ(sched.QuotaBacklogMs(a, 10.0), 30.0);
+  EXPECT_EQ(a.served, 2);
   EXPECT_EQ(sched.depth(), 1);
 }
 
@@ -764,16 +765,43 @@ TEST(TenantSchedulerTest, DeficitWeightedFairSharesFollowWeights) {
   config.tenants["a"].weight = 2.0;
   config.tenants["b"].weight = 1.0;
   TenantScheduler sched(config);
+  Tenant& a = sched.Intern("a");
+  Tenant& b = sched.Intern("b");
   for (int64_t id = 0; id < 60; ++id) {
-    sched.Enqueue(MakeSlotRequest(id, id % 2 == 0 ? "a" : "b"));
+    sched.Enqueue(MakeSlotRequest(id, id % 2 == 0 ? &a : &b));
   }
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(sched.PickNext(0.0).has_value()) << i;
   }
   // Both tenants stayed backlogged the whole time, so DWFQ hands out
   // slots in exact weight proportion: 2/3 to a, 1/3 to b.
-  EXPECT_EQ(sched.served("a"), 20);
-  EXPECT_EQ(sched.served("b"), 10);
+  EXPECT_EQ(a.served, 20);
+  EXPECT_EQ(b.served, 10);
+}
+
+TEST(TenantSchedulerTest, DeficitScanFollowsNameOrderNotArrivalOrder) {
+  // Tenants with unequal weights first arrive as c, a, b. The scan ring
+  // and its cursor follow tenant names, so this pick sequence (pinned on
+  // the tree before tenant records existed) starts at a, not at c.
+  SlotSchedulerConfig config;
+  config.enforce_quotas = false;
+  config.tenants["a"].weight = 1.0;
+  config.tenants["b"].weight = 0.5;
+  config.tenants["c"].weight = 2.0;
+  TenantScheduler sched(config);
+  const char* const arrivals[] = {"c", "a", "b"};
+  for (int64_t id = 0; id < 24; ++id) {
+    sched.Enqueue(MakeSlotRequest(id, &sched.Intern(arrivals[id % 3])));
+  }
+  std::string picks;
+  for (int i = 0; i < 24; ++i) {
+    auto pick = sched.PickNext(0.0);
+    ASSERT_TRUE(pick.has_value()) << i;
+    picks += pick->tenant->name + std::to_string(pick->id) + ",";
+  }
+  EXPECT_EQ(picks,
+            "a1,c0,c3,a4,b2,c6,c9,a7,c12,c15,a10,b5,c18,c21,a13,a16,b8,a19,"
+            "a22,b11,b14,b17,b20,b23,");
 }
 
 TEST(TenantSchedulerTest, StrictPriorityYieldsOnlyToEligibleWork) {
@@ -784,24 +812,26 @@ TEST(TenantSchedulerTest, StrictPriorityYieldsOnlyToEligibleWork) {
   config.tenants["hi"].burst = 1.0;
   config.tenants["lo"].priority = 1;
   TenantScheduler sched(config);
-  sched.Enqueue(MakeSlotRequest(0, "lo", 1));
-  sched.Enqueue(MakeSlotRequest(1, "hi", 0));
-  sched.Enqueue(MakeSlotRequest(2, "hi", 0));
-  sched.Enqueue(MakeSlotRequest(3, "lo", 1));
+  Tenant& hi = sched.Intern("hi");
+  Tenant& lo = sched.Intern("lo");
+  sched.Enqueue(MakeSlotRequest(0, &lo));
+  sched.Enqueue(MakeSlotRequest(1, &hi));
+  sched.Enqueue(MakeSlotRequest(2, &hi));
+  sched.Enqueue(MakeSlotRequest(3, &lo));
 
   // Class 0 wins despite the higher request id...
   auto p1 = sched.PickNext(0.0);
   ASSERT_TRUE(p1.has_value());
-  EXPECT_EQ(p1->tenant, "hi");
+  EXPECT_EQ(p1->tenant->name, "hi");
   // ...but a quota-blocked class 0 does not hold class 1 hostage:
   // priority is strict over *eligible* work only.
   auto p2 = sched.PickNext(0.0);
   ASSERT_TRUE(p2.has_value());
-  EXPECT_EQ(p2->tenant, "lo");
+  EXPECT_EQ(p2->tenant->name, "lo");
   // Once the bucket refills, class 0 preempts again.
   auto p3 = sched.PickNext(10.0);
   ASSERT_TRUE(p3.has_value());
-  EXPECT_EQ(p3->tenant, "hi");
+  EXPECT_EQ(p3->tenant->name, "hi");
 }
 
 TEST(TenantSchedulerTest, FifoControlServesGloballyByRequestId) {
@@ -810,9 +840,11 @@ TEST(TenantSchedulerTest, FifoControlServesGloballyByRequestId) {
   config.enforce_quotas = false;
   config.tenants["a"].weight = 5.0;  // ignored by the FIFO control path
   TenantScheduler sched(config);
-  sched.Enqueue(MakeSlotRequest(0, "a"));
-  sched.Enqueue(MakeSlotRequest(1, "b"));
-  sched.Enqueue(MakeSlotRequest(2, "a"));
+  Tenant& a = sched.Intern("a");
+  Tenant& b = sched.Intern("b");
+  sched.Enqueue(MakeSlotRequest(0, &a));
+  sched.Enqueue(MakeSlotRequest(1, &b));
+  sched.Enqueue(MakeSlotRequest(2, &a));
   for (int64_t want = 0; want < 3; ++want) {
     auto pick = sched.PickNext(0.0);
     ASSERT_TRUE(pick.has_value());
@@ -1272,6 +1304,342 @@ TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
     EXPECT_EQ(per.deadline_missed, it->second.deadline_missed) << tenant;
     EXPECT_EQ(per.latency.sum_ms(), it->second.latency.sum_ms()) << tenant;
   }
+}
+
+// ------------------------------------------------------ behaviour oracle
+
+/// SplitMix64's finalizer: every arrival gap, tenant pick, payload and
+/// weight of the oracle replays is drawn from it.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// A hash-drawn integer in [0, n).
+uint64_t HashedIndex(uint64_t seed, uint64_t i, uint64_t n) {
+  return Mix64(Mix64(seed) ^ i) % n;
+}
+
+/// k * unit with k a hash-drawn integer in [-range, range] and unit a
+/// power of two: exactly representable, so no libm routine is involved.
+float HashedFloat(uint64_t seed, uint64_t i, int64_t range, float unit) {
+  const int64_t k =
+      static_cast<int64_t>(
+          HashedIndex(seed, i, static_cast<uint64_t>(2 * range + 1))) -
+      range;
+  return static_cast<float>(k) * unit;
+}
+
+/// Order-sensitive 64-bit FNV-1a over values and strings.
+class Fnv1aDigest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    Bytes(&value, sizeof(value));
+  }
+  void Add(const std::string& s) {
+    Add(s.size());
+    Bytes(s.data(), s.size());
+  }
+  void Bytes(const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+constexpr int64_t kOracleIn = 32;
+constexpr int64_t kOracleOut = 10;
+constexpr int64_t kOracleRequests = 20000;
+
+/// One replayed configuration: the server, the tenants in the order they
+/// are first seen, their arrival shares, and whether the replay also
+/// drives the fleet's chaos hooks.
+struct OracleScenario {
+  const char* name;
+  ServerConfig config;
+  std::vector<std::pair<std::string, uint64_t>> tenants;  ///< (name, share)
+  double load = 1.375;  ///< offered rate over declared capacity
+  bool chaos = false;   ///< mid-run SetCostScale, SetDraining, DropQueued
+};
+
+/// An int8 32->128->10 MLP whose parameters are hash-drawn multiples of
+/// 2^-8, so its compiled outputs depend on no libm routine.
+Sequential MakeOracleNet(uint64_t seed) {
+  Sequential net = MakeMlp(kOracleIn, {128}, kOracleOut);
+  for (Tensor* p : net.Params()) {
+    ++seed;
+    for (int64_t i = 0; i < p->size(); ++i) {
+      (*p)[i] = HashedFloat(seed, static_cast<uint64_t>(i), 254, 0x1p-8f);
+    }
+  }
+  return net;
+}
+
+/// online_serve's shape: 2 workers x 8 lanes, a queue of 64, a quota of
+/// 0.1875x declared capacity with burst 8, DWFQ on, four tenants with the
+/// first 8x hot.
+ServerConfig OnlineServeShape() {
+  ServerConfig config;
+  config.workers = 2;
+  config.batch.max_batch = 8;
+  config.queue_capacity = 64;
+  const double step_ms = EstimateServiceMs(config.cost, 8);
+  config.default_deadline_ms = 5.0 * step_ms;
+  config.scheduler.default_policy.rate_rps =
+      0.1875 * 2.0 * 8.0 * 1000.0 / step_ms;
+  config.scheduler.default_policy.burst = 8.0;
+  return config;
+}
+
+/// Three priority classes with per-tenant overrides; the tenants are
+/// first seen out of name order, and "" and "default" name one tenant.
+ServerConfig PriorityClassShape() {
+  ServerConfig config = OnlineServeShape();
+  config.scheduler.priority_classes = 3;
+  config.scheduler.default_policy.priority = 2;
+  TenantPolicy& zeta = config.scheduler.tenants["zeta"];
+  zeta.priority = 0;
+  zeta.weight = 2.0;
+  zeta.rate_rps = 3000.0;
+  zeta.burst = 4.0;
+  TenantPolicy& beta = config.scheduler.tenants["beta"];
+  beta.priority = 1;
+  beta.weight = 0.5;
+  TenantPolicy& alpha = config.scheduler.tenants["alpha"];
+  alpha.priority = 1;
+  alpha.weight = 3.0;
+  alpha.rate_rps = 12000.0;
+  TenantPolicy& def = config.scheduler.tenants["default"];
+  def.priority = 2;
+  def.weight = 0.25;
+  def.rate_rps = 6000.0;
+  def.burst = 2.0;
+  return config;
+}
+
+std::vector<OracleScenario> OracleScenarios() {
+  const std::vector<std::pair<std::string, uint64_t>> hot = {
+      {"t0", 8}, {"t1", 1}, {"t2", 1}, {"t3", 1}};
+  const std::vector<std::pair<std::string, uint64_t>> classes = {
+      {"zeta", 3}, {"", 2}, {"mid", 2}, {"default", 1}, {"beta", 2},
+      {"alpha", 3}};
+  std::vector<OracleScenario> s;
+  s.push_back({"online_serve", OnlineServeShape(), hot});
+  s.push_back({"fifo_control", OnlineServeShape(), hot});
+  s.back().config.scheduler.fair_queueing = false;
+  s.push_back({"quotas_off", OnlineServeShape(), hot});
+  s.back().config.scheduler.enforce_quotas = false;
+  s.push_back({"priority_classes", PriorityClassShape(), classes});
+  s.push_back({"priority_chaos", PriorityClassShape(), classes});
+  s.back().chaos = true;
+  OracleScenario light{"one_worker_light", ServerConfig{}, hot, 0.5};
+  light.config.workers = 1;
+  light.config.batch.max_batch = 2;
+  light.config.queue_capacity = 16;
+  s.push_back(std::move(light));
+  return s;
+}
+
+/// Digests of one replay: everything the server reports, and (with
+/// DLSYS_OBS) the serve.tenant.* registry deltas it produced.
+struct OracleDigests {
+  uint64_t behaviour = 0;
+  uint64_t registry = 0;
+};
+
+OracleDigests ReplayOracle(const OracleScenario& s, const Sequential& v1,
+                           const Sequential& v2) {
+  ModelRegistry registry;
+  auto created = Server::Create(&registry, s.config);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Server> server = std::move(created).value();
+  EngineConfig engine_config(8);
+  engine_config.numeric = EngineNumeric::kInt8;
+  EXPECT_TRUE(server->Publish("m", v1, {kOracleIn}, engine_config).ok());
+
+  obs::CounterRegistry& counters = obs::CounterRegistry::Global();
+  const obs::CounterRegistry::Snapshot counters_before =
+      counters.SnapshotCounters();
+  std::map<std::string, int64_t> latency_before;
+  for (const auto& [tenant, share] : s.tenants) {
+    const std::string name = tenant.empty() ? "default" : tenant;
+    latency_before[name] =
+        counters.histogram("serve.tenant." + name + ".latency_ms")->Count();
+  }
+
+  // Arrival gaps are whole multiples of 2^-12 ms averaging the offered
+  // rate, so every arrival time is exact.
+  constexpr double kUnit = 0x1p-12;
+  const int64_t lanes = s.config.batch.max_batch;
+  const double step_ms = EstimateServiceMs(s.config.cost, lanes);
+  const double mean_gap_ms =
+      step_ms / (s.load * s.config.workers * static_cast<double>(lanes));
+  const uint64_t mean_units =
+      std::max<uint64_t>(1, static_cast<uint64_t>(mean_gap_ms / kUnit + 0.5));
+  uint64_t total_share = 0;
+  for (const auto& [tenant, share] : s.tenants) total_share += share;
+
+  Fnv1aDigest d;
+  Tensor good({kOracleIn});
+  Tensor bad({kOracleIn - 1});
+  double t = 0.0;
+  constexpr int64_t n = kOracleRequests;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t u = static_cast<uint64_t>(i);
+    t += static_cast<double>(1 + HashedIndex(1, u, 2 * mean_units - 1)) * kUnit;
+    if (i == n / 2) {
+      server->AdvanceTo(t - 0.5 * kUnit);
+      EXPECT_TRUE(server->Publish("m", v2, {kOracleIn}, engine_config).ok());
+    }
+    if (s.chaos) {
+      if (i == n / 5) server->SetCostScale(1.5);
+      if (i == 2 * n / 5) server->SetDraining(true);
+      if (i == 2 * n / 5 + 300) server->SetDraining(false);
+      if (i == 3 * n / 5) d.Add(server->DropQueued());
+      if (i == 4 * n / 5) server->SetCostScale(0.75);
+    }
+    // The first requests meet every tenant in the scenario's order; the
+    // rest draw tenants by share.
+    size_t pick = 0;
+    if (u < s.tenants.size()) {
+      pick = u;
+    } else {
+      uint64_t r = HashedIndex(2, u, total_share);
+      while (r >= s.tenants[pick].second) r -= s.tenants[pick++].second;
+    }
+    Tensor& example = HashedIndex(3, u, 97) == 0 ? bad : good;
+    for (int64_t k = 0; k < example.size(); ++k) {
+      example[k] = HashedFloat(4, u * kOracleIn + static_cast<uint64_t>(k),
+                               1000, 0x1p-9f);
+    }
+    const char* model = HashedIndex(5, u, 89) == 0 ? "nope" : "m";
+    const double budget = HashedIndex(6, u, 7) == 0 ? 2.0 * step_ms : 0.0;
+    const Server::SubmitResult r = server->Submit(
+        model, example, t, budget, s.tenants[pick].first);
+    d.Add(r.outcome);
+    d.Add(r.id);
+    d.Add(r.version);
+    if (i % 64 == 0) {
+      d.Add(server->queue_depth());
+      d.Add(server->earliest_worker_free_ms());
+      d.Add(server->NextActionableMs());
+    }
+    if (i % 128 == 64) server->AdvanceTo(t + 0.5 * kUnit);
+  }
+  server->Drain();
+
+  for (const Server::Completion& c : server->completions()) {
+    d.Add(c.id);
+    d.Add(c.rid);
+    d.Add(c.model);
+    d.Add(c.tenant);
+    d.Add(c.version);
+    d.Add(c.arrival_ms);
+    d.Add(c.quota_open_ms);
+    d.Add(c.dispatch_ms);
+    d.Add(c.finish_ms);
+    d.Add(c.deadline_ms);
+    d.Add(c.batch_size);
+    d.Add(c.worker);
+    d.Add(c.slot);
+    d.Add(c.deadline_missed);
+    d.Bytes(c.output.data(), static_cast<size_t>(c.output.bytes()));
+  }
+  // Wall-clock keys and the quantile keys (their bucket edges come from
+  // exp2) are left out.
+  const auto ends_with = [](const std::string& key, const char* suffix) {
+    const size_t len = std::strlen(suffix);
+    return key.size() >= len &&
+           key.compare(key.size() - len, len, suffix) == 0;
+  };
+  const MetricsReport metrics = server->metrics();
+  for (const auto& [key, value] : metrics.values()) {
+    if (key.rfind("serve.measured.", 0) == 0 || ends_with(key, ".p50_ms") ||
+        ends_with(key, ".p95_ms") || ends_with(key, ".p99_ms")) {
+      continue;
+    }
+    d.Add(key);
+    d.Add(value);
+  }
+  const auto& stats = server->tenant_stats();
+  for (const auto& [name, ts] : stats) {
+    d.Add(name);
+    for (int64_t v : {ts.offered, ts.admitted, ts.completed,
+                      ts.deadline_missed, ts.shed_queue_full,
+                      ts.shed_deadline, ts.shed_draining,
+                      ts.latency.count()}) {
+      d.Add(v);
+    }
+    d.Add(ts.latency.sum_ms());
+    d.Add(ts.latency.min_ms());
+    d.Add(ts.latency.max_ms());
+  }
+
+  Fnv1aDigest reg;
+  const obs::CounterRegistry::Snapshot delta = obs::CounterRegistry::Diff(
+      counters.SnapshotCounters(), counters_before);
+  for (const auto& [key, value] : delta) {
+    if (key.rfind("serve.tenant.", 0) != 0 || value == 0) continue;
+    reg.Add(key);
+    reg.Add(value);
+  }
+  for (const auto& [name, before] : latency_before) {
+    reg.Add(name);
+    reg.Add(counters.histogram("serve.tenant." + name + ".latency_ms")
+                ->Count() -
+            before);
+  }
+  return {d.value(), reg.value()};
+}
+
+/// Digests of OracleScenarios(), in order, computed on the tree before
+/// the per-tenant record existed. They use only IEEE + - x / on exactly
+/// representable inputs, so they hold on any host, ISA and thread count.
+constexpr uint64_t kOracleBehaviour[] = {
+    0x15d20d454fd10a24ull, 0xe1c6961d339193d0ull, 0x62c4439dec796349ull,
+    0x4fcc0526a3e7d80bull, 0x230c74cd8ce7004cull, 0xcc15647ef7cd83f3ull,
+};
+constexpr uint64_t kOracleRegistry[] = {
+    0x507d046b5181e726ull, 0x507d046b5181e726ull, 0x023788bbd44a52b1ull,
+    0x218994fe5fdb74b5ull, 0xf1582f85fd83db81ull, 0x34f2701d8f58751bull,
+};
+
+TEST(ServeOracleTest, ReplaysMatchParentDigest) {
+  const Sequential v1 = MakeOracleNet(1000);
+  const Sequential v2 = MakeOracleNet(2000);
+  const std::vector<OracleScenario> scenarios = OracleScenarios();
+  ASSERT_EQ(scenarios.size(), std::size(kOracleBehaviour));
+  for (int threads : {1, 2, 8}) {
+    RuntimeConfig::SetThreads(threads);
+    for (size_t k = 0; k < scenarios.size(); ++k) {
+      const OracleDigests got = ReplayOracle(scenarios[k], v1, v2);
+      char hex[2][32];
+      std::snprintf(hex[0], sizeof(hex[0]), "0x%016llx",
+                    static_cast<unsigned long long>(got.behaviour));
+      std::snprintf(hex[1], sizeof(hex[1]), "0x%016llx",
+                    static_cast<unsigned long long>(got.registry));
+      EXPECT_EQ(got.behaviour, kOracleBehaviour[k])
+          << "new digest " << hex[0] << " scenario=" << scenarios[k].name
+          << " threads=" << threads;
+      // Without DLSYS_OBS the registry records nothing to compare.
+      if (DLSYS_OBS) {
+        EXPECT_EQ(got.registry, kOracleRegistry[k])
+            << "new registry digest " << hex[1]
+            << " scenario=" << scenarios[k].name << " threads=" << threads;
+      }
+    }
+  }
+  RuntimeConfig::SetThreads(1);
 }
 
 }  // namespace
