@@ -168,8 +168,8 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
          [&] { return Bytes(op.c_tb.data(), mn); }},
         {"fp32_conv_gemm",
          [&] {
-           ConvGemmBiasInto(op.a.data(), op.b.data(), op.bias.data(),
-                            op.c.data(), m, k, n);
+           ConvGemmBiasActInto(op.a.data(), op.b.data(), op.bias.data(),
+                               op.c.data(), m, k, n, /*relu=*/false);
            g_sink = op.c[0];
          },
          [&] { return Bytes(op.c.data(), mn); }},

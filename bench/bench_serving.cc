@@ -299,7 +299,7 @@ QosRun BenchTenantMix(const std::string& mode, bool fair,
   }
   ServerUnderTest sut = MakeServer(config);
 
-  TenantedLoadConfig load;
+  OpenLoopConfig load;
   load.seed = 76;
   load.requests = g_smoke ? 400 : 4000;
   load.rate_rps = load_multiplier * CapacityRps(config);

@@ -714,11 +714,12 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
                                  ? load.deadline_ms
                                  : config_.server.default_deadline_ms;
 
-  auto snap = replicas_[0]->registry->Acquire(model_);
-  const int64_t in_elems = snap ? snap->in_elems : 0;
-  snap.reset();  // payloads only need the size; don't pin a version
-  Tensor example({in_elems});
-  Rng payloads(load.seed ^ 0xF1EE7D00DULL);
+  // Every request carries this one seeded example of the deployed shape:
+  // nothing reads fleet outputs, so a fresh payload per request would
+  // only time the Rng.
+  Tensor example(example_shape_);
+  Rng payload(load.seed ^ 0xF1EE7D00DULL);
+  example.FillGaussian(&payload, 1.0f);
 
   FleetReport report;
   report.scenario = scenario.name;
@@ -865,7 +866,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       const int c = canary.replica();
       if (verdict->p99_regressed) {
         DLSYS_COUNTER_ADD("fleet.canary.p99_regression", 1);
-        if (config_.canary.auto_rollback) ++report.p99_rollbacks;
+        ++report.p99_rollbacks;
       }
       if (!verdict->failed) {
         // Bake passed: the (possibly slow) version rolls out fleet-wide.
@@ -875,14 +876,13 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
           DLSYS_RETURN_NOT_OK(republish(i));
           r.server->SetCostScale(canary.severity());
         }
-      } else if (config_.canary.auto_rollback) {
+      } else {
         DLSYS_RETURN_NOT_OK(republish(c));
         replicas_[static_cast<size_t>(c)]->server->SetCostScale(1.0);
         ++report.rollbacks;
         DLSYS_COUNTER_ADD("fleet.rollback", 1);
         DLSYS_TRACE_INSTANT_SIM("fleet.rollback", "fleet", T, c);
       }
-      // Without auto_rollback a failed canary just keeps serving.
     }
 
     // 4. Scheduled crashes due at this tick.
@@ -1025,7 +1025,6 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
           "fleet.route", "fleet", obs::SimNs(t), obs::SimNs(ta) - obs::SimNs(t),
           rid, obs::ComponentSpanId(rid, obs::PathComponent::kRouteHop),
           obs::RequestSpanId(rid));
-      example.FillGaussian(&payloads, 1.0f);
       const obs::RequestTrace rtrace{rid, r.incarnation};
       const Server::SubmitResult sr =
           r.server->Submit(model_, example, ta, budget > 0.0 ? budget : 1e-9,

@@ -90,10 +90,10 @@ enum class FleetRecovery {
 /// \brief Stable lowercase name ("checkpointed_restart", "cold_replace").
 const char* FleetRecoveryName(FleetRecovery recovery);
 
-/// \brief Canary watchdog for bad-version rollouts.
+/// \brief Canary watchdog for bad-version rollouts: a failed bake rolls
+/// the canary replica back, a passed one rolls the version out.
 struct CanaryConfig {
-  bool auto_rollback = true;   ///< roll back on a failed bake, vs push on
-  double bake_ms = 1500.0;     ///< observe the canary replica this long
+  double bake_ms = 1500.0;  ///< observe the canary replica this long
   /// The canary fails its bake when (missed + shed) / offered on the
   /// canary replica since rollout exceeds this.
   double max_degraded_fraction = 0.2;

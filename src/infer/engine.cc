@@ -731,20 +731,15 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
               std::fill(prow + oy_hi * wo, prow + positions, 0.0f);
             }
           });
-          if (relu) {
-            // Fusion pass on: the absorbed ReLU runs in the conv GEMM's
-            // column epilogue instead of as a separate output pass.
-            ConvGemmBiasActInto(pw, patches, pb, out + img * oc * positions,
-                                oc, kk, positions, true);
-          } else {
-            ConvGemmBiasInto(pw, patches, pb, out + img * oc * positions,
-                             oc, kk, positions);
-          }
+          // With the fusion pass on, an absorbed ReLU runs in the conv
+          // GEMM's column epilogue instead of as a separate output pass.
+          ConvGemmBiasActInto(pw, patches, pb, out + img * oc * positions, oc,
+                              kk, positions, relu);
         }
       } else {
         // Direct reference: the plain clipped loop nest, one worker per
         // (image, out-channel) plane. The GEMM path's FLOPs are counted
-        // inside ConvGemmBiasInto; the direct nest counts its own here.
+        // inside ConvGemmBiasActInto; the direct nest counts its own here.
         DLSYS_COST_FLOPS(batch * step.flops_per_example);
         ParallelFor(0, batch * oc, 1, [=](int64_t t0, int64_t t1) {
           for (int64_t t = t0; t < t1; ++t) {

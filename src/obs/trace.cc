@@ -147,19 +147,6 @@ void TraceEnd(const char* name, const char* cat, int64_t start_ns,
   internal::Record(ev);
 }
 
-void TraceEmitSim(const char* name, const char* cat, double ts_ms,
-                  double dur_ms, int64_t rid) {
-  if (!TracingEnabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.ts_ns = static_cast<int64_t>(ts_ms * 1e6);
-  ev.dur_ns = static_cast<int64_t>(dur_ms * 1e6);
-  ev.rid = rid;
-  ev.pid = kSimTrack;
-  internal::Record(ev);
-}
-
 void TraceEmitSimSpanNs(const char* name, const char* cat, int64_t ts_ns,
                         int64_t dur_ns, int64_t rid, int64_t span,
                         int64_t parent) {

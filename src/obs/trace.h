@@ -112,8 +112,10 @@ int32_t TraceSampling();
 
 /// \brief RAII span on the wall-clock track: records [construction,
 /// destruction) under \p name when tracing is enabled and the sampler
-/// elects it. \p name and \p cat must be string literals (interned by
-/// pointer). Cost tags \p flops / \p bytes land in the event's args.
+/// elects it. \p name and \p cat must point to string literals (interned
+/// by pointer); \p cat may be selected at run time, like the dispatched
+/// ISA's category from src/simd/dispatch.h. Cost tags \p flops / \p bytes
+/// land in the event's args.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* cat, int64_t rid = -1,
@@ -160,14 +162,9 @@ int64_t TraceBegin();
 void TraceEnd(const char* name, const char* cat, int64_t start_ns,
               int64_t rid = -1, int64_t flops = 0, int64_t bytes = 0);
 
-/// \brief Emits a complete span on the **simulated**-clock track (pid 2)
-/// with explicit timestamps in simulated milliseconds. Not sampled: when
-/// tracing is enabled every lifecycle event is recorded, so a request's
-/// path is always complete.
-void TraceEmitSim(const char* name, const char* cat, double ts_ms,
-                  double dur_ms, int64_t rid);
-
-/// \brief Emits an instant event on the simulated-clock track.
+/// \brief Emits an instant event on the **simulated**-clock track (pid 2)
+/// at simulated \p ts_ms. Not sampled: when tracing is enabled every
+/// lifecycle event is recorded, so a request's path is always complete.
 void TraceInstantSim(const char* name, const char* cat, double ts_ms,
                      int64_t rid);
 
@@ -239,14 +236,6 @@ std::vector<SpanStat> SelfTimeByName(const TraceBuffer& buffer);
 #define DLSYS_TRACE_SPAN_COST(name, cat, flops, bytes)                     \
   ::dlsys::obs::TraceSpan DLSYS_OBS_CONCAT(_dlsys_span_, __LINE__)(        \
       name, cat, -1, static_cast<int64_t>(flops), static_cast<int64_t>(bytes))
-/// Like DLSYS_TRACE_SPAN_COST but \p cat may be a runtime-selected pointer
-/// to a string literal (e.g. the dispatched ISA's category from
-/// src/simd/dispatch.h) instead of a literal spelled at the site.
-#define DLSYS_TRACE_SPAN_COST_CAT(name, cat, flops, bytes)                 \
-  ::dlsys::obs::TraceSpan DLSYS_OBS_CONCAT(_dlsys_span_, __LINE__)(        \
-      name, cat, -1, static_cast<int64_t>(flops), static_cast<int64_t>(bytes))
-#define DLSYS_TRACE_EMIT_SIM(name, cat, ts_ms, dur_ms, rid) \
-  ::dlsys::obs::TraceEmitSim(name, cat, ts_ms, dur_ms, rid)
 #define DLSYS_TRACE_INSTANT_SIM(name, cat, ts_ms, rid) \
   ::dlsys::obs::TraceInstantSim(name, cat, ts_ms, rid)
 #define DLSYS_TRACE_EMIT_SIM_NS(name, cat, ts_ns, dur_ns, rid, span, parent) \
@@ -255,8 +244,6 @@ std::vector<SpanStat> SelfTimeByName(const TraceBuffer& buffer);
 #else
 #define DLSYS_TRACE_SPAN(name, cat) ((void)0)
 #define DLSYS_TRACE_SPAN_COST(name, cat, flops, bytes) ((void)0)
-#define DLSYS_TRACE_SPAN_COST_CAT(name, cat, flops, bytes) ((void)0)
-#define DLSYS_TRACE_EMIT_SIM(name, cat, ts_ms, dur_ms, rid) ((void)0)
 #define DLSYS_TRACE_INSTANT_SIM(name, cat, ts_ms, rid) ((void)0)
 #define DLSYS_TRACE_EMIT_SIM_NS(name, cat, ts_ns, dur_ns, rid, span, parent) \
   ((void)0)

@@ -140,6 +140,8 @@ enum class AdmissionDecision {
 
 /// \brief Everything the admission policy looks at, all simulated.
 struct AdmissionInputs {
+  int64_t queue_capacity = 0;     ///< the server's queue bound
+  ServiceCostModel cost;          ///< service model, chaos scale applied
   int64_t queue_depth = 0;        ///< undispatched requests, server-wide
   int64_t prospective_batch = 0;  ///< batch size if this request joins
   double batch_ready_ms = 0.0;    ///< when that batch could dispatch
@@ -152,8 +154,7 @@ struct AdmissionInputs {
 /// \brief Pure admission decision: drain state first (a draining replica
 /// takes nothing new), then the bounded queue, then deadline feasibility
 /// under the cost model. Deterministic.
-AdmissionDecision DecideAdmission(const ServerConfig& config,
-                                  const AdmissionInputs& in);
+AdmissionDecision DecideAdmission(const AdmissionInputs& in);
 
 }  // namespace dlsys
 

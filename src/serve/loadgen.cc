@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -12,20 +12,21 @@ namespace dlsys {
 
 namespace {
 
-/// Folds every completion appended at or after index \p first into
-/// \p report and returns the largest finish time seen.
-double FoldCompletions(const Server& server, size_t first,
-                       LoadReport* report) {
-  double last_finish = 0.0;
-  const std::vector<Server::Completion>& done = server.completions();
-  for (size_t i = first; i < done.size(); ++i) {
-    const Server::Completion& c = done[i];
-    ++report->completed;
-    if (c.deadline_missed) ++report->deadline_missed;
-    report->latency.Record(c.finish_ms - c.arrival_ms);
-    last_finish = std::max(last_finish, c.finish_ms);
-  }
-  return last_finish;
+/// The one example a run submits for every request, filled from \p rng.
+/// An unknown model gets a 1-float stand-in that Submit turns away.
+Tensor SeededExample(Server* server, const std::string& model, Rng* rng) {
+  const std::shared_ptr<ModelSnapshot> snap =
+      server->registry()->Acquire(model);
+  Tensor example({snap == nullptr ? 1 : snap->in_elems});
+  example.FillGaussian(rng, 1.0f);
+  return example;
+}
+
+/// Folds one of the run's completions into \p report.
+void Record(const Server::Completion& c, LoadReport* report) {
+  ++report->completed;
+  if (c.deadline_missed) ++report->deadline_missed;
+  report->latency.Record(c.finish_ms - c.arrival_ms);
 }
 
 void FinishReport(double first_ms, double last_finish_ms, double wall_seconds,
@@ -65,9 +66,10 @@ std::vector<std::string> AssignTenants(const std::vector<TenantShare>& mix,
   if (mix.empty() || n <= 0) return assignment;
   double total = 0.0;
   for (const TenantShare& share : mix) total += std::max(0.0, share.share);
-  // The third fork of the seed's root: RunTenantedOpenLoop spends the
-  // first two on arrival gaps and payloads, so a caller with its own
-  // arrival process reproduces the identical assignment from (mix, seed).
+  // The third fork of the seed's root: RunTenantedOpenLoop draws its
+  // arrival gaps from the first and its one example from the second, so
+  // a caller with its own arrival process reproduces the identical
+  // assignment from (mix, seed).
   Rng root(seed);
   root.Fork();
   root.Fork();
@@ -89,41 +91,42 @@ std::vector<std::string> AssignTenants(const std::vector<TenantShare>& mix,
   return assignment;
 }
 
-TenantedLoadReport RunTenantedOpenLoop(Server* server,
-                                       const TenantedLoadConfig& config) {
+TenantedLoadReport RunTenantedOpenLoop(
+    Server* server, const OpenLoopConfig& config,
+    const std::function<void(int64_t)>& before_submit) {
   TenantedLoadReport report;
-  std::shared_ptr<ModelSnapshot> snap =
-      server->registry()->Acquire(config.model);
-  const int64_t in_elems = snap == nullptr ? 1 : snap->in_elems;
-  snap.reset();
-
   Rng root(config.seed);
   Rng arrivals = root.Fork();
-  Rng payloads = root.Fork();
+  Rng payload = root.Fork();
+  const Tensor example = SeededExample(server, config.model, &payload);
   const std::vector<std::string> tenant_of =
       AssignTenants(config.mix, config.seed, config.requests);
+  static const std::string kDefaultTenant = "default";
+  const auto tenant_at = [&](int64_t i) -> const std::string& {
+    return tenant_of.empty() ? kDefaultTenant
+                             : tenant_of[static_cast<size_t>(i)];
+  };
   const size_t completions_before = server->completions().size();
-  Tensor example({in_elems});
 
   Stopwatch wall;
   double t = std::max(config.start_ms, server->clock_ms());
   const double first_ms = t;
-  std::map<int64_t, std::string> owner;  // request id -> tenant
+  // Submit numbers every offered request consecutively, and nothing else
+  // submits during the run, so its requests are the ids from first_id on.
+  int64_t first_id = std::numeric_limits<int64_t>::max();
   for (int64_t i = 0; i < config.requests; ++i) {
+    // Inverse-CDF exponential gap: Poisson arrivals at rate_rps.
     t += -std::log(1.0 - arrivals.Uniform()) / config.rate_rps * 1000.0;
-    const std::string tenant =
-        tenant_of.empty() ? std::string("default")
-                          : tenant_of[static_cast<size_t>(i)];
-    example.FillGaussian(&payloads, 1.0f);
-    const Server::SubmitResult r =
-        server->Submit(config.model, example, t, config.deadline_ms, tenant);
-    LoadReport& per = report.by_tenant[tenant];
+    if (before_submit) before_submit(i);
+    const Server::SubmitResult r = server->Submit(
+        config.model, example, t, config.deadline_ms, tenant_at(i));
+    first_id = std::min(first_id, r.id);
+    LoadReport& per = report.by_tenant[tenant_at(i)];
     ++report.total.offered;
     ++per.offered;
     if (r.outcome == Server::Outcome::kAdmitted) {
       ++report.total.admitted;
       ++per.admitted;
-      owner[r.id] = tenant;
     } else {
       ++report.total.shed;
       ++per.shed;
@@ -135,18 +138,9 @@ TenantedLoadReport RunTenantedOpenLoop(Server* server,
   const std::vector<Server::Completion>& done = server->completions();
   for (size_t i = completions_before; i < done.size(); ++i) {
     const Server::Completion& c = done[i];
-    auto it = owner.find(c.id);
-    if (it == owner.end()) continue;  // earlier traffic, not this run's
-    LoadReport& per = report.by_tenant[it->second];
-    ++report.total.completed;
-    ++per.completed;
-    if (c.deadline_missed) {
-      ++report.total.deadline_missed;
-      ++per.deadline_missed;
-    }
-    const double latency = c.finish_ms - c.arrival_ms;
-    report.total.latency.Record(latency);
-    per.latency.Record(latency);
+    if (c.id < first_id) continue;  // earlier traffic, not this run's
+    Record(c, &report.total);
+    Record(c, &report.by_tenant[tenant_at(c.id - first_id)]);
     last_finish = std::max(last_finish, c.finish_ms);
   }
   FinishReport(first_ms, last_finish, wall.Seconds(), &report.total);
@@ -231,77 +225,43 @@ std::vector<double> GenerateTraceArrivals(const TraceLoadConfig& config) {
 
 LoadReport RunOpenLoop(Server* server, const OpenLoopConfig& config,
                        const std::function<void(int64_t)>& before_submit) {
-  LoadReport report;
-  std::shared_ptr<ModelSnapshot> snap =
-      server->registry()->Acquire(config.model);
-  const int64_t in_elems = snap == nullptr ? 1 : snap->in_elems;
-  snap.reset();  // payloads only need the size; don't pin a version
-
-  Rng root(config.seed);
-  Rng arrivals = root.Fork();
-  Rng payloads = root.Fork();
-  const size_t completions_before = server->completions().size();
-  Tensor example({in_elems});
-
-  Stopwatch wall;
-  double t = std::max(config.start_ms, server->clock_ms());
-  const double first_ms = t;
-  for (int64_t i = 0; i < config.requests; ++i) {
-    // Inverse-CDF exponential gap: Poisson arrivals at rate_rps.
-    t += -std::log(1.0 - arrivals.Uniform()) / config.rate_rps * 1000.0;
-    if (before_submit) before_submit(i);
-    example.FillGaussian(&payloads, 1.0f);
-    const Server::SubmitResult r =
-        server->Submit(config.model, example, t, config.deadline_ms);
-    ++report.offered;
-    if (r.outcome == Server::Outcome::kAdmitted) {
-      ++report.admitted;
-    } else {
-      ++report.shed;
-    }
-  }
-  server->Drain();
-  const double last_finish = FoldCompletions(*server, completions_before,
-                                             &report);
-  FinishReport(first_ms, last_finish, wall.Seconds(), &report);
-  return report;
+  return RunTenantedOpenLoop(server, config, before_submit).total;
 }
 
 LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config) {
   LoadReport report;
-  std::shared_ptr<ModelSnapshot> snap =
-      server->registry()->Acquire(config.model);
-  const int64_t in_elems = snap == nullptr ? 1 : snap->in_elems;
-  snap.reset();
+  Rng rng(config.seed);
+  const Tensor example = SeededExample(server, config.model, &rng);
 
   struct Client {
     double next_ms = 0.0;   ///< earliest time of its next attempt
     int64_t sent = 0;       ///< attempts issued so far
     bool waiting = false;   ///< has a request in flight
-    Rng payloads{0};
   };
-  Rng root(config.seed);
   std::vector<Client> clients(static_cast<size_t>(config.clients));
-  for (Client& c : clients) c.payloads = root.Fork();
-
-  std::map<int64_t, size_t> in_flight;  // request id -> client index
-  const size_t completions_before = server->completions().size();
-  size_t seen = completions_before;
-  Tensor example({in_elems});
+  // Submit numbers every offered request consecutively, and nothing else
+  // submits during the run, so its requests are the ids from first_id on;
+  // client_of[id - first_id] is the client that sent id.
+  int64_t first_id = std::numeric_limits<int64_t>::max();
+  std::vector<size_t> client_of;
+  int64_t in_flight = 0;
+  size_t seen = server->completions().size();
   const double start_ms = server->clock_ms();
   double last_finish = 0.0;
 
   Stopwatch wall;
   while (true) {
-    // Release clients whose responses have arrived.
+    // Fold the run's new completions and release their clients.
     const std::vector<Server::Completion>& done = server->completions();
     for (; seen < done.size(); ++seen) {
-      auto it = in_flight.find(done[seen].id);
-      if (it == in_flight.end()) continue;  // earlier traffic, not ours
-      Client& c = clients[it->second];
+      const Server::Completion& fin = done[seen];
+      if (fin.id < first_id) continue;  // earlier traffic, not ours
+      Record(fin, &report);
+      last_finish = std::max(last_finish, fin.finish_ms);
+      Client& c = clients[client_of[static_cast<size_t>(fin.id - first_id)]];
       c.waiting = false;
-      c.next_ms = done[seen].finish_ms + config.think_ms;
-      in_flight.erase(it);
+      c.next_ms = fin.finish_ms + config.think_ms;
+      --in_flight;
     }
 
     // Earliest client ready to send (lowest index breaks ties).
@@ -324,15 +284,16 @@ LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config) {
         server->AdvanceTo(std::max(server->clock_ms(), next_dispatch));
         continue;
       }
-      example.FillGaussian(&c.payloads, 1.0f);
       const Server::SubmitResult r =
           server->Submit(config.model, example, t, config.deadline_ms);
+      first_id = std::min(first_id, r.id);
+      client_of.push_back(static_cast<size_t>(who));
       ++c.sent;
       ++report.offered;
       if (r.outcome == Server::Outcome::kAdmitted) {
         ++report.admitted;
         c.waiting = true;
-        in_flight[r.id] = static_cast<size_t>(who);
+        ++in_flight;
       } else {
         ++report.shed;
         c.next_ms = t + config.think_ms;  // client-side backoff, then retry
@@ -343,12 +304,11 @@ LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config) {
       server->AdvanceTo(std::max(server->clock_ms(), next_dispatch));
       continue;
     }
-    if (in_flight.empty()) break;  // every client finished its budget
+    if (in_flight == 0) break;  // every client finished its budget
     // In-flight requests but nothing actionable: drain whatever remains.
     server->Drain();
   }
   server->Drain();
-  last_finish = FoldCompletions(*server, completions_before, &report);
   FinishReport(start_ms, last_finish, wall.Seconds(), &report);
   return report;
 }

@@ -25,22 +25,15 @@
 /// draws, so a fixed config replays bit for bit: identical admissions,
 /// sheds, batches, versions, and outputs. Only the engine's measured
 /// wall time differs between runs, and it never feeds any decision.
+/// Every request of a run carries the same seeded example: nothing reads
+/// a driver's outputs, so a fresh payload per request would only time
+/// the Rng.
 
 namespace dlsys {
 
-/// \brief Seeded Poisson open-loop workload.
-struct OpenLoopConfig {
-  uint64_t seed = 1;          ///< drives arrivals and payloads
-  int64_t requests = 1000;    ///< total arrivals to offer
-  double rate_rps = 1000.0;   ///< mean arrival rate (requests / second)
-  double deadline_ms = 0.0;   ///< per-request budget; <= 0 uses the default
-  std::string model = "model";
-  double start_ms = 0.0;      ///< simulated time of the first gap's origin
-};
-
 /// \brief Closed-loop workload: \p clients independent request loops.
 struct ClosedLoopConfig {
-  uint64_t seed = 1;
+  uint64_t seed = 1;         ///< draws the run's one example
   int64_t clients = 4;
   int64_t requests_per_client = 100;
   double think_ms = 1.0;     ///< client pause between response and resend
@@ -81,21 +74,22 @@ std::vector<TenantShare> HotTenantMix(int n, double hot_factor);
 
 /// \brief Materializes the per-arrival tenant assignment for \p n
 /// arrivals: seeded categorical draws over the shares of \p mix.
-/// Deterministic, and independent of the arrival-gap and payload streams
-/// RunTenantedOpenLoop forks from the same seed — callers with their own
-/// arrival process (the fleet) get the identical assignment by calling
-/// this with the same (mix, seed, n). Empty mix returns an empty vector.
+/// Deterministic, and independent of the arrival-gap stream and the
+/// example RunTenantedOpenLoop forks from the same seed — callers with
+/// their own arrival process (the fleet) get the identical assignment by
+/// calling this with the same (mix, seed, n). Empty mix returns an empty
+/// vector.
 std::vector<std::string> AssignTenants(const std::vector<TenantShare>& mix,
                                        uint64_t seed, int64_t n);
 
-/// \brief Seeded Poisson open-loop workload attributed across tenants.
-struct TenantedLoadConfig {
-  uint64_t seed = 1;         ///< drives arrivals, payloads, and tenants
+/// \brief Seeded Poisson open-loop workload, attributed across tenants.
+struct OpenLoopConfig {
+  uint64_t seed = 1;         ///< drives arrivals, tenants and the example
   int64_t requests = 1000;   ///< total arrivals to offer
-  double rate_rps = 1000.0;  ///< aggregate mean arrival rate
+  double rate_rps = 1000.0;  ///< aggregate mean arrival rate (requests / s)
   double deadline_ms = 0.0;  ///< per-request budget; <= 0 uses the default
   std::string model = "model";
-  double start_ms = 0.0;
+  double start_ms = 0.0;     ///< simulated time of the first gap's origin
   std::vector<TenantShare> mix;  ///< empty behaves as one "default" tenant
 };
 
@@ -112,9 +106,21 @@ struct TenantedLoadReport {
 
 /// \brief Drives \p server with a seeded Poisson stream whose requests
 /// carry tenant ids drawn from config.mix, then drains it. The tenant
-/// assignment is exactly AssignTenants(mix, seed, requests).
-TenantedLoadReport RunTenantedOpenLoop(Server* server,
-                                       const TenantedLoadConfig& config);
+/// assignment is exactly AssignTenants(mix, seed, requests). The report
+/// counts only this run's requests, so traffic queued before the call
+/// and drained by it is not charged to the run. \p before_submit
+/// (optional) runs before each arrival with the 0-based request index —
+/// the hook test_serve and bench_serving use to hot-swap the model
+/// mid-load. It publishes and never submits: the run's requests are the
+/// consecutive Submit ids starting at its first.
+TenantedLoadReport RunTenantedOpenLoop(
+    Server* server, const OpenLoopConfig& config,
+    const std::function<void(int64_t)>& before_submit = {});
+
+/// \brief The aggregate (TenantedLoadReport::total) of
+/// RunTenantedOpenLoop.
+LoadReport RunOpenLoop(Server* server, const OpenLoopConfig& config,
+                       const std::function<void(int64_t)>& before_submit = {});
 
 /// \brief One flash crowd: offered rate multiplies by \p multiplier for
 /// [start_ms, start_ms + duration_ms) on top of the diurnal baseline.
@@ -157,19 +163,13 @@ double TracePeakRate(const TraceLoadConfig& config);
 /// for a fixed config; independent of who consumes the arrivals.
 std::vector<double> GenerateTraceArrivals(const TraceLoadConfig& config);
 
-/// \brief Drives \p server with a seeded Poisson arrival stream and
-/// drains it. \p before_submit (optional) runs before each arrival with
-/// the 0-based request index — the hook test_serve and bench_serving use
-/// to hot-swap the model mid-load.
-LoadReport RunOpenLoop(Server* server, const OpenLoopConfig& config,
-                       const std::function<void(int64_t)>& before_submit = {});
-
 /// \brief Drives \p server with \p clients closed-loop request chains
 /// over the simulated clock and drains it. Each client issues exactly
 /// requests_per_client attempts: after a response it thinks for
 /// think_ms and sends again; after a shed it also waits think_ms before
 /// its next attempt (a client-side backoff), so the run always
-/// terminates.
+/// terminates. Like the open loop, the report counts only this run's
+/// requests.
 LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config);
 
 }  // namespace dlsys

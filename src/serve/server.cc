@@ -118,7 +118,6 @@ Server::SubmitResult Server::Submit(const std::string& model,
 
   const double budget = deadline_budget_ms > 0.0 ? deadline_budget_ms
                                                  : config_.default_deadline_ms;
-  const ServiceCostModel scaled_cost = ScaledCost();
 
   // The backlog is everything queued or loaded. The request can start no
   // earlier than its tenant's quota opens, and no earlier than the
@@ -128,6 +127,8 @@ Server::SubmitResult Server::Submit(const std::string& model,
   const int64_t lanes = config_.batch.max_batch;
   const int64_t backlog = queue_depth();
   AdmissionInputs in;
+  in.queue_capacity = config_.queue_capacity;
+  in.cost = ScaledCost();
   in.arrival_ms = arrival_ms;
   in.deadline_budget_ms = budget;
   in.draining = draining_;
@@ -135,7 +136,7 @@ Server::SubmitResult Server::Submit(const std::string& model,
   in.prospective_batch = std::min<int64_t>(lanes, backlog + 1);
   in.batch_ready_ms =
       std::max(arrival_ms, scheduler_.QuotaBacklogMs(record, arrival_ms));
-  const double step_ms = EstimateServiceMs(scaled_cost, lanes);
+  const double step_ms = EstimateServiceMs(in.cost, lanes);
   const double backlog_ms =
       step_ms > 0.0 ? static_cast<double>(backlog) * step_ms /
                           (static_cast<double>(config_.workers) *
@@ -143,9 +144,7 @@ Server::SubmitResult Server::Submit(const std::string& model,
                     : 0.0;
   in.earliest_worker_free_ms = earliest_worker_free_ms() + backlog_ms;
 
-  ServerConfig decision_config = config_;
-  decision_config.cost = scaled_cost;
-  switch (DecideAdmission(decision_config, in)) {
+  switch (DecideAdmission(in)) {
     case AdmissionDecision::kShedQueueFull:
       Tally(&ts.shed_queue_full, record.counters.shed_queue_full);
       DLSYS_COUNTER_ADD("serve.shed.queue_full", 1);

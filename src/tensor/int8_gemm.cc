@@ -17,8 +17,8 @@ void Int8GemmTransBInto(const int8_t* a, const int8_t* b, int32_t* c,
                         int64_t m, int64_t k, int64_t n) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.int8_tb", kt.span_cat, 2 * m * k * n,
-                            m * k + n * k + 4 * m * n);
+  DLSYS_TRACE_SPAN_COST("gemm.int8_tb", kt.span_cat, 2 * m * k * n,
+                        m * k + n * k + 4 * m * n);
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.int8_gemm_rows;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
@@ -46,8 +46,8 @@ void Q8BlockGemmTransBInto(const int8_t* a, const float* a_scales,
   DLSYS_CHECK(kp % 32 == 0, "Q8BlockGemmTransBInto: kp must be 32-padded");
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.q8_block_tb", kt.span_cat, 2 * m * kp * n,
-                            m * kp + n * kp + 4 * m * n);
+  DLSYS_TRACE_SPAN_COST("gemm.q8_block_tb", kt.span_cat, 2 * m * kp * n,
+                        m * kp + n * kp + 4 * m * n);
   DLSYS_COST_FLOPS(2 * m * kp * n);
   auto* kernel = kt.q8_gemm_rows;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
@@ -61,8 +61,8 @@ void Q4BlockGemmTransBInto(const int8_t* a, const float* a_scales,
   DLSYS_CHECK(kp % 32 == 0, "Q4BlockGemmTransBInto: kp must be 32-padded");
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.q4_block_tb", kt.span_cat, 2 * m * kp * n,
-                            m * kp + n * kp / 2 + 4 * m * n);
+  DLSYS_TRACE_SPAN_COST("gemm.q4_block_tb", kt.span_cat, 2 * m * kp * n,
+                        m * kp + n * kp / 2 + 4 * m * n);
   DLSYS_COST_FLOPS(2 * m * kp * n);
   auto* kernel = kt.q4_gemm_rows;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {

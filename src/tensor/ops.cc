@@ -38,8 +38,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   DLSYS_CHECK(b.dim(0) == k, "MatMul inner dimension mismatch");
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.matmul", kt.span_cat, 2 * m * k * n,
-                            4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.matmul", kt.span_cat, 2 * m * k * n,
+                        4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
   Tensor c({m, n});
   const float* pa = a.data();
@@ -58,8 +58,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   DLSYS_CHECK(b.dim(0) == k, "MatMulTransA inner dimension mismatch");
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.matmul_ta", kt.span_cat, 2 * m * k * n,
-                            4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.matmul_ta", kt.span_cat, 2 * m * k * n,
+                        4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
   Tensor c({m, n});
   const float* pa = a.data();
@@ -78,8 +78,8 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   DLSYS_CHECK(b.dim(1) == k, "MatMulTransB inner dimension mismatch");
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.matmul_tb", kt.span_cat, 2 * m * k * n,
-                            4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.matmul_tb", kt.span_cat, 2 * m * k * n,
+                        4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
   Tensor c({m, n});
   const float* pa = a.data();
@@ -96,8 +96,8 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.matmul_into", kt.span_cat, 2 * m * k * n,
-                            4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.matmul_into", kt.span_cat, 2 * m * k * n,
+                        4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.matmul_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
@@ -109,30 +109,13 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
   });
 }
 
-void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
-                      float* c, int64_t m, int64_t k, int64_t n) {
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.conv_gemm_bias", kt.span_cat,
-                            2 * m * k * n, 4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  // Rows are output channels (few); columns are spatial positions (many),
-  // so the column range is what gets partitioned. Each element is owned by
-  // exactly one range and accumulated bias-first, ascending-p, in a double
-  // — the direct convolution's exact operation sequence in every table.
-  auto* kernel = kt.conv_gemm_bias_act_cols;
-  ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {
-    kernel(a, b, bias, c, m, k, n, j0, j1, 0);
-  });
-}
-
 void MatMulBiasActInto(const float* a, const float* b, const float* bias,
                        float* c, int64_t m, int64_t k, int64_t n,
                        bool relu) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.matmul_bias_act", kt.span_cat,
-                            2 * m * k * n, 4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.matmul_bias_act", kt.span_cat,
+                        2 * m * k * n, 4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.matmul_bias_act_range;
   const int relu_flag = relu ? 1 : 0;
@@ -149,9 +132,13 @@ void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
                          bool relu) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.conv_gemm_bias_act", kt.span_cat,
-                            2 * m * k * n, 4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST("gemm.conv_gemm_bias_act", kt.span_cat,
+                        2 * m * k * n, 4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
+  // Rows are output channels (few); columns are spatial positions (many),
+  // so the column range is what gets partitioned. Each element is owned by
+  // exactly one range and accumulated bias-first, ascending-p, in a double
+  // — the direct convolution's exact operation sequence in every table.
   auto* kernel = kt.conv_gemm_bias_act_cols;
   const int relu_flag = relu ? 1 : 0;
   ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {

@@ -54,8 +54,9 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
-/// \brief C(MxN) = bias(M) + A(MxK) * B(KxN) into caller storage, with
-/// the convolution forward's accumulation semantics.
+/// \brief C(MxN) = act(bias(M) + A(MxK) * B(KxN)) into caller storage,
+/// with the convolution forward's accumulation semantics (act = relu when
+/// \p relu is true, identity otherwise).
 ///
 /// Each output element starts from bias[i] in a double accumulator and
 /// adds float products a[i,p]*b[p,j] in ascending p — exactly the
@@ -67,9 +68,12 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
 /// finite accumulator unchanged). The column range is split across
 /// workers; each range runs register tiles of up to four output channels
 /// by a vector of positions, one contiguous load of B per tap shared by
-/// the tile's channels. Allocation-free.
-void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
-                      float* c, int64_t m, int64_t k, int64_t n);
+/// the tile's channels. The relu is applied to each finished element as
+/// it is stored, bitwise identical to a separate relu pass over the
+/// output. Allocation-free.
+void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
+                         float* c, int64_t m, int64_t k, int64_t n,
+                         bool relu);
 
 /// \brief C(MxN) = act(A(MxK) * B(KxN) + bias(N)) into caller storage —
 /// MatMulInto with the bias add and optional relu fused into the range
@@ -84,13 +88,6 @@ void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
 /// through this entry point.
 void MatMulBiasActInto(const float* a, const float* b, const float* bias,
                        float* c, int64_t m, int64_t k, int64_t n, bool relu);
-
-/// \brief ConvGemmBiasInto with an optional relu fused into the column
-/// kernel (applied to each finished output element as it is stored;
-/// bitwise identical to a separate relu pass over the output).
-void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
-                         float* c, int64_t m, int64_t k, int64_t n,
-                         bool relu);
 
 /// \brief Returns a + b elementwise (same shape required).
 Tensor Add(const Tensor& a, const Tensor& b);

@@ -199,8 +199,8 @@ std::vector<ConvCase> MakeConvCases() {
     cases.push_back({"5x5_pad2", std::move(net), {1, 12, 12}});
   }
   {
-    // Stride 2, no padding, and no ReLU after the conv: the unfused
-    // ConvGemmBiasInto path. 11 -> 5.
+    // Stride 2, no padding, and no ReLU after the conv: ConvGemmBiasActInto
+    // with relu off. 11 -> 5.
     Sequential net;
     net.Emplace<Conv2D>(2, 3, 3, 2, 0);
     net.Emplace<Flatten>();

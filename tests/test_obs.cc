@@ -527,7 +527,8 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
   {
     DLSYS_TRACE_SPAN_COST("test.json_span", "test", 128, 256);
   }
-  obs::TraceEmitSim("test.json_sim", "test", 1.5, 2.0, /*rid=*/7);
+  obs::TraceEmitSimSpanNs("test.json_sim", "test", 1'500'000, 2'000'000,
+                          /*rid=*/7, /*span=*/-1, /*parent=*/-1);
   obs::TraceInstantSim("test.json_instant", "test", 3.5, /*rid=*/7);
   obs::SetTracingEnabled(false);
 

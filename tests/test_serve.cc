@@ -289,22 +289,20 @@ TEST(AdmissionTest, StructuredShedReasonsAndNames) {
   // The pure decision function attributes each shed to exactly one
   // reason, tested in priority order: draining trumps queue state,
   // queue bound trumps deadline feasibility.
-  ServerConfig config;
-  config.queue_capacity = 2;
-  config.batch.max_batch = 1;
-  config.cost = {10.0, 0.0};
   AdmissionInputs in;
+  in.queue_capacity = 2;
+  in.cost = {10.0, 0.0};
   in.prospective_batch = 1;
   in.deadline_budget_ms = 100.0;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kAdmit);
+  EXPECT_EQ(DecideAdmission(in), AdmissionDecision::kAdmit);
   in.draining = true;
   in.queue_depth = 2;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedDraining);
+  EXPECT_EQ(DecideAdmission(in), AdmissionDecision::kShedDraining);
   in.draining = false;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedQueueFull);
+  EXPECT_EQ(DecideAdmission(in), AdmissionDecision::kShedQueueFull);
   in.queue_depth = 0;
   in.deadline_budget_ms = 5.0;  // modeled 10ms service can never make it
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedDeadline);
+  EXPECT_EQ(DecideAdmission(in), AdmissionDecision::kShedDeadline);
 }
 
 TEST(ServerTest, DrainingShedsNewWorkButFinishesQueuedWork) {
@@ -686,6 +684,59 @@ TEST(LoadGenTest, ClosedLoopCompletesEveryClientBudget) {
   EXPECT_GT(report.sim_throughput_rps, 0.0);
 }
 
+TEST(LoadGenTest, ReportsOnlyItsOwnTraffic) {
+  // Six requests queued before a run and drained by it belong to their
+  // own submitter: neither driver charges them to its run's completions
+  // or latency histogram.
+  const auto backlogged = [](ModelRegistry* registry) {
+    ServerConfig config;
+    config.workers = 1;
+    config.queue_capacity = 64;
+    config.batch.max_batch = 1;
+    config.default_deadline_ms = 1e6;
+    config.cost = {10.0, 0.0};  // the backlog outlives the run's start
+    auto created = Server::Create(registry, config);
+    EXPECT_TRUE(created.ok());
+    std::unique_ptr<Server> server = std::move(created).value();
+    EXPECT_TRUE(server->Publish("m", MakeNet(53), {16}).ok());
+    const Tensor x({16});
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(server->Submit("m", x, 0.0).outcome,
+                Server::Outcome::kAdmitted);
+    }
+    EXPECT_LT(server->completions().size(), 6u);
+    return server;
+  };
+
+  {
+    ModelRegistry registry;
+    std::unique_ptr<Server> server = backlogged(&registry);
+    OpenLoopConfig load;
+    load.seed = 7;
+    load.requests = 20;
+    load.model = "m";
+    const LoadReport report = RunOpenLoop(server.get(), load);
+    EXPECT_EQ(server->completions().size(), 26u);
+    EXPECT_EQ(report.admitted, 20);
+    EXPECT_EQ(report.completed, 20);
+    EXPECT_EQ(report.latency.count(), 20);
+  }
+  {
+    ModelRegistry registry;
+    std::unique_ptr<Server> server = backlogged(&registry);
+    ClosedLoopConfig load;
+    load.seed = 7;
+    load.clients = 2;
+    load.requests_per_client = 10;
+    load.model = "m";
+    const LoadReport report = RunClosedLoop(server.get(), load);
+    EXPECT_EQ(server->completions().size(), 26u);
+    EXPECT_EQ(report.admitted, 20);
+    EXPECT_EQ(report.completed, 20);
+    EXPECT_EQ(report.latency.count(), 20);
+  }
+}
+
 // ------------------------------------------------- slot scheduler QoS
 
 TEST(ServerConfigTest, ValidateCatchesBadQosFields) {
@@ -992,7 +1043,7 @@ TenantedLoadReport RunHotTenantMix(bool fair) {
   std::unique_ptr<Server> server = std::move(created).value();
   EXPECT_TRUE(server->Publish("m", MakeNet(71), {16}).ok());
 
-  TenantedLoadConfig load;
+  OpenLoopConfig load;
   load.seed = 11;
   load.requests = 600;
   load.rate_rps = 11'000.0;  // hot tenant ~8000, cold tenants ~1000 each
@@ -1032,7 +1083,7 @@ TEST(SlotServerTest, TenantStatsAndMetricsAccountEveryRequest) {
   std::unique_ptr<Server> server = std::move(created).value();
   ASSERT_TRUE(server->Publish("m", MakeNet(81), {16}).ok());
 
-  TenantedLoadConfig load;
+  OpenLoopConfig load;
   load.seed = 13;
   load.requests = 120;
   load.rate_rps = 5'000.0;
@@ -1275,7 +1326,7 @@ TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
     EXPECT_TRUE(created.ok());
     std::unique_ptr<Server> server = std::move(created).value();
     EXPECT_TRUE(server->Publish("m", MakeNet(91), {16}).ok());
-    TenantedLoadConfig load;
+    OpenLoopConfig load;
     load.seed = 19;
     load.requests = 200;
     load.rate_rps = 60'000.0;  // hot enough that some requests shed

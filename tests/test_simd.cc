@@ -252,8 +252,8 @@ TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
                      std::to_string(s.m) + " k=" + std::to_string(s.k) +
                      " n=" + std::to_string(s.n));
         std::fill(c.begin(), c.end(), -1.0f);  // stale data must be overwritten
-        ConvGemmBiasInto(a.data(), b.data(), bias.data(), c.data(), s.m, s.k,
-                         s.n);
+        ConvGemmBiasActInto(a.data(), b.data(), bias.data(), c.data(), s.m,
+                            s.k, s.n, /*relu=*/false);
         EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n));
       }
     }
