@@ -1,7 +1,7 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
-// latency of the arena-planned engine vs the training forward, im2col vs
-// direct convolution, int8 vs fp32 dense GEMM at equal shapes, and the
-// micro-batching throughput/p99 frontier. Results land in
+// latency of the arena-planned engine vs the training forward,
+// implicit-GEMM vs direct convolution, int8 vs fp32 dense GEMM at equal
+// shapes, and the micro-batching throughput/p99 frontier. Results land in
 // BENCH_inference.json.
 //
 // Standalone binary (not google-benchmark): it installs a global
@@ -159,10 +159,10 @@ SteadyState BenchSteadyState() {
   return result;
 }
 
-// --------------------------------------------------- 2. im2col vs direct
+// ------------------------------------------- 2. implicit GEMM vs direct
 
 struct ConvAlgoRow {
-  double im2col_ms = 0.0;
+  double implicit_gemm_ms = 0.0;
   double direct_ms = 0.0;
 };
 
@@ -176,7 +176,7 @@ ConvAlgoRow BenchConvAlgo() {
   x.FillGaussian(&rng, 1.0f);
 
   ConvAlgoRow row;
-  for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
+  for (ConvAlgo algo : {ConvAlgo::kImplicitGemm, ConvAlgo::kDirect}) {
     EngineConfig config;
     config.max_batch = batch;
     config.conv_algo = algo;
@@ -190,7 +190,8 @@ ConvAlgoRow BenchConvAlgo() {
                   "predict");
       g_sink = out[0];
     });
-    (algo == ConvAlgo::kIm2col ? row.im2col_ms : row.direct_ms) = ms;
+    (algo == ConvAlgo::kImplicitGemm ? row.implicit_gemm_ms : row.direct_ms) =
+        ms;
   }
   return row;
 }
@@ -432,7 +433,7 @@ PassPipelineRows BenchPassPipeline() {
     rows.fp32_bitwise_equal = pair.bitwise_equal;
   }
 
-  // Conv + bias + relu: same rewrite on the im2col GEMM's column kernel.
+  // Conv + bias + relu: same rewrite on the implicit conv GEMM's epilogue.
   {
     const int64_t img = g_smoke ? 8 : 24;
     Sequential net = MakeCnn(img, g_smoke ? 3 : 12, g_smoke ? 4 : 16, 10);
@@ -543,8 +544,9 @@ int main(int argc, char** argv) {
       steady.forward_batch1_ms);
 
   const ConvAlgoRow conv = BenchConvAlgo();
-  std::printf("conv          im2col %.4f ms | direct %.4f ms | %.2fx\n",
-              conv.im2col_ms, conv.direct_ms, conv.direct_ms / conv.im2col_ms);
+  std::printf("conv          implicit_gemm %.4f ms | direct %.4f ms | %.2fx\n",
+              conv.implicit_gemm_ms, conv.direct_ms,
+              conv.direct_ms / conv.implicit_gemm_ms);
 
   const GemmRow gemm = BenchInt8Gemm();
   std::printf(
@@ -601,7 +603,7 @@ int main(int argc, char** argv) {
                "\"forward_allocs_per_call\": %lld,\n"
                "                   \"engine_batch1_ms\": %.4f, "
                "\"forward_batch1_ms\": %.4f},\n"
-               "  \"conv\": {\"im2col_ms\": %.4f, \"direct_ms\": %.4f, "
+               "  \"conv\": {\"implicit_gemm_ms\": %.4f, \"direct_ms\": %.4f, "
                "\"speedup\": %.2f},\n"
                "  \"int8_gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
                "\"fp32_ms\": %.4f,\n"
@@ -624,8 +626,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(steady.engine_allocs_per_call),
                static_cast<long long>(steady.forward_allocs_per_call),
                steady.engine_batch1_ms, steady.forward_batch1_ms,
-               conv.im2col_ms, conv.direct_ms,
-               conv.direct_ms / conv.im2col_ms,
+               conv.implicit_gemm_ms, conv.direct_ms,
+               conv.direct_ms / conv.implicit_gemm_ms,
                static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
                static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
                gemm.int8_full_ms, gemm.fp32_ms / gemm.int8_ms,

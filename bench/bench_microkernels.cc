@@ -1,12 +1,14 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched
-// microkernels — fp32 matmul / fp32 transB / conv-GEMM / int8 / q8-block /
-// q4-block GEMMs and the q8 row quantizer — at the E31 serving shape
-// (64x768x768), one tail shape, and the two q8 GEMMs of the served int8
-// MLP (8x32x128 and 8x128x10), plus the lookup primitives (B+-tree, RMI,
-// bloom) behind the learned-index experiments. Per-cell latency quantiles
-// come from the CounterRegistry histogram (obs::SharedHistogram), not
-// local timing plumbing; results land in BENCH_microkernels.json with
-// speedup vs the scalar table per cell.
+// microkernels — fp32 matmul / fp32 transB / int8 / q8-block / q4-block
+// GEMMs and the q8 row quantizer at the E31 serving shape (64x768x768),
+// one tail shape, and the two q8 GEMMs of the served int8 MLP (8x32x128
+// and 8x128x10); the implicit conv GEMM at LeNet's two conv geometries
+// and the max pool at LeNet's two pool shapes (a batch of 16 images, as
+// perfbench's offline_batch runs them) — plus the lookup primitives
+// (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
+// latency quantiles come from the CounterRegistry histogram
+// (obs::SharedHistogram), not local timing plumbing; results land in
+// BENCH_microkernels.json with speedup vs the scalar table per cell.
 //
 // The sweep is also a cross-ISA parity gate: every cell's output is
 // bit-compared against the scalar table's on the same operands, and any
@@ -25,6 +27,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/compress/quantization.h"
@@ -90,7 +93,7 @@ struct GemmShape {
 /// ISA times identical memory.
 struct GemmOperands {
   GemmShape s;
-  Tensor a, b, bt, bias;
+  Tensor a, b, bt;
   Q8BlockMatrix qa8, qb8;
   Q4BlockMatrix qb4;
   std::vector<int8_t> ia, ib;
@@ -106,8 +109,6 @@ struct GemmOperands {
     a.FillGaussian(rng, 1.0f);
     b.FillGaussian(rng, 0.5f);
     bt = Transpose(b);  // (n, k) for the TransB family
-    bias = Tensor({s.m});
-    bias.FillGaussian(rng, 1.0f);
     qa8 = Q8BlockQuantizeRows(a);
     qb8 = Q8BlockQuantizeRows(bt);
     qb4 = Q4BlockQuantizeRows(bt);
@@ -128,19 +129,49 @@ std::string Bytes(const T* v, size_t count) {
   return std::string(reinterpret_cast<const char*>(v), count * sizeof(T));
 }
 
+struct KernelDef {
+  const char* name;
+  std::function<void()> run;
+  std::function<std::string()> output;  ///< the bytes run() wrote
+};
+
+/// Times \p kernel on every supported ISA, appending one cell per ISA, and
+/// bit-compares each ISA's output with the scalar table's; a mismatch
+/// bumps \p parity_failures.
+void SweepKernel(const std::string& shape, const KernelDef& kernel,
+                 std::vector<SweepCell>* cells, int* parity_failures) {
+  const int iters = g_smoke ? 3 : 15;
+  double scalar_p50 = 0.0;
+  std::string scalar_out;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (!simd::IsaSupported(isa)) continue;
+    simd::SetIsa(isa);
+    SweepCell cell;
+    cell.shape = shape;
+    cell.kernel = kernel.name;
+    cell.isa = simd::IsaName(isa);
+    cell.q = TimeKernel(iters, kernel.run);
+    if (isa == simd::Isa::kScalar) {
+      scalar_p50 = cell.q.p50_ms;
+      scalar_out = kernel.output();
+    } else if (kernel.output() != scalar_out) {
+      std::printf("PARITY MISMATCH: %s %s %s differs from scalar\n",
+                  cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str());
+      ++*parity_failures;
+    }
+    cell.speedup_vs_scalar =
+        cell.q.p50_ms > 0.0 ? scalar_p50 / cell.q.p50_ms : 0.0;
+    cells->push_back(cell);
+  }
+}
+
 /// Runs the sweep; \p parity_failures counts cells whose output differs
 /// from the scalar table's by a single bit.
 std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
                                 int* parity_failures) {
-  const int iters = g_smoke ? 3 : 15;
   std::vector<SweepCell> cells;
   Rng rng(61);
-
-  std::vector<simd::Isa> isas;
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::IsaSupported(isa)) isas.push_back(isa);
-  }
 
   for (const GemmShape& shape : shapes) {
     GemmOperands op(shape, &rng);
@@ -148,11 +179,6 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
     const int64_t kp = op.qa8.padded_cols;
 
     const size_t mn = static_cast<size_t>(m * n);
-    struct KernelDef {
-      const char* name;
-      std::function<void()> run;
-      std::function<std::string()> output;  ///< the bytes run() wrote
-    };
     const std::vector<KernelDef> kernels = {
         {"fp32_matmul",
          [&] {
@@ -166,13 +192,6 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
            g_sink = op.c_tb[0];
          },
          [&] { return Bytes(op.c_tb.data(), mn); }},
-        {"fp32_conv_gemm",
-         [&] {
-           ConvGemmBiasActInto(op.a.data(), op.b.data(), op.bias.data(),
-                               op.c.data(), m, k, n, /*relu=*/false);
-           g_sink = op.c[0];
-         },
-         [&] { return Bytes(op.c.data(), mn); }},
         {"int8_rowwise",
          [&] {
            Int8GemmTransBInto(op.ia.data(), op.ib.data(), op.iacc.data(), m,
@@ -209,29 +228,54 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
     };
 
     for (const KernelDef& kernel : kernels) {
-      double scalar_p50 = 0.0;
-      std::string scalar_out;
-      for (simd::Isa isa : isas) {
-        simd::SetIsa(isa);
-        SweepCell cell;
-        cell.shape = shape.Name();
-        cell.kernel = kernel.name;
-        cell.isa = simd::IsaName(isa);
-        cell.q = TimeKernel(iters, kernel.run);
-        if (isa == simd::Isa::kScalar) {
-          scalar_p50 = cell.q.p50_ms;
-          scalar_out = kernel.output();
-        } else if (kernel.output() != scalar_out) {
-          std::printf("PARITY MISMATCH: %s %s %s differs from scalar\n",
-                      cell.shape.c_str(), cell.kernel.c_str(),
-                      cell.isa.c_str());
-          ++*parity_failures;
-        }
-        cell.speedup_vs_scalar =
-            cell.q.p50_ms > 0.0 ? scalar_p50 / cell.q.p50_ms : 0.0;
-        cells.push_back(cell);
-      }
+      SweepKernel(shape.Name(), kernel, &cells, parity_failures);
     }
+  }
+
+  // LeNet's convs (1->4 5x5 pad 2 on 28x28, 4->8 3x3 pad 1 on 14x14): one
+  // image's implicit GEMM over phase planes written once up front.
+  for (const ConvGeometry& g :
+       {ConvGeometry{1, 4, 5, 1, 2, 28, 28, 28, 28},
+        ConvGeometry{4, 8, 3, 1, 1, 14, 14, 14, 14}}) {
+    Tensor x({g.in_ch, g.h, g.w}), w({g.out_ch, g.taps()}), bias({g.out_ch});
+    x.FillGaussian(&rng, 1.0f);
+    w.FillGaussian(&rng, 0.5f);
+    bias.FillGaussian(&rng, 1.0f);
+    const std::vector<int64_t> tap_off = ConvTapOffsets(g);
+    std::vector<float> planes(static_cast<size_t>(g.planes_elems()));
+    std::vector<float> c(static_cast<size_t>(g.out_ch * g.ho * g.wo));
+    ConvPhasePlanesInto(x.data(), g, planes.data());
+    SweepKernel(std::to_string(g.in_ch) + "to" + std::to_string(g.out_ch) +
+                    "_" + std::to_string(g.h) + "x" + std::to_string(g.w) +
+                    "_k" + std::to_string(g.kernel) + "p" +
+                    std::to_string(g.pad),
+                {"fp32_conv_gemm",
+                 [&] {
+                   ConvGemmBiasActInto(w.data(), planes.data(), tap_off.data(),
+                                       bias.data(), c.data(), g,
+                                       /*relu=*/false);
+                   g_sink = c[0];
+                 },
+                 [&] { return Bytes(c.data(), c.size()); }},
+                &cells, parity_failures);
+  }
+  // LeNet's 2x2 pools over a batch of 16 images: 4 28x28 and 8 14x14
+  // planes per image.
+  for (const auto& [planes, extent] :
+       {std::pair<int64_t, int64_t>{16 * 4, 28}, {16 * 8, 14}}) {
+    Tensor x({planes, extent, extent});
+    x.FillGaussian(&rng, 1.0f);
+    std::vector<float> y(static_cast<size_t>(planes * (extent / 2) *
+                                             (extent / 2)));
+    SweepKernel(std::to_string(planes) + "x" + std::to_string(extent) + "x" +
+                    std::to_string(extent) + "/2",
+                {"max_pool",
+                 [&] {
+                   MaxPoolInto(x.data(), y.data(), planes, extent, extent, 2);
+                   g_sink = y[0];
+                 },
+                 [&] { return Bytes(y.data(), y.size()); }},
+                &cells, parity_failures);
   }
   simd::SetIsa(simd::BestSupportedIsa());
   return cells;
@@ -326,12 +370,12 @@ int main(int argc, char** argv) {
 
   int parity_failures = 0;
   const std::vector<SweepCell> cells = RunSweep(shapes, &parity_failures);
-  std::printf("%-12s %-17s %-8s %10s %10s %9s\n", "shape", "kernel", "isa",
+  std::printf("%-16s %-17s %-8s %10s %10s %9s\n", "shape", "kernel", "isa",
               "p50_ms", "p99_ms", "vs_scalar");
   double best_e31_speedup = 0.0;
   std::string best_e31_cell;
   for (const SweepCell& cell : cells) {
-    std::printf("%-12s %-17s %-8s %10.4f %10.4f %8.2fx\n", cell.shape.c_str(),
+    std::printf("%-16s %-17s %-8s %10.4f %10.4f %8.2fx\n", cell.shape.c_str(),
                 cell.kernel.c_str(), cell.isa.c_str(), cell.q.p50_ms,
                 cell.q.p99_ms, cell.speedup_vs_scalar);
     if (cell.shape == shapes[0].Name() &&

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,25 +25,6 @@ using infer::OpKind;
 using infer::OpNode;
 
 constexpr int64_t kEwGrain = 1 << 15;  ///< elementwise elements per range
-constexpr int64_t kTapGrain = 4;        ///< im2col patch rows per range
-
-/// A half-open range [lo, hi) of output coordinates.
-struct OutRange {
-  int64_t lo;
-  int64_t hi;
-};
-
-/// The output coordinates o whose input coordinate o * stride - pad + t
-/// lies inside [0, extent), clipped to [0, out_extent): where a conv tap
-/// at offset t reads the input rather than the zero border.
-OutRange InsideRange(int64_t t, int64_t pad, int64_t stride, int64_t extent,
-                     int64_t out_extent) {
-  auto ceil_div = [stride](int64_t x) {
-    return x <= 0 ? 0 : (x + stride - 1) / stride;
-  };
-  const int64_t lo = std::min(out_extent, ceil_div(pad - t));
-  return {lo, std::max(lo, std::min(out_extent, ceil_div(extent + pad - t)))};
-}
 
 /// Must match TensorArena's slot alignment (src/infer/arena.cc): the
 /// unpacked-size accounting below mirrors what Reserve would commit.
@@ -56,6 +36,11 @@ int64_t AlignUp(int64_t v) {
 
 bool IsQuantDense(OpKind kind) {
   return kind == OpKind::kDenseInt8 || kind == OpKind::kDenseInt4;
+}
+
+ConvGeometry ConvGeometryOf(const OpNode& node) {
+  return {node.in_ch, node.out_ch, node.kernel, node.stride, node.pad,
+          node.h,     node.w,      node.ho,     node.wo};
 }
 
 }  // namespace
@@ -168,11 +153,11 @@ void InferenceEngine::PlanAndEmit() {
 
   // ---- steps + scratch requests ---------------------------------------
   //
-  // Scratch buffers (im2col patches, activation codes, fold-off weight
+  // Scratch buffers (conv phase planes, activation codes, fold-off weight
   // prep) are requested with live intervals; how they are satisfied
   // depends on the pack pass. Fields name the Step member to bind.
   enum ScratchField {
-    kIm2col,
+    kPlanes,
     kQinVals,
     kQinScales,
     kQoutVals,
@@ -199,11 +184,12 @@ void InferenceEngine::PlanAndEmit() {
     Step step;
     step.node = ni;
 
-    if (node.kind == OpKind::kConv && config_.conv_algo == ConvAlgo::kIm2col) {
-      const int64_t patch =
-          node.ho * node.wo * node.in_ch * node.kernel * node.kernel;
-      scratch.push_back(
-          {static_cast<size_t>(p), kIm2col, true, patch, p, p});
+    if (node.kind == OpKind::kConv &&
+        config_.conv_algo == ConvAlgo::kImplicitGemm) {
+      const ConvGeometry geom = ConvGeometryOf(node);
+      scratch.push_back({static_cast<size_t>(p), kPlanes, true,
+                         geom.planes_elems(), p, p});
+      step.tap_off = ConvTapOffsets(geom);
     }
     if (IsQuantDense(node.kind)) {
       const int64_t kp_in = PadToQuantBlock(node.in_elems);
@@ -318,7 +304,7 @@ void InferenceEngine::PlanAndEmit() {
   unpacked_bytes_ = 2 * AlignUp(4 * max_act * kMaxB);
   for (int fam = 0; fam < 8; ++fam) {
     if (shared_max[fam] == 0) continue;
-    const bool floats = fam == kIm2col || fam == kQinScales ||
+    const bool floats = fam == kPlanes || fam == kQinScales ||
                         fam == kQoutScales || fam == kWt || fam == kWScales;
     unpacked_bytes_ += AlignUp(shared_max[fam] * (floats ? 4 : 1));
   }
@@ -326,8 +312,8 @@ void InferenceEngine::PlanAndEmit() {
 
   auto bind = [&](Step* step, ScratchField field, TensorArena::BufferId id) {
     switch (field) {
-      case kIm2col:
-        step->im2col = id;
+      case kPlanes:
+        step->planes = id;
         return;
       case kQinVals:
         step->qin_vals = id;
@@ -405,7 +391,7 @@ void InferenceEngine::PlanAndEmit() {
     TensorArena::BufferId shared[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
     for (int fam = 0; fam < 8; ++fam) {
       if (shared_max[fam] == 0) continue;
-      const bool floats = fam == kIm2col || fam == kQinScales ||
+      const bool floats = fam == kPlanes || fam == kQinScales ||
                           fam == kQoutScales || fam == kWt || fam == kWScales;
       shared[fam] = floats ? arena_.ReserveFloats(shared_max[fam])
                            : arena_.ReserveInt8s(shared_max[fam]);
@@ -662,27 +648,7 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       return;
     }
     case OpKind::kPool: {
-      const int64_t c = node.in_ch, h = node.h, w = node.w;
-      const int64_t ho = node.ho, wo = node.wo, window = node.window;
-      ParallelFor(0, batch * c, 1, [=](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          const float* xplane = in + t * h * w;
-          float* yplane = out + t * ho * wo;
-          for (int64_t oy = 0; oy < ho; ++oy) {
-            for (int64_t ox = 0; ox < wo; ++ox) {
-              float best = -std::numeric_limits<float>::infinity();
-              for (int64_t ky = 0; ky < window; ++ky) {
-                const float* xrow =
-                    xplane + (oy * window + ky) * w + ox * window;
-                for (int64_t kx = 0; kx < window; ++kx) {
-                  if (xrow[kx] > best) best = xrow[kx];
-                }
-              }
-              yplane[oy * wo + ox] = best;
-            }
-          }
-        }
-      });
+      MaxPoolInto(in, out, batch * node.in_ch, node.h, node.w, node.window);
       return;
     }
     case OpKind::kConv: {
@@ -693,48 +659,17 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       const float* pw = node.weight.data();
       const float* pb = node.bias.data();
       const bool relu = node.relu_fused;
-      if (config_.conv_algo == ConvAlgo::kIm2col) {
-        const int64_t kk = ic * kernel * kernel;  // taps: patch rows
-        const int64_t positions = ho * wo;         // patch columns
-        float* patches = arena_.Floats(step.im2col);
+      if (config_.conv_algo == ConvAlgo::kImplicitGemm) {
+        const ConvGeometry geom = ConvGeometryOf(node);
+        float* planes = arena_.Floats(step.planes);
         for (int64_t img = 0; img < batch; ++img) {
-          const float* xin = in + img * ic * h * w;
-          // Patch layout (K x N, the GEMM's B operand): row = tap in
-          // (ic, ky, kx) order — the direct nest's term order — and column
-          // = output position. A tap reads the input inside one rectangle
-          // of output positions, [oy_lo, oy_hi) x [ox_lo, ox_hi), worked
-          // out once per tap; the rest of its row is the zero border.
-          ParallelFor(0, kk, kTapGrain, [=](int64_t q0, int64_t q1) {
-            for (int64_t q = q0; q < q1; ++q) {
-              const int64_t cc = q / (kernel * kernel);
-              const int64_t ky = q / kernel % kernel;
-              const int64_t kx = q % kernel;
-              const auto [oy_lo, oy_hi] = InsideRange(ky, pad, stride, h, ho);
-              const auto [ox_lo, ox_hi] = InsideRange(kx, pad, stride, w, wo);
-              const float* xplane = xin + cc * h * w;
-              float* prow = patches + q * positions;
-              std::fill(prow, prow + oy_lo * wo, 0.0f);
-              for (int64_t oy = oy_lo; oy < oy_hi; ++oy) {
-                float* dst = prow + oy * wo;
-                const float* src = xplane + (oy * stride - pad + ky) * w +
-                                   (ox_lo * stride - pad + kx);
-                std::fill(dst, dst + ox_lo, 0.0f);
-                if (stride == 1) {
-                  std::copy(src, src + (ox_hi - ox_lo), dst + ox_lo);
-                } else {
-                  for (int64_t ox = ox_lo; ox < ox_hi; ++ox) {
-                    dst[ox] = src[(ox - ox_lo) * stride];
-                  }
-                }
-                std::fill(dst + ox_hi, dst + wo, 0.0f);
-              }
-              std::fill(prow + oy_hi * wo, prow + positions, 0.0f);
-            }
-          });
-          // With the fusion pass on, an absorbed ReLU runs in the conv
-          // GEMM's column epilogue instead of as a separate output pass.
-          ConvGemmBiasActInto(pw, patches, pb, out + img * oc * positions, oc,
-                              kk, positions, relu);
+          // The image's zero-padded phase planes, then the GEMM reading
+          // each tap's run straight from them. With the fusion pass on,
+          // an absorbed ReLU runs in the conv GEMM's epilogue instead of
+          // as a separate output pass.
+          ConvPhasePlanesInto(in + img * ic * h * w, geom, planes);
+          ConvGemmBiasActInto(pw, planes, step.tap_off.data(), pb,
+                              out + img * oc * ho * wo, geom, relu);
         }
       } else {
         // Direct reference: the plain clipped loop nest, one worker per

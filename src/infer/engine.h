@@ -34,10 +34,12 @@
 /// path's per-element operation sequence, and every rewrite pass is
 /// bitwise-neutral (fusion removes stores/reloads and kernel launches,
 /// folding moves where identical float expressions evaluate, packing moves
-/// where buffers live — see src/infer/passes.h). The im2col algorithm
-/// rewrites convolution as patch-matrix GEMM with zero-filled padding
-/// taps; a zero product leaves a finite accumulator unchanged, so the
-/// result matches the direct path's clipped loops bit for bit.
+/// where buffers live — see src/infer/passes.h). The implicit-GEMM
+/// algorithm writes each image's zero-padded input once, split into
+/// stride-phase planes, and runs the conv GEMM straight from it: padding
+/// taps read zeros, and a zero product leaves a finite accumulator
+/// unchanged, so the result matches the direct path's clipped loops bit
+/// for bit.
 ///
 /// In int8 mode Dense layers run as ggml-style block-quantized integer
 /// GEMM (src/compress/quantization.h): weights quantize to q8 codes with
@@ -63,7 +65,7 @@ struct EngineConfig {
   explicit EngineConfig(int64_t batch) : max_batch(batch) {}
 
   int64_t max_batch = 64;  ///< largest batch PredictInto will accept
-  ConvAlgo conv_algo = ConvAlgo::kIm2col;
+  ConvAlgo conv_algo = ConvAlgo::kImplicitGemm;
   EngineNumeric numeric = EngineNumeric::kFp32;
   /// Which rewrite passes Compile runs (all on by default). The
   /// DLSYS_PASSES environment variable overrides this field — see
@@ -142,7 +144,10 @@ class InferenceEngine {
     TensorArena::BufferId in = -1;   ///< input activations (floats)
     TensorArena::BufferId out = -1;  ///< output activations (== in when
                                      ///< the node runs in place)
-    TensorArena::BufferId im2col = -1;  ///< conv patch scratch (per image)
+    /// Implicit-GEMM conv: one image's phase planes (scratch), and each
+    /// tap's offset into them, computed once at compile time.
+    TensorArena::BufferId planes = -1;
+    std::vector<int64_t> tap_off;
     /// Quantized dense: q8 codes + per-block scales of the input batch.
     /// With quant_in these alias the producer step's qout buffers.
     TensorArena::BufferId qin_vals = -1;

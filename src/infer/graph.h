@@ -30,7 +30,9 @@ namespace dlsys {
 
 /// \brief Convolution execution strategy.
 enum class ConvAlgo {
-  kIm2col,  ///< patch-matrix GEMM through ConvGemmBiasActInto (default)
+  /// GEMM read straight from the input's phase planes through
+  /// ConvGemmBiasActInto (default)
+  kImplicitGemm,
   kDirect,  ///< reference loop nest; retained for bit-comparison and bench
 };
 

@@ -18,7 +18,8 @@ namespace dlsys {
 /// \brief 2-D convolution with square kernels, stride, and zero padding.
 ///
 /// Input: rank-4 [N, in_channels, H, W]. Output: [N, out_channels, Ho, Wo]
-/// with Ho = (H + 2*pad - k)/stride + 1.
+/// with Ho = (H + 2*pad - k)/stride + 1 (the input must be at least k wide
+/// once padded).
 class Conv2D : public Layer {
  public:
   Conv2D(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -35,8 +36,11 @@ class Conv2D : public Layer {
   void DropCache() override { x_cache_.Clear(); }
   std::unique_ptr<Layer> Clone() const override;
 
-  /// \brief Output spatial extent for an input extent \p in.
+  /// \brief Output spatial extent for an input extent \p in: 0 when the
+  /// kernel is wider than the padded input (in + 2 * pad < kernel) at any
+  /// stride.
   int64_t OutExtent(int64_t in) const {
+    if (in + 2 * pad_ < kernel_) return 0;
     return (in + 2 * pad_ - kernel_) / stride_ + 1;
   }
 

@@ -44,6 +44,8 @@
 /// registry snapshot shows which microkernel actually ran. The q8 row
 /// entries (quantizer, fused epilogue) run once per row inside a caller's
 /// step and carry neither: a span per row would cost more than the row.
+/// Nor does max_pool: it is a pooling step, not a GEMM, and its time is
+/// the engine step's own.
 ///
 /// Determinism: dispatch never changes results. fp32 kernels are bitwise
 /// identical across every ISA (see src/simd/kernels.h for the contract);
@@ -114,16 +116,30 @@ struct KernelTable {
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,
                                 int relu) = nullptr;
-  /// C[:, j0:j1) = act(bias(M) + A(MxK) * B(KxN)) columns: the conv GEMM,
-  /// with B the tap-major im2col patch matrix (row = tap, column = output
-  /// position). Each element is a double accumulator started at its
-  /// row's bias, adding float products in ascending p (the direct conv's
-  /// order); relu != 0 clamps each element to max(x, 0) as it is stored,
-  /// relu == 0 stores it as is.
-  void (*conv_gemm_bias_act_cols)(const float* a, const float* b,
+  /// The implicit-GEMM convolution of one image, output rows [oy0, oy1)
+  /// of every channel: C[i][oy][ox] = act(bias[i] + sum_p A[i][p] *
+  /// B_p[oy][ox]) for i < m, ox < wo, with A the (m x k) weight matrix, C
+  /// the (m, ho, wo) output planes, and tap p's B row for output row oy
+  /// the wo contiguous floats at planes + tap_off[p] + oy * row_stride
+  /// (ConvGeometry's phase-plane layout, src/tensor/ops.h, makes that run
+  /// contiguous at every stride). Each element is a double
+  /// accumulator started at its channel's bias, adding float products,
+  /// widened, in ascending p (the direct conv's (ic, ky, kx) order);
+  /// relu != 0 clamps each element to max(x, 0) as it is stored, relu ==
+  /// 0 stores it as is.
+  void (*conv_gemm_bias_act_rows)(const float* a, const float* planes,
+                                  const int64_t* tap_off, int64_t row_stride,
                                   const float* bias, float* c, int64_t m,
-                                  int64_t k, int64_t n, int64_t j0,
-                                  int64_t j1, int relu) = nullptr;
+                                  int64_t k, int64_t ho, int64_t wo,
+                                  int64_t oy0, int64_t oy1,
+                                  int relu) = nullptr;
+  /// Max pooling of planes [t0, t1): plane t is the h x w input at
+  /// x + t * h * w and the (h / window) x (w / window) output at
+  /// y + t * (h / window) * (w / window). Each output folds its window in
+  /// row-major (ky, kx) order from -inf with best = x > best ? x : best,
+  /// so NaN inputs never win and a -0/+0 tie keeps the earlier one.
+  void (*max_pool)(const float* x, float* y, int64_t h, int64_t w,
+                   int64_t window, int64_t t0, int64_t t1) = nullptr;
   /// q8 block quantization of one row (see Q8BlockMatrix): \p cols floats
   /// into PadToQuantBlock(cols) codes, pad codes 0, and one scale per
   /// 32-element block. Every q8 activation and weight quantization runs

@@ -11,9 +11,10 @@
 ///
 /// ## Parity contract (the reason these signatures look the way they do)
 ///
-/// Every kernel computes a *range* of output elements — rows [i0, i1) or
-/// columns [j0, j1) — so the runtime's static partition decides only which
-/// worker runs a range, never the arithmetic inside it. Within a range:
+/// Every kernel computes a *range* of output elements — GEMM rows
+/// [i0, i1), conv output rows [oy0, oy1), or pooled planes [t0, t1) — so
+/// the runtime's static partition decides only which worker runs a range,
+/// never the arithmetic inside it. Within a range:
 ///
 /// - fp32 kernels reproduce the scalar reference's per-element operation
 ///   sequence exactly: one float multiply then one add (or one float
@@ -29,6 +30,14 @@
 ///   (a_scale * b_scale)) element-for-element. A column tile reduces the
 ///   int32 block dots of all its outputs together (still exact) and then
 ///   runs each output's float chain in its own lane.
+/// - max pooling folds each output's window in row-major (ky, kx) order
+///   from -inf with best = x > best ? x : best. The vector entries keep
+///   that fold per lane, one lane per output column, as
+///   max_ps(x, best): the instruction returns its second operand on a
+///   NaN or on a -0/+0 tie, which is exactly the scalar ternary. So NaN,
+///   all-NaN windows (-inf), -inf and signed-zero ties are bit-identical;
+///   folding the window in any other order would not be (a column-first
+///   fold returns +0 where the reference returns -0).
 /// - the q8 quantizer (q8_quantize_row, and the fused epilogue that ends
 ///   in it) reproduces the scalar `std::lround` loop per block:
 ///   - the block max is |x| folded with `a > m ? a : m` from m = 0. NaN
@@ -73,9 +82,10 @@ const KernelTable* GetAvx2Table();
 const KernelTable* GetAvx512Table();
 
 // ------------------------------------------------------ scalar kernels
-// Bodies are the pre-SIMD kernels from src/tensor/ops.cc and
-// src/tensor/int8_gemm.cc, moved verbatim except the conv GEMM's register
-// tile (same per-element chain); see kernels_scalar.cc.
+// Bodies are the pre-SIMD kernels from src/tensor/ops.cc,
+// src/tensor/int8_gemm.cc and the engine's pool step, moved verbatim
+// except the conv GEMM's register tile (same per-element chain); see
+// kernels_scalar.cc.
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n);
@@ -95,10 +105,13 @@ void Q4GemmRowsScalar(const int8_t* a, const float* a_scales,
 void MatMulBiasActRangeScalar(const float* a, const float* b,
                               const float* bias, float* c, int64_t i0,
                               int64_t i1, int64_t k, int64_t n, int relu);
-void ConvGemmBiasActColsScalar(const float* a, const float* b,
+void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
+                               const int64_t* tap_off, int64_t row_stride,
                                const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu);
+                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
+                               int64_t oy1, int relu);
+void MaxPoolScalar(const float* x, float* y, int64_t h, int64_t w,
+                   int64_t window, int64_t t0, int64_t t1);
 void Q8QuantizeRowScalar(const float* row, int64_t cols, int8_t* values,
                          float* scales);
 void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 namespace dlsys {
 namespace simd {
@@ -235,20 +236,23 @@ void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
   }
 }
 
-/// Conv GEMM register tile: MR output channels x 16 positions, each channel
-/// two double accumulators of eight started at its bias. Per tap p the tile
-/// reads one contiguous run of B row p (masked to the first nr positions
-/// on a short tile) and reuses it for every channel: float multiply by the
-/// channel's broadcast weight, widen, double add — the scalar tile's exact
-/// chain, with no transpose. The run is multiplied as two 8-float halves,
-/// so each product widens straight into its accumulator with no lane
-/// extract. relu is applied as the tile is stored. The unroll pragmas
-/// flatten the channel loops so the accumulator arrays stay in registers
-/// (unrolled later, GCC stores them to the stack on every tap).
+/// Conv GEMM register tile: MR output channels x 16 positions of one
+/// output row, each channel two double accumulators of eight started at
+/// its bias. Tap p's run starts at b + tap_off[p] (b is the tile's base in
+/// the phase planes); the tile reads it once (masked to the first nr
+/// positions on a short tile) and reuses it for every channel: float
+/// multiply by the channel's broadcast weight, widen, double add — the
+/// scalar tile's exact chain, with no transpose. The run is multiplied as
+/// two 8-float halves, so each product widens straight into its
+/// accumulator with no lane extract. relu is applied as the tile is
+/// stored; channel ii's outputs start at c + (i + ii) * cs. The unroll
+/// pragmas flatten the channel loops so the accumulator arrays stay in
+/// registers (unrolled later, GCC stores them to the stack on every tap).
 template <int MR, bool kShort>
-inline void ConvTileAvx512(const float* a, const float* b, const float* bias,
-                           float* c, int64_t k, int64_t n, int64_t i,
-                           int64_t j, int64_t nr, int relu) {
+inline void ConvTileAvx512(const float* a, const float* b,
+                           const int64_t* tap_off, const float* bias,
+                           float* c, int64_t k, int64_t cs, int64_t i,
+                           int64_t nr, int relu) {
   const __mmask16 mask = static_cast<__mmask16>((1u << nr) - 1u);
   __m512d lo[MR], hi[MR];
 #pragma GCC unroll 4
@@ -256,8 +260,8 @@ inline void ConvTileAvx512(const float* a, const float* b, const float* bias,
     lo[ii] = hi[ii] = _mm512_set1_pd(static_cast<double>(bias[i + ii]));
   }
   const float* arow = a + i * k;
-  const float* brow = b + j;
-  for (int64_t p = 0; p < k; ++p, brow += n) {
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = b + tap_off[p];
     __m256 b0, b1;
     if constexpr (kShort) {
       const __m512 bv = _mm512_maskz_loadu_ps(mask, brow);
@@ -280,7 +284,7 @@ inline void ConvTileAvx512(const float* a, const float* b, const float* bias,
         _mm512_castps256_ps512(_mm512_cvtpd_ps(lo[ii])),
         _mm512_cvtpd_ps(hi[ii]), 1);
     if (relu != 0) v = _mm512_max_ps(v, _mm512_setzero_ps());
-    float* crow = c + (i + ii) * n + j;
+    float* crow = c + (i + ii) * cs;
     if constexpr (kShort) {
       _mm512_mask_storeu_ps(crow, mask, v);
     } else {
@@ -289,41 +293,89 @@ inline void ConvTileAvx512(const float* a, const float* b, const float* bias,
   }
 }
 
-/// One column strip [j, j + nr) of every output channel, four channels
-/// per tile.
+/// One run of nr positions of one output row, every output channel, four
+/// channels per tile.
 template <bool kShort>
-void ConvStripAvx512(const float* a, const float* b, const float* bias,
-                     float* c, int64_t m, int64_t k, int64_t n, int64_t j,
-                     int64_t nr, int relu) {
+void ConvStripAvx512(const float* a, const float* b, const int64_t* tap_off,
+                     const float* bias, float* c, int64_t m, int64_t k,
+                     int64_t cs, int64_t nr, int relu) {
   int64_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    ConvTileAvx512<4, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+    ConvTileAvx512<4, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
   }
   switch (m - i) {
     case 3:
-      ConvTileAvx512<3, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      ConvTileAvx512<3, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
       break;
     case 2:
-      ConvTileAvx512<2, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      ConvTileAvx512<2, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
       break;
     case 1:
-      ConvTileAvx512<1, kShort>(a, b, bias, c, k, n, i, j, nr, relu);
+      ConvTileAvx512<1, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
       break;
     default:
       break;
   }
 }
 
-void ConvGemmBiasActColsAvx512(const float* a, const float* b,
+void ConvGemmBiasActRowsAvx512(const float* a, const float* planes,
+                               const int64_t* tap_off, int64_t row_stride,
                                const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  int64_t j = j0;
-  for (; j + 16 <= j1; j += 16) {
-    ConvStripAvx512<false>(a, b, bias, c, m, k, n, j, 16, relu);
+                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
+                               int64_t oy1, int relu) {
+  const int64_t cs = ho * wo;
+  for (int64_t oy = oy0; oy < oy1; ++oy) {
+    const float* b = planes + oy * row_stride;
+    float* crow = c + oy * wo;
+    int64_t j = 0;
+    for (; j + 16 <= wo; j += 16) {
+      ConvStripAvx512<false>(a, b + j, tap_off, bias, crow + j, m, k, cs, 16,
+                             relu);
+    }
+    if (j < wo) {
+      ConvStripAvx512<true>(a, b + j, tap_off, bias, crow + j, m, k, cs,
+                            wo - j, relu);
+    }
   }
-  if (j < j1) {
-    ConvStripAvx512<true>(a, b, bias, c, m, k, n, j, j1 - j, relu);
+}
+
+// ------------------------------------------------------------ max pool
+//
+// One lane per output column. A window tap (ky, kx) of 16 adjacent
+// outputs is 16 floats `window` apart, read with one masked gather; each
+// lane folds its window in row-major order from -inf as
+// best = max_ps(x, best), which is the scalar `x > best ? x : best`
+// (see kernels.h). Lanes past the row's end are masked off in the gather
+// and the store. The same body serves every window.
+
+void MaxPoolAvx512(const float* x, float* y, int64_t h, int64_t w,
+                   int64_t window, int64_t t0, int64_t t1) {
+  const int64_t ho = h / window, wo = w / window;
+  const __m512 neg_inf =
+      _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m512i idx = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(window)));
+  for (int64_t t = t0; t < t1; ++t) {
+    const float* xplane = x + t * h * w;
+    float* yplane = y + t * ho * wo;
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      for (int64_t ox = 0; ox < wo; ox += 16) {
+        const int64_t nr = std::min<int64_t>(16, wo - ox);
+        const __mmask16 mask = static_cast<__mmask16>((1u << nr) - 1u);
+        const float* win = xplane + oy * window * w + ox * window;
+        __m512 best = neg_inf;
+        for (int64_t ky = 0; ky < window; ++ky) {
+          const float* xrow = win + ky * w;
+          for (int64_t kx = 0; kx < window; ++kx) {
+            best = _mm512_max_ps(
+                _mm512_mask_i32gather_ps(neg_inf, mask, idx, xrow + kx, 4),
+                best);
+          }
+        }
+        _mm512_mask_storeu_ps(yplane + oy * wo + ox, mask, best);
+      }
+    }
   }
 }
 
@@ -614,7 +666,8 @@ const KernelTable kAvx512Table = {
     &Q8GemmRowsAvx512,
     &Q4GemmRowsAvx512,
     &MatMulBiasActRangeAvx512,
-    &ConvGemmBiasActColsAvx512,
+    &ConvGemmBiasActRowsAvx512,
+    &MaxPoolAvx512,
     &Q8QuantizeRowAvx512,
     &Q8BiasActQuantizeRowAvx512,
 };

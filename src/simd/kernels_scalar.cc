@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "src/simd/dispatch.h"
 #include "src/simd/kernels.h"
@@ -10,11 +11,12 @@
 /// int8 bodies are the pre-dispatch kernels from src/tensor/ops.cc and
 /// src/tensor/int8_gemm.cc, moved verbatim and compiled with the same
 /// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt);
-/// the conv GEMM is a register tile over the tap-major patch matrix that
-/// keeps the pre-dispatch kernel's per-element chain. So a
-/// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
-/// tree before the SIMD backend existed. The q8/q4 block kernels and the
-/// q8 quantizer are the scalar references the SIMD variants bit-compare
+/// the conv GEMM is a register tile over the implicit-GEMM phase planes
+/// that keeps the pre-dispatch kernel's per-element chain, and the max
+/// pool is the engine's pool loop. So a -DDLSYS_SIMD=OFF or
+/// DLSYS_ISA=scalar run is bitwise identical to the tree before the SIMD
+/// backend existed. The q8/q4 block kernels, the q8 quantizer and the
+/// max pool are the scalar references the SIMD variants bit-compare
 /// against.
 
 namespace dlsys {
@@ -138,14 +140,16 @@ void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
   }
 }
 
-// Conv GEMM: C[:, j0:j1) = act(bias + A(MxK) * B(KxN)) with B the
-// tap-major im2col patch matrix (row p = tap, column j = output position).
-// Register tile: kConvMr output channels x kConvNr positions of double
-// accumulators, each started at its channel's bias. Per tap p the tile
-// reads one contiguous run of B row p and reuses it for every channel:
-// float multiply, widen, double add, ascending p — the direct
-// convolution's exact operation sequence, which every ISA reproduces.
-// relu (when set) clamps each element as it is stored.
+// Conv GEMM, implicit: output rows [oy0, oy1) of one image, every
+// channel. Tap p's B row for output row oy is the contiguous run
+// planes + tap_off[p] + oy * row_stride, read straight from the phase
+// planes the caller wrote. Register tile: kConvMr output channels x
+// kConvNr positions of one output row, double accumulators each started
+// at its channel's bias. Per tap p the tile reads one contiguous run of
+// its B row and reuses it for every channel: float multiply, widen,
+// double add, ascending p — the direct convolution's exact operation
+// sequence, which every ISA reproduces. relu (when set) clamps each
+// element as it is stored.
 
 namespace {
 constexpr int64_t kConvMr = 4;   // output channels per register tile
@@ -156,11 +160,16 @@ inline float ConvAct(double acc, int relu) {
   return relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
 }
 
-/// A full tile. One named accumulator row per channel (not a 2-D array)
-/// is what lets the compiler keep all four rows in vector registers.
-void ConvTileScalar(const float* a, const float* b, const float* bias,
-                    float* c, int64_t k, int64_t n, int64_t i, int64_t j,
-                    int relu) {
+/// A four-channel tile: channels [i, i + 4) at the nr <= kConvNr
+/// positions whose tap-p run starts at b + tap_off[p] and whose channel-0
+/// outputs start at c (channel stride cs). A short tile (kShort) reads
+/// only its nr positions, treating the rest of the run as zeros it never
+/// stores. One named accumulator row per channel (not a 2-D array) is
+/// what lets the compiler keep all four rows in vector registers.
+template <bool kShort>
+void ConvTileScalar(const float* a, const float* b, const int64_t* tap_off,
+                    const float* bias, float* c, int64_t k, int64_t cs,
+                    int64_t i, int64_t nr, int relu) {
   double s0[kConvNr], s1[kConvNr], s2[kConvNr], s3[kConvNr];
   for (int64_t jj = 0; jj < kConvNr; ++jj) {
     s0[jj] = static_cast<double>(bias[i + 0]);
@@ -173,53 +182,87 @@ void ConvTileScalar(const float* a, const float* b, const float* bias,
   const float* a2 = a1 + k;
   const float* a3 = a2 + k;
   for (int64_t p = 0; p < k; ++p) {
-    const float* brow = b + p * n + j;
+    const float* brow = b + tap_off[p];
     const float w0 = a0[p], w1 = a1[p], w2 = a2[p], w3 = a3[p];
     for (int64_t jj = 0; jj < kConvNr; ++jj) {
-      const float bv = brow[jj];
+      const float bv = !kShort || jj < nr ? brow[jj] : 0.0f;
       s0[jj] += w0 * bv;
       s1[jj] += w1 * bv;
       s2[jj] += w2 * bv;
       s3[jj] += w3 * bv;
     }
   }
-  float* c0 = c + i * n + j;
-  for (int64_t jj = 0; jj < kConvNr; ++jj) {
+  float* c0 = c + i * cs;
+  for (int64_t jj = 0; jj < (kShort ? nr : kConvNr); ++jj) {
     c0[jj] = ConvAct(s0[jj], relu);
-    c0[n + jj] = ConvAct(s1[jj], relu);
-    c0[2 * n + jj] = ConvAct(s2[jj], relu);
-    c0[3 * n + jj] = ConvAct(s3[jj], relu);
+    c0[cs + jj] = ConvAct(s1[jj], relu);
+    c0[2 * cs + jj] = ConvAct(s2[jj], relu);
+    c0[3 * cs + jj] = ConvAct(s3[jj], relu);
   }
 }
 
-/// An edge tile (fewer channels or positions): the same chain, one
-/// element at a time.
-void ConvEdgeScalar(const float* a, const float* b, const float* bias,
-                    float* c, int64_t k, int64_t n, int64_t i, int64_t j,
-                    int64_t mr, int64_t nr, int relu) {
+/// An edge tile (fewer than four channels): the same chain, one element
+/// at a time.
+void ConvEdgeScalar(const float* a, const float* b, const int64_t* tap_off,
+                    const float* bias, float* c, int64_t k, int64_t cs,
+                    int64_t i, int64_t mr, int64_t nr, int relu) {
   for (int64_t ii = i; ii < i + mr; ++ii) {
     const float* arow = a + ii * k;
-    for (int64_t jj = j; jj < j + nr; ++jj) {
+    for (int64_t jj = 0; jj < nr; ++jj) {
       double acc = static_cast<double>(bias[ii]);
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * b[p * n + jj];
-      c[ii * n + jj] = ConvAct(acc, relu);
+      for (int64_t p = 0; p < k; ++p) acc += arow[p] * b[tap_off[p] + jj];
+      c[ii * cs + jj] = ConvAct(acc, relu);
     }
   }
 }
 }  // namespace
 
-void ConvGemmBiasActColsScalar(const float* a, const float* b,
+void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
+                               const int64_t* tap_off, int64_t row_stride,
                                const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  for (int64_t j = j0; j < j1; j += kConvNr) {
-    const int64_t nr = std::min(kConvNr, j1 - j);
-    for (int64_t i = 0; i < m; i += kConvMr) {
-      const int64_t mr = std::min(kConvMr, m - i);
-      if (mr == kConvMr && nr == kConvNr) {
-        ConvTileScalar(a, b, bias, c, k, n, i, j, relu);
-      } else {
-        ConvEdgeScalar(a, b, bias, c, k, n, i, j, mr, nr, relu);
+                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
+                               int64_t oy1, int relu) {
+  const int64_t cs = ho * wo;
+  for (int64_t oy = oy0; oy < oy1; ++oy) {
+    for (int64_t j = 0; j < wo; j += kConvNr) {
+      const int64_t nr = std::min(kConvNr, wo - j);
+      const float* b = planes + oy * row_stride + j;
+      float* crow = c + oy * wo + j;
+      for (int64_t i = 0; i < m; i += kConvMr) {
+        const int64_t mr = std::min(kConvMr, m - i);
+        if (mr == kConvMr && nr == kConvNr) {
+          ConvTileScalar<false>(a, b, tap_off, bias, crow, k, cs, i, nr, relu);
+        } else if (mr == kConvMr) {
+          ConvTileScalar<true>(a, b, tap_off, bias, crow, k, cs, i, nr, relu);
+        } else {
+          ConvEdgeScalar(a, b, tap_off, bias, crow, k, cs, i, mr, nr, relu);
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ max pool
+//
+// The engine's pool loop moved verbatim: the reference the AVX2 and
+// AVX-512 entries reproduce lane for lane (see kernels.h).
+
+void MaxPoolScalar(const float* x, float* y, int64_t h, int64_t w,
+                   int64_t window, int64_t t0, int64_t t1) {
+  const int64_t ho = h / window, wo = w / window;
+  for (int64_t t = t0; t < t1; ++t) {
+    const float* xplane = x + t * h * w;
+    float* yplane = y + t * ho * wo;
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int64_t ky = 0; ky < window; ++ky) {
+          const float* xrow = xplane + (oy * window + ky) * w + ox * window;
+          for (int64_t kx = 0; kx < window; ++kx) {
+            if (xrow[kx] > best) best = xrow[kx];
+          }
+        }
+        yplane[oy * wo + ox] = best;
       }
     }
   }
@@ -401,7 +444,8 @@ const KernelTable kScalarTable = {
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,
     &MatMulBiasActRangeScalar,
-    &ConvGemmBiasActColsScalar,
+    &ConvGemmBiasActRowsScalar,
+    &MaxPoolScalar,
     &Q8QuantizeRowScalar,
     &Q8BiasActQuantizeRowScalar,
 };

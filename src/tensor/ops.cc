@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/obs/cost.h"
 #include "src/obs/trace.h"
@@ -127,22 +128,92 @@ void MatMulBiasActInto(const float* a, const float* b, const float* bias,
   });
 }
 
-void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
-                         float* c, int64_t m, int64_t k, int64_t n,
-                         bool relu) {
+void ConvPhasePlanesInto(const float* x, const ConvGeometry& g,
+                         float* planes) {
+  const int64_t s = g.stride, pad = g.pad;
+  const int64_t rows = g.phase_rows(), cols = g.phase_cols();
+  // The first phase coordinate at or past t: ceil(t / s), 0 for t <= 0.
+  const auto first_at = [s](int64_t t) {
+    return t <= 0 ? int64_t{0} : (t + s - 1) / s;
+  };
+  // Zero everything once (the border, and the ragged phase rows and
+  // columns past the padded extent), then copy the input in.
+  std::fill(planes, planes + g.planes_elems(), 0.0f);
+  float* dst = planes;
+  for (int64_t c = 0; c < g.in_ch; ++c) {
+    const float* xplane = x + c * g.h * g.w;
+    for (int64_t py = 0; py < s; ++py) {
+      for (int64_t px = 0; px < s; ++px, dst += rows * cols) {
+        // Phase row r reads input row r * s + py - pad and phase column q
+        // input column q * s + px - pad: [r_lo, r_hi) x [q_lo, q_hi) is
+        // where both lie inside the input.
+        const int64_t r_lo = std::min(rows, first_at(pad - py));
+        const int64_t r_hi =
+            std::max(r_lo, std::min(rows, first_at(g.h + pad - py)));
+        const int64_t q_lo = std::min(cols, first_at(pad - px));
+        const int64_t q_hi =
+            std::max(q_lo, std::min(cols, first_at(g.w + pad - px)));
+        for (int64_t r = r_lo; r < r_hi; ++r) {
+          const float* xrow = xplane + (r * s + py - pad) * g.w;
+          float* drow = dst + r * cols;
+          if (s == 1) {  // px == 0: one contiguous run
+            std::copy(xrow + (q_lo - pad), xrow + (q_hi - pad), drow + q_lo);
+          } else {
+            for (int64_t q = q_lo; q < q_hi; ++q) {
+              drow[q] = xrow[q * s + px - pad];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<int64_t> ConvTapOffsets(const ConvGeometry& g) {
+  const int64_t s = g.stride, k = g.kernel;
+  const int64_t rows = g.phase_rows(), cols = g.phase_cols();
+  std::vector<int64_t> off;
+  off.reserve(static_cast<size_t>(g.taps()));
+  for (int64_t c = 0; c < g.in_ch; ++c) {
+    for (int64_t ky = 0; ky < k; ++ky) {
+      for (int64_t kx = 0; kx < k; ++kx) {
+        const int64_t phase = (c * s + ky % s) * s + kx % s;
+        off.push_back(phase * rows * cols + (ky / s) * cols + kx / s);
+      }
+    }
+  }
+  return off;
+}
+
+void ConvGemmBiasActInto(const float* a, const float* planes,
+                         const int64_t* tap_off, const float* bias, float* c,
+                         const ConvGeometry& g, bool relu) {
+  const int64_t m = g.out_ch, k = g.taps(), ho = g.ho, wo = g.wo;
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
   DLSYS_TRACE_SPAN_COST("gemm.conv_gemm_bias_act", kt.span_cat,
-                        2 * m * k * n, 4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  // Rows are output channels (few); columns are spatial positions (many),
-  // so the column range is what gets partitioned. Each element is owned by
-  // exactly one range and accumulated bias-first, ascending-p, in a double
-  // — the direct convolution's exact operation sequence in every table.
-  auto* kernel = kt.conv_gemm_bias_act_cols;
+                        2 * m * k * ho * wo,
+                        4 * (m * k + g.planes_elems() + m * ho * wo));
+  DLSYS_COST_FLOPS(2 * m * k * ho * wo);
+  // Output channels are few and output rows many, so the rows are what
+  // gets partitioned, at least 64 positions per range. Each element is
+  // owned by exactly one range and accumulated bias-first, ascending tap,
+  // in a double — the direct convolution's exact operation sequence in
+  // every table.
+  auto* kernel = kt.conv_gemm_bias_act_rows;
+  const int64_t row_stride = g.phase_cols();
   const int relu_flag = relu ? 1 : 0;
-  ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {
-    kernel(a, b, bias, c, m, k, n, j0, j1, relu_flag);
+  ParallelFor(0, ho, (64 + wo - 1) / wo, [=](int64_t oy0, int64_t oy1) {
+    kernel(a, planes, tap_off, row_stride, bias, c, m, k, ho, wo, oy0, oy1,
+           relu_flag);
+  });
+}
+
+void MaxPoolInto(const float* x, float* y, int64_t planes, int64_t h,
+                 int64_t w, int64_t window) {
+  auto* kernel = simd::ActiveKernels().max_pool;
+  ParallelFor(0, planes, 1, [=](int64_t t0, int64_t t1) {
+    kernel(x, y, h, w, window, t0, t1);
   });
 }
 

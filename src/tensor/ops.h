@@ -7,8 +7,8 @@
 #include "src/tensor/tensor.h"
 
 /// \file ops.h
-/// \brief Dense kernels over Tensor: GEMM variants, elementwise math,
-/// row-wise reductions.
+/// \brief Dense kernels over Tensor: GEMM variants, the implicit-GEMM
+/// convolution and max pooling, elementwise math, row-wise reductions.
 ///
 /// The GEMM variants are cache-blocked, register-tiled kernels dispatched
 /// through the multi-threaded runtime (src/runtime/runtime.h) and the
@@ -54,26 +54,81 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
-/// \brief C(MxN) = act(bias(M) + A(MxK) * B(KxN)) into caller storage,
-/// with the convolution forward's accumulation semantics (act = relu when
-/// \p relu is true, identity otherwise).
+/// \brief The geometry of one image's 2-D convolution: in_ch planes of
+/// h x w in, out_ch planes of ho x wo out, a square kernel at stride with
+/// pad zeros on every side (ho = (h + 2 pad - kernel) / stride + 1,
+/// likewise wo; the caller guarantees kernel <= h + 2 pad and kernel <=
+/// w + 2 pad).
+///
+/// The implicit-GEMM convolution reads its B operand from the image's
+/// *phase planes*: the zero-padded input split by stride phase. Phase
+/// (py, px) of channel c holds padded[c][r * stride + py][q * stride + px]
+/// for r < phase_rows() and q < phase_cols(), zero where that padded
+/// coordinate lies outside the input or past the padded extent. Tap
+/// (c, ky, kx) at output (oy, ox) then reads phase (ky % stride,
+/// kx % stride) at row oy + ky / stride and column ox + kx / stride, so a
+/// tap's values along an output row are one contiguous run at every
+/// stride. At stride 1 there is one (h + 2 pad) x (w + 2 pad) plane per
+/// channel.
+struct ConvGeometry {
+  int64_t in_ch = 0, out_ch = 0, kernel = 0, stride = 1, pad = 0;
+  int64_t h = 0, w = 0, ho = 0, wo = 0;
+
+  /// Rows of one phase plane: ceil((h + 2 pad) / stride).
+  int64_t phase_rows() const { return (h + 2 * pad + stride - 1) / stride; }
+  /// Columns of one phase plane, ceil((w + 2 pad) / stride): the planes'
+  /// row stride.
+  int64_t phase_cols() const { return (w + 2 * pad + stride - 1) / stride; }
+  /// Floats of one image's in_ch * stride^2 phase planes.
+  int64_t planes_elems() const {
+    return in_ch * stride * stride * phase_rows() * phase_cols();
+  }
+  /// GEMM reduction length: one tap per (c, ky, kx).
+  int64_t taps() const { return in_ch * kernel * kernel; }
+};
+
+/// \brief Writes the phase planes of one image \p x (in_ch x h x w,
+/// row-major) into \p planes (g.planes_elems() floats), zero border
+/// included. Single-threaded and allocation-free.
+void ConvPhasePlanesInto(const float* x, const ConvGeometry& g,
+                         float* planes);
+
+/// \brief Where each tap's run for output (0, 0) starts in the phase
+/// planes, in (c, ky, kx) order: g.taps() offsets for
+/// ConvGemmBiasActInto. Depends on the geometry alone, so a caller
+/// computes it once per convolution.
+std::vector<int64_t> ConvTapOffsets(const ConvGeometry& g);
+
+/// \brief The implicit-GEMM convolution of one image into caller storage:
+/// C(out_ch x ho x wo) = act(bias + A * B), with A the (out_ch x taps)
+/// weight matrix and tap p's B row for output row oy the wo floats at
+/// planes + tap_off[p] + oy * g.phase_cols() (act = relu when \p relu is
+/// true, identity otherwise). \p planes holds the image's phase planes
+/// (ConvPhasePlanesInto) and \p tap_off the offsets ConvTapOffsets gives.
 ///
 /// Each output element starts from bias[i] in a double accumulator and
-/// adds float products a[i,p]*b[p,j] in ascending p — exactly the
-/// (ic, ky, kx) term order of Conv2D's direct loop nest. With A = the
-/// (out_ch x in_ch*k*k) weight matrix and B = the tap-major im2col patch
-/// matrix (in_ch*k*k taps x positions, MatMulInto's K x N layout), the
-/// result is the conv output plane, bitwise identical to the direct path
-/// on finite data (padded zero taps add +/-0.0f products, which leave a
-/// finite accumulator unchanged). The column range is split across
-/// workers; each range runs register tiles of up to four output channels
-/// by a vector of positions, one contiguous load of B per tap shared by
-/// the tile's channels. The relu is applied to each finished element as
-/// it is stored, bitwise identical to a separate relu pass over the
-/// output. Allocation-free.
-void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
-                         float* c, int64_t m, int64_t k, int64_t n,
-                         bool relu);
+/// adds float products, widened, in ascending tap order — exactly the
+/// (ic, ky, kx) term order of Conv2D's direct loop nest. Taps that land
+/// on the zero border add a +/-0.0f product, which leaves a finite
+/// accumulator unchanged, so the result is bitwise identical to the
+/// direct path's clipped loops on finite data. The output rows are split
+/// across workers; each range runs register tiles of up to four output
+/// channels by a vector of positions of one output row, one contiguous
+/// load per tap shared by the tile's channels. The relu is applied to
+/// each finished element as it is stored, bitwise identical to a
+/// separate relu pass over the output. Allocation-free.
+void ConvGemmBiasActInto(const float* a, const float* planes,
+                         const int64_t* tap_off, const float* bias, float* c,
+                         const ConvGeometry& g, bool relu);
+
+/// \brief Max pooling of \p planes row-major h x w planes at \p x into
+/// (h / window) x (w / window) planes at \p y: each output is the max of
+/// its window x window block, folded in row-major order from -inf with
+/// `x > best`, so NaN inputs never win (an all-NaN window gives -inf) and
+/// a -0/+0 tie keeps the earlier element. Bitwise identical on every ISA
+/// and thread count; allocation-free.
+void MaxPoolInto(const float* x, float* y, int64_t planes, int64_t h,
+                 int64_t w, int64_t window);
 
 /// \brief C(MxN) = act(A(MxK) * B(KxN) + bias(N)) into caller storage —
 /// MatMulInto with the bias add and optional relu fused into the range

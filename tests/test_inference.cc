@@ -177,8 +177,8 @@ TEST(InferenceEngineTest, MlpBitwiseMatchesSequentialAcrossThreads) {
 }
 
 /// A conv net and the per-example input shape it compiles for. The cases
-/// give im2col different zero borders: MakeCnn's 3x3 stride-1 pad-1
-/// convs, then the shapes below.
+/// give the implicit GEMM different zero borders, phase-plane layouts and
+/// row tails: MakeCnn's 3x3 stride-1 pad-1 convs, then the shapes below.
 struct ConvCase {
   const char* label;
   Sequential net;
@@ -230,6 +230,57 @@ std::vector<ConvCase> MakeConvCases() {
     net.Emplace<Dense>(4 * 5 * 7, 4);
     cases.push_back({"in_ch3", std::move(net), {3, 10, 14}});
   }
+  {
+    // Stride 3, pad 1, 5x5: the padded 14x13 plane splits into nine
+    // ragged 5x5 phase planes per channel, and taps with ky or kx >= 3
+    // read one phase row or column further on. 12x11 -> 4x3.
+    Sequential net;
+    net.Emplace<Conv2D>(2, 3, 5, 3, 1);
+    net.Emplace<ReLU>();
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(3 * 4 * 3, 4);
+    cases.push_back({"stride3_pad1", std::move(net), {2, 12, 11}});
+  }
+  {
+    // A 1x1 kernel with no padding: one tap per input channel.
+    Sequential net;
+    net.Emplace<Conv2D>(3, 5, 1, 1, 0);
+    net.Emplace<ReLU>();
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(5 * 6 * 7, 3);
+    cases.push_back({"1x1_pad0", std::move(net), {3, 6, 7}});
+  }
+  {
+    // A 37-wide output row: two full 16-lane tiles and a 5-lane tail on
+    // AVX-512 (four full 8-lane tiles and a 5-lane tail on AVX2), and six
+    // channels, so the last channel tile is short too.
+    Sequential net;
+    net.Emplace<Conv2D>(1, 6, 3, 1, 1);
+    net.Emplace<ReLU>();
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(6 * 5 * 37, 3);
+    cases.push_back({"wide_row_37", std::move(net), {1, 5, 37}});
+  }
+  {
+    // A 5x5 pad-2 conv on a 3x3 plane: the kernel is wider than the
+    // input, so every output reads the zero border on both sides.
+    Sequential net;
+    net.Emplace<Conv2D>(2, 4, 5, 1, 2);
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(4 * 3 * 3, 3);
+    cases.push_back({"5x5_on_3x3", std::move(net), {2, 3, 3}});
+  }
+  {
+    // MaxPool2D(3) on an 11x14 plane: 3x4 outputs, and the last two rows
+    // and columns belong to no window.
+    Sequential net;
+    net.Emplace<Conv2D>(1, 4, 3, 1, 1);
+    net.Emplace<ReLU>();
+    net.Emplace<MaxPool2D>(3);
+    net.Emplace<Flatten>();
+    net.Emplace<Dense>(4 * 3 * 4, 3);
+    cases.push_back({"pool3_remainder", std::move(net), {1, 11, 14}});
+  }
   return cases;
 }
 
@@ -248,7 +299,7 @@ TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
     RuntimeConfig::SetThreads(1);
     const Tensor ref = c.net.Forward(x, CacheMode::kNoCache);
 
-    for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
+    for (ConvAlgo algo : {ConvAlgo::kImplicitGemm, ConvAlgo::kDirect}) {
       EngineConfig config;
       config.max_batch = 8;
       config.conv_algo = algo;
@@ -265,7 +316,8 @@ TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
           ASSERT_TRUE(y.ok()) << y.status().ToString();
           EXPECT_TRUE(BitwiseEqual(*y, ref))
               << c.label << " algo="
-              << (algo == ConvAlgo::kIm2col ? "im2col" : "direct")
+              << (algo == ConvAlgo::kImplicitGemm ? "implicit_gemm"
+                                                   : "direct")
               << " isa=" << simd::IsaName(isa) << " threads=" << threads;
         }
       }
@@ -674,6 +726,25 @@ TEST(InferenceEngineTest, CompileErrors) {
   auto unsupported = InferenceEngine::Compile(odd, {16});
   ASSERT_FALSE(unsupported.ok());
   EXPECT_EQ(unsupported.status().code(), StatusCode::kUnimplemented);
+}
+
+TEST(InferenceEngineTest, ConvWiderThanPaddedInputIsRejected) {
+  // A 5x5 kernel on a 4x4 plane with no padding has no output position
+  // at any stride; it must not round to a 1x1 output at stride >= 2.
+  for (int64_t stride : {1, 2, 3}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    const Conv2D conv(1, 1, 5, stride, 0);
+    EXPECT_EQ(conv.OutExtent(4), 0);
+    Sequential net;
+    net.Emplace<Conv2D>(1, 1, 5, stride, 0);
+    net.Emplace<Flatten>();
+    auto compiled = InferenceEngine::Compile(net, {1, 4, 4});
+    ASSERT_FALSE(compiled.ok());
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(compiled.status().message().find(conv.name()),
+              std::string::npos)
+        << compiled.status().message();
+  }
 }
 
 TEST(InferenceEngineTest, PredictErrors) {

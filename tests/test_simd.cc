@@ -1,7 +1,7 @@
 // Tests for the SIMD microkernel backend (src/simd): dispatch registry
 // behavior, bit-parity of every per-ISA kernel table against the scalar
-// reference (the conv GEMM against a naive in-test loop) at thread counts
-// 1/2/8 on unaligned/tail shapes, block
+// reference (the implicit conv GEMM and the max pool against naive
+// in-test loops) at thread counts 1/2/8 on unaligned/tail shapes, block
 // quantization round-trip error bounds (q8 and q4), the q4 nibble packing
 // layout, and the kernel.dispatch.* observability counters.
 
@@ -63,8 +63,7 @@ const simd::KernelTable* TableFor(simd::Isa isa) {
 
 // Deliberately awkward GEMM extents: nothing is a multiple of the 4/8/16/32
 // vector and tile widths, so every SIMD kernel's row-tail, column-tail, and
-// reduction-tail paths execute alongside the full-tile fast path (m = 2
-// and 6 give the conv tile its two-channel remainder).
+// reduction-tail paths execute alongside the full-tile fast path.
 struct GemmShape {
   int64_t m, k, n;
 };
@@ -93,7 +92,8 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->matmul_range, nullptr);
   EXPECT_NE(table->matmul_ta_range, nullptr);
   EXPECT_NE(table->matmul_tb_range, nullptr);
-  EXPECT_NE(table->conv_gemm_bias_act_cols, nullptr);
+  EXPECT_NE(table->conv_gemm_bias_act_rows, nullptr);
+  EXPECT_NE(table->max_pool, nullptr);
   EXPECT_NE(table->int8_gemm_rows, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
   EXPECT_NE(table->q4_gemm_rows, nullptr);
@@ -210,53 +210,115 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
-/// Independent conv-GEMM reference over the K x N patch layout: per
-/// element, the direct convolution's chain — a double started at the bias,
-/// float products widened and added in ascending p — then the optional
-/// relu clamp. A plain loop, sharing no code with any kernel table.
-std::vector<float> NaiveConvGemm(const Tensor& a, const Tensor& b,
-                                 const Tensor& bias, const GemmShape& s,
-                                 bool relu) {
-  std::vector<float> c(static_cast<size_t>(s.m * s.n));
-  for (int64_t i = 0; i < s.m; ++i) {
-    for (int64_t j = 0; j < s.n; ++j) {
-      double acc = bias[i];
-      for (int64_t p = 0; p < s.k; ++p) {
-        const float prod = a[i * s.k + p] * b[p * s.n + j];
-        acc += prod;
+/// One image's convolution for the implicit-GEMM tests: channels, kernel,
+/// stride, pad and input extent. The list covers both LeNet convs, strides
+/// 2 and 3 (ragged phase planes at stride 3, and even kernels whose taps
+/// straddle phases), a 1x1 kernel, output rows with 16- and 8-lane tails,
+/// a kernel wider than its input, and channel counts that leave 1-3
+/// channels for the last tile.
+struct ConvShape {
+  int64_t ic, oc, k, stride, pad, h, w;
+};
+const ConvShape kConvShapes[] = {
+    {1, 4, 5, 1, 2, 28, 28}, {4, 8, 3, 1, 1, 14, 14}, {2, 3, 3, 2, 0, 11, 11},
+    {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11}, {3, 9, 4, 3, 2, 17, 19},
+    {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},  {2, 7, 5, 1, 2, 3, 3},
+    {1, 1, 1, 1, 0, 1, 1},   {2, 5, 4, 2, 1, 9, 40},
+};
+
+ConvGeometry GeometryOf(const ConvShape& s) {
+  ConvGeometry g{s.ic, s.oc, s.k, s.stride, s.pad, s.h, s.w, 0, 0};
+  g.ho = (s.h + 2 * s.pad - s.k) / s.stride + 1;
+  g.wo = (s.w + 2 * s.pad - s.k) / s.stride + 1;
+  return g;
+}
+
+std::string ConvLabel(const ConvShape& s) {
+  return "ic=" + std::to_string(s.ic) + " oc=" + std::to_string(s.oc) +
+         " k=" + std::to_string(s.k) + " s=" + std::to_string(s.stride) +
+         " p=" + std::to_string(s.pad) + " " + std::to_string(s.h) + "x" +
+         std::to_string(s.w);
+}
+
+/// Independent convolution reference: per output, a double started at the
+/// bias, adding in (c, ky, kx) order the float product of the weight and
+/// the zero-padded input (0 outside the image) — the terms the implicit
+/// GEMM adds — then the optional relu clamp. Plain loops over the input
+/// itself, sharing no code with the phase-plane layout or any kernel
+/// table.
+std::vector<float> NaiveConv(const Tensor& x, const Tensor& wgt,
+                             const Tensor& bias, const ConvGeometry& g,
+                             bool relu) {
+  std::vector<float> y(static_cast<size_t>(g.out_ch * g.ho * g.wo));
+  for (int64_t o = 0; o < g.out_ch; ++o) {
+    for (int64_t oy = 0; oy < g.ho; ++oy) {
+      for (int64_t ox = 0; ox < g.wo; ++ox) {
+        double acc = bias[o];
+        for (int64_t c = 0; c < g.in_ch; ++c) {
+          for (int64_t ky = 0; ky < g.kernel; ++ky) {
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+              const int64_t iy = oy * g.stride - g.pad + ky;
+              const int64_t ix = ox * g.stride - g.pad + kx;
+              const bool inside = iy >= 0 && iy < g.h && ix >= 0 && ix < g.w;
+              const float xv = inside ? x[(c * g.h + iy) * g.w + ix] : 0.0f;
+              const float prod =
+                  wgt[((o * g.in_ch + c) * g.kernel + ky) * g.kernel + kx] *
+                  xv;
+              acc += prod;
+            }
+          }
+        }
+        const float v = static_cast<float>(acc);
+        y[static_cast<size_t>((o * g.ho + oy) * g.wo + ox)] =
+            relu ? (v > 0.0f ? v : 0.0f) : v;
       }
-      const float v = static_cast<float>(acc);
-      c[static_cast<size_t>(i * s.n + j)] = relu ? (v > 0.0f ? v : 0.0f) : v;
     }
   }
-  return c;
+  return y;
+}
+
+/// Runs the implicit conv on every supported ISA and threads 1/2/8 and
+/// expects \p ref bit for bit. The phase planes are rewritten from a
+/// NaN-filled buffer and the output from -1s, so a plane element the
+/// writer skips, or an output the kernel skips, shows.
+void ExpectImplicitConvEquals(const Tensor& x, const Tensor& wgt,
+                              const Tensor& bias, const ConvGeometry& g,
+                              bool relu, const std::vector<float>& ref) {
+  const std::vector<int64_t> off = ConvTapOffsets(g);
+  ASSERT_EQ(static_cast<int64_t>(off.size()), g.taps());
+  std::vector<float> planes(static_cast<size_t>(g.planes_elems()));
+  std::vector<float> c(ref.size());
+  for (simd::Isa isa : SupportedIsas()) {
+    simd::SetIsa(isa);
+    for (int threads : {1, 2, 8}) {
+      RuntimeConfig::SetThreads(threads);
+      SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                   " threads=" + std::to_string(threads) +
+                   " relu=" + std::to_string(relu));
+      std::fill(planes.begin(), planes.end(),
+                std::numeric_limits<float>::quiet_NaN());
+      std::fill(c.begin(), c.end(), -1.0f);
+      ConvPhasePlanesInto(x.data(), g, planes.data());
+      ConvGemmBiasActInto(wgt.data(), planes.data(), off.data(), bias.data(),
+                          c.data(), g, relu);
+      EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(),
+                               static_cast<int64_t>(ref.size())));
+    }
+  }
 }
 
 TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
   IsaRestore restore;
   Rng rng(33);
-  for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.m});
-    a.FillGaussian(&rng, 1.0f);
-    b.FillGaussian(&rng, 1.0f);
+  for (const ConvShape& s : kConvShapes) {
+    SCOPED_TRACE(ConvLabel(s));
+    const ConvGeometry g = GeometryOf(s);
+    Tensor x({s.ic, s.h, s.w}), wgt({s.oc, s.ic, s.k, s.k}), bias({s.oc});
+    x.FillGaussian(&rng, 1.0f);
+    wgt.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
-    const std::vector<float> ref = NaiveConvGemm(a, b, bias, s, false);
-
-    std::vector<float> c(static_cast<size_t>(s.m * s.n));
-    for (simd::Isa isa : SupportedIsas()) {
-      simd::SetIsa(isa);
-      for (int threads : {1, 2, 8}) {
-        RuntimeConfig::SetThreads(threads);
-        SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
-                     " threads=" + std::to_string(threads) + " m=" +
-                     std::to_string(s.m) + " k=" + std::to_string(s.k) +
-                     " n=" + std::to_string(s.n));
-        std::fill(c.begin(), c.end(), -1.0f);  // stale data must be overwritten
-        ConvGemmBiasActInto(a.data(), b.data(), bias.data(), c.data(), s.m,
-                            s.k, s.n, /*relu=*/false);
-        EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n));
-      }
-    }
+    ExpectImplicitConvEquals(x, wgt, bias, g, /*relu=*/false,
+                             NaiveConv(x, wgt, bias, g, false));
   }
   RuntimeConfig::SetThreads(1);
 }
@@ -308,29 +370,138 @@ TEST(SimdParityTest, MatMulBiasActBitwiseEqualsSeparatePasses) {
 }
 
 TEST(SimdParityTest, ConvGemmBiasActBitwiseEqualsSeparateRelu) {
+  // The fused relu must equal the unfused conv followed by a separate
+  // `v > 0.0f ? v : 0.0f` pass over its output.
   IsaRestore restore;
   Rng rng(36);
-  for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.m});
-    a.FillGaussian(&rng, 1.0f);
-    b.FillGaussian(&rng, 1.0f);
+  for (const ConvShape& s : kConvShapes) {
+    SCOPED_TRACE(ConvLabel(s));
+    const ConvGeometry g = GeometryOf(s);
+    Tensor x({s.ic, s.h, s.w}), wgt({s.oc, s.ic, s.k, s.k}), bias({s.oc});
+    x.FillGaussian(&rng, 1.0f);
+    wgt.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
+    std::vector<float> ref = NaiveConv(x, wgt, bias, g, false);
+    for (float& v : ref) v = v > 0.0f ? v : 0.0f;
+    ExpectImplicitConvEquals(x, wgt, bias, g, /*relu=*/true, ref);
+  }
+  RuntimeConfig::SetThreads(1);
+}
 
-    for (const bool relu : {false, true}) {
-      const std::vector<float> ref = NaiveConvGemm(a, b, bias, s, relu);
-      std::vector<float> c(static_cast<size_t>(s.m * s.n));
-      for (simd::Isa isa : SupportedIsas()) {
-        simd::SetIsa(isa);
-        for (int threads : {1, 2, 8}) {
-          RuntimeConfig::SetThreads(threads);
-          std::fill(c.begin(), c.end(), -1.0f);
-          ConvGemmBiasActInto(a.data(), b.data(), bias.data(), c.data(),
-                              s.m, s.k, s.n, relu);
-          EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n))
-              << "isa=" << simd::IsaName(isa) << " threads=" << threads
-              << " relu=" << relu << " m=" << s.m << " k=" << s.k
-              << " n=" << s.n;
+// ---------------------------------------------------------- max pool
+
+/// The engine's pool loop before it became a kernel-table entry, copied:
+/// the reference every ISA's max_pool entry must match bit for bit.
+void NaiveMaxPool(const float* x, float* y, int64_t planes, int64_t h,
+                  int64_t w, int64_t window) {
+  const int64_t ho = h / window, wo = w / window;
+  for (int64_t t = 0; t < planes; ++t) {
+    const float* xplane = x + t * h * w;
+    float* yplane = y + t * ho * wo;
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int64_t ky = 0; ky < window; ++ky) {
+          const float* xrow = xplane + (oy * window + ky) * w + ox * window;
+          for (int64_t kx = 0; kx < window; ++kx) {
+            if (xrow[kx] > best) best = xrow[kx];
+          }
         }
+        yplane[oy * wo + ox] = best;
+      }
+    }
+  }
+}
+
+uint32_t FloatBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
+  // Windows 1-3 on extents with remainders (rows and columns past the
+  // last window) and output rows wider than one 8- or 16-lane vector.
+  // Windows cycle through five patterns: plain Gaussian data; all NaN
+  // (-inf out); NaN first, then -inf and one finite value; and, on
+  // windows of 2 or more, negative data with -0 and +0 at (0, 1) and
+  // (1, 0) in both orders. The fold is row-major, so (0, 1) comes first:
+  // a column-first fold would return the other zero.
+  struct PoolShape {
+    int64_t planes, h, w, window;
+  };
+  const PoolShape shapes[] = {
+      {3, 5, 7, 1},   {2, 3, 35, 1},  {4, 28, 28, 2}, {8, 14, 14, 2},
+      {3, 7, 37, 2},  {2, 9, 100, 3}, {2, 11, 14, 3}, {1, 2, 2, 2},
+      {2, 10, 53, 3},
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  IsaRestore restore;
+  Rng rng(37);
+  for (const PoolShape& s : shapes) {
+    SCOPED_TRACE("planes=" + std::to_string(s.planes) + " " +
+                 std::to_string(s.h) + "x" + std::to_string(s.w) +
+                 " window=" + std::to_string(s.window));
+    const int64_t win = s.window, ho = s.h / win, wo = s.w / win;
+    Tensor x({s.planes, s.h, s.w});
+    x.FillGaussian(&rng, 1.0f);
+    std::vector<uint32_t> want(static_cast<size_t>(s.planes * ho * wo));
+    std::vector<bool> pinned(want.size(), false);
+    for (int64_t t = 0; t < s.planes; ++t) {
+      for (int64_t oy = 0; oy < ho; ++oy) {
+        for (int64_t ox = 0; ox < wo; ++ox) {
+          const int64_t o = (t * ho + oy) * wo + ox;
+          const auto at = [&](int64_t ky, int64_t kx) -> float& {
+            return x[(t * s.h + oy * win + ky) * s.w + ox * win + kx];
+          };
+          const int pattern = static_cast<int>(o % 5);
+          if (pattern == 0) continue;
+          for (int64_t ky = 0; ky < win; ++ky) {
+            for (int64_t kx = 0; kx < win; ++kx) {
+              float& v = at(ky, kx);
+              v = pattern == 1   ? nan
+                  : pattern == 2 ? -inf
+                                 : -std::abs(v) - 1.0f;
+            }
+          }
+          size_t idx = static_cast<size_t>(o);
+          if (pattern == 1) {
+            want[idx] = FloatBits(-inf);
+            pinned[idx] = true;
+          } else if (pattern == 2 && win >= 2) {
+            at(0, 0) = nan;
+            at(win - 1, win - 1) = 0.25f;
+            want[idx] = FloatBits(0.25f);
+            pinned[idx] = true;
+          } else if (pattern >= 3 && win >= 2) {
+            const float first = pattern == 3 ? -0.0f : 0.0f;
+            at(0, 1) = first;
+            at(1, 0) = -first;
+            want[idx] = FloatBits(first);
+            pinned[idx] = true;
+          }
+        }
+      }
+    }
+    std::vector<float> ref(want.size());
+    NaiveMaxPool(x.data(), ref.data(), s.planes, s.h, s.w, win);
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (pinned[i]) {
+        EXPECT_EQ(FloatBits(ref[i]), want[i]) << "output " << i;
+      }
+    }
+
+    std::vector<float> y(ref.size());
+    for (simd::Isa isa : SupportedIsas()) {
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        std::fill(y.begin(), y.end(), -1.0f);
+        MaxPoolInto(x.data(), y.data(), s.planes, s.h, s.w, win);
+        EXPECT_TRUE(BitwiseEqual(y.data(), ref.data(),
+                                 static_cast<int64_t>(ref.size())))
+            << "isa=" << simd::IsaName(isa) << " threads=" << threads;
       }
     }
   }

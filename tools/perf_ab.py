@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Paired A/B runs of the repository benchmark, base revision vs working tree.
+
+Run from anywhere inside a checkout:
+
+    python3 tools/perf_ab.py --base HEAD --seeds 31-40 --workloads offline_batch
+
+The base revision is exported with `git archive` into a scratch directory
+(a clean tree, so nothing of the working tree leaks into it), and each side
+is built by its own perfbench/run.py into its own CARGO_TARGET_DIR. Every
+seed then runs once per side and workload, untraced, alternating which side
+runs first. For each end-to-end metric in BENCHMARK.json the report gives
+the base's median and quartiles, the change's median, the ratio of the
+medians (change / base) and the pairs the change won, judged by the
+metric's "better" (ties count for neither side).
+
+The exit status is non-zero when a run fails or reports "correct": false,
+or when a simulated metric differs between the sides on some seed. Those
+metrics come from the simulated clock, so a change that keeps behaviour
+leaves them identical per seed. offline_batch has none: its latency_*
+are wall-clock call times.
+
+Environment variables (DLSYS_ISA, DLSYS_PASSES, ...) pass through to both
+sides. The tool reads perfbench/ and BENCHMARK.json and edits neither.
+"""
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+# Metrics computed on the simulated clock, per workload.
+SIMULATED = {
+    "online_serve": ("latency_p50_ms", "latency_p99_ms", "ok_fraction",
+                     "tenant_skew"),
+    "fleet_chaos": ("latency_p50_ms", "latency_p99_ms", "ok_fraction",
+                    "tenant_skew", "recover_ms"),
+}
+
+
+def parse_seeds(text):
+    """'31-40' or '1,5,9' or a mix ('1-3,7') -> a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError("seeds must be non-negative: " + text)
+    return seeds
+
+
+def export_revision(rev, dest):
+    """Writes the tree of git revision `rev` into directory `dest`, unless
+    dest already holds that commit (so a kept --workdir rebuilds nothing)."""
+    commit = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    stamp = os.path.join(dest, ".perf_ab_commit")
+    if os.path.exists(stamp) and open(stamp).read() == commit:
+        return
+    shutil.rmtree(dest, ignore_errors=True)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar",
+                              commit], stdout=subprocess.PIPE, check=True)
+    os.makedirs(dest)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest)
+    with open(stamp, "w") as f:
+        f.write(commit)
+
+
+class Side:
+    """One checkout and the build tree its runs use."""
+
+    def __init__(self, name, root, target_dir):
+        self.name, self.root, self.target_dir = name, root, target_dir
+
+    def run(self, command, workload, seed, seconds):
+        """One untraced run: the result JSON, or None if the run failed."""
+        env = dict(os.environ, CARGO_TARGET_DIR=self.target_dir)
+        proc = subprocess.run(
+            command + ["--workload", workload, "--seed", str(seed),
+                       "--seconds", repr(seconds), "--trace", "0"],
+            cwd=self.root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        lines = proc.stdout.strip().splitlines()
+        try:
+            return json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            sys.stderr.write(proc.stderr[-4000:])
+            print("! %s %s seed %d: no result (exit %d)" %
+                  (self.name, workload, seed, proc.returncode))
+            return None
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4)
+    return q[0], q[2]
+
+
+def report(workload, seeds, results, end_to_end):
+    """Prints one workload's table; returns the number of problems found."""
+    problems = 0
+    print("\n== %s: %d pairs (seeds %s)" % (
+        workload, len(seeds), ",".join(str(s) for s in seeds)))
+    for seed in seeds:
+        for side in ("base", "change"):
+            r = results[side].get(seed)
+            if r is None or not r.get("correct", False):
+                print("! %s seed %d: run failed or correct: false" % (side, seed))
+                problems += 1
+    paired = [s for s in seeds
+              if results["base"].get(s) and results["change"].get(s)]
+    print("%-18s %-9s %12s %25s %12s %8s %6s" % (
+        "metric", "unit", "base_median", "base_q1..q3", "change_med",
+        "ratio", "wins"))
+    for metric in end_to_end:
+        name = metric["name"]
+        pairs = [(results["base"][s]["metrics"][name]["value"],
+                  results["change"][s]["metrics"][name]["value"])
+                 for s in paired
+                 if name in results["base"][s]["metrics"]
+                 and name in results["change"][s]["metrics"]]
+        if not pairs:
+            continue
+        base = [b for b, _ in pairs]
+        change = [c for _, c in pairs]
+        q1, q3 = quartiles(base)
+        bmed, cmed = statistics.median(base), statistics.median(change)
+        higher = metric["better"] == "higher"
+        wins = sum(1 for b, c in pairs if (c > b if higher else c < b))
+        ratio = "%.3f" % (cmed / bmed) if bmed else "n/a"
+        print("%-18s %-9s %12.6g %12.6g..%-12.6g %12.6g %8s %3d/%-2d" % (
+            name, metric["unit"], bmed, q1, q3, cmed, ratio, wins, len(pairs)))
+    for seed in paired:
+        for name in SIMULATED.get(workload, ()):
+            b = results["base"][seed]["metrics"].get(name, {}).get("value")
+            c = results["change"][seed]["metrics"].get(name, {}).get("value")
+            if b != c:
+                print("! seed %d: simulated %s differs: base %r, change %r" %
+                      (seed, name, b, c))
+                problems += 1
+    return problems
+
+
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    workloads = [w["name"] for w in bench["workloads"]]
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD",
+                        help="git revision to compare against (default HEAD)")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
+                        help="seeds, e.g. 31-40 or 1,4,9 (default 1-10)")
+    parser.add_argument("--workloads", default=",".join(workloads),
+                        help="comma-separated subset of " + ", ".join(workloads))
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"],
+                        help="run length (default BENCHMARK.json's run_seconds)")
+    parser.add_argument("--workdir",
+                        help="directory for the base export and both build "
+                             "trees, kept for reuse (default: a temporary "
+                             "directory, removed on exit)")
+    args = parser.parse_args()
+    chosen = args.workloads.split(",")
+    unknown = [w for w in chosen if w not in workloads]
+    if unknown:
+        parser.error("unknown workload(s): " + ", ".join(unknown))
+    if not args.seconds > 0:
+        parser.error("--seconds must be > 0")
+
+    workdir = args.workdir or tempfile.mkdtemp(prefix="perf_ab.")
+    os.makedirs(workdir, exist_ok=True)
+    try:
+        base_src = os.path.join(workdir, "base_src")
+        export_revision(args.base, base_src)
+        sides = {
+            "base": Side("base", base_src, os.path.join(workdir, "base_build")),
+            "change": Side("change", ROOT,
+                           os.path.join(workdir, "change_build")),
+        }
+        # A short run per side builds its binary before any timed pair.
+        for side in sides.values():
+            if side.run(bench["command"], chosen[0], 0, 0.2) is None:
+                sys.exit("perf_ab: %s side failed to build or run" % side.name)
+
+        problems = 0
+        for workload in chosen:
+            results = {"base": {}, "change": {}}
+            for i, seed in enumerate(args.seeds):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for name in order:
+                    sys.stderr.write("perf_ab: %s %s seed %d\n" %
+                                     (name, workload, seed))
+                    results[name][seed] = sides[name].run(
+                        bench["command"], workload, seed, args.seconds)
+            problems += report(workload, args.seeds, results,
+                               bench["end_to_end"])
+        if problems:
+            print("\nperf_ab: %d problem(s) flagged" % problems)
+            sys.exit(1)
+    finally:
+        if not args.workdir:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
