@@ -77,7 +77,7 @@ Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
   if (!lowered.ok()) return lowered.status();
   eng.graph_ = std::move(lowered).value();
   eng.stats_ = infer::RunPasses(&eng.graph_, eng.passes_);
-  eng.PlanAndEmit();
+  if (Status planned = eng.PlanAndEmit(); !planned.ok()) return planned;
 
   DLSYS_GAUGE_SET("infer.workspace_bytes", eng.arena_.total_bytes());
   DLSYS_GAUGE_SET("infer.graph.nodes", eng.graph_.live_nodes());
@@ -85,7 +85,7 @@ Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
   return eng;
 }
 
-void InferenceEngine::PlanAndEmit() {
+Status InferenceEngine::PlanAndEmit() {
   const OpGraph& g = graph_;
   const int64_t kMaxB = config_.max_batch;
   in_shape_ = g.in_shape;
@@ -156,6 +156,8 @@ void InferenceEngine::PlanAndEmit() {
   // Scratch buffers (conv phase planes, activation codes, fold-off weight
   // prep) are requested with live intervals; how they are satisfied
   // depends on the pack pass. Fields name the Step member to bind.
+  // Activation-code scratch is requested per example (`batched`) and
+  // scaled by max_batch once the workspace bound below has been checked.
   enum ScratchField {
     kPlanes,
     kQinVals,
@@ -171,6 +173,7 @@ void InferenceEngine::PlanAndEmit() {
     ScratchField field;
     bool floats;
     int64_t count;
+    bool batched;
     int begin;
     int end;
   };
@@ -188,16 +191,16 @@ void InferenceEngine::PlanAndEmit() {
         config_.conv_algo == ConvAlgo::kImplicitGemm) {
       const ConvGeometry geom = ConvGeometryOf(node);
       scratch.push_back({static_cast<size_t>(p), kPlanes, true,
-                         geom.planes_elems(), p, p});
+                         geom.planes_elems(), false, p, p});
       step.tap_off = ConvTapOffsets(geom);
     }
     if (IsQuantDense(node.kind)) {
       const int64_t kp_in = PadToQuantBlock(node.in_elems);
       if (!node.quant_in) {
-        scratch.push_back({static_cast<size_t>(p), kQinVals, false,
-                           kp_in * kMaxB, p, p});
+        scratch.push_back(
+            {static_cast<size_t>(p), kQinVals, false, kp_in, true, p, p});
         scratch.push_back({static_cast<size_t>(p), kQinScales, true,
-                           (kp_in / kQuantBlock) * kMaxB, p, p});
+                           kp_in / kQuantBlock, true, p, p});
       }
       if (node.quant_out) {
         // Live until the (sole) consumer's step reads the codes.
@@ -205,24 +208,25 @@ void InferenceEngine::PlanAndEmit() {
             g.tensors[static_cast<size_t>(node.output)].consumers[0];
         const int cpos = node_step[static_cast<size_t>(consumer)];
         const int64_t kp_out = PadToQuantBlock(node.out_elems);
-        scratch.push_back({static_cast<size_t>(p), kQoutVals, false,
-                           kp_out * kMaxB, p, cpos});
+        scratch.push_back({static_cast<size_t>(p), kQoutVals, false, kp_out,
+                           true, p, cpos});
         scratch.push_back({static_cast<size_t>(p), kQoutScales, true,
-                           (kp_out / kQuantBlock) * kMaxB, p, cpos});
+                           kp_out / kQuantBlock, true, p, cpos});
       }
       if (!node.folded) {
         // Constant folding off: the step re-derives transposed block
         // codes from the fp32 weight on every call, allocation-free.
         scratch.push_back({static_cast<size_t>(p), kWt, true,
-                           node.in_elems * node.out_elems, p, p});
+                           node.in_elems * node.out_elems, false, p, p});
         const int64_t code_bytes =
             node.kind == OpKind::kDenseInt8
                 ? node.out_elems * kp_in
                 : node.out_elems * (kp_in / 2);  // nibble-packed q4
         scratch.push_back({static_cast<size_t>(p), kWVals, false, code_bytes,
-                           p, p});
+                           false, p, p});
         scratch.push_back({static_cast<size_t>(p), kWScales, true,
-                           node.out_elems * (kp_in / kQuantBlock), p, p});
+                           node.out_elems * (kp_in / kQuantBlock), false, p,
+                           p});
       }
     }
 
@@ -280,6 +284,42 @@ void InferenceEngine::PlanAndEmit() {
     step.bytes_per_example =
         4 * (node.in_elems + node.out_elems + param_elems);
     steps_.push_back(step);
+  }
+
+  // ---- workspace bound ------------------------------------------------
+  //
+  // Either layout below needs at most twice the sum of every buffer's
+  // aligned bytes at max_batch rows: the packer places no buffer past that
+  // sum, and ping-pong holds two copies of the largest activation plus
+  // one buffer per scratch family. The sum is formed with overflow checks
+  // before any batch-scaled size exists, so every size computed after it
+  // fits in int64, and a max_batch that would not is rejected here
+  // rather than wrapping into a negative arena request.
+  {
+    int64_t bound = 0;
+    bool overflow = false;
+    auto add = [&](int64_t count, bool batched, int64_t elem_bytes) {
+      int64_t bytes = 0;
+      overflow = overflow ||
+                 (batched && __builtin_mul_overflow(count, kMaxB, &count)) ||
+                 __builtin_mul_overflow(count, elem_bytes, &bytes) ||
+                 __builtin_add_overflow(bound, bytes, &bound) ||
+                 __builtin_add_overflow(bound, kArenaAlign, &bound);
+    };
+    for (int gi = 0; gi < num_groups; ++gi) {
+      add(group_elems[static_cast<size_t>(gi)], true, 4);
+    }
+    for (const ScratchReq& req : scratch) {
+      add(req.count, req.batched, req.floats ? 4 : 1);
+    }
+    if (overflow || __builtin_mul_overflow(bound, 2, &bound)) {
+      return Status::InvalidArgument(
+          "inference compile: max_batch " + std::to_string(kMaxB) +
+          " puts the workspace past int64 bytes");
+    }
+  }
+  for (ScratchReq& req : scratch) {
+    if (req.batched) req.count *= kMaxB;
   }
 
   // ---- shared (ping-pong) sizing --------------------------------------
@@ -427,6 +467,7 @@ void InferenceEngine::PlanAndEmit() {
       group_buf[static_cast<size_t>(group[static_cast<size_t>(g.input)])];
   output_buf_ = group_buf[out_group];
   arena_.Commit();
+  return Status::OK();
 }
 
 Result<Tensor> InferenceEngine::Predict(const Tensor& batch) {

@@ -173,7 +173,9 @@ class InferenceEngine {
 
   /// Assigns schedule positions, computes tensor live intervals, places
   /// every buffer (packed first-fit or ping-pong), and commits the arena.
-  void PlanAndEmit();
+  /// InvalidArgument, before the arena is sized, when max_batch puts the
+  /// workspace past int64 bytes.
+  Status PlanAndEmit();
 
   void RunStep(const Step& step, int64_t batch) const;
 

@@ -83,9 +83,13 @@ struct KernelTable {
   const char* span_cat = "kernel.scalar";
 
   /// C[i0:i1, :] += A(MxK) * B(KxN) rows (C rows pre-zeroed by caller).
+  /// The AVX2/AVX-512 entries run every row block (4 rows, or the last
+  /// 1-3) and every column tail (masked loads and stores) through one
+  /// vector register tile, storing each element once; the scalar entry
+  /// adds its short blocks and tails onto the zeroed C.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
-  /// C[i0:i1, :] += A(KxM)^T * B(KxN) rows.
+  /// C[i0:i1, :] += A(KxM)^T * B(KxN) rows, through the same tiles.
   void (*matmul_ta_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k, int64_t m,
                           int64_t n) = nullptr;
@@ -110,8 +114,10 @@ struct KernelTable {
   /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (C rows pre-zeroed
   /// by caller; act = relu when relu != 0, else identity). The fused
   /// dense epilogue the graph compiler's fusion pass dispatches: the GEMM
-  /// op sequence is untouched, the bias add and activation run while the
-  /// rows are still cache-hot instead of as separate output passes.
+  /// op sequence is untouched. The AVX2/AVX-512 entries add the bias and
+  /// apply the activation to the tile's accumulators in registers before
+  /// the one store; the scalar entry runs them as a pass over the
+  /// just-written rows. Both give the unfused chain's bits.
   void (*matmul_bias_act_range)(const float* a, const float* b,
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,

@@ -22,7 +22,21 @@
 ///   ascending p. SIMD variants vectorize across *independent output
 ///   elements* only, never across the reduction, and are compiled with
 ///   -ffp-contract=off, so they are **bitwise identical** to the scalar
-///   kernels — no FMA, no reassociation, no tolerance needed.
+///   kernels — no FMA, no reassociation, no tolerance needed. (Built
+///   with default flags, GCC fuses the mul+add pair into an FMA and the
+///   bits change, so the register tiles live only in the ISA TUs.)
+/// - the AVX2 and AVX-512 matmul, matmul_ta and matmul_bias_act entries
+///   share one register-tile template per ISA: 1-4 rows of C by one or
+///   two vectors, so a short row block runs the same vector chain as a
+///   full one, and a column tail loads B and bias with a lane mask and
+///   stores only its live lanes. Every element starts at +0, adds its
+///   float products in ascending p, then adds bias[j] and applies relu
+///   as max(v, 0) in registers before its single store. That is the
+///   scalar chain: the scalar table's short blocks and column tails add
+///   onto the caller's pre-zeroed C (+0 as well), and its epilogue
+///   reloads the stored float, the same bits. max_ps(v, 0) returns its
+///   second operand on a NaN and on the -0/+0 tie, which is the scalar
+///   `v > 0.0f ? v : 0.0f`.
 /// - integer kernels (int8, q8/q4 block) accumulate in int32, which is
 ///   associative: any vector order is exact, so they are bit-exact by
 ///   construction. The per-block float epilogue of the q8/q4 kernels

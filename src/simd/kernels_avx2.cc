@@ -26,117 +26,152 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-constexpr int64_t kMr = 4;   // C rows per register tile
-constexpr int64_t kNr = 16;  // C columns per register tile (2 ymm)
+// One register-tile template serves matmul_range, matmul_ta_range and
+// matmul_bias_act_range. A tile is MR rows (1-4) x NV ymm of 8 columns
+// of C, held in registers across the whole p loop; every row block of a
+// range, short or not, and every column tail runs through it. A column
+// tail loads B (and bias) with _mm256_maskload_ps, which reads zeros in
+// the dead lanes and never touches their memory, and stores only the
+// live lanes with _mm256_maskstore_ps. Each element starts at +0 and adds
+// one float product per p in ascending p, then + bias[j] and max(v, 0)
+// in registers before the single store: the scalar table's chain element
+// for element (see kernels.h).
 
-void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
-                     int64_t i1, int64_t k, int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-      __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-      __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-      __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = b + p * n + j;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        __m256 av = _mm256_set1_ps(a0[p]);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a1[p]);
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a2[p]);
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(av, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a3[p]);
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(av, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(av, b1));
-      }
-      float* crow = c + i * n + j;
-      _mm256_storeu_ps(crow, c00);
-      _mm256_storeu_ps(crow + 8, c01);
-      _mm256_storeu_ps(crow + n, c10);
-      _mm256_storeu_ps(crow + n + 8, c11);
-      _mm256_storeu_ps(crow + 2 * n, c20);
-      _mm256_storeu_ps(crow + 2 * n + 8, c21);
-      _mm256_storeu_ps(crow + 3 * n, c30);
-      _mm256_storeu_ps(crow + 3 * n + 8, c31);
+constexpr int64_t kMr = 4;   // C rows per register tile
+constexpr int64_t kNr = 16;  // C columns per full register tile (2 ymm)
+
+/// All-ones in the first \p lanes int32 lanes (1..8), zero above.
+inline __m256i LaneMask(int64_t lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// C(i..i+MR, j..j+8*NV) from A(i + ii, p) = a[ii * ars + p * acs] (so
+/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
+/// rows at b + p * n; c and bias (nullptr: none) start at column j. On a
+/// tail tile (kTail) the last ymm covers only the lanes of \p tail. The
+/// unroll pragmas flatten the row and vector loops so the accumulator
+/// array stays in registers.
+template <int MR, int NV, bool kTail>
+inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
+                         const float* b, const float* bias, float* c,
+                         int64_t k, int64_t n, __m256i tail, int relu) {
+  __m256 acc[MR][NV];
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[ii][v] = _mm256_setzero_ps();
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n;
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = kTail && v == NV - 1 ? _mm256_maskload_ps(brow + 8 * v, tail)
+                                   : _mm256_loadu_ps(brow + 8 * v);
     }
-    if (j < n) {
-      // Column tail: plain ascending-p loops onto the pre-zeroed C.
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        const float* arow = a + (i + ii) * k;
-        float* crow = c + (i + ii) * n;
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          const float* brow = b + p * n;
-          for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-        }
+    const float* acol = a + p * acs;
+#pragma GCC unroll 4
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m256 av = _mm256_set1_ps(acol[ii * ars]);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[ii][v] = _mm256_add_ps(acc[ii][v], _mm256_mul_ps(av, bv[v]));
       }
     }
   }
-  if (i < i1) MatMulRangeScalar(a, b, c, i, i1, k, n);
+  __m256 bias_v[NV];
+#pragma GCC unroll 2
+  for (int v = 0; v < NV; ++v) {
+    bias_v[v] = bias == nullptr ? _mm256_setzero_ps()
+                : kTail && v == NV - 1 ? _mm256_maskload_ps(bias + 8 * v, tail)
+                                       : _mm256_loadu_ps(bias + 8 * v);
+  }
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      __m256 x = acc[ii][v];
+      if (bias != nullptr) x = _mm256_add_ps(x, bias_v[v]);
+      // Zero as the second operand: max_ps returns it on NaN and on the
+      // -0/+0 tie, which is the scalar `v > 0.0f ? v : 0.0f`.
+      if (relu != 0) x = _mm256_max_ps(x, _mm256_setzero_ps());
+      float* crow = c + ii * n + 8 * v;
+      if (kTail && v == NV - 1) {
+        _mm256_maskstore_ps(crow, tail, x);
+      } else {
+        _mm256_storeu_ps(crow, x);
+      }
+    }
+  }
+}
+
+/// Every column of MR rows of C: full 16-column tiles, then one tail tile
+/// of one or two ymm.
+template <int MR>
+void GemmRowBlockAvx2(const float* a, int64_t ars, int64_t acs,
+                      const float* b, const float* bias, float* c, int64_t k,
+                      int64_t n, int relu) {
+  int64_t j = 0;
+  for (; j + kNr <= n; j += kNr) {
+    GemmTileAvx2<MR, 2, false>(a, ars, acs, b + j,
+                               bias != nullptr ? bias + j : nullptr, c + j, k,
+                               n, LaneMask(8), relu);
+  }
+  const int64_t rest = n - j;
+  if (rest == 0) return;
+  const float* bias_j = bias != nullptr ? bias + j : nullptr;
+  if (rest > 8) {
+    GemmTileAvx2<MR, 2, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
+                              LaneMask(rest - 8), relu);
+  } else {
+    GemmTileAvx2<MR, 1, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
+                              LaneMask(rest), relu);
+  }
+}
+
+/// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows.
+void GemmRangeAvx2(const float* a, int64_t ars, int64_t acs, const float* b,
+                   const float* bias, float* c, int64_t i0, int64_t i1,
+                   int64_t k, int64_t n, int relu) {
+  int64_t i = i0;
+  for (; i + kMr <= i1; i += kMr) {
+    GemmRowBlockAvx2<4>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                        relu);
+  }
+  switch (i1 - i) {
+    case 3:
+      GemmRowBlockAvx2<3>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                          relu);
+      break;
+    case 2:
+      GemmRowBlockAvx2<2>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                          relu);
+      break;
+    case 1:
+      GemmRowBlockAvx2<1>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                          relu);
+      break;
+    default:
+      break;
+  }
+}
+
+void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
+                     int64_t i1, int64_t k, int64_t n) {
+  GemmRangeAvx2(a, k, 1, b, nullptr, c, i0, i1, k, n, 0);
 }
 
 void MatMulTransARangeAvx2(const float* a, const float* b, float* c,
                            int64_t i0, int64_t i1, int64_t k, int64_t m,
                            int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-      __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-      __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-      __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = b + p * n + j;
-        const float* acol = a + p * m + i;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        __m256 av = _mm256_set1_ps(acol[0]);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(acol[1]);
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(acol[2]);
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(av, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(acol[3]);
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(av, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(av, b1));
-      }
-      float* crow = c + i * n + j;
-      _mm256_storeu_ps(crow, c00);
-      _mm256_storeu_ps(crow + 8, c01);
-      _mm256_storeu_ps(crow + n, c10);
-      _mm256_storeu_ps(crow + n + 8, c11);
-      _mm256_storeu_ps(crow + 2 * n, c20);
-      _mm256_storeu_ps(crow + 2 * n + 8, c21);
-      _mm256_storeu_ps(crow + 3 * n, c30);
-      _mm256_storeu_ps(crow + 3 * n + 8, c31);
-    }
-    if (j < n) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        float* crow = c + (i + ii) * n;
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = a[p * m + i + ii];
-          const float* brow = b + p * n;
-          for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-        }
-      }
-    }
-  }
-  if (i < i1) MatMulTransARangeScalar(a, b, c, i, i1, k, m, n);
+  GemmRangeAvx2(a, 1, m, b, nullptr, c, i0, i1, k, n, 0);
+}
+
+void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
+                            float* c, int64_t i0, int64_t i1, int64_t k,
+                            int64_t n, int relu) {
+  GemmRangeAvx2(a, k, 1, b, bias, c, i0, i1, k, n, relu);
 }
 
 /// Four dot products A[row] . B[j..j+3] with the scalar reference's exact
@@ -337,35 +372,6 @@ void MaxPoolAvx2(const float* x, float* y, int64_t h, int64_t w,
         }
         _mm256_maskstore_ps(yplane + oy * wo + ox, mask, best);
       }
-    }
-  }
-}
-
-// ------------------------------------------------------ fused epilogues
-//
-// GEMM body untouched; bias + optional relu applied to the stored rows.
-// Store/reload of a float is the identical bit pattern, and
-// _mm256_max_ps(v, 0) with zero as the SECOND operand returns the second
-// operand on NaN and on the -0/+0 tie, matching the scalar
-// `v > 0.0f ? v : 0.0f` exactly — so fusion stays bitwise neutral.
-
-void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
-                            float* c, int64_t i0, int64_t i1, int64_t k,
-                            int64_t n, int relu) {
-  MatMulRangeAvx2(a, b, c, i0, i1, k, n);
-  const __m256 zero = _mm256_setzero_ps();
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 v = _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                               _mm256_loadu_ps(bias + j));
-      if (relu != 0) v = _mm256_max_ps(v, zero);
-      _mm256_storeu_ps(crow + j, v);
-    }
-    for (; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
     }
   }
 }
@@ -619,7 +625,7 @@ void Q8QuantizeRowAvx2(const float* row, int64_t cols, int8_t* values,
 }
 
 /// act(x + bias) matches the scalar `v > 0.0f ? v : 0.0f` through
-/// _mm256_max_ps(v, 0), as in MatMulBiasActRangeAvx2.
+/// _mm256_max_ps(v, 0), as in GemmTileAvx2.
 void Q8BiasActQuantizeRowAvx2(float* row, const float* bias, int64_t cols,
                               int relu, int8_t* values, float* scales) {
   const __m256 zero = _mm256_setzero_ps();

@@ -24,116 +24,150 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-constexpr int64_t kMr = 4;   // C rows per register tile
-constexpr int64_t kNr = 32;  // C columns per register tile (2 zmm)
+// One register-tile template serves matmul_range, matmul_ta_range and
+// matmul_bias_act_range. A tile is MR rows (1-4) x NV zmm of 16 columns
+// of C, held in registers across the whole p loop; every row block of a
+// range, short or not, and every column tail runs through it. A column
+// tail loads B (and bias) zero-masked and stores only its live lanes,
+// so no element leaves the vector path. Each element starts at +0
+// and adds one float product per p in ascending p, then + bias[j] and
+// max(v, 0) in registers before the single store: the scalar table's
+// chain element for element (see kernels.h).
 
-void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-      __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-      __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
-      __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = b + p * n + j;
-        const __m512 b0 = _mm512_loadu_ps(brow);
-        const __m512 b1 = _mm512_loadu_ps(brow + 16);
-        __m512 av = _mm512_set1_ps(a0[p]);
-        c00 = _mm512_add_ps(c00, _mm512_mul_ps(av, b0));
-        c01 = _mm512_add_ps(c01, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a1[p]);
-        c10 = _mm512_add_ps(c10, _mm512_mul_ps(av, b0));
-        c11 = _mm512_add_ps(c11, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a2[p]);
-        c20 = _mm512_add_ps(c20, _mm512_mul_ps(av, b0));
-        c21 = _mm512_add_ps(c21, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a3[p]);
-        c30 = _mm512_add_ps(c30, _mm512_mul_ps(av, b0));
-        c31 = _mm512_add_ps(c31, _mm512_mul_ps(av, b1));
-      }
-      float* crow = c + i * n + j;
-      _mm512_storeu_ps(crow, c00);
-      _mm512_storeu_ps(crow + 16, c01);
-      _mm512_storeu_ps(crow + n, c10);
-      _mm512_storeu_ps(crow + n + 16, c11);
-      _mm512_storeu_ps(crow + 2 * n, c20);
-      _mm512_storeu_ps(crow + 2 * n + 16, c21);
-      _mm512_storeu_ps(crow + 3 * n, c30);
-      _mm512_storeu_ps(crow + 3 * n + 16, c31);
+constexpr int64_t kMr = 4;   // C rows per register tile
+constexpr int64_t kNr = 32;  // C columns per full register tile (2 zmm)
+
+inline __mmask16 LaneMask(int64_t lanes) {
+  return static_cast<__mmask16>((1u << lanes) - 1u);
+}
+
+/// C(i..i+MR, j..j+16*NV) from A(i + ii, p) = a[ii * ars + p * acs] (so
+/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
+/// rows at b + p * n; c and bias (nullptr: none) start at column j. On a
+/// tail tile (kTail) the last zmm covers only the lanes of \p tail. The
+/// unroll pragmas flatten the row and vector loops so the accumulator
+/// array stays in registers.
+template <int MR, int NV, bool kTail>
+inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
+                           const float* b, const float* bias, float* c,
+                           int64_t k, int64_t n, __mmask16 tail, int relu) {
+  __m512 acc[MR][NV];
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[ii][v] = _mm512_setzero_ps();
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n;
+    __m512 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = kTail && v == NV - 1 ? _mm512_maskz_loadu_ps(tail, brow + 16 * v)
+                                   : _mm512_loadu_ps(brow + 16 * v);
     }
-    if (j < n) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        const float* arow = a + (i + ii) * k;
-        float* crow = c + (i + ii) * n;
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          const float* brow = b + p * n;
-          for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-        }
+    const float* acol = a + p * acs;
+#pragma GCC unroll 4
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m512 av = _mm512_set1_ps(acol[ii * ars]);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[ii][v] = _mm512_add_ps(acc[ii][v], _mm512_mul_ps(av, bv[v]));
       }
     }
   }
-  if (i < i1) MatMulRangeScalar(a, b, c, i, i1, k, n);
+  __m512 bias_v[NV];
+#pragma GCC unroll 2
+  for (int v = 0; v < NV; ++v) {
+    bias_v[v] = bias == nullptr ? _mm512_setzero_ps()
+                : kTail && v == NV - 1
+                    ? _mm512_maskz_loadu_ps(tail, bias + 16 * v)
+                    : _mm512_loadu_ps(bias + 16 * v);
+  }
+#pragma GCC unroll 4
+  for (int ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      __m512 x = acc[ii][v];
+      if (bias != nullptr) x = _mm512_add_ps(x, bias_v[v]);
+      // Zero as the second operand: max_ps returns it on NaN and on the
+      // -0/+0 tie, which is the scalar `v > 0.0f ? v : 0.0f`.
+      if (relu != 0) x = _mm512_max_ps(x, _mm512_setzero_ps());
+      float* crow = c + ii * n + 16 * v;
+      if (kTail && v == NV - 1) {
+        _mm512_mask_storeu_ps(crow, tail, x);
+      } else {
+        _mm512_storeu_ps(crow, x);
+      }
+    }
+  }
+}
+
+/// Every column of MR rows of C: full 32-column tiles, then one tail tile
+/// of one or two zmm.
+template <int MR>
+void GemmRowBlockAvx512(const float* a, int64_t ars, int64_t acs,
+                        const float* b, const float* bias, float* c,
+                        int64_t k, int64_t n, int relu) {
+  int64_t j = 0;
+  for (; j + kNr <= n; j += kNr) {
+    GemmTileAvx512<MR, 2, false>(a, ars, acs, b + j,
+                                 bias != nullptr ? bias + j : nullptr, c + j,
+                                 k, n, LaneMask(16), relu);
+  }
+  const int64_t rest = n - j;
+  if (rest == 0) return;
+  const float* bias_j = bias != nullptr ? bias + j : nullptr;
+  if (rest > 16) {
+    GemmTileAvx512<MR, 2, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
+                                LaneMask(rest - 16), relu);
+  } else {
+    GemmTileAvx512<MR, 1, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
+                                LaneMask(rest), relu);
+  }
+}
+
+/// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows.
+void GemmRangeAvx512(const float* a, int64_t ars, int64_t acs,
+                     const float* b, const float* bias, float* c, int64_t i0,
+                     int64_t i1, int64_t k, int64_t n, int relu) {
+  int64_t i = i0;
+  for (; i + kMr <= i1; i += kMr) {
+    GemmRowBlockAvx512<4>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                          relu);
+  }
+  switch (i1 - i) {
+    case 3:
+      GemmRowBlockAvx512<3>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                            relu);
+      break;
+    case 2:
+      GemmRowBlockAvx512<2>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                            relu);
+      break;
+    case 1:
+      GemmRowBlockAvx512<1>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
+                            relu);
+      break;
+    default:
+      break;
+  }
+}
+
+void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
+                       int64_t i1, int64_t k, int64_t n) {
+  GemmRangeAvx512(a, k, 1, b, nullptr, c, i0, i1, k, n, 0);
 }
 
 void MatMulTransARangeAvx512(const float* a, const float* b, float* c,
                              int64_t i0, int64_t i1, int64_t k, int64_t m,
                              int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-      __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-      __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
-      __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = b + p * n + j;
-        const float* acol = a + p * m + i;
-        const __m512 b0 = _mm512_loadu_ps(brow);
-        const __m512 b1 = _mm512_loadu_ps(brow + 16);
-        __m512 av = _mm512_set1_ps(acol[0]);
-        c00 = _mm512_add_ps(c00, _mm512_mul_ps(av, b0));
-        c01 = _mm512_add_ps(c01, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(acol[1]);
-        c10 = _mm512_add_ps(c10, _mm512_mul_ps(av, b0));
-        c11 = _mm512_add_ps(c11, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(acol[2]);
-        c20 = _mm512_add_ps(c20, _mm512_mul_ps(av, b0));
-        c21 = _mm512_add_ps(c21, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(acol[3]);
-        c30 = _mm512_add_ps(c30, _mm512_mul_ps(av, b0));
-        c31 = _mm512_add_ps(c31, _mm512_mul_ps(av, b1));
-      }
-      float* crow = c + i * n + j;
-      _mm512_storeu_ps(crow, c00);
-      _mm512_storeu_ps(crow + 16, c01);
-      _mm512_storeu_ps(crow + n, c10);
-      _mm512_storeu_ps(crow + n + 16, c11);
-      _mm512_storeu_ps(crow + 2 * n, c20);
-      _mm512_storeu_ps(crow + 2 * n + 16, c21);
-      _mm512_storeu_ps(crow + 3 * n, c30);
-      _mm512_storeu_ps(crow + 3 * n + 16, c31);
-    }
-    if (j < n) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        float* crow = c + (i + ii) * n;
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = a[p * m + i + ii];
-          const float* brow = b + p * n;
-          for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-        }
-      }
-    }
-  }
-  if (i < i1) MatMulTransARangeScalar(a, b, c, i, i1, k, m, n);
+  GemmRangeAvx512(a, 1, m, b, nullptr, c, i0, i1, k, n, 0);
+}
+
+void MatMulBiasActRangeAvx512(const float* a, const float* b,
+                              const float* bias, float* c, int64_t i0,
+                              int64_t i1, int64_t k, int64_t n, int relu) {
+  GemmRangeAvx512(a, k, 1, b, bias, c, i0, i1, k, n, relu);
 }
 
 /// Eight dot products A[row] . B[j..j+7] with the exact scalar chain:
@@ -379,34 +413,6 @@ void MaxPoolAvx512(const float* x, float* y, int64_t h, int64_t w,
   }
 }
 
-// ------------------------------------------------------ fused epilogues
-//
-// GEMM body untouched; bias + optional relu applied to the stored rows.
-// _mm512_max_ps(v, 0) with zero as the second operand matches the scalar
-// `v > 0.0f ? v : 0.0f` on NaN and the -0/+0 tie, so fusion stays
-// bitwise neutral (see the AVX2 TU for the full argument).
-
-void MatMulBiasActRangeAvx512(const float* a, const float* b,
-                              const float* bias, float* c, int64_t i0,
-                              int64_t i1, int64_t k, int64_t n, int relu) {
-  MatMulRangeAvx512(a, b, c, i0, i1, k, n);
-  const __m512 zero = _mm512_setzero_ps();
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512 v = _mm512_add_ps(_mm512_loadu_ps(crow + j),
-                               _mm512_loadu_ps(bias + j));
-      if (relu != 0) v = _mm512_max_ps(v, zero);
-      _mm512_storeu_ps(crow + j, v);
-    }
-    for (; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
-
 // ---------------------------------------------------------------- int8
 
 /// Exact int32 dot via sign-extend + vpmaddwd on 512-bit lanes.
@@ -633,7 +639,7 @@ void Q8QuantizeRowAvx512(const float* row, int64_t cols, int8_t* values,
 }
 
 /// act(x + bias) matches the scalar `v > 0.0f ? v : 0.0f` through
-/// _mm512_max_ps(v, 0), as in MatMulBiasActRangeAvx512.
+/// _mm512_max_ps(v, 0), as in GemmTileAvx512.
 void Q8BiasActQuantizeRowAvx512(float* row, const float* bias, int64_t cols,
                                 int relu, int8_t* values, float* scales) {
   const __m512 zero = _mm512_setzero_ps();

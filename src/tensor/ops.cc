@@ -102,9 +102,10 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.matmul_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // The matmul range kernel accumulates into C (edge tiles use +=), so
-    // the owned row range is zeroed first; a freshly allocated Tensor got
-    // this for free.
+    // The scalar table's short row blocks and column tails add onto C,
+    // so the owned row range is zeroed first; a freshly allocated Tensor
+    // got this for free. The AVX2/AVX-512 tiles overwrite every element
+    // of C from registers and do not read it.
     std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, c, i0, i1, k, n);
   });
@@ -121,8 +122,9 @@ void MatMulBiasActInto(const float* a, const float* b, const float* bias,
   auto* kernel = kt.matmul_bias_act_range;
   const int relu_flag = relu ? 1 : 0;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // Same zeroing contract as MatMulInto: the fused kernel runs the
-    // accumulate-into-C GEMM first, then its bias/act epilogue.
+    // Same zeroing contract as MatMulInto: the scalar table adds its
+    // short blocks and tails onto C before its bias/act pass, while the
+    // AVX tiles apply bias and relu in registers and overwrite C.
     std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, bias, c, i0, i1, k, n, relu_flag);
   });

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -720,6 +721,20 @@ TEST(InferenceEngineTest, CompileErrors) {
   ASSERT_FALSE(bad_batch.ok());
   EXPECT_EQ(bad_batch.status().code(), StatusCode::kInvalidArgument);
 
+  // A max_batch whose workspace does not fit in int64 bytes is rejected
+  // before the arena is sized. Unchecked, this net's byte counts wrap to
+  // a negative count at 2^61 (an abort in TensorArena::Place) and to 0 at
+  // 2^62 (a zero-byte workspace that Predict would overrun).
+  for (const int64_t huge : {int64_t{1} << 61, int64_t{1} << 62,
+                             std::numeric_limits<int64_t>::max()}) {
+    auto compiled = InferenceEngine::Compile(mlp, {16}, EngineConfig(huge));
+    ASSERT_FALSE(compiled.ok()) << "max_batch=" << huge;
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(compiled.status().message().find("max_batch"),
+              std::string::npos)
+        << compiled.status().message();
+  }
+
   // Unknown layer type.
   Sequential odd;
   odd.Emplace<MysteryLayer>();
@@ -938,6 +953,9 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
   // The acceptance bar for every rewrite pass: fp32 output with all
   // passes on is bitwise identical to the unfused (all-off) schedule and
   // to the training forward, at threads 1/2/8 under each supported ISA.
+  // The fleet-shaped MLP (fleet_chaos's replica, 32->64->10 at max_batch
+  // 8) runs at every batch 1-8, so each GEMM row-block height 1-4 and
+  // both column tails meet the fused epilogue.
   Rng rng(50);
   Sequential mlp = MakeMlp(16, {32, 24}, 4);
   mlp.Init(&rng);
@@ -948,29 +966,42 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
   mixed.Forward(warm, CacheMode::kCache);
   Sequential cnn = MakeCnn(12, 4, 6, 5);
   cnn.Init(&rng);
+  Sequential fleet = MakeMlp(32, {64}, 10);
+  fleet.Init(&rng);
 
   struct Case {
     Sequential* net;
     Shape shape;
     Tensor x;
     const char* label;
+    int64_t max_batch;
+    std::vector<int64_t> batches;  ///< leading rows of x to predict
   };
   Tensor x_mlp({9, 16}), x_mixed({9, 16}), x_cnn({3, 1, 12, 12});
+  Tensor x_fleet({8, 32});
   x_mlp.FillGaussian(&rng, 1.0f);
   x_mixed.FillGaussian(&rng, 1.0f);
   x_cnn.FillGaussian(&rng, 1.0f);
-  Case cases[] = {{&mlp, {16}, std::move(x_mlp), "mlp"},
-                  {&mixed, {16}, std::move(x_mixed), "mixed"},
-                  {&cnn, {1, 12, 12}, std::move(x_cnn), "cnn"}};
+  x_fleet.FillGaussian(&rng, 1.0f);
+  Case cases[] = {
+      {&mlp, {16}, std::move(x_mlp), "mlp", 16, {9}},
+      {&mixed, {16}, std::move(x_mixed), "mixed", 16, {9}},
+      {&cnn, {1, 12, 12}, std::move(x_cnn), "cnn", 16, {3}},
+      {&fleet, {32}, std::move(x_fleet), "fleet", 8,
+       {1, 2, 3, 4, 5, 6, 7, 8}}};
 
   const simd::Isa initial_isa = simd::ActiveIsa();
   for (Case& c : cases) {
     RuntimeConfig::SetThreads(1);
-    const Tensor ref = c.net->Forward(c.x, CacheMode::kNoCache);
+    std::vector<Tensor> xs, refs;
+    for (const int64_t b : c.batches) {
+      xs.push_back(b == c.x.dim(0) ? c.x : SliceRows(c.x, 0, b));
+      refs.push_back(c.net->Forward(xs.back(), CacheMode::kNoCache));
+    }
     for (const char* passes : {"all", "none", "fuse", "fuse,pack"}) {
       PassEnvOverride env(passes);
       auto compiled = InferenceEngine::Compile(*c.net, c.shape,
-                                               EngineConfig{16});
+                                               EngineConfig{c.max_batch});
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
       InferenceEngine engine = std::move(compiled).value();
       for (simd::Isa isa :
@@ -979,11 +1010,14 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
         simd::SetIsa(isa);
         for (int threads : {1, 2, 8}) {
           RuntimeConfig::SetThreads(threads);
-          auto y = engine.Predict(c.x);
-          ASSERT_TRUE(y.ok()) << y.status().ToString();
-          EXPECT_TRUE(BitwiseEqual(*y, ref))
-              << c.label << " passes=" << passes
-              << " isa=" << simd::IsaName(isa) << " threads=" << threads;
+          for (size_t bi = 0; bi < xs.size(); ++bi) {
+            auto y = engine.Predict(xs[bi]);
+            ASSERT_TRUE(y.ok()) << y.status().ToString();
+            EXPECT_TRUE(BitwiseEqual(*y, refs[bi]))
+                << c.label << " passes=" << passes
+                << " isa=" << simd::IsaName(isa) << " threads=" << threads
+                << " batch=" << c.batches[bi];
+          }
         }
       }
       simd::SetIsa(initial_isa);

@@ -61,16 +61,39 @@ const simd::KernelTable* TableFor(simd::Isa isa) {
   return nullptr;
 }
 
-// Deliberately awkward GEMM extents: nothing is a multiple of the 4/8/16/32
-// vector and tile widths, so every SIMD kernel's row-tail, column-tail, and
-// reduction-tail paths execute alongside the full-tile fast path.
+// GEMM extents that reach every SIMD tile path: the first row uses no
+// multiple of the 4/8/16/32 vector and tile widths, so row-tail,
+// column-tail and reduction-tail paths execute alongside the full-tile
+// fast path. The second row is the served shapes (the fleet's 32->64->10
+// MLP at batches 1, 2 and 8, LeNet's 128->10 layer at batch 16) plus
+// every short row block 1-3, and column counts that are exact 16- and
+// 32-wide multiples (16, 32, 64) beside 10- and 15-wide tails.
 struct GemmShape {
   int64_t m, k, n;
 };
 const GemmShape kTailShapes[] = {
-    {1, 1, 1},    {3, 7, 5},    {5, 31, 17}, {7, 33, 33},
-    {13, 65, 47}, {33, 96, 80}, {2, 9, 23},  {6, 27, 50},
+    {1, 1, 1},    {3, 7, 5},     {5, 31, 17},  {7, 33, 33},
+    {13, 65, 47}, {33, 96, 80},  {2, 9, 23},   {6, 27, 50},
+    {1, 32, 64},  {2, 64, 10},   {3, 32, 16},  {4, 17, 32},
+    {8, 64, 10},  {9, 33, 15},   {16, 128, 10},
 };
+
+/// Overwrites about one element in eight of \p t, at seeded positions,
+/// with an IEEE special value: -0.0, a denormal of either sign, or +-inf.
+/// Products and sums then meet signed zeros, gradual underflow, infinities
+/// and the NaN of inf - inf or inf * 0, none of which may change a bit
+/// between ISAs (no input is NaN, so every NaN is the one default NaN).
+void PlantSpecials(Tensor* t, Rng* rng) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {-0.0f,    -0.0f, kDenorm * 3.0f, -kDenorm,
+                            1.0e-39f, kInf,  -kInf};
+  for (int64_t i = 0; i < t->size(); ++i) {
+    if (rng->Next() % 8 == 0) {
+      (*t)[i] = specials[rng->Next() % std::size(specials)];
+    }
+  }
+}
 
 TEST(DispatchTest, ParseIsaSpellings) {
   simd::Isa isa;
@@ -179,31 +202,38 @@ TEST(DispatchTest, KernelLaunchesBumpDispatchCounters) {
 TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
   IsaRestore restore;
   Rng rng(32);
-  for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), b({s.k, s.n});
-    a.FillGaussian(&rng, 1.0f);
-    b.FillGaussian(&rng, 1.0f);
-    Tensor at = Transpose(a);  // (k, m) for MatMulTransA
-    Tensor bt = Transpose(b);  // (n, k) for MatMulTransB
+  for (const bool specials : {false, true}) {
+    for (const GemmShape& s : kTailShapes) {
+      Tensor a({s.m, s.k}), b({s.k, s.n});
+      a.FillGaussian(&rng, 1.0f);
+      b.FillGaussian(&rng, 1.0f);
+      if (specials) {
+        PlantSpecials(&a, &rng);
+        PlantSpecials(&b, &rng);
+      }
+      Tensor at = Transpose(a);  // (k, m) for MatMulTransA
+      Tensor bt = Transpose(b);  // (n, k) for MatMulTransB
 
-    const Tensor ref = NaiveMatMul(a, b);
-    const Tensor ref_ta = NaiveMatMulTransA(at, b);
-    const Tensor ref_tb = NaiveMatMulTransB(a, bt);
+      const Tensor ref = NaiveMatMul(a, b);
+      const Tensor ref_ta = NaiveMatMulTransA(at, b);
+      const Tensor ref_tb = NaiveMatMulTransB(a, bt);
 
-    for (simd::Isa isa : SupportedIsas()) {
-      simd::SetIsa(isa);
-      for (int threads : {1, 2, 8}) {
-        RuntimeConfig::SetThreads(threads);
-        SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
-                     " threads=" + std::to_string(threads) + " m=" +
-                     std::to_string(s.m) + " k=" + std::to_string(s.k) +
-                     " n=" + std::to_string(s.n));
-        Tensor c = MatMul(a, b);
-        EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), ref.size()));
-        Tensor c_ta = MatMulTransA(at, b);
-        EXPECT_TRUE(BitwiseEqual(c_ta.data(), ref_ta.data(), ref_ta.size()));
-        Tensor c_tb = MatMulTransB(a, bt);
-        EXPECT_TRUE(BitwiseEqual(c_tb.data(), ref_tb.data(), ref_tb.size()));
+      for (simd::Isa isa : SupportedIsas()) {
+        simd::SetIsa(isa);
+        for (int threads : {1, 2, 8}) {
+          RuntimeConfig::SetThreads(threads);
+          SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                       " threads=" + std::to_string(threads) + " m=" +
+                       std::to_string(s.m) + " k=" + std::to_string(s.k) +
+                       " n=" + std::to_string(s.n) +
+                       " specials=" + std::to_string(specials));
+          Tensor c = MatMul(a, b);
+          EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), ref.size()));
+          Tensor c_ta = MatMulTransA(at, b);
+          EXPECT_TRUE(BitwiseEqual(c_ta.data(), ref_ta.data(), ref_ta.size()));
+          Tensor c_tb = MatMulTransB(a, bt);
+          EXPECT_TRUE(BitwiseEqual(c_tb.data(), ref_tb.data(), ref_tb.size()));
+        }
       }
     }
   }
@@ -328,40 +358,49 @@ TEST(SimdParityTest, MatMulBiasActBitwiseEqualsSeparatePasses) {
   // followed by separate bias and relu output passes, bit for bit, at
   // every ISA and thread count — fusion may only remove stores/reloads,
   // never change a float operation. Gaussian data lands on both sides of
-  // zero, so the relu branch takes both arms.
+  // zero, so the relu branch takes both arms; the specials pass adds
+  // -0.0, denormals and infinities to A, B and bias, so relu also meets
+  // -0.0, NaN and -inf.
   IsaRestore restore;
   Rng rng(35);
-  for (const GemmShape& s : kTailShapes) {
-    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.n});
-    a.FillGaussian(&rng, 1.0f);
-    b.FillGaussian(&rng, 1.0f);
-    bias.FillGaussian(&rng, 1.0f);
-
-    for (const bool relu : {false, true}) {
-      // Reference: unfused pipeline on the scalar table, single thread.
-      simd::SetIsa(simd::Isa::kScalar);
-      RuntimeConfig::SetThreads(1);
-      std::vector<float> ref(static_cast<size_t>(s.m * s.n));
-      MatMulInto(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-      for (int64_t i = 0; i < s.m; ++i) {
-        for (int64_t j = 0; j < s.n; ++j) {
-          float& v = ref[static_cast<size_t>(i * s.n + j)];
-          v += bias[j];
-          if (relu) v = v > 0.0f ? v : 0.0f;
-        }
+  for (const bool specials : {false, true}) {
+    for (const GemmShape& s : kTailShapes) {
+      Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.n});
+      a.FillGaussian(&rng, 1.0f);
+      b.FillGaussian(&rng, 1.0f);
+      bias.FillGaussian(&rng, 1.0f);
+      if (specials) {
+        PlantSpecials(&a, &rng);
+        PlantSpecials(&b, &rng);
+        PlantSpecials(&bias, &rng);
       }
-      std::vector<float> c(static_cast<size_t>(s.m * s.n));
-      for (simd::Isa isa : SupportedIsas()) {
-        simd::SetIsa(isa);
-        for (int threads : {1, 2, 8}) {
-          RuntimeConfig::SetThreads(threads);
-          std::fill(c.begin(), c.end(), -1.0f);
-          MatMulBiasActInto(a.data(), b.data(), bias.data(), c.data(), s.m,
-                            s.k, s.n, relu);
-          EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n))
-              << "isa=" << simd::IsaName(isa) << " threads=" << threads
-              << " relu=" << relu << " m=" << s.m << " k=" << s.k
-              << " n=" << s.n;
+
+      for (const bool relu : {false, true}) {
+        // Reference: unfused pipeline on the scalar table, single thread.
+        simd::SetIsa(simd::Isa::kScalar);
+        RuntimeConfig::SetThreads(1);
+        std::vector<float> ref(static_cast<size_t>(s.m * s.n));
+        MatMulInto(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
+        for (int64_t i = 0; i < s.m; ++i) {
+          for (int64_t j = 0; j < s.n; ++j) {
+            float& v = ref[static_cast<size_t>(i * s.n + j)];
+            v += bias[j];
+            if (relu) v = v > 0.0f ? v : 0.0f;
+          }
+        }
+        std::vector<float> c(static_cast<size_t>(s.m * s.n));
+        for (simd::Isa isa : SupportedIsas()) {
+          simd::SetIsa(isa);
+          for (int threads : {1, 2, 8}) {
+            RuntimeConfig::SetThreads(threads);
+            std::fill(c.begin(), c.end(), -1.0f);
+            MatMulBiasActInto(a.data(), b.data(), bias.data(), c.data(), s.m,
+                              s.k, s.n, relu);
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n))
+                << "isa=" << simd::IsaName(isa) << " threads=" << threads
+                << " relu=" << relu << " m=" << s.m << " k=" << s.k
+                << " n=" << s.n << " specials=" << specials;
+          }
         }
       }
     }

@@ -20,6 +20,16 @@ metrics come from the simulated clock, so a change that keeps behaviour
 leaves them identical per seed. offline_batch has none: its latency_*
 are wall-clock call times.
 
+With --trace, every seed also runs one traced pair, TRACE_SECONDS long
+(perfbench's --trace 1, which prints the per-layer metrics instead).
+For each per-layer metric the report then gives the base and change
+medians and their ratio, ranked by |log ratio| so the layer that moved
+most comes first, each beside the end-to-end metrics that the "moves"
+column of perfbench/METRICS.md names for it, with this run's end-to-end
+ratios where that column names the workload being reported. Metrics
+that are 0 on both sides (a layer the workload bypasses, or a count that
+must stay 0) are listed by name after the table.
+
 Environment variables (DLSYS_ISA, DLSYS_PASSES, ...) pass through to both
 sides. The tool reads perfbench/ and BENCHMARK.json and edits neither.
 """
@@ -27,7 +37,9 @@ sides. The tool reads perfbench/ and BENCHMARK.json and edits neither.
 import argparse
 import io
 import json
+import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -44,6 +56,11 @@ SIMULATED = {
     "fleet_chaos": ("latency_p50_ms", "latency_p99_ms", "ok_fraction",
                     "tenant_skew", "recover_ms"),
 }
+
+# Length of each traced run (--trace). Traced runs only locate the layer
+# that moved; the end-to-end figures a claim rests on come from the
+# untraced runs at --seconds, so the traced ones can be short.
+TRACE_SECONDS = 5.0
 
 
 def parse_seeds(text):
@@ -82,12 +99,14 @@ class Side:
     def __init__(self, name, root, target_dir):
         self.name, self.root, self.target_dir = name, root, target_dir
 
-    def run(self, command, workload, seed, seconds):
-        """One untraced run: the result JSON, or None if the run failed."""
+    def run(self, command, workload, seed, seconds, trace=False):
+        """One run, untraced unless `trace`: the result JSON, or None if
+        the run failed."""
         env = dict(os.environ, CARGO_TARGET_DIR=self.target_dir)
         proc = subprocess.run(
             command + ["--workload", workload, "--seed", str(seed),
-                       "--seconds", repr(seconds), "--trace", "0"],
+                       "--seconds", repr(seconds),
+                       "--trace", "1" if trace else "0"],
             cwd=self.root, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         lines = proc.stdout.strip().splitlines()
@@ -107,17 +126,36 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def report(workload, seeds, results, end_to_end):
-    """Prints one workload's table; returns the number of problems found."""
+def failed_runs(seeds, results, label=""):
+    """Prints each failed or incorrect run; returns how many there were."""
     problems = 0
-    print("\n== %s: %d pairs (seeds %s)" % (
-        workload, len(seeds), ",".join(str(s) for s in seeds)))
     for seed in seeds:
         for side in ("base", "change"):
             r = results[side].get(seed)
             if r is None or not r.get("correct", False):
-                print("! %s seed %d: run failed or correct: false" % (side, seed))
+                print("! %s%s seed %d: run failed or correct: false" %
+                      (label, side, seed))
                 problems += 1
+    return problems
+
+
+def paired_values(seeds, results, name):
+    """(base, change) values of metric `name` on every seed both sides ran."""
+    return [(results["base"][s]["metrics"][name]["value"],
+             results["change"][s]["metrics"][name]["value"])
+            for s in seeds
+            if results["base"].get(s) and results["change"].get(s)
+            and name in results["base"][s]["metrics"]
+            and name in results["change"][s]["metrics"]]
+
+
+def report(workload, seeds, results, end_to_end):
+    """Prints one workload's table. Returns the number of problems found
+    and each end-to-end metric's ratio of medians (change / base)."""
+    print("\n== %s: %d pairs (seeds %s)" % (
+        workload, len(seeds), ",".join(str(s) for s in seeds)))
+    problems = failed_runs(seeds, results)
+    ratios = {}
     paired = [s for s in seeds
               if results["base"].get(s) and results["change"].get(s)]
     print("%-18s %-9s %12s %25s %12s %8s %6s" % (
@@ -125,11 +163,7 @@ def report(workload, seeds, results, end_to_end):
         "ratio", "wins"))
     for metric in end_to_end:
         name = metric["name"]
-        pairs = [(results["base"][s]["metrics"][name]["value"],
-                  results["change"][s]["metrics"][name]["value"])
-                 for s in paired
-                 if name in results["base"][s]["metrics"]
-                 and name in results["change"][s]["metrics"]]
+        pairs = paired_values(seeds, results, name)
         if not pairs:
             continue
         base = [b for b, _ in pairs]
@@ -138,6 +172,8 @@ def report(workload, seeds, results, end_to_end):
         bmed, cmed = statistics.median(base), statistics.median(change)
         higher = metric["better"] == "higher"
         wins = sum(1 for b, c in pairs if (c > b if higher else c < b))
+        if bmed:
+            ratios[name] = cmed / bmed
         ratio = "%.3f" % (cmed / bmed) if bmed else "n/a"
         print("%-18s %-9s %12.6g %12.6g..%-12.6g %12.6g %8s %3d/%-2d" % (
             name, metric["unit"], bmed, q1, q3, cmed, ratio, wins, len(pairs)))
@@ -149,6 +185,93 @@ def report(workload, seeds, results, end_to_end):
                 print("! seed %d: simulated %s differs: base %r, change %r" %
                       (seed, name, b, c))
                 problems += 1
+    return problems, ratios
+
+
+def layer_moves(per_layer, end_to_end):
+    """Per-layer metric -> [(end-to-end metric, workload or "all")], read
+    from the "moves" column of perfbench/METRICS.md's per-layer table.
+
+    A row's first cell lists per-layer metrics in backticks; "a ... b"
+    stands for every metric from a to b in BENCHMARK.json's order. In the
+    moves cell each backticked end-to-end metric belongs to the next
+    "on <workload>" after it (or to every workload when none follows)."""
+    names = [m["name"] for m in per_layer]
+    e2e = {m["name"] for m in end_to_end}
+    moves = {}
+    with open(os.path.join(ROOT, "perfbench", "METRICS.md")) as f:
+        for line in f:
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 4:
+                continue
+            listed = [n for n in re.findall(r"`([^`]+)`", cells[0])
+                      if n in names]
+            if "..." in cells[0] and len(listed) == 2:
+                listed = names[names.index(listed[0]):
+                               names.index(listed[1]) + 1]
+            targets, pending = [], []
+            for m in re.finditer(r"`([^`]+)`|\bon (\w+)", cells[3]):
+                if m.group(1):
+                    if m.group(1) in e2e:
+                        pending.append(m.group(1))
+                else:
+                    targets += [(n, m.group(2)) for n in pending]
+                    pending = []
+            targets += [(n, "all") for n in pending]
+            for name in listed:
+                moves[name] = targets
+    return moves
+
+
+def describe_moves(workload, targets, e2e_ratios):
+    """The moves cell for one row: this run's end-to-end ratio for each
+    metric named for this workload, the others as METRICS.md names them."""
+    here = ["%s %s" % (n, "%.3f" % e2e_ratios[n] if n in e2e_ratios
+                       else "n/a")
+            for n, w in targets if w in (workload, "all")]
+    elsewhere = {}
+    for n, w in targets:
+        if w not in (workload, "all"):
+            elsewhere.setdefault(w, []).append(n)
+    parts = ([", ".join(here)] if here else []) + [
+        "(%s: %s)" % (w, ", ".join(ns)) for w, ns in elsewhere.items()]
+    return "; ".join(parts) or "-"
+
+
+def report_layers(workload, seeds, traced, per_layer, moves, e2e_ratios):
+    """Prints the traced pairs' per-layer medians, ranked by |log ratio|;
+    returns the number of failed traced runs."""
+    print("\n-- %s per layer: %d traced pairs, ranked by |log ratio|" %
+          (workload, len(seeds)))
+    problems = failed_runs(seeds, traced, "traced ")
+    rows, idle = [], []
+    for metric in per_layer:
+        name = metric["name"]
+        pairs = paired_values(seeds, traced, name)
+        if not pairs:
+            continue
+        bmed = statistics.median(b for b, _ in pairs)
+        cmed = statistics.median(c for _, c in pairs)
+        if bmed == 0 and cmed == 0:
+            idle.append(name)
+            continue
+        if bmed > 0 and cmed > 0:
+            rank = abs(math.log(cmed / bmed))
+        else:
+            rank = 0.0 if bmed == cmed else math.inf
+        rows.append((rank, metric, bmed, cmed))
+    rows.sort(key=lambda row: -row[0])
+    print("%-26s %-9s %12s %12s %8s  %s" % (
+        "metric", "unit", "base_median", "change_med", "ratio",
+        "moves (end-to-end ratio)"))
+    for _, metric, bmed, cmed in rows:
+        ratio = "%.3f" % (cmed / bmed) if bmed else "n/a"
+        print("%-26s %-9s %12.6g %12.6g %8s  %s" % (
+            metric["name"], metric["unit"], bmed, cmed, ratio,
+            describe_moves(workload, moves.get(metric["name"], []),
+                           e2e_ratios)))
+    if idle:
+        print("0 on both sides: " + ", ".join(idle))
     return problems
 
 
@@ -166,6 +289,10 @@ def main():
                         help="comma-separated subset of " + ", ".join(workloads))
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"],
                         help="run length (default BENCHMARK.json's run_seconds)")
+    parser.add_argument("--trace", action="store_true",
+                        help="also run one traced pair per seed, %g s "
+                             "each, and rank the per-layer metrics"
+                             % TRACE_SECONDS)
     parser.add_argument("--workdir",
                         help="directory for the base export and both build "
                              "trees, kept for reuse (default: a temporary "
@@ -177,6 +304,7 @@ def main():
         parser.error("unknown workload(s): " + ", ".join(unknown))
     if not args.seconds > 0:
         parser.error("--seconds must be > 0")
+    moves = layer_moves(bench["per_layer"], bench["end_to_end"])
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="perf_ab.")
     os.makedirs(workdir, exist_ok=True)
@@ -196,6 +324,7 @@ def main():
         problems = 0
         for workload in chosen:
             results = {"base": {}, "change": {}}
+            traced = {"base": {}, "change": {}}
             for i, seed in enumerate(args.seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for name in order:
@@ -203,8 +332,18 @@ def main():
                                      (name, workload, seed))
                     results[name][seed] = sides[name].run(
                         bench["command"], workload, seed, args.seconds)
-            problems += report(workload, args.seeds, results,
-                               bench["end_to_end"])
+                for name in order if args.trace else ():
+                    sys.stderr.write("perf_ab: traced %s %s seed %d\n" %
+                                     (name, workload, seed))
+                    traced[name][seed] = sides[name].run(
+                        bench["command"], workload, seed, TRACE_SECONDS,
+                        trace=True)
+            found, ratios = report(workload, args.seeds, results,
+                                   bench["end_to_end"])
+            problems += found
+            if args.trace:
+                problems += report_layers(workload, args.seeds, traced,
+                                          bench["per_layer"], moves, ratios)
         if problems:
             print("\nperf_ab: %d problem(s) flagged" % problems)
             sys.exit(1)
