@@ -105,8 +105,9 @@ dlsys::FleetReport RunScenario(const dlsys::ChaosScenario& scenario) {
 
 int main() {
   using namespace dlsys;
-  // Intra-op kernels stay single-threaded; each replica's worker pool is
-  // the source of parallelism here (DESIGN.md §2e).
+  // Every replica runs its steps on this thread (DESIGN.md §2e), and
+  // intra-op kernels stay single-threaded too, so the whole example runs
+  // on one core.
   RuntimeConfig::SetThreads(1);
 
   // --- Act 1: correlated crash storm + checkpointed restart ----------

@@ -48,8 +48,8 @@ int64_t ArgMax(const dlsys::Tensor& row) {
 
 int main() {
   using namespace dlsys;
-  // Intra-op kernels stay single-threaded; the server's worker pool is
-  // the source of parallelism here (DESIGN.md §2e).
+  // Every step runs on this thread (DESIGN.md §2e), and intra-op kernels
+  // stay single-threaded too, so the whole example runs on one core.
   RuntimeConfig::SetThreads(1);
 
   Rng rng(11);

@@ -81,8 +81,8 @@ struct SlotSchedulerConfig {
 
 /// \brief Front-door configuration for a Server.
 struct ServerConfig {
-  /// Engine replicas serving concurrently; each owns batch.max_batch
-  /// slot lanes and runs one step (one engine batch) at a time.
+  /// Simulated workers; each owns batch.max_batch slot lanes and runs
+  /// one step (one engine batch) at a time on the simulated clock.
   int workers = 2;
   /// Server-wide bound on admitted-but-undispatched requests: those
   /// queued in the tenant scheduler plus those loaded into a lane, across

@@ -5,32 +5,20 @@
 namespace dlsys {
 
 Result<std::shared_ptr<ModelSnapshot>> CompileSnapshot(
-    const Sequential& net, const Shape& example_shape, int replicas,
+    const Sequential& net, const Shape& example_shape,
     const EngineConfig& config) {
-  if (replicas < 1) {
-    return Status::InvalidArgument("snapshot needs at least one replica");
-  }
+  auto compiled = InferenceEngine::Compile(net, example_shape, config);
+  if (!compiled.ok()) return compiled.status();
   auto snap = std::make_shared<ModelSnapshot>();
   snap->engine_config = config;
-  snap->replicas.reserve(static_cast<size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) {
-    auto compiled = InferenceEngine::Compile(net, example_shape, config);
-    if (!compiled.ok()) return compiled.status();
-    ModelSnapshot::Replica slot;
-    slot.engine =
-        std::make_unique<InferenceEngine>(std::move(compiled).value());
-    slot.in_staging = Tensor(
-        {config.max_batch, slot.engine->input_elems_per_example()});
-    slot.out_staging = Tensor(
-        {config.max_batch, slot.engine->output_elems_per_example()});
-    if (r == 0) {
-      snap->example_input_shape = slot.engine->example_input_shape();
-      snap->example_output_shape = slot.engine->example_output_shape();
-      snap->in_elems = slot.engine->input_elems_per_example();
-      snap->out_elems = slot.engine->output_elems_per_example();
-    }
-    snap->replicas.push_back(std::move(slot));
-  }
+  ModelSnapshot::Replica& rep = snap->replicas[0];
+  rep.engine = std::make_unique<InferenceEngine>(std::move(compiled).value());
+  snap->example_input_shape = rep.engine->example_input_shape();
+  snap->example_output_shape = rep.engine->example_output_shape();
+  snap->in_elems = rep.engine->input_elems_per_example();
+  snap->out_elems = rep.engine->output_elems_per_example();
+  rep.in_staging = Tensor({config.max_batch, snap->in_elems});
+  rep.out_staging = Tensor({config.max_batch, snap->out_elems});
   return snap;
 }
 
@@ -39,10 +27,17 @@ Result<int64_t> ModelRegistry::Publish(const std::string& model,
   if (model.empty()) {
     return Status::InvalidArgument("model name must be non-empty");
   }
-  if (snap == nullptr || snap->replicas.empty()) {
-    return Status::InvalidArgument("snapshot must hold compiled replicas");
+  if (snap == nullptr || snap->replicas[0].engine == nullptr) {
+    return Status::InvalidArgument("snapshot must hold a compiled engine");
   }
   std::lock_guard<std::mutex> lock(mu_);
+  // Publish is the only writer of a snapshot's name and version, so a
+  // nonzero version means it is already live: renaming it would charge
+  // its traffic to another model and race with its readers.
+  if (snap->version != 0) {
+    return Status::InvalidArgument(
+        "snapshot is already published; compile a fresh one");
+  }
   std::unique_ptr<Slot>& slot = models_[model];
   if (slot == nullptr) slot = std::make_unique<Slot>();
   slot->version += 1;

@@ -1,6 +1,7 @@
 #ifndef DLSYS_SERVE_REGISTRY_H_
 #define DLSYS_SERVE_REGISTRY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -32,12 +33,11 @@ namespace dlsys {
 
 /// \brief One immutable published version of one model.
 ///
-/// Logically immutable after Publish: name, version, shapes, and the
-/// replica count never change. Each replica slot holds a compiled
-/// InferenceEngine plus its batch staging buffers — scratch workspace
-/// that is mutated during PredictInto, so a given replica index must be
-/// driven by at most one thread at a time (the Server assigns replica i
-/// to worker i; independent replicas run concurrently).
+/// Logically immutable after Publish: name, version and shapes never
+/// change. Its one replica holds the compiled InferenceEngine plus its
+/// batch staging buffers — scratch workspace that PredictInto mutates,
+/// so at most one thread at a time may drive it (the Server's event
+/// loop).
 struct ModelSnapshot {
   std::string model;    ///< registry name
   int64_t version = 0;  ///< assigned by ModelRegistry::Publish, from 1
@@ -47,23 +47,23 @@ struct ModelSnapshot {
   int64_t in_elems = 0;   ///< flat input elements per example
   int64_t out_elems = 0;  ///< flat output elements per example
 
-  /// Per-worker execution slot: engine + preallocated batch staging.
+  /// The execution slot: engine + preallocated batch staging.
   struct Replica {
     std::unique_ptr<InferenceEngine> engine;
     Tensor in_staging;   ///< (max_batch, in_elems)
     Tensor out_staging;  ///< (max_batch, out_elems)
   };
-  std::vector<Replica> replicas;
+  std::array<Replica, 1> replicas;
 };
 
-/// \brief Compiles \p net into a snapshot with \p replicas independent
-/// engine copies (one per serving worker), all preallocated.
+/// \brief Compiles \p net into a snapshot holding one engine and its
+/// preallocated staging.
 ///
 /// Returns the engine compiler's InvalidArgument/Unimplemented errors
-/// unchanged; requires replicas >= 1. The returned snapshot has no name
-/// or version yet — ModelRegistry::Publish assigns both.
+/// unchanged. The returned snapshot has no name or version yet —
+/// ModelRegistry::Publish assigns both.
 Result<std::shared_ptr<ModelSnapshot>> CompileSnapshot(
-    const Sequential& net, const Shape& example_shape, int replicas,
+    const Sequential& net, const Shape& example_shape,
     const EngineConfig& config = {});
 
 /// \brief Thread-safe map from model name to its latest snapshot.
@@ -81,8 +81,9 @@ class ModelRegistry {
 
   /// \brief Publishes \p snap as the next version of \p model (versions
   /// count from 1 per model) and atomically swaps it in. Returns the
-  /// assigned version. InvalidArgument when \p snap is null, has no
-  /// replicas, or \p model is empty.
+  /// assigned version. InvalidArgument when \p snap is null, its engine
+  /// is null, it was already published (under any name), or \p model is
+  /// empty.
   Result<int64_t> Publish(const std::string& model,
                           std::shared_ptr<ModelSnapshot> snap);
 

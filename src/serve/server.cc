@@ -1,7 +1,6 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -38,7 +37,6 @@ Result<std::unique_ptr<Server>> Server::Create(ModelRegistry* registry,
 Server::Server(ModelRegistry* registry, const ServerConfig& config)
     : registry_(registry),
       config_(config),
-      pool_(config.workers - 1),
       worker_free_ms_(static_cast<size_t>(config.workers), 0.0),
       scheduler_(config.scheduler),
       slots_(config.workers, static_cast<int>(config.batch.max_batch)),
@@ -57,7 +55,7 @@ Result<int64_t> Server::Publish(const std::string& model,
   if (ec.max_batch < config_.batch.max_batch) {
     ec.max_batch = config_.batch.max_batch;
   }
-  auto snap = CompileSnapshot(net, example_shape, config_.workers, ec);
+  auto snap = CompileSnapshot(net, example_shape, ec);
   if (!snap.ok()) return snap.status();
   return registry_->Publish(model, std::move(snap).value());
 }
@@ -100,8 +98,6 @@ Server::SubmitResult Server::Submit(const std::string& model,
     result.outcome = Outcome::kNoSuchModel;
     return result;
   }
-  DLSYS_CHECK(static_cast<int>(snap->replicas.size()) >= config_.workers,
-              "snapshot has fewer replicas than serving workers");
   DLSYS_CHECK(snap->engine_config.max_batch >= config_.batch.max_batch,
               "snapshot engine batch ceiling below the slot lane count");
   if (example.size() != snap->in_elems) {
@@ -261,120 +257,6 @@ void Server::Drain() {
   }
 }
 
-void Server::FlushWave() {
-  if (wave_.empty()) return;
-  const int64_t n = static_cast<int64_t>(wave_.size());
-  const int64_t chunks =
-      std::min<int64_t>(n, static_cast<int64_t>(pool_.num_workers()) + 1);
-  // Simulated-concurrent batches really run concurrently: each task owns
-  // its (snapshot, worker) replica exclusively, so tasks share no engine
-  // workspace. Bodies touch only their own task — completions_ and the
-  // histograms are coordinator-side state, written after the join.
-  pool_.RunParallel(
-      [this](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          ExecTask& t = wave_[i];
-          ModelSnapshot::Replica& rep = t.snap->replicas[t.worker];
-          Stopwatch sw;
-          t.status = rep.engine->PredictInto(rep.in_staging.data(),
-                                             t.batch_size,
-                                             rep.out_staging.data());
-          t.measured_service_ms = sw.Seconds() * 1000.0;
-        }
-      },
-      0, n, chunks);
-
-  for (ExecTask& task : wave_) {
-    DLSYS_CHECK(task.status.ok(), "engine rejected a dispatched batch");
-    const ModelSnapshot::Replica& rep = task.snap->replicas[task.worker];
-    measured_.Record(task.measured_service_ms);
-    DLSYS_HISTOGRAM_RECORD("serve.measured_service_ms",
-                           task.measured_service_ms);
-    for (size_t j = 0; j < task.members.size(); ++j) {
-      SlotRequest& req = task.members[j];
-      Completion c;
-      c.id = req.id;
-      c.rid = req.trace_rid >= 0 ? req.trace_rid : req.id;
-      c.model = task.snap->model;
-      c.tenant = req.tenant->name;
-      c.version = task.snap->version;
-      c.arrival_ms = req.arrival_ms;
-      // The quota horizon was a prediction at enqueue time; DWFQ rotation
-      // can serve before or after it, so clamp it into the realized
-      // [arrival, dispatch] interval the decomposition splits.
-      c.quota_open_ms = std::max(
-          req.arrival_ms, std::min(req.quota_open_ms, task.dispatch_ms));
-      c.dispatch_ms = task.dispatch_ms;
-      c.finish_ms = task.finish_ms;
-      c.deadline_ms = req.deadline_ms;
-      c.batch_size = task.batch_size;
-      c.worker = task.worker;
-      c.slot = req.slot;
-      c.deadline_missed = task.finish_ms > req.deadline_ms;
-      c.measured_service_ms = task.measured_service_ms;
-      c.output = Tensor(task.snap->example_output_shape);
-      const float* row =
-          rep.out_staging.data() + static_cast<int64_t>(j) * task.snap->out_elems;
-      std::copy(row, row + task.snap->out_elems, c.output.data());
-      Tenant& tenant = *req.tenant;
-      const double latency = c.finish_ms - c.arrival_ms;
-      if (c.deadline_missed) {
-        Tally(&tenant.stats.deadline_missed, tenant.counters.deadline_missed);
-        DLSYS_COUNTER_ADD("serve.deadline_missed", 1);
-      }
-      latency_.Record(latency);
-      DLSYS_HISTOGRAM_RECORD("serve.latency_ms", latency);
-      Tally(&tenant.stats.completed, tenant.counters.completed);
-      DLSYS_COUNTER_ADD("serve.completed", 1);
-      tenant.stats.latency.Record(latency);
-#if DLSYS_OBS
-      tenant.counters.latency->Record(latency);
-#endif
-      // The request's whole life on the simulated-clock track, keyed by
-      // rid: a queue umbrella (admission -> dispatch) with quota-wait and
-      // slot-wait children splitting it at the quota horizon, the execute
-      // span, then an instant respond marker. Span boundaries are emitted
-      // in the decomposer's integer sim-ns quantization, so each span's
-      // rendered duration equals its critical-path component bitwise, and
-      // span/parent ids chain them under the fleet's root request span
-      // (parentless when serving standalone). Together with the admit
-      // instant from Submit, the exported Chrome trace reconstructs the
-      // full admit -> quota -> slot -> execute -> respond path of any
-      // single request.
-#if DLSYS_OBS
-      const int64_t arrival_ns = obs::SimNs(c.arrival_ms);
-      const int64_t quota_open_ns = obs::SimNs(c.quota_open_ms);
-      const int64_t dispatch_ns = obs::SimNs(c.dispatch_ms);
-      const int64_t finish_ns = obs::SimNs(c.finish_ms);
-      const int64_t root =
-          req.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
-      const int64_t queue_span = obs::QueueSpanId(c.rid);
-      DLSYS_TRACE_EMIT_SIM_NS("serve.queue", "serve", arrival_ns,
-                              dispatch_ns - arrival_ns, c.rid, queue_span,
-                              root);
-      DLSYS_TRACE_EMIT_SIM_NS(
-          "serve.quota_wait", "serve", arrival_ns, quota_open_ns - arrival_ns,
-          c.rid,
-          obs::ComponentSpanId(c.rid, obs::PathComponent::kQuotaDelay),
-          queue_span);
-      DLSYS_TRACE_EMIT_SIM_NS(
-          "serve.slot_wait", "serve", quota_open_ns,
-          dispatch_ns - quota_open_ns, c.rid,
-          obs::ComponentSpanId(c.rid, obs::PathComponent::kSlotWait),
-          queue_span);
-      DLSYS_TRACE_EMIT_SIM_NS(
-          "serve.execute", "serve", dispatch_ns, finish_ns - dispatch_ns,
-          c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kExecute),
-          root);
-      DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
-#endif
-      ++served_[c.model][c.version];
-      completions_.push_back(std::move(c));
-    }
-  }
-  wave_.clear();
-}
-
 void Server::RunUntil(double limit_ms, bool strict) {
   // Seat anything already eligible at the current clock (usually a no-op:
   // every public mutation leaves the pool saturated).
@@ -395,7 +277,6 @@ void Server::RunUntil(double limit_ms, bool strict) {
     }
     RefillAndStart(cursor);
   }
-  FlushWave();
 }
 
 void Server::RefillAndStart(double now_ms) {
@@ -443,37 +324,104 @@ void Server::StartStep(int worker, double now_ms) {
   const int n = slots_.BeginStep(worker, now_ms);
   DLSYS_CHECK(n == static_cast<int>(lanes.size()),
               "loaded payloads out of sync with loaded lanes");
-  const std::shared_ptr<ModelSnapshot>& snap = lanes.front().snap;
-  // A replica's staging buffers hold exactly one batch; if this (snapshot,
-  // worker) pair is already staged in the pending wave, execute the wave
-  // before overwriting them.
-  for (const ExecTask& t : wave_) {
-    if (t.snap.get() == snap.get() && t.worker == worker) {
-      FlushWave();
-      break;
-    }
-  }
-
-  ExecTask task;
-  task.snap = snap;
-  task.worker = worker;
-  task.batch_size = n;
-  task.dispatch_ms = now_ms;
-  task.finish_ms = now_ms + EstimateServiceMs(ScaledCost(), n);
-  ModelSnapshot::Replica& rep = task.snap->replicas[worker];
-  for (size_t j = 0; j < lanes.size(); ++j) {
-    std::copy(lanes[j].input.data(),
-              lanes[j].input.data() + task.snap->in_elems,
-              rep.in_staging.data() + static_cast<int64_t>(j) *
-                                          task.snap->in_elems);
-  }
-  task.members.assign(std::make_move_iterator(lanes.begin()),
-                      std::make_move_iterator(lanes.end()));
-  lanes.clear();  // keeps its capacity for the next loads
-  worker_free_ms_[worker] = task.finish_ms;
+  ModelSnapshot& snap = *lanes.front().snap;
+  ModelSnapshot::Replica& rep = snap.replicas[0];
+  const double finish_ms = now_ms + EstimateServiceMs(ScaledCost(), n);
+  worker_free_ms_[worker] = finish_ms;
   ++batches_;
   DLSYS_COUNTER_ADD("serve.batches", 1);
-  wave_.push_back(std::move(task));
+
+  for (size_t j = 0; j < lanes.size(); ++j) {
+    std::copy(lanes[j].input.data(), lanes[j].input.data() + snap.in_elems,
+              rep.in_staging.data() + static_cast<int64_t>(j) * snap.in_elems);
+  }
+  Stopwatch sw;
+  const Status status =
+      rep.engine->PredictInto(rep.in_staging.data(), n, rep.out_staging.data());
+  const double measured_ms = sw.Seconds() * 1000.0;
+  DLSYS_CHECK(status.ok(), "engine rejected a dispatched batch");
+  measured_.Record(measured_ms);
+  DLSYS_HISTOGRAM_RECORD("serve.measured_service_ms", measured_ms);
+
+  for (size_t j = 0; j < lanes.size(); ++j) {
+    SlotRequest& req = lanes[j];
+    Completion c;
+    c.id = req.id;
+    c.rid = req.trace_rid >= 0 ? req.trace_rid : req.id;
+    c.model = snap.model;
+    c.tenant = req.tenant->name;
+    c.version = snap.version;
+    c.arrival_ms = req.arrival_ms;
+    // The quota horizon was a prediction at enqueue time; DWFQ rotation
+    // can serve before or after it, so clamp it into the realized
+    // [arrival, dispatch] interval the decomposition splits.
+    c.quota_open_ms =
+        std::max(req.arrival_ms, std::min(req.quota_open_ms, now_ms));
+    c.dispatch_ms = now_ms;
+    c.finish_ms = finish_ms;
+    c.deadline_ms = req.deadline_ms;
+    c.batch_size = n;
+    c.worker = worker;
+    c.slot = req.slot;
+    c.deadline_missed = finish_ms > req.deadline_ms;
+    c.measured_service_ms = measured_ms;
+    c.output = Tensor(snap.example_output_shape);
+    const float* row =
+        rep.out_staging.data() + static_cast<int64_t>(j) * snap.out_elems;
+    std::copy(row, row + snap.out_elems, c.output.data());
+    Tenant& tenant = *req.tenant;
+    const double latency = c.finish_ms - c.arrival_ms;
+    if (c.deadline_missed) {
+      Tally(&tenant.stats.deadline_missed, tenant.counters.deadline_missed);
+      DLSYS_COUNTER_ADD("serve.deadline_missed", 1);
+    }
+    latency_.Record(latency);
+    DLSYS_HISTOGRAM_RECORD("serve.latency_ms", latency);
+    Tally(&tenant.stats.completed, tenant.counters.completed);
+    DLSYS_COUNTER_ADD("serve.completed", 1);
+    tenant.stats.latency.Record(latency);
+#if DLSYS_OBS
+    tenant.counters.latency->Record(latency);
+#endif
+    // The request's whole life on the simulated-clock track, keyed by
+    // rid: a queue umbrella (admission -> dispatch) with quota-wait and
+    // slot-wait children splitting it at the quota horizon, the execute
+    // span, then an instant respond marker. Span boundaries are emitted
+    // in the decomposer's integer sim-ns quantization, so each span's
+    // rendered duration equals its critical-path component bitwise, and
+    // span/parent ids chain them under the fleet's root request span
+    // (parentless when serving standalone). Together with the admit
+    // instant from Submit, the exported Chrome trace reconstructs the
+    // full admit -> quota -> slot -> execute -> respond path of any
+    // single request.
+#if DLSYS_OBS
+    const int64_t arrival_ns = obs::SimNs(c.arrival_ms);
+    const int64_t quota_open_ns = obs::SimNs(c.quota_open_ms);
+    const int64_t dispatch_ns = obs::SimNs(c.dispatch_ms);
+    const int64_t finish_ns = obs::SimNs(c.finish_ms);
+    const int64_t root = req.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
+    const int64_t queue_span = obs::QueueSpanId(c.rid);
+    DLSYS_TRACE_EMIT_SIM_NS("serve.queue", "serve", arrival_ns,
+                            dispatch_ns - arrival_ns, c.rid, queue_span,
+                            root);
+    DLSYS_TRACE_EMIT_SIM_NS(
+        "serve.quota_wait", "serve", arrival_ns, quota_open_ns - arrival_ns,
+        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kQuotaDelay),
+        queue_span);
+    DLSYS_TRACE_EMIT_SIM_NS(
+        "serve.slot_wait", "serve", quota_open_ns, dispatch_ns - quota_open_ns,
+        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kSlotWait),
+        queue_span);
+    DLSYS_TRACE_EMIT_SIM_NS(
+        "serve.execute", "serve", dispatch_ns, finish_ns - dispatch_ns,
+        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kExecute),
+        root);
+    DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
+#endif
+    ++served_[c.model][c.version];
+    completions_.push_back(std::move(c));
+  }
+  lanes.clear();  // keeps its capacity for the next loads
 }
 
 std::map<std::string, Server::TenantStats> Server::tenant_stats() const {

@@ -10,7 +10,6 @@
 #include "src/core/metrics.h"
 #include "src/core/status.h"
 #include "src/obs/attribution.h"
-#include "src/runtime/thread_pool.h"
 #include "src/serve/admission.h"
 #include "src/serve/registry.h"
 #include "src/serve/scheduler.h"
@@ -18,21 +17,21 @@
 
 /// \file server.h
 /// \brief The serving front door: a bounded queue, deadline-aware
-/// admission, and an SLO-tracked worker pool over hot-swappable models.
+/// admission, and SLO-tracked simulated workers over hot-swappable models.
 ///
 /// ## Simulated decisions, real execution
 ///
 /// Every *decision* the server makes — admit or shed, which requests
 /// share a batch, which worker runs it, when it starts and finishes —
 /// is computed over a simulated clock from the declared ServiceCostModel,
-/// never from wall-clock measurements. Every *output* is real: dispatched
-/// batches run through the compiled InferenceEngine replicas on actual
-/// threads. The split buys both halves of the reproducibility story: a
-/// fixed arrival sequence replays bit for bit (same sheds, same batches,
-/// same versions, same outputs) at any DLSYS_THREADS, while the engine
-/// wall time is still measured and reported as an informational metric
-/// (`Completion::measured_service_ms`), so benches can compare the model
-/// against reality.
+/// never from wall-clock measurements. Every *output* is real: each
+/// departed step runs through its snapshot's compiled InferenceEngine on
+/// the calling thread. The split buys both halves of the reproducibility
+/// story: a fixed arrival sequence replays bit for bit (same sheds, same
+/// batches, same versions, same outputs) at any DLSYS_THREADS, while the
+/// engine wall time is still measured and reported as an informational
+/// metric (`Completion::measured_service_ms`), so benches can compare the
+/// model against reality.
 ///
 /// ## Continuous batching
 ///
@@ -57,15 +56,12 @@
 /// never mixes versions inside a batch and never loses a request, and
 /// queued requests finish on the snapshot they bound.
 ///
-/// ## Threading contract
+/// ## Threading
 ///
 /// Submit/AdvanceTo/Drain and the accessors form a single-threaded event
-/// loop — call them from one thread. Publish (and the registry) is
-/// thread-safe and may run concurrently with serving; that is the hot-swap
-/// path test_serve exercises under TSan. Dispatched batches execute on the
-/// server's own ThreadPool: simulated-concurrent batches run as one
-/// fork-join wave, each on its bound snapshot's per-worker replica, so no
-/// engine workspace is ever shared between threads.
+/// loop — call them from one thread; every engine call runs inside it.
+/// Publish (and the registry) is thread-safe and may run concurrently with
+/// serving; that is the hot-swap path test_serve exercises under TSan.
 
 namespace dlsys {
 
@@ -112,7 +108,7 @@ class Server {
     double finish_ms = 0.0;     ///< dispatch + modeled service time
     double deadline_ms = 0.0;   ///< absolute simulated deadline
     int64_t batch_size = 0;     ///< requests sharing the dispatch
-    int worker = 0;             ///< replica index that executed it
+    int worker = 0;             ///< simulated worker that ran the step
     int slot = -1;              ///< slot-pool lane that carried it
     bool deadline_missed = false;  ///< finish_ms > deadline_ms
     /// Real wall time of the batch's engine call (informational only;
@@ -129,9 +125,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// \brief Compiles \p net into one replica per worker and publishes it
-  /// as the next version of \p model. The engine batch ceiling is raised
-  /// to the server's batch.max_batch if \p engine_config declares less.
+  /// \brief Compiles \p net into a snapshot and publishes it as the next
+  /// version of \p model. The engine batch ceiling is raised to the
+  /// server's batch.max_batch if \p engine_config declares less.
   /// Thread-safe; may run concurrently with the serving loop (hot swap).
   Result<int64_t> Publish(const std::string& model, const Sequential& net,
                           const Shape& example_shape,
@@ -162,7 +158,7 @@ class Server {
 
   /// \brief Advances the simulated clock to \p now_ms (monotone; checked),
   /// completing every step due by then and starting the steps the freed
-  /// lanes refill, and executes them for real as one fork-join wave.
+  /// lanes refill.
   void AdvanceTo(double now_ms);
 
   /// \brief Earliest simulated time of the next event (a step completion,
@@ -238,25 +234,10 @@ class Server {
   MetricsReport metrics() const;
 
  private:
-  /// One departed step awaiting real execution in the current wave.
-  struct ExecTask {
-    std::shared_ptr<ModelSnapshot> snap;
-    int worker = 0;
-    int64_t batch_size = 0;
-    double dispatch_ms = 0.0;
-    double finish_ms = 0.0;
-    std::vector<SlotRequest> members;  ///< in lane-load order
-    double measured_service_ms = 0.0;  ///< stamped by the executing thread
-    Status status;                     ///< engine verdict, checked on flush
-  };
-
   Server(ModelRegistry* registry, const ServerConfig& config);
 
   /// The declared cost model with the current fault scale applied.
   ServiceCostModel ScaledCost() const;
-
-  /// Runs the staged wave on the thread pool and records completions.
-  void FlushWave();
 
   /// The next event after \p cursor_ms: the earliest in-flight step
   /// completion, or the earliest strictly-later quota refill that could
@@ -264,24 +245,23 @@ class Server {
   double NextEventMs(double cursor_ms) const;
   /// The event loop: processes step completions and quota refills in
   /// simulated-time order, strictly before \p limit_ms when \p strict,
-  /// else at or before it. Ends with a FlushWave.
+  /// else at or before it.
   void RunUntil(double limit_ms, bool strict);
   /// Refills free lanes from the scheduler and starts steps on idle
   /// workers at \p now_ms, until the pool is saturated.
   void RefillAndStart(double now_ms);
-  /// Departs \p worker's loaded lanes as one real batch at \p now_ms.
+  /// Departs \p worker's loaded lanes as one engine batch at \p now_ms:
+  /// runs it on the calling thread and records its completions.
   void StartStep(int worker, double now_ms);
 
   ModelRegistry* registry_;
   ServerConfig config_;
-  ThreadPool pool_;  ///< workers - 1 threads; chunk 0 runs on the caller
 
   double clock_ms_ = 0.0;
   int64_t next_id_ = 0;
   bool draining_ = false;
   double cost_scale_ = 1.0;
   std::vector<double> worker_free_ms_;
-  std::vector<ExecTask> wave_;
 
   // The tenant scheduler owns every tenant record (policy, queued
   // requests, quota and DWFQ state, tallies), the pool tracks lane

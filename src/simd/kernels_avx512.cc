@@ -12,7 +12,15 @@
     defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
     defined(__AVX512DQ__)
 
+// GCC 12's intrinsics header raises -W(maybe-)uninitialized false
+// positives from _mm512_undefined_ps's self-initialization (GCC bug
+// 105593). Silence them for the header only; this file's own code keeps
+// both warnings.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include <algorithm>
 #include <cstdint>

@@ -3,7 +3,7 @@
 // admitted under, at any DLSYS_THREADS), bounded-queue and deadline
 // admission, deterministic bit-for-bit load replay, thread-safety of
 // registry publish/acquire under real concurrency (the TSan target), and
-// a behaviour oracle pinning digests of six replayed configurations.
+// a behaviour oracle pinning digests of seven replayed configurations.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,7 @@ TEST(ModelRegistryTest, PublishAcquireAndVersioning) {
   EXPECT_EQ(registry.LatestVersion("m"), 0);
 
   Sequential net = MakeNet(1);
-  auto snap1 = CompileSnapshot(net, {16}, /*replicas=*/2);
+  auto snap1 = CompileSnapshot(net, {16});
   ASSERT_TRUE(snap1.ok()) << snap1.status().ToString();
   auto v1 = registry.Publish("m", std::move(snap1).value());
   ASSERT_TRUE(v1.ok());
@@ -65,9 +65,9 @@ TEST(ModelRegistryTest, PublishAcquireAndVersioning) {
   EXPECT_EQ(held->model, "m");
   EXPECT_EQ(held->in_elems, 16);
   EXPECT_EQ(held->out_elems, 4);
-  ASSERT_EQ(held->replicas.size(), 2u);
+  ASSERT_NE(held->replicas[0].engine, nullptr);
 
-  auto snap2 = CompileSnapshot(MakeNet(2), {16}, 2);
+  auto snap2 = CompileSnapshot(MakeNet(2), {16});
   ASSERT_TRUE(snap2.ok());
   auto v2 = registry.Publish("m", std::move(snap2).value());
   ASSERT_TRUE(v2.ok());
@@ -85,7 +85,7 @@ TEST(ModelRegistryTest, PublishAcquireAndVersioning) {
   EXPECT_TRUE(
       held->replicas[0].engine->PredictInto(x.data(), 1, out.data()).ok());
 
-  auto other = CompileSnapshot(MakeNet(4), {16}, 1);
+  auto other = CompileSnapshot(MakeNet(4), {16});
   ASSERT_TRUE(other.ok());
   ASSERT_TRUE(registry.Publish("a", std::move(other).value()).ok());
   EXPECT_EQ(registry.ModelNames(), (std::vector<std::string>{"a", "m"}));
@@ -94,34 +94,53 @@ TEST(ModelRegistryTest, PublishAcquireAndVersioning) {
 TEST(ModelRegistryTest, PublishAndCompileErrors) {
   ModelRegistry registry;
   Sequential net = MakeNet(1);
-  EXPECT_EQ(CompileSnapshot(net, {16}, 0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(CompileSnapshot(net, {4, 4}, 1).status().code(),
+  EXPECT_EQ(CompileSnapshot(net, {4, 4}).status().code(),
             StatusCode::kInvalidArgument);  // shape does not thread through
 
   EXPECT_EQ(registry.Publish("m", nullptr).status().code(),
             StatusCode::kInvalidArgument);
-  auto snap = CompileSnapshot(net, {16}, 1);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(registry.Publish("", std::move(snap).value()).status().code(),
+  EXPECT_EQ(registry.Publish("m", std::make_shared<ModelSnapshot>())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // no compiled engine
+  auto compiled = CompileSnapshot(net, {16});
+  ASSERT_TRUE(compiled.ok());
+  std::shared_ptr<ModelSnapshot> snap = std::move(compiled).value();
+  EXPECT_EQ(registry.Publish("", snap).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A live snapshot is never renamed or re-versioned: publishing it again,
+  // under another name or its own, is turned away before any slot exists
+  // or any field changes.
+  ASSERT_TRUE(registry.Publish("a", snap).ok());
+  EXPECT_EQ(registry.Publish("b", snap).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Publish("a", snap).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Acquire("a")->model, "a");
+  EXPECT_EQ(registry.Acquire("a")->version, 1);
+  EXPECT_EQ(registry.LatestVersion("a"), 1);
+  EXPECT_EQ(registry.Acquire("b"), nullptr);
+  EXPECT_EQ(registry.ModelNames(), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(registry.swap_count(), 0);
 }
 
 TEST(ModelRegistryTest, ConcurrentPublishAndAcquireAreRaceFree) {
   // The TSan target for the registry alone: one publisher hot-swapping in
-  // a loop while readers acquire and *use* snapshots. Each reader drives
-  // its own replica index, so engine workspaces are never shared.
+  // a loop while readers acquire snapshots and read their immutable
+  // fields. A snapshot's engine serves one thread at a time, so exactly
+  // one reader also runs what it acquired.
   constexpr int kReaders = 3;
   ModelRegistry registry;
-  auto first = CompileSnapshot(MakeNet(10), {16}, kReaders);
+  auto first = CompileSnapshot(MakeNet(10), {16});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(registry.Publish("m", std::move(first).value()).ok());
 
   std::atomic<bool> stop{false};
   std::thread publisher([&registry, &stop]() {
     for (int i = 0; i < 8; ++i) {
-      auto snap = CompileSnapshot(MakeNet(11 + static_cast<uint64_t>(i)),
-                                  {16}, kReaders);
+      auto snap =
+          CompileSnapshot(MakeNet(11 + static_cast<uint64_t>(i)), {16});
       ASSERT_TRUE(snap.ok());
       ASSERT_TRUE(registry.Publish("m", std::move(snap).value()).ok());
     }
@@ -140,10 +159,16 @@ TEST(ModelRegistryTest, ConcurrentPublishAndAcquireAreRaceFree) {
         ASSERT_NE(snap, nullptr);
         EXPECT_GE(snap->version, last_version);  // versions only move up
         last_version = snap->version;
-        x.FillGaussian(&rng, 1.0f);
-        ASSERT_TRUE(snap->replicas[static_cast<size_t>(r)]
-                        .engine->PredictInto(x.data(), 1, out.data())
-                        .ok());
+        EXPECT_EQ(snap->model, "m");
+        EXPECT_EQ(snap->in_elems, 16);
+        EXPECT_EQ(snap->out_elems, 4);
+        EXPECT_EQ(snap->example_output_shape, (Shape{4}));
+        if (r == 0) {
+          x.FillGaussian(&rng, 1.0f);
+          ASSERT_TRUE(snap->replicas[0]
+                          .engine->PredictInto(x.data(), 1, out.data())
+                          .ok());
+        }
       }
     });
   }
@@ -1498,6 +1523,13 @@ std::vector<OracleScenario> OracleScenarios() {
   light.config.batch.max_batch = 2;
   light.config.queue_capacity = 16;
   s.push_back(std::move(light));
+  // Many workers departing in one event: up to eight steps start at one
+  // simulated instant.
+  OracleScenario eight{"eight_workers", OnlineServeShape(), hot, 1.2};
+  eight.config.workers = 8;
+  eight.config.queue_capacity = 128;
+  eight.config.scheduler.enforce_quotas = false;
+  s.push_back(std::move(eight));
   return s;
 }
 
@@ -1653,16 +1685,20 @@ OracleDigests ReplayOracle(const OracleScenario& s, const Sequential& v1,
   return {d.value(), reg.value()};
 }
 
-/// Digests of OracleScenarios(), in order, computed on the tree before
-/// the per-tenant record existed. They use only IEEE + - x / on exactly
-/// representable inputs, so they hold on any host, ISA and thread count.
+/// Digests of OracleScenarios(), in order. The first six were computed
+/// on the tree before the per-tenant record existed, and eight_workers on
+/// the tree that still ran concurrent steps on a server thread pool. They
+/// use only IEEE + - x / on exactly representable inputs, so they hold on
+/// any host, ISA and thread count.
 constexpr uint64_t kOracleBehaviour[] = {
     0x15d20d454fd10a24ull, 0xe1c6961d339193d0ull, 0x62c4439dec796349ull,
     0x4fcc0526a3e7d80bull, 0x230c74cd8ce7004cull, 0xcc15647ef7cd83f3ull,
+    0x4f98fc77b03a9fd0ull,
 };
 constexpr uint64_t kOracleRegistry[] = {
     0x507d046b5181e726ull, 0x507d046b5181e726ull, 0x023788bbd44a52b1ull,
     0x218994fe5fdb74b5ull, 0xf1582f85fd83db81ull, 0x34f2701d8f58751bull,
+    0xb6cc6185ec58ac2dull,
 };
 
 TEST(ServeOracleTest, ReplaysMatchParentDigest) {
