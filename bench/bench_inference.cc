@@ -1,7 +1,7 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
-// latency of the arena-planned engine vs the training forward,
-// implicit-GEMM vs direct convolution, int8 vs fp32 dense GEMM at equal
-// shapes, and the micro-batching throughput/p99 frontier. Results land in
+// latency of the arena-planned engine vs the training forward, the int8
+// engine's q8-block GEMM vs fp32 dense GEMM at equal shapes, and the
+// micro-batching throughput/p99 frontier. Results land in
 // BENCH_inference.json.
 //
 // Standalone binary (not google-benchmark): it installs a global
@@ -159,50 +159,13 @@ SteadyState BenchSteadyState() {
   return result;
 }
 
-// ------------------------------------------- 2. implicit GEMM vs direct
-
-struct ConvAlgoRow {
-  double implicit_gemm_ms = 0.0;
-  double direct_ms = 0.0;
-};
-
-ConvAlgoRow BenchConvAlgo() {
-  Rng rng(52);
-  const int64_t img = g_smoke ? 8 : 24;
-  Sequential net = MakeCnn(img, g_smoke ? 3 : 12, g_smoke ? 4 : 16, 10);
-  net.Init(&rng);
-  const int64_t batch = g_smoke ? 2 : 8;
-  Tensor x({batch, 1, img, img});
-  x.FillGaussian(&rng, 1.0f);
-
-  ConvAlgoRow row;
-  for (ConvAlgo algo : {ConvAlgo::kImplicitGemm, ConvAlgo::kDirect}) {
-    EngineConfig config;
-    config.max_batch = batch;
-    config.conv_algo = algo;
-    auto compiled = InferenceEngine::Compile(net, {1, img, img}, config);
-    DLSYS_CHECK(compiled.ok(), "conv-algo compile failed");
-    InferenceEngine engine = std::move(compiled).value();
-    Tensor out({batch, engine.output_elems_per_example()});
-    const int iters = g_smoke ? 3 : 10;
-    const double ms = MedianMs(iters, [&] {
-      DLSYS_CHECK(engine.PredictInto(x.data(), batch, out.data()).ok(),
-                  "predict");
-      g_sink = out[0];
-    });
-    (algo == ConvAlgo::kImplicitGemm ? row.implicit_gemm_ms : row.direct_ms) =
-        ms;
-  }
-  return row;
-}
-
-// ---------------------------------------------------- 3. int8 vs fp32 GEMM
+// ---------------------------------------------------- 2. int8 vs fp32 GEMM
 
 struct GemmRow {
   int64_t m = 0, k = 0, n = 0;
   double fp32_ms = 0.0;
-  double int8_ms = 0.0;       ///< integer GEMM alone
-  double int8_full_ms = 0.0;  ///< quantize + GEMM + requantize epilogue
+  double int8_ms = 0.0;       ///< q8-block GEMM alone (dequant fused)
+  double int8_full_ms = 0.0;  ///< activation quantize + q8-block GEMM
 };
 
 GemmRow BenchInt8Gemm() {
@@ -223,38 +186,34 @@ GemmRow BenchInt8Gemm() {
     g_sink = c[0];
   });
 
-  // Weights quantized per output feature: rows of the transposed matrix.
+  // The int8 engine's format: weights in q8 blocks along each output
+  // feature's row of the transposed matrix, activations quantized per
+  // block on the fly, dequantization fused into the GEMM.
   Tensor wt({n, k});
   for (int64_t j = 0; j < n; ++j) {
     for (int64_t p = 0; p < k; ++p) wt[j * k + p] = w[p * n + j];
   }
-  SymmetricInt8Matrix qw = SymmetricQuantizeRows(wt);
-  std::vector<int8_t> qa(static_cast<size_t>(m * k));
-  std::vector<float> qa_scales(static_cast<size_t>(m));
-  std::vector<int32_t> acc(static_cast<size_t>(m * n));
-  SymmetricQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
+  const Q8BlockMatrix qw = Q8BlockQuantizeRows(wt);
+  const int64_t kp = qw.padded_cols;
+  std::vector<int8_t> qa(static_cast<size_t>(m * kp));
+  std::vector<float> qa_scales(static_cast<size_t>(m * kp / kQuantBlock));
+  Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
 
   row.int8_ms = MedianMs(iters, [&] {
-    Int8GemmTransBInto(qa.data(), qw.values.data(), acc.data(), m, k, n);
-    g_sink = static_cast<float>(acc[0]);
+    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
+                          qw.scales.data(), c.data(), m, kp, n);
+    g_sink = c[0];
   });
   row.int8_full_ms = MedianMs(iters, [&] {
-    SymmetricQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
-    Int8GemmTransBInto(qa.data(), qw.values.data(), acc.data(), m, k, n);
-    for (int64_t i = 0; i < m; ++i) {
-      const float sx = qa_scales[static_cast<size_t>(i)];
-      for (int64_t j = 0; j < n; ++j) {
-        c[static_cast<size_t>(i * n + j)] =
-            static_cast<float>(acc[static_cast<size_t>(i * n + j)]) * sx *
-            qw.scales[static_cast<size_t>(j)];
-      }
-    }
+    Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
+    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
+                          qw.scales.data(), c.data(), m, kp, n);
     g_sink = c[0];
   });
   return row;
 }
 
-// ------------------------------------------------- 4. micro-batch frontier
+// ------------------------------------------------- 3. micro-batch frontier
 
 struct FrontierRow {
   int64_t max_batch = 0;
@@ -327,7 +286,7 @@ std::vector<FrontierRow> BenchFrontier() {
   return rows;
 }
 
-// ------------------------------------------------ 5. pass pipeline (E36)
+// ------------------------------------------------ 4. pass pipeline (E36)
 
 struct PassPipelineRows {
   double dense_relu_unfused_ms = 0.0;  ///< fp32 dense+relu, DLSYS_PASSES=none
@@ -543,15 +502,10 @@ int main(int argc, char** argv) {
       static_cast<long long>(steady.forward_allocs_per_call),
       steady.forward_batch1_ms);
 
-  const ConvAlgoRow conv = BenchConvAlgo();
-  std::printf("conv          implicit_gemm %.4f ms | direct %.4f ms | %.2fx\n",
-              conv.implicit_gemm_ms, conv.direct_ms,
-              conv.direct_ms / conv.implicit_gemm_ms);
-
   const GemmRow gemm = BenchInt8Gemm();
   std::printf(
-      "gemm %lldx%lldx%lld  fp32 %.4f ms | int8 %.4f ms (%.2fx) | "
-      "int8+requant %.4f ms (%.2fx)\n",
+      "gemm %lldx%lldx%lld  fp32 %.4f ms | q8 %.4f ms (%.2fx) | "
+      "q8+quantize %.4f ms (%.2fx)\n",
       static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
       static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
       gemm.fp32_ms / gemm.int8_ms, gemm.int8_full_ms,
@@ -603,8 +557,6 @@ int main(int argc, char** argv) {
                "\"forward_allocs_per_call\": %lld,\n"
                "                   \"engine_batch1_ms\": %.4f, "
                "\"forward_batch1_ms\": %.4f},\n"
-               "  \"conv\": {\"implicit_gemm_ms\": %.4f, \"direct_ms\": %.4f, "
-               "\"speedup\": %.2f},\n"
                "  \"int8_gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
                "\"fp32_ms\": %.4f,\n"
                "                \"int8_ms\": %.4f, \"int8_full_ms\": %.4f, "
@@ -626,8 +578,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(steady.engine_allocs_per_call),
                static_cast<long long>(steady.forward_allocs_per_call),
                steady.engine_batch1_ms, steady.forward_batch1_ms,
-               conv.implicit_gemm_ms, conv.direct_ms,
-               conv.direct_ms / conv.implicit_gemm_ms,
                static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
                static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
                gemm.int8_full_ms, gemm.fp32_ms / gemm.int8_ms,

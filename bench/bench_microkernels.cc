@@ -1,6 +1,6 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched
 // microkernels — fp32 matmul / fp32 matmul with the fused bias+relu
-// epilogue / fp32 transB / int8 / q8-block / q4-block GEMMs and the q8
+// epilogue / fp32 transB / q8-block / q4-block GEMMs and the q8
 // row quantizer at the E31 serving shape (64x768x768), one tail shape,
 // the two q8 GEMMs of the served int8 MLP (8x32x128 and 8x128x10), and
 // the fp32 GEMMs the workloads serve (the fleet's 32->64->10 replica MLP
@@ -114,8 +114,6 @@ struct GemmOperands {
   Tensor a, b, bt, bias;
   Q8BlockMatrix qa8, qb8;
   Q4BlockMatrix qb4;
-  std::vector<int8_t> ia, ib;
-  std::vector<int32_t> iacc;
   std::vector<float> c;
   Tensor c_tb;
   std::vector<int8_t> q_vals;  ///< q8_quantize_rows output: codes ...
@@ -132,11 +130,6 @@ struct GemmOperands {
     qa8 = Q8BlockQuantizeRows(a);
     qb8 = Q8BlockQuantizeRows(bt);
     qb4 = Q4BlockQuantizeRows(bt);
-    ia.resize(static_cast<size_t>(s.m * s.k));
-    ib.resize(static_cast<size_t>(s.n * s.k));
-    for (int8_t& v : ia) v = static_cast<int8_t>(rng->Next() % 255 - 127);
-    for (int8_t& v : ib) v = static_cast<int8_t>(rng->Next() % 255 - 127);
-    iacc.resize(static_cast<size_t>(s.m * s.n));
     c.resize(static_cast<size_t>(s.m * s.n));
     q_vals.resize(qa8.values.size());
     q_scales.resize(qa8.scales.size());
@@ -219,13 +212,6 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
            g_sink = op.c_tb[0];
          },
          [&] { return Bytes(op.c_tb.data(), mn); }},
-        {"int8_rowwise",
-         [&] {
-           Int8GemmTransBInto(op.ia.data(), op.ib.data(), op.iacc.data(), m,
-                              k, n);
-           g_sink = static_cast<float>(op.iacc[0]);
-         },
-         [&] { return Bytes(op.iacc.data(), mn); }},
         {"q8_block",
          [&] {
            Q8BlockGemmTransBInto(op.qa8.values.data(), op.qa8.scales.data(),

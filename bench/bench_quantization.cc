@@ -3,8 +3,8 @@
 // packed bytes, and Huffman-coded bytes per cell. A second table covers
 // the serving-path block formats (ggml-style q8/q4, one scale per
 // 32-element block) executed through the real InferenceEngine integer
-// GEMM, and a timing section reads per-row vs per-block activation
-// quantization latency quantiles back from the CounterRegistry histogram
+// GEMM, and a timing section reads the per-block q8 activation
+// quantizer's latency quantiles back from the CounterRegistry histogram
 // rather than local timing plumbing.
 
 #include <algorithm>
@@ -169,22 +169,11 @@ int main() {
   std::printf("\nactivation quantization 64x768 (registry histogram):\n");
   Tensor act({64, 768});
   act.FillGaussian(&rng, 1.0f);
-  {
-    std::vector<int8_t> codes(64 * 768);
-    std::vector<float> scales(64);
-    TimeIntoHistogram("per-row int8", 50, [&] {
-      SymmetricQuantizeRowsInto(act.data(), 64, 768, codes.data(),
-                                scales.data());
-    });
-  }
-  {
-    std::vector<int8_t> codes(64 * 768);
-    std::vector<float> scales(64 * 768 / kQuantBlock);
-    TimeIntoHistogram("per-block q8", 50, [&] {
-      Q8BlockQuantizeRowsInto(act.data(), 64, 768, codes.data(),
-                              scales.data());
-    });
-  }
+  std::vector<int8_t> codes(64 * 768);
+  std::vector<float> scales(64 * 768 / kQuantBlock);
+  TimeIntoHistogram("per-block q8", 50, [&] {
+    Q8BlockQuantizeRowsInto(act.data(), 64, 768, codes.data(), scales.data());
+  });
 
   std::printf("\nexpected shape: accuracy flat down to ~4 bits, cliff at "
               "1-2 bits; kmeans >= uniform at equal bits; size ~ bits/32; "

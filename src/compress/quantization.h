@@ -73,40 +73,13 @@ Result<NetworkQuantization> QuantizeNetwork(Sequential* net,
 /// code frequency histogram (canonical Huffman, no stream overhead).
 int64_t HuffmanBitLength(const std::vector<int64_t>& frequencies);
 
-/// \brief A rank-2 matrix stored as symmetric per-row int8 codes.
-///
-/// Row i is stored as round(x / scales[i]) clamped to [-127, 127] with
-/// scales[i] = max|row i| / 127. Symmetric (no zero point) so an int8 x
-/// int8 product needs no offset correction, and per-row so one outlier
-/// only degrades its own row — for a Dense weight matrix (rows = output
-/// features) this is per-output-channel quantization. This is the storage
-/// format of the inference engine's int8 path (src/infer); the codebook
-/// formats above serve the compression study instead.
-struct SymmetricInt8Matrix {
-  int64_t rows = 0;
-  int64_t cols = 0;
-  std::vector<int8_t> values;  ///< rows x cols, row-major
-  std::vector<float> scales;   ///< one scale per row
-
-  /// \brief Reconstructs the dense float matrix (values[i][j]*scales[i]).
-  Tensor Dequantize() const;
-};
-
-/// \brief Symmetric per-row int8 quantization of a rank-2 tensor.
-SymmetricInt8Matrix SymmetricQuantizeRows(const Tensor& t);
-
-/// \brief Allocation-free form of SymmetricQuantizeRows into caller
-/// storage (\p values: rows*cols int8, \p scales: one float per row).
-/// Row-parallel; used by the engine to quantize activations on the fly
-/// inside the zero-allocation hot loop.
-void SymmetricQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
-                               int8_t* values, float* scales);
-
 // ----------------------------------------------------- block quantization
 //
 // ggml-style block formats: one float scale per kQuantBlock consecutive
-// elements along a row (the GEMM reduction dimension), instead of one per
-// whole row. A single outlier now only costs its own 32-element block its
+// elements along a row (the GEMM reduction dimension). These are the
+// storage formats of the inference engine's int8 and int4 paths
+// (src/infer); the codebook formats above serve the compression study
+// instead. A single outlier only costs its own 32-element block its
 // precision, and the scales live next to the codes the GEMM is already
 // streaming, which is what lets src/tensor/int8_gemm.h fuse dequantization
 // into the inner loop. Rows are padded to a multiple of kQuantBlock with

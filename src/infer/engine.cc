@@ -187,8 +187,7 @@ Status InferenceEngine::PlanAndEmit() {
     Step step;
     step.node = ni;
 
-    if (node.kind == OpKind::kConv &&
-        config_.conv_algo == ConvAlgo::kImplicitGemm) {
+    if (node.kind == OpKind::kConv) {
       const ConvGeometry geom = ConvGeometryOf(node);
       scratch.push_back({static_cast<size_t>(p), kPlanes, true,
                          geom.planes_elems(), false, p, p});
@@ -693,61 +692,19 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       return;
     }
     case OpKind::kConv: {
-      const int64_t ic = node.in_ch, oc = node.out_ch;
-      const int64_t kernel = node.kernel, stride = node.stride,
-                    pad = node.pad;
-      const int64_t h = node.h, w = node.w, ho = node.ho, wo = node.wo;
-      const float* pw = node.weight.data();
-      const float* pb = node.bias.data();
-      const bool relu = node.relu_fused;
-      if (config_.conv_algo == ConvAlgo::kImplicitGemm) {
-        const ConvGeometry geom = ConvGeometryOf(node);
-        float* planes = arena_.Floats(step.planes);
-        for (int64_t img = 0; img < batch; ++img) {
-          // The image's zero-padded phase planes, then the GEMM reading
-          // each tap's run straight from them. With the fusion pass on,
-          // an absorbed ReLU runs in the conv GEMM's epilogue instead of
-          // as a separate output pass.
-          ConvPhasePlanesInto(in + img * ic * h * w, geom, planes);
-          ConvGemmBiasActInto(pw, planes, step.tap_off.data(), pb,
-                              out + img * oc * ho * wo, geom, relu);
-        }
-      } else {
-        // Direct reference: the plain clipped loop nest, one worker per
-        // (image, out-channel) plane. The GEMM path's FLOPs are counted
-        // inside ConvGemmBiasActInto; the direct nest counts its own here.
-        DLSYS_COST_FLOPS(batch * step.flops_per_example);
-        ParallelFor(0, batch * oc, 1, [=](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const int64_t img = t / oc;
-            const int64_t o = t % oc;
-            const float* xin = in + img * ic * h * w;
-            const float* wbase = pw + o * ic * kernel * kernel;
-            float* yplane = out + (img * oc + o) * ho * wo;
-            for (int64_t oy = 0; oy < ho; ++oy) {
-              const int64_t iy0 = oy * stride - pad;
-              for (int64_t ox = 0; ox < wo; ++ox) {
-                const int64_t ix0 = ox * stride - pad;
-                double acc = pb[o];
-                for (int64_t cc = 0; cc < ic; ++cc) {
-                  const float* xplane = xin + cc * h * w;
-                  const float* wplane = wbase + cc * kernel * kernel;
-                  for (int64_t ky = 0; ky < kernel; ++ky) {
-                    const int64_t iy = iy0 + ky;
-                    if (iy < 0 || iy >= h) continue;
-                    for (int64_t kx = 0; kx < kernel; ++kx) {
-                      const int64_t ix = ix0 + kx;
-                      if (ix < 0 || ix >= w) continue;
-                      acc += xplane[iy * w + ix] * wplane[ky * kernel + kx];
-                    }
-                  }
-                }
-                const float v = static_cast<float>(acc);
-                yplane[oy * wo + ox] = relu ? (v > 0.0f ? v : 0.0f) : v;
-              }
-            }
-          }
-        });
+      const ConvGeometry geom = ConvGeometryOf(node);
+      const int64_t in_elems = geom.in_ch * geom.h * geom.w;
+      const int64_t out_elems = geom.out_ch * geom.ho * geom.wo;
+      float* planes = arena_.Floats(step.planes);
+      for (int64_t img = 0; img < batch; ++img) {
+        // The image's zero-padded phase planes, then the GEMM reading
+        // each tap's run straight from them. With the fusion pass on, an
+        // absorbed ReLU runs in the conv GEMM's epilogue instead of as a
+        // separate output pass.
+        ConvPhasePlanesInto(in + img * in_elems, geom, planes);
+        ConvGemmBiasActInto(node.weight.data(), planes, step.tap_off.data(),
+                            node.bias.data(), out + img * out_elems, geom,
+                            node.relu_fused);
       }
       return;
     }

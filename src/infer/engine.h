@@ -29,17 +29,16 @@
 /// ## Numerics contract
 ///
 /// In fp32 mode the engine's output is **bitwise identical** to
-/// `Sequential::Forward(x, CacheMode::kNoCache)` for both conv algorithms
-/// AND for every pass combination: every kernel reproduces the training
+/// `Sequential::Forward(x, CacheMode::kNoCache)` for every pass
+/// combination. Dense and Conv2D layers run the same dispatched kernels
+/// in training and in the engine (the matmul range kernels for dense;
+/// ConvPhasePlanesInto then ConvGemmBiasActInto for conv, see
+/// src/tensor/ops.h), so those layers agree on any data, signed zeros
+/// and infinities included. The other steps reproduce the training
 /// path's per-element operation sequence, and every rewrite pass is
 /// bitwise-neutral (fusion removes stores/reloads and kernel launches,
-/// folding moves where identical float expressions evaluate, packing moves
-/// where buffers live — see src/infer/passes.h). The implicit-GEMM
-/// algorithm writes each image's zero-padded input once, split into
-/// stride-phase planes, and runs the conv GEMM straight from it: padding
-/// taps read zeros, and a zero product leaves a finite accumulator
-/// unchanged, so the result matches the direct path's clipped loops bit
-/// for bit.
+/// folding moves where identical float expressions evaluate, packing
+/// moves where buffers live — see src/infer/passes.h).
 ///
 /// In int8 mode Dense layers run as ggml-style block-quantized integer
 /// GEMM (src/compress/quantization.h): weights quantize to q8 codes with
@@ -57,7 +56,7 @@
 
 namespace dlsys {
 
-/// \brief Compile-time engine options. (ConvAlgo and EngineNumeric live in
+/// \brief Compile-time engine options. (EngineNumeric lives in
 /// src/infer/graph.h with the IR; PassConfig in src/infer/passes.h.)
 struct EngineConfig {
   EngineConfig() = default;
@@ -65,7 +64,6 @@ struct EngineConfig {
   explicit EngineConfig(int64_t batch) : max_batch(batch) {}
 
   int64_t max_batch = 64;  ///< largest batch PredictInto will accept
-  ConvAlgo conv_algo = ConvAlgo::kImplicitGemm;
   EngineNumeric numeric = EngineNumeric::kFp32;
   /// Which rewrite passes Compile runs (all on by default). The
   /// DLSYS_PASSES environment variable overrides this field — see
@@ -144,8 +142,8 @@ class InferenceEngine {
     TensorArena::BufferId in = -1;   ///< input activations (floats)
     TensorArena::BufferId out = -1;  ///< output activations (== in when
                                      ///< the node runs in place)
-    /// Implicit-GEMM conv: one image's phase planes (scratch), and each
-    /// tap's offset into them, computed once at compile time.
+    /// Conv: one image's phase planes (scratch), and each tap's offset
+    /// into them, computed once at compile time.
     TensorArena::BufferId planes = -1;
     std::vector<int64_t> tap_off;
     /// Quantized dense: q8 codes + per-block scales of the input batch.

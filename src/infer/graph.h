@@ -28,14 +28,6 @@
 
 namespace dlsys {
 
-/// \brief Convolution execution strategy.
-enum class ConvAlgo {
-  /// GEMM read straight from the input's phase planes through
-  /// ConvGemmBiasActInto (default)
-  kImplicitGemm,
-  kDirect,  ///< reference loop nest; retained for bit-comparison and bench
-};
-
 /// \brief Arithmetic used for Dense layers.
 enum class EngineNumeric {
   kFp32,  ///< full float pipeline, bitwise equal to training forward

@@ -1,12 +1,12 @@
 #include "src/nn/conv.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "src/obs/cost.h"
 #include "src/obs/trace.h"
 #include "src/runtime/runtime.h"
+#include "src/tensor/ops.h"
 
 namespace dlsys {
 
@@ -52,87 +52,21 @@ Tensor Conv2D::Forward(const Tensor& x, CacheMode mode) {
       "conv.forward", "kernel",
       2 * n * out_ch_ * ho * wo * in_ch_ * kernel_ * kernel_,
       4 * (x.size() + y.size() + w_.size()));
-  DLSYS_COST_FLOPS(2 * n * out_ch_ * ho * wo * in_ch_ * kernel_ * kernel_);
-  const float* px = x.data();
-  const float* pw = w_.data();
-  const float* pbias = b_.data();
-  float* py = y.data();
-  // Row-parallel dispatch: each (image, out-channel) plane is owned by
-  // exactly one worker and computed with the fixed loop order below, so
-  // the output is bitwise identical for every thread count.
-  const int64_t in_ch = in_ch_, out_ch = out_ch_;
-  const int64_t kernel = kernel_, stride = stride_, pad = pad_;
-  ParallelFor(0, n * out_ch_, 1, [=](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t img = t / out_ch;
-      const int64_t oc = t % out_ch;
-      const float* wbase = pw + oc * in_ch * kernel * kernel;
-      float* yrow_base = py + (img * out_ch + oc) * ho * wo;
-      for (int64_t oy = 0; oy < ho; ++oy) {
-        const int64_t iy0 = oy * stride - pad;
-        // Clip the kernel window to the input once per row/column instead
-        // of branching per tap; the surviving terms are accumulated in the
-        // same (ic, ky, kx) order as the naive loops, so the result is
-        // bitwise unchanged.
-        const int64_t ky_lo = iy0 < 0 ? -iy0 : 0;
-        const int64_t ky_hi = std::min<int64_t>(kernel, h - iy0);
-        float* yrow = yrow_base + oy * wo;
-        // Output columns whose kernel window needs no x-clipping.
-        const int64_t ox_lo = std::min<int64_t>(wo, (pad + stride - 1) / stride);
-        const int64_t ox_hi =
-            std::max(ox_lo, std::min<int64_t>(wo, (w - kernel + pad) / stride + 1));
-        const auto clipped_at = [&](int64_t ox) {
-          const int64_t ix0 = ox * stride - pad;
-          const int64_t kx_lo = ix0 < 0 ? -ix0 : 0;
-          const int64_t kx_hi = std::min<int64_t>(kernel, w - ix0);
-          double acc = pbias[oc];
-          for (int64_t ic = 0; ic < in_ch; ++ic) {
-            const float* xplane = px + (img * in_ch + ic) * h * w;
-            const float* wplane = wbase + ic * kernel * kernel;
-            for (int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const float* xrow = xplane + (iy0 + ky) * w + ix0;
-              const float* wrow = wplane + ky * kernel;
-              for (int64_t kx = kx_lo; kx < kx_hi; ++kx) {
-                acc += xrow[kx] * wrow[kx];
-              }
-            }
-          }
-          yrow[ox] = static_cast<float>(acc);
-        };
-        for (int64_t ox = 0; ox < ox_lo; ++ox) clipped_at(ox);
-        // Interior fast path: four output columns share each weight tap,
-        // giving four independent accumulation chains (the double adds
-        // are latency-bound). Each chain still sums its terms in the
-        // naive (ic, ky, kx) order, so results stay bitwise identical.
-        int64_t ox = ox_lo;
-        for (; ox + 4 <= ox_hi; ox += 4) {
-          const int64_t ix0 = ox * stride - pad;
-          double a0 = pbias[oc], a1 = pbias[oc], a2 = pbias[oc],
-                 a3 = pbias[oc];
-          for (int64_t ic = 0; ic < in_ch; ++ic) {
-            const float* xplane = px + (img * in_ch + ic) * h * w;
-            const float* wplane = wbase + ic * kernel * kernel;
-            for (int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const float* xrow = xplane + (iy0 + ky) * w + ix0;
-              const float* wrow = wplane + ky * kernel;
-              for (int64_t kx = 0; kx < kernel; ++kx) {
-                const float wv = wrow[kx];
-                a0 += xrow[kx] * wv;
-                a1 += xrow[stride + kx] * wv;
-                a2 += xrow[2 * stride + kx] * wv;
-                a3 += xrow[3 * stride + kx] * wv;
-              }
-            }
-          }
-          yrow[ox + 0] = static_cast<float>(a0);
-          yrow[ox + 1] = static_cast<float>(a1);
-          yrow[ox + 2] = static_cast<float>(a2);
-          yrow[ox + 3] = static_cast<float>(a3);
-        }
-        for (; ox < wo; ++ox) clipped_at(ox);
-      }
-    }
-  });
+  // The engine's conv step, one image at a time: the zero-padded phase
+  // planes, then the implicit GEMM reading each tap's run straight from
+  // them (the kernel counts its own FLOPs). Training and the engine run
+  // one kernel, so their outputs agree bit for bit on any data. The
+  // scratch is local, so concurrent forwards on one layer stay safe.
+  const ConvGeometry geom{in_ch_, out_ch_, kernel_, stride_, pad_,
+                          h,      w,       ho,      wo};
+  const std::vector<int64_t> tap_off = ConvTapOffsets(geom);
+  std::vector<float> planes(static_cast<size_t>(geom.planes_elems()));
+  for (int64_t img = 0; img < n; ++img) {
+    ConvPhasePlanesInto(x.data() + img * in_ch_ * h * w, geom, planes.data());
+    ConvGemmBiasActInto(w_.data(), planes.data(), tap_off.data(), b_.data(),
+                        y.data() + img * out_ch_ * ho * wo, geom,
+                        /*relu=*/false);
+  }
   if (mode == CacheMode::kCache) {
     x_cache_ = x;
   } else {

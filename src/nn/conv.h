@@ -10,8 +10,11 @@
 /// \file conv.h
 /// \brief Convolutional layers over NCHW inputs.
 ///
-/// The tutorial draws its running examples from convolutional networks;
-/// these direct-loop kernels keep the library self-contained (no BLAS).
+/// The tutorial draws its running examples from convolutional networks.
+/// Conv2D's forward runs the inference engine's implicit-GEMM kernel
+/// (ConvPhasePlanesInto + ConvGemmBiasActInto, src/tensor/ops.h), so
+/// training and serving share one conv implementation; its backward and
+/// the pooling layer are plain loop nests. No BLAS.
 
 namespace dlsys {
 

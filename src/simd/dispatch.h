@@ -82,14 +82,15 @@ struct KernelTable {
   /// process lifetime as TraceSpan requires.
   const char* span_cat = "kernel.scalar";
 
-  /// C[i0:i1, :] += A(MxK) * B(KxN) rows (C rows pre-zeroed by caller).
-  /// The AVX2/AVX-512 entries run every row block (4 rows, or the last
-  /// 1-3) and every column tail (masked loads and stores) through one
-  /// vector register tile, storing each element once; the scalar entry
-  /// adds its short blocks and tails onto the zeroed C.
+  /// C[i0:i1, :] = A(MxK) * B(KxN) rows; C's prior contents are never
+  /// read. Every element starts at +0 and adds its products in ascending
+  /// p. The AVX2/AVX-512 entries run every row block (4 rows, or the
+  /// last 1-3) and every column tail (masked loads and stores) through
+  /// one vector register tile, storing each element once; the scalar
+  /// entry zeroes its short blocks and tails in C, then adds onto them.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
-  /// C[i0:i1, :] += A(KxM)^T * B(KxN) rows, through the same tiles.
+  /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows, through the same tiles.
   void (*matmul_ta_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k, int64_t m,
                           int64_t n) = nullptr;
@@ -97,10 +98,6 @@ struct KernelTable {
   void (*matmul_tb_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k,
                           int64_t n) = nullptr;
-  /// C[i0:i1, :] = A(MxK) * B(NxK)^T over int8, exact int32 accumulation.
-  void (*int8_gemm_rows)(const int8_t* a, const int8_t* b, int32_t* c,
-                         int64_t i0, int64_t i1, int64_t k,
-                         int64_t n) = nullptr;
   /// Fused block-dequant q8 x q8 GEMM rows (see int8_gemm.h).
   void (*q8_gemm_rows)(const int8_t* a, const float* a_scales,
                        const int8_t* b, const float* b_scales, float* c,
@@ -111,8 +108,8 @@ struct KernelTable {
                        const uint8_t* b, const float* b_scales, float* c,
                        int64_t i0, int64_t i1, int64_t kp,
                        int64_t n) = nullptr;
-  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (C rows pre-zeroed
-  /// by caller; act = relu when relu != 0, else identity). The fused
+  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (act = relu when
+  /// relu != 0, else identity; C's prior contents are never read). The fused
   /// dense epilogue the graph compiler's fusion pass dispatches: the GEMM
   /// op sequence is untouched. The AVX2/AVX-512 entries add the bias and
   /// apply the activation to the tile's accumulators in registers before
@@ -130,7 +127,7 @@ struct KernelTable {
   /// (ConvGeometry's phase-plane layout, src/tensor/ops.h, makes that run
   /// contiguous at every stride). Each element is a double
   /// accumulator started at its channel's bias, adding float products,
-  /// widened, in ascending p (the direct conv's (ic, ky, kx) order);
+  /// widened, in ascending p (the taps' (ic, ky, kx) order);
   /// relu != 0 clamps each element to max(x, 0) as it is stored, relu ==
   /// 0 stores it as is.
   void (*conv_gemm_bias_act_rows)(const float* a, const float* planes,

@@ -32,12 +32,12 @@
 ///   stores only its live lanes. Every element starts at +0, adds its
 ///   float products in ascending p, then adds bias[j] and applies relu
 ///   as max(v, 0) in registers before its single store. That is the
-///   scalar chain: the scalar table's short blocks and column tails add
-///   onto the caller's pre-zeroed C (+0 as well), and its epilogue
+///   scalar chain: the scalar table's short blocks and column tails zero
+///   their part of C and add onto it (+0 as well), and its epilogue
 ///   reloads the stored float, the same bits. max_ps(v, 0) returns its
 ///   second operand on a NaN and on the -0/+0 tie, which is the scalar
 ///   `v > 0.0f ? v : 0.0f`.
-/// - integer kernels (int8, q8/q4 block) accumulate in int32, which is
+/// - integer kernels (q8/q4 block) accumulate in int32, which is
 ///   associative: any vector order is exact, so they are bit-exact by
 ///   construction. The per-block float epilogue of the q8/q4 kernels
 ///   follows the scalar chain (ascending block index, float(dot) *
@@ -87,8 +87,8 @@ namespace simd {
 
 struct KernelTable;
 
-/// Scalar reference table: always available, bitwise identical to the
-/// pre-dispatch kernels (same per-element chains, same build flags).
+/// Scalar reference table: always available; every other table
+/// reproduces its per-element chains bit for bit.
 const KernelTable* GetScalarTable();
 /// AVX2 table, or nullptr when not compiled into this binary.
 const KernelTable* GetAvx2Table();
@@ -96,9 +96,7 @@ const KernelTable* GetAvx2Table();
 const KernelTable* GetAvx512Table();
 
 // ------------------------------------------------------ scalar kernels
-// Bodies are the pre-SIMD kernels from src/tensor/ops.cc,
-// src/tensor/int8_gemm.cc and the engine's pool step, moved verbatim
-// except the conv GEMM's register tile (same per-element chain); see
+// The reference bodies the AVX2 and AVX-512 entries reproduce; see
 // kernels_scalar.cc.
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
@@ -108,8 +106,6 @@ void MatMulTransARangeScalar(const float* a, const float* b, float* c,
                              int64_t n);
 void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
                              int64_t i0, int64_t i1, int64_t k, int64_t n);
-void Int8GemmRowsScalar(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t i0, int64_t i1, int64_t k, int64_t n);
 void Q8GemmRowsScalar(const int8_t* a, const float* a_scales, const int8_t* b,
                       const float* b_scales, float* c, int64_t i0, int64_t i1,
                       int64_t kp, int64_t n);

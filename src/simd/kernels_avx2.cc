@@ -376,7 +376,7 @@ void MaxPoolAvx2(const float* x, float* y, int64_t h, int64_t w,
   }
 }
 
-// ---------------------------------------------------------------- int8
+// ------------------------------------------------------- block-quantized
 
 inline int32_t HorizontalSumI32(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
@@ -386,51 +386,6 @@ inline int32_t HorizontalSumI32(__m256i v) {
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtsi128_si32(s);
 }
-
-/// Exact int32 dot of two int8 vectors: sign-extend to int16 and
-/// vpmaddwd (products <= 127*127, pair sums fit int16 range * 2 — well
-/// inside int32). Lane order differs from scalar but int32 addition is
-/// associative mod 2^32, so the result is identical.
-inline int32_t DotInt8Avx2(const int8_t* a, const int8_t* b, int64_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p));
-    const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-    const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-    const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-    const __m256i b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-  }
-  for (; p + 16 <= k; p += 16) {
-    const __m256i a16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i b16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-  }
-  int32_t dot = HorizontalSumI32(acc);
-  for (; p < k; ++p) {
-    dot += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return dot;
-}
-
-void Int8GemmRowsAvx2(const int8_t* a, const int8_t* b, int32_t* c,
-                      int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = DotInt8Avx2(arow, b + j * k, k);
-    }
-  }
-}
-
-// ------------------------------------------------------- block-quantized
 
 /// Lane c of the result is the sum of the 8 int32 lanes of p[c]: eight
 /// horizontal reductions done together (hadd within 128-bit lanes, then
@@ -650,7 +605,6 @@ const KernelTable kAvx2Table = {
     &MatMulRangeAvx2,
     &MatMulTransARangeAvx2,
     &MatMulTransBRangeAvx2,
-    &Int8GemmRowsAvx2,
     &Q8GemmRowsAvx2,
     &Q4GemmRowsAvx2,
     &MatMulBiasActRangeAvx2,

@@ -421,50 +421,6 @@ void MaxPoolAvx512(const float* x, float* y, int64_t h, int64_t w,
   }
 }
 
-// ---------------------------------------------------------------- int8
-
-/// Exact int32 dot via sign-extend + vpmaddwd on 512-bit lanes.
-inline int32_t DotInt8Avx512(const int8_t* a, const int8_t* b, int64_t k) {
-  __m512i acc = _mm512_setzero_si512();
-  int64_t p = 0;
-  for (; p + 64 <= k; p += 64) {
-    const __m512i va =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a + p));
-    const __m512i vb =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(b + p));
-    const __m512i a_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
-    const __m512i a_hi =
-        _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(va, 1));
-    const __m512i b_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(vb));
-    const __m512i b_hi =
-        _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(vb, 1));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a_lo, b_lo));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a_hi, b_hi));
-  }
-  for (; p + 32 <= k; p += 32) {
-    const __m512i a16 = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p)));
-    const __m512i b16 = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p)));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a16, b16));
-  }
-  int32_t dot = _mm512_reduce_add_epi32(acc);
-  for (; p < k; ++p) {
-    dot += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return dot;
-}
-
-void Int8GemmRowsAvx512(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = DotInt8Avx512(arow, b + j * k, k);
-    }
-  }
-}
-
 // ------------------------------------------------------- block-quantized
 
 /// Lane c of the result is the sum of the 16 int32 lanes of p[c]: sixteen
@@ -676,7 +632,6 @@ const KernelTable kAvx512Table = {
     &MatMulRangeAvx512,
     &MatMulTransARangeAvx512,
     &MatMulTransBRangeAvx512,
-    &Int8GemmRowsAvx512,
     &Q8GemmRowsAvx512,
     &Q4GemmRowsAvx512,
     &MatMulBiasActRangeAvx512,

@@ -7,17 +7,17 @@
 #include "src/simd/kernels.h"
 
 /// \file kernels_scalar.cc
-/// \brief The always-available reference kernels. The fp32 GEMM and
-/// int8 bodies are the pre-dispatch kernels from src/tensor/ops.cc and
-/// src/tensor/int8_gemm.cc, moved verbatim and compiled with the same
-/// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt);
-/// the conv GEMM is a register tile over the implicit-GEMM phase planes
-/// that keeps the pre-dispatch kernel's per-element chain, and the max
-/// pool is the engine's pool loop. So a -DDLSYS_SIMD=OFF or
-/// DLSYS_ISA=scalar run is bitwise identical to the tree before the SIMD
-/// backend existed. The q8/q4 block kernels, the q8 quantizer and the
-/// max pool are the scalar references the SIMD variants bit-compare
-/// against.
+/// \brief The always-available reference kernels, compiled with the
+/// kernel TUs' flags (-O3 -march=native -ffp-contract=off via
+/// src/CMakeLists.txt). The fp32 GEMMs are the pre-dispatch loop nests of
+/// src/tensor/ops.cc, with the short row blocks and column tails zeroing
+/// their part of C before adding onto it; the conv GEMM is a register
+/// tile over the implicit-GEMM phase planes, the one conv forward that
+/// Conv2D and the inference engine both run; the max pool is the
+/// engine's pool loop. Every entry here, the q8/q4 block kernels and the
+/// q8 quantizer included, is the reference the SIMD variants bit-compare
+/// against, so a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same
+/// bits as any other table.
 
 namespace dlsys {
 namespace simd {
@@ -57,10 +57,11 @@ void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
       }
     }
     // Edge tiles (tail columns, or a short row block): plain loops with
-    // the same ascending-p accumulation order per element.
+    // the same +0 start and ascending-p accumulation order per element.
     for (int64_t ii = 0; ii < ir; ++ii) {
       const float* arow = pa + (i + ii) * k;
       float* crow = pc + (i + ii) * n;
+      std::fill(crow + j, crow + n, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         const float av = arow[p];
         const float* brow = pb + p * n;
@@ -96,6 +97,7 @@ void MatMulTransARangeScalar(const float* a, const float* b, float* c,
     }
     for (int64_t ii = 0; ii < ir; ++ii) {
       float* crow = pc + (i + ii) * n;
+      std::fill(crow + j, crow + n, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         const float av = pa[p * m + i + ii];
         const float* brow = pb + p * n;
@@ -147,9 +149,8 @@ void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
 // kConvNr positions of one output row, double accumulators each started
 // at its channel's bias. Per tap p the tile reads one contiguous run of
 // its B row and reuses it for every channel: float multiply, widen,
-// double add, ascending p — the direct convolution's exact operation
-// sequence, which every ISA reproduces. relu (when set) clamps each
-// element as it is stored.
+// double add, ascending p — the operation sequence every ISA
+// reproduces. relu (when set) clamps each element as it is stored.
 
 namespace {
 constexpr int64_t kConvMr = 4;   // output channels per register tile
@@ -289,45 +290,6 @@ void MatMulBiasActRangeScalar(const float* a, const float* b,
   }
 }
 
-// ---------------------------------------------------------------- int8
-
-void Int8GemmRowsScalar(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * k;
-    int64_t j = 0;
-    // Four independent output columns per iteration: four int32
-    // accumulators in flight hide the load latency, and each inner
-    // reduction vectorizes (integer adds reassociate freely).
-    for (; j + 4 <= n; j += 4) {
-      const int8_t* b0 = b + (j + 0) * k;
-      const int8_t* b1 = b + (j + 1) * k;
-      const int8_t* b2 = b + (j + 2) * k;
-      const int8_t* b3 = b + (j + 3) * k;
-      int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      c[i * n + j + 0] = s0;
-      c[i * n + j + 1] = s1;
-      c[i * n + j + 2] = s2;
-      c[i * n + j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const int8_t* brow = b + j * k;
-      int32_t s = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        s += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      c[i * n + j] = s;
-    }
-  }
-}
-
 // ------------------------------------------------------- block-quantized
 //
 // Per 32-element block: the integer dot product is exact (int32), and the
@@ -440,7 +402,6 @@ const KernelTable kScalarTable = {
     &MatMulRangeScalar,
     &MatMulTransARangeScalar,
     &MatMulTransBRangeScalar,
-    &Int8GemmRowsScalar,
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,
     &MatMulBiasActRangeScalar,

@@ -13,33 +13,6 @@ namespace {
 constexpr int64_t kRowGrain = 8;  // min C rows per ParallelFor range
 }  // namespace
 
-void Int8GemmTransBInto(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t m, int64_t k, int64_t n) {
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST("gemm.int8_tb", kt.span_cat, 2 * m * k * n,
-                        m * k + n * k + 4 * m * n);
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  auto* kernel = kt.int8_gemm_rows;
-  ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(a, b, c, i0, i1, k, n);
-  });
-}
-
-void NaiveInt8GemmTransBInto(const int8_t* a, const int8_t* b, int32_t* c,
-                             int64_t m, int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      int32_t s = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        s += static_cast<int32_t>(a[i * k + p]) *
-             static_cast<int32_t>(b[j * k + p]);
-      }
-      c[i * n + j] = s;
-    }
-  }
-}
-
 void Q8BlockGemmTransBInto(const int8_t* a, const float* a_scales,
                            const int8_t* b, const float* b_scales, float* c,
                            int64_t m, int64_t kp, int64_t n) {

@@ -4,41 +4,21 @@
 #include <cstdint>
 
 /// \file int8_gemm.h
-/// \brief Integer GEMM kernel for the quantized inference path.
+/// \brief Block-quantized integer GEMMs for the quantized inference path.
 ///
-/// The int8 inference path (src/infer) stores Dense weights as symmetric
-/// per-row int8 (src/compress/quantization.h), quantizes activations per
-/// row on the fly, and runs the matrix product entirely in integers:
-/// int8 x int8 products accumulated in int32. Integer addition is
-/// associative, so — unlike the float kernels — any instruction schedule
-/// (including the AVX2/AVX-512 vpmaddwd microkernels behind the dispatch
-/// registry, src/simd/dispatch.h) produces the exact same result at any
-/// thread count.
-///
-/// Two weight formats ride on this kernel family:
-/// - per-row symmetric int8 (SymmetricInt8Matrix): one scale per matrix
-///   row, requantization epilogue in the engine.
-/// - ggml-style block quantization (Q8BlockMatrix / Q4BlockMatrix in
-///   src/compress/quantization.h): one scale per 32-element block along K,
-///   dequantization fused into the GEMM inner loop — the Q8/Q4 entry
-///   points below produce fp32 output directly.
+/// The int8 and int4 engine modes (src/infer) store Dense weights in the
+/// ggml-style block formats of src/compress/quantization.h — Q8BlockMatrix
+/// or the nibble-packed Q4BlockMatrix, one float scale per 32-element
+/// block along K — and quantize activations to q8 blocks on the fly. The
+/// GEMMs below multiply those operands with dequantization fused into the
+/// inner loop and write fp32 output directly. Each block's int8 x int8
+/// dot accumulates in int32, which is associative, so any instruction
+/// schedule (the AVX2/AVX-512 vpmaddwd microkernels behind the dispatch
+/// registry, src/simd/dispatch.h) gives the exact same dot; the float
+/// chain across blocks runs in ascending block order on every ISA, so
+/// results are bitwise identical at any thread count.
 
 namespace dlsys {
-
-/// \brief C(MxN) = A(MxK) * B(NxK)^T over int8 inputs, int32 accumulation.
-///
-/// C[i][j] = sum_p (int32)a[i*k+p] * (int32)b[j*k+p]. B is row-major
-/// N x K — the natural layout for a weight matrix quantized per output
-/// row — so both operands stream contiguously. Row-parallel via
-/// ParallelFor and allocation-free; the maximum K for which overflow is
-/// impossible (127*127*K < 2^31) exceeds 10^5, far beyond any layer here.
-void Int8GemmTransBInto(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t m, int64_t k, int64_t n);
-
-/// \brief Reference loop nest for Int8GemmTransBInto (exact, so results
-/// must match the optimised kernel bit-for-bit at every thread count).
-void NaiveInt8GemmTransBInto(const int8_t* a, const int8_t* b, int32_t* c,
-                             int64_t m, int64_t k, int64_t n);
 
 /// \brief C(MxN) = dequant(A) * dequant(B)^T for q8-block operands with
 /// dequantization fused into the inner loop.

@@ -102,11 +102,6 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.matmul_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // The scalar table's short row blocks and column tails add onto C,
-    // so the owned row range is zeroed first; a freshly allocated Tensor
-    // got this for free. The AVX2/AVX-512 tiles overwrite every element
-    // of C from registers and do not read it.
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, c, i0, i1, k, n);
   });
 }
@@ -122,10 +117,6 @@ void MatMulBiasActInto(const float* a, const float* b, const float* bias,
   auto* kernel = kt.matmul_bias_act_range;
   const int relu_flag = relu ? 1 : 0;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // Same zeroing contract as MatMulInto: the scalar table adds its
-    // short blocks and tails onto C before its bias/act pass, while the
-    // AVX tiles apply bias and relu in registers and overwrite C.
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, bias, c, i0, i1, k, n, relu_flag);
   });
 }
@@ -200,8 +191,7 @@ void ConvGemmBiasActInto(const float* a, const float* planes,
   // Output channels are few and output rows many, so the rows are what
   // gets partitioned, at least 64 positions per range. Each element is
   // owned by exactly one range and accumulated bias-first, ascending tap,
-  // in a double — the direct convolution's exact operation sequence in
-  // every table.
+  // in a double — the same operation sequence in every table.
   auto* kernel = kt.conv_gemm_bias_act_rows;
   const int64_t row_stride = g.phase_cols();
   const int relu_flag = relu ? 1 : 0;

@@ -49,8 +49,9 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 /// \brief C(MxN) = A(MxK) * B(KxN) written into caller storage \p c.
 ///
 /// The same blocked kernel as MatMul (bitwise identical output), but
-/// allocation-free: \p c is zeroed and overwritten in place. The inference
-/// engine's arena-planned hot loop dispatches through this entry point.
+/// allocation-free: every element of \p c is overwritten, and its prior
+/// contents are never read. The inference engine's arena-planned hot loop
+/// dispatches through this entry point.
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
@@ -107,16 +108,18 @@ std::vector<int64_t> ConvTapOffsets(const ConvGeometry& g);
 /// (ConvPhasePlanesInto) and \p tap_off the offsets ConvTapOffsets gives.
 ///
 /// Each output element starts from bias[i] in a double accumulator and
-/// adds float products, widened, in ascending tap order — exactly the
-/// (ic, ky, kx) term order of Conv2D's direct loop nest. Taps that land
-/// on the zero border add a +/-0.0f product, which leaves a finite
-/// accumulator unchanged, so the result is bitwise identical to the
-/// direct path's clipped loops on finite data. The output rows are split
-/// across workers; each range runs register tiles of up to four output
-/// channels by a vector of positions of one output row, one contiguous
-/// load per tap shared by the tile's channels. The relu is applied to
-/// each finished element as it is stored, bitwise identical to a
-/// separate relu pass over the output. Allocation-free.
+/// adds float products, widened, in ascending (ic, ky, kx) tap order,
+/// padding taps included: a tap on the zero border adds a +/-0.0f
+/// product (NaN for an infinite weight). Conv2D::Forward and the
+/// inference engine both run this entry, so training and serving share
+/// its bits. A clipped loop nest that skips the padding taps, like the
+/// tests' naive references, gives the same bits while the accumulator is
+/// finite and not -0.0. The output rows are split across workers; each
+/// range runs register tiles of up to four output channels by a vector
+/// of positions of one output row, one contiguous load per tap shared by
+/// the tile's channels. The relu is applied to each finished element as
+/// it is stored, bitwise identical to a separate relu pass over the
+/// output. Allocation-free.
 void ConvGemmBiasActInto(const float* a, const float* planes,
                          const int64_t* tap_off, const float* bias, float* c,
                          const ConvGeometry& g, bool relu);

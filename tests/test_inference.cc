@@ -1,11 +1,12 @@
 // Tests for the batched inference engine (src/infer): fp32 bitwise parity
-// with the training forward across thread counts and conv algorithms, the
+// with the training forward across thread counts, ISAs and conv shapes, the
 // arena's plan-once discipline, zero steady-state tensor allocations, the
 // int8 path's exactness and accuracy envelope, and the micro-batching
 // front door.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/compress/quantization.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/infer/arena.h"
@@ -29,7 +29,6 @@
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
-#include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
 
 namespace dlsys {
@@ -180,11 +179,30 @@ TEST(InferenceEngineTest, MlpBitwiseMatchesSequentialAcrossThreads) {
 /// A conv net and the per-example input shape it compiles for. The cases
 /// give the implicit GEMM different zero borders, phase-plane layouts and
 /// row tails: MakeCnn's 3x3 stride-1 pad-1 convs, then the shapes below.
+/// A case with an empty batch \p x gets random weights and a Gaussian
+/// batch of three; a probe brings its own weights and batch.
 struct ConvCase {
   const char* label;
   Sequential net;
   Shape shape;
+  Tensor x{};
 };
+
+/// A 1->1 3x3 pad-1 conv with weights \p w (row-major taps) and \p bias,
+/// run on one 4x4 image filled with \p pixel. A clipped loop nest skips
+/// the padding taps that the implicit GEMM adds as zero products; the
+/// probes are data on which the two disagree.
+ConvCase MakeConvProbe(const char* label, const std::vector<float>& w,
+                       float bias, float pixel) {
+  Sequential net;
+  net.Emplace<Conv2D>(1, 1, 3, 1, 1);
+  std::vector<Tensor*> params = net.Params();
+  std::copy(w.begin(), w.end(), params[0]->data());
+  params[1]->Fill(bias);
+  Tensor x({1, 1, 4, 4});
+  x.Fill(pixel);
+  return {label, std::move(net), {1, 4, 4}, std::move(x)};
+}
 
 std::vector<ConvCase> MakeConvCases() {
   std::vector<ConvCase> cases;
@@ -285,45 +303,51 @@ std::vector<ConvCase> MakeConvCases() {
   return cases;
 }
 
-TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
-  // Every conv shape, both conv algorithms, every supported ISA, threads
-  // 1/2/8: the engine's output equals Sequential::Forward(kNoCache) bit
-  // for bit (and so the two algorithms equal each other).
+TEST(InferenceEngineTest, CnnBitwiseMatchesSequential) {
+  // Every conv shape, every supported ISA, threads 1/2/8: the engine's
+  // output equals Sequential::Forward(kNoCache) bit for bit. The probes
+  // add a -0.0 bias over a zero image, and an infinite weight on a tap
+  // that reads the zero border; both outputs run one conv kernel, so
+  // they agree on those bits too.
   Rng rng(32);
   const simd::Isa initial_isa = simd::ActiveIsa();
-  for (ConvCase& c : MakeConvCases()) {
-    c.net.Init(&rng);
-    Shape batch_shape = c.shape;
-    batch_shape.insert(batch_shape.begin(), 3);
-    Tensor x(batch_shape);
-    x.FillGaussian(&rng, 1.0f);
-    RuntimeConfig::SetThreads(1);
-    const Tensor ref = c.net.Forward(x, CacheMode::kNoCache);
-
-    for (ConvAlgo algo : {ConvAlgo::kImplicitGemm, ConvAlgo::kDirect}) {
-      EngineConfig config;
-      config.max_batch = 8;
-      config.conv_algo = algo;
-      auto compiled = InferenceEngine::Compile(c.net, c.shape, config);
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      InferenceEngine engine = std::move(compiled).value();
-      for (simd::Isa isa :
-           {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-        if (!simd::IsaSupported(isa)) continue;
-        simd::SetIsa(isa);
-        for (int threads : {1, 2, 8}) {
-          RuntimeConfig::SetThreads(threads);
-          auto y = engine.Predict(x);
-          ASSERT_TRUE(y.ok()) << y.status().ToString();
-          EXPECT_TRUE(BitwiseEqual(*y, ref))
-              << c.label << " algo="
-              << (algo == ConvAlgo::kImplicitGemm ? "implicit_gemm"
-                                                   : "direct")
-              << " isa=" << simd::IsaName(isa) << " threads=" << threads;
-        }
-      }
-      simd::SetIsa(initial_isa);
+  std::vector<ConvCase> cases = MakeConvCases();
+  const float inf = std::numeric_limits<float>::infinity();
+  cases.push_back(MakeConvProbe(
+      "probe_neg_zero_bias",
+      {0.5f, 0.5f, 0.5f, 0.5f, -0.5f, -0.5f, 0.5f, -0.5f, -0.5f}, -0.0f,
+      0.0f));
+  cases.push_back(MakeConvProbe(
+      "probe_inf_weight",
+      {inf, 0.5f, 0.5f, 0.5f, 0.5f, 0.5f, 0.5f, 0.5f, 0.5f}, 0.25f, 1.0f));
+  for (ConvCase& c : cases) {
+    if (c.x.empty()) {
+      c.net.Init(&rng);
+      Shape batch_shape = c.shape;
+      batch_shape.insert(batch_shape.begin(), 3);
+      c.x = Tensor(batch_shape);
+      c.x.FillGaussian(&rng, 1.0f);
     }
+    RuntimeConfig::SetThreads(1);
+    const Tensor ref = c.net.Forward(c.x, CacheMode::kNoCache);
+
+    auto compiled = InferenceEngine::Compile(c.net, c.shape, EngineConfig{8});
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    InferenceEngine engine = std::move(compiled).value();
+    for (simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::IsaSupported(isa)) continue;
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        auto y = engine.Predict(c.x);
+        ASSERT_TRUE(y.ok()) << y.status().ToString();
+        EXPECT_TRUE(BitwiseEqual(*y, ref))
+            << c.label << " isa=" << simd::IsaName(isa)
+            << " threads=" << threads;
+      }
+    }
+    simd::SetIsa(initial_isa);
   }
   RuntimeConfig::SetThreads(1);
 }
@@ -394,43 +418,6 @@ TEST(InferenceEngineTest, SteadyStateMakesNoTensorAllocations) {
 }
 
 // ------------------------------------------------------------- int8 path
-
-TEST(Int8GemmTest, MatchesNaiveReferenceAcrossThreadCounts) {
-  Rng rng(36);
-  const int64_t m = 33, k = 65, n = 17;
-  std::vector<int8_t> a(static_cast<size_t>(m * k));
-  std::vector<int8_t> b(static_cast<size_t>(n * k));
-  for (auto& v : a) {
-    v = static_cast<int8_t>(static_cast<int64_t>(rng.Uniform(0, 255)) - 127);
-  }
-  for (auto& v : b) {
-    v = static_cast<int8_t>(static_cast<int64_t>(rng.Uniform(0, 255)) - 127);
-  }
-  std::vector<int32_t> ref(static_cast<size_t>(m * n));
-  NaiveInt8GemmTransBInto(a.data(), b.data(), ref.data(), m, k, n);
-  for (int threads : {1, 2, 8}) {
-    RuntimeConfig::SetThreads(threads);
-    std::vector<int32_t> c(static_cast<size_t>(m * n), -1);
-    Int8GemmTransBInto(a.data(), b.data(), c.data(), m, k, n);
-    EXPECT_EQ(c, ref) << "threads=" << threads;
-  }
-  RuntimeConfig::SetThreads(1);
-}
-
-TEST(SymmetricQuantizeTest, RoundTripBoundedByScale) {
-  Rng rng(37);
-  Tensor t({7, 40});
-  t.FillGaussian(&rng, 2.0f);
-  SymmetricInt8Matrix q = SymmetricQuantizeRows(t);
-  ASSERT_EQ(q.rows, 7);
-  Tensor back = q.Dequantize();
-  for (int64_t i = 0; i < 7; ++i) {
-    const float scale = q.scales[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < 40; ++j) {
-      EXPECT_NEAR(back[i * 40 + j], t[i * 40 + j], scale * 0.5f + 1e-6f);
-    }
-  }
-}
 
 TEST(Int8EngineTest, AccuracyWithinEnvelopeOnBlobsTask) {
   // The E1 setup of EXPERIMENTS.md at reduced scale: simulated 8-bit

@@ -1,7 +1,8 @@
 // Tests for the CPU execution runtime (src/runtime): ParallelFor coverage,
 // bitwise determinism of the blocked GEMM/conv kernels across thread
-// counts, parity with the retained naive references, and end-to-end
-// training-loss reproducibility under threading.
+// counts (and, for conv forward, ISAs), parity with the retained naive
+// references, and end-to-end training-loss reproducibility under
+// threading.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/nn/train.h"
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
+#include "src/simd/dispatch.h"
 #include "src/tensor/ops.h"
 
 namespace dlsys {
@@ -133,8 +135,11 @@ TEST(GemmDeterminismTest, LargeSquareMatchesNaive) {
   RuntimeConfig::SetThreads(1);
 }
 
-/// The seed repo's Conv2D forward loop nest, retained as the naive
-/// reference: same accumulation order as the runtime-dispatched kernel.
+/// The seed repo's Conv2D forward loop nest, retained as the independent
+/// reference for the dispatched conv kernel: a double started at the bias,
+/// adding in (ic, ky, kx) order the in-image products. It skips the
+/// padding taps the kernel adds as zero products, which gives the same
+/// bits while the accumulator is finite and not -0.0, as on Gaussian data.
 Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                         int64_t stride, int64_t pad) {
   const int64_t n = x.dim(0), in_ch = x.dim(1), h = x.dim(2), wd = x.dim(3);
@@ -170,19 +175,48 @@ Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   return y;
 }
 
+/// Conv2D configurations and input extents for the forward parity test:
+/// LeNet's two convs, strides 2 and 3, pads 0-2, a 1x1 kernel, a kernel
+/// wider than its input, output rows wider than 16 (full vector tiles plus
+/// a tail), and channel counts that leave 1-3 channels for the last
+/// four-channel tile.
+struct ConvConfig {
+  int64_t ic, oc, k, stride, pad, h, w;
+};
+const ConvConfig kConvConfigs[] = {
+    {1, 4, 5, 1, 2, 28, 28}, {4, 8, 3, 1, 1, 14, 14}, {5, 7, 3, 1, 1, 9, 9},
+    {2, 3, 3, 2, 0, 11, 11}, {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11},
+    {3, 9, 4, 3, 2, 17, 19}, {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},
+    {2, 7, 5, 1, 2, 3, 3},   {2, 5, 4, 2, 1, 9, 40},
+};
+
 TEST(ConvDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {
+  // Conv2D::Forward runs the dispatched implicit-GEMM kernel: every ISA
+  // table at every thread count must reproduce the naive nest bit for bit.
   Rng rng(13);
-  Conv2D conv(5, 7, 3, 1, 1);
-  conv.Init(&rng);
-  Tensor x({3, 5, 9, 9});
-  x.FillGaussian(&rng, 1.0f);
-  std::vector<Tensor*> params = conv.Params();  // {weights, bias}
-  const Tensor ref = NaiveConvForward(x, *params[0], *params[1],
-                                      /*stride=*/1, /*pad=*/1);
-  for (int threads : {1, 2, 8}) {
-    RuntimeConfig::SetThreads(threads);
-    Tensor y = conv.Forward(x, CacheMode::kNoCache);
-    EXPECT_TRUE(BitwiseEqual(y, ref)) << "threads=" << threads;
+  const simd::Isa initial_isa = simd::ActiveIsa();
+  for (const ConvConfig& c : kConvConfigs) {
+    Conv2D conv(c.ic, c.oc, c.k, c.stride, c.pad);
+    conv.Init(&rng);
+    std::vector<Tensor*> params = conv.Params();  // {weights, bias}
+    params[1]->FillGaussian(&rng, 1.0f);  // Init zeroes the bias
+    Tensor x({3, c.ic, c.h, c.w});
+    x.FillGaussian(&rng, 1.0f);
+    const Tensor ref =
+        NaiveConvForward(x, *params[0], *params[1], c.stride, c.pad);
+    for (simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::IsaSupported(isa)) continue;
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        Tensor y = conv.Forward(x, CacheMode::kNoCache);
+        EXPECT_TRUE(BitwiseEqual(y, ref))
+            << conv.name() << " on " << c.h << "x" << c.w
+            << " isa=" << simd::IsaName(isa) << " threads=" << threads;
+      }
+    }
+    simd::SetIsa(initial_isa);
   }
   RuntimeConfig::SetThreads(1);
 }

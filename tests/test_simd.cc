@@ -117,7 +117,6 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->matmul_tb_range, nullptr);
   EXPECT_NE(table->conv_gemm_bias_act_rows, nullptr);
   EXPECT_NE(table->max_pool, nullptr);
-  EXPECT_NE(table->int8_gemm_rows, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
   EXPECT_NE(table->q4_gemm_rows, nullptr);
   EXPECT_NE(table->matmul_bias_act_range, nullptr);
@@ -238,6 +237,54 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
     }
   }
   RuntimeConfig::SetThreads(1);
+}
+
+TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
+  // matmul_range, matmul_ta_range and matmul_bias_act_range write every
+  // element of their rows without reading C first: called straight from
+  // each table on a NaN-filled C, over two ranges that split the rows
+  // into full and short blocks, they give the naive references' bits.
+  // relu stays off: its clamp would map a leaked NaN to 0.
+  Rng rng(36);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const GemmShape& s : kTailShapes) {
+    Tensor a({s.m, s.k}), b({s.k, s.n}), bias({s.n});
+    a.FillGaussian(&rng, 1.0f);
+    b.FillGaussian(&rng, 1.0f);
+    bias.FillGaussian(&rng, 1.0f);
+    const Tensor at = Transpose(a);
+    const Tensor ref = NaiveMatMul(a, b);
+    const Tensor ref_ta = NaiveMatMulTransA(at, b);
+    Tensor ref_bias = ref;
+    for (int64_t i = 0; i < s.m; ++i) {
+      for (int64_t j = 0; j < s.n; ++j) ref_bias[i * s.n + j] += bias[j];
+    }
+    const int64_t split = s.m / 2;
+    for (simd::Isa isa : SupportedIsas()) {
+      const simd::KernelTable* t = TableFor(isa);
+      SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) + " m=" +
+                   std::to_string(s.m) + " k=" + std::to_string(s.k) +
+                   " n=" + std::to_string(s.n));
+      std::vector<float> c(static_cast<size_t>(s.m * s.n), nan);
+      t->matmul_range(a.data(), b.data(), c.data(), 0, split, s.k, s.n);
+      t->matmul_range(a.data(), b.data(), c.data(), split, s.m, s.k, s.n);
+      EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), ref.size()));
+
+      std::fill(c.begin(), c.end(), nan);
+      t->matmul_ta_range(at.data(), b.data(), c.data(), 0, split, s.k, s.m,
+                         s.n);
+      t->matmul_ta_range(at.data(), b.data(), c.data(), split, s.m, s.k, s.m,
+                         s.n);
+      EXPECT_TRUE(BitwiseEqual(c.data(), ref_ta.data(), ref_ta.size()));
+
+      std::fill(c.begin(), c.end(), nan);
+      t->matmul_bias_act_range(a.data(), b.data(), bias.data(), c.data(), 0,
+                               split, s.k, s.n, /*relu=*/0);
+      t->matmul_bias_act_range(a.data(), b.data(), bias.data(), c.data(),
+                               split, s.m, s.k, s.n, /*relu=*/0);
+      EXPECT_TRUE(BitwiseEqual(c.data(), ref_bias.data(), ref_bias.size()));
+    }
+  }
 }
 
 /// One image's convolution for the implicit-GEMM tests: channels, kernel,
@@ -548,36 +595,6 @@ TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
 }
 
 // ---------------------------------------------- integer bit-exactness
-
-TEST(SimdParityTest, Int8GemmBitExactAcrossIsasAndThreads) {
-  IsaRestore restore;
-  Rng rng(34);
-  for (const GemmShape& s : kTailShapes) {
-    std::vector<int8_t> a(static_cast<size_t>(s.m * s.k));
-    std::vector<int8_t> b(static_cast<size_t>(s.n * s.k));
-    for (int8_t& v : a) v = static_cast<int8_t>(rng.Next() % 255 - 127);
-    for (int8_t& v : b) v = static_cast<int8_t>(rng.Next() % 255 - 127);
-
-    std::vector<int32_t> ref(static_cast<size_t>(s.m * s.n));
-    NaiveInt8GemmTransBInto(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-
-    std::vector<int32_t> c(static_cast<size_t>(s.m * s.n));
-    for (simd::Isa isa : SupportedIsas()) {
-      simd::SetIsa(isa);
-      for (int threads : {1, 2, 8}) {
-        RuntimeConfig::SetThreads(threads);
-        std::fill(c.begin(), c.end(), -1);
-        Int8GemmTransBInto(a.data(), b.data(), c.data(), s.m, s.k, s.n);
-        EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                              c.size() * sizeof(int32_t)),
-                  0)
-            << "isa=" << simd::IsaName(isa) << " threads=" << threads
-            << " m=" << s.m << " k=" << s.k << " n=" << s.n;
-      }
-    }
-  }
-  RuntimeConfig::SetThreads(1);
-}
 
 TEST(SimdParityTest, BlockGemmBitExactAcrossIsasAndThreads) {
   IsaRestore restore;
