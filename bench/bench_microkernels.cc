@@ -5,8 +5,9 @@
 // the two q8 GEMMs of the served int8 MLP (8x32x128 and 8x128x10), and
 // the fp32 GEMMs the workloads serve (the fleet's 32->64->10 replica MLP
 // at batches 1, 2 and 8, LeNet's 392->512 and 128->10 dense layers at
-// batch 16); the implicit conv GEMM at LeNet's two conv geometries
-// and the max pool at LeNet's two pool shapes (a batch of 16 images, as
+// batch 16); the implicit conv GEMM at LeNet's two conv geometries and
+// at one whose 64-wide output rows fill whole vector tiles, and the max
+// pool at LeNet's two pool shapes (a batch of 16 images, as
 // perfbench's offline_batch runs them) — plus the lookup primitives
 // (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
 // latency quantiles come from the CounterRegistry histogram
@@ -245,11 +246,15 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
     }
   }
 
-  // LeNet's convs (1->4 5x5 pad 2 on 28x28, 4->8 3x3 pad 1 on 14x14): one
-  // image's implicit GEMM over phase planes written once up front.
+  // LeNet's convs (1->4 5x5 pad 2 on 28x28, 4->8 3x3 pad 1 on 14x14),
+  // whose 28- and 14-wide output rows end in a tail tile on every table,
+  // and 8->16 3x3 pad 1 on 64x64, whose rows are whole 16- and 32-column
+  // tiles: one image's implicit GEMM over phase planes written once up
+  // front.
   for (const ConvGeometry& g :
        {ConvGeometry{1, 4, 5, 1, 2, 28, 28, 28, 28},
-        ConvGeometry{4, 8, 3, 1, 1, 14, 14, 14, 14}}) {
+        ConvGeometry{4, 8, 3, 1, 1, 14, 14, 14, 14},
+        ConvGeometry{8, 16, 3, 1, 1, 64, 64, 64, 64}}) {
     Tensor x({g.in_ch, g.h, g.w}), w({g.out_ch, g.taps()}), bias({g.out_ch});
     x.FillGaussian(&rng, 1.0f);
     w.FillGaussian(&rng, 0.5f);

@@ -32,9 +32,9 @@
 ///   Unlike the environment it aborts on an unsupported ISA: that is API
 ///   misuse, not outside input.
 /// - Building with -DDLSYS_SIMD=OFF compiles the AVX translation units to
-///   stubs: only the scalar table exists, and because the scalar kernels
-///   are the pre-dispatch sources compiled with the same flags, that build
-///   is bitwise identical to the tree before this layer existed.
+///   stubs: only the scalar table exists, and because every other table
+///   reproduces the scalar table's per-element chains, that build gives
+///   the same bits as a build with every table.
 ///
 /// ## Observability
 ///
@@ -84,10 +84,9 @@ struct KernelTable {
 
   /// C[i0:i1, :] = A(MxK) * B(KxN) rows; C's prior contents are never
   /// read. Every element starts at +0 and adds its products in ascending
-  /// p. The AVX2/AVX-512 entries run every row block (4 rows, or the
-  /// last 1-3) and every column tail (masked loads and stores) through
-  /// one vector register tile, storing each element once; the scalar
-  /// entry zeroes its short blocks and tails in C, then adds onto them.
+  /// p. Each table runs every row block (4 rows, or the last 1-3) and
+  /// every column tail through its one fp32 register tile, storing each
+  /// element once; the AVX2/AVX-512 tails load and store lane-masked.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
   /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows, through the same tiles.
@@ -111,25 +110,24 @@ struct KernelTable {
   /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (act = relu when
   /// relu != 0, else identity; C's prior contents are never read). The fused
   /// dense epilogue the graph compiler's fusion pass dispatches: the GEMM
-  /// op sequence is untouched. The AVX2/AVX-512 entries add the bias and
-  /// apply the activation to the tile's accumulators in registers before
-  /// the one store; the scalar entry runs them as a pass over the
-  /// just-written rows. Both give the unfused chain's bits.
+  /// op sequence is untouched, and the tile adds the bias and applies the
+  /// activation to its accumulators before the one store, which gives
+  /// the unfused chain's bits.
   void (*matmul_bias_act_range)(const float* a, const float* b,
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,
                                 int relu) = nullptr;
   /// The implicit-GEMM convolution of one image, output rows [oy0, oy1)
-  /// of every channel: C[i][oy][ox] = act(bias[i] + sum_p A[i][p] *
-  /// B_p[oy][ox]) for i < m, ox < wo, with A the (m x k) weight matrix, C
+  /// of every channel: C[i][oy][ox] = act(sum_p A[i][p] * B_p[oy][ox] +
+  /// bias[i]) for i < m, ox < wo, with A the (m x k) weight matrix, C
   /// the (m, ho, wo) output planes, and tap p's B row for output row oy
   /// the wo contiguous floats at planes + tap_off[p] + oy * row_stride
   /// (ConvGeometry's phase-plane layout, src/tensor/ops.h, makes that run
-  /// contiguous at every stride). Each element is a double
-  /// accumulator started at its channel's bias, adding float products,
-  /// widened, in ascending p (the taps' (ic, ky, kx) order);
-  /// relu != 0 clamps each element to max(x, 0) as it is stored, relu ==
-  /// 0 stores it as is.
+  /// contiguous at every stride). Per output row this is the dense
+  /// chain on the table's fp32 register tile: each element starts at
+  /// +0, adds its float products in ascending p (the taps' (ic, ky, kx)
+  /// order), then adds its channel's bias; relu != 0 clamps it to
+  /// max(v, 0) before the store, relu == 0 stores it as is.
   void (*conv_gemm_bias_act_rows)(const float* a, const float* planes,
                                   const int64_t* tap_off, int64_t row_stride,
                                   const float* bias, float* c, int64_t m,

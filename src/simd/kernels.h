@@ -17,26 +17,26 @@
 /// never the arithmetic inside it. Within a range:
 ///
 /// - fp32 kernels reproduce the scalar reference's per-element operation
-///   sequence exactly: one float multiply then one add (or one float
-///   multiply, widen, double add for the TransB/conv family) per p, in
-///   ascending p. SIMD variants vectorize across *independent output
+///   sequence exactly: one float multiply then one add per p, in
+///   ascending p (TransB alone multiplies in float, widens and adds in
+///   double). SIMD variants vectorize across *independent output
 ///   elements* only, never across the reduction, and are compiled with
 ///   -ffp-contract=off, so they are **bitwise identical** to the scalar
 ///   kernels — no FMA, no reassociation, no tolerance needed. (Built
 ///   with default flags, GCC fuses the mul+add pair into an FMA and the
-///   bits change, so the register tiles live only in the ISA TUs.)
-/// - the AVX2 and AVX-512 matmul, matmul_ta and matmul_bias_act entries
-///   share one register-tile template per ISA: 1-4 rows of C by one or
-///   two vectors, so a short row block runs the same vector chain as a
-///   full one, and a column tail loads B and bias with a lane mask and
-///   stores only its live lanes. Every element starts at +0, adds its
-///   float products in ascending p, then adds bias[j] and applies relu
-///   as max(v, 0) in registers before its single store. That is the
-///   scalar chain: the scalar table's short blocks and column tails zero
-///   their part of C and add onto it (+0 as well), and its epilogue
-///   reloads the stored float, the same bits. max_ps(v, 0) returns its
-///   second operand on a NaN and on the -0/+0 tie, which is the scalar
-///   `v > 0.0f ? v : 0.0f`.
+///   bits change, so the register tiles live only in the kernel TUs.)
+/// - matmul, matmul_ta, matmul_bias_act and the implicit conv GEMM share
+///   one fp32 register tile per table: 1-4 rows of C by up to 16 (AVX2)
+///   or 32 (scalar, AVX-512) columns, so a short row block runs the same
+///   chain as a full one; the AVX2/AVX-512 column tails load B and a
+///   column bias with a lane mask and store only their live lanes. The
+///   dense and conv GEMMs differ only in the tile's B-row policy below
+///   and C's row stride. Every element starts at +0, adds its float
+///   products in ascending p, then adds its bias and applies relu as
+///   max(v, 0) before its single store. max_ps(v, 0) returns its second
+///   operand on a NaN and on the -0/+0 tie, which is the scalar
+///   `v > 0.0f ? v : 0.0f`. A sum started at +0 is never -0, so a +-0
+///   product (a conv tap on the zero border, say) leaves it unchanged.
 /// - integer kernels (q8/q4 block) accumulate in int32, which is
 ///   associative: any vector order is exact, so they are bit-exact by
 ///   construction. The per-block float epilogue of the q8/q4 kernels
@@ -95,37 +95,31 @@ const KernelTable* GetAvx2Table();
 /// AVX-512 (F+BW+VL+DQ) table, or nullptr when not compiled in.
 const KernelTable* GetAvx512Table();
 
-// ------------------------------------------------------ scalar kernels
-// The reference bodies the AVX2 and AVX-512 entries reproduce; see
-// kernels_scalar.cc.
+/// The fp32 register tile's B-row policies. DenseRows reads B(KxN) row
+/// p at b + p * ldb, with one bias per column of C. TapRows reads the
+/// implicit conv's phase planes (ConvGeometry, src/tensor/ops.h): tap p's
+/// run for the tile's output row starts tap_off[p] floats past b, and
+/// the bias is one per row of C, that is per output channel. b points at
+/// the tile's first column either way.
+struct DenseRows {
+  static constexpr bool kRowBias = false;
+  int64_t ldb;
+  const float* Row(const float* b, int64_t p) const { return b + p * ldb; }
+};
+struct TapRows {
+  static constexpr bool kRowBias = true;
+  const int64_t* tap_off;
+  const float* Row(const float* b, int64_t p) const { return b + tap_off[p]; }
+};
 
-void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n);
-void MatMulTransARangeScalar(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t m,
-                             int64_t n);
-void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t n);
+// The scalar table's q8/q4 block GEMM bodies, which the naive int8
+// references in src/tensor/int8_gemm.cc also run.
 void Q8GemmRowsScalar(const int8_t* a, const float* a_scales, const int8_t* b,
                       const float* b_scales, float* c, int64_t i0, int64_t i1,
                       int64_t kp, int64_t n);
 void Q4GemmRowsScalar(const int8_t* a, const float* a_scales,
                       const uint8_t* b, const float* b_scales, float* c,
                       int64_t i0, int64_t i1, int64_t kp, int64_t n);
-void MatMulBiasActRangeScalar(const float* a, const float* b,
-                              const float* bias, float* c, int64_t i0,
-                              int64_t i1, int64_t k, int64_t n, int relu);
-void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
-                               const int64_t* tap_off, int64_t row_stride,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
-                               int64_t oy1, int relu);
-void MaxPoolScalar(const float* x, float* y, int64_t h, int64_t w,
-                   int64_t window, int64_t t0, int64_t t1);
-void Q8QuantizeRowScalar(const float* row, int64_t cols, int8_t* values,
-                         float* scales);
-void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
-                                int relu, int8_t* values, float* scales);
 
 }  // namespace simd
 }  // namespace dlsys

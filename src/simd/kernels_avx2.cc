@@ -26,15 +26,16 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-// One register-tile template serves matmul_range, matmul_ta_range and
-// matmul_bias_act_range. A tile is MR rows (1-4) x NV ymm of 8 columns
-// of C, held in registers across the whole p loop; every row block of a
-// range, short or not, and every column tail runs through it. A column
-// tail loads B (and bias) with _mm256_maskload_ps, which reads zeros in
-// the dead lanes and never touches their memory, and stores only the
-// live lanes with _mm256_maskstore_ps. Each element starts at +0 and adds
-// one float product per p in ascending p, then + bias[j] and max(v, 0)
-// in registers before the single store: the scalar table's chain element
+// One register-tile template serves matmul_range, matmul_ta_range,
+// matmul_bias_act_range and conv_gemm_bias_act_rows. A tile is MR rows
+// (1-4) x NV ymm of 8 columns of C, held in registers across the whole p
+// loop; every row block of a range, short or not, and every column tail
+// runs through it. A column tail loads B (and a column bias) with
+// _mm256_maskload_ps, which reads zeros in the dead lanes and never
+// touches their memory, and stores only the live lanes with
+// _mm256_maskstore_ps. Each element starts at +0 and adds one float
+// product per p in ascending p, then its bias and max(v, 0) in
+// registers before the single store: the scalar table's chain element
 // for element (see kernels.h).
 
 constexpr int64_t kMr = 4;   // C rows per register tile
@@ -48,14 +49,16 @@ inline __m256i LaneMask(int64_t lanes) {
 
 /// C(i..i+MR, j..j+8*NV) from A(i + ii, p) = a[ii * ars + p * acs] (so
 /// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
-/// rows at b + p * n; c and bias (nullptr: none) start at column j. On a
-/// tail tile (kTail) the last ymm covers only the lanes of \p tail. The
-/// unroll pragmas flatten the row and vector loops so the accumulator
-/// array stays in registers.
-template <int MR, int NV, bool kTail>
+/// row p at rows.Row(b, p); C's rows are ldc apart, and c and the bias
+/// (nullptr: none) start at the tile's row and column. On a tail tile
+/// (kTail) the last ymm covers only the lanes of \p tail. The unroll
+/// pragmas flatten the row and vector loops so the accumulator array
+/// stays in registers.
+template <int MR, int NV, bool kTail, class Rows>
 inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
-                         const float* b, const float* bias, float* c,
-                         int64_t k, int64_t n, __m256i tail, int relu) {
+                         const float* b, Rows rows, const float* bias,
+                         float* c, int64_t ldc, int64_t k, __m256i tail,
+                         int relu) {
   __m256 acc[MR][NV];
 #pragma GCC unroll 4
   for (int ii = 0; ii < MR; ++ii) {
@@ -63,7 +66,7 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
     for (int v = 0; v < NV; ++v) acc[ii][v] = _mm256_setzero_ps();
   }
   for (int64_t p = 0; p < k; ++p) {
-    const float* brow = b + p * n;
+    const float* brow = rows.Row(b, p);
     __m256 bv[NV];
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
@@ -83,7 +86,7 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
   __m256 bias_v[NV];
 #pragma GCC unroll 2
   for (int v = 0; v < NV; ++v) {
-    bias_v[v] = bias == nullptr ? _mm256_setzero_ps()
+    bias_v[v] = bias == nullptr || Rows::kRowBias ? _mm256_setzero_ps()
                 : kTail && v == NV - 1 ? _mm256_maskload_ps(bias + 8 * v, tail)
                                        : _mm256_loadu_ps(bias + 8 * v);
   }
@@ -92,11 +95,14 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
       __m256 x = acc[ii][v];
-      if (bias != nullptr) x = _mm256_add_ps(x, bias_v[v]);
+      if (bias != nullptr) {
+        x = _mm256_add_ps(
+            x, Rows::kRowBias ? _mm256_set1_ps(bias[ii]) : bias_v[v]);
+      }
       // Zero as the second operand: max_ps returns it on NaN and on the
       // -0/+0 tie, which is the scalar `v > 0.0f ? v : 0.0f`.
       if (relu != 0) x = _mm256_max_ps(x, _mm256_setzero_ps());
-      float* crow = c + ii * n + 8 * v;
+      float* crow = c + ii * ldc + 8 * v;
       if (kTail && v == NV - 1) {
         _mm256_maskstore_ps(crow, tail, x);
       } else {
@@ -107,50 +113,56 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
 }
 
 /// Every column of MR rows of C: full 16-column tiles, then one tail tile
-/// of one or two ymm.
-template <int MR>
+/// of one or two ymm. A column bias moves with the tiles.
+template <int MR, class Rows>
 void GemmRowBlockAvx2(const float* a, int64_t ars, int64_t acs,
-                      const float* b, const float* bias, float* c, int64_t k,
-                      int64_t n, int relu) {
+                      const float* b, Rows rows, const float* bias, float* c,
+                      int64_t ldc, int64_t k, int64_t n, int relu) {
+  const auto bias_at = [bias](int64_t j) {
+    return bias == nullptr || Rows::kRowBias ? bias : bias + j;
+  };
   int64_t j = 0;
   for (; j + kNr <= n; j += kNr) {
-    GemmTileAvx2<MR, 2, false>(a, ars, acs, b + j,
-                               bias != nullptr ? bias + j : nullptr, c + j, k,
-                               n, LaneMask(8), relu);
+    GemmTileAvx2<MR, 2, false>(a, ars, acs, b + j, rows, bias_at(j), c + j,
+                               ldc, k, LaneMask(8), relu);
   }
   const int64_t rest = n - j;
   if (rest == 0) return;
-  const float* bias_j = bias != nullptr ? bias + j : nullptr;
   if (rest > 8) {
-    GemmTileAvx2<MR, 2, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
-                              LaneMask(rest - 8), relu);
+    GemmTileAvx2<MR, 2, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
+                              ldc, k, LaneMask(rest - 8), relu);
   } else {
-    GemmTileAvx2<MR, 1, true>(a, ars, acs, b + j, bias_j, c + j, k, n,
-                              LaneMask(rest), relu);
+    GemmTileAvx2<MR, 1, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
+                              ldc, k, LaneMask(rest), relu);
   }
 }
 
-/// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows.
+/// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows. A
+/// row bias moves with the blocks.
+template <class Rows>
 void GemmRangeAvx2(const float* a, int64_t ars, int64_t acs, const float* b,
-                   const float* bias, float* c, int64_t i0, int64_t i1,
-                   int64_t k, int64_t n, int relu) {
+                   Rows rows, const float* bias, float* c, int64_t ldc,
+                   int64_t i0, int64_t i1, int64_t k, int64_t n, int relu) {
+  const auto bias_at = [bias](int64_t i) {
+    return bias != nullptr && Rows::kRowBias ? bias + i : bias;
+  };
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    GemmRowBlockAvx2<4>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
-                        relu);
+    GemmRowBlockAvx2<4>(a + i * ars, ars, acs, b, rows, bias_at(i),
+                        c + i * ldc, ldc, k, n, relu);
   }
   switch (i1 - i) {
     case 3:
-      GemmRowBlockAvx2<3>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
-                          relu);
+      GemmRowBlockAvx2<3>(a + i * ars, ars, acs, b, rows, bias_at(i),
+                          c + i * ldc, ldc, k, n, relu);
       break;
     case 2:
-      GemmRowBlockAvx2<2>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
-                          relu);
+      GemmRowBlockAvx2<2>(a + i * ars, ars, acs, b, rows, bias_at(i),
+                          c + i * ldc, ldc, k, n, relu);
       break;
     case 1:
-      GemmRowBlockAvx2<1>(a + i * ars, ars, acs, b, bias, c + i * n, k, n,
-                          relu);
+      GemmRowBlockAvx2<1>(a + i * ars, ars, acs, b, rows, bias_at(i),
+                          c + i * ldc, ldc, k, n, relu);
       break;
     default:
       break;
@@ -159,19 +171,33 @@ void GemmRangeAvx2(const float* a, int64_t ars, int64_t acs, const float* b,
 
 void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
                      int64_t i1, int64_t k, int64_t n) {
-  GemmRangeAvx2(a, k, 1, b, nullptr, c, i0, i1, k, n, 0);
+  GemmRangeAvx2(a, k, 1, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
 }
 
 void MatMulTransARangeAvx2(const float* a, const float* b, float* c,
                            int64_t i0, int64_t i1, int64_t k, int64_t m,
                            int64_t n) {
-  GemmRangeAvx2(a, 1, m, b, nullptr, c, i0, i1, k, n, 0);
+  GemmRangeAvx2(a, 1, m, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
 }
 
 void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
                             float* c, int64_t i0, int64_t i1, int64_t k,
                             int64_t n, int relu) {
-  GemmRangeAvx2(a, k, 1, b, bias, c, i0, i1, k, n, relu);
+  GemmRangeAvx2(a, k, 1, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
+}
+
+/// The implicit conv of output rows [oy0, oy1): per output row, an
+/// (m x k) * (k x wo) GEMM whose B row p is tap p's run of the phase
+/// planes, with channel i's outputs ho * wo floats apart.
+void ConvGemmBiasActRowsAvx2(const float* a, const float* planes,
+                             const int64_t* tap_off, int64_t row_stride,
+                             const float* bias, float* c, int64_t m,
+                             int64_t k, int64_t ho, int64_t wo, int64_t oy0,
+                             int64_t oy1, int relu) {
+  for (int64_t oy = oy0; oy < oy1; ++oy) {
+    GemmRangeAvx2(a, k, 1, planes + oy * row_stride, TapRows{tap_off}, bias,
+                  c + oy * wo, ho * wo, 0, m, k, wo, relu);
+  }
 }
 
 /// Four dot products A[row] . B[j..j+3] with the scalar reference's exact
@@ -227,110 +253,6 @@ void MatMulTransBRangeAvx2(const float* a, const float* b, float* c,
       double s = 0.0;
       for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-/// Conv GEMM register tile: MR output channels x 8 positions of one output
-/// row, each channel two double accumulators of four started at its bias.
-/// Tap p's run starts at b + tap_off[p] (b is the tile's base in the phase
-/// planes); the tile reads it once (masked to the first nr positions on a
-/// short tile) and reuses it for every channel: float multiply by the
-/// channel's broadcast weight, widen, double add — the scalar tile's exact
-/// chain, with no transpose. The run is multiplied as two 4-float halves,
-/// so each product widens straight into its accumulator with no lane
-/// extract. relu is applied as the tile is stored; channel ii's outputs
-/// start at c + (i + ii) * cs. The unroll pragmas flatten the channel
-/// loops so the accumulator arrays stay in registers (unrolled later, GCC
-/// stores them to the stack on every tap).
-template <int MR, bool kShort>
-inline void ConvTileAvx2(const float* a, const float* b,
-                         const int64_t* tap_off, const float* bias, float* c,
-                         int64_t k, int64_t cs, int64_t i, int64_t nr,
-                         int relu) {
-  const __m256i mask = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(static_cast<int>(nr)),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  __m256d lo[MR], hi[MR];
-#pragma GCC unroll 4
-  for (int ii = 0; ii < MR; ++ii) {
-    lo[ii] = hi[ii] = _mm256_set1_pd(static_cast<double>(bias[i + ii]));
-  }
-  const float* arow = a + i * k;
-  for (int64_t p = 0; p < k; ++p) {
-    const float* brow = b + tap_off[p];
-    __m128 b0, b1;
-    if constexpr (kShort) {
-      const __m256 bv = _mm256_maskload_ps(brow, mask);
-      b0 = _mm256_castps256_ps128(bv);
-      b1 = _mm256_extractf128_ps(bv, 1);
-    } else {
-      b0 = _mm_loadu_ps(brow);
-      b1 = _mm_loadu_ps(brow + 4);
-    }
-#pragma GCC unroll 4
-    for (int ii = 0; ii < MR; ++ii) {
-      const __m128 w = _mm_set1_ps(arow[ii * k + p]);
-      lo[ii] = _mm256_add_pd(lo[ii], _mm256_cvtps_pd(_mm_mul_ps(w, b0)));
-      hi[ii] = _mm256_add_pd(hi[ii], _mm256_cvtps_pd(_mm_mul_ps(w, b1)));
-    }
-  }
-#pragma GCC unroll 4
-  for (int ii = 0; ii < MR; ++ii) {
-    __m256 v = _mm256_set_m128(_mm256_cvtpd_ps(hi[ii]),
-                               _mm256_cvtpd_ps(lo[ii]));
-    if (relu != 0) v = _mm256_max_ps(v, _mm256_setzero_ps());
-    float* crow = c + (i + ii) * cs;
-    if constexpr (kShort) {
-      _mm256_maskstore_ps(crow, mask, v);
-    } else {
-      _mm256_storeu_ps(crow, v);
-    }
-  }
-}
-
-/// One run of nr positions of one output row, every output channel, four
-/// channels per tile.
-template <bool kShort>
-void ConvStripAvx2(const float* a, const float* b, const int64_t* tap_off,
-                   const float* bias, float* c, int64_t m, int64_t k,
-                   int64_t cs, int64_t nr, int relu) {
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    ConvTileAvx2<4, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
-  }
-  switch (m - i) {
-    case 3:
-      ConvTileAvx2<3, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
-      break;
-    case 2:
-      ConvTileAvx2<2, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
-      break;
-    case 1:
-      ConvTileAvx2<1, kShort>(a, b, tap_off, bias, c, k, cs, i, nr, relu);
-      break;
-    default:
-      break;
-  }
-}
-
-void ConvGemmBiasActRowsAvx2(const float* a, const float* planes,
-                             const int64_t* tap_off, int64_t row_stride,
-                             const float* bias, float* c, int64_t m,
-                             int64_t k, int64_t ho, int64_t wo, int64_t oy0,
-                             int64_t oy1, int relu) {
-  const int64_t cs = ho * wo;
-  for (int64_t oy = oy0; oy < oy1; ++oy) {
-    const float* b = planes + oy * row_stride;
-    float* crow = c + oy * wo;
-    int64_t j = 0;
-    for (; j + 8 <= wo; j += 8) {
-      ConvStripAvx2<false>(a, b + j, tap_off, bias, crow + j, m, k, cs, 8,
-                           relu);
-    }
-    if (j < wo) {
-      ConvStripAvx2<true>(a, b + j, tap_off, bias, crow + j, m, k, cs,
-                          wo - j, relu);
     }
   }
 }

@@ -9,11 +9,9 @@
 /// \file kernels_scalar.cc
 /// \brief The always-available reference kernels, compiled with the
 /// kernel TUs' flags (-O3 -march=native -ffp-contract=off via
-/// src/CMakeLists.txt). The fp32 GEMMs are the pre-dispatch loop nests of
-/// src/tensor/ops.cc, with the short row blocks and column tails zeroing
-/// their part of C before adding onto it; the conv GEMM is a register
-/// tile over the implicit-GEMM phase planes, the one conv forward that
-/// Conv2D and the inference engine both run; the max pool is the
+/// src/CMakeLists.txt). The fp32 GEMMs and the implicit conv GEMM are one
+/// register-tile body, the chain every other table reproduces (see
+/// kernels.h); TransB keeps its double chain, and the max pool is the
 /// engine's pool loop. Every entry here, the q8/q4 block kernels and the
 /// q8 quantizer included, is the reference the SIMD variants bit-compare
 /// against, so a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same
@@ -21,89 +19,98 @@
 
 namespace dlsys {
 namespace simd {
+namespace {
 
 // ---------------------------------------------------------------- fp32
 //
-// Tile shape: kMr x kNr floats of C held in registers across the whole
-// p loop. The accumulation order for any single C element is ascending-p,
-// one float multiply then one add per term — the contract every other ISA
-// reproduces exactly.
+// One tile body serves matmul_range, matmul_ta_range,
+// matmul_bias_act_range and conv_gemm_bias_act_rows: up to kMr x kNr
+// floats of C held in a local accumulator across the whole p loop. Each
+// element starts at +0, adds one float product per p in ascending p,
+// then its bias and the relu `v > 0.0f ? v : 0.0f` before its one store.
 
-namespace {
 constexpr int64_t kMr = 4;   // C rows per register tile
 constexpr int64_t kNr = 32;  // C columns per register tile
-}  // namespace
+
+/// C(i..i+mr, j..j+nr) from A(i + ii, p) = a[ii * ars + p * acs] (so
+/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
+/// row p at rows.Row(b, p); C's rows are ldc apart, and c and the bias
+/// (nullptr: none) start at the tile's row and column. A full tile
+/// (kFull) has the compile-time extents kMr x kNr, so GCC keeps its
+/// accumulators in vector registers; an edge tile (a short row block or
+/// a column tail) runs the same chain over its mr x nr live elements.
+template <bool kFull, class Rows>
+void GemmTileScalar(const float* a, int64_t ars, int64_t acs, const float* b,
+                    Rows rows, const float* bias, float* c, int64_t ldc,
+                    int64_t k, int64_t mr, int64_t nr, int relu) {
+  if constexpr (kFull) {
+    mr = kMr;
+    nr = kNr;
+  }
+  float acc[kMr][kNr] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = rows.Row(b, p);
+    for (int64_t ii = 0; ii < mr; ++ii) {
+      const float av = a[ii * ars + p * acs];
+      for (int64_t jj = 0; jj < nr; ++jj) acc[ii][jj] += av * brow[jj];
+    }
+  }
+  for (int64_t ii = 0; ii < mr; ++ii) {
+    for (int64_t jj = 0; jj < nr; ++jj) {
+      float v = acc[ii][jj];
+      if (bias != nullptr) v += Rows::kRowBias ? bias[ii] : bias[jj];
+      c[ii * ldc + jj] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
+    }
+  }
+}
+
+/// C rows [i0, i1), n columns, in kMr x kNr tiles.
+template <class Rows>
+void GemmRangeScalar(const float* a, int64_t ars, int64_t acs, const float* b,
+                     Rows rows, const float* bias, float* c, int64_t ldc,
+                     int64_t i0, int64_t i1, int64_t k, int64_t n, int relu) {
+  for (int64_t i = i0; i < i1; i += kMr) {
+    const int64_t mr = std::min(kMr, i1 - i);
+    for (int64_t j = 0; j < n; j += kNr) {
+      const int64_t nr = std::min(kNr, n - j);
+      const float* tile_bias =
+          bias == nullptr ? nullptr : bias + (Rows::kRowBias ? i : j);
+      auto* tile = mr == kMr && nr == kNr ? &GemmTileScalar<true, Rows>
+                                          : &GemmTileScalar<false, Rows>;
+      tile(a + i * ars, ars, acs, b + j, rows, tile_bias, c + i * ldc + j,
+           ldc, k, mr, nr, relu);
+    }
+  }
+}
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) {
-  const float* pa = a;
-  const float* pb = b;
-  float* pc = c;
-  for (int64_t i = i0; i < i1; i += kMr) {
-    const int64_t ir = std::min<int64_t>(kMr, i1 - i);
-    int64_t j = 0;
-    for (; j + kNr <= n && ir == kMr; j += kNr) {
-      float acc[kMr][kNr] = {};
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = pb + p * n + j;
-        for (int64_t ii = 0; ii < kMr; ++ii) {
-          const float av = pa[(i + ii) * k + p];
-          for (int64_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += av * brow[jj];
-        }
-      }
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        float* crow = pc + (i + ii) * n + j;
-        for (int64_t jj = 0; jj < kNr; ++jj) crow[jj] = acc[ii][jj];
-      }
-    }
-    // Edge tiles (tail columns, or a short row block): plain loops with
-    // the same +0 start and ascending-p accumulation order per element.
-    for (int64_t ii = 0; ii < ir; ++ii) {
-      const float* arow = pa + (i + ii) * k;
-      float* crow = pc + (i + ii) * n;
-      std::fill(crow + j, crow + n, 0.0f);
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* brow = pb + p * n;
-        for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-      }
-    }
-  }
+  GemmRangeScalar(a, k, 1, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
 }
 
 void MatMulTransARangeScalar(const float* a, const float* b, float* c,
                              int64_t i0, int64_t i1, int64_t k, int64_t m,
                              int64_t n) {
-  const float* pa = a;
-  const float* pb = b;
-  float* pc = c;
-  for (int64_t i = i0; i < i1; i += kMr) {
-    const int64_t ir = std::min<int64_t>(kMr, i1 - i);
-    int64_t j = 0;
-    for (; j + kNr <= n && ir == kMr; j += kNr) {
-      float acc[kMr][kNr] = {};
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = pb + p * n + j;
-        const float* acol = pa + p * m + i;
-        for (int64_t ii = 0; ii < kMr; ++ii) {
-          const float av = acol[ii];
-          for (int64_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += av * brow[jj];
-        }
-      }
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        float* crow = pc + (i + ii) * n + j;
-        for (int64_t jj = 0; jj < kNr; ++jj) crow[jj] = acc[ii][jj];
-      }
-    }
-    for (int64_t ii = 0; ii < ir; ++ii) {
-      float* crow = pc + (i + ii) * n;
-      std::fill(crow + j, crow + n, 0.0f);
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = pa[p * m + i + ii];
-        const float* brow = pb + p * n;
-        for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-      }
-    }
+  GemmRangeScalar(a, 1, m, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
+}
+
+void MatMulBiasActRangeScalar(const float* a, const float* b,
+                              const float* bias, float* c, int64_t i0,
+                              int64_t i1, int64_t k, int64_t n, int relu) {
+  GemmRangeScalar(a, k, 1, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
+}
+
+/// The implicit conv of output rows [oy0, oy1): per output row, an
+/// (m x k) * (k x wo) GEMM whose B row p is tap p's run of the phase
+/// planes, with channel i's outputs ho * wo floats apart.
+void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
+                               const int64_t* tap_off, int64_t row_stride,
+                               const float* bias, float* c, int64_t m,
+                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
+                               int64_t oy1, int relu) {
+  for (int64_t oy = oy0; oy < oy1; ++oy) {
+    GemmRangeScalar(a, k, 1, planes + oy * row_stride, TapRows{tap_off}, bias,
+                    c + oy * wo, ho * wo, 0, m, k, wo, relu);
   }
 }
 
@@ -142,107 +149,6 @@ void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
   }
 }
 
-// Conv GEMM, implicit: output rows [oy0, oy1) of one image, every
-// channel. Tap p's B row for output row oy is the contiguous run
-// planes + tap_off[p] + oy * row_stride, read straight from the phase
-// planes the caller wrote. Register tile: kConvMr output channels x
-// kConvNr positions of one output row, double accumulators each started
-// at its channel's bias. Per tap p the tile reads one contiguous run of
-// its B row and reuses it for every channel: float multiply, widen,
-// double add, ascending p — the operation sequence every ISA
-// reproduces. relu (when set) clamps each element as it is stored.
-
-namespace {
-constexpr int64_t kConvMr = 4;   // output channels per register tile
-constexpr int64_t kConvNr = 16;  // output positions per register tile
-
-inline float ConvAct(double acc, int relu) {
-  const float v = static_cast<float>(acc);
-  return relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-}
-
-/// A four-channel tile: channels [i, i + 4) at the nr <= kConvNr
-/// positions whose tap-p run starts at b + tap_off[p] and whose channel-0
-/// outputs start at c (channel stride cs). A short tile (kShort) reads
-/// only its nr positions, treating the rest of the run as zeros it never
-/// stores. One named accumulator row per channel (not a 2-D array) is
-/// what lets the compiler keep all four rows in vector registers.
-template <bool kShort>
-void ConvTileScalar(const float* a, const float* b, const int64_t* tap_off,
-                    const float* bias, float* c, int64_t k, int64_t cs,
-                    int64_t i, int64_t nr, int relu) {
-  double s0[kConvNr], s1[kConvNr], s2[kConvNr], s3[kConvNr];
-  for (int64_t jj = 0; jj < kConvNr; ++jj) {
-    s0[jj] = static_cast<double>(bias[i + 0]);
-    s1[jj] = static_cast<double>(bias[i + 1]);
-    s2[jj] = static_cast<double>(bias[i + 2]);
-    s3[jj] = static_cast<double>(bias[i + 3]);
-  }
-  const float* a0 = a + i * k;
-  const float* a1 = a0 + k;
-  const float* a2 = a1 + k;
-  const float* a3 = a2 + k;
-  for (int64_t p = 0; p < k; ++p) {
-    const float* brow = b + tap_off[p];
-    const float w0 = a0[p], w1 = a1[p], w2 = a2[p], w3 = a3[p];
-    for (int64_t jj = 0; jj < kConvNr; ++jj) {
-      const float bv = !kShort || jj < nr ? brow[jj] : 0.0f;
-      s0[jj] += w0 * bv;
-      s1[jj] += w1 * bv;
-      s2[jj] += w2 * bv;
-      s3[jj] += w3 * bv;
-    }
-  }
-  float* c0 = c + i * cs;
-  for (int64_t jj = 0; jj < (kShort ? nr : kConvNr); ++jj) {
-    c0[jj] = ConvAct(s0[jj], relu);
-    c0[cs + jj] = ConvAct(s1[jj], relu);
-    c0[2 * cs + jj] = ConvAct(s2[jj], relu);
-    c0[3 * cs + jj] = ConvAct(s3[jj], relu);
-  }
-}
-
-/// An edge tile (fewer than four channels): the same chain, one element
-/// at a time.
-void ConvEdgeScalar(const float* a, const float* b, const int64_t* tap_off,
-                    const float* bias, float* c, int64_t k, int64_t cs,
-                    int64_t i, int64_t mr, int64_t nr, int relu) {
-  for (int64_t ii = i; ii < i + mr; ++ii) {
-    const float* arow = a + ii * k;
-    for (int64_t jj = 0; jj < nr; ++jj) {
-      double acc = static_cast<double>(bias[ii]);
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * b[tap_off[p] + jj];
-      c[ii * cs + jj] = ConvAct(acc, relu);
-    }
-  }
-}
-}  // namespace
-
-void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
-                               const int64_t* tap_off, int64_t row_stride,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t ho, int64_t wo, int64_t oy0,
-                               int64_t oy1, int relu) {
-  const int64_t cs = ho * wo;
-  for (int64_t oy = oy0; oy < oy1; ++oy) {
-    for (int64_t j = 0; j < wo; j += kConvNr) {
-      const int64_t nr = std::min(kConvNr, wo - j);
-      const float* b = planes + oy * row_stride + j;
-      float* crow = c + oy * wo + j;
-      for (int64_t i = 0; i < m; i += kConvMr) {
-        const int64_t mr = std::min(kConvMr, m - i);
-        if (mr == kConvMr && nr == kConvNr) {
-          ConvTileScalar<false>(a, b, tap_off, bias, crow, k, cs, i, nr, relu);
-        } else if (mr == kConvMr) {
-          ConvTileScalar<true>(a, b, tap_off, bias, crow, k, cs, i, nr, relu);
-        } else {
-          ConvEdgeScalar(a, b, tap_off, bias, crow, k, cs, i, mr, nr, relu);
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------ max pool
 //
 // The engine's pool loop moved verbatim: the reference the AVX2 and
@@ -269,26 +175,7 @@ void MaxPoolScalar(const float* x, float* y, int64_t h, int64_t w,
   }
 }
 
-// ------------------------------------------------------ fused epilogues
-//
-// The fusion pass's dense epilogue: run the untouched GEMM range, then
-// add the bias and (optionally) apply relu to the finished rows while
-// they are cache-hot. A float stored and reloaded is the identical bit
-// pattern, so folding the former separate bias/relu output passes into
-// the kernel cannot change any result.
-
-void MatMulBiasActRangeScalar(const float* a, const float* b,
-                              const float* bias, float* c, int64_t i0,
-                              int64_t i1, int64_t k, int64_t n, int relu) {
-  MatMulRangeScalar(a, b, c, i0, i1, k, n);
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
+}  // namespace
 
 // ------------------------------------------------------- block-quantized
 //
@@ -360,8 +247,8 @@ void Q4GemmRowsScalar(const int8_t* a, const float* a_scales,
 // element.
 
 namespace {
+
 constexpr int64_t kQuantBlock = 32;  // elements per q8 block scale
-}  // namespace
 
 void Q8QuantizeRowScalar(const float* row, int64_t cols, int8_t* values,
                          float* scales) {
@@ -395,7 +282,6 @@ void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
   if (values != nullptr) Q8QuantizeRowScalar(row, cols, values, scales);
 }
 
-namespace {
 const KernelTable kScalarTable = {
     Isa::kScalar,
     "kernel.scalar",

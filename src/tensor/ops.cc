@@ -190,8 +190,9 @@ void ConvGemmBiasActInto(const float* a, const float* planes,
   DLSYS_COST_FLOPS(2 * m * k * ho * wo);
   // Output channels are few and output rows many, so the rows are what
   // gets partitioned, at least 64 positions per range. Each element is
-  // owned by exactly one range and accumulated bias-first, ascending tap,
-  // in a double — the same operation sequence in every table.
+  // owned by exactly one range and runs the dense float chain (+0, the
+  // products in ascending tap order, then the bias) — the same operation
+  // sequence in every table.
   auto* kernel = kt.conv_gemm_bias_act_rows;
   const int64_t row_stride = g.phase_cols();
   const int relu_flag = relu ? 1 : 0;

@@ -107,19 +107,20 @@ std::vector<int64_t> ConvTapOffsets(const ConvGeometry& g);
 /// true, identity otherwise). \p planes holds the image's phase planes
 /// (ConvPhasePlanesInto) and \p tap_off the offsets ConvTapOffsets gives.
 ///
-/// Each output element starts from bias[i] in a double accumulator and
-/// adds float products, widened, in ascending (ic, ky, kx) tap order,
-/// padding taps included: a tap on the zero border adds a +/-0.0f
-/// product (NaN for an infinite weight). Conv2D::Forward and the
-/// inference engine both run this entry, so training and serving share
-/// its bits. A clipped loop nest that skips the padding taps, like the
-/// tests' naive references, gives the same bits while the accumulator is
-/// finite and not -0.0. The output rows are split across workers; each
-/// range runs register tiles of up to four output channels by a vector
-/// of positions of one output row, one contiguous load per tap shared by
-/// the tile's channels. The relu is applied to each finished element as
-/// it is stored, bitwise identical to a separate relu pass over the
-/// output. Allocation-free.
+/// Each output element runs the dense GEMMs' float chain: it starts at
+/// +0, adds the float products in ascending (ic, ky, kx) tap order,
+/// padding taps included (a tap on the zero border adds a +/-0.0f
+/// product, NaN for an infinite weight), then adds bias[i]. A sum
+/// started at +0 is never -0, so a +/-0 term leaves it unchanged: a
+/// clipped loop nest that skips the padding taps, like test_runtime's
+/// reference, gives the same bits whenever the weights are finite.
+/// Conv2D::Forward and the inference engine both run this entry, so
+/// training and serving share its bits. The output rows are split across
+/// workers; each range runs the table's fp32 GEMM register tile once per
+/// output row, with tap p's run as B row p and one bias per output
+/// channel. The relu is applied as max(v, 0) to each finished element
+/// before it is stored, bitwise identical to a separate relu pass over
+/// the output. Allocation-free.
 void ConvGemmBiasActInto(const float* a, const float* planes,
                          const int64_t* tap_off, const float* bias, float* c,
                          const ConvGeometry& g, bool relu);

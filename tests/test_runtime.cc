@@ -136,10 +136,11 @@ TEST(GemmDeterminismTest, LargeSquareMatchesNaive) {
 }
 
 /// The seed repo's Conv2D forward loop nest, retained as the independent
-/// reference for the dispatched conv kernel: a double started at the bias,
-/// adding in (ic, ky, kx) order the in-image products. It skips the
-/// padding taps the kernel adds as zero products, which gives the same
-/// bits while the accumulator is finite and not -0.0, as on Gaussian data.
+/// reference for the dispatched conv kernel and moved to its chain: a
+/// float sum started at +0, adding in (ic, ky, kx) order the in-image
+/// products, then the bias. It skips the padding taps the kernel adds as
+/// zero products; a sum started at +0 is never -0, so a +-0 term leaves
+/// it unchanged, and the bits agree whenever the weights are finite.
 Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                         int64_t stride, int64_t pad) {
   const int64_t n = x.dim(0), in_ch = x.dim(1), h = x.dim(2), wd = x.dim(3);
@@ -151,7 +152,7 @@ Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
     for (int64_t oc = 0; oc < out_ch; ++oc) {
       for (int64_t oy = 0; oy < ho; ++oy) {
         for (int64_t ox = 0; ox < wo; ++ox) {
-          double acc = bias[oc];
+          float acc = 0.0f;
           const int64_t iy0 = oy * stride - pad;
           const int64_t ix0 = ox * stride - pad;
           for (int64_t ic = 0; ic < in_ch; ++ic) {
@@ -166,8 +167,7 @@ Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
               }
             }
           }
-          y[((img * out_ch + oc) * ho + oy) * wo + ox] =
-              static_cast<float>(acc);
+          y[((img * out_ch + oc) * ho + oy) * wo + ox] = acc + bias[oc];
         }
       }
     }
@@ -178,8 +178,9 @@ Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
 /// Conv2D configurations and input extents for the forward parity test:
 /// LeNet's two convs, strides 2 and 3, pads 0-2, a 1x1 kernel, a kernel
 /// wider than its input, output rows wider than 16 (full vector tiles plus
-/// a tail), and channel counts that leave 1-3 channels for the last
-/// four-channel tile.
+/// a tail), rows of exactly 16 and 32 outputs (a row that ends on a tile
+/// edge) and of 70 (two or more full tiles), and channel counts that
+/// leave 1-3 channels for the last four-channel tile.
 struct ConvConfig {
   int64_t ic, oc, k, stride, pad, h, w;
 };
@@ -187,7 +188,8 @@ const ConvConfig kConvConfigs[] = {
     {1, 4, 5, 1, 2, 28, 28}, {4, 8, 3, 1, 1, 14, 14}, {5, 7, 3, 1, 1, 9, 9},
     {2, 3, 3, 2, 0, 11, 11}, {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11},
     {3, 9, 4, 3, 2, 17, 19}, {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},
-    {2, 7, 5, 1, 2, 3, 3},   {2, 5, 4, 2, 1, 9, 40},
+    {2, 7, 5, 1, 2, 3, 3},   {2, 5, 4, 2, 1, 9, 40},  {2, 5, 3, 1, 1, 5, 16},
+    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},
 };
 
 TEST(ConvDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {

@@ -291,8 +291,9 @@ TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
 /// stride, pad and input extent. The list covers both LeNet convs, strides
 /// 2 and 3 (ragged phase planes at stride 3, and even kernels whose taps
 /// straddle phases), a 1x1 kernel, output rows with 16- and 8-lane tails,
-/// a kernel wider than its input, and channel counts that leave 1-3
-/// channels for the last tile.
+/// rows of exactly 16 and 32 outputs (a row that ends on a tile edge) and
+/// of 70 (two or more full tiles, then a tail), a kernel wider than its
+/// input, and channel counts that leave 1-3 channels for the last tile.
 struct ConvShape {
   int64_t ic, oc, k, stride, pad, h, w;
 };
@@ -300,7 +301,8 @@ const ConvShape kConvShapes[] = {
     {1, 4, 5, 1, 2, 28, 28}, {4, 8, 3, 1, 1, 14, 14}, {2, 3, 3, 2, 0, 11, 11},
     {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11}, {3, 9, 4, 3, 2, 17, 19},
     {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},  {2, 7, 5, 1, 2, 3, 3},
-    {1, 1, 1, 1, 0, 1, 1},   {2, 5, 4, 2, 1, 9, 40},
+    {1, 1, 1, 1, 0, 1, 1},   {2, 5, 4, 2, 1, 9, 40},  {2, 5, 3, 1, 1, 5, 16},
+    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},
 };
 
 ConvGeometry GeometryOf(const ConvShape& s) {
@@ -310,6 +312,21 @@ ConvGeometry GeometryOf(const ConvShape& s) {
   return g;
 }
 
+/// Gaussian input, weights and bias for one conv shape; with \p specials,
+/// PlantSpecials then seeds IEEE special values into all three.
+struct ConvOperands {
+  Tensor x, wgt, bias;
+};
+ConvOperands MakeConvOperands(const ConvShape& s, bool specials, Rng* rng) {
+  ConvOperands o{Tensor({s.ic, s.h, s.w}), Tensor({s.oc, s.ic, s.k, s.k}),
+                 Tensor({s.oc})};
+  for (Tensor* t : {&o.x, &o.wgt, &o.bias}) t->FillGaussian(rng, 1.0f);
+  if (specials) {
+    for (Tensor* t : {&o.x, &o.wgt, &o.bias}) PlantSpecials(t, rng);
+  }
+  return o;
+}
+
 std::string ConvLabel(const ConvShape& s) {
   return "ic=" + std::to_string(s.ic) + " oc=" + std::to_string(s.oc) +
          " k=" + std::to_string(s.k) + " s=" + std::to_string(s.stride) +
@@ -317,12 +334,13 @@ std::string ConvLabel(const ConvShape& s) {
          std::to_string(s.w);
 }
 
-/// Independent convolution reference: per output, a double started at the
-/// bias, adding in (c, ky, kx) order the float product of the weight and
+/// Independent convolution reference: per output, a float sum started at
+/// +0, adding in (c, ky, kx) order the float product of the weight and
 /// the zero-padded input (0 outside the image) — the terms the implicit
-/// GEMM adds — then the optional relu clamp. Plain loops over the input
-/// itself, sharing no code with the phase-plane layout or any kernel
-/// table.
+/// GEMM adds, padding taps included, so an infinite weight on the border
+/// gives NaN here too — then the bias, then the optional relu clamp.
+/// Plain loops over the input itself, sharing no code with the
+/// phase-plane layout or any kernel table.
 std::vector<float> NaiveConv(const Tensor& x, const Tensor& wgt,
                              const Tensor& bias, const ConvGeometry& g,
                              bool relu) {
@@ -330,7 +348,7 @@ std::vector<float> NaiveConv(const Tensor& x, const Tensor& wgt,
   for (int64_t o = 0; o < g.out_ch; ++o) {
     for (int64_t oy = 0; oy < g.ho; ++oy) {
       for (int64_t ox = 0; ox < g.wo; ++ox) {
-        double acc = bias[o];
+        float acc = 0.0f;
         for (int64_t c = 0; c < g.in_ch; ++c) {
           for (int64_t ky = 0; ky < g.kernel; ++ky) {
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
@@ -345,7 +363,7 @@ std::vector<float> NaiveConv(const Tensor& x, const Tensor& wgt,
             }
           }
         }
-        const float v = static_cast<float>(acc);
+        const float v = acc + bias[o];
         y[static_cast<size_t>((o * g.ho + oy) * g.wo + ox)] =
             relu ? (v > 0.0f ? v : 0.0f) : v;
       }
@@ -385,17 +403,20 @@ void ExpectImplicitConvEquals(const Tensor& x, const Tensor& wgt,
 }
 
 TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
+  // The specials pass plants -0.0, denormals and infinities in the input,
+  // the weights and the per-channel bias, so the bias-after-products
+  // order meets signed zeros and the NaN of an infinite weight on a
+  // padding tap.
   IsaRestore restore;
   Rng rng(33);
-  for (const ConvShape& s : kConvShapes) {
-    SCOPED_TRACE(ConvLabel(s));
-    const ConvGeometry g = GeometryOf(s);
-    Tensor x({s.ic, s.h, s.w}), wgt({s.oc, s.ic, s.k, s.k}), bias({s.oc});
-    x.FillGaussian(&rng, 1.0f);
-    wgt.FillGaussian(&rng, 1.0f);
-    bias.FillGaussian(&rng, 1.0f);
-    ExpectImplicitConvEquals(x, wgt, bias, g, /*relu=*/false,
-                             NaiveConv(x, wgt, bias, g, false));
+  for (const bool specials : {false, true}) {
+    for (const ConvShape& s : kConvShapes) {
+      SCOPED_TRACE(ConvLabel(s) + " specials=" + std::to_string(specials));
+      const ConvGeometry g = GeometryOf(s);
+      const ConvOperands o = MakeConvOperands(s, specials, &rng);
+      ExpectImplicitConvEquals(o.x, o.wgt, o.bias, g, /*relu=*/false,
+                               NaiveConv(o.x, o.wgt, o.bias, g, false));
+    }
   }
   RuntimeConfig::SetThreads(1);
 }
@@ -457,19 +478,20 @@ TEST(SimdParityTest, MatMulBiasActBitwiseEqualsSeparatePasses) {
 
 TEST(SimdParityTest, ConvGemmBiasActBitwiseEqualsSeparateRelu) {
   // The fused relu must equal the unfused conv followed by a separate
-  // `v > 0.0f ? v : 0.0f` pass over its output.
+  // `v > 0.0f ? v : 0.0f` pass over its output. The specials pass makes
+  // the clamp meet -0.0, NaN and -inf, where max(v, 0) with its operands
+  // swapped would differ.
   IsaRestore restore;
   Rng rng(36);
-  for (const ConvShape& s : kConvShapes) {
-    SCOPED_TRACE(ConvLabel(s));
-    const ConvGeometry g = GeometryOf(s);
-    Tensor x({s.ic, s.h, s.w}), wgt({s.oc, s.ic, s.k, s.k}), bias({s.oc});
-    x.FillGaussian(&rng, 1.0f);
-    wgt.FillGaussian(&rng, 1.0f);
-    bias.FillGaussian(&rng, 1.0f);
-    std::vector<float> ref = NaiveConv(x, wgt, bias, g, false);
-    for (float& v : ref) v = v > 0.0f ? v : 0.0f;
-    ExpectImplicitConvEquals(x, wgt, bias, g, /*relu=*/true, ref);
+  for (const bool specials : {false, true}) {
+    for (const ConvShape& s : kConvShapes) {
+      SCOPED_TRACE(ConvLabel(s) + " specials=" + std::to_string(specials));
+      const ConvGeometry g = GeometryOf(s);
+      const ConvOperands o = MakeConvOperands(s, specials, &rng);
+      std::vector<float> ref = NaiveConv(o.x, o.wgt, o.bias, g, false);
+      for (float& v : ref) v = v > 0.0f ? v : 0.0f;
+      ExpectImplicitConvEquals(o.x, o.wgt, o.bias, g, /*relu=*/true, ref);
+    }
   }
   RuntimeConfig::SetThreads(1);
 }
