@@ -4,11 +4,12 @@
 // row quantizer at the E31 serving shape (64x768x768), one tail shape,
 // the two q8 GEMMs of the served int8 MLP (8x32x128 and 8x128x10), and
 // the fp32 GEMMs the workloads serve (the fleet's 32->64->10 replica MLP
-// at batches 1, 2 and 8, LeNet's 392->512 and 128->10 dense layers at
-// batch 16); the implicit conv GEMM at LeNet's two conv geometries and
-// at one whose 64-wide output rows fill whole vector tiles, and the max
-// pool at LeNet's two pool shapes (a batch of 16 images, as
-// perfbench's offline_batch runs them) — plus the lookup primitives
+// at batches 1, 2 and 8, LeNet's 392->512, 512->128 and 128->10 dense
+// layers at batch 16); the implicit conv GEMM at LeNet's two conv
+// geometries and at one whose 64-wide output rows fill whole vector
+// tiles, and the max pool at LeNet's two 2x2 pool shapes (a batch of 16
+// images, as perfbench's offline_batch runs them) and one 3x3 pool, so
+// both of the AVX-512 pool's bodies run — plus the lookup primitives
 // (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
 // latency quantiles come from the CounterRegistry histogram
 // (obs::SharedHistogram), not local timing plumbing; results land in
@@ -277,19 +278,25 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
                  [&] { return Bytes(c.data(), c.size()); }},
                 &cells, parity_failures);
   }
-  // LeNet's 2x2 pools over a batch of 16 images: 4 28x28 and 8 14x14
-  // planes per image.
-  for (const auto& [planes, extent] :
-       {std::pair<int64_t, int64_t>{16 * 4, 28}, {16 * 8, 14}}) {
-    Tensor x({planes, extent, extent});
+  // LeNet's 2x2 pools over a batch of 16 images (4 28x28 and 8 14x14
+  // planes per image), and a 3x3 pool over the 28x28 planes, which runs
+  // the AVX-512 table's run-time-window body where 2x2 runs its own.
+  struct PoolCell {
+    int64_t planes, extent, window;
+  };
+  for (const PoolCell& p : {PoolCell{16 * 4, 28, 2}, PoolCell{16 * 8, 14, 2},
+                            PoolCell{16 * 4, 28, 3}}) {
+    const int64_t out = p.extent / p.window;
+    Tensor x({p.planes, p.extent, p.extent});
     x.FillGaussian(&rng, 1.0f);
-    std::vector<float> y(static_cast<size_t>(planes * (extent / 2) *
-                                             (extent / 2)));
-    SweepKernel(std::to_string(planes) + "x" + std::to_string(extent) + "x" +
-                    std::to_string(extent) + "/2",
+    std::vector<float> y(static_cast<size_t>(p.planes * out * out));
+    SweepKernel(std::to_string(p.planes) + "x" + std::to_string(p.extent) +
+                    "x" + std::to_string(p.extent) + "/" +
+                    std::to_string(p.window),
                 {"max_pool",
                  [&] {
-                   MaxPoolInto(x.data(), y.data(), planes, extent, extent, 2);
+                   MaxPoolInto(x.data(), y.data(), p.planes, p.extent,
+                               p.extent, p.window);
                    g_sink = y[0];
                  },
                  [&] { return Bytes(y.data(), y.size()); }},
@@ -377,6 +384,7 @@ int main(int argc, char** argv) {
   if (g_smoke) {
     shapes.push_back({8, 64, 32});
     shapes.push_back({3, 33, 17});
+    shapes.push_back({15, 33, 40});  // AVX-512 rows 8 + 4 + 3
   } else {
     shapes.push_back({64, 768, 768});  // E31 serving shape
     shapes.push_back({61, 765, 771});  // unaligned tails on every dimension
@@ -387,13 +395,16 @@ int main(int argc, char** argv) {
   shapes.push_back({8, 128, 10});
   // The served fp32 GEMMs: fleet_chaos's replica MLP 32->64->10 at batches
   // 1, 2 and 8 (its mean batch is about 1.5), and offline_batch's LeNet
-  // dense layers 392->512 and 128->10 at batch 16. Every row-block height
-  // 1-4 and both column tails (64 = 4 x 16, 10 < 16) run here.
+  // dense layers 392->512, 512->128 and 128->10 at batch 16. Row blocks
+  // of 1, 2 and 8 rows (4 on AVX2) and both column tails (64 = 4 x 16,
+  // 10 < 16) run here; the shapes above add the 3-row block and, on
+  // AVX-512, the 4-row one.
   shapes.push_back({1, 32, 64});
   shapes.push_back({2, 32, 64});
   shapes.push_back({8, 32, 64});
   shapes.push_back({8, 64, 10});
   shapes.push_back({16, 392, 512});
+  shapes.push_back({16, 512, 128});
   shapes.push_back({16, 128, 10});
 
   int parity_failures = 0;

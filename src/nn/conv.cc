@@ -6,6 +6,7 @@
 #include "src/obs/cost.h"
 #include "src/obs/trace.h"
 #include "src/runtime/runtime.h"
+#include "src/simd/dispatch.h"
 #include "src/tensor/ops.h"
 
 namespace dlsys {
@@ -52,21 +53,30 @@ Tensor Conv2D::Forward(const Tensor& x, CacheMode mode) {
       "conv.forward", "kernel",
       2 * n * out_ch_ * ho * wo * in_ch_ * kernel_ * kernel_,
       4 * (x.size() + y.size() + w_.size()));
-  // The engine's conv step, one image at a time: the zero-padded phase
-  // planes, then the implicit GEMM reading each tap's run straight from
-  // them (the kernel counts its own FLOPs). Training and the engine run
-  // one kernel, so their outputs agree bit for bit on any data. The
-  // scratch is local, so concurrent forwards on one layer stay safe.
+  // The engine's conv step per image: the zero-padded phase planes, then
+  // the active table's implicit GEMM over all of the image's output rows.
+  // Training and the engine run one kernel, so their outputs agree bit
+  // for bit on any data. The batch is split over images, one fork-join
+  // per forward; each range fills its own planes, so concurrent forwards
+  // on one layer stay safe. Pool workers carry no phase (src/obs/cost.h),
+  // so the batch's FLOPs and dispatch are counted here, on the caller.
   const ConvGeometry geom{in_ch_, out_ch_, kernel_, stride_, pad_,
                           h,      w,       ho,      wo};
   const std::vector<int64_t> tap_off = ConvTapOffsets(geom);
-  std::vector<float> planes(static_cast<size_t>(geom.planes_elems()));
-  for (int64_t img = 0; img < n; ++img) {
-    ConvPhasePlanesInto(x.data() + img * in_ch_ * h * w, geom, planes.data());
-    ConvGemmBiasActInto(w_.data(), planes.data(), tap_off.data(), b_.data(),
-                        y.data() + img * out_ch_ * ho * wo, geom,
-                        /*relu=*/false);
-  }
+  const simd::KernelTable& kt = simd::ActiveKernels();
+  simd::CountDispatch(kt);
+  DLSYS_COST_FLOPS(2 * n * out_ch_ * geom.taps() * ho * wo);
+  auto* kernel = kt.conv_gemm_bias_act_rows;
+  ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
+    std::vector<float> planes(static_cast<size_t>(geom.planes_elems()));
+    for (int64_t img = i0; img < i1; ++img) {
+      ConvPhasePlanesInto(x.data() + img * in_ch_ * h * w, geom,
+                          planes.data());
+      kernel(w_.data(), planes.data(), tap_off.data(), geom.phase_cols(),
+             b_.data(), y.data() + img * out_ch_ * ho * wo, out_ch_,
+             geom.taps(), ho, wo, 0, ho, /*relu=*/0);
+    }
+  });
   if (mode == CacheMode::kCache) {
     x_cache_ = x;
   } else {

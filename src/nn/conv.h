@@ -12,9 +12,10 @@
 ///
 /// The tutorial draws its running examples from convolutional networks.
 /// Conv2D's forward runs the inference engine's implicit-GEMM kernel
-/// (ConvPhasePlanesInto + ConvGemmBiasActInto, src/tensor/ops.h), so
-/// training and serving share one conv implementation; its backward and
-/// the pooling layer are plain loop nests. No BLAS.
+/// (ConvPhasePlanesInto, then the kernel table's conv_gemm_bias_act_rows
+/// that ConvGemmBiasActInto runs, src/tensor/ops.h), so training and
+/// serving share one conv implementation; its backward and the pooling
+/// layer are plain loop nests. No BLAS.
 
 namespace dlsys {
 

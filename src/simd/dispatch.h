@@ -84,9 +84,10 @@ struct KernelTable {
 
   /// C[i0:i1, :] = A(MxK) * B(KxN) rows; C's prior contents are never
   /// read. Every element starts at +0 and adds its products in ascending
-  /// p. Each table runs every row block (4 rows, or the last 1-3) and
-  /// every column tail through its one fp32 register tile, storing each
-  /// element once; the AVX2/AVX-512 tails load and store lane-masked.
+  /// p. Each table runs every row block (4 rows, 8 on AVX-512, and the
+  /// shorter ones a range ends with) and every column tail through its
+  /// one fp32 register tile, storing each element once; the AVX2/AVX-512
+  /// tails load and store lane-masked.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
   /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows, through the same tiles.

@@ -26,10 +26,12 @@
 ///   with default flags, GCC fuses the mul+add pair into an FMA and the
 ///   bits change, so the register tiles live only in the kernel TUs.)
 /// - matmul, matmul_ta, matmul_bias_act and the implicit conv GEMM share
-///   one fp32 register tile per table: 1-4 rows of C by up to 16 (AVX2)
-///   or 32 (scalar, AVX-512) columns, so a short row block runs the same
-///   chain as a full one; the AVX2/AVX-512 column tails load B and a
-///   column bias with a lane mask and store only their live lanes. The
+///   one fp32 register tile per table: 1-4 rows of C (1-4 or 8 on
+///   AVX-512) by up to 16 (AVX2) or 32 (scalar, AVX-512) columns, so a
+///   short row block runs the same chain as a full one, and how a range
+///   is cut into row blocks never changes a bit; the AVX2/AVX-512 column
+///   tails load B and a column bias with a lane mask and store only
+///   their live lanes. The
 ///   dense and conv GEMMs differ only in the tile's B-row policy below
 ///   and C's row stride. Every element starts at +0, adds its float
 ///   products in ascending p, then adds its bias and applies relu as
@@ -51,7 +53,9 @@
 ///   NaN or on a -0/+0 tie, which is exactly the scalar ternary. So NaN,
 ///   all-NaN windows (-inf), -inf and signed-zero ties are bit-identical;
 ///   folding the window in any other order would not be (a column-first
-///   fold returns +0 where the reference returns -0).
+///   fold returns +0 where the reference returns -0). How a tap's lanes
+///   are fetched does not touch the fold: AVX2 gathers them, AVX-512
+///   permutes them out of two loads that hold a window row's taps.
 /// - the q8 quantizer (q8_quantize_row, and the fused epilogue that ends
 ///   in it) reproduces the scalar `std::lround` loop per block:
 ///   - the block max is |x| folded with `a > m ? a : m` from m = 0. NaN

@@ -34,16 +34,18 @@ namespace {
 
 // One register-tile template serves matmul_range, matmul_ta_range,
 // matmul_bias_act_range and conv_gemm_bias_act_rows. A tile is MR rows
-// (1-4) x NV zmm of 16 columns of C, held in registers across the whole
-// p loop; every row block of a range, short or not, and every column
-// tail runs through it. A column tail loads B (and a column bias)
+// (1-4 or 8) x NV zmm of 16 columns of C, held in registers across the
+// whole p loop: a full 8 x 2 tile is 16 accumulators, 2 B vectors and
+// one broadcast of the 32 zmm, and each B row it loads serves 8 rows of
+// C. Every row block of a range, short or not, and every column tail
+// runs through it. A column tail loads B (and a column bias)
 // zero-masked and stores only its live lanes, so no element leaves the
 // vector path. Each element starts at +0 and adds one float product per
 // p in ascending p, then its bias and max(v, 0) in registers before the
 // single store: the scalar table's chain element for element (see
 // kernels.h).
 
-constexpr int64_t kMr = 4;   // C rows per register tile
+constexpr int64_t kMr = 8;   // C rows per full register tile
 constexpr int64_t kNr = 32;  // C columns per full register tile (2 zmm)
 
 inline __mmask16 LaneMask(int64_t lanes) {
@@ -63,7 +65,7 @@ inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
                            float* c, int64_t ldc, int64_t k, __mmask16 tail,
                            int relu) {
   __m512 acc[MR][NV];
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (int ii = 0; ii < MR; ++ii) {
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) acc[ii][v] = _mm512_setzero_ps();
@@ -77,7 +79,7 @@ inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
                                    : _mm512_loadu_ps(brow + 16 * v);
     }
     const float* acol = a + p * acs;
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (int ii = 0; ii < MR; ++ii) {
       const __m512 av = _mm512_set1_ps(acol[ii * ars]);
 #pragma GCC unroll 2
@@ -94,7 +96,7 @@ inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
                     ? _mm512_maskz_loadu_ps(tail, bias + 16 * v)
                     : _mm512_loadu_ps(bias + 16 * v);
   }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (int ii = 0; ii < MR; ++ii) {
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
@@ -142,8 +144,8 @@ void GemmRowBlockAvx512(const float* a, int64_t ars, int64_t acs,
   }
 }
 
-/// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows. A
-/// row bias moves with the blocks.
+/// C rows [i0, i1) in blocks of eight rows, then at most one block of
+/// four and one of 1-3 rows. A row bias moves with the blocks.
 template <class Rows>
 void GemmRangeAvx512(const float* a, int64_t ars, int64_t acs,
                      const float* b, Rows rows, const float* bias, float* c,
@@ -154,8 +156,13 @@ void GemmRangeAvx512(const float* a, int64_t ars, int64_t acs,
   };
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
+    GemmRowBlockAvx512<kMr>(a + i * ars, ars, acs, b, rows, bias_at(i),
+                            c + i * ldc, ldc, k, n, relu);
+  }
+  if (i + 4 <= i1) {
     GemmRowBlockAvx512<4>(a + i * ars, ars, acs, b, rows, bias_at(i),
                           c + i * ldc, ldc, k, n, relu);
+    i += 4;
   }
   switch (i1 - i) {
     case 3:
@@ -308,41 +315,68 @@ void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
 
 // ------------------------------------------------------------ max pool
 //
-// One lane per output column. A window tap (ky, kx) of 16 adjacent
-// outputs is 16 floats `window` apart, read with one masked gather; each
-// lane folds its window in row-major order from -inf as
+// One lane per output column, `lanes` = max(1, min(16, 32 / window))
+// outputs per vector. Per window row, two masked loads hold the (up to)
+// 32 adjacent floats that the row's taps of those outputs read, and
+// tap kx reaches lane l by one permute of the pair: element
+// window * l + kx. A window wider than 32 (one lane) takes its row in
+// chunks of 32 taps. The loads are masked to the floats the window
+// reads, so none runs past a plane, and only live lanes are stored.
+// Each lane folds its window in row-major (ky, kx) order from -inf as
 // best = max_ps(x, best), which is the scalar `x > best ? x : best`
-// (see kernels.h). Lanes past the row's end are masked off in the gather
-// and the store. The same body serves every window.
+// (see kernels.h). kWindow > 0 fixes the window at compile time, so the
+// permute indices are constants; 0 reads it at run time.
 
-void MaxPoolAvx512(const float* x, float* y, int64_t h, int64_t w,
-                   int64_t window, int64_t t0, int64_t t1) {
+template <int kWindow>
+void MaxPoolBodyAvx512(const float* x, float* y, int64_t h, int64_t w,
+                       int64_t runtime_window, int64_t t0, int64_t t1) {
+  const int64_t window = kWindow > 0 ? kWindow : runtime_window;
   const int64_t ho = h / window, wo = w / window;
+  const int64_t lanes =
+      std::max<int64_t>(1, std::min<int64_t>(16, 32 / window));
   const __m512 neg_inf =
       _mm512_set1_ps(-std::numeric_limits<float>::infinity());
-  const __m512i idx = _mm512_mullo_epi32(
+  // Lane l's first tap in the loaded pair; lanes past `lanes` wrap and
+  // are never stored.
+  const __m512i first = _mm512_mullo_epi32(
       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
       _mm512_set1_epi32(static_cast<int>(window)));
   for (int64_t t = t0; t < t1; ++t) {
     const float* xplane = x + t * h * w;
     float* yplane = y + t * ho * wo;
     for (int64_t oy = 0; oy < ho; ++oy) {
-      for (int64_t ox = 0; ox < wo; ox += 16) {
-        const int64_t nr = std::min<int64_t>(16, wo - ox);
-        const __mmask16 mask = static_cast<__mmask16>((1u << nr) - 1u);
+      for (int64_t ox = 0; ox < wo; ox += lanes) {
+        const int64_t nr = std::min(lanes, wo - ox);
         const float* win = xplane + oy * window * w + ox * window;
         __m512 best = neg_inf;
         for (int64_t ky = 0; ky < window; ++ky) {
           const float* xrow = win + ky * w;
-          for (int64_t kx = 0; kx < window; ++kx) {
-            best = _mm512_max_ps(
-                _mm512_mask_i32gather_ps(neg_inf, mask, idx, xrow + kx, 4),
-                best);
+          for (int64_t kx0 = 0; kx0 < window; kx0 += 32) {
+            const int64_t span = std::min<int64_t>(32, nr * window - kx0);
+            const __m512 lo = _mm512_maskz_loadu_ps(
+                LaneMask(std::min<int64_t>(16, span)), xrow + kx0);
+            const __m512 hi = _mm512_maskz_loadu_ps(
+                LaneMask(std::max<int64_t>(0, span - 16)), xrow + kx0 + 16);
+            const int64_t kx1 = std::min<int64_t>(window, kx0 + 32);
+            for (int64_t kx = kx0; kx < kx1; ++kx) {
+              const __m512i idx = _mm512_add_epi32(
+                  first, _mm512_set1_epi32(static_cast<int>(kx - kx0)));
+              best = _mm512_max_ps(_mm512_permutex2var_ps(lo, idx, hi), best);
+            }
           }
         }
-        _mm512_mask_storeu_ps(yplane + oy * wo + ox, mask, best);
+        _mm512_mask_storeu_ps(yplane + oy * wo + ox, LaneMask(nr), best);
       }
     }
+  }
+}
+
+void MaxPoolAvx512(const float* x, float* y, int64_t h, int64_t w,
+                   int64_t window, int64_t t0, int64_t t1) {
+  if (window == 2) {
+    MaxPoolBodyAvx512<2>(x, y, h, w, window, t0, t1);
+  } else {
+    MaxPoolBodyAvx512<0>(x, y, h, w, window, t0, t1);
   }
 }
 

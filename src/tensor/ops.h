@@ -114,8 +114,9 @@ std::vector<int64_t> ConvTapOffsets(const ConvGeometry& g);
 /// started at +0 is never -0, so a +/-0 term leaves it unchanged: a
 /// clipped loop nest that skips the padding taps, like test_runtime's
 /// reference, gives the same bits whenever the weights are finite.
-/// Conv2D::Forward and the inference engine both run this entry, so
-/// training and serving share its bits. The output rows are split across
+/// The inference engine runs this entry and Conv2D::Forward its kernel
+/// (one image per call, from its own split of the batch), so training
+/// and serving share its bits. The output rows are split across
 /// workers; each range runs the table's fp32 GEMM register tile once per
 /// output row, with tap p's run as B row p and one bias per output
 /// channel. The relu is applied as max(v, 0) to each finished element

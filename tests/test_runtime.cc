@@ -12,6 +12,7 @@
 #include "src/data/synthetic.h"
 #include "src/nn/conv.h"
 #include "src/nn/train.h"
+#include "src/obs/cost.h"
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
@@ -179,8 +180,9 @@ Tensor NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
 /// LeNet's two convs, strides 2 and 3, pads 0-2, a 1x1 kernel, a kernel
 /// wider than its input, output rows wider than 16 (full vector tiles plus
 /// a tail), rows of exactly 16 and 32 outputs (a row that ends on a tile
-/// edge) and of 70 (two or more full tiles), and channel counts that
-/// leave 1-3 channels for the last four-channel tile.
+/// edge) and of 70 (two or more full tiles), channel counts that leave
+/// 1-3 channels for the last four-channel tile, and 12 and 16 channels
+/// (an eight-channel tile then a four-channel one, and two of eight).
 struct ConvConfig {
   int64_t ic, oc, k, stride, pad, h, w;
 };
@@ -189,7 +191,8 @@ const ConvConfig kConvConfigs[] = {
     {2, 3, 3, 2, 0, 11, 11}, {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11},
     {3, 9, 4, 3, 2, 17, 19}, {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},
     {2, 7, 5, 1, 2, 3, 3},   {2, 5, 4, 2, 1, 9, 40},  {2, 5, 3, 1, 1, 5, 16},
-    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},
+    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},  {2, 12, 3, 1, 1, 6, 20},
+    {3, 16, 3, 2, 1, 9, 35},
 };
 
 TEST(ConvDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {
@@ -222,6 +225,36 @@ TEST(ConvDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {
   }
   RuntimeConfig::SetThreads(1);
 }
+
+#if DLSYS_OBS
+TEST(ConvDeterminismTest, ForwardBooksFlopsToCallersPhaseAtAnyThreadCount) {
+  // Conv2D::Forward splits the batch over images, so its kernels run on
+  // pool workers, which have no phase: the batch's FLOPs must still land
+  // once, on the calling thread's phase, and none on kOther.
+  Rng rng(15);
+  Conv2D conv(3, 8, 3, 1, 1);
+  conv.Init(&rng);
+  Tensor x({8, 3, 12, 10});
+  x.FillGaussian(&rng, 1.0f);
+  const int64_t want = 2 * 8 * 8 * (3 * 3 * 3) * 12 * 10;
+  const auto fwd = static_cast<size_t>(obs::Phase::kForward);
+  const auto other = static_cast<size_t>(obs::Phase::kOther);
+  for (int threads : {1, 4}) {
+    RuntimeConfig::SetThreads(threads);
+    const obs::PhaseCost before = obs::PhaseTotals();
+    {
+      obs::PhaseScope scope(obs::Phase::kForward);
+      conv.Forward(x, CacheMode::kNoCache);
+    }
+    const obs::PhaseCost after = obs::PhaseTotals();
+    EXPECT_EQ(after.flops[fwd] - before.flops[fwd], want)
+        << "threads=" << threads;
+    EXPECT_EQ(after.flops[other] - before.flops[other], 0)
+        << "threads=" << threads;
+  }
+  RuntimeConfig::SetThreads(1);
+}
+#endif  // DLSYS_OBS
 
 /// The seed repo's fused serial Conv2D backward loop nest, retained as the
 /// reference for the three-pass parallel implementation.

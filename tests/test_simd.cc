@@ -67,7 +67,9 @@ const simd::KernelTable* TableFor(simd::Isa isa) {
 // fast path. The second row is the served shapes (the fleet's 32->64->10
 // MLP at batches 1, 2 and 8, LeNet's 128->10 layer at batch 16) plus
 // every short row block 1-3, and column counts that are exact 16- and
-// 32-wide multiples (16, 32, 64) beside 10- and 15-wide tails.
+// 32-wide multiples (16, 32, 64) beside 10- and 15-wide tails. The last
+// row splits m into AVX-512's 8-row blocks and what follows them: 8 + 4,
+// 8 + 4 + 3 and three 8-row blocks.
 struct GemmShape {
   int64_t m, k, n;
 };
@@ -76,6 +78,7 @@ const GemmShape kTailShapes[] = {
     {13, 65, 47}, {33, 96, 80},  {2, 9, 23},   {6, 27, 50},
     {1, 32, 64},  {2, 64, 10},   {3, 32, 16},  {4, 17, 32},
     {8, 64, 10},  {9, 33, 15},   {16, 128, 10},
+    {12, 19, 33}, {15, 33, 40},  {24, 40, 70},
 };
 
 /// Overwrites about one element in eight of \p t, at seeded positions,
@@ -293,7 +296,9 @@ TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
 /// straddle phases), a 1x1 kernel, output rows with 16- and 8-lane tails,
 /// rows of exactly 16 and 32 outputs (a row that ends on a tile edge) and
 /// of 70 (two or more full tiles, then a tail), a kernel wider than its
-/// input, and channel counts that leave 1-3 channels for the last tile.
+/// input, channel counts that leave 1-3 channels for the last tile, and
+/// 12 and 16 channels (an 8-row tile then a 4-row one, and two 8-row
+/// tiles).
 struct ConvShape {
   int64_t ic, oc, k, stride, pad, h, w;
 };
@@ -302,7 +307,8 @@ const ConvShape kConvShapes[] = {
     {1, 6, 3, 2, 1, 13, 13}, {2, 5, 5, 3, 1, 12, 11}, {3, 9, 4, 3, 2, 17, 19},
     {3, 2, 1, 1, 0, 6, 7},   {1, 6, 3, 1, 1, 5, 37},  {2, 7, 5, 1, 2, 3, 3},
     {1, 1, 1, 1, 0, 1, 1},   {2, 5, 4, 2, 1, 9, 40},  {2, 5, 3, 1, 1, 5, 16},
-    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},
+    {3, 6, 3, 1, 1, 4, 32},  {1, 9, 3, 1, 1, 3, 70},  {2, 12, 3, 1, 1, 6, 20},
+    {3, 16, 3, 2, 1, 9, 35},
 };
 
 ConvGeometry GeometryOf(const ConvShape& s) {
@@ -528,20 +534,26 @@ uint32_t FloatBits(float v) {
 }
 
 TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
-  // Windows 1-3 on extents with remainders (rows and columns past the
-  // last window) and output rows wider than one 8- or 16-lane vector.
-  // Windows cycle through five patterns: plain Gaussian data; all NaN
-  // (-inf out); NaN first, then -inf and one finite value; and, on
-  // windows of 2 or more, negative data with -0 and +0 at (0, 1) and
-  // (1, 0) in both orders. The fold is row-major, so (0, 1) comes first:
-  // a column-first fold would return the other zero.
+  // Windows 1-5, 17 and 33 on extents with remainders (rows and columns
+  // past the last window) and output rows wider than one vector, whose
+  // last vector is partial: the AVX-512 body carries 16, 16, 10, 8, 6
+  // and 1 outputs per vector for windows 1-5 and 17, and window 33 reads
+  // each window row in two chunks, taps 0-31 and tap 32. Windows cycle
+  // through five patterns: plain Gaussian data; all NaN (-inf out); NaN
+  // first, then -inf and one finite value in the last row, in the last
+  // or second-to-last column by turns (taps 32 and 31 at window 33, the
+  // two sides of a chunk edge); and, on windows of 2 or more, negative
+  // data with -0 and +0 at (0, 1) and (1, 0) in both orders. The fold is
+  // row-major, so (0, 1) comes first: a column-first fold would return
+  // the other zero.
   struct PoolShape {
     int64_t planes, h, w, window;
   };
   const PoolShape shapes[] = {
-      {3, 5, 7, 1},   {2, 3, 35, 1},  {4, 28, 28, 2}, {8, 14, 14, 2},
-      {3, 7, 37, 2},  {2, 9, 100, 3}, {2, 11, 14, 3}, {1, 2, 2, 2},
-      {2, 10, 53, 3},
+      {3, 5, 7, 1},    {2, 3, 35, 1},   {4, 28, 28, 2}, {8, 14, 14, 2},
+      {3, 7, 37, 2},   {2, 9, 100, 3},  {2, 11, 14, 3}, {1, 2, 2, 2},
+      {2, 10, 53, 3},  {2, 11, 46, 4},  {2, 12, 67, 5}, {2, 35, 53, 17},
+      {3, 67, 70, 33},
   };
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -579,7 +591,7 @@ TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
             pinned[idx] = true;
           } else if (pattern == 2 && win >= 2) {
             at(0, 0) = nan;
-            at(win - 1, win - 1) = 0.25f;
+            at(win - 1, win - 1 - (o / 5) % 2) = 0.25f;
             want[idx] = FloatBits(0.25f);
             pinned[idx] = true;
           } else if (pattern >= 3 && win >= 2) {

@@ -12,7 +12,21 @@ seed then runs once per side and workload, untraced, alternating which side
 runs first. For each end-to-end metric in BENCHMARK.json the report gives
 the base's median and quartiles, the change's median, the ratio of the
 medians (change / base) and the pairs the change won, judged by the
-metric's "better" (ties count for neither side).
+metric's "better" (ties count for neither side), and a verdict:
+
+    gain        the change won at least 9 in 10 pairs, and its median is
+                better than the base's by more than the base's
+                interquartile range;
+    worse       its median is worse than the base's by more than the
+                metric's BENCHMARK.json bound (a fraction of the base
+                median);
+    unresolved  the base's interquartile range is wider than that bound,
+                and not every change run beats every base run, so the
+                runs cannot tell a change within the bound from none;
+    flat        anything else.
+
+The verdicts are checked in that order. They inform; the exit status
+does not depend on them.
 
 The exit status is non-zero when a run fails or reports "correct": false,
 or when a simulated metric differs between the sides on some seed. Those
@@ -149,6 +163,29 @@ def paired_values(seeds, results, name):
             and name in results["change"][s]["metrics"]]
 
 
+def verdict(pairs, better, bound):
+    """What the pairs show for one metric: "gain", "worse", "unresolved"
+    or "flat" (see the module docstring). `bound` is the metric's
+    BENCHMARK.json bound, a fraction of the base median."""
+    base = [b for b, _ in pairs]
+    change = [c for _, c in pairs]
+    q1, q3 = quartiles(base)
+    bmed, cmed = statistics.median(base), statistics.median(change)
+    sign = 1 if better == "higher" else -1
+    gained = sign * (cmed - bmed)  # > 0: the change's median is better
+    wins = sum(1 for b, c in pairs if sign * (c - b) > 0)
+    allowed = bound * abs(bmed)
+    if 10 * wins >= 9 * len(pairs) and gained > q3 - q1:
+        return "gain"
+    if -gained > allowed:
+        return "worse"
+    beats_all = (min(change) > max(base) if sign > 0
+                 else max(change) < min(base))
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "flat"
+
+
 def report(workload, seeds, results, end_to_end):
     """Prints one workload's table. Returns the number of problems found
     and each end-to-end metric's ratio of medians (change / base)."""
@@ -158,9 +195,9 @@ def report(workload, seeds, results, end_to_end):
     ratios = {}
     paired = [s for s in seeds
               if results["base"].get(s) and results["change"].get(s)]
-    print("%-18s %-9s %12s %25s %12s %8s %6s" % (
+    print("%-18s %-9s %12s %25s %12s %8s %6s  %s" % (
         "metric", "unit", "base_median", "base_q1..q3", "change_med",
-        "ratio", "wins"))
+        "ratio", "wins", "verdict"))
     for metric in end_to_end:
         name = metric["name"]
         pairs = paired_values(seeds, results, name)
@@ -175,8 +212,9 @@ def report(workload, seeds, results, end_to_end):
         if bmed:
             ratios[name] = cmed / bmed
         ratio = "%.3f" % (cmed / bmed) if bmed else "n/a"
-        print("%-18s %-9s %12.6g %12.6g..%-12.6g %12.6g %8s %3d/%-2d" % (
-            name, metric["unit"], bmed, q1, q3, cmed, ratio, wins, len(pairs)))
+        print("%-18s %-9s %12.6g %12.6g..%-12.6g %12.6g %8s %3d/%-2d  %s" % (
+            name, metric["unit"], bmed, q1, q3, cmed, ratio, wins, len(pairs),
+            verdict(pairs, metric["better"], metric["bound"])))
     for seed in paired:
         for name in SIMULATED.get(workload, ()):
             b = results["base"][seed]["metrics"].get(name, {}).get("value")
