@@ -1,7 +1,7 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched
 // microkernels — fp32 matmul / fp32 matmul with the fused bias+relu
-// epilogue / fp32 transB / q8-block / q4-block GEMMs and the q8
-// row quantizer at the E31 serving shape (64x768x768), one tail shape,
+// epilogue / q8-block / q4-block GEMMs and the q8 row quantizer at the
+// E31 serving shape (64x768x768), one tail shape,
 // the two q8 GEMMs of the served int8 MLP (8x32x128 and 8x128x10), and
 // the fp32 GEMMs the workloads serve (the fleet's 32->64->10 replica MLP
 // at batches 1, 2 and 8, LeNet's 392->512, 512->128 and 128->10 dense
@@ -11,9 +11,9 @@
 // images, as perfbench's offline_batch runs them) and one 3x3 pool, so
 // both of the AVX-512 pool's bodies run — plus the lookup primitives
 // (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
-// latency quantiles come from the CounterRegistry histogram
-// (obs::SharedHistogram), not local timing plumbing; results land in
-// BENCH_microkernels.json with speedup vs the scalar table per cell.
+// latency quantiles are exact quantiles of the timed samples;
+// results land in BENCH_microkernels.json with speedup vs the scalar
+// table per cell.
 //
 // The sweep is also a cross-ISA parity gate: every cell's output is
 // bit-compared against the scalar table's on the same operands, and any
@@ -41,7 +41,6 @@
 #include "src/db/bloom.h"
 #include "src/db/btree.h"
 #include "src/learned/learned_index.h"
-#include "src/obs/counters.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
 #include "src/tensor/int8_gemm.h"
@@ -58,22 +57,28 @@ struct Quantiles {
   double p99_ms = 0.0;
 };
 
-/// Runs \p fn in `iters` timed samples, recording each sample's wall time
-/// into the shared bench histogram, and returns {p50_ms, p99_ms} of the
-/// samples read back from the registry, divided by the calls per sample.
-/// A sample is enough back-to-back calls to last about kSampleMs, so a
-/// sub-microsecond kernel is timed above the histogram's 1 us floor and
-/// the timer's own cost. When a sample holds more than one call, p99 is
-/// the 99th percentile of sample means, not of single calls: a tail
-/// shorter than a sample averages away. (A -DDLSYS_OBS=0
-/// build still links the registry — only the DLSYS_* recording macros
-/// compile out — so this bench works either way.)
+/// The \p q quantile of \p samples, interpolated linearly between the
+/// two order statistics around rank (count - 1) * q, so q = 0.5 is the
+/// exact median (the mean of the middle two on an even count).
+double SampleQuantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double h = static_cast<double>(samples.size() - 1) * q;
+  const size_t lo = static_cast<size_t>(h);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (h - static_cast<double>(lo)) *
+                           (samples[hi] - samples[lo]);
+}
+
+/// Runs \p fn in `iters` timed samples and returns the exact {p50_ms,
+/// p99_ms} of the per-sample times divided by the calls per sample. A
+/// sample is enough back-to-back calls to last about kSampleMs, so a
+/// sub-microsecond kernel is timed well above the timer's own cost. When
+/// a sample holds more than one call, p99 is the 99th percentile of
+/// sample means, not of single calls: a tail shorter than a sample
+/// averages away.
 template <typename Fn>
 Quantiles TimeKernel(int iters, Fn&& fn) {
   constexpr double kSampleMs = 0.05;
-  obs::SharedHistogram* hist =
-      obs::CounterRegistry::Global().histogram("bench.microkernel_ms");
-  hist->Reset();
   fn();  // warm: touch every page, resolve the dispatch table
   Stopwatch once;
   fn();
@@ -83,12 +88,13 @@ Quantiles TimeKernel(int iters, Fn&& fn) {
       once_ms >= kSampleMs
           ? 1
           : static_cast<int>(kSampleMs / std::max(once_ms, 1e-6)) + 1;
-  for (int it = 0; it < iters; ++it) {
+  std::vector<double> ms(static_cast<size_t>(iters));
+  for (double& sample : ms) {
     Stopwatch watch;
     for (int r = 0; r < reps; ++r) fn();
-    hist->Record(watch.Seconds() * 1000.0);
+    sample = watch.Seconds() * 1000.0 / reps;
   }
-  return {hist->Quantile(0.5) / reps, hist->Quantile(0.99) / reps};
+  return {SampleQuantile(ms, 0.5), SampleQuantile(ms, 0.99)};
 }
 
 // ------------------------------------------------------ ISA x format sweep
@@ -113,11 +119,10 @@ struct GemmShape {
 /// ISA times identical memory.
 struct GemmOperands {
   GemmShape s;
-  Tensor a, b, bt, bias;
+  Tensor a, b, bias;
   Q8BlockMatrix qa8, qb8;
   Q4BlockMatrix qb4;
   std::vector<float> c;
-  Tensor c_tb;
   std::vector<int8_t> q_vals;  ///< q8_quantize_rows output: codes ...
   std::vector<float> q_scales;  ///< ... and block scales of A
 
@@ -128,7 +133,7 @@ struct GemmOperands {
     b.FillGaussian(rng, 0.5f);
     bias = Tensor({s.n});
     bias.FillGaussian(rng, 0.5f);
-    bt = Transpose(b);  // (n, k) for the TransB family
+    const Tensor bt = Transpose(b);  // (n, k): the q8/q4 weight layout
     qa8 = Q8BlockQuantizeRows(a);
     qb8 = Q8BlockQuantizeRows(bt);
     qb4 = Q4BlockQuantizeRows(bt);
@@ -208,12 +213,6 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
            g_sink = op.c[0];
          },
          [&] { return Bytes(op.c.data(), mn); }},
-        {"fp32_matmul_tb",
-         [&] {
-           op.c_tb = MatMulTransB(op.a, op.bt);
-           g_sink = op.c_tb[0];
-         },
-         [&] { return Bytes(op.c_tb.data(), mn); }},
         {"q8_block",
          [&] {
            Q8BlockGemmTransBInto(op.qa8.values.data(), op.qa8.scales.data(),
@@ -336,8 +335,8 @@ std::vector<LookupRow> RunLookups() {
   for (int64_t key : keys) bloom.Insert(key);
 
   // Each timed call is a batch of 1000 probes striding through the key
-  // set, so the histogram's millisecond quantiles read directly as
-  // microseconds per probe.
+  // set, so its millisecond quantiles read directly as microseconds per
+  // probe.
   std::vector<LookupRow> rows;
   size_t probe = 0;
   rows.push_back({"btree", TimeKernel(batches, [&] {

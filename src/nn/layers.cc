@@ -31,12 +31,9 @@ void Dense::Init(Rng* rng) {
 
 Tensor Dense::Forward(const Tensor& x, CacheMode mode) {
   DLSYS_CHECK(x.rank() == 2 && x.dim(1) == in_, "Dense input shape mismatch");
-  Tensor y = MatMul(x, w_);
-  const int64_t n = y.dim(0);
-  for (int64_t i = 0; i < n; ++i) {
-    float* row = y.data() + i * out_;
-    for (int64_t j = 0; j < out_; ++j) row[j] += b_[j];
-  }
+  Tensor y({x.dim(0), out_});
+  MatMulBiasActInto(x.data(), w_.data(), b_.data(), y.data(), x.dim(0), in_,
+                    out_, /*relu=*/false);
   if (mode == CacheMode::kCache) {
     x_cache_ = x;
   } else {
@@ -47,15 +44,17 @@ Tensor Dense::Forward(const Tensor& x, CacheMode mode) {
 
 Tensor Dense::Backward(const Tensor& grad_output) {
   DLSYS_CHECK(!x_cache_.empty(), "Dense::Backward without cached forward");
-  // dW += X^T G ; db += column sums of G ; dX = G W^T.
-  Tensor dw = MatMulTransA(x_cache_, grad_output);
+  // dW += X^T G ; db += column sums of G ; dX = G W^T. Both products run
+  // the forward GEMM over row-major operands, so each element is one
+  // float chain in ascending p.
+  Tensor dw = MatMul(Transpose(x_cache_), grad_output);
   Axpy(1.0f, dw, &dw_);
   const int64_t n = grad_output.dim(0);
   for (int64_t i = 0; i < n; ++i) {
     const float* row = grad_output.data() + i * out_;
     for (int64_t j = 0; j < out_; ++j) db_[j] += row[j];
   }
-  return MatMulTransB(grad_output, w_);
+  return MatMul(grad_output, Transpose(w_));
 }
 
 std::unique_ptr<Layer> Dense::Clone() const {

@@ -82,22 +82,21 @@ struct KernelTable {
   /// process lifetime as TraceSpan requires.
   const char* span_cat = "kernel.scalar";
 
-  /// C[i0:i1, :] = A(MxK) * B(KxN) rows; C's prior contents are never
-  /// read. Every element starts at +0 and adds its products in ascending
-  /// p. Each table runs every row block (4 rows, 8 on AVX-512, and the
-  /// shorter ones a range ends with) and every column tail through its
-  /// one fp32 register tile, storing each element once; the AVX2/AVX-512
+  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows, A and B
+  /// row-major (act = relu when relu != 0, else identity; bias nullptr:
+  /// none; C's prior contents are never read). The one fp32 dense GEMM
+  /// entry: MatMul, MatMulInto and the graph compiler's fused dense step
+  /// all run it, and training's backward GEMMs run it over transposed
+  /// operands. Every element starts at +0, adds its float products in
+  /// ascending p, then adds its bias (if any) and, with relu, becomes
+  /// max(v, 0) before its one store. Each table runs every row block (4
+  /// rows, 8 on AVX-512, and the shorter ones a range ends with) and every
+  /// column tail through its one fp32 register tile; the AVX2/AVX-512
   /// tails load and store lane-masked.
-  void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n) = nullptr;
-  /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows, through the same tiles.
-  void (*matmul_ta_range)(const float* a, const float* b, float* c,
-                          int64_t i0, int64_t i1, int64_t k, int64_t m,
-                          int64_t n) = nullptr;
-  /// C[i0:i1, :] = A(MxK) * B(NxK)^T rows (double accumulation).
-  void (*matmul_tb_range)(const float* a, const float* b, float* c,
-                          int64_t i0, int64_t i1, int64_t k,
-                          int64_t n) = nullptr;
+  void (*matmul_bias_act_range)(const float* a, const float* b,
+                                const float* bias, float* c, int64_t i0,
+                                int64_t i1, int64_t k, int64_t n,
+                                int relu) = nullptr;
   /// Fused block-dequant q8 x q8 GEMM rows (see int8_gemm.h).
   void (*q8_gemm_rows)(const int8_t* a, const float* a_scales,
                        const int8_t* b, const float* b_scales, float* c,
@@ -108,16 +107,6 @@ struct KernelTable {
                        const uint8_t* b, const float* b_scales, float* c,
                        int64_t i0, int64_t i1, int64_t kp,
                        int64_t n) = nullptr;
-  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (act = relu when
-  /// relu != 0, else identity; C's prior contents are never read). The fused
-  /// dense epilogue the graph compiler's fusion pass dispatches: the GEMM
-  /// op sequence is untouched, and the tile adds the bias and applies the
-  /// activation to its accumulators before the one store, which gives
-  /// the unfused chain's bits.
-  void (*matmul_bias_act_range)(const float* a, const float* b,
-                                const float* bias, float* c, int64_t i0,
-                                int64_t i1, int64_t k, int64_t n,
-                                int relu) = nullptr;
   /// The implicit-GEMM convolution of one image, output rows [oy0, oy1)
   /// of every channel: C[i][oy][ox] = act(sum_p A[i][p] * B_p[oy][ox] +
   /// bias[i]) for i < m, ox < wo, with A the (m x k) weight matrix, C

@@ -17,28 +17,29 @@
 /// never the arithmetic inside it. Within a range:
 ///
 /// - fp32 kernels reproduce the scalar reference's per-element operation
-///   sequence exactly: one float multiply then one add per p, in
-///   ascending p (TransB alone multiplies in float, widens and adds in
-///   double). SIMD variants vectorize across *independent output
-///   elements* only, never across the reduction, and are compiled with
-///   -ffp-contract=off, so they are **bitwise identical** to the scalar
-///   kernels — no FMA, no reassociation, no tolerance needed. (Built
-///   with default flags, GCC fuses the mul+add pair into an FMA and the
-///   bits change, so the register tiles live only in the kernel TUs.)
-/// - matmul, matmul_ta, matmul_bias_act and the implicit conv GEMM share
-///   one fp32 register tile per table: 1-4 rows of C (1-4 or 8 on
-///   AVX-512) by up to 16 (AVX2) or 32 (scalar, AVX-512) columns, so a
-///   short row block runs the same chain as a full one, and how a range
-///   is cut into row blocks never changes a bit; the AVX2/AVX-512 column
-///   tails load B and a column bias with a lane mask and store only
-///   their live lanes. The
-///   dense and conv GEMMs differ only in the tile's B-row policy below
-///   and C's row stride. Every element starts at +0, adds its float
-///   products in ascending p, then adds its bias and applies relu as
-///   max(v, 0) before its single store. max_ps(v, 0) returns its second
-///   operand on a NaN and on the -0/+0 tie, which is the scalar
-///   `v > 0.0f ? v : 0.0f`. A sum started at +0 is never -0, so a +-0
-///   product (a conv tap on the zero border, say) leaves it unchanged.
+///   sequence exactly: one float multiply then one float add per p, in
+///   ascending p — one chain for every fp32 kernel. SIMD variants
+///   vectorize across *independent output elements* only, never across
+///   the reduction, and are compiled with -ffp-contract=off, so they are
+///   **bitwise identical** to the scalar kernels — no FMA, no
+///   reassociation, no tolerance needed. (Built with default flags, GCC
+///   fuses the mul+add pair into an FMA and the bits change, so the
+///   register tiles live only in the kernel TUs.)
+/// - the one dense entry, matmul_bias_act_range (row-major A and B; a
+///   null bias and relu off give the plain product), and the implicit
+///   conv GEMM share one fp32 register tile per table: 1-4 rows of C
+///   (1-4 or 8 on AVX-512) by up to 16 (AVX2) or 32 (scalar, AVX-512)
+///   columns, so a short row block runs the same chain as a full one,
+///   and how a range is cut into row blocks never changes a bit; the
+///   AVX2/AVX-512 column tails load B and a column bias with a lane mask
+///   and store only their live lanes. The dense and conv GEMMs differ
+///   only in the tile's B-row policy below and C's row stride. Every
+///   element starts at +0, adds its float products in ascending p, then
+///   adds its bias and applies relu as max(v, 0) before its single
+///   store. max_ps(v, 0) returns its second operand on a NaN and on the
+///   -0/+0 tie, which is the scalar `v > 0.0f ? v : 0.0f`. A sum started
+///   at +0 is never -0, so a +-0 product (a conv tap on the zero border,
+///   say) leaves it unchanged.
 /// - integer kernels (q8/q4 block) accumulate in int32, which is
 ///   associative: any vector order is exact, so they are bit-exact by
 ///   construction. The per-block float epilogue of the q8/q4 kernels

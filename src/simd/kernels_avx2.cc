@@ -26,17 +26,16 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-// One register-tile template serves matmul_range, matmul_ta_range,
-// matmul_bias_act_range and conv_gemm_bias_act_rows. A tile is MR rows
-// (1-4) x NV ymm of 8 columns of C, held in registers across the whole p
-// loop; every row block of a range, short or not, and every column tail
-// runs through it. A column tail loads B (and a column bias) with
-// _mm256_maskload_ps, which reads zeros in the dead lanes and never
-// touches their memory, and stores only the live lanes with
-// _mm256_maskstore_ps. Each element starts at +0 and adds one float
-// product per p in ascending p, then its bias and max(v, 0) in
-// registers before the single store: the scalar table's chain element
-// for element (see kernels.h).
+// One register-tile template serves matmul_bias_act_range and
+// conv_gemm_bias_act_rows. A tile is MR rows (1-4) x NV ymm of 8 columns
+// of C, held in registers across the whole p loop; every row block of a
+// range, short or not, and every column tail runs through it. A column
+// tail loads B (and a column bias) with _mm256_maskload_ps, which reads
+// zeros in the dead lanes and never touches their memory, and stores
+// only the live lanes with _mm256_maskstore_ps. Each element starts at
+// +0 and adds one float product per p in ascending p, then its bias and
+// max(v, 0) in registers before the single store: the scalar table's
+// chain element for element (see kernels.h).
 
 constexpr int64_t kMr = 4;   // C rows per register tile
 constexpr int64_t kNr = 16;  // C columns per full register tile (2 ymm)
@@ -47,18 +46,16 @@ inline __m256i LaneMask(int64_t lanes) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-/// C(i..i+MR, j..j+8*NV) from A(i + ii, p) = a[ii * ars + p * acs] (so
-/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
-/// row p at rows.Row(b, p); C's rows are ldc apart, and c and the bias
-/// (nullptr: none) start at the tile's row and column. On a tail tile
-/// (kTail) the last ymm covers only the lanes of \p tail. The unroll
-/// pragmas flatten the row and vector loops so the accumulator array
-/// stays in registers.
+/// C(i..i+MR, j..j+8*NV) from the row-major A(MxK) rows at a and B's
+/// row p at rows.Row(b, p); C's rows are ldc apart, and a, c and the
+/// bias (nullptr: none) start at the tile's row and column. On a tail
+/// tile (kTail) the last ymm covers only the lanes of \p tail. The
+/// unroll pragmas flatten the row and vector loops so the accumulator
+/// array stays in registers.
 template <int MR, int NV, bool kTail, class Rows>
-inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
-                         const float* b, Rows rows, const float* bias,
-                         float* c, int64_t ldc, int64_t k, __m256i tail,
-                         int relu) {
+inline void GemmTileAvx2(const float* a, const float* b, Rows rows,
+                         const float* bias, float* c, int64_t ldc, int64_t k,
+                         __m256i tail, int relu) {
   __m256 acc[MR][NV];
 #pragma GCC unroll 4
   for (int ii = 0; ii < MR; ++ii) {
@@ -73,10 +70,9 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
       bv[v] = kTail && v == NV - 1 ? _mm256_maskload_ps(brow + 8 * v, tail)
                                    : _mm256_loadu_ps(brow + 8 * v);
     }
-    const float* acol = a + p * acs;
 #pragma GCC unroll 4
     for (int ii = 0; ii < MR; ++ii) {
-      const __m256 av = _mm256_set1_ps(acol[ii * ars]);
+      const __m256 av = _mm256_set1_ps(a[ii * k + p]);
 #pragma GCC unroll 2
       for (int v = 0; v < NV; ++v) {
         acc[ii][v] = _mm256_add_ps(acc[ii][v], _mm256_mul_ps(av, bv[v]));
@@ -115,75 +111,64 @@ inline void GemmTileAvx2(const float* a, int64_t ars, int64_t acs,
 /// Every column of MR rows of C: full 16-column tiles, then one tail tile
 /// of one or two ymm. A column bias moves with the tiles.
 template <int MR, class Rows>
-void GemmRowBlockAvx2(const float* a, int64_t ars, int64_t acs,
-                      const float* b, Rows rows, const float* bias, float* c,
-                      int64_t ldc, int64_t k, int64_t n, int relu) {
+void GemmRowBlockAvx2(const float* a, const float* b, Rows rows,
+                      const float* bias, float* c, int64_t ldc, int64_t k,
+                      int64_t n, int relu) {
   const auto bias_at = [bias](int64_t j) {
     return bias == nullptr || Rows::kRowBias ? bias : bias + j;
   };
   int64_t j = 0;
   for (; j + kNr <= n; j += kNr) {
-    GemmTileAvx2<MR, 2, false>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                               ldc, k, LaneMask(8), relu);
+    GemmTileAvx2<MR, 2, false>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                               LaneMask(8), relu);
   }
   const int64_t rest = n - j;
   if (rest == 0) return;
   if (rest > 8) {
-    GemmTileAvx2<MR, 2, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                              ldc, k, LaneMask(rest - 8), relu);
+    GemmTileAvx2<MR, 2, true>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                              LaneMask(rest - 8), relu);
   } else {
-    GemmTileAvx2<MR, 1, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                              ldc, k, LaneMask(rest), relu);
+    GemmTileAvx2<MR, 1, true>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                              LaneMask(rest), relu);
   }
 }
 
 /// C rows [i0, i1) in blocks of four rows, the last block 1-3 rows. A
 /// row bias moves with the blocks.
 template <class Rows>
-void GemmRangeAvx2(const float* a, int64_t ars, int64_t acs, const float* b,
-                   Rows rows, const float* bias, float* c, int64_t ldc,
-                   int64_t i0, int64_t i1, int64_t k, int64_t n, int relu) {
+void GemmRangeAvx2(const float* a, const float* b, Rows rows,
+                   const float* bias, float* c, int64_t ldc, int64_t i0,
+                   int64_t i1, int64_t k, int64_t n, int relu) {
   const auto bias_at = [bias](int64_t i) {
     return bias != nullptr && Rows::kRowBias ? bias + i : bias;
   };
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    GemmRowBlockAvx2<4>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                        c + i * ldc, ldc, k, n, relu);
+    GemmRowBlockAvx2<4>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc, k,
+                        n, relu);
   }
   switch (i1 - i) {
     case 3:
-      GemmRowBlockAvx2<3>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                          c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx2<3>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc,
+                          k, n, relu);
       break;
     case 2:
-      GemmRowBlockAvx2<2>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                          c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx2<2>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc,
+                          k, n, relu);
       break;
     case 1:
-      GemmRowBlockAvx2<1>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                          c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx2<1>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc,
+                          k, n, relu);
       break;
     default:
       break;
   }
 }
 
-void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
-                     int64_t i1, int64_t k, int64_t n) {
-  GemmRangeAvx2(a, k, 1, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
-}
-
-void MatMulTransARangeAvx2(const float* a, const float* b, float* c,
-                           int64_t i0, int64_t i1, int64_t k, int64_t m,
-                           int64_t n) {
-  GemmRangeAvx2(a, 1, m, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
-}
-
 void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
                             float* c, int64_t i0, int64_t i1, int64_t k,
                             int64_t n, int relu) {
-  GemmRangeAvx2(a, k, 1, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
+  GemmRangeAvx2(a, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
 }
 
 /// The implicit conv of output rows [oy0, oy1): per output row, an
@@ -195,65 +180,8 @@ void ConvGemmBiasActRowsAvx2(const float* a, const float* planes,
                              int64_t k, int64_t ho, int64_t wo, int64_t oy0,
                              int64_t oy1, int relu) {
   for (int64_t oy = oy0; oy < oy1; ++oy) {
-    GemmRangeAvx2(a, k, 1, planes + oy * row_stride, TapRows{tap_off}, bias,
+    GemmRangeAvx2(a, planes + oy * row_stride, TapRows{tap_off}, bias,
                   c + oy * wo, ho * wo, 0, m, k, wo, relu);
-  }
-}
-
-/// Four dot products A[row] . B[j..j+3] with the scalar reference's exact
-/// chain: float multiply, widen, double add, ascending p. The 4x4
-/// transpose turns row-major B loads into per-p column vectors; each
-/// _mm256_add_pd advances every column's chain by exactly one p.
-inline void DotCols4Avx2(const float* arow, const float* b0, const float* b1,
-                         const float* b2, const float* b3, int64_t k,
-                         float* out) {
-  __m256d acc = _mm256_setzero_pd();
-  int64_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    __m128 r0 = _mm_loadu_ps(b0 + p);
-    __m128 r1 = _mm_loadu_ps(b1 + p);
-    __m128 r2 = _mm_loadu_ps(b2 + p);
-    __m128 r3 = _mm_loadu_ps(b3 + p);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    acc = _mm256_add_pd(
-        acc, _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(arow[p + 0]), r0)));
-    acc = _mm256_add_pd(
-        acc, _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(arow[p + 1]), r1)));
-    acc = _mm256_add_pd(
-        acc, _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(arow[p + 2]), r2)));
-    acc = _mm256_add_pd(
-        acc, _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(arow[p + 3]), r3)));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  for (; p < k; ++p) {
-    const float av = arow[p];
-    s[0] += av * b0[p];
-    s[1] += av * b1[p];
-    s[2] += av * b2[p];
-    s[3] += av * b3[p];
-  }
-  out[0] = static_cast<float>(s[0]);
-  out[1] = static_cast<float>(s[1]);
-  out[2] = static_cast<float>(s[2]);
-  out[3] = static_cast<float>(s[3]);
-}
-
-void MatMulTransBRangeAvx2(const float* a, const float* b, float* c,
-                           int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      DotCols4Avx2(arow, b + (j + 0) * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, c + i * n + j);
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
-    }
   }
 }
 
@@ -524,12 +452,9 @@ void Q8BiasActQuantizeRowAvx2(float* row, const float* bias, int64_t cols,
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
     "kernel.avx2",
-    &MatMulRangeAvx2,
-    &MatMulTransARangeAvx2,
-    &MatMulTransBRangeAvx2,
+    &MatMulBiasActRangeAvx2,
     &Q8GemmRowsAvx2,
     &Q4GemmRowsAvx2,
-    &MatMulBiasActRangeAvx2,
     &ConvGemmBiasActRowsAvx2,
     &MaxPoolAvx2,
     &Q8QuantizeRowAvx2,

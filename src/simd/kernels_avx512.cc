@@ -32,18 +32,17 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-// One register-tile template serves matmul_range, matmul_ta_range,
-// matmul_bias_act_range and conv_gemm_bias_act_rows. A tile is MR rows
-// (1-4 or 8) x NV zmm of 16 columns of C, held in registers across the
-// whole p loop: a full 8 x 2 tile is 16 accumulators, 2 B vectors and
-// one broadcast of the 32 zmm, and each B row it loads serves 8 rows of
-// C. Every row block of a range, short or not, and every column tail
-// runs through it. A column tail loads B (and a column bias)
-// zero-masked and stores only its live lanes, so no element leaves the
-// vector path. Each element starts at +0 and adds one float product per
-// p in ascending p, then its bias and max(v, 0) in registers before the
-// single store: the scalar table's chain element for element (see
-// kernels.h).
+// One register-tile template serves matmul_bias_act_range and
+// conv_gemm_bias_act_rows. A tile is MR rows (1-4 or 8) x NV zmm of 16
+// columns of C, held in registers across the whole p loop: a full 8 x 2
+// tile is 16 accumulators, 2 B vectors and one broadcast of the 32 zmm,
+// and each B row it loads serves 8 rows of C. Every row block of a
+// range, short or not, and every column tail runs through it. A column
+// tail loads B (and a column bias) zero-masked and stores only its live
+// lanes, so no element leaves the vector path. Each element starts at +0
+// and adds one float product per p in ascending p, then its bias and
+// max(v, 0) in registers before the single store: the scalar table's
+// chain element for element (see kernels.h).
 
 constexpr int64_t kMr = 8;   // C rows per full register tile
 constexpr int64_t kNr = 32;  // C columns per full register tile (2 zmm)
@@ -52,18 +51,16 @@ inline __mmask16 LaneMask(int64_t lanes) {
   return static_cast<__mmask16>((1u << lanes) - 1u);
 }
 
-/// C(i..i+MR, j..j+16*NV) from A(i + ii, p) = a[ii * ars + p * acs] (so
-/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
-/// row p at rows.Row(b, p); C's rows are ldc apart, and c and the bias
-/// (nullptr: none) start at the tile's row and column. On a tail tile
-/// (kTail) the last zmm covers only the lanes of \p tail. The unroll
-/// pragmas flatten the row and vector loops so the accumulator array
-/// stays in registers.
+/// C(i..i+MR, j..j+16*NV) from the row-major A(MxK) rows at a and B's
+/// row p at rows.Row(b, p); C's rows are ldc apart, and a, c and the
+/// bias (nullptr: none) start at the tile's row and column. On a tail
+/// tile (kTail) the last zmm covers only the lanes of \p tail. The
+/// unroll pragmas flatten the row and vector loops so the accumulator
+/// array stays in registers.
 template <int MR, int NV, bool kTail, class Rows>
-inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
-                           const float* b, Rows rows, const float* bias,
-                           float* c, int64_t ldc, int64_t k, __mmask16 tail,
-                           int relu) {
+inline void GemmTileAvx512(const float* a, const float* b, Rows rows,
+                           const float* bias, float* c, int64_t ldc,
+                           int64_t k, __mmask16 tail, int relu) {
   __m512 acc[MR][NV];
 #pragma GCC unroll 8
   for (int ii = 0; ii < MR; ++ii) {
@@ -78,10 +75,9 @@ inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
       bv[v] = kTail && v == NV - 1 ? _mm512_maskz_loadu_ps(tail, brow + 16 * v)
                                    : _mm512_loadu_ps(brow + 16 * v);
     }
-    const float* acol = a + p * acs;
 #pragma GCC unroll 8
     for (int ii = 0; ii < MR; ++ii) {
-      const __m512 av = _mm512_set1_ps(acol[ii * ars]);
+      const __m512 av = _mm512_set1_ps(a[ii * k + p]);
 #pragma GCC unroll 2
       for (int v = 0; v < NV; ++v) {
         acc[ii][v] = _mm512_add_ps(acc[ii][v], _mm512_mul_ps(av, bv[v]));
@@ -121,82 +117,69 @@ inline void GemmTileAvx512(const float* a, int64_t ars, int64_t acs,
 /// Every column of MR rows of C: full 32-column tiles, then one tail tile
 /// of one or two zmm. A column bias moves with the tiles.
 template <int MR, class Rows>
-void GemmRowBlockAvx512(const float* a, int64_t ars, int64_t acs,
-                        const float* b, Rows rows, const float* bias,
-                        float* c, int64_t ldc, int64_t k, int64_t n,
-                        int relu) {
+void GemmRowBlockAvx512(const float* a, const float* b, Rows rows,
+                        const float* bias, float* c, int64_t ldc, int64_t k,
+                        int64_t n, int relu) {
   const auto bias_at = [bias](int64_t j) {
     return bias == nullptr || Rows::kRowBias ? bias : bias + j;
   };
   int64_t j = 0;
   for (; j + kNr <= n; j += kNr) {
-    GemmTileAvx512<MR, 2, false>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                                 ldc, k, LaneMask(16), relu);
+    GemmTileAvx512<MR, 2, false>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                                 LaneMask(16), relu);
   }
   const int64_t rest = n - j;
   if (rest == 0) return;
   if (rest > 16) {
-    GemmTileAvx512<MR, 2, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                                ldc, k, LaneMask(rest - 16), relu);
+    GemmTileAvx512<MR, 2, true>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                                LaneMask(rest - 16), relu);
   } else {
-    GemmTileAvx512<MR, 1, true>(a, ars, acs, b + j, rows, bias_at(j), c + j,
-                                ldc, k, LaneMask(rest), relu);
+    GemmTileAvx512<MR, 1, true>(a, b + j, rows, bias_at(j), c + j, ldc, k,
+                                LaneMask(rest), relu);
   }
 }
 
 /// C rows [i0, i1) in blocks of eight rows, then at most one block of
 /// four and one of 1-3 rows. A row bias moves with the blocks.
 template <class Rows>
-void GemmRangeAvx512(const float* a, int64_t ars, int64_t acs,
-                     const float* b, Rows rows, const float* bias, float* c,
-                     int64_t ldc, int64_t i0, int64_t i1, int64_t k,
-                     int64_t n, int relu) {
+void GemmRangeAvx512(const float* a, const float* b, Rows rows,
+                     const float* bias, float* c, int64_t ldc, int64_t i0,
+                     int64_t i1, int64_t k, int64_t n, int relu) {
   const auto bias_at = [bias](int64_t i) {
     return bias != nullptr && Rows::kRowBias ? bias + i : bias;
   };
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    GemmRowBlockAvx512<kMr>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                            c + i * ldc, ldc, k, n, relu);
+    GemmRowBlockAvx512<kMr>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc,
+                            k, n, relu);
   }
   if (i + 4 <= i1) {
-    GemmRowBlockAvx512<4>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                          c + i * ldc, ldc, k, n, relu);
+    GemmRowBlockAvx512<4>(a + i * k, b, rows, bias_at(i), c + i * ldc, ldc, k,
+                          n, relu);
     i += 4;
   }
   switch (i1 - i) {
     case 3:
-      GemmRowBlockAvx512<3>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                            c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx512<3>(a + i * k, b, rows, bias_at(i), c + i * ldc,
+                            ldc, k, n, relu);
       break;
     case 2:
-      GemmRowBlockAvx512<2>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                            c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx512<2>(a + i * k, b, rows, bias_at(i), c + i * ldc,
+                            ldc, k, n, relu);
       break;
     case 1:
-      GemmRowBlockAvx512<1>(a + i * ars, ars, acs, b, rows, bias_at(i),
-                            c + i * ldc, ldc, k, n, relu);
+      GemmRowBlockAvx512<1>(a + i * k, b, rows, bias_at(i), c + i * ldc,
+                            ldc, k, n, relu);
       break;
     default:
       break;
   }
 }
 
-void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n) {
-  GemmRangeAvx512(a, k, 1, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
-}
-
-void MatMulTransARangeAvx512(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t m,
-                             int64_t n) {
-  GemmRangeAvx512(a, 1, m, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
-}
-
 void MatMulBiasActRangeAvx512(const float* a, const float* b,
                               const float* bias, float* c, int64_t i0,
                               int64_t i1, int64_t k, int64_t n, int relu) {
-  GemmRangeAvx512(a, k, 1, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
+  GemmRangeAvx512(a, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
 }
 
 /// The implicit conv of output rows [oy0, oy1): per output row, an
@@ -208,108 +191,8 @@ void ConvGemmBiasActRowsAvx512(const float* a, const float* planes,
                                int64_t k, int64_t ho, int64_t wo, int64_t oy0,
                                int64_t oy1, int relu) {
   for (int64_t oy = oy0; oy < oy1; ++oy) {
-    GemmRangeAvx512(a, k, 1, planes + oy * row_stride, TapRows{tap_off},
-                    bias, c + oy * wo, ho * wo, 0, m, k, wo, relu);
-  }
-}
-
-/// Eight dot products A[row] . B[j..j+7] with the exact scalar chain:
-/// float multiply, widen to double, double add, ascending p. An 8x8
-/// in-register transpose turns eight row loads into per-p column vectors;
-/// each _mm512_add_pd advances all eight chains by exactly one p.
-inline void DotCols8Avx512(const float* arow, const float* b, int64_t j,
-                           int64_t k, float* out) {
-  const float* b0 = b + (j + 0) * k;
-  const float* b1 = b + (j + 1) * k;
-  const float* b2 = b + (j + 2) * k;
-  const float* b3 = b + (j + 3) * k;
-  const float* b4 = b + (j + 4) * k;
-  const float* b5 = b + (j + 5) * k;
-  const float* b6 = b + (j + 6) * k;
-  const float* b7 = b + (j + 7) * k;
-  __m512d acc = _mm512_setzero_pd();
-  int64_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    __m256 r0 = _mm256_loadu_ps(b0 + p);
-    __m256 r1 = _mm256_loadu_ps(b1 + p);
-    __m256 r2 = _mm256_loadu_ps(b2 + p);
-    __m256 r3 = _mm256_loadu_ps(b3 + p);
-    __m256 r4 = _mm256_loadu_ps(b4 + p);
-    __m256 r5 = _mm256_loadu_ps(b5 + p);
-    __m256 r6 = _mm256_loadu_ps(b6 + p);
-    __m256 r7 = _mm256_loadu_ps(b7 + p);
-    // 8x8 transpose: r_t becomes [b0[p+t], b1[p+t], ..., b7[p+t]].
-    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-    r0 = _mm256_permute2f128_ps(u0, u4, 0x20);
-    r1 = _mm256_permute2f128_ps(u1, u5, 0x20);
-    r2 = _mm256_permute2f128_ps(u2, u6, 0x20);
-    r3 = _mm256_permute2f128_ps(u3, u7, 0x20);
-    r4 = _mm256_permute2f128_ps(u0, u4, 0x31);
-    r5 = _mm256_permute2f128_ps(u1, u5, 0x31);
-    r6 = _mm256_permute2f128_ps(u2, u6, 0x31);
-    r7 = _mm256_permute2f128_ps(u3, u7, 0x31);
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 0]), r0)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 1]), r1)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 2]), r2)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 3]), r3)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 4]), r4)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 5]), r5)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 6]), r6)));
-    acc = _mm512_add_pd(
-        acc, _mm512_cvtps_pd(_mm256_mul_ps(_mm256_set1_ps(arow[p + 7]), r7)));
-  }
-  alignas(64) double s[8];
-  _mm512_store_pd(s, acc);
-  for (; p < k; ++p) {
-    const float av = arow[p];
-    s[0] += av * b0[p];
-    s[1] += av * b1[p];
-    s[2] += av * b2[p];
-    s[3] += av * b3[p];
-    s[4] += av * b4[p];
-    s[5] += av * b5[p];
-    s[6] += av * b6[p];
-    s[7] += av * b7[p];
-  }
-  for (int t = 0; t < 8; ++t) out[t] = static_cast<float>(s[t]);
-}
-
-void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      DotCols8Avx512(arow, b, j, k, c + i * n + j);
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
-    }
+    GemmRangeAvx512(a, planes + oy * row_stride, TapRows{tap_off}, bias,
+                    c + oy * wo, ho * wo, 0, m, k, wo, relu);
   }
 }
 
@@ -588,12 +471,9 @@ void Q8BiasActQuantizeRowAvx512(float* row, const float* bias, int64_t cols,
 const KernelTable kAvx512Table = {
     Isa::kAvx512,
     "kernel.avx512",
-    &MatMulRangeAvx512,
-    &MatMulTransARangeAvx512,
-    &MatMulTransBRangeAvx512,
+    &MatMulBiasActRangeAvx512,
     &Q8GemmRowsAvx512,
     &Q4GemmRowsAvx512,
-    &MatMulBiasActRangeAvx512,
     &ConvGemmBiasActRowsAvx512,
     &MaxPoolAvx512,
     &Q8QuantizeRowAvx512,

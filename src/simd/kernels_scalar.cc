@@ -9,13 +9,13 @@
 /// \file kernels_scalar.cc
 /// \brief The always-available reference kernels, compiled with the
 /// kernel TUs' flags (-O3 -march=native -ffp-contract=off via
-/// src/CMakeLists.txt). The fp32 GEMMs and the implicit conv GEMM are one
-/// register-tile body, the chain every other table reproduces (see
-/// kernels.h); TransB keeps its double chain, and the max pool is the
-/// engine's pool loop. Every entry here, the q8/q4 block kernels and the
-/// q8 quantizer included, is the reference the SIMD variants bit-compare
-/// against, so a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same
-/// bits as any other table.
+/// src/CMakeLists.txt). The fp32 dense GEMM and the implicit conv GEMM
+/// are one register-tile body, the chain every other table reproduces
+/// (see kernels.h), and the max pool is the engine's pool loop. Every
+/// entry here, the q8/q4 block kernels and the q8 quantizer included, is
+/// the reference the SIMD variants bit-compare against, so a
+/// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same bits as any
+/// other table.
 
 namespace dlsys {
 namespace simd {
@@ -23,26 +23,25 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 //
-// One tile body serves matmul_range, matmul_ta_range,
-// matmul_bias_act_range and conv_gemm_bias_act_rows: up to kMr x kNr
-// floats of C held in a local accumulator across the whole p loop. Each
-// element starts at +0, adds one float product per p in ascending p,
-// then its bias and the relu `v > 0.0f ? v : 0.0f` before its one store.
+// One tile body serves matmul_bias_act_range and
+// conv_gemm_bias_act_rows: up to kMr x kNr floats of C held in a local
+// accumulator across the whole p loop. Each element starts at +0, adds
+// one float product per p in ascending p, then its bias and the relu
+// `v > 0.0f ? v : 0.0f` before its one store.
 
 constexpr int64_t kMr = 4;   // C rows per register tile
 constexpr int64_t kNr = 32;  // C columns per register tile
 
-/// C(i..i+mr, j..j+nr) from A(i + ii, p) = a[ii * ars + p * acs] (so
-/// (ars, acs) = (k, 1) reads A(MxK) and (1, m) reads A(KxM)^T) and B's
-/// row p at rows.Row(b, p); C's rows are ldc apart, and c and the bias
+/// C(i..i+mr, j..j+nr) from the row-major A(MxK) rows at a and B's row
+/// p at rows.Row(b, p); C's rows are ldc apart, and a, c and the bias
 /// (nullptr: none) start at the tile's row and column. A full tile
 /// (kFull) has the compile-time extents kMr x kNr, so GCC keeps its
 /// accumulators in vector registers; an edge tile (a short row block or
 /// a column tail) runs the same chain over its mr x nr live elements.
 template <bool kFull, class Rows>
-void GemmTileScalar(const float* a, int64_t ars, int64_t acs, const float* b,
-                    Rows rows, const float* bias, float* c, int64_t ldc,
-                    int64_t k, int64_t mr, int64_t nr, int relu) {
+void GemmTileScalar(const float* a, const float* b, Rows rows,
+                    const float* bias, float* c, int64_t ldc, int64_t k,
+                    int64_t mr, int64_t nr, int relu) {
   if constexpr (kFull) {
     mr = kMr;
     nr = kNr;
@@ -51,7 +50,7 @@ void GemmTileScalar(const float* a, int64_t ars, int64_t acs, const float* b,
   for (int64_t p = 0; p < k; ++p) {
     const float* brow = rows.Row(b, p);
     for (int64_t ii = 0; ii < mr; ++ii) {
-      const float av = a[ii * ars + p * acs];
+      const float av = a[ii * k + p];
       for (int64_t jj = 0; jj < nr; ++jj) acc[ii][jj] += av * brow[jj];
     }
   }
@@ -66,9 +65,9 @@ void GemmTileScalar(const float* a, int64_t ars, int64_t acs, const float* b,
 
 /// C rows [i0, i1), n columns, in kMr x kNr tiles.
 template <class Rows>
-void GemmRangeScalar(const float* a, int64_t ars, int64_t acs, const float* b,
-                     Rows rows, const float* bias, float* c, int64_t ldc,
-                     int64_t i0, int64_t i1, int64_t k, int64_t n, int relu) {
+void GemmRangeScalar(const float* a, const float* b, Rows rows,
+                     const float* bias, float* c, int64_t ldc, int64_t i0,
+                     int64_t i1, int64_t k, int64_t n, int relu) {
   for (int64_t i = i0; i < i1; i += kMr) {
     const int64_t mr = std::min(kMr, i1 - i);
     for (int64_t j = 0; j < n; j += kNr) {
@@ -77,27 +76,16 @@ void GemmRangeScalar(const float* a, int64_t ars, int64_t acs, const float* b,
           bias == nullptr ? nullptr : bias + (Rows::kRowBias ? i : j);
       auto* tile = mr == kMr && nr == kNr ? &GemmTileScalar<true, Rows>
                                           : &GemmTileScalar<false, Rows>;
-      tile(a + i * ars, ars, acs, b + j, rows, tile_bias, c + i * ldc + j,
-           ldc, k, mr, nr, relu);
+      tile(a + i * k, b + j, rows, tile_bias, c + i * ldc + j, ldc, k, mr,
+           nr, relu);
     }
   }
-}
-
-void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n) {
-  GemmRangeScalar(a, k, 1, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
-}
-
-void MatMulTransARangeScalar(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t m,
-                             int64_t n) {
-  GemmRangeScalar(a, 1, m, b, DenseRows{n}, nullptr, c, n, i0, i1, k, n, 0);
 }
 
 void MatMulBiasActRangeScalar(const float* a, const float* b,
                               const float* bias, float* c, int64_t i0,
                               int64_t i1, int64_t k, int64_t n, int relu) {
-  GemmRangeScalar(a, k, 1, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
+  GemmRangeScalar(a, b, DenseRows{n}, bias, c, n, i0, i1, k, n, relu);
 }
 
 /// The implicit conv of output rows [oy0, oy1): per output row, an
@@ -109,43 +97,8 @@ void ConvGemmBiasActRowsScalar(const float* a, const float* planes,
                                int64_t k, int64_t ho, int64_t wo, int64_t oy0,
                                int64_t oy1, int relu) {
   for (int64_t oy = oy0; oy < oy1; ++oy) {
-    GemmRangeScalar(a, k, 1, planes + oy * row_stride, TapRows{tap_off}, bias,
+    GemmRangeScalar(a, planes + oy * row_stride, TapRows{tap_off}, bias,
                     c + oy * wo, ho * wo, 0, m, k, wo, relu);
-  }
-}
-
-void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  const float* pa = a;
-  const float* pb = b;
-  float* pc = c;
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = pb + (j + 0) * k;
-      const float* b1 = pb + (j + 1) * k;
-      const float* b2 = pb + (j + 2) * k;
-      const float* b3 = pb + (j + 3) * k;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      pc[i * n + j + 0] = static_cast<float>(s0);
-      pc[i * n + j + 1] = static_cast<float>(s1);
-      pc[i * n + j + 2] = static_cast<float>(s2);
-      pc[i * n + j + 3] = static_cast<float>(s3);
-    }
-    for (; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      pc[i * n + j] = static_cast<float>(s);
-    }
   }
 }
 
@@ -285,12 +238,9 @@ void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
 const KernelTable kScalarTable = {
     Isa::kScalar,
     "kernel.scalar",
-    &MatMulRangeScalar,
-    &MatMulTransARangeScalar,
-    &MatMulTransBRangeScalar,
+    &MatMulBiasActRangeScalar,
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,
-    &MatMulBiasActRangeScalar,
     &ConvGemmBiasActRowsScalar,
     &MaxPoolScalar,
     &Q8QuantizeRowScalar,

@@ -14,15 +14,17 @@ namespace {
 
 // ---------------------------------------------------------------- GEMM
 //
-// All three GEMM variants share one structure: the output row range is
-// statically partitioned across workers by ParallelFor, and the range
-// kernel itself comes from the SIMD dispatch registry (src/simd) — the
-// scalar reference or an AVX2/AVX-512 microkernel, chosen once per process
-// from the CPU (override: DLSYS_ISA). Every table obeys the same parity
-// contract: the accumulation order for any single C element is ascending-p
-// with one float multiply then one add per term (no contraction), so every
-// ISA is bitwise identical to the naive loop nests below, at every thread
-// count.
+// Every fp32 dense GEMM (MatMul, MatMulInto, MatMulBiasActInto) runs one
+// table entry, matmul_bias_act_range, over row-major operands: the
+// output row range is statically partitioned across workers by
+// ParallelFor, and the range kernel itself comes from the SIMD dispatch
+// registry (src/simd) — the scalar reference or an AVX2/AVX-512
+// microkernel, chosen once per process from the CPU (override:
+// DLSYS_ISA). Every table obeys the same parity contract: the
+// accumulation order for any single C element is ascending-p with one
+// float multiply then one add per term (no contraction), so every ISA is
+// bitwise identical to the naive loop nest below, at every thread count.
+// A product with a transposed operand transposes it first (Transpose).
 
 constexpr int64_t kRowGrain = 8;  // min C rows per ParallelFor range
 constexpr int64_t kEwGrain = 1 << 15;  // elementwise elements per range
@@ -37,73 +39,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMul requires rank 2");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   DLSYS_CHECK(b.dim(0) == k, "MatMul inner dimension mismatch");
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST("gemm.matmul", kt.span_cat, 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
   Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  auto* kernel = kt.matmul_range;
-  ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(pa, pb, pc, i0, i1, k, n);
-  });
-  return c;
-}
-
-Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
-  DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMulTransA requires rank 2");
-  const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  DLSYS_CHECK(b.dim(0) == k, "MatMulTransA inner dimension mismatch");
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST("gemm.matmul_ta", kt.span_cat, 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  auto* kernel = kt.matmul_ta_range;
-  ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(pa, pb, pc, i0, i1, k, m, n);
-  });
-  return c;
-}
-
-Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
-  DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMulTransB requires rank 2");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  DLSYS_CHECK(b.dim(1) == k, "MatMulTransB inner dimension mismatch");
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST("gemm.matmul_tb", kt.span_cat, 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  auto* kernel = kt.matmul_tb_range;
-  ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(pa, pb, pc, i0, i1, k, n);
-  });
+  MatMulInto(a.data(), b.data(), c.data(), m, k, n);
   return c;
 }
 
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n) {
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST("gemm.matmul_into", kt.span_cat, 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  auto* kernel = kt.matmul_range;
-  ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(a, b, c, i0, i1, k, n);
-  });
+  MatMulBiasActInto(a, b, nullptr, c, m, k, n, /*relu=*/false);
 }
 
 void MatMulBiasActInto(const float* a, const float* b, const float* bias,
@@ -210,14 +153,15 @@ void MaxPoolInto(const float* x, float* y, int64_t planes, int64_t h,
   });
 }
 
-// ------------------------------------------------- naive references
+// ------------------------------------------------- naive reference
 //
-// The seed library's loop nests, retained verbatim minus the
-// `if (av == 0.0f) continue;` branches (the branch defeated vectorization
+// The seed library's loop nest, retained verbatim minus the
+// `if (av == 0.0f) continue;` branch (the branch defeated vectorization
 // on the dense inputs every caller passes, and silently changed the cost
 // model on sparse data). Skipping a zero term and adding it are bitwise
-// identical on finite data, so these remain the reference the optimised
-// kernels are tested against.
+// identical on finite data, so this remains the reference the optimised
+// kernels are tested against; a product with a transposed operand is
+// NaiveMatMul over Transpose.
 
 Tensor NaiveMatMul(const Tensor& a, const Tensor& b) {
   DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMul requires rank 2");
@@ -236,52 +180,6 @@ Tensor NaiveMatMul(const Tensor& a, const Tensor& b) {
       const float* brow = pb + p * n;
       float* crow = pc + i * n;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor NaiveMatMulTransA(const Tensor& a, const Tensor& b) {
-  DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMulTransA requires rank 2");
-  const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  DLSYS_CHECK(b.dim(0) == k, "MatMulTransA inner dimension mismatch");
-  DLSYS_TRACE_SPAN_COST("gemm.matmul_ta", "kernel", 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = pa + p * m;
-    const float* brow = pb + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b) {
-  DLSYS_CHECK(a.rank() == 2 && b.rank() == 2, "MatMulTransB requires rank 2");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  DLSYS_CHECK(b.dim(1) == k, "MatMulTransB inner dimension mismatch");
-  DLSYS_TRACE_SPAN_COST("gemm.matmul_tb", "kernel", 2 * m * k * n,
-                        4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      pc[i * n + j] = static_cast<float>(s);
     }
   }
   return c;
@@ -433,14 +331,34 @@ Tensor Transpose(const Tensor& m) {
   Tensor out({c, r});
   const float* pin = m.data();
   float* pout = out.data();
-  // Tiled copy: each worker owns input rows [i0, i1) — disjoint output
-  // columns — and walks 32-wide column blocks so writes stay in-cache.
-  constexpr int64_t kTile = 32;
-  ParallelFor(0, r, kTile, [=](int64_t i0, int64_t i1) {
-    for (int64_t jb = 0; jb < c; jb += kTile) {
-      const int64_t je = std::min<int64_t>(jb + kTile, c);
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t j = jb; j < je; ++j) pout[j * r + i] = pin[i * c + j];
+  // Each worker owns input rows [i0, i1), that is disjoint output
+  // columns, and copies them in strips of 16 rows: for each column j the
+  // strip's 16 floats become one contiguous run (a cache line) of output
+  // row j. A strip reads 16 input lines, each for 16 consecutive columns,
+  // and writes one output line at a time, so power-of-two strides, whose
+  // lines share a few L1 sets, do not evict what the strip still uses.
+  // The 1-15 rows a range ends with, the whole of a matrix shorter than
+  // 16 rows, are copied in 32-column blocks with contiguous reads. A
+  // strip of run-time height is slower at both: as the only loop it
+  // loses the unrolled 16-float copy (1.5x slower in the median of 115
+  // shapes, 16x64 0.37 -> 0.77 us), and as the tail loop alone it took
+  // 1.5x as long on matrices under 16 rows (1x1024 0.57 -> 1.66 us; one
+  // AVX-512 core, min of 400 calls).
+  constexpr int64_t kStrip = 16;
+  constexpr int64_t kTailCols = 32;
+  ParallelFor(0, r, kStrip, [=](int64_t i0, int64_t i1) {
+    int64_t i = i0;
+    for (; i + kStrip <= i1; i += kStrip) {
+      for (int64_t j = 0; j < c; ++j) {
+        const float* src = pin + i * c + j;
+        float* dst = pout + j * r + i;
+        for (int64_t ii = 0; ii < kStrip; ++ii) dst[ii] = src[ii * c];
+      }
+    }
+    for (int64_t jb = 0; jb < c; jb += kTailCols) {
+      const int64_t je = std::min<int64_t>(jb + kTailCols, c);
+      for (int64_t it = i; it < i1; ++it) {
+        for (int64_t j = jb; j < je; ++j) pout[j * r + it] = pin[it * c + j];
       }
     }
   });

@@ -7,44 +7,36 @@
 #include "src/tensor/tensor.h"
 
 /// \file ops.h
-/// \brief Dense kernels over Tensor: GEMM variants, the implicit-GEMM
+/// \brief Dense kernels over Tensor: the fp32 GEMM, the implicit-GEMM
 /// convolution and max pooling, elementwise math, row-wise reductions.
 ///
-/// The GEMM variants are cache-blocked, register-tiled kernels dispatched
-/// through the multi-threaded runtime (src/runtime/runtime.h) and the
-/// per-ISA microkernel registry (src/simd/dispatch.h), which selects the
-/// best SIMD table the CPU supports (scalar / AVX2 / AVX-512) at startup;
-/// elementwise ops, RowSoftmax, and Transpose route through the same
-/// ParallelFor primitive. Every kernel is **bitwise deterministic for any
-/// thread count and any dispatched ISA**: workers own disjoint, statically
-/// partitioned output ranges, so the floating-point accumulation order per
-/// output element never depends on DLSYS_THREADS, and the SIMD kernels
-/// vectorize only across independent output elements (see
-/// src/simd/kernels.h for the parity contract). The Naive* reference
-/// kernels retain the plain loop nests with the same per-element operation
-/// order; tests assert bitwise equality between the optimised and naive
-/// paths at every ISA.
+/// The GEMM entry points (MatMul, MatMulInto, MatMulBiasActInto) are one
+/// register-tiled kernel over row-major operands, dispatched through the
+/// multi-threaded runtime (src/runtime/runtime.h) and the per-ISA
+/// microkernel registry (src/simd/dispatch.h), which selects the best
+/// SIMD table the CPU supports (scalar / AVX2 / AVX-512) at startup; a
+/// product with a transposed operand (Dense::Backward's) transposes it
+/// first. Elementwise ops, RowSoftmax, and Transpose route through the
+/// same ParallelFor primitive. Every kernel is **bitwise deterministic for
+/// any thread count and any dispatched ISA**: workers own disjoint,
+/// statically partitioned output ranges, so the floating-point
+/// accumulation order per output element never depends on DLSYS_THREADS,
+/// and the SIMD kernels vectorize only across independent output elements
+/// (see src/simd/kernels.h for the parity contract). The NaiveMatMul
+/// reference keeps the plain loop nest with the same per-element
+/// operation order; tests assert bitwise equality between the optimised
+/// and naive paths at every ISA.
 
 namespace dlsys {
 
-/// \brief C = A(MxK) * B(KxN). Shapes are checked.
+/// \brief C = A(MxK) * B(KxN): MatMulInto into a new tensor. Shapes are
+/// checked.
 Tensor MatMul(const Tensor& a, const Tensor& b);
-/// \brief C = A^T(KxM -> MxK as given) * B: computes A'(MxK)^T? No —
-/// computes C(MxN) = A(KxM)^T * B(KxN).
-Tensor MatMulTransA(const Tensor& a, const Tensor& b);
-/// \brief C(MxN) = A(MxK) * B(NxK)^T.
-Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 
 /// \brief Reference GEMM: plain single-threaded loop nest with the same
 /// per-element accumulation order as MatMul. Retained for determinism
 /// tests and as the bench baseline; bitwise identical to MatMul.
 Tensor NaiveMatMul(const Tensor& a, const Tensor& b);
-/// \brief Reference single-threaded kernel for MatMulTransA (see
-/// NaiveMatMul).
-Tensor NaiveMatMulTransA(const Tensor& a, const Tensor& b);
-/// \brief Reference single-threaded kernel for MatMulTransB (see
-/// NaiveMatMul).
-Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 
 /// \brief C(MxN) = A(MxK) * B(KxN) written into caller storage \p c.
 ///
@@ -145,7 +137,7 @@ void MaxPoolInto(const float* x, float* y, int64_t planes, int64_t h,
 /// `v > 0.0f ? v : 0.0f`, so the result is bitwise identical to
 /// MatMulInto followed by separate bias / relu output passes. The graph
 /// compiler's fusion pass (src/infer/passes.h) dispatches dense layers
-/// through this entry point.
+/// through this entry point, and Dense::Forward runs it with relu off.
 void MatMulBiasActInto(const float* a, const float* b, const float* bias,
                        float* c, int64_t m, int64_t k, int64_t n, bool relu);
 

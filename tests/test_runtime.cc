@@ -1,8 +1,8 @@
 // Tests for the CPU execution runtime (src/runtime): ParallelFor coverage,
-// bitwise determinism of the blocked GEMM/conv kernels across thread
-// counts (and, for conv forward, ISAs), parity with the retained naive
-// references, and end-to-end training-loss reproducibility under
-// threading.
+// bitwise determinism of the blocked GEMM/conv kernels and Transpose
+// across thread counts (and, for conv forward, ISAs), parity with the
+// retained naive references, and end-to-end training-loss
+// reproducibility across thread counts and ISAs.
 
 #include <gtest/gtest.h>
 
@@ -83,22 +83,6 @@ TEST(RuntimeConfigTest, SetThreadsClampsToOne) {
   RuntimeConfig::SetThreads(1);
 }
 
-/// Runs all three GEMM variants at the given thread count.
-struct GemmOutputs {
-  Tensor c, c_ta, c_tb;
-};
-
-GemmOutputs RunGemms(const Tensor& a, const Tensor& b, const Tensor& at,
-                     const Tensor& bt, int threads) {
-  RuntimeConfig::SetThreads(threads);
-  GemmOutputs out;
-  out.c = MatMul(a, b);
-  out.c_ta = MatMulTransA(at, b);
-  out.c_tb = MatMulTransB(a, bt);
-  RuntimeConfig::SetThreads(1);
-  return out;
-}
-
 TEST(GemmDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {
   Rng rng(11);
   // Deliberately awkward extents: odd sizes exercise the edge-tile paths.
@@ -106,21 +90,12 @@ TEST(GemmDeterminismTest, BitwiseIdenticalAcrossThreadCountsAndToNaive) {
   Tensor a({m, k}), b({k, n});
   a.FillGaussian(&rng, 1.0f);
   b.FillGaussian(&rng, 1.0f);
-  Tensor at = Transpose(a);  // (k, m) for MatMulTransA
-  Tensor bt = Transpose(b);  // (n, k) for MatMulTransB
-
   const Tensor ref = NaiveMatMul(a, b);
-  const Tensor ref_ta = NaiveMatMulTransA(at, b);
-  const Tensor ref_tb = NaiveMatMulTransB(a, bt);
-
   for (int threads : {1, 2, 8}) {
-    GemmOutputs out = RunGemms(a, b, at, bt, threads);
-    EXPECT_TRUE(BitwiseEqual(out.c, ref)) << "MatMul threads=" << threads;
-    EXPECT_TRUE(BitwiseEqual(out.c_ta, ref_ta))
-        << "MatMulTransA threads=" << threads;
-    EXPECT_TRUE(BitwiseEqual(out.c_tb, ref_tb))
-        << "MatMulTransB threads=" << threads;
+    RuntimeConfig::SetThreads(threads);
+    EXPECT_TRUE(BitwiseEqual(MatMul(a, b), ref)) << "threads=" << threads;
   }
+  RuntimeConfig::SetThreads(1);
 }
 
 TEST(GemmDeterminismTest, LargeSquareMatchesNaive) {
@@ -395,6 +370,30 @@ TEST(OpsDeterminismTest, OneHotMeanRowsSliceRowsAcrossThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
+TEST(OpsDeterminismTest, TransposeMatchesElementCopyAcrossThreads) {
+  // Shapes around the 16-row strips: a single element (all tail rows),
+  // strips with 1-15 tail rows at any thread count, and power-of-two row
+  // counts whose output rows alias in L1.
+  const int64_t shapes[][2] = {
+      {1, 1}, {33, 17}, {130, 67}, {512, 128}, {1024, 96}};
+  Rng rng(17);
+  for (const auto& shape : shapes) {
+    const int64_t r = shape[0], c = shape[1];
+    Tensor m({r, c});
+    m.FillGaussian(&rng, 1.0f);
+    Tensor ref({c, r});
+    for (int64_t i = 0; i < r; ++i) {
+      for (int64_t j = 0; j < c; ++j) ref[j * r + i] = m[i * c + j];
+    }
+    for (int threads : {1, 2, 8}) {
+      RuntimeConfig::SetThreads(threads);
+      EXPECT_TRUE(BitwiseEqual(Transpose(m), ref))
+          << r << "x" << c << " threads=" << threads;
+    }
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
 /// Trains a small MLP for 5 epochs at the given thread count and returns
 /// the final loss.
 double TrainFinalLoss(int threads) {
@@ -420,6 +419,18 @@ TEST(TrainingDeterminismTest, FiveEpochFinalLossIdenticalAcrossThreads) {
   // Exact double equality: the runtime's static partitioning makes every
   // kernel bitwise reproducible, so the whole training trajectory is too.
   EXPECT_EQ(loss1, loss8);
+  // The forward and both backward GEMMs run the dispatched dense entry,
+  // whose tables reproduce the scalar chain bit for bit, so the trajectory
+  // is the same on every ISA too.
+  const simd::Isa prev = simd::ActiveIsa();
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (!simd::IsaSupported(isa)) continue;
+    simd::SetIsa(isa);
+    EXPECT_EQ(TrainFinalLoss(1), loss1) << simd::IsaName(isa);
+    EXPECT_EQ(TrainFinalLoss(8), loss1) << simd::IsaName(isa);
+  }
+  simd::SetIsa(prev);
 }
 
 }  // namespace

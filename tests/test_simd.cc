@@ -1,7 +1,8 @@
 // Tests for the SIMD microkernel backend (src/simd): dispatch registry
 // behavior, bit-parity of every per-ISA kernel table against the scalar
 // reference (the implicit conv GEMM and the max pool against naive
-// in-test loops) at thread counts 1/2/8 on unaligned/tail shapes, block
+// in-test loops, Dense::Backward's three gradients against NaiveMatMul
+// over Transpose) at thread counts 1/2/8 on unaligned/tail shapes, block
 // quantization round-trip error bounds (q8 and q4), the q4 nibble packing
 // layout, and the kernel.dispatch.* observability counters.
 
@@ -18,6 +19,7 @@
 
 #include "src/compress/quantization.h"
 #include "src/core/rng.h"
+#include "src/nn/layers.h"
 #include "src/obs/counters.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
@@ -115,9 +117,6 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   const simd::KernelTable* table = simd::GetScalarTable();
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(table->isa, simd::Isa::kScalar);
-  EXPECT_NE(table->matmul_range, nullptr);
-  EXPECT_NE(table->matmul_ta_range, nullptr);
-  EXPECT_NE(table->matmul_tb_range, nullptr);
   EXPECT_NE(table->conv_gemm_bias_act_rows, nullptr);
   EXPECT_NE(table->max_pool, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
@@ -213,12 +212,7 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
         PlantSpecials(&a, &rng);
         PlantSpecials(&b, &rng);
       }
-      Tensor at = Transpose(a);  // (k, m) for MatMulTransA
-      Tensor bt = Transpose(b);  // (n, k) for MatMulTransB
-
       const Tensor ref = NaiveMatMul(a, b);
-      const Tensor ref_ta = NaiveMatMulTransA(at, b);
-      const Tensor ref_tb = NaiveMatMulTransB(a, bt);
 
       for (simd::Isa isa : SupportedIsas()) {
         simd::SetIsa(isa);
@@ -231,10 +225,6 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
                        " specials=" + std::to_string(specials));
           Tensor c = MatMul(a, b);
           EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), ref.size()));
-          Tensor c_ta = MatMulTransA(at, b);
-          EXPECT_TRUE(BitwiseEqual(c_ta.data(), ref_ta.data(), ref_ta.size()));
-          Tensor c_tb = MatMulTransB(a, bt);
-          EXPECT_TRUE(BitwiseEqual(c_tb.data(), ref_tb.data(), ref_tb.size()));
         }
       }
     }
@@ -243,11 +233,11 @@ TEST(SimdParityTest, FloatGemmBitwiseAcrossIsasAndThreads) {
 }
 
 TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
-  // matmul_range, matmul_ta_range and matmul_bias_act_range write every
-  // element of their rows without reading C first: called straight from
-  // each table on a NaN-filled C, over two ranges that split the rows
-  // into full and short blocks, they give the naive references' bits.
-  // relu stays off: its clamp would map a leaked NaN to 0.
+  // matmul_bias_act_range writes every element of its rows without
+  // reading C first: called straight from each table on a NaN-filled C,
+  // with a null bias and with a bias, over two ranges that split the
+  // rows into full and short blocks, it gives the naive references'
+  // bits. relu stays off: its clamp would map a leaked NaN to 0.
   Rng rng(36);
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const GemmShape& s : kTailShapes) {
@@ -255,9 +245,7 @@ TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
     a.FillGaussian(&rng, 1.0f);
     b.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
-    const Tensor at = Transpose(a);
     const Tensor ref = NaiveMatMul(a, b);
-    const Tensor ref_ta = NaiveMatMulTransA(at, b);
     Tensor ref_bias = ref;
     for (int64_t i = 0; i < s.m; ++i) {
       for (int64_t j = 0; j < s.n; ++j) ref_bias[i * s.n + j] += bias[j];
@@ -269,16 +257,11 @@ TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
                    std::to_string(s.m) + " k=" + std::to_string(s.k) +
                    " n=" + std::to_string(s.n));
       std::vector<float> c(static_cast<size_t>(s.m * s.n), nan);
-      t->matmul_range(a.data(), b.data(), c.data(), 0, split, s.k, s.n);
-      t->matmul_range(a.data(), b.data(), c.data(), split, s.m, s.k, s.n);
+      t->matmul_bias_act_range(a.data(), b.data(), nullptr, c.data(), 0,
+                               split, s.k, s.n, /*relu=*/0);
+      t->matmul_bias_act_range(a.data(), b.data(), nullptr, c.data(), split,
+                               s.m, s.k, s.n, /*relu=*/0);
       EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), ref.size()));
-
-      std::fill(c.begin(), c.end(), nan);
-      t->matmul_ta_range(at.data(), b.data(), c.data(), 0, split, s.k, s.m,
-                         s.n);
-      t->matmul_ta_range(at.data(), b.data(), c.data(), split, s.m, s.k, s.m,
-                         s.n);
-      EXPECT_TRUE(BitwiseEqual(c.data(), ref_ta.data(), ref_ta.size()));
 
       std::fill(c.begin(), c.end(), nan);
       t->matmul_bias_act_range(a.data(), b.data(), bias.data(), c.data(), 0,
@@ -288,6 +271,64 @@ TEST(SimdParityTest, GemmRangesOverwriteNanFilledC) {
       EXPECT_TRUE(BitwiseEqual(c.data(), ref_bias.data(), ref_bias.size()));
     }
   }
+}
+
+TEST(SimdParityTest, DenseBackwardBitwiseAcrossIsasAndThreads) {
+  // Dense::Backward's three gradients against references that share no
+  // GEMM code with it: dX = NaiveMatMul(G, Transpose(W)), dW =
+  // NaiveMatMul(Transpose(X), G) (accumulated into zeroed gradients, and
+  // a sum started at +0 is never -0, so the accumulation keeps its bits),
+  // and db the column sums of G in ascending row order. Batches of 1 to
+  // 32 rows (every AVX-512 row-block sequence: 1, 3, 8, 8 + 4,
+  // 8 + 4 + 3, 3 x 8, 4 x 8) on widths that are no multiple of 16 or 32,
+  // so both products meet short row blocks and column tails.
+  struct DenseShape {
+    int64_t rows, in, out;
+  };
+  const DenseShape kShapes[] = {{1, 37, 19},  {3, 20, 45},  {8, 50, 17},
+                                {12, 33, 70}, {15, 19, 41}, {24, 70, 23},
+                                {32, 41, 53}};
+  IsaRestore restore;
+  Rng rng(37);
+  for (const bool specials : {false, true}) {
+    for (const DenseShape& s : kShapes) {
+      Tensor x({s.rows, s.in}), w({s.in, s.out}), g({s.rows, s.out});
+      for (Tensor* t : {&x, &w, &g}) {
+        t->FillGaussian(&rng, 1.0f);
+        if (specials) PlantSpecials(t, &rng);
+      }
+      const Tensor ref_dx = NaiveMatMul(g, Transpose(w));
+      const Tensor ref_dw = NaiveMatMul(Transpose(x), g);
+      Tensor ref_db({s.out});
+      for (int64_t i = 0; i < s.rows; ++i) {
+        for (int64_t j = 0; j < s.out; ++j) ref_db[j] += g[i * s.out + j];
+      }
+      Dense layer(s.in, s.out);
+      layer.weight() = w;
+      for (simd::Isa isa : SupportedIsas()) {
+        simd::SetIsa(isa);
+        for (int threads : {1, 2, 8}) {
+          RuntimeConfig::SetThreads(threads);
+          SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                       " threads=" + std::to_string(threads) + " rows=" +
+                       std::to_string(s.rows) + " in=" +
+                       std::to_string(s.in) + " out=" +
+                       std::to_string(s.out) +
+                       " specials=" + std::to_string(specials));
+          layer.ZeroGrads();
+          layer.Forward(x, CacheMode::kCache);
+          const Tensor dx = layer.Backward(g);
+          const std::vector<Tensor*> grads = layer.Grads();
+          EXPECT_TRUE(BitwiseEqual(dx.data(), ref_dx.data(), ref_dx.size()));
+          EXPECT_TRUE(
+              BitwiseEqual(grads[0]->data(), ref_dw.data(), ref_dw.size()));
+          EXPECT_TRUE(
+              BitwiseEqual(grads[1]->data(), ref_db.data(), ref_db.size()));
+        }
+      }
+    }
+  }
+  RuntimeConfig::SetThreads(1);
 }
 
 /// One image's convolution for the implicit-GEMM tests: channels, kernel,

@@ -125,30 +125,6 @@ TEST(OpsTest, MatMulSmall) {
   EXPECT_EQ(c.at(1, 1), 154.0f);
 }
 
-TEST(OpsTest, MatMulTransAConsistentWithTranspose) {
-  Rng rng(3);
-  Tensor a({4, 3});
-  Tensor b({4, 5});
-  a.FillGaussian(&rng, 1.0f);
-  b.FillGaussian(&rng, 1.0f);
-  Tensor c1 = MatMulTransA(a, b);
-  Tensor c2 = MatMul(Transpose(a), b);
-  ASSERT_EQ(c1.shape(), c2.shape());
-  for (int64_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-4f);
-}
-
-TEST(OpsTest, MatMulTransBConsistentWithTranspose) {
-  Rng rng(4);
-  Tensor a({4, 3});
-  Tensor b({5, 3});
-  a.FillGaussian(&rng, 1.0f);
-  b.FillGaussian(&rng, 1.0f);
-  Tensor c1 = MatMulTransB(a, b);
-  Tensor c2 = MatMul(a, Transpose(b));
-  ASSERT_EQ(c1.shape(), c2.shape());
-  for (int64_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-4f);
-}
-
 TEST(OpsTest, ElementwiseAddSubMul) {
   Tensor a({3}, {1, 2, 3});
   Tensor b({3}, {4, 5, 6});
