@@ -11,9 +11,9 @@
 // images, as perfbench's offline_batch runs them) and one 3x3 pool, so
 // both of the AVX-512 pool's bodies run — plus the lookup primitives
 // (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
-// latency quantiles are exact quantiles of the timed samples;
-// results land in BENCH_microkernels.json with speedup vs the scalar
-// table per cell.
+// latency quantiles are exact quantiles of the timed samples, reported
+// beside the fastest sample; results land in BENCH_microkernels.json
+// with speedup vs the scalar table per cell.
 //
 // The sweep is also a cross-ISA parity gate: every cell's output is
 // bit-compared against the scalar table's on the same operands, and any
@@ -55,6 +55,9 @@ bool g_smoke = false;
 struct Quantiles {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
+  /// The fastest sample: the least disturbed by the host, so it resolves
+  /// a change of the kernel that p50 and p99 bury in host noise.
+  double min_ms = 0.0;
 };
 
 /// The \p q quantile of \p samples, interpolated linearly between the
@@ -70,7 +73,8 @@ double SampleQuantile(std::vector<double> samples, double q) {
 }
 
 /// Runs \p fn in `iters` timed samples and returns the exact {p50_ms,
-/// p99_ms} of the per-sample times divided by the calls per sample. A
+/// p99_ms, min_ms} of the per-sample times divided by the calls per
+/// sample. A
 /// sample is enough back-to-back calls to last about kSampleMs, so a
 /// sub-microsecond kernel is timed well above the timer's own cost. When
 /// a sample holds more than one call, p99 is the 99th percentile of
@@ -94,7 +98,8 @@ Quantiles TimeKernel(int iters, Fn&& fn) {
     for (int r = 0; r < reps; ++r) fn();
     sample = watch.Seconds() * 1000.0 / reps;
   }
-  return {SampleQuantile(ms, 0.5), SampleQuantile(ms, 0.99)};
+  return {SampleQuantile(ms, 0.5), SampleQuantile(ms, 0.99),
+          *std::min_element(ms.begin(), ms.end())};
 }
 
 // ------------------------------------------------------ ISA x format sweep
@@ -408,14 +413,15 @@ int main(int argc, char** argv) {
 
   int parity_failures = 0;
   const std::vector<SweepCell> cells = RunSweep(shapes, &parity_failures);
-  std::printf("%-16s %-20s %-8s %10s %10s %9s\n", "shape", "kernel", "isa",
-              "p50_ms", "p99_ms", "vs_scalar");
+  std::printf("%-16s %-20s %-8s %10s %10s %10s %9s\n", "shape", "kernel",
+              "isa", "p50_ms", "p99_ms", "min_ms", "vs_scalar");
   double best_e31_speedup = 0.0;
   std::string best_e31_cell;
   for (const SweepCell& cell : cells) {
-    std::printf("%-16s %-20s %-8s %10.5f %10.5f %8.2fx\n", cell.shape.c_str(),
-                cell.kernel.c_str(), cell.isa.c_str(), cell.q.p50_ms,
-                cell.q.p99_ms, cell.speedup_vs_scalar);
+    std::printf("%-16s %-20s %-8s %10.5f %10.5f %10.5f %8.2fx\n",
+                cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str(),
+                cell.q.p50_ms, cell.q.p99_ms, cell.q.min_ms,
+                cell.speedup_vs_scalar);
     if (cell.shape == shapes[0].Name() &&
         cell.speedup_vs_scalar > best_e31_speedup) {
       best_e31_speedup = cell.speedup_vs_scalar;
@@ -451,9 +457,10 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"shape\": \"%s\", \"kernel\": \"%s\", \"isa\": "
                  "\"%s\", \"p50_ms\": %.6f, \"p99_ms\": %.6f, "
-                 "\"speedup_vs_scalar\": %.2f}%s\n",
+                 "\"min_ms\": %.6f, \"speedup_vs_scalar\": %.2f}%s\n",
                  cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str(),
-                 cell.q.p50_ms, cell.q.p99_ms, cell.speedup_vs_scalar,
+                 cell.q.p50_ms, cell.q.p99_ms, cell.q.min_ms,
+                 cell.speedup_vs_scalar,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"lookup_us_per_probe\": {\n");

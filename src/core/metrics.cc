@@ -26,15 +26,16 @@ const std::array<double, LatencyHistogram::kBuckets + 1>& BucketEdges() {
 }
 
 /// Index of the bucket covering \p ms: 0 for [0, kMinMs), kBuckets + 1
-/// for the overflow range. A log2 guess followed by an edge fix-up keeps
-/// boundary values exactly consistent with BucketEdges().
+/// for the overflow range. The guess reads the binary exponent (the
+/// bucket of the octave's first quarter); the edge fix-up that follows
+/// walks it to the bucket BucketEdges() puts \p ms in, whatever the guess.
 int BucketIndex(double ms) {
   const auto& edges = BucketEdges();
   if (ms < edges[0]) return 0;
   if (ms >= edges[LatencyHistogram::kBuckets]) {
     return LatencyHistogram::kBuckets + 1;
   }
-  int i = static_cast<int>(std::floor(std::log2(ms / kMinMs) * 4.0));
+  int i = 4 * std::ilogb(ms / kMinMs);
   i = std::clamp(i, 0, LatencyHistogram::kBuckets - 1);
   while (i > 0 && ms < edges[static_cast<size_t>(i)]) --i;
   while (i < LatencyHistogram::kBuckets - 1 &&

@@ -21,16 +21,26 @@ namespace {
 /// let in-flight work land before force-draining. Simulated ms.
 constexpr double kTailLimitMs = 60'000.0;
 
-/// p-th percentile of \p values (sorted in place). 0 when empty.
+/// p-th percentile of \p values (partially reordered in place). 0 when
+/// empty.
 double Percentile(std::vector<double>* values, double p) {
   if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
   const size_t n = values->size();
   size_t idx = static_cast<size_t>(std::ceil(p * static_cast<double>(n)));
   if (idx > 0) --idx;
   if (idx >= n) idx = n - 1;
+  std::nth_element(values->begin(),
+                   values->begin() + static_cast<ptrdiff_t>(idx),
+                   values->end());
   return (*values)[idx];
 }
+
+/// An admitted request its replica has not dispatched yet, with the
+/// return hop its response will pay.
+struct PendingRequest {
+  int64_t rid = 0;
+  double return_hop_ms = 0.0;
+};
 
 void AppendI(std::string* out, const char* key, int64_t v, bool comma = true) {
   char buf[96];
@@ -181,7 +191,10 @@ class RequestLedger {
         canary_(canary),
         report_(report),
         aggregator_(config.attribution),
-        alerter_(config.slo) {}
+        alerter_(config.slo),
+        row_of_(tenant_of.size(), nullptr) {
+    report_->path_records.reserve(arrivals.size());
+  }
 
   /// The tenant \p rid was drawn for; empty when the load is untenanted.
   const std::string& tenant(int64_t rid) const {
@@ -190,9 +203,15 @@ class RequestLedger {
                               : tenant_of_[static_cast<size_t>(rid)];
   }
 
+  /// Every rid is offered before anything else happens to it; its tenant
+  /// row is looked up by name here, once.
   void Offer(int64_t rid) {
     ++report_->offered;
-    if (FleetReport::TenantRow* row = TenantRow(rid)) ++row->offered;
+    if (!row_of_.empty()) {
+      FleetReport::TenantRow* row = &report_->tenants[tenant(rid)];
+      row_of_[static_cast<size_t>(rid)] = row;
+      ++row->offered;
+    }
     ++report_->windows[Window(arrivals_[static_cast<size_t>(rid)])].offered;
   }
   void Admit(int64_t rid) {
@@ -242,7 +261,7 @@ class RequestLedger {
   /// \p lost dies with it, and so does each response it would have
   /// finished after the crash.
   void Crash(int replica, int64_t incarnation, double at_ms,
-             const std::map<int64_t, double>& lost) {
+             const std::vector<PendingRequest>& lost) {
     for (Delivery& d : outstanding_) {
       if (d.record && d.replica == replica &&
           d.record->incarnation == incarnation && d.finish_ms > at_ms) {
@@ -250,8 +269,8 @@ class RequestLedger {
         d.deliver_ms = at_ms;
       }
     }
-    for (const auto& [rid, return_hop_ms] : lost) {
-      outstanding_.push_back(Delivery{rid, replica, at_ms, 0.0, {}});
+    for (const PendingRequest& p : lost) {
+      outstanding_.push_back(Delivery{p.rid, replica, at_ms, 0.0, {}});
     }
   }
 
@@ -309,8 +328,7 @@ class RequestLedger {
     return idx;
   }
   FleetReport::TenantRow* TenantRow(int64_t rid) {
-    const std::string& name = tenant(rid);
-    return name.empty() ? nullptr : &report_->tenants[name];
+    return row_of_.empty() ? nullptr : row_of_[static_cast<size_t>(rid)];
   }
 
   void Finalize(const Delivery& d) {
@@ -357,6 +375,8 @@ class RequestLedger {
   std::vector<Delivery> outstanding_;
   std::vector<std::vector<double>> latencies_;  ///< per report window
   std::vector<int> active_;  ///< per window, active replicas at its close
+  /// Per rid, its tenant's row (set by Offer); empty when untenanted.
+  std::vector<FleetReport::TenantRow*> row_of_;
 };
 
 Status RequestLedger::Close(double load_end_ms) {
@@ -625,10 +645,13 @@ struct Fleet::Replica {
   int64_t incarnation = 0;  ///< completed recoveries; a crash invalidates
                             ///< only the responses of its own incarnation
   double net_scale = 1.0;   ///< slow-partition latency factor
-  size_t harvested = 0;     ///< server completions consumed so far
-  /// Admitted requests its server has not dispatched yet, by fleet rid,
-  /// with the return hop each response will pay.
-  std::map<int64_t, double> pending;
+  /// Admitted requests its server has not dispatched yet, in rid order:
+  /// the replica admits rids in increasing order, and at most its queue
+  /// capacity plus its lanes are pending at once.
+  std::vector<PendingRequest> pending;
+  /// The completions of the last harvest. The next harvest hands them
+  /// back to the server, which writes later outputs into their tensors.
+  std::vector<Server::Completion> done;
 };
 
 Fleet::Fleet(const FleetConfig& config) : config_(config) {}
@@ -742,23 +765,25 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     return version.ok() ? Status::OK() : version.status();
   };
 
-  // Hands every request \p slot's server dispatched since the last
-  // harvest to the ledger as a response on its way back.
+  // Takes every request \p slot's server dispatched since the last
+  // harvest and hands it to the ledger as a response on its way back.
+  // Each replica drains into its own vector, so the output tensors it
+  // hands back return to the server that made them.
   auto harvest = [&](int slot) {
     Replica& r = *replicas_[static_cast<size_t>(slot)];
-    const std::vector<Server::Completion>& done = r.server->completions();
-    for (size_t i = r.harvested; i < done.size(); ++i) {
-      const Server::Completion& c = done[i];
+    r.server->TakeCompletions(&r.done);
+    for (const Server::Completion& c : r.done) {
       // Every completion is a request this fleet submitted and still
       // waits on: a crash forgets only undispatched requests, and the
       // crashed server drops those too.
-      const auto it = r.pending.find(c.rid);
-      DLSYS_CHECK(it != r.pending.end(),
+      const auto it = std::lower_bound(
+          r.pending.begin(), r.pending.end(), c.rid,
+          [](const PendingRequest& p, int64_t rid) { return p.rid < rid; });
+      DLSYS_CHECK(it != r.pending.end() && it->rid == c.rid,
                   "completion of a request the fleet is not waiting on");
-      ledger.Respond(c, slot, r.incarnation, it->second);
+      ledger.Respond(c, slot, r.incarnation, it->return_hop_ms);
       r.pending.erase(it);
     }
-    r.harvested = done.size();
   };
 
   // ---- the tick loop ----------------------------------------------
@@ -787,7 +812,6 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
           auto server = Server::Create(r.registry.get(), config_.server);
           if (!server.ok()) return server.status();
           r.server = std::move(server).value();
-          r.harvested = 0;
           DLSYS_RETURN_NOT_OK(republish(i));
         }
         ++r.incarnation;
@@ -1033,7 +1057,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       switch (sr.outcome) {
         case Server::Outcome::kAdmitted:
           ledger.Admit(rid);
-          r.pending[rid] = ret_ms;
+          r.pending.push_back(PendingRequest{rid, ret_ms});
           continue;
         case Server::Outcome::kShedQueueFull:
           shed_reason = &FleetReport::shed_queue_full;

@@ -36,8 +36,8 @@ bool Router::LighterThan(const ReplicaView& a, int ia, const ReplicaView& b,
 
 int Router::Pick(const std::vector<ReplicaView>& view, int64_t request_index) {
   const int n = static_cast<int>(view.size());
-  std::vector<int> routable;
-  routable.reserve(static_cast<size_t>(n));
+  std::vector<int>& routable = routable_;
+  routable.clear();
   for (int i = 0; i < n; ++i) {
     if (view[static_cast<size_t>(i)].routable) routable.push_back(i);
   }

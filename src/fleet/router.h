@@ -58,7 +58,8 @@ class Router {
 
   /// \brief Picks a routable replica for request \p request_index, or -1
   /// when none is routable. Deterministic for a fixed (seed, view
-  /// sequence, request_index sequence).
+  /// sequence, request_index sequence). Allocates only when \p view is
+  /// longer than every earlier one.
   int Pick(const std::vector<ReplicaView>& view, int64_t request_index);
 
   RoutePolicy policy() const { return policy_; }
@@ -71,6 +72,7 @@ class Router {
   RoutePolicy policy_;
   uint64_t seed_;
   int64_t rr_cursor_ = 0;
+  std::vector<int> routable_;  ///< Pick's scratch: routable replica indices
 };
 
 /// \brief Probe-driven health state machine for the fleet's replicas.

@@ -236,11 +236,17 @@ std::vector<SpanStat> SelfTimeByName(const TraceBuffer& buffer);
 #define DLSYS_TRACE_SPAN_COST(name, cat, flops, bytes)                     \
   ::dlsys::obs::TraceSpan DLSYS_OBS_CONCAT(_dlsys_span_, __LINE__)(        \
       name, cat, -1, static_cast<int64_t>(flops), static_cast<int64_t>(bytes))
-#define DLSYS_TRACE_INSTANT_SIM(name, cat, ts_ms, rid) \
-  ::dlsys::obs::TraceInstantSim(name, cat, ts_ms, rid)
+// The sim-track macros test TracingEnabled() before evaluating their
+// arguments, so an untraced event loop pays one relaxed load per site.
+#define DLSYS_TRACE_INSTANT_SIM(name, cat, ts_ms, rid)                  \
+  (::dlsys::obs::TracingEnabled()                                       \
+       ? ::dlsys::obs::TraceInstantSim(name, cat, ts_ms, rid)           \
+       : (void)0)
 #define DLSYS_TRACE_EMIT_SIM_NS(name, cat, ts_ns, dur_ns, rid, span, parent) \
-  ::dlsys::obs::TraceEmitSimSpanNs(name, cat, ts_ns, dur_ns, rid, span,      \
-                                   parent)
+  (::dlsys::obs::TracingEnabled()                                            \
+       ? ::dlsys::obs::TraceEmitSimSpanNs(name, cat, ts_ns, dur_ns, rid,     \
+                                          span, parent)                      \
+       : (void)0)
 #else
 #define DLSYS_TRACE_SPAN(name, cat) ((void)0)
 #define DLSYS_TRACE_SPAN_COST(name, cat, flops, bytes) ((void)0)

@@ -43,6 +43,17 @@ void FinishReport(double first_ms, double last_finish_ms, double wall_seconds,
   }
 }
 
+/// Product of the multipliers of the crowds active at \p t_ms, in
+/// TraceRateAt's order, starting from \p rate.
+double CrowdProduct(const TraceLoadConfig& config, double t_ms, double rate) {
+  for (const FlashCrowd& crowd : config.crowds) {
+    if (t_ms >= crowd.start_ms && t_ms < crowd.start_ms + crowd.duration_ms) {
+      rate *= crowd.multiplier;
+    }
+  }
+  return rate;
+}
+
 }  // namespace
 
 std::vector<TenantShare> BalancedTenantMix(int n) {
@@ -182,22 +193,22 @@ double TraceRateAt(const TraceLoadConfig& config, double t_ms) {
                       std::sin(kTwoPi * (t_ms - config.start_ms) /
                                config.diurnal_period_ms);
   }
-  for (const FlashCrowd& crowd : config.crowds) {
-    if (t_ms >= crowd.start_ms && t_ms < crowd.start_ms + crowd.duration_ms) {
-      rate *= crowd.multiplier;
-    }
-  }
-  return std::max(0.0, rate);
+  return std::max(0.0, CrowdProduct(config, t_ms, rate));
 }
 
 double TracePeakRate(const TraceLoadConfig& config) {
   // The diurnal peak is analytic; flash crowds multiply on top. Assume
   // the worst case where every crowd interval sees the diurnal peak —
-  // the envelope only needs to dominate, not be tight.
+  // the envelope only needs to dominate, not be tight. The active set
+  // only changes at a crowd's start or end, so the largest product of
+  // overlapping crowds is one of the products taken there.
   double peak = config.base_rps * (1.0 + std::abs(config.diurnal_amplitude));
   double crowd_peak = 1.0;
   for (const FlashCrowd& crowd : config.crowds) {
-    crowd_peak = std::max(crowd_peak, crowd.multiplier);
+    const double end = crowd.start_ms + crowd.duration_ms;
+    for (const double t : {crowd.start_ms, end}) {
+      crowd_peak = std::max(crowd_peak, CrowdProduct(config, t, 1.0));
+    }
   }
   return peak * crowd_peak;
 }
@@ -206,6 +217,16 @@ std::vector<double> GenerateTraceArrivals(const TraceLoadConfig& config) {
   std::vector<double> arrivals;
   const double peak = TracePeakRate(config);
   if (peak <= 0.0 || config.duration_ms <= 0.0) return arrivals;
+  // Every rounding step of TraceRateAt is monotone in its operands, so
+  // while no multiplier is negative, base * (1 + |amplitude|) times the
+  // active multipliers (in TraceRateAt's order) is at least rate(t); a
+  // draw at or above that bound is rejected without evaluating the
+  // sinusoid. A NaN bound fails the test and falls through.
+  const bool bounded = std::all_of(
+      config.crowds.begin(), config.crowds.end(),
+      [](const FlashCrowd& crowd) { return crowd.multiplier >= 0.0; });
+  const double diurnal_bound =
+      config.base_rps * (1.0 + std::abs(config.diurnal_amplitude));
   Rng rng(config.seed);
   Rng gaps = rng.Fork();
   Rng keep = rng.Fork();
@@ -216,9 +237,9 @@ std::vector<double> GenerateTraceArrivals(const TraceLoadConfig& config) {
     if (t >= end) break;
     // Thinning: the candidate survives with probability rate(t) / peak,
     // turning the homogeneous envelope into the shaped process.
-    if (keep.Uniform() * peak < TraceRateAt(config, t)) {
-      arrivals.push_back(t);
-    }
+    const double u = keep.Uniform() * peak;
+    if (bounded && u >= CrowdProduct(config, t, diurnal_bound)) continue;
+    if (u < TraceRateAt(config, t)) arrivals.push_back(t);
   }
   return arrivals;
 }

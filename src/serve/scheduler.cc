@@ -19,6 +19,37 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTokenSlack = 1e-9;
 }  // namespace
 
+void RequestFifo::push_back(SlotRequest request) {
+  if (count_ == ring_.size()) {
+    std::vector<SlotRequest> grown(std::max<size_t>(8, 2 * ring_.size()));
+    for (size_t i = 0; i < count_; ++i) grown[i] = std::move(At(i));
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ++count_;
+  At(count_ - 1) = std::move(request);
+}
+
+SlotRequest RequestFifo::Take(size_t i) {
+  SlotRequest request = std::move(At(i));
+  // Close the gap from the shorter side: the head of the queue, the usual
+  // pick, moves nothing.
+  if (i < count_ - 1 - i) {
+    for (size_t j = i; j > 0; --j) At(j) = std::move(At(j - 1));
+    head_ = (head_ + 1) & (ring_.size() - 1);
+  } else {
+    for (size_t j = i + 1; j < count_; ++j) At(j - 1) = std::move(At(j));
+  }
+  --count_;
+  return request;
+}
+
+void RequestFifo::clear() {
+  for (size_t i = 0; i < count_; ++i) At(i) = SlotRequest();
+  head_ = 0;
+  count_ = 0;
+}
+
 Tenant::Tenant(const std::string& tenant_name,
                const TenantPolicy& tenant_policy)
     : name(tenant_name), policy(tenant_policy), tokens(policy.burst) {
@@ -105,10 +136,7 @@ SlotRequest TenantScheduler::Serve(Tenant* state, int64_t pos,
   }
   ++state->served;
   --depth_;
-  SlotRequest request =
-      std::move(state->queue[static_cast<size_t>(pos)]);
-  state->queue.erase(state->queue.begin() + pos);
-  return request;
+  return state->queue.Take(static_cast<size_t>(pos));
 }
 
 std::optional<SlotRequest> TenantScheduler::PickFifo(

@@ -2,7 +2,6 @@
 #define DLSYS_SERVE_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "src/core/metrics.h"
 #include "src/serve/admission.h"
 #include "src/serve/registry.h"
-#include "src/tensor/tensor.h"
 
 /// \file scheduler.h
 /// \brief Multi-tenant QoS scheduler: which queued request fills a freed
@@ -71,7 +69,37 @@ struct SlotRequest {
   double quota_open_ms = 0.0;
   int slot = -1;             ///< lane it was loaded into; -1 while queued
   std::shared_ptr<ModelSnapshot> snap;  ///< version bound at admission
-  Tensor input;              ///< flat copy, (in_elems)
+  /// Flat copy of the example, in_elems floats: a row from the server's
+  /// free list, returned to it once the step has staged it.
+  std::vector<float> input;
+};
+
+/// \brief A tenant's FIFO of queued requests: a ring over storage it
+/// keeps, so queueing allocates only when a backlog outgrows every
+/// earlier one.
+class RequestFifo {
+ public:
+  bool empty() const { return count_ == 0; }
+  size_t size() const { return count_; }
+  /// The \p i-th oldest request.
+  const SlotRequest& operator[](size_t i) const { return At(i); }
+
+  void push_back(SlotRequest request);
+  /// Removes and returns the \p i-th oldest request; the rest keep their
+  /// order.
+  SlotRequest Take(size_t i);
+  /// Releases every queued request (and the snapshot each one pins).
+  void clear();
+
+ private:
+  SlotRequest& At(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  const SlotRequest& At(size_t i) const {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+
+  std::vector<SlotRequest> ring_;  ///< a power-of-two size, or empty
+  size_t head_ = 0;                ///< ring index of the oldest request
+  size_t count_ = 0;
 };
 
 /// \brief Per-tenant serving tallies (the fairness bound and the E37
@@ -102,7 +130,7 @@ struct Tenant {
   const std::string name;     ///< normalized ("default" when none given)
   const TenantPolicy policy;  ///< the override for name, else the default
 
-  std::deque<SlotRequest> queue;  ///< admitted, not yet loaded; FIFO
+  RequestFifo queue;              ///< admitted, not yet loaded
   double tokens;                  ///< token bucket, in requests
   double refill_ms = 0.0;  ///< simulated time tokens was last settled
   double deficit = 0.0;    ///< DWFQ credit, in requests

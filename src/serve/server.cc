@@ -176,9 +176,11 @@ Server::SubmitResult Server::Submit(const std::string& model,
   req.tenant = &record;
   req.arrival_ms = arrival_ms;
   req.deadline_ms = arrival_ms + budget;
-  req.input = Tensor({snap->in_elems});
-  std::copy(example.data(), example.data() + snap->in_elems,
-            req.input.data());
+  if (!free_rows_.empty()) {
+    req.input = std::move(free_rows_.back());
+    free_rows_.pop_back();
+  }
+  req.input.assign(example.data(), example.data() + snap->in_elems);
   req.snap = std::move(snap);
   scheduler_.Enqueue(std::move(req));
   // Seat the request immediately if a lane is free (or frees exactly
@@ -319,6 +321,14 @@ void Server::RefillAndStart(double now_ms) {
   }
 }
 
+void Server::TakeCompletions(std::vector<Completion>* out) {
+  for (Completion& c : *out) {
+    if (c.output.size() > 0) free_outputs_.push_back(std::move(c.output));
+  }
+  out->clear();
+  out->swap(completions_);
+}
+
 void Server::StartStep(int worker, double now_ms) {
   std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(worker)];
   const int n = slots_.BeginStep(worker, now_ms);
@@ -332,8 +342,9 @@ void Server::StartStep(int worker, double now_ms) {
   DLSYS_COUNTER_ADD("serve.batches", 1);
 
   for (size_t j = 0; j < lanes.size(); ++j) {
-    std::copy(lanes[j].input.data(), lanes[j].input.data() + snap.in_elems,
+    std::copy(lanes[j].input.begin(), lanes[j].input.end(),
               rep.in_staging.data() + static_cast<int64_t>(j) * snap.in_elems);
+    free_rows_.push_back(std::move(lanes[j].input));
   }
   Stopwatch sw;
   const Status status =
@@ -343,9 +354,11 @@ void Server::StartStep(int worker, double now_ms) {
   measured_.Record(measured_ms);
   DLSYS_HISTOGRAM_RECORD("serve.measured_service_ms", measured_ms);
 
+  // A step is version-homogeneous, so its requests count once.
+  served_[snap.model][snap.version] += n;
   for (size_t j = 0; j < lanes.size(); ++j) {
     SlotRequest& req = lanes[j];
-    Completion c;
+    Completion& c = completions_.emplace_back();
     c.id = req.id;
     c.rid = req.trace_rid >= 0 ? req.trace_rid : req.id;
     c.model = snap.model;
@@ -365,7 +378,15 @@ void Server::StartStep(int worker, double now_ms) {
     c.slot = req.slot;
     c.deadline_missed = finish_ms > req.deadline_ms;
     c.measured_service_ms = measured_ms;
-    c.output = Tensor(snap.example_output_shape);
+    // A returned output of another shape (taken before a hot swap changed
+    // the output width) is freed, not reused.
+    if (!free_outputs_.empty() &&
+        free_outputs_.back().shape() == snap.example_output_shape) {
+      c.output = std::move(free_outputs_.back());
+    } else {
+      c.output = Tensor(snap.example_output_shape);
+    }
+    if (!free_outputs_.empty()) free_outputs_.pop_back();
     const float* row =
         rep.out_staging.data() + static_cast<int64_t>(j) * snap.out_elems;
     std::copy(row, row + snap.out_elems, c.output.data());
@@ -395,31 +416,34 @@ void Server::StartStep(int worker, double now_ms) {
     // full admit -> quota -> slot -> execute -> respond path of any
     // single request.
 #if DLSYS_OBS
-    const int64_t arrival_ns = obs::SimNs(c.arrival_ms);
-    const int64_t quota_open_ns = obs::SimNs(c.quota_open_ms);
-    const int64_t dispatch_ns = obs::SimNs(c.dispatch_ms);
-    const int64_t finish_ns = obs::SimNs(c.finish_ms);
-    const int64_t root = req.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
-    const int64_t queue_span = obs::QueueSpanId(c.rid);
-    DLSYS_TRACE_EMIT_SIM_NS("serve.queue", "serve", arrival_ns,
-                            dispatch_ns - arrival_ns, c.rid, queue_span,
-                            root);
-    DLSYS_TRACE_EMIT_SIM_NS(
-        "serve.quota_wait", "serve", arrival_ns, quota_open_ns - arrival_ns,
-        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kQuotaDelay),
-        queue_span);
-    DLSYS_TRACE_EMIT_SIM_NS(
-        "serve.slot_wait", "serve", quota_open_ns, dispatch_ns - quota_open_ns,
-        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kSlotWait),
-        queue_span);
-    DLSYS_TRACE_EMIT_SIM_NS(
-        "serve.execute", "serve", dispatch_ns, finish_ns - dispatch_ns,
-        c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kExecute),
-        root);
-    DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
+    if (obs::TracingEnabled()) {
+      const int64_t arrival_ns = obs::SimNs(c.arrival_ms);
+      const int64_t quota_open_ns = obs::SimNs(c.quota_open_ms);
+      const int64_t dispatch_ns = obs::SimNs(c.dispatch_ms);
+      const int64_t finish_ns = obs::SimNs(c.finish_ms);
+      const int64_t root =
+          req.trace_rid >= 0 ? obs::RequestSpanId(c.rid) : -1;
+      const int64_t queue_span = obs::QueueSpanId(c.rid);
+      DLSYS_TRACE_EMIT_SIM_NS("serve.queue", "serve", arrival_ns,
+                              dispatch_ns - arrival_ns, c.rid, queue_span,
+                              root);
+      DLSYS_TRACE_EMIT_SIM_NS(
+          "serve.quota_wait", "serve", arrival_ns,
+          quota_open_ns - arrival_ns, c.rid,
+          obs::ComponentSpanId(c.rid, obs::PathComponent::kQuotaDelay),
+          queue_span);
+      DLSYS_TRACE_EMIT_SIM_NS(
+          "serve.slot_wait", "serve", quota_open_ns,
+          dispatch_ns - quota_open_ns, c.rid,
+          obs::ComponentSpanId(c.rid, obs::PathComponent::kSlotWait),
+          queue_span);
+      DLSYS_TRACE_EMIT_SIM_NS(
+          "serve.execute", "serve", dispatch_ns, finish_ns - dispatch_ns,
+          c.rid, obs::ComponentSpanId(c.rid, obs::PathComponent::kExecute),
+          root);
+      DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
+    }
 #endif
-    ++served_[c.model][c.version];
-    completions_.push_back(std::move(c));
   }
   lanes.clear();  // keeps its capacity for the next loads
 }

@@ -56,6 +56,18 @@
 /// never mixes versions inside a batch and never loses a request, and
 /// queued requests finish on the snapshot they bound.
 ///
+/// ## Completions and recycled storage
+///
+/// Finished requests accumulate as Completion records in dispatch order.
+/// A caller that only reads completions() keeps every record, and one
+/// output tensor per record, for the server's lifetime. A caller that
+/// drains them with TakeCompletions hands back the vector it took last
+/// time: the server keeps that vector's capacity and its output tensors
+/// and writes later outputs into them, so a steady draining loop
+/// allocates nothing per request. The server also owns the input rows:
+/// Submit copies an admitted example into a row from its free list, and
+/// the step that stages the row returns it there.
+///
 /// ## Threading
 ///
 /// Submit/AdvanceTo/Drain and the accessors form a single-threaded event
@@ -202,8 +214,15 @@ class Server {
 
   /// \brief Current simulated time.
   double clock_ms() const { return clock_ms_; }
-  /// \brief All completions so far, in dispatch order.
+  /// \brief Every completion not yet taken, in dispatch order.
   const std::vector<Completion>& completions() const { return completions_; }
+  /// \brief Moves every completion not yet taken into \p out, in dispatch
+  /// order, and leaves completions() empty. Whatever \p out held is the
+  /// caller's hand-back: its output tensors go to the server's free list,
+  /// where a later step reuses one only if its shape is that step's
+  /// output shape, and its capacity serves the next records. Ids keep
+  /// counting across takes.
+  void TakeCompletions(std::vector<Completion>* out);
   /// \brief Simulated request latency (finish - arrival) distribution.
   const LatencyHistogram& latency_histogram() const { return latency_; }
   /// \brief The underlying registry (for direct Acquire/Publish).
@@ -251,7 +270,8 @@ class Server {
   /// workers at \p now_ms, until the pool is saturated.
   void RefillAndStart(double now_ms);
   /// Departs \p worker's loaded lanes as one engine batch at \p now_ms:
-  /// runs it on the calling thread and records its completions.
+  /// runs it on the calling thread, returns its input rows to the free
+  /// list and records its completions.
   void StartStep(int worker, double now_ms);
 
   ModelRegistry* registry_;
@@ -274,6 +294,10 @@ class Server {
   std::vector<int> fill_order_;
 
   std::vector<Completion> completions_;
+  // Storage handed back for reuse: input rows returned by StartStep once
+  // staged, output tensors returned through TakeCompletions.
+  std::vector<std::vector<float>> free_rows_;
+  std::vector<Tensor> free_outputs_;
   LatencyHistogram latency_;
   LatencyHistogram measured_;
   // Offered, admitted, shed and deadline-missed requests are tallied per

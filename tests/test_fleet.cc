@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -287,6 +289,118 @@ TEST(TraceLoadTest, ArrivalsAreSeededAndMonotone) {
                          [](double t) { return t >= 500.0 && t < 1000.0; });
   };
   EXPECT_GT(in_crowd(crowded), 2 * in_crowd(a));
+}
+
+/// The plain thinning loop, the reference GenerateTraceArrivals must
+/// match bit for bit: every candidate pays TraceRateAt.
+std::vector<double> ReferenceTraceArrivals(const TraceLoadConfig& config) {
+  std::vector<double> arrivals;
+  const double peak = TracePeakRate(config);
+  if (peak <= 0.0 || config.duration_ms <= 0.0) return arrivals;
+  Rng rng(config.seed);
+  Rng gaps = rng.Fork();
+  Rng keep = rng.Fork();
+  double t = config.start_ms;
+  const double end = config.start_ms + config.duration_ms;
+  while (true) {
+    t += -std::log(1.0 - gaps.Uniform()) / peak * 1000.0;
+    if (t >= end) break;
+    if (keep.Uniform() * peak < TraceRateAt(config, t)) arrivals.push_back(t);
+  }
+  return arrivals;
+}
+
+TEST(TraceLoadTest, BoundRejectionMatchesTheReferenceLoopBitwise) {
+  TraceLoadConfig base;
+  base.seed = 17;
+  base.duration_ms = 3000.0;
+  base.base_rps = 400.0;
+  base.diurnal_amplitude = 0.3;
+  base.diurnal_period_ms = 1200.0;
+  std::vector<std::pair<std::string, TraceLoadConfig>> configs;
+  auto add = [&](const std::string& name, auto edit) {
+    TraceLoadConfig c = base;
+    edit(&c);
+    configs.emplace_back(name, c);
+  };
+  add("amplitude 0", [](TraceLoadConfig* c) { c->diurnal_amplitude = 0.0; });
+  add("amplitude 0.3", [](TraceLoadConfig*) {});
+  // Drives the diurnal factor, and so the rate before its floor, negative.
+  add("amplitude 1.5", [](TraceLoadConfig* c) { c->diurnal_amplitude = 1.5; });
+  add("period 0", [](TraceLoadConfig* c) { c->diurnal_period_ms = 0.0; });
+  for (double m : {6.0, 0.5, 0.0, -2.0}) {
+    add("crowd x" + std::to_string(m), [m](TraceLoadConfig* c) {
+      c->crowds.push_back({800.0, 900.0, m});
+    });
+  }
+  // A negative multiplier over a negative diurnal factor makes a
+  // positive rate: the one case the bound does not cover.
+  add("crowd x-2 at amplitude 1.5", [](TraceLoadConfig* c) {
+    c->diurnal_amplitude = 1.5;
+    c->crowds.push_back({800.0, 900.0, -2.0});
+  });
+  add("adjacent crowds", [](TraceLoadConfig* c) {
+    c->crowds.push_back({500.0, 500.0, 3.0});
+    c->crowds.push_back({1000.0, 700.0, 4.0});
+  });
+  add("overlapping crowds", [](TraceLoadConfig* c) {
+    c->crowds.push_back({500.0, 1000.0, 3.0});
+    c->crowds.push_back({1000.0, 1000.0, 4.0});
+    c->crowds.push_back({1200.0, 300.0, 0.5});
+  });
+  add("base 0", [](TraceLoadConfig* c) { c->base_rps = 0.0; });
+
+  for (const auto& [name, config] : configs) {
+    const std::vector<double> got = GenerateTraceArrivals(config);
+    const std::vector<double> want = ReferenceTraceArrivals(config);
+    ASSERT_EQ(got.size(), want.size()) << name;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                           [](double a, double b) {
+                             return std::bit_cast<uint64_t>(a) ==
+                                    std::bit_cast<uint64_t>(b);
+                           }))
+        << name;
+    if (config.base_rps > 0.0) {
+      EXPECT_GT(got.size(), 100u) << name;
+    }
+  }
+}
+
+TEST(TraceLoadTest, PeakRateCoversOverlappingCrowds) {
+  TraceLoadConfig load;
+  load.seed = 5;
+  load.duration_ms = 2000.0;
+  load.base_rps = 100.0;
+  load.crowds.push_back({0.0, 1000.0, 3.0});
+  load.crowds.push_back({500.0, 1000.0, 4.0});
+  // The envelope dominates the rate at every crowd boundary, where the
+  // active set changes (and so everywhere, the rate being piecewise
+  // constant here).
+  EXPECT_DOUBLE_EQ(TracePeakRate(load), 1200.0);
+  for (const FlashCrowd& crowd : load.crowds) {
+    for (double t : {crowd.start_ms, crowd.start_ms + crowd.duration_ms}) {
+      EXPECT_GE(TracePeakRate(load), TraceRateAt(load, t)) << t;
+    }
+  }
+  // [500, 1000) asks for 1200 rps * 0.5 s = 600 arrivals; an envelope
+  // capped at the larger crowd alone (400 rps) thins it to ~200.
+  const std::vector<double> arrivals = GenerateTraceArrivals(load);
+  const auto overlap = std::count_if(
+      arrivals.begin(), arrivals.end(),
+      [](double t) { return t >= 500.0 && t < 1000.0; });
+  EXPECT_NEAR(static_cast<double>(overlap), 600.0, 100.0);
+
+  // Non-overlapping crowds keep the largest single multiplier.
+  TraceLoadConfig apart = load;
+  apart.diurnal_amplitude = 0.3;
+  apart.diurnal_period_ms = 2000.0;
+  apart.crowds = {{0.0, 500.0, 3.0}, {500.0, 500.0, 4.0}, {1500.0, 1.0, 0.5}};
+  EXPECT_DOUBLE_EQ(TracePeakRate(apart), 100.0 * 1.3 * 4.0);
+  for (const FlashCrowd& crowd : apart.crowds) {
+    for (double t : {crowd.start_ms, crowd.start_ms + crowd.duration_ms}) {
+      EXPECT_GE(TracePeakRate(apart), TraceRateAt(apart, t)) << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- fleet

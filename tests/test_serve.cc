@@ -570,6 +570,111 @@ TEST(ServerTest, HotSwapUnderLoadIsLosslessAndBitwiseVersionFaithful) {
   RuntimeConfig::SetThreads(1);
 }
 
+/// Everything a Completion records except its output and its measured
+/// wall time, for comparing two servers' records field by field.
+void ExpectSameRecord(const Server::Completion& a,
+                      const Server::Completion& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.rid, b.rid);
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.tenant, b.tenant);
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.arrival_ms, b.arrival_ms);
+  EXPECT_EQ(a.quota_open_ms, b.quota_open_ms);
+  EXPECT_EQ(a.dispatch_ms, b.dispatch_ms);
+  EXPECT_EQ(a.finish_ms, b.finish_ms);
+  EXPECT_EQ(a.deadline_ms, b.deadline_ms);
+  EXPECT_EQ(a.deadline_missed, b.deadline_missed);
+  EXPECT_EQ(a.batch_size, b.batch_size);
+  EXPECT_EQ(a.worker, b.worker);
+  EXPECT_EQ(a.slot, b.slot);
+}
+
+TEST(ServerTest, TakeCompletionsDrainsUntakenRecordsAndRecyclesOutputs) {
+  // Twin servers see the same arrivals and the same hot swap to a version
+  // with a wider output. The taker drains after every few submits and
+  // hands back what it took, so it writes later outputs into recycled
+  // tensors; the keeper never takes.
+  ServerConfig config;
+  config.workers = 2;
+  config.batch.max_batch = 4;
+  config.queue_capacity = 16;
+  ModelRegistry taker_registry, keeper_registry;
+  auto made_taker = Server::Create(&taker_registry, config);
+  auto made_keeper = Server::Create(&keeper_registry, config);
+  ASSERT_TRUE(made_taker.ok() && made_keeper.ok());
+  std::unique_ptr<Server> taker = std::move(made_taker).value();
+  std::unique_ptr<Server> keeper = std::move(made_keeper).value();
+  const Sequential narrow = MakeNet(31);
+  Sequential wide = MakeMlp(16, {24}, 7);
+  Rng init(32);
+  wide.Init(&init);
+  for (Server* s : {taker.get(), keeper.get()}) {
+    ASSERT_TRUE(s->Publish("m", narrow, {16}).ok());
+  }
+
+  std::vector<Server::Completion> taken;  // the taker's hand-back vector
+  std::vector<Server::Completion> all;    // copies of every record taken
+  auto take = [&] {
+    taker->TakeCompletions(&taken);
+    EXPECT_TRUE(taker->completions().empty());
+    all.insert(all.end(), taken.begin(), taken.end());
+  };
+  Rng rng(33);
+  double t = 0.0;
+  constexpr int kRequests = 400;
+  for (int i = 0; i < kRequests; ++i) {
+    if (i == kRequests / 2) {
+      for (Server* s : {taker.get(), keeper.get()}) {
+        ASSERT_TRUE(s->Publish("m", wide, {16}).ok());
+      }
+    }
+    Tensor x({16});
+    x.FillGaussian(&rng, 1.0f);
+    t += 0.4;
+    const std::string tenant = i % 3 == 0 ? "hot" : "cold";
+    const Server::SubmitResult a = taker->Submit("m", x, t, 0.0, tenant);
+    const Server::SubmitResult b = keeper->Submit("m", x, t, 0.0, tenant);
+    ASSERT_EQ(a.outcome, b.outcome) << i;
+    ASSERT_EQ(a.id, b.id) << i;
+    // completions() holds exactly the records not yet taken: the
+    // keeper's tail past everything the taker took, in dispatch order.
+    const std::vector<Server::Completion>& untaken = taker->completions();
+    const std::vector<Server::Completion>& kept = keeper->completions();
+    ASSERT_EQ(all.size() + untaken.size(), kept.size()) << i;
+    for (size_t k = 0; k < untaken.size(); ++k) {
+      EXPECT_EQ(untaken[k].id, kept[all.size() + k].id) << i;
+    }
+    if (i % 5 == 4) take();
+  }
+  taker->Drain();
+  keeper->Drain();
+  take();
+  // A take with nothing new returns nothing.
+  taker->TakeCompletions(&taken);
+  EXPECT_TRUE(taken.empty());
+
+  // Ids continue across takes, and every record and output written into
+  // a recycled tensor is bit-equal to the keeper's; outputs of the wider
+  // version never land in a tensor of the narrow one's shape.
+  const std::vector<Server::Completion>& kept = keeper->completions();
+  ASSERT_EQ(all.size(), kept.size());
+  ASSERT_GT(kept.size(), static_cast<size_t>(kRequests / 2));
+  int64_t wide_outputs = 0;
+  for (size_t k = 0; k < kept.size(); ++k) {
+    ExpectSameRecord(all[k], kept[k]);
+    const int64_t width = kept[k].version == 1 ? 4 : 7;
+    wide_outputs += kept[k].version == 2;
+    ASSERT_EQ(all[k].output.shape(), Shape({width})) << "record " << k;
+    ASSERT_EQ(kept[k].output.shape(), Shape({width})) << "record " << k;
+    EXPECT_EQ(std::memcmp(all[k].output.data(), kept[k].output.data(),
+                          static_cast<size_t>(width) * sizeof(float)),
+              0)
+        << "record " << k;
+  }
+  EXPECT_GT(wide_outputs, 0);
+}
+
 TEST(ServerTest, ConcurrentPublishDuringServingKeepsVersionsBitwise) {
   // The end-to-end TSan scenario: the serving loop runs on this thread
   // while another thread hot-swaps between two networks. Which version a
