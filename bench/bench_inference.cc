@@ -1,8 +1,9 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
 // latency of the arena-planned engine vs the training forward, the int8
-// engine's q8-block GEMM vs fp32 dense GEMM at equal shapes, and the
-// micro-batching throughput/p99 frontier. Results land in
-// BENCH_inference.json.
+// engine's q8-block GEMM vs fp32 dense GEMM at equal shapes, and the graph
+// pass pipeline (E36). Results land in BENCH_inference.json. The batching
+// throughput/latency frontier is measured on the serving path (E32,
+// bench_serving).
 //
 // Standalone binary (not google-benchmark): it installs a global
 // operator new hook to count heap allocations, which must not race with a
@@ -22,8 +23,6 @@
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
-#include "src/infer/batcher.h"
-#include "src/obs/counters.h"
 #include "src/infer/engine.h"
 #include "src/nn/layers.h"
 #include "src/nn/train.h"
@@ -213,80 +212,7 @@ GemmRow BenchInt8Gemm() {
   return row;
 }
 
-// ------------------------------------------------- 3. micro-batch frontier
-
-struct FrontierRow {
-  int64_t max_batch = 0;
-  double throughput_rps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double mean_batch = 0.0;
-};
-
-FrontierRow BenchFrontierPoint(InferenceEngine* engine, int64_t max_batch) {
-  Rng rng(54);
-  const int64_t in_elems = engine->input_elems_per_example();
-  const int64_t requests = g_smoke ? 64 : 2048;
-  const double interarrival_ms = 0.01;  // offered load ~100k req/s
-
-  MicroBatcherConfig config;
-  config.max_batch = max_batch;
-  config.max_delay_ms = 0.5;
-  MicroBatcher batcher(engine, config);
-
-  // The batcher records each request's queueing + service delay into the
-  // registry histogram; the bench reads quantiles back from there instead
-  // of keeping a local LatencyHistogram. Reset scopes the read to this
-  // frontier point. (A -DDLSYS_OBS=0 build compiles the recording sites
-  // out, so latency quantiles read as zero there.)
-  obs::SharedHistogram* latency =
-      obs::CounterRegistry::Global().histogram("infer.microbatch_latency_ms");
-  latency->Reset();
-
-  Tensor example({in_elems});
-  for (int64_t r = 0; r < requests; ++r) {
-    example.FillGaussian(&rng, 1.0f);
-    batcher.Submit(example, static_cast<double>(r) * interarrival_ms);
-  }
-  batcher.Flush();
-
-  // Throughput is engine-side: examples per second of measured service
-  // time (each batch's service appears once per member, so divide by the
-  // member count).
-  double service_sum_ms = 0.0;
-  for (const MicroBatcher::Completion& done : batcher.completions()) {
-    service_sum_ms += (done.finish_ms - done.start_ms) /
-                      static_cast<double>(done.batch_size);
-  }
-
-  FrontierRow row;
-  row.max_batch = max_batch;
-  row.throughput_rps =
-      static_cast<double>(requests) / (service_sum_ms / 1000.0);
-  row.p50_ms = latency->Quantile(0.5);
-  row.p99_ms = latency->Quantile(0.99);
-  row.mean_batch = static_cast<double>(requests) /
-                   static_cast<double>(batcher.batches_run());
-  return row;
-}
-
-std::vector<FrontierRow> BenchFrontier() {
-  Rng rng(55);
-  Sequential net =
-      MakeMlp(64, {g_smoke ? 64 : 256, g_smoke ? 32 : 256}, 10);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {64}, EngineConfig{64});
-  DLSYS_CHECK(compiled.ok(), "frontier compile failed");
-  InferenceEngine engine = std::move(compiled).value();
-
-  std::vector<FrontierRow> rows;
-  for (int64_t b : {1, 4, 16, 64}) {
-    rows.push_back(BenchFrontierPoint(&engine, b));
-  }
-  return rows;
-}
-
-// ------------------------------------------------ 4. pass pipeline (E36)
+// ------------------------------------------------ 3. pass pipeline (E36)
 
 struct PassPipelineRows {
   double dense_relu_unfused_ms = 0.0;  ///< fp32 dense+relu, DLSYS_PASSES=none
@@ -536,15 +462,6 @@ int main(int argc, char** argv) {
       static_cast<double>(passes.funnel_unpacked_bytes) /
           static_cast<double>(passes.funnel_packed_bytes));
 
-  const std::vector<FrontierRow> frontier = BenchFrontier();
-  for (const FrontierRow& row : frontier) {
-    std::printf(
-        "microbatch b=%-3lld  %10.0f req/s | p50 %.4f ms | p99 %.4f ms | "
-        "mean batch %.1f\n",
-        static_cast<long long>(row.max_batch), row.throughput_rps, row.p50_ms,
-        row.p99_ms, row.mean_batch);
-  }
-
   FILE* out = std::fopen("BENCH_inference.json", "w");
   if (out == nullptr) {
     std::printf("cannot open BENCH_inference.json\n");
@@ -572,8 +489,8 @@ int main(int argc, char** argv) {
                "\"funnel_nodes_fused\": %lld,\n"
                "                    \"funnel_unpacked_bytes\": %lld, "
                "\"funnel_packed_bytes\": %lld, "
-               "\"fp32_bitwise_equal\": %s},\n"
-               "  \"microbatch\": [\n",
+               "\"fp32_bitwise_equal\": %s}\n"
+               "}\n",
                g_smoke ? "true" : "false",
                static_cast<long long>(steady.engine_allocs_per_call),
                static_cast<long long>(steady.forward_allocs_per_call),
@@ -591,17 +508,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(passes.funnel_unpacked_bytes),
                static_cast<long long>(passes.funnel_packed_bytes),
                passes.fp32_bitwise_equal ? "true" : "false");
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const FrontierRow& row = frontier[i];
-    std::fprintf(out,
-                 "    {\"max_batch\": %lld, \"throughput_rps\": %.0f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_batch\": "
-                 "%.2f}%s\n",
-                 static_cast<long long>(row.max_batch), row.throughput_rps,
-                 row.p50_ms, row.p99_ms, row.mean_batch,
-                 i + 1 < frontier.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_inference.json\n");
   return 0;

@@ -24,6 +24,8 @@
 // a framework's own repetition scheduling. Pass --smoke (or set
 // DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at small shapes.
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -369,6 +371,26 @@ std::vector<LookupRow> RunLookups() {
   return rows;
 }
 
+/// Pins the calling thread to the highest-numbered CPU it may run on, so
+/// every sample of every cell runs on one core (unpinned, a cell's
+/// fastest sample moved by up to about 15% between runs; E34). Returns
+/// that CPU, or -1 when the affinity calls fail and the run stays
+/// unpinned.
+int PinToOneCpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return -1;
+  int cpu = -1;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpu = c;
+  }
+  if (cpu < 0) return -1;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return sched_setaffinity(0, sizeof(one), &one) == 0 ? cpu : -1;
+}
+
 }  // namespace
 }  // namespace dlsys
 
@@ -383,6 +405,7 @@ int main(int argc, char** argv) {
   }
   // Single-threaded so the sweep compares kernel codegen, not scheduling.
   RuntimeConfig::SetThreads(1);
+  const int cpu = PinToOneCpu();
 
   std::vector<GemmShape> shapes;
   if (g_smoke) {
@@ -413,6 +436,11 @@ int main(int argc, char** argv) {
 
   int parity_failures = 0;
   const std::vector<SweepCell> cells = RunSweep(shapes, &parity_failures);
+  if (cpu >= 0) {
+    std::printf("pinned to cpu %d\n", cpu);
+  } else {
+    std::printf("unpinned: sched_setaffinity failed\n");
+  }
   std::printf("%-16s %-20s %-8s %10s %10s %10s %9s\n", "shape", "kernel",
               "isa", "p50_ms", "p99_ms", "min_ms", "vs_scalar");
   double best_e31_speedup = 0.0;

@@ -1,7 +1,9 @@
 // Serving-layer bench (E32): the batching throughput/p99 frontier across
 // worker counts, the shed-rate curve of deadline-aware admission under
 // rising offered load, and tail latency across an atomic hot swap under
-// sustained load. Results land in BENCH_serving.json.
+// sustained load. Results land in BENCH_serving.json. The bench exits 1
+// unless, at every worker count, a higher batch ceiling raises simulated
+// throughput and does not lower simulated p50.
 //
 // All scheduling runs on the simulated clock from the declared service
 // cost model, so every number except wall_seconds / real_rps replays
@@ -59,16 +61,6 @@ ServerUnderTest MakeServer(const ServerConfig& config) {
   return sut;
 }
 
-/// The server records every completion's simulated latency into the
-/// registry histogram "serve.latency_ms"; benches read their p50/p99
-/// from there instead of keeping local LatencyHistogram copies. Reset
-/// before a run scopes the registry's view to that run. (A -DDLSYS_OBS=0
-/// build compiles the server's recording sites out, so the quantiles
-/// read as zero there.)
-obs::SharedHistogram* ServeLatency() {
-  return obs::CounterRegistry::Global().histogram("serve.latency_ms");
-}
-
 /// Offered rate that saturates the declared cost model at full batches.
 double CapacityRps(const ServerConfig& config) {
   return static_cast<double>(config.workers) *
@@ -110,7 +102,6 @@ std::vector<FrontierRow> BenchFrontier() {
       load.requests = g_smoke ? 200 : 4000;
       load.rate_rps = 0.8 * CapacityRps(config);  // feasible but busy
       load.model = "m";
-      ServeLatency()->Reset();
       const LoadReport report = RunOpenLoop(sut.server.get(), load);
       DLSYS_CHECK(report.completed == report.admitted, "lost requests");
 
@@ -120,8 +111,8 @@ std::vector<FrontierRow> BenchFrontier() {
       row.offered_rps = load.rate_rps;
       row.sim_rps = report.sim_throughput_rps;
       row.real_rps = report.real_throughput_rps;
-      row.p50_ms = ServeLatency()->Quantile(0.5);
-      row.p99_ms = ServeLatency()->Quantile(0.99);
+      row.p50_ms = report.latency.Quantile(0.5);
+      row.p99_ms = report.latency.Quantile(0.99);
       const MetricsReport m = sut.server->metrics();
       row.mean_batch = m.Get("serve.batches") > 0
                            ? m.Get("serve.admitted") / m.Get("serve.batches")
@@ -130,6 +121,23 @@ std::vector<FrontierRow> BenchFrontier() {
     }
   }
   return rows;
+}
+
+/// The batch-size claim E32 checks: at every worker count, a higher batch
+/// ceiling buys simulated throughput (r/s rises) and costs median latency
+/// (p50 does not fall). Returns the first row that breaks it against the
+/// row before, or null. Rows come grouped by worker count, with
+/// max_batch ascending.
+const FrontierRow* BreaksBatchTrade(const std::vector<FrontierRow>& rows) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    const FrontierRow& prev = rows[i - 1];
+    const FrontierRow& row = rows[i];
+    if (row.workers != prev.workers) continue;
+    if (!(row.sim_rps > prev.sim_rps) || row.p50_ms < prev.p50_ms) {
+      return &row;
+    }
+  }
+  return nullptr;
 }
 
 // ------------------------------------------------- 2. shed-rate curve
@@ -161,7 +169,6 @@ std::vector<ShedRow> BenchShedCurve() {
     load.requests = g_smoke ? 300 : 4000;
     load.rate_rps = mult * CapacityRps(config);
     load.model = "m";
-    ServeLatency()->Reset();
     const LoadReport report = RunOpenLoop(sut.server.get(), load);
 
     ShedRow row;
@@ -173,7 +180,7 @@ std::vector<ShedRow> BenchShedCurve() {
         report.completed > 0 ? static_cast<double>(report.deadline_missed) /
                                    static_cast<double>(report.completed)
                              : 0.0;
-    row.p99_ms = ServeLatency()->Quantile(0.99);
+    row.p99_ms = report.latency.Quantile(0.99);
     row.goodput_rps =
         report.duration_ms > 0.0
             ? static_cast<double>(report.completed - report.deadline_missed) /
@@ -369,6 +376,12 @@ int main(int argc, char** argv) {
         "| real %8.0f r/s | p50 %6.3f ms | p99 %6.3f ms | batch %.1f\n",
         row.workers, static_cast<long long>(row.max_batch), row.offered_rps,
         row.sim_rps, row.real_rps, row.p50_ms, row.p99_ms, row.mean_batch);
+  }
+  if (const FrontierRow* bad = BreaksBatchTrade(frontier)) {
+    std::printf("FAIL: frontier w=%d b=%lld: sim r/s must rise and p50 must "
+                "not fall as max_batch rises\n",
+                bad->workers, static_cast<long long>(bad->max_batch));
+    return 1;
   }
 
   const std::vector<ShedRow> shed = BenchShedCurve();

@@ -74,8 +74,8 @@ struct EngineConfig {
 /// \brief A compiled, arena-backed forward pipeline for one model.
 ///
 /// Thread-compatible: one engine serves one request at a time (the
-/// workspace is shared across calls); wrap with MicroBatcher or external
-/// queuing for concurrent producers. Holds its own copies of all
+/// workspace is shared across calls); concurrent producers go through the
+/// Server (src/serve) or their own queue. Holds its own copies of all
 /// parameters — the source network may be freed or mutated afterwards.
 class InferenceEngine {
  public:

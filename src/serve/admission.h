@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/core/status.h"
-#include "src/infer/batcher.h"
 
 /// \file admission.h
 /// \brief Server configuration, validation, and the admission policy.
@@ -90,12 +89,16 @@ struct ServerConfig {
   /// when it is reached. Must be >= batch.max_batch so one full batch can
   /// form.
   int64_t queue_capacity = 64;
-  /// Batch policy. The server reads only max_batch: the slot lanes per
-  /// worker, so the largest step a worker runs. A step departs as soon
-  /// as its worker is idle (continuous batching never waits to coalesce),
-  /// so max_delay_ms is not consulted; ValidateServerConfig still checks
-  /// it, and the MicroBatcher front door, which shares the type, uses it.
-  MicroBatcherConfig batch;
+  /// Batch policy.
+  struct Batch {
+    /// Slot lanes per worker, so the largest step a worker runs.
+    int64_t max_batch = 16;
+    /// Not consulted: a step departs as soon as its worker is idle
+    /// (continuous batching never waits to coalesce).
+    /// ValidateServerConfig still checks it.
+    double max_delay_ms = 1.0;
+  };
+  Batch batch;
   /// Deadline budget applied when Submit passes no explicit deadline.
   double default_deadline_ms = 50.0;
   /// The declared service-time model used for admission and scheduling.

@@ -50,8 +50,8 @@ Result<int64_t> Server::Publish(const std::string& model,
                                 const Shape& example_shape,
                                 const EngineConfig& engine_config) {
   EngineConfig ec = engine_config;
-  // A step batches every loaded lane, so staging must fit a full lane
-  // complement.
+  // A step never exceeds its snapshot's ceiling, so raise it to the lane
+  // count: every snapshot compiled here fills every lane.
   if (ec.max_batch < config_.batch.max_batch) {
     ec.max_batch = config_.batch.max_batch;
   }
@@ -98,8 +98,6 @@ Server::SubmitResult Server::Submit(const std::string& model,
     result.outcome = Outcome::kNoSuchModel;
     return result;
   }
-  DLSYS_CHECK(snap->engine_config.max_batch >= config_.batch.max_batch,
-              "snapshot engine batch ceiling below the slot lane count");
   if (example.size() != snap->in_elems) {
     // A malformed request is the client's error, not the server's: turn
     // it away without touching the queue.
@@ -236,9 +234,9 @@ double Server::NextEventMs(double cursor_ms) const {
   // A quota refill strictly in the future can unblock a queued request.
   // Anything eligible *now* is already seated (RunUntil leaves the pool
   // saturated), so a refill at or before the cursor is not an event; and
-  // if free lanes exist only behind a worker's snapshot pin, that worker
-  // is necessarily executing, so a completion event already covers
-  // progress.
+  // if free lanes exist only behind a worker's snapshot pin or its batch
+  // ceiling, that worker is necessarily executing, so a completion event
+  // already covers progress.
   if (scheduler_.depth() > 0 && any_free_lane) {
     const double q = scheduler_.NextEligibleMs(cursor_ms);
     if (q > cursor_ms) next = std::min(next, q);
@@ -296,10 +294,16 @@ void Server::RefillAndStart(double now_ms) {
       std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(w)];
       while (slots_.FreeLanes(w) > 0) {
         // A worker's loaded lanes stay version-homogeneous: once a lane is
-        // loaded, further loads are pinned to its snapshot. An empty
-        // worker accepts anything.
+        // loaded, further loads are pinned to its snapshot, up to that
+        // snapshot's engine batch ceiling. An empty worker accepts
+        // anything.
         const ModelSnapshot* pin =
             lanes.empty() ? nullptr : lanes.front().snap.get();
+        if (pin != nullptr &&
+            static_cast<int64_t>(lanes.size()) >=
+                pin->engine_config.max_batch) {
+          break;
+        }
         std::optional<SlotRequest> pick = scheduler_.PickNext(now_ms, pin);
         if (!pick.has_value()) break;
         pick->slot = slots_.Load(w, now_ms);

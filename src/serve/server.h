@@ -43,6 +43,10 @@
 /// engine batch (a step), and a lane freed by a finished step refills the
 /// same instant — no waiting for a batch to fill, no drain barrier
 /// between batches. batch.max_delay_ms is therefore never consulted.
+/// A step never exceeds its snapshot's engine batch ceiling: Publish
+/// raises the ceiling to batch.max_batch, and a snapshot published
+/// straight into the registry with a lower one fills only that many of
+/// a worker's lanes.
 /// Every request carries a tenant id ("default" when none is given),
 /// which Submit interns once into the scheduler's Tenant record; names
 /// are looked up again only by metrics(), tenant_stats() and

@@ -1,8 +1,8 @@
 // Tests for the batched inference engine (src/infer): fp32 bitwise parity
 // with the training forward across thread counts, ISAs and conv shapes, the
 // arena's plan-once discipline, zero steady-state tensor allocations, the
-// int8 path's exactness and accuracy envelope, and the micro-batching
-// front door.
+// int8 path's exactness and accuracy envelope, and the graph pass
+// pipeline.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/infer/arena.h"
-#include "src/infer/batcher.h"
 #include "src/infer/engine.h"
 #include "src/infer/passes.h"
 #include "src/obs/counters.h"
@@ -769,169 +768,6 @@ TEST(InferenceEngineTest, PredictErrors) {
 
   Tensor ok_in({2, 16});
   EXPECT_TRUE(engine.Predict(ok_in).ok());
-}
-
-// ------------------------------------------------------------ MicroBatcher
-
-TEST(MicroBatcherTest, DispatchesOnMaxBatchAndMaxDelay) {
-  Rng rng(41);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  MicroBatcherConfig config;
-  config.max_batch = 4;
-  config.max_delay_ms = 1.0;
-  MicroBatcher batcher(&engine, config);
-
-  std::vector<Tensor> examples;
-  for (int i = 0; i < 9; ++i) {
-    Tensor e({16});
-    e.FillGaussian(&rng, 1.0f);
-    examples.push_back(std::move(e));
-  }
-
-  // Three arrivals, then the delay budget expires: one batch of 3 at the
-  // oldest arrival + max_delay.
-  batcher.Submit(examples[0], 0.0);
-  batcher.Submit(examples[1], 0.1);
-  batcher.Submit(examples[2], 0.2);
-  EXPECT_EQ(batcher.pending(), 3);
-  batcher.AdvanceTo(0.5);
-  EXPECT_EQ(batcher.pending(), 3);  // 0.0 + 1.0 not yet reached
-  batcher.AdvanceTo(2.0);
-  EXPECT_EQ(batcher.pending(), 0);
-  ASSERT_EQ(batcher.batches_run(), 1);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  EXPECT_DOUBLE_EQ(batcher.completions()[0].start_ms, 1.0);
-  EXPECT_EQ(batcher.completions()[0].batch_size, 3);
-
-  // Four rapid arrivals: dispatch on the example that fills the batch.
-  for (int i = 3; i < 7; ++i) batcher.Submit(examples[i], 3.0);
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 2);
-  EXPECT_DOUBLE_EQ(batcher.completions()[3].start_ms, 3.0);
-  EXPECT_EQ(batcher.completions()[3].batch_size, 4);
-
-  // Flush drains the remainder immediately.
-  batcher.Submit(examples[7], 4.0);
-  batcher.Submit(examples[8], 4.1);
-  batcher.Flush();
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 3);
-  ASSERT_EQ(batcher.completions().size(), 9u);
-
-  // Batched outputs equal individual predictions, bitwise.
-  for (size_t i = 0; i < 9; ++i) {
-    const MicroBatcher::Completion& done = batcher.completions()[i];
-    Tensor one({1, 16});
-    const Tensor& src = examples[static_cast<size_t>(done.id)];
-    std::copy(src.data(), src.data() + 16, one.data());
-    const Tensor want = std::move(engine.Predict(one)).value();
-    EXPECT_TRUE(BitwiseEqual(done.output.Reshaped({1, 4}), want))
-        << "completion " << i;
-    EXPECT_GE(done.finish_ms, done.start_ms);
-    EXPECT_GE(done.start_ms, done.arrival_ms);
-  }
-}
-
-TEST(MicroBatcherTest, MaxBatchOnePassesEverySubmitThrough) {
-  Rng rng(42);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  MicroBatcherConfig config;
-  config.max_batch = 1;
-  config.max_delay_ms = 5.0;  // irrelevant: every batch fills instantly
-  MicroBatcher batcher(&engine, config);
-
-  Tensor e({16});
-  for (int i = 0; i < 3; ++i) {
-    e.FillGaussian(&rng, 1.0f);
-    batcher.Submit(e, static_cast<double>(i));
-    EXPECT_EQ(batcher.pending(), 0) << "submit " << i;
-  }
-  EXPECT_EQ(batcher.batches_run(), 3);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    const MicroBatcher::Completion& done = batcher.completions()[i];
-    EXPECT_EQ(done.batch_size, 1);
-    // Pass-through dispatches at the arrival itself, never the delay.
-    EXPECT_DOUBLE_EQ(done.start_ms, done.arrival_ms);
-  }
-}
-
-TEST(MicroBatcherTest, SameTickArrivalsCoalesceDeterministically) {
-  Rng rng(43);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  // The hostile setting: zero delay budget, where a naive "dispatch when
-  // expired at arrival" rule would split simultaneous arrivals into
-  // single-example batches.
-  MicroBatcherConfig config;
-  config.max_batch = 4;
-  config.max_delay_ms = 0.0;
-  MicroBatcher batcher(&engine, config);
-
-  Tensor e({16});
-  for (int i = 0; i < 3; ++i) {
-    e.FillGaussian(&rng, 1.0f);
-    batcher.Submit(e, 1.0);  // one tick, three arrivals
-  }
-  EXPECT_EQ(batcher.pending(), 3);  // budget expires *at* 1.0, not before
-  batcher.AdvanceTo(1.0);           // inclusive: fires the expired batch
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 1);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  EXPECT_EQ(batcher.completions()[0].batch_size, 3);
-  EXPECT_DOUBLE_EQ(batcher.completions()[0].start_ms, 1.0);
-
-  // A later arrival first flushes the now strictly-expired queue, at the
-  // expiry time rather than the new arrival's.
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 2.0);
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 2.5);
-  EXPECT_EQ(batcher.batches_run(), 2);
-  EXPECT_EQ(batcher.pending(), 1);
-  ASSERT_EQ(batcher.completions().size(), 4u);
-  EXPECT_EQ(batcher.completions()[3].batch_size, 1);
-  EXPECT_DOUBLE_EQ(batcher.completions()[3].start_ms, 2.0);
-  batcher.Flush();
-  EXPECT_EQ(batcher.pending(), 0);
-}
-
-TEST(MicroBatcherTest, FlushOnEmptyQueueIsNoOp) {
-  Rng rng(44);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-  MicroBatcherConfig config;
-  config.max_batch = 8;
-  MicroBatcher batcher(&engine, config);
-
-  batcher.Flush();  // nothing pending: must not run an empty batch
-  EXPECT_EQ(batcher.batches_run(), 0);
-  EXPECT_TRUE(batcher.completions().empty());
-
-  Tensor e({16});
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 1.0);
-  batcher.Flush();
-  batcher.Flush();  // idempotent after a real flush too
-  EXPECT_EQ(batcher.batches_run(), 1);
-  EXPECT_EQ(batcher.completions().size(), 1u);
 }
 
 // ------------------------------------------------- graph pass pipeline

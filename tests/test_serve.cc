@@ -1434,6 +1434,55 @@ TEST(ServerTest, WrongSizedExampleIsRejectedNotFatal) {
   EXPECT_EQ(m.Get("serve.rejected.bad_shape"), 1.0);
 }
 
+TEST(ServerTest, RegistryPublishedSnapshotCapsStepsAtItsCeiling) {
+  // A snapshot published straight into the registry keeps its own engine
+  // batch ceiling (Server::Publish would raise it to the lane count), so
+  // a worker fills only that many of its eight lanes per step.
+  RuntimeConfig::SetThreads(1);
+  ModelRegistry registry;
+  ServerConfig config;
+  config.workers = 1;
+  config.batch.max_batch = 8;
+  auto created = Server::Create(&registry, config);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Server> server = std::move(created).value();
+  const Sequential net = MakeNet(108);
+  auto snap = CompileSnapshot(net, {16}, EngineConfig(2));
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(server->registry()->Publish("m", std::move(snap).value()).ok());
+  auto ref = InferenceEngine::Compile(net, {16}, EngineConfig(2));
+  ASSERT_TRUE(ref.ok());
+  InferenceEngine engine = std::move(ref).value();
+
+  Rng rng(109);
+  std::vector<Tensor> inputs;
+  constexpr int kRequests = 24;
+  for (int i = 0; i < kRequests; ++i) {
+    Tensor x({16});
+    x.FillGaussian(&rng, 1.0f);
+    // Arrivals faster than a step, so lanes back up behind the ceiling.
+    ASSERT_EQ(server->Submit("m", x, static_cast<double>(i) * 0.005).outcome,
+              Server::Outcome::kAdmitted);
+    inputs.push_back(std::move(x));
+  }
+  server->Drain();
+
+  ASSERT_EQ(server->completions().size(), static_cast<size_t>(kRequests));
+  int64_t largest = 0;
+  for (const Server::Completion& c : server->completions()) {
+    EXPECT_LE(c.batch_size, 2) << "id=" << c.id;
+    largest = std::max(largest, c.batch_size);
+    Tensor one({1, 16});
+    const Tensor& src = inputs[static_cast<size_t>(c.id)];
+    std::copy(src.data(), src.data() + 16, one.data());
+    const Tensor want = std::move(engine.Predict(one)).value();
+    EXPECT_EQ(std::memcmp(c.output.data(), want.data(), 4 * sizeof(float)),
+              0)
+        << "id=" << c.id;
+  }
+  EXPECT_EQ(largest, 2);
+}
+
 TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
   const std::vector<TenantShare> mix = HotTenantMix(3, 4.0);
   const std::vector<std::string> a = AssignTenants(mix, 17, 3000);
