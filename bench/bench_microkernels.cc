@@ -9,8 +9,9 @@
 // geometries and at one whose 64-wide output rows fill whole vector
 // tiles, and the max pool at LeNet's two 2x2 pool shapes (a batch of 16
 // images, as perfbench's offline_batch runs them) and one 3x3 pool, so
-// both of the AVX-512 pool's bodies run — plus the lookup primitives
-// (B+-tree, RMI, bloom) behind the learned-index experiments. Per-cell
+// both of the AVX-512 pool's bodies run, and the CRC-32 at the three
+// workloads' parameter payloads — plus the lookup primitives (B+-tree,
+// RMI, bloom) behind the learned-index experiments. Per-cell
 // latency quantiles are exact quantiles of the timed samples, reported
 // beside the fastest sample; results land in BENCH_microkernels.json
 // with speedup vs the scalar table per cell.
@@ -53,6 +54,9 @@ namespace {
 
 volatile float g_sink = 0.0f;  // defeats dead-code elimination
 bool g_smoke = false;
+
+/// offline_batch's LeNet parameter payload, the CRC cell E34 reads GB/s at.
+constexpr int64_t kCrcLeNetBytes = 1074280;
 
 struct Quantiles {
   double p50_ms = 0.0;
@@ -308,6 +312,34 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
                  [&] { return Bytes(y.data(), y.size()); }},
                 &cells, parity_failures);
   }
+  // The CRC-32 that checks and stamps parameter files, at the three
+  // workloads' payloads: fleet_chaos's 32->64->10 MLP, online_serve's
+  // 32->128->10 MLP and offline_batch's LeNet. --smoke adds the scalar
+  // body alone (1, 15, 63), the fold's first step and tails (64, 65,
+  // 1023) and an unaligned start. The value joins the parity gate.
+  std::vector<std::pair<int64_t, int64_t>> crc_cells = {
+      {11048, 0}, {22056, 0}, {kCrcLeNetBytes, 0}};
+  if (g_smoke) {
+    for (int64_t n : {1, 15, 63, 64, 65, 1023}) crc_cells.push_back({n, 0});
+    crc_cells.push_back({22056, 3});
+  }
+  std::vector<uint8_t> crc_buf(static_cast<size_t>(kCrcLeNetBytes + 3));
+  for (uint8_t& byte : crc_buf) byte = static_cast<uint8_t>(rng.Next());
+  for (const auto& [n, offset] : crc_cells) {
+    const uint8_t* p = crc_buf.data() + offset;
+    uint32_t crc = 0;
+    SweepKernel(std::to_string(n) + "B" +
+                    (offset != 0 ? "@" + std::to_string(offset) : ""),
+                {"crc32",
+                 [&crc, p, n = n] {
+                   crc = simd::ActiveKernels().crc32_update(0xFFFFFFFFu, p,
+                                                            n) ^
+                         0xFFFFFFFFu;
+                   g_sink = static_cast<float>(crc & 1u);
+                 },
+                 [&crc] { return Bytes(&crc, 1); }},
+                &cells, parity_failures);
+  }
   simd::SetIsa(simd::BestSupportedIsa());
   return cells;
 }
@@ -459,6 +491,18 @@ int main(int argc, char** argv) {
   std::printf("best %s speedup vs scalar: %.2fx (%s)\n",
               shapes[0].Name().c_str(), best_e31_speedup,
               best_e31_cell.c_str());
+  // E34's CRC row: the LeNet payload over each table's fastest sample.
+  const std::string crc_shape = std::to_string(kCrcLeNetBytes) + "B";
+  std::vector<std::pair<std::string, double>> crc_gbps;
+  for (const SweepCell& cell : cells) {
+    if (cell.kernel == "crc32" && cell.shape == crc_shape &&
+        cell.q.min_ms > 0.0) {
+      crc_gbps.push_back(
+          {cell.isa, static_cast<double>(kCrcLeNetBytes) / cell.q.min_ms / 1e6});
+      std::printf("crc32 %s GB/s (%s): %.2f\n", crc_shape.c_str(),
+                  cell.isa.c_str(), crc_gbps.back().second);
+    }
+  }
 
   const std::vector<LookupRow> lookups = RunLookups();
   for (const LookupRow& row : lookups) {
@@ -491,7 +535,12 @@ int main(int argc, char** argv) {
                  cell.speedup_vs_scalar,
                  i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"lookup_us_per_probe\": {\n");
+  std::fprintf(out, "  ],\n  \"crc32_gb_per_s\": {");
+  for (size_t i = 0; i < crc_gbps.size(); ++i) {
+    std::fprintf(out, "%s\"%s\": %.3f", i > 0 ? ", " : "",
+                 crc_gbps[i].first.c_str(), crc_gbps[i].second);
+  }
+  std::fprintf(out, "},\n  \"lookup_us_per_probe\": {\n");
   for (size_t i = 0; i < lookups.size(); ++i) {
     std::fprintf(out, "    \"%s\": {\"p50\": %.4f, \"p99\": %.4f}%s\n",
                  lookups[i].name.c_str(), lookups[i].per_probe_us.p50_ms,

@@ -74,6 +74,7 @@ void Sequential::DropCaches() {
 
 std::vector<float> Sequential::GetParameterVector() const {
   std::vector<float> flat;
+  flat.reserve(static_cast<size_t>(NumParams()));
   for (const auto& l : layers_) {
     for (Tensor* p : const_cast<Layer*>(l.get())->Params()) {
       flat.insert(flat.end(), p->data(), p->data() + p->size());

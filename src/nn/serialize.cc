@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/simd/dispatch.h"
+
 namespace dlsys {
 
 namespace {
@@ -21,25 +23,15 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of \p len bytes at \p data.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of \p len bytes at \p data:
+/// the active kernel table's raw update, started at ~0 and inverted at
+/// the end. Every table returns the same value (src/simd/dispatch.h), so
+/// the bytes on disk do not depend on DLSYS_ISA.
 uint32_t Crc32(const void* data, size_t len) {
-  static const auto table = [] {
-    std::vector<uint32_t> t(256);
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return simd::ActiveKernels().crc32_update(
+             0xFFFFFFFFu, static_cast<const uint8_t*>(data),
+             static_cast<int64_t>(len)) ^
+         0xFFFFFFFFu;
 }
 
 }  // namespace

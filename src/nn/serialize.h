@@ -17,6 +17,13 @@
 /// parameter count against the provided architecture and fails loudly on
 /// mismatch. Writes go to a temp file renamed into place, so a crash
 /// mid-write never leaves a torn checkpoint behind.
+///
+/// The CRC is the standard CRC-32 (IEEE 802.3), computed through the
+/// active kernel table's crc32_update (src/simd/dispatch.h): slicing-by-8
+/// on the scalar table, a PCLMULQDQ fold on AVX2 and AVX-512. Every table
+/// returns the same value, so the format and every byte on disk are the
+/// same under any DLSYS_ISA and in a -DDLSYS_SIMD=OFF build, and a file
+/// saved under one table loads under every other.
 
 namespace dlsys {
 

@@ -116,9 +116,12 @@ Server::SubmitResult Server::Submit(const std::string& model,
   // The backlog is everything queued or loaded. The request can start no
   // earlier than its tenant's quota opens, and no earlier than the
   // backlog clears at the pool's steady drain rate (workers * lanes
-  // requests per full step). The prediction is biased optimistic, so
-  // sheds under-trigger rather than over-trigger.
-  const int64_t lanes = config_.batch.max_batch;
+  // requests per full step). A step carries at most the live snapshot's
+  // engine batch ceiling (RefillAndStart stops loading there), so the
+  // lanes a step fills are the smaller of the two. The prediction is
+  // biased optimistic, so sheds under-trigger rather than over-trigger.
+  const int64_t lanes =
+      std::min(config_.batch.max_batch, snap->engine_config.max_batch);
   const int64_t backlog = queue_depth();
   AdmissionInputs in;
   in.queue_capacity = config_.queue_capacity;

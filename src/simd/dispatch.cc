@@ -15,14 +15,16 @@ namespace {
 
 /// True when the running CPU can execute the given table's code. The
 /// compiled-in check already happened (a missing TU returns nullptr), so
-/// this is purely the runtime probe.
+/// this is purely the runtime probe. Both vector tables enter the
+/// PCLMULQDQ CRC-32 fold, so both probes ask for pclmul too.
 bool CpuCanRun(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
     case Isa::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
 #else
       return false;
 #endif
@@ -31,7 +33,8 @@ bool CpuCanRun(Isa isa) {
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0;
+             __builtin_cpu_supports("avx512dq") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
 #else
       return false;
 #endif

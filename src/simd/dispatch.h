@@ -6,7 +6,9 @@
 #include "src/core/status.h"
 
 /// \file dispatch.h
-/// \brief Runtime CPU-feature dispatch for the hot GEMM microkernels.
+/// \brief Runtime CPU-feature dispatch for the microkernels: the fp32 and
+/// block-quantized GEMMs, the implicit conv GEMM, max pooling, the q8 row
+/// quantizer and the CRC-32 that checks parameter files.
 ///
 /// The binary carries one kernel table per instruction set — scalar
 /// (always), AVX2, and AVX-512 (F+BW+VL+DQ) — each compiled in its own
@@ -45,12 +47,14 @@
 /// entries (quantizer, fused epilogue) run once per row inside a caller's
 /// step and carry neither: a span per row would cost more than the row.
 /// Nor does max_pool: it is a pooling step, not a GEMM, and its time is
-/// the engine step's own.
+/// the engine step's own. Nor does crc32_update: its time is the
+/// parameter load's or save's own (the `nn.load_ms` figure).
 ///
 /// Determinism: dispatch never changes results. fp32 kernels are bitwise
 /// identical across every ISA (see src/simd/kernels.h for the contract);
-/// integer kernels are exact. DLSYS_ISA is a speed knob, not a numerics
-/// knob, and tests enforce that.
+/// integer kernels, the CRC-32 among them, are exact and return the same
+/// value on every table. DLSYS_ISA is a speed knob, not a numerics knob,
+/// and tests enforce that.
 
 #ifndef DLSYS_SIMD
 #define DLSYS_SIMD 1
@@ -144,6 +148,15 @@ struct KernelTable {
   void (*q8_bias_act_quantize_row)(float* row, const float* bias,
                                    int64_t cols, int relu, int8_t* values,
                                    float* scales) = nullptr;
+  /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of \p n bytes
+  /// at \p p, continuing from the raw register \p crc: no inversion at
+  /// either end, so chunked calls compose, update(update(c, p, a), p + a,
+  /// n - a) == update(c, p, n), and the standard CRC-32 of a buffer is
+  /// update(~0u, p, n) ^ ~0u. Exact: every table returns the same value
+  /// for every input, at any length and alignment. The v2 parameter file
+  /// (src/nn/serialize.h) checks and stamps its CRC through this entry.
+  uint32_t (*crc32_update)(uint32_t crc, const uint8_t* p,
+                           int64_t n) = nullptr;
 };
 
 /// \brief True when \p isa is both compiled into this binary and runnable

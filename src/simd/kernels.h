@@ -7,7 +7,8 @@
 /// \brief Internal per-ISA microkernel declarations behind the dispatch
 /// registry (src/simd/dispatch.h). Not part of the public API: callers go
 /// through src/tensor/ops.h and src/tensor/int8_gemm.h, which fetch the
-/// active KernelTable and hand these range kernels to ParallelFor.
+/// active KernelTable and hand these range kernels to ParallelFor, and
+/// through src/nn/serialize.h, whose checksum runs crc32_update.
 ///
 /// ## Parity contract (the reason these signatures look the way they do)
 ///
@@ -80,6 +81,15 @@
 ///   through t and q, converts them to INT32_MIN, and clamps that to
 ///   -127 too. Zeroing the pad lanes matters exactly there: a pad lane
 ///   holds x = 0, and 0 * inf is NaN.
+/// - crc32_update is integer arithmetic over GF(2), so it is exact: every
+///   table returns the same register for every input, at any length and
+///   start alignment. The scalar table runs slicing-by-8; the AVX2 and
+///   AVX-512 tables share one PCLMULQDQ fold (Crc32UpdateClmul below),
+///   which folds 64-byte steps, then 16-byte steps, reduces the 128-bit
+///   remainder to 32 bits with a Barrett reduction, and hands the last
+///   n mod 16 bytes (and any n < 64) to the scalar body. The v2
+///   parameter file (src/nn/serialize.h) checks and stamps its CRC
+///   through the active table, so its bytes do not depend on the table.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
 /// needs (-mavx2 / -mavx512*) and self-guards, so the binary stays safe to
@@ -125,6 +135,16 @@ void Q8GemmRowsScalar(const int8_t* a, const float* a_scales, const int8_t* b,
 void Q4GemmRowsScalar(const int8_t* a, const float* a_scales,
                       const uint8_t* b, const float* b_scales, float* c,
                       int64_t i0, int64_t i1, int64_t kp, int64_t n);
+
+// The scalar table's CRC-32 body (slicing-by-8), which also finishes the
+// fold's tail.
+uint32_t Crc32UpdateScalar(uint32_t crc, const uint8_t* p, int64_t n);
+// The PCLMULQDQ CRC-32 fold, defined once in kernels_avx2.cc with
+// __attribute__((target("pclmul"))) and entered by both the AVX2 and the
+// AVX-512 table, so it needs AVX2 and PCLMULQDQ and nothing more. Only
+// those two tables reference it: a build whose AVX2 TU is a stub has no
+// AVX-512 table either, since -mavx512f implies -mavx2.
+uint32_t Crc32UpdateClmul(uint32_t crc, const uint8_t* p, int64_t n);
 
 }  // namespace simd
 }  // namespace dlsys

@@ -10,6 +10,8 @@
 /// element's mul-then-add chain in ascending p, so they are bitwise
 /// identical to the scalar reference. Integer kernels accumulate in int32
 /// (associative — exact in any lane order) via sign-extend + vpmaddwd.
+/// The CRC-32 fold, shared with the AVX-512 table, adds PCLMULQDQ through
+/// a per-function target attribute rather than a TU flag.
 
 #if DLSYS_SIMD && (defined(__x86_64__) || defined(__i386__)) && \
     defined(__AVX2__)
@@ -449,6 +451,77 @@ void Q8BiasActQuantizeRowAvx2(float* row, const float* bias, int64_t cols,
   }
 }
 
+// --------------------------------------------------------------- crc32
+//
+// The CRC-32 fold of Intel's "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", in its bit-reflected form
+// with the constants of Linux's crc32-pclmul. Four 128-bit accumulators
+// each fold 16 bytes forward by x^(4*128) per 64-byte step, are folded
+// into one, which then folds 16 bytes per step; the 128-bit remainder is
+// reduced to 64 bits, then 32, and a Barrett reduction gives the
+// register. Only these functions carry the pclmul target, so no other
+// function in this TU compiles differently; the AVX-512 table enters
+// the same body (kernels.h).
+
+/// x.lo * k.lo ^ x.hi * k.hi: \p x moved forward by the distance \p k
+/// encodes.
+__attribute__((target("pclmul"))) inline __m128i ClmulFold(__m128i x,
+                                                           __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+inline __m128i Load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+}  // namespace
+
+__attribute__((target("pclmul"))) uint32_t Crc32UpdateClmul(
+    uint32_t crc, const uint8_t* p, int64_t n) {
+  if (n < 64) return Crc32UpdateScalar(crc, p, n);
+  // Reflected and shifted left by one, as _mm_set_epi64x(hi, lo):
+  // x^(4*128-32) : x^(4*128+32) mod P for the 64-byte step,
+  // x^(128-32) : x^(128+32) mod P for the 16-byte step and the 128 -> 64
+  // fold, x^64 mod P for the 64 -> 32 fold, and mu = x^64 / P : P for
+  // the Barrett reduction.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 = _mm_xor_si128(Load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_xor_si128(ClmulFold(x0, k1k2), Load128(p));
+    x1 = _mm_xor_si128(ClmulFold(x1, k1k2), Load128(p + 16));
+    x2 = _mm_xor_si128(ClmulFold(x2, k1k2), Load128(p + 32));
+    x3 = _mm_xor_si128(ClmulFold(x3, k1k2), Load128(p + 48));
+  }
+  x0 = _mm_xor_si128(ClmulFold(x0, k3k4), x1);
+  x0 = _mm_xor_si128(ClmulFold(x0, k3k4), x2);
+  x0 = _mm_xor_si128(ClmulFold(x0, k3k4), x3);
+  for (; n >= 16; p += 16, n -= 16) {
+    x0 = _mm_xor_si128(ClmulFold(x0, k3k4), Load128(p));
+  }
+  // 128 -> 64 bits (this also appends the 32 zero bits the register
+  // needs), then 64 -> 32 more, then the Barrett reduction.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  crc = static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+  return Crc32UpdateScalar(crc, p, n);
+}
+
+namespace {
+
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
     "kernel.avx2",
@@ -459,6 +532,7 @@ const KernelTable kAvx2Table = {
     &MaxPoolAvx2,
     &Q8QuantizeRowAvx2,
     &Q8BiasActQuantizeRowAvx2,
+    &Crc32UpdateClmul,
 };
 
 }  // namespace

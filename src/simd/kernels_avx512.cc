@@ -478,6 +478,7 @@ const KernelTable kAvx512Table = {
     &MaxPoolAvx512,
     &Q8QuantizeRowAvx512,
     &Q8BiasActQuantizeRowAvx512,
+    &Crc32UpdateClmul,  // the AVX2 TU's fold (kernels.h)
 };
 
 }  // namespace

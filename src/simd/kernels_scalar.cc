@@ -12,8 +12,8 @@
 /// src/CMakeLists.txt). The fp32 dense GEMM and the implicit conv GEMM
 /// are one register-tile body, the chain every other table reproduces
 /// (see kernels.h), and the max pool is the engine's pool loop. Every
-/// entry here, the q8/q4 block kernels and the q8 quantizer included, is
-/// the reference the SIMD variants bit-compare against, so a
+/// entry here, the q8/q4 block kernels, the q8 quantizer and the CRC-32
+/// included, is the reference the SIMD variants bit-compare against, so a
 /// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same bits as any
 /// other table.
 
@@ -235,6 +235,59 @@ void Q8BiasActQuantizeRowScalar(float* row, const float* bias, int64_t cols,
   if (values != nullptr) Q8QuantizeRowScalar(row, cols, values, scales);
 }
 
+// --------------------------------------------------------------- crc32
+//
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) on the raw
+// register, slicing-by-8: table 0 is the byte-at-a-time table, and
+// table s maps a byte to its remainder after s further zero bytes, so
+// one step folds eight input bytes with eight independent lookups.
+
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables.t[0][i] = c;
+  }
+  for (int s = 1; s < 8; ++s) {
+    for (int i = 0; i < 256; ++i) {
+      const uint32_t prev = tables.t[s - 1][i];
+      tables.t[s][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+/// The little-endian 32-bit word at \p p, whatever the host's byte order
+/// (GCC folds it into one load on x86).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32UpdateScalar(uint32_t crc, const uint8_t* p, int64_t n) {
+  const auto& t = kCrc32Tables.t;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  return crc;
+}
+
+namespace {
+
 const KernelTable kScalarTable = {
     Isa::kScalar,
     "kernel.scalar",
@@ -245,6 +298,7 @@ const KernelTable kScalarTable = {
     &MaxPoolScalar,
     &Q8QuantizeRowScalar,
     &Q8BiasActQuantizeRowScalar,
+    &Crc32UpdateScalar,
 };
 }  // namespace
 

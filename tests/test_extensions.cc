@@ -10,9 +10,12 @@
 #include "src/db/stats_cache.h"
 #include "src/fairness/embedding_bias.h"
 #include "src/green/energy.h"
+#include "src/nn/conv.h"
+#include "src/nn/layers.h"
 #include "src/nn/serialize.h"
 #include "src/nn/train.h"
 #include "src/optim/optimizer.h"
+#include "src/simd/dispatch.h"
 
 namespace dlsys {
 namespace {
@@ -109,7 +112,10 @@ void WriteBytes(const std::string& path,
                 const std::vector<unsigned char>& bytes, size_t len) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (len > 0) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+  }
   std::fclose(f);
 }
 
@@ -186,6 +192,297 @@ TEST(SerializeTest, SaveLeavesNoTempFileBehind) {
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr) << "temp file must be renamed into place";
   if (tmp != nullptr) std::fclose(tmp);
+}
+
+// LeNet as perfbench's offline_batch serves it: 268,570 parameters, a
+// 1,074,280-byte payload, so the CRC fold runs its 64- and 16-byte steps
+// and hands an 8-byte tail to the scalar body.
+Sequential LeNetSized() {
+  Sequential net;
+  net.Emplace<Conv2D>(1, 4, 5, 1, 2)
+      .Emplace<ReLU>()
+      .Emplace<MaxPool2D>(2)
+      .Emplace<Conv2D>(4, 8, 3, 1, 1)
+      .Emplace<ReLU>()
+      .Emplace<MaxPool2D>(2)
+      .Emplace<Flatten>()
+      .Emplace<Dense>(8 * 7 * 7, 512)
+      .Emplace<ReLU>()
+      .Emplace<Dense>(512, 128)
+      .Emplace<ReLU>()
+      .Emplace<Dense>(128, 10);
+  return net;
+}
+
+/// Sets every parameter of \p net from \p seed's raw 64-bit draws, with
+/// exact arithmetic and no distribution code, so the bytes
+/// SaveParameters writes do not depend on the standard library.
+void FillSeeded(Sequential* net, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> flat(static_cast<size_t>(net->NumParams()));
+  for (float& v : flat) {
+    v = static_cast<float>(static_cast<int64_t>(rng.Next() >> 40) -
+                           (int64_t{1} << 23)) /
+        static_cast<float>(1 << 23);
+  }
+  net->SetParameterVector(flat);
+}
+
+uint64_t Fnv1a(const std::vector<unsigned char>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+TEST(SerializeTest, SavedBytesMatchPinnedDigest) {
+  // Every kernel table's CRC must stamp what the byte-at-a-time CRC-32
+  // stamps: a seeded LeNet-sized net's file hashes to the digest that
+  // loop's file had, so files saved by any build load in any other.
+  Sequential net = LeNetSized();
+  FillSeeded(&net, 77);
+  const auto bytes =
+      SaveAndSlurp(net, ::testing::TempDir() + "/pinned_lenet.dlsy");
+  ASSERT_EQ(bytes.size(), size_t{16 + 1074280 + 4});
+  EXPECT_EQ(Fnv1a(bytes), 0x661981628a8bf15full);
+}
+
+TEST(SerializeTest, FileSavedUnderEachTableLoadsUnderEveryOther) {
+  struct IsaRestore {
+    simd::Isa prev = simd::ActiveIsa();
+    ~IsaRestore() { simd::SetIsa(prev); }
+  } restore;
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (simd::IsaSupported(isa)) isas.push_back(isa);
+  }
+  Sequential net = LeNetSized();
+  FillSeeded(&net, 78);
+  const std::vector<float> want = net.GetParameterVector();
+  std::vector<std::string> paths;
+  std::vector<std::vector<unsigned char>> files;
+  for (simd::Isa isa : isas) {
+    simd::SetIsa(isa);
+    paths.push_back(::testing::TempDir() + "/table_" + simd::IsaName(isa) +
+                    ".dlsy");
+    files.push_back(SaveAndSlurp(net, paths.back()));
+    EXPECT_EQ(files.back(), files.front()) << simd::IsaName(isa);
+  }
+  for (simd::Isa isa : isas) {
+    simd::SetIsa(isa);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      Sequential loaded = LeNetSized();
+      FillSeeded(&loaded, 79);
+      ASSERT_TRUE(LoadParameters(&loaded, paths[i]).ok())
+          << "saved under " << simd::IsaName(isas[i]) << ", loaded under "
+          << simd::IsaName(isa);
+      EXPECT_EQ(loaded.GetParameterVector(), want);
+    }
+  }
+}
+
+// A seeded, in-tree mutation driver for the v2 parser. Every mutated
+// file is loaded into a net holding a sentinel pattern; the oracle is
+// that nothing aborts and each load either returns OK with the net
+// holding exactly the file's payload floats, or returns non-OK with the
+// net bit-identical to before.
+
+/// True when \p net's parameters, in layer order, are the floats at
+/// \p floats bit for bit (compared in place: a megabyte copy per load
+/// would dominate the driver's time).
+bool ParamsAre(Sequential* net, const unsigned char* floats) {
+  for (Tensor* t : net->Params()) {
+    const size_t n = static_cast<size_t>(t->size()) * sizeof(float);
+    if (std::memcmp(t->data(), floats, n) != 0) return false;
+    floats += n;
+  }
+  return true;
+}
+
+struct FuzzCase {
+  Sequential* net;            // loads go here
+  std::vector<float> before;  // its sentinel parameters
+  std::string path;
+
+  /// Loads the file at path, whose bytes are \p bytes, and checks the
+  /// oracle; returns whether the load was accepted.
+  bool Check(const std::vector<unsigned char>& bytes,
+             const std::string& what) {
+    const Status s = LoadParameters(net, path);
+    const size_t payload = before.size() * sizeof(float);
+    if (!s.ok()) {
+      EXPECT_TRUE(
+          ParamsAre(net, reinterpret_cast<const unsigned char*>(before.data())))
+          << what << ": rejected (" << s.ToString() << ") but the net changed";
+      return false;
+    }
+    if (bytes.size() != 16 + payload + 4) {
+      ADD_FAILURE() << what << ": accepted a " << bytes.size()
+                    << "-byte file for " << payload << " payload bytes";
+    } else {
+      EXPECT_TRUE(ParamsAre(net, bytes.data() + 16))
+          << what << ": accepted, but the net differs from the payload";
+    }
+    net->SetParameterVector(before);
+    return true;
+  }
+
+  bool Load(const std::vector<unsigned char>& bytes, const std::string& what) {
+    WriteBytes(path, bytes, bytes.size());
+    return Check(bytes, what);
+  }
+};
+
+/// Overwrites the byte at \p offset of the file at \p path.
+void PatchByte(const std::string& path, size_t offset, unsigned char value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fputc(value, f), value);
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+std::vector<unsigned char> FlipBit(std::vector<unsigned char> bytes,
+                                   size_t bit) {
+  bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  return bytes;
+}
+
+std::vector<unsigned char> Splice(const std::vector<unsigned char>& head,
+                                  size_t head_len,
+                                  const std::vector<unsigned char>& tail,
+                                  size_t tail_from) {
+  std::vector<unsigned char> out(head.begin(), head.begin() + head_len);
+  out.insert(out.end(), tail.begin() + tail_from, tail.end());
+  return out;
+}
+
+TEST(SerializeTest, MutatedFilesAreRejectedOrLoadExactly) {
+  Rng rng(80);
+  const std::string dir = ::testing::TempDir();
+  Sequential lenet = LeNetSized(), lenet_b = LeNetSized();
+  Sequential mlp = InitedNet(81), mlp_b = InitedNet(82);
+  FillSeeded(&lenet, 83);
+  FillSeeded(&lenet_b, 84);
+  const auto lenet_file = SaveAndSlurp(lenet, dir + "/fuzz_lenet.dlsy");
+  const auto lenet_b_file = SaveAndSlurp(lenet_b, dir + "/fuzz_lenet_b.dlsy");
+  const auto mlp_file = SaveAndSlurp(mlp, dir + "/fuzz_mlp.dlsy");
+  const auto mlp_b_file = SaveAndSlurp(mlp_b, dir + "/fuzz_mlp_b.dlsy");
+
+  Sequential lenet_target = LeNetSized(), mlp_target = InitedNet(85);
+  FillSeeded(&lenet_target, 86);
+  struct Target {
+    const char* name;
+    const std::vector<unsigned char>* file;
+    const std::vector<unsigned char>* twin;  // same architecture
+    const std::vector<unsigned char>* other;  // the other architecture
+    FuzzCase fuzz;
+    bool every_payload_bit;
+  };
+  Target targets[] = {
+      {"lenet", &lenet_file, &lenet_b_file, &mlp_file,
+       {&lenet_target, lenet_target.GetParameterVector(),
+        dir + "/fuzz_lenet_mut.dlsy"},
+       false},
+      {"mlp", &mlp_file, &mlp_b_file, &lenet_file,
+       {&mlp_target, mlp_target.GetParameterVector(),
+        dir + "/fuzz_mlp_mut.dlsy"},
+       true},
+  };
+  for (Target& t : targets) {
+    const std::vector<unsigned char>& file = *t.file;
+    FuzzCase& fuzz = t.fuzz;
+    const size_t size = file.size();
+    const size_t payload_end = size - 4;
+    const auto tag = [&](const std::string& what) {
+      return std::string(t.name) + " " + what;
+    };
+
+    // The unmutated file loads: the oracle's accepted branch runs.
+    EXPECT_TRUE(fuzz.Load(file, tag("original")));
+
+    // Single-bit flips: every header and trailer bit; every payload bit
+    // of the small file, and of the large one its last 12 bytes (the
+    // fold's scalar tail and last 16-byte step) and 48 seeded bits. The
+    // CRC-32 detects every single-bit error, and a header flip breaks the
+    // magic, the version or the count, so every one is rejected.
+    std::vector<size_t> bits;
+    for (size_t bit = 0; bit < 16 * 8; ++bit) bits.push_back(bit);
+    if (t.every_payload_bit) {
+      for (size_t bit = 16 * 8; bit < payload_end * 8; ++bit) {
+        bits.push_back(bit);
+      }
+    } else {
+      for (size_t bit = (payload_end - 12) * 8; bit < payload_end * 8; ++bit) {
+        bits.push_back(bit);
+      }
+      for (int i = 0; i < 48; ++i) {
+        bits.push_back(16 * 8 + rng.Index((payload_end - 16) * 8));
+      }
+    }
+    for (size_t bit = payload_end * 8; bit < size * 8; ++bit) {
+      bits.push_back(bit);
+    }
+    // The file is written once and each flip patched in place.
+    WriteBytes(fuzz.path, file, size);
+    for (size_t bit : bits) {
+      const std::vector<unsigned char> m = FlipBit(file, bit);
+      PatchByte(fuzz.path, bit / 8, m[bit / 8]);
+      EXPECT_FALSE(fuzz.Check(m, tag("bit flip " + std::to_string(bit))));
+      PatchByte(fuzz.path, bit / 8, file[bit / 8]);
+    }
+
+    // Truncation at every header and trailer byte (length 0 is the empty
+    // file) and at 16 seeded payload offsets.
+    std::vector<size_t> cuts;
+    for (size_t len = 0; len <= 16; ++len) cuts.push_back(len);
+    for (size_t len = payload_end; len < size; ++len) cuts.push_back(len);
+    for (int i = 0; i < 16; ++i) {
+      cuts.push_back(17 + rng.Index(payload_end - 17));
+    }
+    for (size_t len : cuts) {
+      EXPECT_FALSE(fuzz.Load({file.begin(), file.begin() + len},
+                             tag("truncated to " + std::to_string(len))));
+    }
+
+    // The count field (offset 8) set to values the file cannot back.
+    uint64_t count = 0;
+    std::memcpy(&count, file.data() + 8, sizeof(count));
+    for (uint64_t bad : {uint64_t{0}, count - 1, count + 1,
+                         uint64_t{1} << 40, uint64_t{1} << 63,
+                         ~uint64_t{0}}) {
+      std::vector<unsigned char> m = file;
+      std::memcpy(m.data() + 8, &bad, sizeof(bad));
+      EXPECT_FALSE(fuzz.Load(m, tag("count " + std::to_string(bad))));
+    }
+
+    // Appended bytes: 1-8 seeded bytes, and a whole float.
+    for (size_t extra = 1; extra <= 8; ++extra) {
+      std::vector<unsigned char> m = file;
+      for (size_t i = 0; i < extra; ++i) {
+        m.push_back(static_cast<unsigned char>(rng.Next()));
+      }
+      EXPECT_FALSE(
+          fuzz.Load(m, tag("appended " + std::to_string(extra) + " bytes")));
+    }
+
+    // Splices. The other architecture's header over this payload, and
+    // this header over the other's payload, declare the wrong count. The
+    // same architecture's header over its twin's payload and trailer is
+    // a valid file holding the twin's floats, and this header and payload
+    // with the twin's trailer fail the CRC.
+    const auto& twin = *t.twin;
+    const auto& other = *t.other;
+    EXPECT_FALSE(fuzz.Load(Splice(other, 16, file, 16),
+                           tag("other header, own payload")));
+    EXPECT_FALSE(fuzz.Load(Splice(file, 16, other, 16),
+                           tag("own header, other payload")));
+    EXPECT_TRUE(fuzz.Load(Splice(file, 16, twin, 16),
+                          tag("own header, twin payload")));
+    EXPECT_FALSE(fuzz.Load(Splice(file, payload_end, twin, payload_end),
+                           tag("own payload, twin trailer")));
+    std::remove(fuzz.path.c_str());
+  }
 }
 
 // ----------------------------------------------------------- StatsCache

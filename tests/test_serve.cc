@@ -1483,6 +1483,52 @@ TEST(ServerTest, RegistryPublishedSnapshotCapsStepsAtItsCeiling) {
   EXPECT_EQ(largest, 2);
 }
 
+TEST(ServerTest, AdmissionPredictsWithTheLiveSnapshotsCeiling) {
+  // The same registry-published snapshot (engine ceiling 2 on 8 lanes)
+  // under load: 4,000 evenly spaced arrivals at 0.9x what full 8-lane
+  // steps would carry, each with a 1 ms budget. Steps carry at most 2
+  // requests, so admission must size its prospective batch, step time
+  // and backlog drain by 2, shed what 2-wide steps cannot finish in
+  // time, and every request it admits must complete within its deadline.
+  // Predicting with all 8 lanes admitted about half the requests and let
+  // nearly all of them miss.
+  RuntimeConfig::SetThreads(1);
+  ModelRegistry registry;
+  ServerConfig config;
+  config.workers = 1;
+  config.batch.max_batch = 8;
+  auto created = Server::Create(&registry, config);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Server> server = std::move(created).value();
+  auto snap = CompileSnapshot(MakeNet(110), {16}, EngineConfig(2));
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(server->registry()->Publish("m", std::move(snap).value()).ok());
+
+  const double gap_ms = EstimateServiceMs(config.cost, 8) / (8 * 0.9);
+  Tensor x({16});
+  Rng rng(111);
+  x.FillGaussian(&rng, 1.0f);
+  constexpr int kRequests = 4000;
+  int64_t admitted = 0, shed = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const Server::Outcome outcome =
+        server->Submit("m", x, static_cast<double>(i) * gap_ms, 1.0).outcome;
+    admitted += outcome == Server::Outcome::kAdmitted;
+    shed += outcome == Server::Outcome::kShedDeadline;
+  }
+  server->Drain();
+
+  EXPECT_EQ(admitted + shed, kRequests);
+  EXPECT_GT(shed, 0);
+  ASSERT_EQ(static_cast<int64_t>(server->completions().size()), admitted);
+  int64_t missed = 0;
+  for (const Server::Completion& c : server->completions()) {
+    EXPECT_LE(c.batch_size, 2) << "id=" << c.id;
+    missed += c.deadline_missed;
+  }
+  EXPECT_EQ(missed, 0) << "of " << admitted << " admitted";
+}
+
 TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
   const std::vector<TenantShare> mix = HotTenantMix(3, 4.0);
   const std::vector<std::string> a = AssignTenants(mix, 17, 3000);

@@ -4,7 +4,8 @@
 // in-test loops, Dense::Backward's three gradients against NaiveMatMul
 // over Transpose) at thread counts 1/2/8 on unaligned/tail shapes, block
 // quantization round-trip error bounds (q8 and q4), the q4 nibble packing
-// layout, and the kernel.dispatch.* observability counters.
+// layout, the kernel.dispatch.* observability counters, and every table's
+// CRC-32 against the byte-at-a-time loop it replaced.
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,7 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->matmul_bias_act_range, nullptr);
   EXPECT_NE(table->q8_quantize_row, nullptr);
   EXPECT_NE(table->q8_bias_act_quantize_row, nullptr);
+  EXPECT_NE(table->crc32_update, nullptr);
 }
 
 TEST(DispatchTest, SetIsaSelectsMatchingTable) {
@@ -962,6 +964,114 @@ TEST(QuantizerParityTest, RowsIntoMatchesReferenceAcrossIsasAndThreads) {
     }
   }
   RuntimeConfig::SetThreads(1);
+}
+
+// ------------------------------------------------------------- crc32
+
+/// The byte-at-a-time CRC-32 loop src/nn/serialize.cc ran before the
+/// checksum became a kernel-table entry, on the raw register: the
+/// reference every table's crc32_update must equal.
+uint32_t NaiveCrc32Update(uint32_t crc, const uint8_t* p, int64_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (int64_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, Rng* rng) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValueOnEveryTable) {
+  const char* check = "123456789";
+  const auto* p = reinterpret_cast<const uint8_t*>(check);
+  for (simd::Isa isa : SupportedIsas()) {
+    const simd::KernelTable* table = TableFor(isa);
+    ASSERT_NE(table->crc32_update, nullptr) << simd::IsaName(isa);
+    EXPECT_EQ(table->crc32_update(0xFFFFFFFFu, p, 9) ^ 0xFFFFFFFFu,
+              0xCBF43926u)
+        << simd::IsaName(isa);
+    EXPECT_EQ(table->crc32_update(0x12345678u, p, 0), 0x12345678u)
+        << simd::IsaName(isa);
+  }
+}
+
+TEST(Crc32Test, EveryTableEqualsByteLoopAtEveryLengthAndOffset) {
+  // Lengths 0-300 reach every path: the scalar body alone below 64
+  // bytes, one and several 64-byte fold steps, the 16-byte steps and
+  // every tail length. Sixteen start offsets put every block at every
+  // alignment; the register starts at a seeded value each time.
+  Rng rng(71);
+  const std::vector<uint8_t> buf = RandomBytes(300 + 16, &rng);
+  for (simd::Isa isa : SupportedIsas()) {
+    const simd::KernelTable* table = TableFor(isa);
+    for (int64_t offset = 0; offset < 16; ++offset) {
+      for (int64_t n = 0; n <= 300; ++n) {
+        const uint32_t start = static_cast<uint32_t>(rng.Next());
+        const uint8_t* p = buf.data() + offset;
+        ASSERT_EQ(table->crc32_update(start, p, n),
+                  NaiveCrc32Update(start, p, n))
+            << "isa=" << simd::IsaName(isa) << " offset=" << offset
+            << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, EveryTableEqualsByteLoopOnLongBuffersInAnyChunking) {
+  // The three served models' payloads (fleet_chaos 11,048 B,
+  // online_serve 22,056 B, LeNet 1,074,280 B) and 13 seeded lengths up to
+  // 1 MB, one at each start offset 0-15. Each is checked in one call and
+  // in a seeded chunking whose pieces straddle the 16- and 64-byte steps,
+  // which must compose to the same register.
+  Rng rng(72);
+  constexpr int64_t kLeNetPayload = 1074280;
+  const std::vector<uint8_t> buf = RandomBytes(kLeNetPayload + 16, &rng);
+  std::vector<int64_t> lengths = {11048, 22056, kLeNetPayload};
+  while (lengths.size() < 16) {
+    lengths.push_back(301 + static_cast<int64_t>(rng.Index(1 << 20)));
+  }
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const int64_t n = lengths[i];
+    const int64_t offset = static_cast<int64_t>(i);
+    const uint8_t* p = buf.data() + offset;
+    const uint32_t start = static_cast<uint32_t>(rng.Next());
+    const uint32_t want = NaiveCrc32Update(start, p, n);
+    std::vector<int64_t> cuts;  // chunk sizes summing to n
+    for (int64_t left = n; left > 0;) {
+      const int64_t piece =
+          std::min<int64_t>(left, rng.Bernoulli(0.5)
+                                      ? static_cast<int64_t>(rng.Index(130))
+                                      : static_cast<int64_t>(rng.Index(70000)));
+      cuts.push_back(piece);
+      left -= piece;
+    }
+    for (simd::Isa isa : SupportedIsas()) {
+      const simd::KernelTable* table = TableFor(isa);
+      SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                   " n=" + std::to_string(n) +
+                   " offset=" + std::to_string(offset));
+      EXPECT_EQ(table->crc32_update(start, p, n), want);
+      uint32_t chunked = start;
+      const uint8_t* q = p;
+      for (int64_t piece : cuts) {
+        chunked = table->crc32_update(chunked, q, piece);
+        q += piece;
+      }
+      EXPECT_EQ(chunked, want) << cuts.size() << " chunks";
+    }
+  }
 }
 
 // ------------------------------------------- block quantization formats
