@@ -9,7 +9,7 @@
 // geometries and at one whose 64-wide output rows fill whole vector
 // tiles, and the max pool at LeNet's two 2x2 pool shapes (a batch of 16
 // images, as perfbench's offline_batch runs them) and one 3x3 pool, so
-// both of the AVX-512 pool's bodies run, and the CRC-32 at the three
+// both bodies of each vector table's pool run, and the CRC-32 at the three
 // workloads' parameter payloads — plus the lookup primitives (B+-tree,
 // RMI, bloom) behind the learned-index experiments. Per-cell
 // latency quantiles are exact quantiles of the timed samples, reported
@@ -290,7 +290,7 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes,
   }
   // LeNet's 2x2 pools over a batch of 16 images (4 28x28 and 8 14x14
   // planes per image), and a 3x3 pool over the 28x28 planes, which runs
-  // the AVX-512 table's run-time-window body where 2x2 runs its own.
+  // the vector tables' run-time-window body where 2x2 runs its own.
   struct PoolCell {
     int64_t planes, extent, window;
   };

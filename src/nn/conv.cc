@@ -1,7 +1,6 @@
 #include "src/nn/conv.h"
 
 #include <cmath>
-#include <limits>
 
 #include "src/obs/cost.h"
 #include "src/obs/trace.h"
@@ -215,38 +214,37 @@ Tensor MaxPool2D::Forward(const Tensor& x, CacheMode mode) {
   const int64_t ho = h / window_, wo = w / window_;
   DLSYS_CHECK(ho > 0 && wo > 0, "MaxPool2D window larger than input");
   Tensor y({n, c, ho, wo});
-  std::vector<int64_t> argmax(static_cast<size_t>(n * c * ho * wo));
   const float* px = x.data();
   float* py = y.data();
+  // The engine's fold over every plane, on this thread.
+  simd::ActiveKernels().max_pool(px, py, h, w, window_, 0, n * c);
+  if (mode != CacheMode::kCache) {
+    DropCache();
+    return y;
+  }
+  // Each output's gradient goes to its window's first tap, in row-major
+  // order, equal to the max: the tap the fold kept, since no earlier tap
+  // compares equal to it. An all-NaN window (max -inf) has no such tap
+  // and takes its first, so every index stays inside its window.
+  in_shape_ = x.shape();
+  argmax_.resize(static_cast<size_t>(n * c * ho * wo));
   int64_t oi = 0;
-  for (int64_t img = 0; img < n; ++img) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      for (int64_t oy = 0; oy < ho; ++oy) {
-        for (int64_t ox = 0; ox < wo; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = -1;
-          for (int64_t ky = 0; ky < window_; ++ky) {
-            for (int64_t kx = 0; kx < window_; ++kx) {
-              const int64_t iy = oy * window_ + ky;
-              const int64_t ix = ox * window_ + kx;
-              const int64_t xi = ((img * c + ch) * h + iy) * w + ix;
-              if (px[xi] > best) {
-                best = px[xi];
-                best_idx = xi;
-              }
+  for (int64_t t = 0; t < n * c; ++t) {
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      for (int64_t ox = 0; ox < wo; ++ox, ++oi) {
+        const int64_t first = (t * h + oy * window_) * w + ox * window_;
+        int64_t tap = -1;
+        for (int64_t ky = 0; ky < window_ && tap < 0; ++ky) {
+          for (int64_t kx = 0; kx < window_; ++kx) {
+            if (px[first + ky * w + kx] == py[oi]) {
+              tap = first + ky * w + kx;
+              break;
             }
           }
-          py[oi] = best;
-          argmax[static_cast<size_t>(oi)] = best_idx;
         }
+        argmax_[static_cast<size_t>(oi)] = tap < 0 ? first : tap;
       }
     }
-  }
-  if (mode == CacheMode::kCache) {
-    in_shape_ = x.shape();
-    argmax_ = std::move(argmax);
-  } else {
-    DropCache();
   }
   return y;
 }

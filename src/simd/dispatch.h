@@ -12,7 +12,10 @@
 ///
 /// The binary carries one kernel table per instruction set — scalar
 /// (always), AVX2, and AVX-512 (F+BW+VL+DQ) — each compiled in its own
-/// translation unit with exactly the target flags it needs. At first use
+/// translation unit with exactly the target flags it needs; the scalar
+/// table builds for baseline x86-64. The two vector tables instantiate
+/// one set of kernel bodies (src/simd/kernels_vec.h) over their own
+/// per-ISA trait, so each algorithm is written once. At first use
 /// the registry probes the CPU (GCC/Clang __builtin_cpu_supports) and
 /// selects the best table the machine can run; every public kernel entry
 /// point in src/tensor then fetches the active table and hands its range

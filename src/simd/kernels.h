@@ -26,6 +26,12 @@
 ///   reassociation, no tolerance needed. (Built with default flags, GCC
 ///   fuses the mul+add pair into an FMA and the bits change, so the
 ///   register tiles live only in the kernel TUs.)
+/// - every kernel body of the AVX2 and AVX-512 tables is written once,
+///   in kernels_vec.h, as a template over a per-ISA trait (vector and
+///   mask types, lane count, tile height, thin intrinsic wrappers and
+///   five ISA-specific pieces); each vector TU instantiates it over its
+///   own trait. A change to an algorithm lands on both tables at once,
+///   and tests/test_simd.cc's parity tests check it on every table.
 /// - the one dense entry, matmul_bias_act_range (row-major A and B; a
 ///   null bias and relu off give the plain product), and the implicit
 ///   conv GEMM share one fp32 register tile per table: 1-4 rows of C
@@ -56,8 +62,10 @@
 ///   all-NaN windows (-inf), -inf and signed-zero ties are bit-identical;
 ///   folding the window in any other order would not be (a column-first
 ///   fold returns +0 where the reference returns -0). How a tap's lanes
-///   are fetched does not touch the fold: AVX2 gathers them, AVX-512
-///   permutes them out of two loads that hold a window row's taps.
+///   are fetched does not touch the fold: both vector tables permute them
+///   out of two loads that hold a window row's taps (AVX-512 with one
+///   two-source permute, AVX2 with two vpermps and a blend on index bit
+///   3). MaxPool2D's training forward runs this entry too.
 /// - the q8 quantizer (q8_quantize_row, and the fused epilogue that ends
 ///   in it) reproduces the scalar `std::lround` loop per block:
 ///   - the block max is |x| folded with `a > m ? a : m` from m = 0. NaN
@@ -92,8 +100,10 @@
 ///   through the active table, so its bytes do not depend on the table.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
-/// needs (-mavx2 / -mavx512*) and self-guards, so the binary stays safe to
-/// load on any CPU: AVX code only executes after runtime detection.
+/// needs (-mavx2 / -mavx512*) and self-guards, and every other TU,
+/// kernels_scalar.cc included, compiles for baseline x86-64, so the
+/// binary stays safe to load on any CPU: AVX code only executes after
+/// runtime detection.
 /// Non-x86 builds (e.g. aarch64/NEON, currently a stub) fall back to the
 /// scalar table.
 

@@ -8,10 +8,12 @@
 
 /// \file kernels_scalar.cc
 /// \brief The always-available reference kernels, compiled with the
-/// kernel TUs' flags (-O3 -march=native -ffp-contract=off via
-/// src/CMakeLists.txt). The fp32 dense GEMM and the implicit conv GEMM
-/// are one register-tile body, the chain every other table reproduces
-/// (see kernels.h), and the max pool is the engine's pool loop. Every
+/// kernel TUs' flags (-O3 -ffp-contract=off via src/CMakeLists.txt) for
+/// baseline x86-64, so this table runs on any CPU the binary loads on
+/// and any vector code GCC makes of it is SSE2. The fp32 dense GEMM and
+/// the implicit conv GEMM are one register-tile body, the chain every
+/// other table reproduces (see kernels.h), and the max pool is the
+/// engine's pool loop. Every
 /// entry here, the q8/q4 block kernels, the q8 quantizer and the CRC-32
 /// included, is the reference the SIMD variants bit-compare against, so a
 /// -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run gives the same bits as any

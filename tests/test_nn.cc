@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "src/nn/conv.h"
 #include "src/nn/layers.h"
@@ -185,6 +187,38 @@ TEST(MaxPoolTest, ForwardPicksMaxAndBackwardRoutes) {
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 2.0f);
   EXPECT_EQ(dx[2], 0.0f);
+}
+
+TEST(MaxPoolTest, BackwardKeepsEveryGradientInsideItsWindow) {
+  // One 2x2 window per channel: all -inf, all NaN, NaN then a finite
+  // value, and -0/+0 ties in both orders. Each gradient lands on the
+  // window's first tap equal to the max, or on its first tap when none
+  // is (all NaN), and never outside dx.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> windows = {
+      -inf, -inf, -inf, -inf,   // max -inf: tap 0
+      nan,  nan,  nan,  nan,    // max -inf, no tap equal: tap 0
+      nan,  nan,  2.5f, -inf,   // max 2.5: tap 2
+      -1.0f, -0.0f, 0.0f, -2.0f,  // max -0: tap 1
+      -3.0f, 0.0f, -0.0f, -1.0f,  // max +0: tap 1
+  };
+  const int64_t taps[] = {0, 0, 2, 1, 1};
+  const int64_t channels = 5;
+  MaxPool2D pool(2);
+  Tensor x({1, channels, 2, 2}, windows);
+  Tensor y = pool.Forward(x, CacheMode::kCache);
+  ASSERT_EQ(y.size(), channels);
+  Tensor g({1, channels, 1, 1}, {1.0f, 2.0f, 3.0f, 4.0f, 5.0f});
+  Tensor dx = pool.Backward(g);
+  ASSERT_EQ(dx.size(), 4 * channels);
+  for (int64_t ch = 0; ch < channels; ++ch) {
+    for (int64_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(dx[ch * 4 + t], t == taps[ch] ? g[ch] : 0.0f)
+          << "channel " << ch << " tap " << t;
+    }
+  }
+  EXPECT_EQ(dx.Sum(), g.Sum());
 }
 
 // -------------------------------------------------------------- Dropout

@@ -577,11 +577,15 @@ uint32_t FloatBits(float v) {
 }
 
 TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
-  // Windows 1-5, 17 and 33 on extents with remainders (rows and columns
-  // past the last window) and output rows wider than one vector, whose
-  // last vector is partial: the AVX-512 body carries 16, 16, 10, 8, 6
-  // and 1 outputs per vector for windows 1-5 and 17, and window 33 reads
-  // each window row in two chunks, taps 0-31 and tap 32. Windows cycle
+  // Windows 1-5, 8, 16, 17, 32 and 33 on extents with remainders (rows
+  // and columns past the last window) and output rows wider than one
+  // vector, whose last vector is partial. A load pair holds 16 floats on
+  // AVX2 and 32 on AVX-512: the AVX-512 body carries 16, 16, 10, 8, 6, 4,
+  // 2 and 1 outputs per vector for windows 1-5, 8, 16 and 17, AVX2 8, 8,
+  // 5, 4, 3, 2, 1 and 1. Windows 16 and 32 end each window row's chunk
+  // loop exactly on a pair boundary (one and two AVX2 pairs, one AVX-512
+  // pair), and window 33 reads each row in two AVX-512 chunks, taps 0-31
+  // and tap 32, or three AVX2 ones. Windows cycle
   // through five patterns: plain Gaussian data; all NaN (-inf out); NaN
   // first, then -inf and one finite value in the last row, in the last
   // or second-to-last column by turns (taps 32 and 31 at window 33, the
@@ -595,8 +599,8 @@ TEST(SimdParityTest, MaxPoolBitwiseAcrossIsasAndThreads) {
   const PoolShape shapes[] = {
       {3, 5, 7, 1},    {2, 3, 35, 1},   {4, 28, 28, 2}, {8, 14, 14, 2},
       {3, 7, 37, 2},   {2, 9, 100, 3},  {2, 11, 14, 3}, {1, 2, 2, 2},
-      {2, 10, 53, 3},  {2, 11, 46, 4},  {2, 12, 67, 5}, {2, 35, 53, 17},
-      {3, 67, 70, 33},
+      {2, 10, 53, 3},  {2, 11, 46, 4},  {2, 12, 67, 5}, {2, 21, 59, 8},
+      {2, 35, 53, 16}, {2, 35, 53, 17}, {2, 65, 103, 32}, {3, 67, 70, 33},
   };
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
