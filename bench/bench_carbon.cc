@@ -2,8 +2,7 @@
 // region; carbon-aware placement cuts emissions (Section 4.3,
 // ML-Emissions-Calculator-style).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/green/energy.h"
 #include "src/nn/train.h"
 
@@ -12,49 +11,54 @@ int main() {
   auto hardware = StandardHardware();
   auto regions = StandardRegions();
 
-  std::printf("E19a: footprint grid — one job (1e18 FLOPs) across "
-              "hardware x region (kg CO2)\n");
-  std::printf("%-16s", "hardware\\region");
-  for (const auto& r : regions) std::printf(" %14s", r.name.c_str());
-  std::printf("\n");
+  using bench::kExact;
+  bench::Report report("carbon");
+  report.Print("E19a: footprint grid — one job (1e18 FLOPs) across "
+               "hardware x region (kg CO2)\n");
+  std::vector<bench::Column> grid_columns = {{"hardware\\region", "%-16s"}};
+  for (const auto& r : regions) grid_columns.push_back({r.name, "%14.2f"});
+  grid_columns.push_back({"GF/W", " (%.1f GF/W,", kExact, ""});
+  grid_columns.push_back({"hours", "%.1f h)", kExact, ""});
+  bench::Table& grid = report.AddTable("E19a", grid_columns);
   TrainingJob job{1e18};
   for (const auto& hw : hardware) {
-    std::printf("%-16s", hw.name.c_str());
+    std::vector<bench::Table::Value> row = {hw.name};
     for (const auto& r : regions) {
       auto fp = EstimateFootprint(job, hw, r);
-      std::printf(" %14.2f", fp.ok() ? fp->co2_grams / 1e3 : -1.0);
+      row.push_back(fp.ok() ? fp->co2_grams / 1e3 : -1.0);
     }
-    std::printf("  (%.1f GF/W, %.1f h)\n", hw.FlopsPerWatt() / 1e9,
-                job.total_flops / hw.EffectiveFlops() / 3600.0);
+    row.push_back(hw.FlopsPerWatt() / 1e9);
+    row.push_back(job.total_flops / hw.EffectiveFlops() / 3600.0);
+    grid.AddRow(row);
   }
 
-  std::printf("\nE19b: model-size sweep on gpu-high / mixed-grid "
-              "(1M examples x 100 epochs)\n");
-  std::printf("%-14s %14s %12s %12s\n", "model", "flops", "kWh", "kg_CO2");
+  report.Print("\nE19b: model-size sweep on gpu-high / mixed-grid "
+               "(1M examples x 100 epochs)\n");
+  bench::Table& sizes = report.AddTable(
+      "E19b", {{"model", "%-14s"}, {"flops", "%14.3g"}, {"kWh", "%12.3g"},
+               {"kg_CO2", "%12.3g"}});
   for (int64_t width : {512, 2048, 8192}) {
     Sequential net = MakeMlp(256, {width, width, width}, 16);
     TrainingJob j = TrainingJob::ForNetwork(net, 1000000, 100);
     auto fp = EstimateFootprint(j, hardware[2], regions[0]);
     if (!fp.ok()) return 1;
-    char name[32];
-    std::snprintf(name, sizeof(name), "mlp-3x%lld",
-                  static_cast<long long>(width));
-    std::printf("%-14s %14.3g %12.3g %12.3g\n", name, j.total_flops,
-                fp->facility_kwh, fp->co2_grams / 1e3);
+    sizes.Row("mlp-3x" + std::to_string(width), j.total_flops,
+              fp->facility_kwh, fp->co2_grams / 1e3);
   }
 
-  std::printf("\nE19c: placement policies for the 1e18-FLOP job\n");
+  report.Print("\nE19c: placement policies for the 1e18-FLOP job\n");
   auto naive = FastestPlacement(job, hardware, regions);
   auto aware_loose = CarbonAwarePlacement(job, hardware, regions, 1e9);
   if (!naive.ok() || !aware_loose.ok()) return 1;
-  std::printf("%-24s %-16s %-14s %10s %12s\n", "policy", "hardware",
-              "region", "hours", "kg_CO2");
+  bench::Table& placements = report.AddTable(
+      "E19c", {{"policy", "%-24s"}, {"hardware", "%-16s"}, {"region", "%-14s"},
+               {"hours", "%10.1f"}, {"kg_CO2", "%12.2f"}});
   auto print = [&](const char* policy, const Placement& p) {
-    std::printf("%-24s %-16s %-14s %10.1f %12.2f\n", policy,
-                hardware[static_cast<size_t>(p.hardware_index)].name.c_str(),
-                regions[static_cast<size_t>(p.region_index)].name.c_str(),
-                p.footprint.runtime_seconds / 3600.0,
-                p.footprint.co2_grams / 1e3);
+    placements.Row(policy,
+                   hardware[static_cast<size_t>(p.hardware_index)].name,
+                   regions[static_cast<size_t>(p.region_index)].name,
+                   p.footprint.runtime_seconds / 3600.0,
+                   p.footprint.co2_grams / 1e3);
   };
   print("fastest-first (naive)", *naive);
   print("carbon-aware (loose)", *aware_loose);
@@ -62,9 +66,9 @@ int main() {
   auto aware_tight =
       CarbonAwarePlacement(job, hardware, regions, fastest_runtime * 1.05);
   if (aware_tight.ok()) print("carbon-aware (tight)", *aware_tight);
-  std::printf("\nexpected shape: CO2 spans >40x across the region axis "
-              "alone; efficient hardware and clean regions compound; "
-              "carbon-aware placement recovers most of that even under a "
-              "deadline.\n");
-  return 0;
+  report.Print("\nexpected shape: CO2 spans >40x across the region axis "
+               "alone; efficient hardware and clean regions compound; "
+               "carbon-aware placement recovers most of that even under a "
+               "deadline.\n");
+  return report.Finish();
 }

@@ -3,9 +3,9 @@
 // grows with inter-attribute correlation and attribute count.
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/db/histogram.h"
 #include "src/learned/cardinality.h"
 
@@ -25,10 +25,12 @@ QErrorStats Stats(std::vector<double> errs) {
 
 int main() {
   using namespace dlsys;
-  std::printf("E12: learned cardinality vs histogram AVI "
-              "(10k rows, 400 train / 100 test queries)\n");
-  std::printf("%-6s %-6s %-9s %9s %9s %9s\n", "cols", "corr", "estimator",
-              "mean_q", "p50_q", "p95_q");
+  bench::Report report("cardinality");
+  report.Print("E12: learned cardinality vs histogram AVI "
+               "(10k rows, 400 train / 100 test queries)\n");
+  bench::Table& table = report.AddTable(
+      "E12", {{"cols", "%-6lld"}, {"corr", "%-6.1f"}, {"estimator", "%-9s"},
+              {"mean_q", "%9.2f"}, {"p50_q", "%9.2f"}, {"p95_q", "%9.2f"}});
   for (int64_t cols : {2, 4, 6}) {
     for (double corr : {0.0, 0.5, 0.9}) {
       Rng rng(61);
@@ -49,16 +51,12 @@ int main() {
       }
       QErrorStats a = Stats(avi_errs);
       QErrorStats l = Stats(learned_errs);
-      std::printf("%-6lld %-6.1f %-9s %9.2f %9.2f %9.2f\n",
-                  static_cast<long long>(cols), corr, "avi", a.mean, a.p50,
-                  a.p95);
-      std::printf("%-6lld %-6.1f %-9s %9.2f %9.2f %9.2f\n",
-                  static_cast<long long>(cols), corr, "learned", l.mean,
-                  l.p50, l.p95);
+      table.Row(cols, corr, "avi", a.mean, a.p50, a.p95);
+      table.Row(cols, corr, "learned", l.mean, l.p50, l.p95);
     }
   }
-  std::printf("\nexpected shape: AVI is fine at corr=0 but its q-error "
-              "explodes with correlation and attribute count; the learned "
-              "estimator stays within small constant q-errors.\n");
-  return 0;
+  report.Print("\nexpected shape: AVI is fine at corr=0 but its q-error "
+               "explodes with correlation and attribute count; the learned "
+               "estimator stays within small constant q-errors.\n");
+  return report.Finish();
 }

@@ -2,8 +2,7 @@
 // memory cut; budget-constrained planning beats fixed equidistant
 // segmentation (Section 2.3: Chen et al., Checkmate).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/memsched/checkpoint.h"
 #include "src/nn/layers.h"
@@ -29,10 +28,14 @@ int main() {
   Rng rng(43);
   Dataset batch = MakeGaussianBlobs(256, 16, 4, 3.0, &rng);
 
-  std::printf("E8a: depth sweep — measured activation peak (KB) and step "
-              "time (ms)\n");
-  std::printf("%-7s %11s %10s %11s %10s %12s %11s\n", "depth", "plain_KB",
-              "plain_ms", "sqrt_KB", "sqrt_ms", "sqrtKB/plain", "segs");
+  bench::Report report("checkpointing");
+  report.Print("E8a: depth sweep — measured activation peak (KB) and step "
+               "time (ms)\n");
+  bench::Table& depths = report.AddTable(
+      "E8a", {{"depth", "%-7lld"}, {"plain_KB", "%11.0f"},
+              {"plain_ms", "%10.2f", bench::kWall}, {"sqrt_KB", "%11.0f"},
+              {"sqrt_ms", "%10.2f", bench::kWall}, {"sqrtKB/plain", "%11.2f"},
+              {"segs", "%11lld"}});
   for (int64_t depth : {8, 16, 32, 64}) {
     Sequential plain = DeepMlp(depth, 64);
     Rng init(7);
@@ -55,39 +58,36 @@ int main() {
     const double ckpt_kb =
         static_cast<double>(MemoryTracker::Global().peak_bytes()) / 1e3;
 
-    std::printf("%-7lld %11.0f %10.2f %11.0f %10.2f %11.2f %11lld\n",
-                static_cast<long long>(depth), plain_kb, plain_ms, ckpt_kb,
-                ckpt_ms, ckpt_kb / plain_kb,
-                static_cast<long long>(sqrt_plan.NumSegments()));
+    depths.Row(depth, plain_kb, plain_ms, ckpt_kb, ckpt_ms, ckpt_kb / plain_kb,
+               sqrt_plan.NumSegments());
   }
 
-  std::printf("\nE8b: budget-constrained planner vs sqrt(n) at depth 32 "
-              "(predicted bytes, recompute FLOPs)\n");
+  report.Print("\nE8b: budget-constrained planner vs sqrt(n) at depth 32 "
+               "(predicted bytes, recompute FLOPs)\n");
   Sequential probe_net = DeepMlp(32, 64);
   Rng init(7);
   probe_net.Init(&init);
   auto costs = ProbeLayerCosts(&probe_net, batch.x);
   int64_t full_peak = 0;
   for (const auto& c : costs) full_peak += c.cached_bytes;
-  std::printf("%-14s %12s %12s %12s\n", "budget_frac", "plan_segs",
-              "peak_B", "recompute_MF");
+  bench::Table& budgets = report.AddTable(
+      "E8b", {{"budget_frac", "%-14.4f"}, {"plan_segs", "%12lld"},
+              {"peak_B", "%12lld"}, {"recompute_MF", "%12.2f"}});
   for (double frac : {1.0, 0.5, 0.25, 0.125, 0.0625}) {
     const int64_t budget =
         static_cast<int64_t>(frac * static_cast<double>(full_peak)) +
         costs[0].input_bytes * 4;
     auto plan = PlanForBudget(costs, budget);
     if (!plan.ok()) {
-      std::printf("%-14.4f %12s %12s %12s\n", frac, "infeasible", "-", "-");
+      budgets.Row(frac, "infeasible", "-", "-");
       continue;
     }
-    std::printf("%-14.4f %12lld %12lld %12.2f\n", frac,
-                static_cast<long long>(plan->NumSegments()),
-                static_cast<long long>(plan->PredictedPeakBytes(costs)),
+    budgets.Row(frac, plan->NumSegments(), plan->PredictedPeakBytes(costs),
                 static_cast<double>(plan->RecomputeFlops(costs)) / 1e6);
   }
-  std::printf("\nexpected shape: sqrt(n) cuts the activation peak by "
-              "~sqrt(depth) for <2x step time; the planner buys smaller "
-              "peaks with more segments (more recompute) and degrades "
-              "gracefully to per-layer segmentation.\n");
-  return 0;
+  report.Print("\nexpected shape: sqrt(n) cuts the activation peak by "
+               "~sqrt(depth) for <2x step time; the planner buys smaller "
+               "peaks with more segments (more recompute) and degrades "
+               "gracefully to per-layer segmentation.\n");
+  return report.Finish();
 }

@@ -3,8 +3,7 @@
 // the same architecture trained from scratch on the small labeled set,
 // at a fraction of the teacher's size.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/compress/distill.h"
 #include "src/data/synthetic.h"
 #include "src/nn/train.h"
@@ -12,6 +11,8 @@
 
 int main() {
   using namespace dlsys;
+  using bench::kExact;
+  bench::Report report("distillation");
   Rng rng(23);
   // The teacher's world: a large labeled corpus. Downstream, only a
   // small labeled slice plus plenty of unlabeled data are available.
@@ -28,12 +29,16 @@ int main() {
   tc.epochs = 30;
   Train(&teacher, &teacher_opt, split.train, tc);
   const double teacher_acc = Evaluate(&teacher, split.test).accuracy;
-  std::printf("E3: distillation over an unlabeled transfer set "
-              "(teacher 128x128: acc=%.3f, %lld bytes;\n"
-              "    students see 96 labels or 4800 unlabeled examples)\n",
-              teacher_acc, static_cast<long long>(teacher.ModelBytes()));
-  std::printf("%-14s %10s %12s %13s %10s\n", "student", "bytes",
-              "distilled", "from_scratch", "ratio");
+  report
+      .AddLine("teacher", {{"accuracy",
+                            "E3: distillation over an unlabeled transfer "
+                            "set (teacher 128x128: acc=%.3f,"},
+                           {"bytes", " %lld bytes;"}})
+      .Row(teacher_acc, teacher.ModelBytes());
+  report.Print("    students see 96 labels or 4800 unlabeled examples)\n");
+  bench::Table& table = report.AddTable(
+      "E3", {{"student", "%-14s"}, {"bytes", "%10lld"}, {"distilled", "%12.3f"},
+             {"from_scratch", "%13.3f"}, {"ratio", "%10.1fx", kExact, "%10s"}});
 
   for (int64_t width : {64, 32, 16, 8, 4}) {
     // Student distilled from the teacher over the unlabeled pool.
@@ -63,18 +68,15 @@ int main() {
 
     const double d_acc = Evaluate(&distilled, split.test).accuracy;
     const double s_acc = Evaluate(&scratch, split.test).accuracy;
-    char name[32];
-    std::snprintf(name, sizeof(name), "mlp-%lld",
-                  static_cast<long long>(width));
-    std::printf("%-14s %10lld %12.3f %13.3f %10.1fx\n", name,
-                static_cast<long long>(distilled.ModelBytes()), d_acc, s_acc,
-                static_cast<double>(teacher.ModelBytes()) /
-                    static_cast<double>(distilled.ModelBytes()));
+    table.Row("mlp-" + std::to_string(width), distilled.ModelBytes(), d_acc,
+              s_acc,
+              static_cast<double>(teacher.ModelBytes()) /
+                  static_cast<double>(distilled.ModelBytes()));
   }
-  std::printf("\nexpected shape: distilled > from-scratch down to ~100x "
-              "compression (the teacher's soft labels unlock the "
-              "unlabeled pool); below the capacity cliff the tiny student "
-              "can no longer imitate full soft distributions and "
-              "hard-label training regains the edge.\n");
-  return 0;
+  report.Print("\nexpected shape: distilled > from-scratch down to ~100x "
+               "compression (the teacher's soft labels unlock the "
+               "unlabeled pool); below the capacity cliff the tiny student "
+               "can no longer imitate full soft distributions and "
+               "hard-label training regains the edge.\n");
+  return report.Finish();
 }

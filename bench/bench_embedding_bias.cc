@@ -1,15 +1,17 @@
 // E26 — Bias in word embeddings (Section 4.1, [72]): the WEAT effect
 // size tracks injected association bias, and hard debiasing removes it.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/fairness/embedding_bias.h"
 
 int main() {
   using namespace dlsys;
-  std::printf("E26: WEAT effect size vs injected bias "
-              "(64-D embeddings, 64 words per set)\n");
-  std::printf("%-8s %14s %14s\n", "bias", "effect_before", "effect_after");
+  bench::Report report("embedding_bias");
+  report.Print("E26: WEAT effect size vs injected bias "
+               "(64-D embeddings, 64 words per set)\n");
+  bench::Table& table = report.AddTable(
+      "E26", {{"bias", "%-8.1f"}, {"effect_before", "%14.3f"},
+              {"effect_after", "%14.3f"}});
   for (double bias : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     Rng rng(109);
     EmbeddingSpace space = MakeBiasedEmbeddings(64, 64, bias, &rng);
@@ -18,11 +20,11 @@ int main() {
     if (!HardDebias(&space).ok()) return 1;
     auto after = WeatEffectSize(space);
     if (!after.ok()) return 1;
-    std::printf("%-8.1f %14.3f %14.3f\n", bias, *before, *after);
+    table.Row(bias, *before, *after);
   }
-  std::printf("\nexpected shape: the effect size grows monotonically with "
-              "injected bias (saturating near 2, the Cohen's-d ceiling); "
-              "after projecting out the bias direction it collapses to "
-              "~0 at every level.\n");
-  return 0;
+  report.Print("\nexpected shape: the effect size grows monotonically with "
+               "injected bias (saturating near 2, the Cohen's-d ceiling); "
+               "after projecting out the bias direction it collapses to "
+               "~0 at every level.\n");
+  return report.Finish();
 }

@@ -3,8 +3,7 @@
 // accuracy, training time, model bytes, and inference time for a
 // 5-member ensemble.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/ensemble/ensemble.h"
 #include "src/ensemble/treenet.h"
@@ -21,9 +20,20 @@ int main() {
   const int64_t k = 5;
   const int64_t epochs_per_member = 12;
 
-  std::printf("E4: 5-member ensemble strategies\n");
-  std::printf("%-22s %10s %12s %12s %12s\n", "strategy", "accuracy",
-              "train_s", "model_KB", "infer_s");
+  bench::Report report("ensembles");
+  report.Print("E4: 5-member ensemble strategies\n");
+  bench::Table& table = report.AddTable(
+      "E4", {{"strategy", "%-22s"}, {"accuracy", "%10.3f"},
+             {"train_s", "%12.3f", bench::kWall}, {"model_KB", "%12.1f"},
+             {"infer_s", "%12.4f", bench::kWall}});
+  auto row = [&table](const char* strategy, const Ensemble& e,
+                      const MetricsReport& run, const Dataset& test) {
+    auto& members = const_cast<Ensemble&>(e);
+    table.Row(strategy, members.Accuracy(test),
+              run.Get(metric::kTrainSeconds),
+              run.Get(metric::kModelBytes) / 1e3,
+              members.MeasureInferenceSeconds(test));
+  };
 
   MemberBuilder builder = [](int64_t) { return MakeMlp(16, {48}, 8); };
 
@@ -33,28 +43,19 @@ int main() {
     tc.epochs = epochs_per_member;
     auto run = TrainFullEnsemble(builder, k, split.train, tc, 0.05, 3);
     if (!run.ok()) return 1;
-    auto& e = const_cast<Ensemble&>(run->ensemble);
-    std::printf("%-22s %10.3f %12.3f %12.1f %12.4f\n", "full (baseline)",
-                e.Accuracy(split.test),
-                run->report.Get(metric::kTrainSeconds),
-                run->report.Get(metric::kModelBytes) / 1e3,
-                e.MeasureInferenceSeconds(split.test));
+    row("full (baseline)", run->ensemble, run->report, split.test);
     // Single member for reference.
-    std::printf("%-22s %10.3f %12s %12.1f %12s\n", "  (single member)",
-                Evaluate(&e.member(0), split.test).accuracy, "-",
-                static_cast<double>(e.member(0).ModelBytes()) / 1e3, "-");
+    auto& e = const_cast<Ensemble&>(run->ensemble);
+    table.Row("  (single member)",
+              Evaluate(&e.member(0), split.test).accuracy, "-",
+              static_cast<double>(e.member(0).ModelBytes()) / 1e3, "-");
   }
   // Snapshot ensemble: one training run, k cosine cycles — roughly one
   // member's training budget in total (3 epochs per cycle).
   {
     auto run = TrainSnapshotEnsemble(builder, k, 3, split.train, 32, 0.1, 3);
     if (!run.ok()) return 1;
-    auto& e = const_cast<Ensemble&>(run->ensemble);
-    std::printf("%-22s %10.3f %12.3f %12.1f %12.4f\n", "snapshot",
-                e.Accuracy(split.test),
-                run->report.Get(metric::kTrainSeconds),
-                run->report.Get(metric::kModelBytes) / 1e3,
-                e.MeasureInferenceSeconds(split.test));
+    row("snapshot", run->ensemble, run->report, split.test);
   }
   // Fast Geometric Ensembles: converge once, then short triangular
   // exploration cycles (1 epoch each).
@@ -63,12 +64,7 @@ int main() {
                                           split.train, 32, 0.05, 0.05, 0.005,
                                           3);
     if (!run.ok()) return 1;
-    auto& e = const_cast<Ensemble&>(run->ensemble);
-    std::printf("%-22s %10.3f %12.3f %12.1f %12.4f\n", "fge",
-                e.Accuracy(split.test),
-                run->report.Get(metric::kTrainSeconds),
-                run->report.Get(metric::kModelBytes) / 1e3,
-                e.MeasureInferenceSeconds(split.test));
+    row("fge", run->ensemble, run->report, split.test);
   }
   // MotherNets: shared mother + hatch + short finetune.
   {
@@ -77,12 +73,7 @@ int main() {
                                /*finetune_epochs=*/3, split.train, 32, 0.05,
                                3);
     if (!run.ok()) return 1;
-    auto& e = const_cast<Ensemble&>(run->ensemble);
-    std::printf("%-22s %10.3f %12.3f %12.1f %12.4f\n", "mothernets",
-                e.Accuracy(split.test),
-                run->report.Get(metric::kTrainSeconds),
-                run->report.Get(metric::kModelBytes) / 1e3,
-                e.MeasureInferenceSeconds(split.test));
+    row("mothernets", run->ensemble, run->report, split.test);
   }
   // TreeNet: shared trunk, k heads, trained jointly.
   {
@@ -92,17 +83,16 @@ int main() {
     Rng trng(3);
     trunk.Init(&trng);
     TreeNet tree(std::move(trunk), head, k, 4);
-    MetricsReport report = TrainTreeNet(&tree, split.train,
-                                        epochs_per_member, 32, 0.05, 5);
+    MetricsReport tree_report = TrainTreeNet(&tree, split.train,
+                                             epochs_per_member, 32, 0.05, 5);
     Stopwatch infer;
     tree.Accuracy(split.test);
-    std::printf("%-22s %10.3f %12.3f %12.1f %12.4f\n", "treenet",
-                tree.Accuracy(split.test),
-                report.Get(metric::kTrainSeconds),
-                report.Get(metric::kModelBytes) / 1e3, infer.Seconds());
+    table.Row("treenet", tree.Accuracy(split.test),
+              tree_report.Get(metric::kTrainSeconds),
+              tree_report.Get(metric::kModelBytes) / 1e3, infer.Seconds());
   }
-  std::printf("\nexpected shape: full ensemble is the accuracy ceiling and "
-              "the cost ceiling; snapshot ~1/k train time at small accuracy "
-              "cost; mothernets/treenet also cut memory and inference.\n");
-  return 0;
+  report.Print("\nexpected shape: full ensemble is the accuracy ceiling and "
+               "the cost ceiling; snapshot ~1/k train time at small accuracy "
+               "cost; mothernets/treenet also cut memory and inference.\n");
+  return report.Finish();
 }

@@ -2,8 +2,7 @@
 // intervention point restores parity at bounded accuracy cost
 // (Section 4.1).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/fairness/loan_data.h"
 #include "src/fairness/metrics.h"
 #include "src/fairness/mitigation.h"
@@ -56,10 +55,13 @@ Outcome Run(const LoanData& train, const LoanData& test, const char* mode) {
 }  // namespace
 
 int main() {
-  std::printf("E15: fairness under injected label bias "
-              "(metrics vs bias-free ground truth)\n");
-  std::printf("%-6s %-12s %8s %8s %9s %9s\n", "bias", "mitigation",
-              "dp_gap", "eo_gap", "di_ratio", "accuracy");
+  bench::Report report("fairness");
+  report.Print("E15: fairness under injected label bias "
+               "(metrics vs bias-free ground truth)\n");
+  bench::Table& table = report.AddTable(
+      "E15", {{"bias", "%-6.1f"}, {"mitigation", "%-12s"}, {"dp_gap", "%8.3f"},
+              {"eo_gap", "%8.3f"}, {"di_ratio", "%9.3f"},
+              {"accuracy", "%9.3f"}});
   for (double bias : {0.0, 0.3, 0.6, 0.9}) {
     LoanDataConfig train_config;
     train_config.n = 5000;
@@ -72,13 +74,12 @@ int main() {
     LoanData test = MakeLoanData(test_config);
     for (const char* mode : {"none", "reweigh", "adversarial", "ablate"}) {
       Outcome o = Run(train, test, mode);
-      std::printf("%-6.1f %-12s %8.3f %8.3f %9.3f %9.3f\n", bias, mode,
-                  o.dp_gap, o.eo_gap, o.di_ratio, o.accuracy);
+      table.Row(bias, mode, o.dp_gap, o.eo_gap, o.di_ratio, o.accuracy);
     }
   }
-  std::printf("\nexpected shape: with no injected bias all variants are "
-              "fair; gaps grow with bias strength for the unmitigated "
-              "model; every mitigation shrinks the gaps, reweighing "
-              "cheapest in accuracy.\n");
-  return 0;
+  report.Print("\nexpected shape: with no injected bias all variants are "
+               "fair; gaps grow with bias strength for the unmitigated "
+               "model; every mitigation shrinks the gaps, reweighing "
+               "cheapest in accuracy.\n");
+  return report.Finish();
 }

@@ -1,35 +1,19 @@
 // E30 — Fault tolerance on the simulated cluster: recovery cost vs.
 // checkpoint frequency, and degraded-membership accuracy vs. restart
 // time (Humbatova et al.'s crash/hang fault classes; Langer et al.'s
-// fault-tolerance axis). Emits BENCH_fault_tolerance.json.
-//
-// Standalone binary (not google-benchmark): the quantities of interest
-// are simulated seconds and fault counters from MetricsReport, and the
-// JSON schema must stay stable across runs.
+// fault-tolerance axis). The quantities of interest are simulated seconds
+// and fault counters from MetricsReport.
 
-#include <cstdio>
 #include <string>
-#include <vector>
 
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/distributed/cluster.h"
 #include "src/nn/train.h"
 
-namespace {
-
-struct Row {
-  int64_t interval = 0;
-  double wasted_rounds = 0.0;
-  double recovery_overhead_s = 0.0;
-  double checkpoint_cost_s = 0.0;
-  double total_overhead_s = 0.0;
-  double accuracy = 0.0;
-};
-
-}  // namespace
-
 int main() {
   using namespace dlsys;
+  bench::Report report("fault_tolerance");
   Rng rng(41);
   Dataset data = MakeGaussianBlobs(3000, 16, 6, 2.5, &rng);
   TrainTestSplit split = Split(data, 0.85);
@@ -52,12 +36,12 @@ int main() {
   // replayed work per crash is (round mod k), so recovery overhead must
   // fall monotonically as the interval shrinks, while checkpoint-write
   // cost rises — the canonical checkpoint-frequency tradeoff.
-  std::printf("E30a: crash x checkpoint-interval (4 workers, 32 rounds, "
-              "crashes at 7/15/23)\n");
-  std::printf("%-10s %14s %20s %18s %16s %10s\n", "interval",
-              "wasted_rounds", "recovery_overhead_s", "checkpoint_s",
-              "total_overhead_s", "accuracy");
-  std::vector<Row> interval_rows;
+  report.Print("E30a: crash x checkpoint-interval (4 workers, 32 rounds, "
+               "crashes at 7/15/23)\n");
+  bench::Table& intervals = report.AddTable(
+      "E30a", {{"interval", "%-10lld"}, {"wasted_rounds", "%14.0f"},
+               {"recovery_overhead_s", "%20.6f"}, {"checkpoint_s", "%18.6f"},
+               {"total_overhead_s", "%16.6f"}, {"accuracy", "%10.3f"}});
   for (int64_t interval : {1, 2, 4, 8}) {
     ClusterConfig config = base;
     config.recovery = RecoveryPolicy::kRestartFromCheckpoint;
@@ -68,38 +52,25 @@ int main() {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    Row row;
-    row.interval = interval;
-    row.wasted_rounds = result->report.Get(fault_metric::kWastedRounds);
+    const double wasted_rounds =
+        result->report.Get(fault_metric::kWastedRounds);
     // Replayed compute plus detection/reload: the cost a crash inflicts.
-    row.recovery_overhead_s =
-        row.wasted_rounds * base.step_seconds +
+    const double recovery_s =
+        wasted_rounds * base.step_seconds +
         result->report.Get(fault_metric::kRecoverySeconds);
-    row.checkpoint_cost_s =
+    const double checkpoint_s =
         result->report.Get(fault_metric::kCheckpointSeconds);
-    row.total_overhead_s = row.recovery_overhead_s + row.checkpoint_cost_s;
-    row.accuracy = accuracy_of(result);
-    interval_rows.push_back(row);
-    std::printf("%-10lld %14.0f %20.6f %18.6f %16.6f %10.3f\n",
-                static_cast<long long>(interval), row.wasted_rounds,
-                row.recovery_overhead_s, row.checkpoint_cost_s,
-                row.total_overhead_s, row.accuracy);
+    intervals.Row(interval, wasted_rounds, recovery_s, checkpoint_s,
+                  recovery_s + checkpoint_s, accuracy_of(result));
   }
 
   // ---- sweep 2: crash rate x recovery policy ----
-  std::printf("\nE30b: crash-rate sweep, restart(k=4) vs drop-and-continue "
-              "(4 workers, 60 rounds)\n");
-  std::printf("%-12s %-10s %10s %14s %14s %14s\n", "crash_prob", "policy",
-              "accuracy", "live_workers", "overhead_s", "wasted_rounds");
-  struct RateRow {
-    double crash_prob = 0.0;
-    const char* policy = "";
-    double accuracy = 0.0;
-    double live_workers = 0.0;
-    double overhead_s = 0.0;
-    double wasted_rounds = 0.0;
-  };
-  std::vector<RateRow> rate_rows;
+  report.Print("\nE30b: crash-rate sweep, restart(k=4) vs drop-and-continue "
+               "(4 workers, 60 rounds)\n");
+  bench::Table& rates = report.AddTable(
+      "E30b", {{"crash_prob", "%-12.3f"}, {"policy", "%-10s"},
+               {"accuracy", "%10.3f"}, {"live_workers", "%14.0f"},
+               {"overhead_s", "%14.6f"}, {"wasted_rounds", "%14.0f"}});
   for (double crash_prob : {0.0, 0.005, 0.02, 0.05}) {
     for (const char* policy : {"restart", "drop"}) {
       ClusterConfig config = base;
@@ -113,9 +84,6 @@ int main() {
         config.recovery = RecoveryPolicy::kDropAndContinue;
       }
       auto result = TrainOnCluster(arch, split.train, config, nullptr);
-      RateRow row;
-      row.crash_prob = crash_prob;
-      row.policy = policy;
       if (!result.ok()) {
         // Drop-and-continue has no way back once every worker is dead;
         // at high crash rates the cluster collapses. Report it as a data
@@ -124,28 +92,22 @@ int main() {
           std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
           return 1;
         }
-        rate_rows.push_back(row);
-        std::printf("%-12.3f %-10s %10s %14.0f %14.6f %14.0f\n", crash_prob,
-                    policy, "collapsed", 0.0, 0.0, 0.0);
+        rates.Row(crash_prob, policy, "collapsed", 0.0, 0.0, 0.0);
         continue;
       }
-      row.accuracy = accuracy_of(result);
-      row.live_workers = result->report.Get(fault_metric::kLiveWorkers);
-      row.wasted_rounds = result->report.Get(fault_metric::kWastedRounds);
-      row.overhead_s =
-          result->report.Get(fault_metric::kRecoverySeconds) +
-          result->report.Get(fault_metric::kCheckpointSeconds) +
-          row.wasted_rounds * base.step_seconds;
-      rate_rows.push_back(row);
-      std::printf("%-12.3f %-10s %10.3f %14.0f %14.6f %14.0f\n",
-                  crash_prob, policy, row.accuracy, row.live_workers,
-                  row.overhead_s, row.wasted_rounds);
+      const double wasted_rounds =
+          result->report.Get(fault_metric::kWastedRounds);
+      rates.Row(crash_prob, policy, accuracy_of(result),
+                result->report.Get(fault_metric::kLiveWorkers),
+                result->report.Get(fault_metric::kRecoverySeconds) +
+                    result->report.Get(fault_metric::kCheckpointSeconds) +
+                    wasted_rounds * base.step_seconds,
+                wasted_rounds);
     }
   }
 
   // ---- sweep 3: straggler, wait vs skip-stale ----
-  std::printf("\nE30c: 50x straggler, barrier-wait vs skip-stale\n");
-  double wait_s = 0.0, skip_s = 0.0, wait_acc = 0.0, skip_acc = 0.0;
+  report.Print("\nE30c: 50x straggler, barrier-wait vs skip-stale\n");
   {
     ClusterConfig config = base;
     config.rounds = 100;
@@ -158,53 +120,20 @@ int main() {
       std::fprintf(stderr, "straggler sweep failed\n");
       return 1;
     }
-    wait_s = waited->report.Get(fault_metric::kStragglerSeconds);
-    skip_s = skipped->report.Get(fault_metric::kStragglerSeconds);
-    wait_acc = accuracy_of(waited);
-    skip_acc = accuracy_of(skipped);
-    std::printf("wait: barrier %.4f s, acc %.3f | skip: barrier %.4f s, "
-                "acc %.3f\n", wait_s, wait_acc, skip_s, skip_acc);
+    report
+        .AddLine("E30c", {{"wait_barrier_s", "wait: barrier %.4f s,"},
+                          {"wait_accuracy", " acc %.3f |"},
+                          {"skip_barrier_s", " skip: barrier %.4f s,"},
+                          {"skip_accuracy", " acc %.3f"}})
+        .Row(waited->report.Get(fault_metric::kStragglerSeconds),
+             accuracy_of(waited),
+             skipped->report.Get(fault_metric::kStragglerSeconds),
+             accuracy_of(skipped));
   }
-
-  FILE* out = std::fopen("BENCH_fault_tolerance.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_fault_tolerance.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"checkpoint_interval_sweep\": [\n");
-  for (size_t i = 0; i < interval_rows.size(); ++i) {
-    const Row& r = interval_rows[i];
-    std::fprintf(out,
-                 "    {\"interval\": %lld, \"wasted_rounds\": %.0f, "
-                 "\"recovery_overhead_s\": %.6f, \"checkpoint_cost_s\": "
-                 "%.6f, \"total_overhead_s\": %.6f, \"accuracy\": %.4f}%s\n",
-                 static_cast<long long>(r.interval), r.wasted_rounds,
-                 r.recovery_overhead_s, r.checkpoint_cost_s,
-                 r.total_overhead_s, r.accuracy,
-                 i + 1 < interval_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"crash_rate_sweep\": [\n");
-  for (size_t i = 0; i < rate_rows.size(); ++i) {
-    const RateRow& r = rate_rows[i];
-    std::fprintf(out,
-                 "    {\"crash_prob\": %.3f, \"policy\": \"%s\", "
-                 "\"accuracy\": %.4f, \"live_workers\": %.0f, "
-                 "\"overhead_s\": %.6f, \"wasted_rounds\": %.0f}%s\n",
-                 r.crash_prob, r.policy, r.accuracy, r.live_workers,
-                 r.overhead_s, r.wasted_rounds,
-                 i + 1 < rate_rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"straggler\": {\"wait_barrier_s\": %.6f, "
-               "\"skip_barrier_s\": %.6f, \"wait_accuracy\": %.4f, "
-               "\"skip_accuracy\": %.4f}\n}\n",
-               wait_s, skip_s, wait_acc, skip_acc);
-  std::fclose(out);
-  std::printf("\nwrote BENCH_fault_tolerance.json\n");
-  std::printf("expected shape: recovery overhead falls monotonically as "
-              "the checkpoint interval shrinks while checkpoint cost "
-              "rises; drop-and-continue loses workers (and some accuracy) "
-              "but pays no replay; skip-stale collapses barrier time at "
-              "unchanged convergence.\n");
-  return 0;
+  report.Print("\nexpected shape: recovery overhead falls monotonically as "
+               "the checkpoint interval shrinks while checkpoint cost "
+               "rises; drop-and-continue loses workers (and some accuracy) "
+               "but pays no replay; skip-stale collapses barrier time at "
+               "unchanged convergence.\n");
+  return report.Finish();
 }

@@ -14,17 +14,15 @@
 // `--export-attr PATH` and `--export-trace PATH` ride the same run and
 // additionally write the critical-path attribution report and the
 // sim-track request-trace slice, which must be byte-identical across
-// thread counts too. Pass --smoke (or DLSYS_BENCH_SMOKE=1) for a
-// seconds-scale CI run. The grid run exits non-zero when any bundle's
-// bad_version cell records no rollback.
+// thread counts too. Pass --smoke for a seconds-scale CI run. The grid
+// run exits non-zero when any bundle's bad_version cell records no
+// rollback.
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/rng.h"
 #include "src/core/status.h"
 #include "src/fleet/autoscaler.h"
@@ -121,12 +119,6 @@ TraceLoadConfig GridLoad(const std::string& scenario) {
   return load;
 }
 
-struct GridCell {
-  std::string scenario;
-  std::string bundle;
-  FleetReport report;
-};
-
 Result<FleetReport> RunCell(const PolicyBundle& bundle,
                             const std::string& scenario_name) {
   auto scenario = MakeScenario(scenario_name, TimeScale());
@@ -136,18 +128,6 @@ Result<FleetReport> RunCell(const PolicyBundle& bundle,
   Status deployed = fleet.value()->Deploy("m", MakeFleetNet(71), {kInElems});
   if (!deployed.ok()) return deployed;
   return fleet.value()->Run(scenario.value(), GridLoad(scenario_name));
-}
-
-int WriteTextFile(const char* path, const std::string& body) {
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::printf("cannot open %s\n", path);
-    return 1;
-  }
-  std::fwrite(body.data(), 1, body.size(), out);
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  return 0;
 }
 
 int ExportCanonicalCell(const char* path, const char* attr_path,
@@ -167,19 +147,17 @@ int ExportCanonicalCell(const char* path, const char* attr_path,
     obs::ResetTrace();
   }
   if (!report.ok()) {
-    std::printf("export run failed: %s\n",
-                report.status().ToString().c_str());
+    std::fprintf(stderr, "export run failed: %s\n",
+                 report.status().ToString().c_str());
     return 1;
   }
-  int rc = WriteTextFile(path, FleetReportJson(report.value()) + "\n");
-  if (rc == 0 && attr_path != nullptr) {
-    rc = WriteTextFile(attr_path,
-                       obs::AttributionReportJson(report.value().attribution));
-  }
-  if (rc == 0 && trace_path != nullptr) {
-    rc = WriteTextFile(trace_path, trace_json);
-  }
-  return rc;
+  const bool ok =
+      bench::WriteFile(path, FleetReportJson(report.value()) + "\n") &&
+      (attr_path == nullptr ||
+       bench::WriteFile(attr_path, obs::AttributionReportJson(
+                                       report.value().attribution))) &&
+      (trace_path == nullptr || bench::WriteFile(trace_path, trace_json));
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -187,100 +165,50 @@ int ExportCanonicalCell(const char* path, const char* attr_path,
 
 int main(int argc, char** argv) {
   using namespace dlsys;
-  const char* export_path = nullptr;
-  const char* export_attr_path = nullptr;
-  const char* export_trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-    if (std::strcmp(argv[i], "--export") == 0 && i + 1 < argc) {
-      export_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--export-attr") == 0 && i + 1 < argc) {
-      export_attr_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--export-trace") == 0 && i + 1 < argc) {
-      export_trace_path = argv[i + 1];
-    }
-  }
-  if (const char* env = std::getenv("DLSYS_BENCH_SMOKE");
-      env != nullptr && env[0] == '1') {
-    g_smoke = true;
-  }
-  if (export_path != nullptr) {
+  g_smoke = bench::HasFlag(argc, argv, "--smoke");
+  if (const char* path = bench::FlagValue(argc, argv, "--export")) {
     // Export mode leaves DLSYS_THREADS in charge so the CI determinism
     // step can byte-compare runs at different thread counts.
     g_smoke = true;
-    return ExportCanonicalCell(export_path, export_attr_path,
-                               export_trace_path);
+    return ExportCanonicalCell(
+        path, bench::FlagValue(argc, argv, "--export-attr"),
+        bench::FlagValue(argc, argv, "--export-trace"));
   }
   // Keep intra-op kernels single-threaded: each replica's worker pool
   // provides the parallelism (see bench_serving).
   RuntimeConfig::SetThreads(1);
 
-  std::vector<GridCell> grid;
+  bench::Report report("fleet");
+  bench::Table& grid = report.AddLine(
+      "grid", {{"scenario", "%-14s"}, {"bundle", " %-20s"},
+               {"goodput_rps", " goodput %7.0f r/s |"},
+               {"p99_ms", " p99 %7.3f ms |"}, {"miss_pct", " miss %5.2f%% |"},
+               {"shed_pct", " shed %5.2f%% |"}, {"ttr_ms", " ttr %8.1f ms |"},
+               {"crashes", " crash %lld"}, {"restarts", " restart %lld"},
+               {"rollbacks", " rollback %lld"}, {"scale_ups", " scale +%lld"},
+               {"scale_downs", "/-%lld"}});
   int missed_rollbacks = 0;
   for (const std::string& scenario : ScenarioNames()) {
     for (const PolicyBundle& bundle : Bundles()) {
-      auto report = RunCell(bundle, scenario);
-      if (!report.ok()) {
-        std::printf("cell (%s, %s) failed: %s\n", scenario.c_str(),
-                    bundle.name, report.status().ToString().c_str());
+      auto report_or = RunCell(bundle, scenario);
+      if (!report_or.ok()) {
+        std::fprintf(stderr, "cell (%s, %s) failed: %s\n", scenario.c_str(),
+                     bundle.name, report_or.status().ToString().c_str());
         return 1;
       }
-      const FleetReport& r = report.value();
-      std::printf(
-          "%-14s %-20s goodput %7.0f r/s | p99 %7.3f ms | miss %5.2f%% | "
-          "shed %5.2f%% | ttr %8.1f ms | crash %lld restart %lld "
-          "rollback %lld scale +%lld/-%lld\n",
-          scenario.c_str(), bundle.name, r.goodput_rps(), r.p99_ms,
-          100.0 * r.miss_fraction(), 100.0 * r.shed_fraction(),
-          r.time_to_recover_ms, static_cast<long long>(r.crashes),
-          static_cast<long long>(r.restarts),
-          static_cast<long long>(r.rollbacks),
-          static_cast<long long>(r.scale_ups),
-          static_cast<long long>(r.scale_downs));
+      const FleetReport& r = report_or.value();
+      grid.Row(scenario, bundle.name, r.goodput_rps(), r.p99_ms,
+               100.0 * r.miss_fraction(), 100.0 * r.shed_fraction(),
+               r.time_to_recover_ms, r.crashes, r.restarts, r.rollbacks,
+               r.scale_ups, r.scale_downs);
       if (scenario == "bad_version" && r.rollbacks == 0) {
-        std::printf("  bad_version under %s never rolled back\n",
-                    bundle.name);
+        std::fprintf(stderr, "  bad_version under %s never rolled back\n",
+                     bundle.name);
         ++missed_rollbacks;
       }
-      grid.push_back({scenario, bundle.name, r});
     }
   }
-
-  FILE* out = std::fopen("BENCH_fleet.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_fleet.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n  \"grid\": [\n",
-               g_smoke ? "true" : "false");
-  for (size_t i = 0; i < grid.size(); ++i) {
-    const FleetReport& r = grid[i].report;
-    std::fprintf(
-        out,
-        "    {\"scenario\": \"%s\", \"bundle\": \"%s\", "
-        "\"offered\": %lld, \"goodput_rps\": %.3f, \"p99_ms\": %.4f, "
-        "\"miss_fraction\": %.5f, \"shed_fraction\": %.5f, "
-        "\"steady_goodput_rps\": %.3f, \"time_to_recover_ms\": %.1f, "
-        "\"crashes\": %lld, \"restarts\": %lld, \"rollouts\": %lld, "
-        "\"rollbacks\": %lld, \"scale_ups\": %lld, \"scale_downs\": "
-        "%lld}%s\n",
-        grid[i].scenario.c_str(), grid[i].bundle.c_str(),
-        static_cast<long long>(r.offered), r.goodput_rps(), r.p99_ms,
-        r.miss_fraction(), r.shed_fraction(), r.steady_goodput_rps,
-        r.time_to_recover_ms, static_cast<long long>(r.crashes),
-        static_cast<long long>(r.restarts),
-        static_cast<long long>(r.rollouts),
-        static_cast<long long>(r.rollbacks),
-        static_cast<long long>(r.scale_ups),
-        static_cast<long long>(r.scale_downs),
-        i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_fleet.json (%zu cells)\n", grid.size());
   // A canary that lets a bad version through is a failed run, not a
   // number to report.
-  return missed_rollbacks == 0 ? 0 : 1;
+  return report.Finish(missed_rollbacks == 0);
 }

@@ -2,9 +2,9 @@
 // Deep Gradient Compression / quantized gradients). Sweeps top-k keep
 // fractions and quantization bit widths under synchronous SGD.
 
-#include <cstdio>
 #include <memory>
 
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/distributed/cluster.h"
 #include "src/distributed/compressor.h"
@@ -23,11 +23,13 @@ int main() {
   config.rounds = 300;
   config.network.bandwidth_bytes_per_s = 1.25e8;
 
-  std::printf("E6: gradient compression sweep (8 workers, sync SGD)\n");
-  std::printf("%-22s %10s %12s %12s\n", "codec", "accuracy", "comm_MB",
-              "vs_dense");
+  bench::Report report("grad_compression");
+  report.Print("E6: gradient compression sweep (8 workers, sync SGD)\n");
+  bench::Table& table = report.AddTable(
+      "E6", {{"codec", "%-22s"}, {"accuracy", "%10.3f"}, {"comm_MB", "%12.2f"},
+             {"vs_dense", "%11.1fx"}});
 
-  auto run = [&](const char* name, const GradientCompressor* codec,
+  auto run = [&](const std::string& name, const GradientCompressor* codec,
                  double dense_mb) {
     auto result = TrainOnCluster(arch, split.train, config, codec);
     if (!result.ok()) {
@@ -36,28 +38,22 @@ int main() {
     }
     Sequential model = result->model.Clone();
     const double mb = result->report.Get(metric::kCommBytes) / 1e6;
-    std::printf("%-22s %10.3f %12.2f %11.1fx\n", name,
-                Evaluate(&model, split.test).accuracy, mb,
-                dense_mb > 0 ? dense_mb / mb : 1.0);
+    table.Row(name, Evaluate(&model, split.test).accuracy, mb,
+              dense_mb > 0 ? dense_mb / mb : 1.0);
     return mb;
   };
 
   const double dense_mb = run("dense fp32", nullptr, 0.0);
   for (double keep : {0.25, 0.1, 0.05, 0.01}) {
     TopKCompressor topk(keep);
-    char name[32];
-    std::snprintf(name, sizeof(name), "top-%.0f%%", keep * 100);
-    run(name, &topk, dense_mb);
+    run(bench::Format("top-%.0f%%", keep * 100), &topk, dense_mb);
   }
   for (int64_t bits : {8, 4, 2, 1}) {
     QuantizingCompressor q(bits);
-    char name[32];
-    std::snprintf(name, sizeof(name), "quantize-%lldbit",
-                  static_cast<long long>(bits));
-    run(name, &q, dense_mb);
+    run("quantize-" + std::to_string(bits) + "bit", &q, dense_mb);
   }
-  std::printf("\nexpected shape: 10-100x byte reductions with error "
-              "feedback keeping accuracy within a few points of dense; "
-              "1-bit / top-1%% are the aggressive edge.\n");
-  return 0;
+  report.Print("\nexpected shape: 10-100x byte reductions with error "
+               "feedback keeping accuracy within a few points of dense; "
+               "1-bit / top-1%% are the aggressive edge.\n");
+  return report.Finish();
 }

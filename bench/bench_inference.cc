@@ -7,19 +7,19 @@
 //
 // Standalone binary (not google-benchmark): it installs a global
 // operator new hook to count heap allocations, which must not race with a
-// benchmark framework's own bookkeeping. Pass --smoke (or set
-// DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at tiny shapes.
+// benchmark framework's own bookkeeping. Pass --smoke for a seconds-scale
+// CI run at tiny shapes.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
@@ -70,20 +70,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 namespace dlsys {
 namespace {
 
-volatile float g_sink = 0.0f;  // defeats dead-code elimination
+using bench::kWall;
+using bench::MedianMs;
 
-/// Median-of-5 wall time in milliseconds of `iters` calls to fn.
-template <typename Fn>
-double MedianMs(int iters, Fn&& fn) {
-  std::vector<double> reps;
-  for (int r = 0; r < 5; ++r) {
-    Stopwatch watch;
-    for (int it = 0; it < iters; ++it) fn();
-    reps.push_back(watch.Seconds() * 1000.0 / iters);
-  }
-  std::sort(reps.begin(), reps.end());
-  return reps[2];
-}
+volatile float g_sink = 0.0f;  // defeats dead-code elimination
 
 /// Interleaved A/B/... timing: runs one rep of every candidate before the
 /// next rep of any, so slow drift (thermal, frequency scaling) lands on
@@ -111,14 +101,7 @@ bool g_smoke = false;
 
 // -------------------------------------------- 1. steady-state allocations
 
-struct SteadyState {
-  int64_t engine_allocs_per_call = 0;
-  int64_t forward_allocs_per_call = 0;
-  double engine_batch1_ms = 0.0;
-  double forward_batch1_ms = 0.0;
-};
-
-SteadyState BenchSteadyState() {
+void BenchSteadyState(bench::Report* report) {
   Rng rng(51);
   const int64_t img = g_smoke ? 8 : 16;
   Sequential net = MakeCnn(img, g_smoke ? 3 : 8, g_smoke ? 4 : 8, 10);
@@ -133,54 +116,50 @@ SteadyState BenchSteadyState() {
   Tensor out({1, engine.output_elems_per_example()});
   DLSYS_CHECK(engine.PredictInto(x.data(), 1, out.data()).ok(), "warm");
 
-  SteadyState result;
   const int calls = g_smoke ? 5 : 50;
   const int64_t before_engine = g_heap_allocs.load();
   for (int i = 0; i < calls; ++i) {
     DLSYS_CHECK(engine.PredictInto(x.data(), 1, out.data()).ok(), "predict");
   }
-  result.engine_allocs_per_call = (g_heap_allocs.load() - before_engine) / calls;
+  const int64_t engine_allocs = (g_heap_allocs.load() - before_engine) / calls;
 
   const int64_t before_forward = g_heap_allocs.load();
   for (int i = 0; i < calls; ++i) {
     g_sink = net.Forward(x, CacheMode::kNoCache)[0];
   }
-  result.forward_allocs_per_call =
+  const int64_t forward_allocs =
       (g_heap_allocs.load() - before_forward) / calls;
 
   const int iters = g_smoke ? 3 : 20;
-  result.engine_batch1_ms = MedianMs(iters, [&] {
+  const double engine_ms = MedianMs(iters, [&] {
     DLSYS_CHECK(engine.PredictInto(x.data(), 1, out.data()).ok(), "predict");
     g_sink = out[0];
   });
-  result.forward_batch1_ms =
+  const double forward_ms =
       MedianMs(iters, [&] { g_sink = net.Forward(x, CacheMode::kNoCache)[0]; });
-  return result;
+  report
+      ->AddLine("steady_state",
+                {{"engine_allocs_per_call", "steady-state  engine %lld"},
+                 {"engine_batch1_ms", " allocs/call, %.4f ms |", kWall},
+                 {"forward_allocs_per_call", " training forward %lld"},
+                 {"forward_batch1_ms", " allocs/call, %.4f ms", kWall}})
+      .Row(engine_allocs, engine_ms, forward_allocs, forward_ms);
 }
 
 // ---------------------------------------------------- 2. int8 vs fp32 GEMM
 
-struct GemmRow {
-  int64_t m = 0, k = 0, n = 0;
-  double fp32_ms = 0.0;
-  double int8_ms = 0.0;       ///< q8-block GEMM alone (dequant fused)
-  double int8_full_ms = 0.0;  ///< activation quantize + q8-block GEMM
-};
-
-GemmRow BenchInt8Gemm() {
+void BenchInt8Gemm(bench::Report* report) {
   Rng rng(53);
-  GemmRow row;
-  row.m = g_smoke ? 8 : 64;
-  row.k = g_smoke ? 64 : 768;
-  row.n = g_smoke ? 32 : 768;
-  const int64_t m = row.m, k = row.k, n = row.n;
+  const int64_t m = g_smoke ? 8 : 64;
+  const int64_t k = g_smoke ? 64 : 768;
+  const int64_t n = g_smoke ? 32 : 768;
 
   Tensor a({m, k}), w({k, n});
   a.FillGaussian(&rng, 1.0f);
   w.FillGaussian(&rng, 0.1f);
   std::vector<float> c(static_cast<size_t>(m * n));
   const int iters = g_smoke ? 3 : 10;
-  row.fp32_ms = MedianMs(iters, [&] {
+  const double fp32_ms = MedianMs(iters, [&] {
     MatMulInto(a.data(), w.data(), c.data(), m, k, n);
     g_sink = c[0];
   });
@@ -198,18 +177,29 @@ GemmRow BenchInt8Gemm() {
   std::vector<float> qa_scales(static_cast<size_t>(m * kp / kQuantBlock));
   Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
 
-  row.int8_ms = MedianMs(iters, [&] {
+  // The q8-block GEMM alone (dequantization fused), then with the
+  // activation quantize in front of it.
+  const double int8_ms = MedianMs(iters, [&] {
     Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
                           qw.scales.data(), c.data(), m, kp, n);
     g_sink = c[0];
   });
-  row.int8_full_ms = MedianMs(iters, [&] {
+  const double int8_full_ms = MedianMs(iters, [&] {
     Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
     Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
                           qw.scales.data(), c.data(), m, kp, n);
     g_sink = c[0];
   });
-  return row;
+  report
+      ->AddLine("int8_gemm", {{"m", "gemm %lld"}, {"k", "x%lld"},
+                              {"n", "x%lld"},
+                              {"fp32_ms", "  fp32 %.4f ms |", kWall},
+                              {"int8_ms", " q8 %.4f ms", kWall},
+                              {"speedup_raw", " (%.2fx) |", kWall},
+                              {"int8_full_ms", " q8+quantize %.4f ms", kWall},
+                              {"speedup_full", " (%.2fx)", kWall}})
+      .Row(m, k, n, fp32_ms, int8_ms, fp32_ms / int8_ms, int8_full_ms,
+           fp32_ms / int8_full_ms);
 }
 
 // ------------------------------------------------ 3. pass pipeline (E36)
@@ -410,105 +400,46 @@ PassPipelineRows BenchPassPipeline() {
 
 int main(int argc, char** argv) {
   using namespace dlsys;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
-  if (const char* env = std::getenv("DLSYS_BENCH_SMOKE");
-      env != nullptr && env[0] == '1') {
-    g_smoke = true;
-  }
+  g_smoke = bench::HasFlag(argc, argv, "--smoke");
   RuntimeConfig::SetThreads(4);
+  bench::Report report("inference");
 
-  const SteadyState steady = BenchSteadyState();
-  std::printf(
-      "steady-state  engine %lld allocs/call, %.4f ms | training forward "
-      "%lld allocs/call, %.4f ms\n",
-      static_cast<long long>(steady.engine_allocs_per_call),
-      steady.engine_batch1_ms,
-      static_cast<long long>(steady.forward_allocs_per_call),
-      steady.forward_batch1_ms);
-
-  const GemmRow gemm = BenchInt8Gemm();
-  std::printf(
-      "gemm %lldx%lldx%lld  fp32 %.4f ms | q8 %.4f ms (%.2fx) | "
-      "q8+quantize %.4f ms (%.2fx)\n",
-      static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
-      static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
-      gemm.fp32_ms / gemm.int8_ms, gemm.int8_full_ms,
-      gemm.fp32_ms / gemm.int8_full_ms);
-
+  BenchSteadyState(&report);
+  BenchInt8Gemm(&report);
   const PassPipelineRows passes = BenchPassPipeline();
-  std::printf(
-      "passes dense  unfused %.4f ms | fused %.4f ms (%.2fx) | bitwise "
-      "equal %s\n",
-      passes.dense_relu_unfused_ms, passes.dense_relu_fused_ms,
-      passes.dense_relu_unfused_ms / passes.dense_relu_fused_ms,
-      passes.fp32_bitwise_equal ? "yes" : "NO");
-  std::printf("passes conv   unfused %.4f ms | fused %.4f ms (%.2fx)\n",
-              passes.conv_relu_unfused_ms, passes.conv_relu_fused_ms,
-              passes.conv_relu_unfused_ms / passes.conv_relu_fused_ms);
-  std::printf(
-      "passes int8   none %.4f ms | fuse+qelim %.4f ms | fold %.4f ms | "
-      "all %.4f ms (%.2fx)\n",
-      passes.int8_none_ms, passes.int8_fuse_qe_ms, passes.int8_fold_ms,
-      passes.int8_all_ms, passes.int8_none_ms / passes.int8_all_ms);
-  std::printf(
-      "passes arena  funnel graph %lld -> %lld nodes | workspace %lld -> "
-      "%lld bytes (%.2fx)\n",
-      static_cast<long long>(passes.nodes_unfused),
-      static_cast<long long>(passes.nodes_fused),
-      static_cast<long long>(passes.funnel_unpacked_bytes),
-      static_cast<long long>(passes.funnel_packed_bytes),
-      static_cast<double>(passes.funnel_unpacked_bytes) /
-          static_cast<double>(passes.funnel_packed_bytes));
-
-  FILE* out = std::fopen("BENCH_inference.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_inference.json\n");
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"smoke\": %s,\n"
-               "  \"steady_state\": {\"engine_allocs_per_call\": %lld, "
-               "\"forward_allocs_per_call\": %lld,\n"
-               "                   \"engine_batch1_ms\": %.4f, "
-               "\"forward_batch1_ms\": %.4f},\n"
-               "  \"int8_gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
-               "\"fp32_ms\": %.4f,\n"
-               "                \"int8_ms\": %.4f, \"int8_full_ms\": %.4f, "
-               "\"speedup_raw\": %.2f, \"speedup_full\": %.2f},\n"
-               "  \"pass_pipeline\": {\"dense_relu_unfused_ms\": %.4f, "
-               "\"dense_relu_fused_ms\": %.4f,\n"
-               "                    \"conv_relu_unfused_ms\": %.4f, "
-               "\"conv_relu_fused_ms\": %.4f,\n"
-               "                    \"int8_none_ms\": %.4f, "
-               "\"int8_fuse_qe_ms\": %.4f, \"int8_fold_ms\": %.4f, "
-               "\"int8_all_ms\": %.4f,\n"
-               "                    \"funnel_nodes_unfused\": %lld, "
-               "\"funnel_nodes_fused\": %lld,\n"
-               "                    \"funnel_unpacked_bytes\": %lld, "
-               "\"funnel_packed_bytes\": %lld, "
-               "\"fp32_bitwise_equal\": %s}\n"
-               "}\n",
-               g_smoke ? "true" : "false",
-               static_cast<long long>(steady.engine_allocs_per_call),
-               static_cast<long long>(steady.forward_allocs_per_call),
-               steady.engine_batch1_ms, steady.forward_batch1_ms,
-               static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
-               static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
-               gemm.int8_full_ms, gemm.fp32_ms / gemm.int8_ms,
-               gemm.fp32_ms / gemm.int8_full_ms,
-               passes.dense_relu_unfused_ms, passes.dense_relu_fused_ms,
-               passes.conv_relu_unfused_ms, passes.conv_relu_fused_ms,
-               passes.int8_none_ms, passes.int8_fuse_qe_ms,
-               passes.int8_fold_ms, passes.int8_all_ms,
-               static_cast<long long>(passes.nodes_unfused),
-               static_cast<long long>(passes.nodes_fused),
-               static_cast<long long>(passes.funnel_unpacked_bytes),
-               static_cast<long long>(passes.funnel_packed_bytes),
-               passes.fp32_bitwise_equal ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote BENCH_inference.json\n");
-  return 0;
+  report
+      .AddLine("pass_dense",
+               {{"unfused_ms", "passes dense  unfused %.4f ms |", kWall},
+                {"fused_ms", " fused %.4f ms", kWall},
+                {"speedup", " (%.2fx) |", kWall},
+                {"fp32_bitwise_equal", " bitwise equal %s"}})
+      .Row(passes.dense_relu_unfused_ms, passes.dense_relu_fused_ms,
+           passes.dense_relu_unfused_ms / passes.dense_relu_fused_ms,
+           passes.fp32_bitwise_equal ? "yes" : "NO");
+  report
+      .AddLine("pass_conv",
+               {{"unfused_ms", "passes conv   unfused %.4f ms |", kWall},
+                {"fused_ms", " fused %.4f ms", kWall},
+                {"speedup", " (%.2fx)", kWall}})
+      .Row(passes.conv_relu_unfused_ms, passes.conv_relu_fused_ms,
+           passes.conv_relu_unfused_ms / passes.conv_relu_fused_ms);
+  report
+      .AddLine("pass_int8", {{"none_ms", "passes int8   none %.4f ms |", kWall},
+                             {"fuse_qe_ms", " fuse+qelim %.4f ms |", kWall},
+                             {"fold_ms", " fold %.4f ms |", kWall},
+                             {"all_ms", " all %.4f ms", kWall},
+                             {"speedup", " (%.2fx)", kWall}})
+      .Row(passes.int8_none_ms, passes.int8_fuse_qe_ms, passes.int8_fold_ms,
+           passes.int8_all_ms, passes.int8_none_ms / passes.int8_all_ms);
+  report
+      .AddLine("pass_arena",
+               {{"nodes_unfused", "passes arena  funnel graph %lld"},
+                {"nodes_fused", " -> %lld nodes |"},
+                {"unpacked_bytes", " workspace %lld"},
+                {"packed_bytes", " -> %lld bytes"}, {"ratio", " (%.2fx)"}})
+      .Row(passes.nodes_unfused, passes.nodes_fused,
+           passes.funnel_unpacked_bytes, passes.funnel_packed_bytes,
+           static_cast<double>(passes.funnel_unpacked_bytes) /
+               static_cast<double>(passes.funnel_packed_bytes));
+  return report.Finish();
 }

@@ -3,16 +3,18 @@
 // plus planning-time scaling where exhaustive enumeration explodes.
 
 #include <cmath>
-#include <cstdio>
 
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/db/join.h"
 #include "src/learned/join_order.h"
 
 int main() {
   using namespace dlsys;
-  std::printf("E24: learned join ordering (value network trained on 200 "
-              "random queries)\n");
+  using bench::kWall;
+  bench::Report report("join_order");
+  report.Print("E24: learned join ordering (value network trained on 200 "
+               "random queries)\n");
   JoinOptimizerConfig config;
   config.training_queries = 200;
   Stopwatch train_watch;
@@ -21,14 +23,16 @@ int main() {
     std::fprintf(stderr, "%s\n", learned.status().ToString().c_str());
     return 1;
   }
-  std::printf("training time: %.1f s, model %lld bytes\n\n",
-              train_watch.Seconds(),
-              static_cast<long long>(learned->MemoryBytes()));
+  report
+      .AddLine("training", {{"train_s", "training time: %.1f s,", kWall},
+                            {"model_bytes", " model %lld bytes"}})
+      .Row(train_watch.Seconds(), learned->MemoryBytes());
 
-  std::printf("E24a: mean log10(plan cost / optimal) on 30 held-out "
-              "queries per size\n");
-  std::printf("%-10s %10s %10s %10s\n", "relations", "learned", "greedy",
-              "random");
+  report.Print("\nE24a: mean log10(plan cost / optimal) on 30 held-out "
+               "queries per size\n");
+  bench::Table& gaps = report.AddTable(
+      "E24a", {{"relations", "%-10lld"}, {"learned", "%10.2f"},
+               {"greedy", "%10.2f"}, {"random", "%10.2f"}});
   for (int64_t n : {5, 8, 11, 14}) {
     Rng rng(200 + static_cast<uint64_t>(n));
     double learned_gap = 0.0, greedy_gap = 0.0, random_gap = 0.0;
@@ -42,14 +46,14 @@ int main() {
       greedy_gap += std::log10(PlanCost(q, GreedyLeftDeep(q))) - opt_cost;
       random_gap += std::log10(PlanCost(q, RandomOrder(q, &rng))) - opt_cost;
     }
-    std::printf("%-10lld %10.2f %10.2f %10.2f\n", static_cast<long long>(n),
-                learned_gap / trials, greedy_gap / trials,
-                random_gap / trials);
+    gaps.Row(n, learned_gap / trials, greedy_gap / trials,
+             random_gap / trials);
   }
 
-  std::printf("\nE24b: planning time per query (ms)\n");
-  std::printf("%-10s %12s %12s %12s\n", "relations", "dp_optimal",
-              "learned", "greedy");
+  report.Print("\nE24b: planning time per query (ms)\n");
+  bench::Table& times = report.AddTable(
+      "E24b", {{"relations", "%-10lld"}, {"dp_optimal", "%12.2f", kWall},
+               {"learned", "%12.2f", kWall}, {"greedy", "%12.2f", kWall}});
   for (int64_t n : {8, 12, 16, 20}) {
     Rng rng(300 + static_cast<uint64_t>(n));
     JoinQuery q = MakeJoinQuery(n, 0.25, &rng);
@@ -62,12 +66,11 @@ int main() {
     Stopwatch greedy_watch;
     GreedyLeftDeep(q);
     const double greedy_ms = greedy_watch.Seconds() * 1e3;
-    std::printf("%-10lld %12.2f %12.2f %12.2f\n", static_cast<long long>(n),
-                best.ok() ? dp_ms : -1.0, learned_ms, greedy_ms);
+    times.Row(n, best.ok() ? dp_ms : -1.0, learned_ms, greedy_ms);
   }
-  std::printf("\nexpected shape: the learned planner lands within a small "
-              "gap of the DP optimum (far below random, near greedy) while "
-              "its planning time stays flat as DP's explodes "
-              "exponentially — the case for learned optimizers.\n");
-  return 0;
+  report.Print("\nexpected shape: the learned planner lands within a small "
+               "gap of the DP optimum (far below random, near greedy) while "
+               "its planning time stays flat as DP's explodes "
+               "exponentially — the case for learned optimizers.\n");
+  return report.Finish();
 }

@@ -1,8 +1,7 @@
 // E13 — RL knob tuning converges to near-optimal configurations with
 // fewer evaluations than grid search (Part 2, QTune/CDBTune-flavoured).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/db/tunable_db.h"
 #include "src/learned/knob_tuning.h"
 
@@ -15,7 +14,16 @@ double BestAt(const dlsys::TuningResult& r, size_t evals) {
 
 int main() {
   using namespace dlsys;
-  std::printf("E13: knob tuning on the simulated DB (288 configurations)\n");
+  bench::Report report("knob_tuning");
+  report.Print("E13: knob tuning on the simulated DB (288 configurations)\n");
+  bench::Table& optimum = report.AddLine(
+      "optimum", {{"workload", "\nworkload %s:"},
+                  {"optimum_ms", " exhaustive optimum %.3f ms"},
+                  {"knobs", " (%s)"}});
+  bench::Table& final_config = report.AddLine(
+      "final", {{"knobs", "final q-learning config: %s"},
+                {"latency_ms", " (%.3f ms,"},
+                {"above_optimum_pct", " %.1f%% above optimum)"}});
   struct Workload {
     const char* name;
     DbWorkload profile;
@@ -34,21 +42,19 @@ int main() {
     TuningResult q = QLearningTune(db, q_config);
     TuningResult grid = GridSearchTune(db, db.NumConfigs());
     TuningResult random = RandomSearchTune(db, 1800, 71);
-    std::printf("\nworkload %s: exhaustive optimum %.3f ms (%s)\n", w.name,
-                optimal, db.Describe(db.BestKnobs()).c_str());
-    std::printf("%-8s %12s %12s %12s\n", "evals", "qlearn_ms", "grid_ms",
-                "random_ms");
+    optimum.Row(w.name, optimal, db.Describe(db.BestKnobs()));
+    bench::Table& table = report.AddTable(
+        w.name, {{"evals", "%-8zu"}, {"qlearn_ms", "%12.3f"},
+                 {"grid_ms", "%12.3f"}, {"random_ms", "%12.3f"}});
     for (size_t evals : {30, 60, 120, 288, 900, 1800}) {
-      std::printf("%-8zu %12.3f %12.3f %12.3f\n", evals, BestAt(q, evals),
-                  BestAt(grid, evals), BestAt(random, evals));
+      table.Row(evals, BestAt(q, evals), BestAt(grid, evals),
+                BestAt(random, evals));
     }
-    std::printf("final q-learning config: %s (%.3f ms, %.1f%% above "
-                "optimum)\n",
-                db.Describe(q.best).c_str(), q.best_latency_ms,
-                100.0 * (q.best_latency_ms / optimal - 1.0));
+    final_config.Row(db.Describe(q.best), q.best_latency_ms,
+                     100.0 * (q.best_latency_ms / optimal - 1.0));
   }
-  std::printf("\nexpected shape: q-learning reaches near-optimal latency "
-              "in far fewer evaluations than grid enumeration; random "
-              "search sits between.\n");
-  return 0;
+  report.Print("\nexpected shape: q-learning reaches near-optimal latency "
+               "in far fewer evaluations than grid enumeration; random "
+               "search sits between.\n");
+  return report.Finish();
 }

@@ -2,17 +2,19 @@
 // on structured key sets the classifier absorbs most members, cutting
 // FPR (equivalently, memory at equal FPR).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/db/bloom.h"
 #include "src/learned/learned_bloom.h"
 
 int main() {
   using namespace dlsys;
-  std::printf("E11: learned vs classic bloom filter "
-              "(4000 members, clustered key sets)\n");
-  std::printf("%-9s %-9s %10s %12s %12s %10s\n", "clusters", "recall",
-              "bytes", "classic_fpr", "learned_fpr", "backup");
+  bench::Report report("learned_bloom");
+  report.Print("E11: learned vs classic bloom filter "
+               "(4000 members, clustered key sets)\n");
+  bench::Table& table = report.AddTable(
+      "E11", {{"clusters", "%-9lld"}, {"recall", "%-9.1f"}, {"bytes", "%10lld"},
+              {"classic_fpr", "%12.4f"}, {"learned_fpr", "%12.4f"},
+              {"backup", "%10lld"}});
   for (int64_t clusters : {2, 4, 8}) {
     Rng rng(59 + static_cast<uint64_t>(clusters));
     MembershipData data =
@@ -34,16 +36,14 @@ int main() {
       BloomFilter classic = BloomFilter::ForKeys(
           static_cast<int64_t>(data.members.size()), bits_per_key);
       for (int64_t key : data.members) classic.Insert(key);
-      std::printf("%-9lld %-9.1f %10lld %12.4f %12.4f %10lld\n",
-                  static_cast<long long>(clusters), recall,
-                  static_cast<long long>(learned->MemoryBytes()),
-                  classic.MeasureFpr(test_nm), learned->MeasureFpr(test_nm),
-                  static_cast<long long>(learned->backup_keys()));
+      table.Row(clusters, recall, learned->MemoryBytes(),
+                classic.MeasureFpr(test_nm), learned->MeasureFpr(test_nm),
+                learned->backup_keys());
     }
   }
-  std::printf("\nexpected shape: at matched memory the learned filter's "
-              "FPR undercuts the classic filter when member keys are "
-              "clustered; higher classifier recall shrinks the backup "
-              "filter at some FPR risk.\n");
-  return 0;
+  report.Print("\nexpected shape: at matched memory the learned filter's "
+               "FPR undercuts the classic filter when member keys are "
+               "clustered; higher classifier recall shrinks the backup "
+               "filter at some FPR risk.\n");
+  return report.Finish();
 }

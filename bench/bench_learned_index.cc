@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <set>
 
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
 #include "src/db/btree.h"
@@ -31,9 +31,14 @@ std::vector<int64_t> MakeKeys(const char* dist, int64_t n, dlsys::Rng* rng) {
 
 int main() {
   using namespace dlsys;
-  std::printf("E10: learned index vs B+-tree vs binary search\n");
-  std::printf("%-11s %9s %-8s %12s %12s %12s %10s\n", "dist", "keys",
-              "struct", "build_ms", "lookup_ns", "bytes", "window");
+  using bench::kExact;
+  bench::Report report("learned_index");
+  report.Print("E10: learned index vs B+-tree vs binary search\n");
+  bench::Table& table = report.AddTable(
+      "E10", {{"dist", "%-11s"}, {"keys", "%9lld"}, {"struct", "%-8s"},
+              {"build_ms", "%12.1f", bench::kWall},
+              {"lookup_ns", "%12.0f", bench::kWall}, {"bytes", "%12lld"},
+              {"window", "%10.1f"}, {"sink", " [sink %lld]", kExact, ""}});
   for (const char* dist : {"uniform", "lognormal"}) {
     for (int64_t n : {100000, 1000000}) {
       Rng rng(53);
@@ -54,9 +59,8 @@ int main() {
       for (int64_t key : probes) sink += *btree.Find(key);
       const double bt_ns =
           bt_lookup.Seconds() * 1e9 / static_cast<double>(probes.size());
-      std::printf("%-11s %9lld %-8s %12.1f %12.0f %12lld %10s\n", dist,
-                  static_cast<long long>(n), "b+tree", bt_build_ms, bt_ns,
-                  static_cast<long long>(btree.MemoryBytes()), "-");
+      table.Row(dist, n, "b+tree", bt_build_ms, bt_ns, btree.MemoryBytes(),
+                "-");
 
       // Learned index (RMI).
       Stopwatch rmi_build;
@@ -67,10 +71,8 @@ int main() {
       for (int64_t key : probes) sink -= *rmi->Find(key);
       const double rmi_ns =
           rmi_lookup.Seconds() * 1e9 / static_cast<double>(probes.size());
-      std::printf("%-11s %9lld %-8s %12.1f %12.0f %12lld %10.1f\n", dist,
-                  static_cast<long long>(n), "rmi", rmi_build_ms, rmi_ns,
-                  static_cast<long long>(rmi->MemoryBytes()),
-                  rmi->MeanSearchWindow());
+      table.Row(dist, n, "rmi", rmi_build_ms, rmi_ns, rmi->MemoryBytes(),
+                rmi->MeanSearchWindow());
 
       // Plain binary search over the sorted array (zero index bytes).
       Stopwatch bin_lookup;
@@ -80,13 +82,11 @@ int main() {
       }
       const double bin_ns =
           bin_lookup.Seconds() * 1e9 / static_cast<double>(probes.size());
-      std::printf("%-11s %9lld %-8s %12s %12.0f %12d %10s  [sink %lld]\n",
-                  dist, static_cast<long long>(n), "binary", "-", bin_ns, 0,
-                  "-", static_cast<long long>(sink % 1000));
+      table.Row(dist, n, "binary", "-", bin_ns, 0, "-", sink % 1000);
     }
   }
-  std::printf("\nexpected shape: RMI is 10-100x smaller than the B+-tree "
-              "and at least competitive on lookups (beating full binary "
-              "search via its narrow certified windows).\n");
-  return 0;
+  report.Print("\nexpected shape: RMI is 10-100x smaller than the B+-tree "
+               "and at least competitive on lookups (beating full binary "
+               "search via its narrow certified windows).\n");
+  return report.Finish();
 }

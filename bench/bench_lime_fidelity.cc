@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "bench/report.h"
 #include "src/compress/distill.h"
 #include "src/data/synthetic.h"
 #include "src/interpret/lime.h"
@@ -15,6 +15,7 @@
 
 int main() {
   using namespace dlsys;
+  bench::Report report("lime_fidelity");
   Rng rng(79);
   Dataset data = MakeTwoMoons(2000, 0.08, &rng);
   TrainTestSplit split = Split(data, 0.8);
@@ -24,9 +25,11 @@ int main() {
   TrainConfig tc;
   tc.epochs = 8;
   Train(&net, &opt, split.train, tc);
-  std::printf("E16a: LIME fidelity vs neighbourhood width "
-              "(model acc=%.3f on two-moons)\n",
-              Evaluate(&net, split.test).accuracy);
+  report
+      .AddLine("model", {{"accuracy",
+                          "E16a: LIME fidelity vs neighbourhood width "
+                          "(model acc=%.3f on two-moons)"}})
+      .Row(Evaluate(&net, split.test).accuracy);
   // Explain points near the decision boundary, where the model actually
   // varies (far from it the function is constant and R^2 degenerates).
   Tensor all_probs = RowSoftmax(net.Forward(split.test.x, CacheMode::kNoCache));
@@ -39,7 +42,8 @@ int main() {
   for (size_t i = 0; i < 20 && i < by_margin.size(); ++i) {
     boundary_points.push_back(by_margin[i].second);
   }
-  std::printf("%-14s %14s\n", "perturb_std", "mean_R2");
+  bench::Table& local = report.AddTable(
+      "E16a", {{"perturb_std", "%-14.2f"}, {"mean_R2", "%14.3f"}});
   for (double width : {0.01, 0.03, 0.1, 0.3, 1.0}) {
     double total_r2 = 0.0;
     int64_t count = 0;
@@ -54,13 +58,14 @@ int main() {
       total_r2 += explanation->fidelity_r2;
       ++count;
     }
-    std::printf("%-14.2f %14.3f\n", width,
-                total_r2 / static_cast<double>(count));
+    local.Row(width, total_r2 / static_cast<double>(count));
   }
 
-  std::printf("\nE16b: distilled global surrogates — depth sweep "
-              "(agreement with teacher on the test set)\n");
-  std::printf("%-14s %12s %14s\n", "surrogate", "params", "agreement");
+  report.Print("\nE16b: distilled global surrogates — depth sweep "
+               "(agreement with teacher on the test set)\n");
+  bench::Table& global = report.AddTable(
+      "E16b", {{"surrogate", "%-14s"}, {"params", "%12lld"},
+               {"agreement", "%14.3f"}});
   for (int64_t width : {0, 4, 16, 48}) {
     Sequential surrogate = width == 0 ? MakeMlp(2, {}, 2)
                                       : MakeMlp(2, {width}, 2);
@@ -81,17 +86,13 @@ int main() {
     for (size_t i = 0; i < a.size(); ++i) {
       if (a[i] == b[i]) ++same;
     }
-    char name[32];
-    std::snprintf(name, sizeof(name),
-                  width == 0 ? "linear" : "mlp-%lld",
-                  static_cast<long long>(width));
-    std::printf("%-14s %12lld %14.3f\n", name,
-                static_cast<long long>(surrogate.NumParams()),
-                static_cast<double>(same) / static_cast<double>(a.size()));
+    global.Row(width == 0 ? "linear" : "mlp-" + std::to_string(width),
+               surrogate.NumParams(),
+               static_cast<double>(same) / static_cast<double>(a.size()));
   }
-  std::printf("\nexpected shape: local fidelity ~1 for narrow "
-              "neighbourhoods, decaying as the linear surrogate must "
-              "cover more of the nonlinear boundary; global surrogate "
-              "agreement rises with surrogate capacity.\n");
-  return 0;
+  report.Print("\nexpected shape: local fidelity ~1 for narrow "
+               "neighbourhoods, decaying as the linear surrogate must "
+               "cover more of the nonlinear boundary; global surrogate "
+               "agreement rises with surrogate capacity.\n");
+  return report.Finish();
 }

@@ -1,8 +1,7 @@
 // E5 — Local SGD cuts communication with small accuracy loss as the
 // averaging period H grows (Section 2.1, Stich).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/distributed/cluster.h"
 #include "src/nn/train.h"
@@ -15,10 +14,14 @@ int main() {
   Sequential arch = MakeMlp(16, {64}, 6);
   arch.Init(&rng);
 
-  std::printf("E5: Local SGD averaging-period sweep "
-              "(8 workers, 480 local steps, 1 Gbps)\n");
-  std::printf("%-8s %10s %12s %14s %12s\n", "H", "accuracy", "comm_MB",
-              "comm_rounds", "sim_time_s");
+  bench::Report report("local_sgd");
+  report.Print("E5: Local SGD averaging-period sweep "
+               "(8 workers, 480 local steps, 1 Gbps)\n");
+  // The simulated time includes each round's measured compute.
+  bench::Table& table = report.AddTable(
+      "E5", {{"H", "%-8lld"}, {"accuracy", "%10.3f"}, {"comm_MB", "%12.2f"},
+             {"comm_rounds", "%14lld"},
+             {"sim_time_s", "%12.4f", bench::kWall}});
   for (int64_t h : {1, 2, 4, 8, 16, 32}) {
     ClusterConfig config;
     config.workers = 8;
@@ -32,14 +35,11 @@ int main() {
       return 1;
     }
     Sequential model = result->model.Clone();
-    std::printf("%-8lld %10.3f %12.2f %14lld %12.4f\n",
-                static_cast<long long>(h),
-                Evaluate(&model, split.test).accuracy,
-                result->report.Get(metric::kCommBytes) / 1e6,
-                static_cast<long long>(480 / h),
-                result->report.Get(metric::kTrainSeconds));
+    table.Row(h, Evaluate(&model, split.test).accuracy,
+              result->report.Get(metric::kCommBytes) / 1e6, 480 / h,
+              result->report.Get(metric::kTrainSeconds));
   }
-  std::printf("\nexpected shape: comm bytes fall ~1/H; accuracy nearly flat "
-              "for small H, degrading slowly at large H.\n");
-  return 0;
+  report.Print("\nexpected shape: comm bytes fall ~1/H; accuracy nearly flat "
+               "for small H, degrading slowly at large H.\n");
+  return report.Finish();
 }

@@ -13,8 +13,9 @@
 // workloads' parameter payloads — plus the lookup primitives (B+-tree,
 // RMI, bloom) behind the learned-index experiments. Per-cell
 // latency quantiles are exact quantiles of the timed samples, reported
-// beside the fastest sample; results land in BENCH_microkernels.json
-// with speedup vs the scalar table per cell.
+// at 1 ns (microseconds to three decimals) beside the fastest sample;
+// results land in BENCH_microkernels.json with speedup vs the scalar
+// table per cell.
 //
 // The sweep is also a cross-ISA parity gate: every cell's output is
 // bit-compared against the scalar table's on the same operands, and any
@@ -22,14 +23,13 @@
 //
 // Standalone binary (not google-benchmark): the sweep forces each SIMD
 // table via simd::SetIsa between sections, which must not interleave with
-// a framework's own repetition scheduling. Pass --smoke (or set
-// DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at small shapes.
+// a framework's own repetition scheduling. Pass --smoke for a
+// seconds-scale CI run at small shapes.
 
 #include <sched.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
@@ -187,8 +188,9 @@ void SweepKernel(const std::string& shape, const KernelDef& kernel,
       scalar_p50 = cell.q.p50_ms;
       scalar_out = kernel.output();
     } else if (kernel.output() != scalar_out) {
-      std::printf("PARITY MISMATCH: %s %s %s differs from scalar\n",
-                  cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str());
+      std::fprintf(stderr, "PARITY MISMATCH: %s %s %s differs from scalar\n",
+                   cell.shape.c_str(), cell.kernel.c_str(),
+                   cell.isa.c_str());
       ++*parity_failures;
     }
     cell.speedup_vs_scalar =
@@ -428,13 +430,8 @@ int PinToOneCpu() {
 
 int main(int argc, char** argv) {
   using namespace dlsys;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
-  if (const char* env = std::getenv("DLSYS_BENCH_SMOKE");
-      env != nullptr && env[0] == '1') {
-    g_smoke = true;
-  }
+  using bench::kWall;
+  g_smoke = bench::HasFlag(argc, argv, "--smoke");
   // Single-threaded so the sweep compares kernel codegen, not scheduling.
   RuntimeConfig::SetThreads(1);
   const int cpu = PinToOneCpu();
@@ -468,93 +465,58 @@ int main(int argc, char** argv) {
 
   int parity_failures = 0;
   const std::vector<SweepCell> cells = RunSweep(shapes, &parity_failures);
+  bench::Report report("microkernels");
   if (cpu >= 0) {
-    std::printf("pinned to cpu %d\n", cpu);
+    report.Print("pinned to cpu %d\n", cpu);
   } else {
-    std::printf("unpinned: sched_setaffinity failed\n");
+    report.Print("unpinned: sched_setaffinity failed\n");
   }
-  std::printf("%-16s %-20s %-8s %10s %10s %10s %9s\n", "shape", "kernel",
-              "isa", "p50_ms", "p99_ms", "min_ms", "vs_scalar");
+  bench::Table& sweep = report.AddTable(
+      "sweep", {{"shape", "%-16s"}, {"kernel", "%-20s"}, {"isa", "%-8s"},
+                {"p50_us", "%10.3f", kWall}, {"p99_us", "%10.3f", kWall},
+                {"min_us", "%10.3f", kWall}, {"vs_scalar", "%8.2fx", kWall}});
   double best_e31_speedup = 0.0;
   std::string best_e31_cell;
   for (const SweepCell& cell : cells) {
-    std::printf("%-16s %-20s %-8s %10.5f %10.5f %10.5f %8.2fx\n",
-                cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str(),
-                cell.q.p50_ms, cell.q.p99_ms, cell.q.min_ms,
-                cell.speedup_vs_scalar);
+    sweep.Row(cell.shape, cell.kernel, cell.isa, cell.q.p50_ms * 1e3,
+              cell.q.p99_ms * 1e3, cell.q.min_ms * 1e3,
+              cell.speedup_vs_scalar);
     if (cell.shape == shapes[0].Name() &&
         cell.speedup_vs_scalar > best_e31_speedup) {
       best_e31_speedup = cell.speedup_vs_scalar;
       best_e31_cell = cell.kernel + "/" + cell.isa;
     }
   }
-  std::printf("best %s speedup vs scalar: %.2fx (%s)\n",
-              shapes[0].Name().c_str(), best_e31_speedup,
-              best_e31_cell.c_str());
+  report
+      .AddLine("best", {{"shape", "best %s speedup vs scalar:"},
+                        {"speedup", " %.2fx", kWall}, {"cell", " (%s)", kWall}})
+      .Row(shapes[0].Name(), best_e31_speedup, best_e31_cell);
   // E34's CRC row: the LeNet payload over each table's fastest sample.
   const std::string crc_shape = std::to_string(kCrcLeNetBytes) + "B";
-  std::vector<std::pair<std::string, double>> crc_gbps;
+  bench::Table& crc = report.AddLine(
+      "crc32", {{"payload", "crc32 %s GB/s"}, {"isa", " (%s):"},
+                {"gb_per_s", " %.2f", kWall}});
   for (const SweepCell& cell : cells) {
     if (cell.kernel == "crc32" && cell.shape == crc_shape &&
         cell.q.min_ms > 0.0) {
-      crc_gbps.push_back(
-          {cell.isa, static_cast<double>(kCrcLeNetBytes) / cell.q.min_ms / 1e6});
-      std::printf("crc32 %s GB/s (%s): %.2f\n", crc_shape.c_str(),
-                  cell.isa.c_str(), crc_gbps.back().second);
+      crc.Row(crc_shape, cell.isa,
+              static_cast<double>(kCrcLeNetBytes) / cell.q.min_ms / 1e6);
     }
   }
 
-  const std::vector<LookupRow> lookups = RunLookups();
-  for (const LookupRow& row : lookups) {
-    std::printf("lookup %-6s  p50 %.4f us | p99 %.4f us\n", row.name.c_str(),
-                row.per_probe_us.p50_ms, row.per_probe_us.p99_ms);
+  bench::Table& lookups = report.AddLine(
+      "lookup", {{"structure", "lookup %-6s"},
+                 {"p50_us", "  p50 %.4f us |", kWall},
+                 {"p99_us", " p99 %.4f us", kWall}});
+  for (const LookupRow& row : RunLookups()) {
+    lookups.Row(row.name, row.per_probe_us.p50_ms, row.per_probe_us.p99_ms);
   }
 
-  FILE* out = std::fopen("BENCH_microkernels.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_microkernels.json\n");
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"smoke\": %s,\n"
-               "  \"threads\": 1,\n"
-               "  \"best_speedup_vs_scalar\": {\"shape\": \"%s\", "
-               "\"cell\": \"%s\", \"speedup\": %.2f},\n"
-               "  \"cells\": [\n",
-               g_smoke ? "true" : "false", shapes[0].Name().c_str(),
-               best_e31_cell.c_str(), best_e31_speedup);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    std::fprintf(out,
-                 "    {\"shape\": \"%s\", \"kernel\": \"%s\", \"isa\": "
-                 "\"%s\", \"p50_ms\": %.6f, \"p99_ms\": %.6f, "
-                 "\"min_ms\": %.6f, \"speedup_vs_scalar\": %.2f}%s\n",
-                 cell.shape.c_str(), cell.kernel.c_str(), cell.isa.c_str(),
-                 cell.q.p50_ms, cell.q.p99_ms, cell.q.min_ms,
-                 cell.speedup_vs_scalar,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"crc32_gb_per_s\": {");
-  for (size_t i = 0; i < crc_gbps.size(); ++i) {
-    std::fprintf(out, "%s\"%s\": %.3f", i > 0 ? ", " : "",
-                 crc_gbps[i].first.c_str(), crc_gbps[i].second);
-  }
-  std::fprintf(out, "},\n  \"lookup_us_per_probe\": {\n");
-  for (size_t i = 0; i < lookups.size(); ++i) {
-    std::fprintf(out, "    \"%s\": {\"p50\": %.4f, \"p99\": %.4f}%s\n",
-                 lookups[i].name.c_str(), lookups[i].per_probe_us.p50_ms,
-                 lookups[i].per_probe_us.p99_ms,
-                 i + 1 < lookups.size() ? "," : "");
-  }
-  std::fprintf(out, "  }\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_microkernels.json\n");
   if (parity_failures > 0) {
-    std::printf("FAIL: %d cell(s) differ from the scalar table\n",
-                parity_failures);
-    return 1;
+    std::fprintf(stderr, "FAIL: %d cell(s) differ from the scalar table\n",
+                 parity_failures);
+  } else {
+    report.Print("parity: every cell bit-equal to the scalar table\n");
   }
-  std::printf("parity: every cell bit-equal to the scalar table\n");
-  return 0;
+  return report.Finish(parity_failures == 0);
 }

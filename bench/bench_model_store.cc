@@ -2,8 +2,7 @@
 // storage by an order of magnitude at bounded query error
 // (Section 4.2, Vartak et al.).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/interpret/model_store.h"
 #include "src/nn/train.h"
@@ -30,10 +29,13 @@ int main() {
     }
   }
 
-  std::printf("E18: activation store storage/error tradeoff "
-              "(1024 examples, 6-layer MLP)\n");
-  std::printf("%-11s %-18s %12s %14s\n", "batch", "mode", "stored_KB",
-              "max_abs_err");
+  using bench::kExact;
+  bench::Report report("model_store");
+  report.Print("E18: activation store storage/error tradeoff "
+               "(1024 examples, 6-layer MLP)\n");
+  bench::Table& table = report.AddTable(
+      "E18", {{"batch", "%-11s"}, {"mode", "%-18s"}, {"stored_KB", "%12.1f"},
+              {"max_abs_err", "%14.5f"}});
   struct Case {
     const char* batch_name;
     const Tensor* batch;
@@ -55,12 +57,12 @@ int main() {
     // Reference final-layer activations for error measurement.
     Tensor reference = net.Forward(*c.batch, CacheMode::kNoCache);
     auto err = store->MaxAbsError(store->num_layers() - 1, reference);
-    std::printf("%-11s %-18s %12.1f %14.5f\n", c.batch_name, c.mode_name,
-                static_cast<double>(store->StoredBytes()) / 1e3,
-                err.ok() ? *err : -1.0);
+    table.Row(c.batch_name, c.mode_name,
+              static_cast<double>(store->StoredBytes()) / 1e3,
+              err.ok() ? *err : -1.0);
   }
-  std::printf("\nexpected shape: 8-bit cuts storage ~4x at small bounded "
-              "error; dedup adds nothing on unique inputs but collapses "
-              "redundant batches by the redundancy factor.\n");
-  return 0;
+  report.Print("\nexpected shape: 8-bit cuts storage ~4x at small bounded "
+               "error; dedup adds nothing on unique inputs but collapses "
+               "redundant batches by the redundancy factor.\n");
+  return report.Finish();
 }

@@ -3,8 +3,7 @@
 // is it better to train many small networks or few large ones? Sweeps
 // the (members x width) grid at constant budget, across dataset sizes.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/ensemble/ensemble.h"
 #include "src/nn/train.h"
@@ -21,11 +20,14 @@ int main() {
   using namespace dlsys;
   const int64_t budget = 12000;  // total parameters across the ensemble
 
-  std::printf("E29: fixed parameter budget (%lld params) split across "
-              "ensemble members\n",
-              static_cast<long long>(budget));
-  std::printf("%-10s %-10s %-9s %12s %12s\n", "examples", "members",
-              "width", "accuracy", "train_s");
+  bench::Report report("more_or_less");
+  report.Print("E29: fixed parameter budget (%lld params) split across "
+               "ensemble members\n",
+               static_cast<long long>(budget));
+  bench::Table& table = report.AddTable(
+      "E29", {{"examples", "%-10lld"}, {"members", "%-10lld"},
+              {"width", "%-9lld"}, {"accuracy", "%12.3f"},
+              {"train_s", "%12.3f", bench::kWall}});
   for (int64_t examples : {400, 4000}) {
     Rng rng(131);
     Dataset data =
@@ -44,17 +46,14 @@ int main() {
                                    17 + static_cast<uint64_t>(k));
       if (!run.ok()) return 1;
       auto& e = const_cast<Ensemble&>(run->ensemble);
-      std::printf("%-10lld %-10lld %-9lld %12.3f %12.3f\n",
-                  static_cast<long long>(examples),
-                  static_cast<long long>(k),
-                  static_cast<long long>(width), e.Accuracy(split.test),
-                  run->report.Get(metric::kTrainSeconds));
+      table.Row(examples, k, width, e.Accuracy(split.test),
+                run->report.Get(metric::kTrainSeconds));
     }
   }
-  std::printf("\nexpected shape: a single large model is never optimal at "
-              "fixed budget — splitting into several members buys variance "
-              "reduction; returns flatten once members get too small to "
-              "fit the task (the More-or-Less question: the sweet spot is "
-              "interior and data-dependent).\n");
-  return 0;
+  report.Print("\nexpected shape: a single large model is never optimal at "
+               "fixed budget — splitting into several members buys variance "
+               "reduction; returns flatten once members get too small to "
+               "fit the task (the More-or-Less question: the sweet spot is "
+               "interior and data-dependent).\n");
+  return report.Finish();
 }

@@ -2,8 +2,7 @@
 // optimization step tailors the network structure to a FLOP budget;
 // compare against uniform scaling at equal budget and training effort.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/nnopt/morphnet.h"
 
@@ -15,10 +14,13 @@ int main() {
   Dataset data = MakeGaussianBlobs(3000, 32, 10, 1.0, &rng);
   TrainTestSplit split = Split(data, 0.8);
 
-  std::printf("E23: structure optimization under FLOP budgets "
-              "(32-D input, 10 close classes)\n");
-  std::printf("%-13s %-10s %10s %12s %14s %-18s\n", "budget_flops",
-              "method", "accuracy", "real_flops", "optimize_s", "widths");
+  bench::Report report("morphnet");
+  report.Print("E23: structure optimization under FLOP budgets "
+               "(32-D input, 10 close classes)\n");
+  bench::Table& table = report.AddTable(
+      "E23", {{"budget_flops", "%-13.0f"}, {"method", "%-10s"},
+              {"accuracy", "%10.3f"}, {"real_flops", "%12.0f"},
+              {"optimize_s", "%14.2f", bench::kWall}, {"widths", "%-18s"}});
   for (double budget : {8000.0, 4000.0, 2000.0, 1000.0}) {
     MorphConfig config;
     config.flop_budget = budget;
@@ -37,20 +39,18 @@ int main() {
       }
       return s;
     };
-    std::printf("%-13.0f %-10s %10.3f %12.0f %14.2f %-18s\n", budget,
-                "morphnet", morph->report.Get(metric::kAccuracy),
-                morph->report.Get(metric::kFlops),
-                morph->report.Get("optimize_seconds"),
-                widths_str(morph->widths).c_str());
-    std::printf("%-13.0f %-10s %10.3f %12.0f %14.2f %-18s\n", budget,
-                "uniform", uniform->report.Get(metric::kAccuracy),
-                uniform->report.Get(metric::kFlops),
-                uniform->report.Get("optimize_seconds"),
-                widths_str(uniform->widths).c_str());
+    table.Row(budget, "morphnet", morph->report.Get(metric::kAccuracy),
+              morph->report.Get(metric::kFlops),
+              morph->report.Get("optimize_seconds"),
+              widths_str(morph->widths));
+    table.Row(budget, "uniform", uniform->report.Get(metric::kAccuracy),
+              uniform->report.Get(metric::kFlops),
+              uniform->report.Get("optimize_seconds"),
+              widths_str(uniform->widths));
   }
-  std::printf("\nexpected shape: at generous budgets both match; as the "
-              "budget tightens the structure-optimized allocation "
-              "(non-uniform widths) holds accuracy longer than uniform "
-              "scaling — optimization time buys inference efficiency.\n");
-  return 0;
+  report.Print("\nexpected shape: at generous budgets both match; as the "
+               "budget tightens the structure-optimized allocation "
+               "(non-uniform widths) holds accuracy longer than uniform "
+               "scaling — optimization time buys inference efficiency.\n");
+  return report.Finish();
 }

@@ -3,8 +3,7 @@
 // baseline is capped near 50% on the column slot while the RNN solves
 // it. Sweeps training-set size (the data-efficiency curve).
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/nlq/query_language.h"
 #include "src/nlq/rnn.h"
 #include "src/nn/train.h"
@@ -15,10 +14,13 @@ int main() {
   Rng rng(113);
   SequenceDataset test = MakeNlqData(600, &rng);
 
-  std::printf("E27: NL-to-predicate accuracy vs training sentences "
-              "(8 classes: 4 columns x 2 comparators)\n");
-  std::printf("%-12s %10s %14s %12s\n", "sentences", "rnn", "bag-of-words",
-              "rnn_train_s");
+  bench::Report report("nl_query");
+  report.Print("E27: NL-to-predicate accuracy vs training sentences "
+               "(8 classes: 4 columns x 2 comparators)\n");
+  bench::Table& table = report.AddTable(
+      "E27", {{"sentences", "%-12lld"}, {"rnn", "%10.3f"},
+              {"bag-of-words", "%14.3f"},
+              {"rnn_train_s", "%12.2f", bench::kWall}});
   for (int64_t n : {100, 300, 1000, 3000}) {
     Rng drng(200 + static_cast<uint64_t>(n));
     SequenceDataset train = MakeNlqData(n, &drng);
@@ -26,7 +28,7 @@ int main() {
     RnnClassifier rnn(kNlqVocabSize, 8, 24, kNlqNumClasses);
     Rng mrng(7);
     rnn.Init(&mrng);
-    MetricsReport report = rnn.Train(train, 30, 32, 0.1, 7);
+    MetricsReport train_report = rnn.Train(train, 30, 32, 0.1, 7);
 
     Dataset bow_train;
     bow_train.x = NlqBagOfWords(train);
@@ -41,12 +43,16 @@ int main() {
     tc.epochs = 40;
     Train(&bow, &opt, bow_train, tc);
 
-    std::printf("%-12lld %10.3f %14.3f %12.2f\n", static_cast<long long>(n),
-                rnn.Accuracy(test), Evaluate(&bow, bow_test).accuracy,
-                report.Get(metric::kTrainSeconds));
+    table.Row(n, rnn.Accuracy(test), Evaluate(&bow, bow_test).accuracy,
+              train_report.Get(metric::kTrainSeconds));
   }
   // A few rendered examples with predictions.
-  std::printf("\nsample parses:\n");
+  report.Print("\nsample parses:\n");
+  bench::Table& parses = report.AddLine(
+      "sample parses", {{"sentence", "  \"%s\""},
+                        {"column", " -> predicate(c%lld"}, {"op", " %s ...)"},
+                        {"true_column", "  [truth c%lld"},
+                        {"true_op", " %s]"}});
   RnnClassifier rnn(kNlqVocabSize, 8, 24, kNlqNumClasses);
   Rng mrng(7);
   rnn.Init(&mrng);
@@ -63,18 +69,13 @@ int main() {
         best = c;
       }
     }
-    std::printf("  \"%s\" -> predicate(c%lld %s ...)  [truth c%lld %s]\n",
-                NlqToString(sample, i).c_str(),
-                static_cast<long long>(best / kNlqNumOps),
-                best % kNlqNumOps == 1 ? ">" : "<",
-                static_cast<long long>(
-                    sample.labels[static_cast<size_t>(i)] / kNlqNumOps),
-                sample.labels[static_cast<size_t>(i)] % kNlqNumOps == 1
-                    ? ">"
-                    : "<");
+    const int64_t truth = sample.labels[static_cast<size_t>(i)];
+    parses.Row(NlqToString(sample, i), best / kNlqNumOps,
+               best % kNlqNumOps == 1 ? ">" : "<", truth / kNlqNumOps,
+               truth % kNlqNumOps == 1 ? ">" : "<");
   }
-  std::printf("\nexpected shape: bag-of-words plateaus near 50%% (it sees "
-              "both columns but not which is left of the comparator); the "
-              "RNN climbs to ~100%% with enough sentences.\n");
-  return 0;
+  report.Print("\nexpected shape: bag-of-words plateaus near 50%% (it sees "
+               "both columns but not which is left of the comparator); the "
+               "RNN climbs to ~100%% with enough sentences.\n");
+  return report.Finish();
 }

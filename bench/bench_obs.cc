@@ -18,16 +18,14 @@
 // untraced FleetReportJson exports must be bitwise identical (enforced
 // in every mode — the sim is deterministic, so any divergence is a bug).
 //
-// Pass --smoke (or set DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run.
+// Pass --smoke for a seconds-scale CI run.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
 #include "src/fleet/chaos.h"
@@ -253,79 +251,55 @@ FleetTracingResult BenchFleetTracing() {
 
 int main(int argc, char** argv) {
   using namespace dlsys;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
-  if (const char* env = std::getenv("DLSYS_BENCH_SMOKE");
-      env != nullptr && env[0] == '1') {
-    g_smoke = true;
-  }
+  using bench::kWall;
+  g_smoke = bench::HasFlag(argc, argv, "--smoke");
   RuntimeConfig::SetThreads(4);
+  bench::Report report("obs");
 
   const std::vector<OverheadRow> rows = BenchOverhead();
+  bench::Table& overhead = report.AddLine(
+      "overhead", {{"mode", "obs %-10s"},
+                   {"ms_per_batch", "  %8.4f ms/batch |", kWall},
+                   {"throughput_eps", " %10.0f ex/s |", kWall},
+                   {"overhead_pct", " overhead %+6.2f%% |", kWall},
+                   {"events", " %lld events"}});
   for (const OverheadRow& row : rows) {
-    std::printf(
-        "obs %-10s  %8.4f ms/batch | %10.0f ex/s | overhead %+6.2f%% | "
-        "%lld events\n",
-        row.mode, row.ms_per_batch, row.throughput_eps, row.overhead_pct,
-        static_cast<long long>(row.events));
+    overhead.Row(row.mode, row.ms_per_batch, row.throughput_eps,
+                 row.overhead_pct, row.events);
   }
 
   const FleetTracingResult fleet = BenchFleetTracing();
-  std::printf(
-      "e38 fleet     untraced %8.1f ms | traced %8.1f ms | overhead "
-      "%+6.2f%% | %lld sim events | reports %s\n",
-      fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct,
-      static_cast<long long>(fleet.sim_events),
-      fleet.reports_equal ? "bitwise-equal" : "DIVERGED");
-
-  FILE* out = std::fopen("BENCH_obs.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_obs.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n  \"obs_compiled_in\": %s,\n"
-               "  \"overhead\": [\n",
-               g_smoke ? "true" : "false", DLSYS_OBS ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const OverheadRow& row = rows[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"ms_per_batch\": %.4f, "
-                 "\"throughput_eps\": %.0f, \"overhead_pct\": %.2f, "
-                 "\"events\": %lld}%s\n",
-                 row.mode, row.ms_per_batch, row.throughput_eps,
-                 row.overhead_pct, static_cast<long long>(row.events),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"fleet_tracing\": {\"untraced_ms\": %.1f, "
-               "\"traced_ms\": %.1f, \"overhead_pct\": %.2f, "
-               "\"sim_events\": %lld, \"reports_bitwise_equal\": %s}\n}\n",
-               fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct,
-               static_cast<long long>(fleet.sim_events),
-               fleet.reports_equal ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote BENCH_obs.json\n");
+  report
+      .AddLine("fleet_tracing",
+               {{"untraced_ms", "e38 fleet     untraced %8.1f ms |", kWall},
+                {"traced_ms", " traced %8.1f ms |", kWall},
+                {"overhead_pct", " overhead %+6.2f%% |", kWall},
+                {"sim_events", " %lld sim events |"},
+                {"reports", " reports %s"}})
+      .Row(fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct,
+           fleet.sim_events,
+           fleet.reports_equal ? "bitwise-equal" : "DIVERGED");
 
   // The acceptance bar: tracing compiled in but disabled must stay
   // within 2% of the baseline on the same workload. Smoke runs are too
   // short to separate the branch cost from scheduler noise, so the bar
   // is only enforced on full runs.
+  bool ok = true;
   if (!g_smoke && rows[1].overhead_pct >= 2.0) {
-    std::printf("FAIL: disabled-tracing overhead %.2f%% >= 2%%\n",
-                rows[1].overhead_pct);
-    return 1;
+    std::fprintf(stderr, "FAIL: disabled-tracing overhead %.2f%% >= 2%%\n",
+                 rows[1].overhead_pct);
+    ok = false;
   }
   // E38: request tracing + attribution + alerting must never perturb the
   // simulated results, and on full runs must cost < 2% wall time.
   if (!fleet.reports_equal) {
-    std::printf("FAIL: traced fleet report diverged from untraced\n");
-    return 1;
+    std::fprintf(stderr, "FAIL: traced fleet report diverged from untraced\n");
+    ok = false;
   }
   if (!g_smoke && fleet.overhead_pct >= 2.0) {
-    std::printf("FAIL: fleet tracing overhead %.2f%% >= 2%%\n",
-                fleet.overhead_pct);
-    return 1;
+    std::fprintf(stderr, "FAIL: fleet tracing overhead %.2f%% >= 2%%\n",
+                 fleet.overhead_pct);
+    ok = false;
   }
-  return 0;
+  return report.Finish(ok);
 }

@@ -3,8 +3,7 @@
 // Sweeps device counts and search budgets against data-parallel,
 // greedy, and random baselines.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/parallel/strategy.h"
 
 namespace {
@@ -32,11 +31,13 @@ std::vector<dlsys::ParLayerCost> Workload() {
 
 int main() {
   using namespace dlsys;
-
-  std::printf("E7a: strategy quality by device count "
-              "(step time in ms, lower is better)\n");
-  std::printf("%-9s %12s %10s %10s %10s %12s\n", "devices", "data-par",
-              "greedy", "random", "mcmc", "mcmc_gain");
+  bench::Report report("parallel_search");
+  report.Print("E7a: strategy quality by device count "
+               "(step time in ms, lower is better)\n");
+  bench::Table& devices_table = report.AddTable(
+      "E7a", {{"devices", "%-9lld"}, {"data-par", "%12.2f"},
+              {"greedy", "%10.2f"}, {"random", "%10.2f"}, {"mcmc", "%10.2f"},
+              {"mcmc_gain", "%11.2fx"}});
   for (int64_t devices : {2, 4, 8, 16}) {
     DeviceGraph graph{devices, 1e12, 1e10, 1e-6};
     ParallelSimulator sim(graph, Workload());
@@ -46,16 +47,16 @@ int main() {
     config.iterations = 4000;
     SearchResult random = RandomStrategy(sim, config);
     SearchResult mcmc = OptimizeStrategy(sim, config);
-    std::printf("%-9lld %12.2f %10.2f %10.2f %10.2f %11.2fx\n",
-                static_cast<long long>(devices), baseline * 1e3,
-                greedy.step_seconds * 1e3, random.step_seconds * 1e3,
-                mcmc.step_seconds * 1e3, baseline / mcmc.step_seconds);
+    devices_table.Row(devices, baseline * 1e3, greedy.step_seconds * 1e3,
+                      random.step_seconds * 1e3, mcmc.step_seconds * 1e3,
+                      baseline / mcmc.step_seconds);
   }
 
-  std::printf("\nE7b: search-budget sweep on 8 devices "
-              "(optimize time vs achieved step time)\n");
-  std::printf("%-10s %14s %14s %12s\n", "budget", "optimize_ms",
-              "step_ms", "vs_data-par");
+  report.Print("\nE7b: search-budget sweep on 8 devices "
+               "(optimize time vs achieved step time)\n");
+  bench::Table& budgets = report.AddTable(
+      "E7b", {{"budget", "%-10lld"}, {"optimize_ms", "%14.2f", bench::kWall},
+              {"step_ms", "%14.2f"}, {"vs_data-par", "%11.2fx"}});
   DeviceGraph graph{8, 1e12, 1e10, 1e-6};
   ParallelSimulator sim(graph, Workload());
   const double baseline = sim.StepSeconds(sim.DataParallelBaseline());
@@ -63,14 +64,12 @@ int main() {
     SearchConfig config;
     config.iterations = budget;
     SearchResult result = OptimizeStrategy(sim, config);
-    std::printf("%-10lld %14.2f %14.2f %11.2fx\n",
-                static_cast<long long>(budget),
-                result.optimize_seconds * 1e3, result.step_seconds * 1e3,
-                baseline / result.step_seconds);
+    budgets.Row(budget, result.optimize_seconds * 1e3,
+                result.step_seconds * 1e3, baseline / result.step_seconds);
   }
-  std::printf("\nexpected shape: the optimized strategy beats pure data "
-              "parallelism more as devices grow; quality improves with "
-              "budget then saturates — milliseconds of search buy a "
-              "persistent per-step speedup (the FlexFlow thesis).\n");
-  return 0;
+  report.Print("\nexpected shape: the optimized strategy beats pure data "
+               "parallelism more as devices grow; quality improves with "
+               "budget then saturates — milliseconds of search buy a "
+               "persistent per-step speedup (the FlexFlow thesis).\n");
+  return report.Finish();
 }

@@ -2,8 +2,7 @@
 // P3): overlapping communication with compute, and sending the layers
 // the next forward pass needs first, shortens the iteration boundary.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/distributed/priority.h"
 
 namespace {
@@ -25,9 +24,13 @@ std::vector<dlsys::LayerCost> Network(int64_t layers, double comm_ratio) {
 int main() {
   using namespace dlsys;
   NetworkModel link{1e-5, 1.25e9};
-  std::printf("E21: iteration-boundary makespan (ms) by scheduling policy\n");
-  std::printf("%-8s %-12s %12s %10s %10s %12s\n", "layers", "comm/comp",
-              "no-overlap", "fifo", "priority", "prio_gain");
+  bench::Report report("priority_propagation");
+  report.Print("E21: iteration-boundary makespan (ms) by scheduling "
+               "policy\n");
+  bench::Table& table = report.AddTable(
+      "E21", {{"layers", "%-8lld"}, {"comm/comp", "%-12.2f"},
+              {"no-overlap", "%12.2f"}, {"fifo", "%10.2f"},
+              {"priority", "%10.2f"}, {"prio_gain", "%11.2fx"}});
   for (int64_t layers : {8, 24, 48}) {
     for (double ratio : {0.25, 1.0, 4.0}) {
       auto net = Network(layers, ratio);
@@ -37,14 +40,13 @@ int main() {
           SimulatePropagation(net, link, PropagationPolicy::kFifo);
       const double prio =
           SimulatePropagation(net, link, PropagationPolicy::kPriority);
-      std::printf("%-8lld %-12.2f %12.2f %10.2f %10.2f %11.2fx\n",
-                  static_cast<long long>(layers), ratio, none * 1e3,
-                  fifo * 1e3, prio * 1e3, none / prio);
+      table.Row(layers, ratio, none * 1e3, fifo * 1e3, prio * 1e3,
+                none / prio);
     }
   }
-  std::printf("\nexpected shape: overlap alone (fifo) removes up to half "
-              "the boundary; priority scheduling adds most on comm-bound "
-              "configurations where the forward pass would otherwise wait "
-              "for early layers queued last.\n");
-  return 0;
+  report.Print("\nexpected shape: overlap alone (fifo) removes up to half "
+               "the boundary; priority scheduling adds most on comm-bound "
+               "configurations where the forward pass would otherwise wait "
+               "for early layers queued last.\n");
+  return report.Finish();
 }

@@ -2,8 +2,7 @@
 // until a cliff (tutorial Section 2.1). Sweeps sparsity x criterion,
 // with and without masked finetuning.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/compress/pruning.h"
 #include "src/data/synthetic.h"
 #include "src/nn/train.h"
@@ -46,11 +45,16 @@ int main() {
   TrainConfig tc;
   tc.epochs = 25;
   Train(&base, &opt, split.train, tc);
-  std::printf("E2: pruning sweep (dense baseline acc=%.3f, %lld bytes)\n",
-              Evaluate(&base, split.test).accuracy,
-              static_cast<long long>(base.ModelBytes()));
-  std::printf("%-9s %-16s %12s %14s %12s\n", "sparsity", "criterion",
-              "acc_raw", "acc_finetuned", "sparse_B");
+  bench::Report report("pruning");
+  report
+      .AddLine("baseline",
+               {{"accuracy", "E2: pruning sweep (dense baseline acc=%.3f,"},
+                {"bytes", " %lld bytes)"}})
+      .Row(Evaluate(&base, split.test).accuracy, base.ModelBytes());
+  bench::Table& table = report.AddTable(
+      "E2", {{"sparsity", "%-9.2f"}, {"criterion", "%-16s"},
+             {"acc_raw", "%12.3f"}, {"acc_finetuned", "%14.3f"},
+             {"sparse_B", "%12lld"}});
   struct Row {
     PruneCriterion criterion;
     const char* name;
@@ -69,12 +73,11 @@ int main() {
       const double tuned =
           PruneAndEvaluate(base, split.train, split.test, row.criterion,
                            sparsity, true, &bytes);
-      std::printf("%-9.2f %-16s %12.3f %14.3f %12lld\n", sparsity, row.name,
-                  raw, tuned, bytes);
+      table.Row(sparsity, row.name, raw, tuned, bytes);
     }
   }
-  std::printf("\nexpected shape: magnitude/sensitivity hold accuracy past "
-              "70-80%% sparsity (finetuned), random collapses first; "
-              "structured finetuning recovers most raw-prune loss.\n");
-  return 0;
+  report.Print("\nexpected shape: magnitude/sensitivity hold accuracy past "
+               "70-80%% sparsity (finetuned), random collapses first; "
+               "structured finetuning recovers most raw-prune loss.\n");
+  return report.Finish();
 }

@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "bench/report.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/data/synthetic.h"
@@ -80,9 +80,11 @@ BlockCell MeasureBlockFormat(const Sequential& net, QuantizeFn&& quantize) {
   return cell;
 }
 
-/// p50/p99 ms of `iters` runs of \p fn, via the registry histogram.
+/// Adds \p name's p50/p99 ms over `iters` runs of \p fn to \p table,
+/// read back from the registry histogram.
 template <typename Fn>
-void TimeIntoHistogram(const char* name, int iters, Fn&& fn) {
+void TimeIntoHistogram(bench::Table* table, const char* name, int iters,
+                       Fn&& fn) {
   obs::SharedHistogram* hist =
       obs::CounterRegistry::Global().histogram("bench.quantize_ms");
   hist->Reset();
@@ -92,8 +94,7 @@ void TimeIntoHistogram(const char* name, int iters, Fn&& fn) {
     fn();
     hist->Record(watch.Seconds() * 1000.0);
   }
-  std::printf("%-22s p50 %.4f ms | p99 %.4f ms\n", name,
-              hist->Quantile(0.5), hist->Quantile(0.99));
+  table->Row(name, hist->Quantile(0.5), hist->Quantile(0.99));
 }
 
 }  // namespace
@@ -112,11 +113,17 @@ int main() {
   Train(&base, &opt, split.train, tc);
   const double fp32_acc = Evaluate(&base, split.test).accuracy;
 
-  std::printf("E1: quantization bit-width sweep "
-              "(fp32 baseline: acc=%.3f, %lld bytes)\n",
-              fp32_acc, static_cast<long long>(base.ModelBytes()));
-  std::printf("%-10s %5s %10s %12s %13s %10s\n", "quantizer", "bits",
-              "accuracy", "packed_B", "huffman_B", "max_err");
+  bench::Report report("quantization");
+  report
+      .AddLine("baseline",
+               {{"accuracy",
+                 "E1: quantization bit-width sweep (fp32 baseline: acc=%.3f,"},
+                {"bytes", " %lld bytes)"}})
+      .Row(fp32_acc, base.ModelBytes());
+  bench::Table& sweep = report.AddTable(
+      "E1", {{"quantizer", "%-10s"}, {"bits", "%5lld"}, {"accuracy", "%10.3f"},
+             {"packed_B", "%12lld"}, {"huffman_B", "%13lld"},
+             {"max_err", "%10.4f"}});
 
   struct Cell {
     QuantizerKind kind;
@@ -139,45 +146,47 @@ int main() {
       return 1;
     }
     const double acc = Evaluate(&net, split.test).accuracy;
-    std::printf("%-10s %5lld %10.3f %12lld %13lld %10.4f\n", cell.name,
-                static_cast<long long>(cell.bits), acc,
-                static_cast<long long>(nq->packed_bytes),
-                static_cast<long long>(nq->huffman_bytes),
-                nq->max_abs_error);
+    sweep.Row(cell.name, cell.bits, acc, nq->packed_bytes, nq->huffman_bytes,
+              nq->max_abs_error);
   }
 
   // Block formats run through the actual integer serving path (fused
   // dequant GEMM in InferenceEngine), not simulated quantize-dequantize:
   // the accuracy column includes runtime q8 activation quantization.
-  std::printf("\nblock formats (engine-executed, scale per %lld elements):\n",
-              static_cast<long long>(kQuantBlock));
-  std::printf("%-10s %5s %10s %12s %10s\n", "format", "bits", "accuracy",
-              "packed_B", "max_err");
+  report.Print("\nblock formats (engine-executed, scale per %lld "
+               "elements):\n",
+               static_cast<long long>(kQuantBlock));
+  bench::Table& blocks = report.AddTable(
+      "block formats", {{"format", "%-10s"}, {"bits", "%5d"},
+                        {"accuracy", "%10.3f"}, {"packed_B", "%12lld"},
+                        {"max_err", "%10.4f"}});
   const BlockCell q8 = MeasureBlockFormat(
       base, [](const Tensor& t) { return Q8BlockQuantizeRows(t); });
   const BlockCell q4 = MeasureBlockFormat(
       base, [](const Tensor& t) { return Q4BlockQuantizeRows(t); });
-  std::printf("%-10s %5d %10.3f %12lld %10.4f\n", "q8-block", 8,
-              EngineAccuracy(base, split, EngineNumeric::kInt8),
-              static_cast<long long>(q8.packed_bytes), q8.max_err);
-  std::printf("%-10s %5d %10.3f %12lld %10.4f\n", "q4-block", 4,
-              EngineAccuracy(base, split, EngineNumeric::kInt4),
-              static_cast<long long>(q4.packed_bytes), q4.max_err);
+  blocks.Row("q8-block", 8, EngineAccuracy(base, split, EngineNumeric::kInt8),
+             q8.packed_bytes, q8.max_err);
+  blocks.Row("q4-block", 4, EngineAccuracy(base, split, EngineNumeric::kInt4),
+             q4.packed_bytes, q4.max_err);
 
   // Activation quantization latency at the E31 serving shape, quantiles
   // from the registry histogram.
-  std::printf("\nactivation quantization 64x768 (registry histogram):\n");
+  report.Print("\nactivation quantization 64x768 (registry histogram):\n");
+  bench::Table& latency = report.AddLine(
+      "activation quantization", {{"quantizer", "%-22s"},
+                                  {"p50_ms", " p50 %.4f ms |", bench::kWall},
+                                  {"p99_ms", " p99 %.4f ms", bench::kWall}});
   Tensor act({64, 768});
   act.FillGaussian(&rng, 1.0f);
   std::vector<int8_t> codes(64 * 768);
   std::vector<float> scales(64 * 768 / kQuantBlock);
-  TimeIntoHistogram("per-block q8", 50, [&] {
+  TimeIntoHistogram(&latency, "per-block q8", 50, [&] {
     Q8BlockQuantizeRowsInto(act.data(), 64, 768, codes.data(), scales.data());
   });
 
-  std::printf("\nexpected shape: accuracy flat down to ~4 bits, cliff at "
-              "1-2 bits; kmeans >= uniform at equal bits; size ~ bits/32; "
-              "block formats hold the envelope at 32x finer scale "
-              "granularity with q4 halving q8's bytes.\n");
-  return 0;
+  report.Print("\nexpected shape: accuracy flat down to ~4 bits, cliff at "
+               "1-2 bits; kmeans >= uniform at equal bits; size ~ bits/32; "
+               "block formats hold the envelope at 32x finer scale "
+               "granularity with q4 halving q8's bytes.\n");
+  return report.Finish();
 }

@@ -2,16 +2,15 @@
 // blocked GEMM kernels, Conv2D forward, and a full training step, against
 // the seed repo's single-threaded kernels compiled at the project's
 // default flags (the pre-runtime baseline). Results land in
-// BENCH_runtime.json so the perf trajectory is tracked from this PR on.
+// BENCH_runtime.json.
 //
-// This is a standalone binary (not google-benchmark): it needs to emit a
-// stable JSON schema and to flip RuntimeConfig between timings.
+// This is a standalone binary (not google-benchmark): it flips
+// RuntimeConfig between timings.
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
 #include "src/data/synthetic.h"
@@ -85,20 +84,9 @@ Tensor SeedConvForward(const Tensor& x, const Tensor& w, const Tensor& bias,
 
 // ------------------------------------------------------------- harness
 
-volatile float g_sink = 0.0f;  // defeats dead-code elimination
+using bench::MedianMs;
 
-/// Median-of-5 wall time in milliseconds of `iters` calls to fn.
-template <typename Fn>
-double MedianMs(int iters, Fn&& fn) {
-  std::vector<double> reps;
-  for (int r = 0; r < 5; ++r) {
-    Stopwatch watch;
-    for (int it = 0; it < iters; ++it) fn();
-    reps.push_back(watch.Seconds() * 1000.0 / iters);
-  }
-  std::sort(reps.begin(), reps.end());
-  return reps[2];
-}
+volatile float g_sink = 0.0f;  // defeats dead-code elimination
 
 struct ScalingRow {
   double seed_ms = 0.0;
@@ -106,14 +94,6 @@ struct ScalingRow {
   double t2_ms = 0.0;
   double t4_ms = 0.0;
 };
-
-void PrintRow(const char* name, const ScalingRow& row) {
-  std::printf(
-      "%-12s seed %8.3f ms | t1 %8.3f ms | t2 %8.3f ms | t4 %8.3f ms | "
-      "speedup(t4 vs seed) %.2fx\n",
-      name, row.seed_ms, row.t1_ms, row.t2_ms, row.t4_ms,
-      row.seed_ms / row.t4_ms);
-}
 
 ScalingRow BenchGemm256() {
   Rng rng(1);
@@ -181,36 +161,25 @@ double TrainStepMs(int threads) {
 
 int main() {
   using namespace dlsys;
-
-  const ScalingRow gemm = BenchGemm256();
-  PrintRow("gemm256", gemm);
-  const ScalingRow conv = BenchConvForward();
-  PrintRow("conv8x16", conv);
+  using bench::kWall;
+  bench::Report report("runtime_scaling", "runtime");
+  bench::Table& kernels = report.AddLine(
+      "kernels", {{"kernel", "%-12s"}, {"seed_ms", " seed %8.3f ms |", kWall},
+                  {"t1_ms", " t1 %8.3f ms |", kWall},
+                  {"t2_ms", " t2 %8.3f ms |", kWall},
+                  {"t4_ms", " t4 %8.3f ms |", kWall},
+                  {"speedup_t4_vs_seed", " speedup(t4 vs seed) %.2fx", kWall}});
+  auto row = [&kernels](const char* name, const ScalingRow& r) {
+    kernels.Row(name, r.seed_ms, r.t1_ms, r.t2_ms, r.t4_ms,
+                r.seed_ms / r.t4_ms);
+  };
+  row("gemm256", BenchGemm256());
+  row("conv8x16", BenchConvForward());
   const double train1 = TrainStepMs(1);
   const double train4 = TrainStepMs(4);
-  std::printf("train_step   t1 %8.3f ms | t4 %8.3f ms\n", train1, train4);
-
-  FILE* out = std::fopen("BENCH_runtime.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_runtime.json\n");
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"gemm256\": {\"seed_ms\": %.4f, \"t1_ms\": %.4f, "
-               "\"t2_ms\": %.4f, \"t4_ms\": %.4f,\n"
-               "              \"speedup_t1_vs_seed\": %.2f, "
-               "\"speedup_t4_vs_seed\": %.2f},\n"
-               "  \"conv_fwd\": {\"seed_ms\": %.4f, \"t1_ms\": %.4f, "
-               "\"t2_ms\": %.4f, \"t4_ms\": %.4f,\n"
-               "              \"speedup_t4_vs_seed\": %.2f},\n"
-               "  \"train_step\": {\"t1_ms\": %.4f, \"t4_ms\": %.4f}\n"
-               "}\n",
-               gemm.seed_ms, gemm.t1_ms, gemm.t2_ms, gemm.t4_ms,
-               gemm.seed_ms / gemm.t1_ms, gemm.seed_ms / gemm.t4_ms,
-               conv.seed_ms, conv.t1_ms, conv.t2_ms, conv.t4_ms,
-               conv.seed_ms / conv.t4_ms, train1, train4);
-  std::fclose(out);
-  std::printf("wrote BENCH_runtime.json\n");
-  return 0;
+  report
+      .AddLine("train_step", {{"t1_ms", "train_step   t1 %8.3f ms |", kWall},
+                              {"t4_ms", " t4 %8.3f ms", kWall}})
+      .Row(train1, train4);
+  return report.Finish();
 }

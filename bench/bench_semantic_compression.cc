@@ -2,16 +2,18 @@
 // same max-error bound (Part 2, DeepSqueeze-flavoured): the learned
 // scheme wins exactly when columns are correlated.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/learned/semantic_compression.h"
 
 int main() {
   using namespace dlsys;
-  std::printf("E14: semantic compression, 4000 rows x 12 columns, "
-              "epsilon = 0.2 (normalized units)\n");
-  std::printf("%-6s %12s %12s %12s %13s %12s\n", "corr", "orig_KB",
-              "learned_KB", "baseline_KB", "corrections", "ratio");
+  bench::Report report("semantic_compression");
+  report.Print("E14: semantic compression, 4000 rows x 12 columns, "
+               "epsilon = 0.2 (normalized units)\n");
+  bench::Table& table = report.AddTable(
+      "E14", {{"corr", "%-6.3f"}, {"orig_KB", "%12.1f"},
+              {"learned_KB", "%12.1f"}, {"baseline_KB", "%12.1f"},
+              {"corrections", "%13lld"}, {"ratio", "%11.2fx"}});
   for (double corr : {0.0, 0.5, 0.9, 0.98, 0.995}) {
     Rng rng(73);
     Table t = MakeCorrelatedTable(4000, 12, corr, &rng);
@@ -22,17 +24,16 @@ int main() {
     auto compressed = CompressedTable::Compress(t, config);
     if (!compressed.ok()) return 1;
     const int64_t baseline = QuantizationBaselineBytes(t, config.epsilon);
-    std::printf("%-6.3f %12.1f %12.1f %12.1f %13lld %11.2fx\n", corr,
-                static_cast<double>(compressed->OriginalBytes()) / 1e3,
-                static_cast<double>(compressed->CompressedBytes()) / 1e3,
-                static_cast<double>(baseline) / 1e3,
-                static_cast<long long>(compressed->num_corrections()),
-                static_cast<double>(baseline) /
-                    static_cast<double>(compressed->CompressedBytes()));
+    table.Row(corr, static_cast<double>(compressed->OriginalBytes()) / 1e3,
+              static_cast<double>(compressed->CompressedBytes()) / 1e3,
+              static_cast<double>(baseline) / 1e3,
+              compressed->num_corrections(),
+              static_cast<double>(baseline) /
+                  static_cast<double>(compressed->CompressedBytes()));
   }
-  std::printf("\nexpected shape: at low correlation corrections dominate "
-              "and the baseline wins; past ~0.9 correlation the latent "
-              "bottleneck absorbs the columns and the learned scheme "
-              "pulls ahead, with guaranteed max error <= epsilon.\n");
-  return 0;
+  report.Print("\nexpected shape: at low correlation corrections dominate "
+               "and the baseline wins; past ~0.9 correlation the latent "
+               "bottleneck absorbs the columns and the learned scheme "
+               "pulls ahead, with guaranteed max error <= epsilon.\n");
+  return report.Finish();
 }

@@ -10,17 +10,15 @@
 // bit for bit for a fixed seed. Engines execute for real, each step on
 // the serving thread (see DESIGN.md §2e); intra-op threads stay at 1 so
 // real_rps stays comparable with earlier runs of this bench. Pass
-// --smoke (or DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run.
+// --smoke for a seconds-scale CI run.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
 #include "src/nn/train.h"
@@ -358,66 +356,82 @@ std::vector<QosRun> BenchTenantQos() {
 
 int main(int argc, char** argv) {
   using namespace dlsys;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
-  if (const char* env = std::getenv("DLSYS_BENCH_SMOKE");
-      env != nullptr && env[0] == '1') {
-    g_smoke = true;
-  }
+  g_smoke = bench::HasFlag(argc, argv, "--smoke");
   // Keep intra-op kernels single-threaded, as every earlier E32
   // measurement did, so the real r/s column stays comparable.
   RuntimeConfig::SetThreads(1);
+  bench::Report report("serving");
 
   const std::vector<FrontierRow> frontier = BenchFrontier();
+  bench::Table& frontier_table = report.AddLine(
+      "frontier", {{"workers", "frontier w=%d"}, {"max_batch", " b=%-3lld"},
+                   {"offered_rps", "  offered %8.0f r/s"},
+                   {"sim_rps", " | sim %8.0f r/s"},
+                   {"real_rps", " | real %8.0f r/s", bench::kWall},
+                   {"p50_ms", " | p50 %6.3f ms"}, {"p99_ms", " | p99 %6.3f ms"},
+                   {"mean_batch", " | batch %.1f"}});
   for (const FrontierRow& row : frontier) {
-    std::printf(
-        "frontier w=%d b=%-3lld  offered %8.0f r/s | sim %8.0f r/s "
-        "| real %8.0f r/s | p50 %6.3f ms | p99 %6.3f ms | batch %.1f\n",
-        row.workers, static_cast<long long>(row.max_batch), row.offered_rps,
-        row.sim_rps, row.real_rps, row.p50_ms, row.p99_ms, row.mean_batch);
+    frontier_table.Row(row.workers, row.max_batch, row.offered_rps,
+                       row.sim_rps, row.real_rps, row.p50_ms, row.p99_ms,
+                       row.mean_batch);
   }
   if (const FrontierRow* bad = BreaksBatchTrade(frontier)) {
-    std::printf("FAIL: frontier w=%d b=%lld: sim r/s must rise and p50 must "
-                "not fall as max_batch rises\n",
-                bad->workers, static_cast<long long>(bad->max_batch));
+    std::fprintf(stderr,
+                 "FAIL: frontier w=%d b=%lld: sim r/s must rise and p50 must "
+                 "not fall as max_batch rises\n",
+                 bad->workers, static_cast<long long>(bad->max_batch));
     return 1;
   }
 
-  const std::vector<ShedRow> shed = BenchShedCurve();
-  for (const ShedRow& row : shed) {
-    std::printf(
-        "shed x%.1f  offered %8.0f r/s | shed %5.1f%% | miss %5.1f%% | "
-        "p99 %6.3f ms | goodput %8.0f r/s\n",
-        row.load_multiplier, row.offered_rps, 100.0 * row.shed_fraction,
-        100.0 * row.deadline_miss_fraction, row.p99_ms, row.goodput_rps);
+  bench::Table& shed_table = report.AddLine(
+      "shed_curve", {{"load_multiplier", "shed x%.1f"},
+                     {"offered_rps", "  offered %8.0f r/s"},
+                     {"shed_pct", " | shed %5.1f%%"},
+                     {"miss_pct", " | miss %5.1f%%"},
+                     {"p99_ms", " | p99 %6.3f ms"},
+                     {"goodput_rps", " | goodput %8.0f r/s"}});
+  for (const ShedRow& row : BenchShedCurve()) {
+    shed_table.Row(row.load_multiplier, row.offered_rps,
+                   100.0 * row.shed_fraction,
+                   100.0 * row.deadline_miss_fraction, row.p99_ms,
+                   row.goodput_rps);
   }
 
   const SwapResult swap = BenchHotSwap();
-  std::printf(
-      "hotswap  admitted %lld | completed %lld | lost %lld | v1 %lld | "
-      "v2 %lld | p99 %6.3f / %6.3f / %6.3f ms\n",
-      static_cast<long long>(swap.admitted),
-      static_cast<long long>(swap.completed),
-      static_cast<long long>(swap.lost),
-      static_cast<long long>(swap.served_v1),
-      static_cast<long long>(swap.served_v2), swap.p99_before_ms,
-      swap.p99_during_ms, swap.p99_after_ms);
+  report
+      .AddLine("hot_swap", {{"admitted", "hotswap  admitted %lld"},
+                            {"completed", " | completed %lld"},
+                            {"lost", " | lost %lld"},
+                            {"served_v1", " | v1 %lld"},
+                            {"served_v2", " | v2 %lld"},
+                            {"p99_before_ms", " | p99 %6.3f"},
+                            {"p99_during_ms", " / %6.3f"},
+                            {"p99_after_ms", " / %6.3f ms"}})
+      .Row(swap.admitted, swap.completed, swap.lost, swap.served_v1,
+           swap.served_v2, swap.p99_before_ms, swap.p99_during_ms,
+           swap.p99_after_ms);
   DLSYS_CHECK(swap.lost == 0, "hot swap lost admitted requests");
 
   const std::vector<QosRun> qos = BenchTenantQos();
+  bench::Table& runs = report.AddLine(
+      "tenant_runs", {{"mode", "tenant %-14s"},
+                      {"offered_rps", " offered %8.0f r/s"},
+                      {"goodput_rps", " | goodput %8.0f r/s"},
+                      {"max_min_goodput_ratio", " | max/min %6.2f"}});
   for (const QosRun& run : qos) {
-    std::printf("tenant %-14s offered %8.0f r/s | goodput %8.0f r/s | "
-                "max/min %6.2f\n",
-                run.mode.c_str(), run.offered_rps, run.aggregate_goodput_rps,
-                run.max_min_goodput_ratio);
+    runs.Row(run.mode, run.offered_rps, run.aggregate_goodput_rps,
+             run.max_min_goodput_ratio);
+    bench::Table& tenants = report.AddLine(
+        run.mode + " tenants", {{"tenant", "  %-4s"},
+                                {"offered", " offered %5lld"},
+                                {"admitted", " | admitted %5lld"},
+                                {"shed", " | shed %5lld"},
+                                {"goodput_rps", " | goodput %8.0f r/s"},
+                                {"p50_ms", " | p50 %6.3f ms"},
+                                {"p99_ms", " | p99 %6.3f ms"}});
     for (const TenantBenchRow& row : run.tenants) {
-      std::printf("  %-4s offered %5lld | admitted %5lld | shed %5lld | "
-                  "goodput %8.0f r/s | p50 %6.3f ms | p99 %6.3f ms\n",
-                  row.tenant.c_str(), static_cast<long long>(row.offered),
-                  static_cast<long long>(row.admitted),
-                  static_cast<long long>(row.shed), row.goodput_rps,
-                  row.p50_ms, row.p99_ms);
+      tenants.Row(row.tenant, row.offered, row.admitted, row.shed,
+                  row.goodput_rps, row.p50_ms, row.p99_ms);
     }
   }
   // E37 acceptance, bench-enforced: continuous batching serves a balanced
@@ -429,77 +443,5 @@ int main(int argc, char** argv) {
               "fair scheduling failed to bound hot-tenant goodput skew");
   DLSYS_CHECK(qos[2].max_min_goodput_ratio > qos[1].max_min_goodput_ratio,
               "FIFO control should show more skew than fair scheduling");
-
-  FILE* out = std::fopen("BENCH_serving.json", "w");
-  if (out == nullptr) {
-    std::printf("cannot open BENCH_serving.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"smoke\": %s,\n  \"frontier\": [\n",
-               g_smoke ? "true" : "false");
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const FrontierRow& row = frontier[i];
-    std::fprintf(
-        out,
-        "    {\"workers\": %d, \"max_batch\": %lld, "
-        "\"offered_rps\": %.0f, \"sim_rps\": %.0f, \"real_rps\": %.0f, "
-        "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_batch\": %.2f}%s\n",
-        row.workers, static_cast<long long>(row.max_batch), row.offered_rps,
-        row.sim_rps, row.real_rps, row.p50_ms, row.p99_ms, row.mean_batch,
-        i + 1 < frontier.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"shed_curve\": [\n");
-  for (size_t i = 0; i < shed.size(); ++i) {
-    const ShedRow& row = shed[i];
-    std::fprintf(
-        out,
-        "    {\"load_multiplier\": %.1f, \"offered_rps\": %.0f, "
-        "\"shed_fraction\": %.4f, \"deadline_miss_fraction\": %.4f, "
-        "\"p99_ms\": %.4f, \"goodput_rps\": %.0f}%s\n",
-        row.load_multiplier, row.offered_rps, row.shed_fraction,
-        row.deadline_miss_fraction, row.p99_ms, row.goodput_rps,
-        i + 1 < shed.size() ? "," : "");
-  }
-  std::fprintf(
-      out,
-      "  ],\n"
-      "  \"hot_swap\": {\"offered\": %lld, \"admitted\": %lld, "
-      "\"completed\": %lld, \"lost\": %lld,\n"
-      "               \"served_v1\": %lld, \"served_v2\": %lld, "
-      "\"p99_before_ms\": %.4f, \"p99_during_ms\": %.4f, "
-      "\"p99_after_ms\": %.4f},\n",
-      static_cast<long long>(swap.offered),
-      static_cast<long long>(swap.admitted),
-      static_cast<long long>(swap.completed),
-      static_cast<long long>(swap.lost),
-      static_cast<long long>(swap.served_v1),
-      static_cast<long long>(swap.served_v2), swap.p99_before_ms,
-      swap.p99_during_ms, swap.p99_after_ms);
-  std::fprintf(out, "  \"tenant\": [\n");
-  for (size_t i = 0; i < qos.size(); ++i) {
-    const QosRun& run = qos[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"offered_rps\": %.0f, "
-                 "\"aggregate_goodput_rps\": %.0f, "
-                 "\"max_min_goodput_ratio\": %.4f, \"tenants\": [\n",
-                 run.mode.c_str(), run.offered_rps, run.aggregate_goodput_rps,
-                 run.max_min_goodput_ratio);
-    for (size_t j = 0; j < run.tenants.size(); ++j) {
-      const TenantBenchRow& row = run.tenants[j];
-      std::fprintf(
-          out,
-          "      {\"tenant\": \"%s\", \"offered\": %lld, \"admitted\": %lld, "
-          "\"shed\": %lld, \"goodput_rps\": %.0f, \"p50_ms\": %.4f, "
-          "\"p99_ms\": %.4f}%s\n",
-          row.tenant.c_str(), static_cast<long long>(row.offered),
-          static_cast<long long>(row.admitted),
-          static_cast<long long>(row.shed), row.goodput_rps, row.p50_ms,
-          row.p99_ms, j + 1 < run.tenants.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", i + 1 < qos.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_serving.json\n");
-  return 0;
+  return report.Finish();
 }

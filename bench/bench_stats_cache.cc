@@ -2,8 +2,7 @@
 // chunk-level basic aggregates make repeated exploratory statistics
 // queries orders of magnitude cheaper than rescanning.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/db/stats_cache.h"
 
@@ -12,9 +11,16 @@ int main() {
   Rng rng(103);
   Table t = MakeCorrelatedTable(1000000, 4, 0.5, &rng);
 
-  std::printf("E25a: 200 random range-statistic queries over 1M rows\n");
-  std::printf("%-11s %-13s %12s %12s %10s\n", "statistic", "mode",
-              "total_ms", "per_query", "speedup");
+  using bench::kExact;
+  using bench::kWall;
+  bench::Report report("stats_cache");
+  report.Print("E25a: 200 random range-statistic queries over 1M rows\n");
+  // sink (cached minus scanned sums) keeps both loops live.
+  bench::Table& queries = report.AddTable(
+      "E25a", {{"statistic", "%-11s"}, {"mode", "%-13s"},
+               {"total_ms", "%12.2f", kWall}, {"per_query", "%12.4f", kWall},
+               {"speedup", "%9.0fx", kWall},
+               {"sink", "  [sink %.3g]", kExact, ""}});
   Rng qrng(107);
   std::vector<std::pair<int64_t, int64_t>> ranges;
   for (int i = 0; i < 200; ++i) {
@@ -34,10 +40,8 @@ int main() {
     Stopwatch sw;
     for (const auto& [lo, hi] : ranges) sink -= scan(lo, hi);
     const double scan_ms = sw.Seconds() * 1e3;
-    std::printf("%-11s %-13s %12.2f %12.4f %10s\n", stat, "cached",
-                cached_ms, cached_ms / 200.0, "");
-    std::printf("%-11s %-13s %12.2f %12.4f %9.0fx   [sink %.3g]\n", stat,
-                "scan", scan_ms, scan_ms / 200.0, scan_ms / cached_ms,
+    queries.Row(stat, "cached", cached_ms, cached_ms / 200.0, "");
+    queries.Row(stat, "scan", scan_ms, scan_ms / 200.0, scan_ms / cached_ms,
                 sink);
   };
   run("mean",
@@ -60,20 +64,22 @@ int main() {
         return StatsCache::ScanCorrelation(t, 0, 1, lo, hi);
       });
 
-  std::printf("\nE25b: chunk-size sweep (cache bytes vs mean-query time)\n");
-  std::printf("%-12s %14s %14s\n", "chunk_rows", "cache_KB", "per_query_us");
+  report.Print("\nE25b: chunk-size sweep (cache bytes vs mean-query "
+               "time)\n");
+  bench::Table& chunks = report.AddTable(
+      "E25b", {{"chunk_rows", "%-12lld"}, {"cache_KB", "%14.1f"},
+               {"per_query_us", "%14.3f", kWall}});
   for (int64_t chunk : {64, 256, 1024, 4096, 16384}) {
     StatsCache c(&t, chunk);
     Stopwatch w;
     double sink = 0.0;
     for (const auto& [lo, hi] : ranges) sink += *c.RangeMean(0, lo, hi);
-    std::printf("%-12lld %14.1f %14.3f\n", static_cast<long long>(chunk),
-                static_cast<double>(c.MemoryBytes()) / 1e3,
-                w.Seconds() * 1e6 / 200.0);
+    chunks.Row(chunk, static_cast<double>(c.MemoryBytes()) / 1e3,
+               w.Seconds() * 1e6 / 200.0);
   }
-  std::printf("\nexpected shape: cached statistics 10-1000x faster than "
-              "scans on large ranges; smaller chunks cost memory and edge "
-              "scans shrink, with a sweet spot in the middle — the Data "
-              "Canopy tradeoff.\n");
-  return 0;
+  report.Print("\nexpected shape: cached statistics 10-1000x faster than "
+               "scans on large ranges; smaller chunks cost memory and edge "
+               "scans shrink, with a sweet spot in the middle — the Data "
+               "Canopy tradeoff.\n");
+  return report.Finish();
 }

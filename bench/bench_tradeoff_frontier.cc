@@ -3,8 +3,7 @@
 // extract the Pareto frontier, exercising the TradeoffRegistry that is
 // the paper's organizing contribution.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/compress/distill.h"
 #include "src/compress/pruning.h"
 #include "src/compress/quantization.h"
@@ -51,10 +50,8 @@ int main() {
     Stopwatch watch;
     auto nq = QuantizeNetwork(&net, QuantizerKind::kKMeans, bits);
     if (!nq.ok()) return 1;
-    char name[32];
-    std::snprintf(name, sizeof(name), "quantized-%lldb",
-                  static_cast<long long>(bits));
-    record(name, TradeoffClass::kAccuracyVsEfficiency, "2.1",
+    const std::string name = "quantized-" + std::to_string(bits) + "b";
+    record(name.c_str(), TradeoffClass::kAccuracyVsEfficiency, "2.1",
            watch.Seconds(), Evaluate(&net, split.test).accuracy,
            static_cast<double>(nq->huffman_bytes));
   }
@@ -71,9 +68,8 @@ int main() {
     tc.epochs = 5;
     tc.on_step = [&](int64_t, int64_t, double) { mask->Apply(&net); };
     Train(&net, &opt, split.train, tc);
-    char name[32];
-    std::snprintf(name, sizeof(name), "pruned-%.0f%%", sparsity * 100);
-    record(name, TradeoffClass::kAccuracyVsEfficiency, "2.1",
+    const std::string name = bench::Format("pruned-%.0f%%", sparsity * 100);
+    record(name.c_str(), TradeoffClass::kAccuracyVsEfficiency, "2.1",
            watch.Seconds(), Evaluate(&net, split.test).accuracy,
            static_cast<double>(SparseModelBytes(&net, *mask)));
   }
@@ -101,31 +97,40 @@ int main() {
            run->report.Get(metric::kModelBytes));
   }
 
-  std::printf("E20: technique placements on the tradeoff planes\n");
-  std::printf("%-16s %12s %12s %12s\n", "technique", "train_s", "accuracy",
-              "model_KB");
+  using bench::kWall;
+  bench::Report report("tradeoff_frontier");
+  report.Print("E20: technique placements on the tradeoff planes\n");
+  bench::Table& placements = report.AddTable(
+      "E20", {{"technique", "%-16s"}, {"train_s", "%12.3f", kWall},
+              {"accuracy", "%12.3f"}, {"model_KB", "%12.1f"}});
   for (const auto& profile : registry.profiles()) {
     const MetricsReport& run = profile.runs.back();
-    std::printf("%-16s %12.3f %12.3f %12.1f\n", profile.name.c_str(),
-                run.Get(metric::kTrainSeconds), run.Get(metric::kAccuracy),
-                run.Get(metric::kModelBytes) / 1e3);
+    placements.Row(profile.name, run.Get(metric::kTrainSeconds),
+                   run.Get(metric::kAccuracy),
+                   run.Get(metric::kModelBytes) / 1e3);
   }
 
-  std::printf("\nPareto frontier on (model bytes DOWN, accuracy UP):\n");
+  report.Print("\nPareto frontier on (model bytes DOWN, accuracy UP):\n");
+  bench::Table& by_size = report.AddLine(
+      "size frontier", {{"technique", "  %-16s"}, {"model_KB", " %10.1f KB"},
+                        {"accuracy", "  acc %.3f"}});
   auto points = registry.Points(metric::kModelBytes, metric::kAccuracy);
   for (const auto& p : ParetoFrontier(points)) {
-    std::printf("  %-16s %10.1f KB  acc %.3f\n", p.technique.c_str(),
-                p.x / 1e3, p.y);
+    by_size.Row(p.technique, p.x / 1e3, p.y);
   }
-  std::printf("\nPareto frontier on (train seconds DOWN, accuracy UP):\n");
+  // Which techniques reach this frontier depends on measured train times.
+  report.Print("\nPareto frontier on (train seconds DOWN, accuracy UP):\n");
+  bench::Table& by_time = report.AddLine(
+      "time frontier", {{"technique", "  %-16s", kWall},
+                        {"train_s", " %10.3f s", kWall},
+                        {"accuracy", "   acc %.3f", kWall}});
   auto tpoints = registry.Points(metric::kTrainSeconds, metric::kAccuracy);
   for (const auto& p : ParetoFrontier(tpoints)) {
-    std::printf("  %-16s %10.3f s   acc %.3f\n", p.technique.c_str(), p.x,
-                p.y);
+    by_time.Row(p.technique, p.x, p.y);
   }
-  std::printf("\nexpected shape: no single technique dominates — the "
-              "frontier mixes quantization (size), distillation "
-              "(size+speed), and ensembles (accuracy), which is the "
-              "tutorial's central claim.\n");
-  return 0;
+  report.Print("\nexpected shape: no single technique dominates — the "
+               "frontier mixes quantization (size), distillation "
+               "(size+speed), and ensembles (accuracy), which is the "
+               "tutorial's central claim.\n");
+  return report.Finish();
 }

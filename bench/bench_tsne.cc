@@ -2,8 +2,7 @@
 // (Section 4.2): purity of the 2-D embedding across separations and
 // perplexities, against a PCA-free random-projection baseline.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/data/synthetic.h"
 #include "src/interpret/tsne.h"
 
@@ -27,10 +26,12 @@ dlsys::Tensor RandomProjection(const dlsys::Tensor& x, dlsys::Rng* rng) {
 
 int main() {
   using namespace dlsys;
-  std::printf("E17: t-SNE embedding purity (64-D, 8 clusters, 320 points, "
-              "k=10 neighbours)\n");
-  std::printf("%-12s %-12s %10s %12s\n", "separation", "perplexity",
-              "tsne", "rand_proj");
+  bench::Report report("tsne");
+  report.Print("E17: t-SNE embedding purity (64-D, 8 clusters, 320 points, "
+               "k=10 neighbours)\n");
+  bench::Table& table = report.AddTable(
+      "E17", {{"separation", "%-12.1f"}, {"perplexity", "%-12.0f"},
+              {"tsne", "%10.3f"}, {"rand_proj", "%12.3f"}});
   for (double separation : {0.25, 0.5, 1.0}) {
     Rng rng(83);
     Dataset data = MakeGaussianBlobs(320, 64, 8, separation, &rng);
@@ -42,12 +43,12 @@ int main() {
       config.iterations = 300;
       auto embedding = Tsne(data.x, config);
       if (!embedding.ok()) return 1;
-      std::printf("%-12.1f %-12.0f %10.3f %12.3f\n", separation, perplexity,
-                  EmbeddingPurity(*embedding, data.y, 10), base_purity);
+      table.Row(separation, perplexity,
+                EmbeddingPurity(*embedding, data.y, 10), base_purity);
     }
   }
-  std::printf("\nexpected shape: t-SNE purity far above the random "
-              "projection at every separation; purity rises with cluster "
-              "separation; moderate perplexities work best.\n");
-  return 0;
+  report.Print("\nexpected shape: t-SNE purity far above the random "
+               "projection at every separation; purity rises with cluster "
+               "separation; moderate perplexities work best.\n");
+  return report.Finish();
 }

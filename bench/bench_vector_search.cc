@@ -2,8 +2,7 @@
 // index's recall/latency frontier against exact brute force on a
 // clustered embedding corpus.
 
-#include <cstdio>
-
+#include "bench/report.h"
 #include "src/core/metrics.h"
 #include "src/vecsearch/knn.h"
 
@@ -29,12 +28,18 @@ int main() {
   }
   const double brute_us =
       brute_watch.Seconds() * 1e6 / static_cast<double>(num_queries);
-  std::printf("E28: IVF recall/latency on %lld x %lld embeddings "
-              "(brute force: %.0f us/query)\n",
-              static_cast<long long>(n), static_cast<long long>(dims),
-              brute_us);
-  std::printf("%-8s %-8s %12s %14s %10s %12s\n", "lists", "nprobe",
-              "recall@10", "us_per_query", "speedup", "index_KB");
+  using bench::kWall;
+  bench::Report report("vector_search");
+  report
+      .AddLine("brute force",
+               {{"embeddings", "E28: IVF recall/latency on %lld"},
+                {"dims", " x %lld embeddings"},
+                {"brute_us", " (brute force: %.0f us/query)", kWall}})
+      .Row(n, dims, brute_us);
+  bench::Table& table = report.AddTable(
+      "E28", {{"lists", "%-8lld"}, {"nprobe", "%-8lld"},
+              {"recall@10", "%12.3f"}, {"us_per_query", "%14.1f", kWall},
+              {"speedup", "%9.1fx", kWall}, {"index_KB", "%12.1f"}});
   for (int64_t lists : {64, 256}) {
     auto index = IvfIndex::Build(base, lists, 8, 131);
     if (!index.ok()) return 1;
@@ -47,17 +52,14 @@ int main() {
       }
       const double us =
           watch.Seconds() * 1e6 / static_cast<double>(num_queries);
-      std::printf("%-8lld %-8lld %12.3f %14.1f %9.1fx %12.1f\n",
-                  static_cast<long long>(lists),
-                  static_cast<long long>(nprobe),
-                  recall / static_cast<double>(num_queries), us,
-                  brute_us / us,
-                  static_cast<double>(index->MemoryBytes()) / 1e3);
+      table.Row(lists, nprobe, recall / static_cast<double>(num_queries), us,
+                brute_us / us,
+                static_cast<double>(index->MemoryBytes()) / 1e3);
     }
   }
-  std::printf("\nexpected shape: recall climbs toward 1.0 with nprobe "
-              "while the speedup over brute force shrinks — the classic "
-              "recall/latency frontier; more lists shift the frontier "
-              "toward better speedups at equal recall.\n");
-  return 0;
+  report.Print("\nexpected shape: recall climbs toward 1.0 with nprobe "
+               "while the speedup over brute force shrinks — the classic "
+               "recall/latency frontier; more lists shift the frontier "
+               "toward better speedups at equal recall.\n");
+  return report.Finish();
 }

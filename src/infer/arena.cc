@@ -8,13 +8,6 @@
 #include "src/tensor/tensor.h"
 
 namespace dlsys {
-namespace {
-
-constexpr int64_t kAlign = 64;  // cache line; also serves any SIMD width
-
-int64_t AlignUp(int64_t v) { return (v + kAlign - 1) / kAlign * kAlign; }
-
-}  // namespace
 
 TensorArena::~TensorArena() { FreeStorage(); }
 
@@ -109,26 +102,13 @@ TensorArena::BufferId TensorArena::ReserveInt8s(int64_t count) {
   return Reserve(count, 1, ElemType::kInt8);
 }
 
-TensorArena::BufferId TensorArena::ReserveInt32s(int64_t count) {
-  return Reserve(count, static_cast<int64_t>(sizeof(int32_t)),
-                 ElemType::kInt32);
-}
-
 void TensorArena::Commit() {
   DLSYS_CHECK(!committed(), "TensorArena::Commit called twice");
   // Liveness cross-check for packed layouts: two placed buffers whose
   // live intervals overlap must occupy disjoint byte ranges. O(slots^2),
   // run once at plan time.
   auto elem_bytes = [](ElemType type) -> int64_t {
-    switch (type) {
-      case ElemType::kInt8:
-        return 1;
-      case ElemType::kInt32:
-        return static_cast<int64_t>(sizeof(int32_t));
-      case ElemType::kFloat:
-        break;
-    }
-    return static_cast<int64_t>(sizeof(float));
+    return type == ElemType::kInt8 ? 1 : static_cast<int64_t>(sizeof(float));
   };
   for (size_t a = 0; a < slots_.size(); ++a) {
     if (!slots_[a].placed) continue;
@@ -172,10 +152,6 @@ float* TensorArena::Floats(BufferId id) const {
 
 int8_t* TensorArena::Int8s(BufferId id) const {
   return static_cast<int8_t*>(Resolve(id, ElemType::kInt8));
-}
-
-int32_t* TensorArena::Int32s(BufferId id) const {
-  return static_cast<int32_t*>(Resolve(id, ElemType::kInt32));
 }
 
 int64_t TensorArena::ElementCount(BufferId id) const {

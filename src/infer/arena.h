@@ -22,15 +22,24 @@ namespace dlsys {
 /// \brief A fixed workspace carved into buffers reserved before Commit().
 ///
 /// Lifecycle: Reserve*() any number of times, then Commit() exactly once,
-/// then resolve ids to pointers with Floats()/Int8s()/Int32s(). The
-/// committed allocation is 64-byte aligned (as is every buffer within it)
-/// and registered with the process-wide MemoryTracker. Not thread-safe
+/// then resolve ids to pointers with Floats()/Int8s(). The committed
+/// allocation is kAlign-byte aligned (as is every buffer within it) and
+/// registered with the process-wide MemoryTracker. Not thread-safe
 /// during planning; pointer resolution after Commit is const and safe to
 /// share.
 class TensorArena {
  public:
   /// Opaque handle to a reserved buffer.
   using BufferId = int64_t;
+
+  /// Alignment of the allocation and of every buffer offset within it: a
+  /// cache line, which also serves any SIMD width.
+  static constexpr int64_t kAlign = 64;
+  /// \brief \p v rounded up to a multiple of kAlign: the bytes a buffer of
+  /// \p v bytes occupies in the workspace.
+  static constexpr int64_t AlignUp(int64_t v) {
+    return (v + kAlign - 1) / kAlign * kAlign;
+  }
 
   TensorArena() = default;
   ~TensorArena();
@@ -44,10 +53,8 @@ class TensorArena {
   BufferId ReserveFloats(int64_t count);
   /// \brief Reserves \p count int8 elements. Aborts after Commit().
   BufferId ReserveInt8s(int64_t count);
-  /// \brief Reserves \p count int32 elements. Aborts after Commit().
-  BufferId ReserveInt32s(int64_t count);
 
-  /// \brief Places \p count floats at an explicit 64-byte-aligned byte
+  /// \brief Places \p count floats at an explicit kAlign-aligned byte
   /// offset with an inclusive live interval [live_begin, live_end] of
   /// schedule steps — the liveness-packed layout the pass pipeline's
   /// packer computes. Commit() cross-checks every placed pair: two
@@ -71,8 +78,6 @@ class TensorArena {
   float* Floats(BufferId id) const;
   /// \brief Resolves an int8 buffer id (see Floats()).
   int8_t* Int8s(BufferId id) const;
-  /// \brief Resolves an int32 buffer id (see Floats()).
-  int32_t* Int32s(BufferId id) const;
 
   /// \brief Element count of buffer \p id.
   int64_t ElementCount(BufferId id) const;
@@ -82,10 +87,10 @@ class TensorArena {
   int64_t buffer_count() const { return static_cast<int64_t>(slots_.size()); }
 
  private:
-  enum class ElemType { kFloat, kInt8, kInt32 };
+  enum class ElemType { kFloat, kInt8 };
 
   struct Slot {
-    int64_t offset = 0;  ///< bytes from base, 64-byte aligned
+    int64_t offset = 0;  ///< bytes from base, kAlign-aligned
     int64_t count = 0;   ///< elements
     ElemType type = ElemType::kFloat;
     bool placed = false;    ///< true for PlaceFloats/PlaceInt8s slots

@@ -19,24 +19,13 @@
 namespace dlsys {
 namespace {
 
+using infer::IsQuantDense;
 using infer::LiveBuffer;
 using infer::OpGraph;
 using infer::OpKind;
 using infer::OpNode;
 
 constexpr int64_t kEwGrain = 1 << 15;  ///< elementwise elements per range
-
-/// Must match TensorArena's slot alignment (src/infer/arena.cc): the
-/// unpacked-size accounting below mirrors what Reserve would commit.
-constexpr int64_t kArenaAlign = 64;
-
-int64_t AlignUp(int64_t v) {
-  return (v + kArenaAlign - 1) / kArenaAlign * kArenaAlign;
-}
-
-bool IsQuantDense(OpKind kind) {
-  return kind == OpKind::kDenseInt8 || kind == OpKind::kDenseInt4;
-}
 
 ConvGeometry ConvGeometryOf(const OpNode& node) {
   return {node.in_ch, node.out_ch, node.kernel, node.stride, node.pad,
@@ -303,7 +292,8 @@ Status InferenceEngine::PlanAndEmit() {
                  (batched && __builtin_mul_overflow(count, kMaxB, &count)) ||
                  __builtin_mul_overflow(count, elem_bytes, &bytes) ||
                  __builtin_add_overflow(bound, bytes, &bound) ||
-                 __builtin_add_overflow(bound, kArenaAlign, &bound);
+                 __builtin_add_overflow(bound, TensorArena::kAlign,
+                                        &bound);
     };
     for (int gi = 0; gi < num_groups; ++gi) {
       add(group_elems[static_cast<size_t>(gi)], true, 4);
@@ -340,14 +330,15 @@ Status InferenceEngine::PlanAndEmit() {
                                                : req.field;
     shared_max[fam] = std::max(shared_max[fam], req.count);
   }
-  unpacked_bytes_ = 2 * AlignUp(4 * max_act * kMaxB);
+  unpacked_bytes_ = 2 * TensorArena::AlignUp(4 * max_act * kMaxB);
   for (int fam = 0; fam < 8; ++fam) {
     if (shared_max[fam] == 0) continue;
     const bool floats = fam == kPlanes || fam == kQinScales ||
                         fam == kQoutScales || fam == kWt || fam == kWScales;
-    unpacked_bytes_ += AlignUp(shared_max[fam] * (floats ? 4 : 1));
+    unpacked_bytes_ +=
+        TensorArena::AlignUp(shared_max[fam] * (floats ? 4 : 1));
   }
-  unpacked_bytes_ = std::max<int64_t>(unpacked_bytes_, kArenaAlign);
+  unpacked_bytes_ = std::max<int64_t>(unpacked_bytes_, TensorArena::kAlign);
 
   auto bind = [&](Step* step, ScratchField field, TensorArena::BufferId id) {
     switch (field) {

@@ -31,6 +31,10 @@ bool IsElementwise(OpKind kind) {
   }
 }
 
+bool IsQuantDense(OpKind kind) {
+  return kind == OpKind::kDenseInt8 || kind == OpKind::kDenseInt4;
+}
+
 Result<OpGraph> OpGraph::Lower(const Sequential& net,
                                const Shape& example_shape,
                                EngineNumeric numeric) {

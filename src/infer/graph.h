@@ -56,6 +56,9 @@ enum class OpKind {
 /// buffer (output aliases input in the emitted plan).
 bool IsElementwise(OpKind kind);
 
+/// \brief True for the block-quantized dense kinds (int8 and int4).
+bool IsQuantDense(OpKind kind);
+
 /// \brief One activation edge: per-example shape plus producer/consumer
 /// links (node indices; producer -1 means the graph input).
 struct TensorDef {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "src/infer/arena.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/tensor/ops.h"
@@ -11,17 +12,6 @@
 namespace dlsys {
 namespace infer {
 namespace {
-
-/// Must match TensorArena's slot alignment (src/infer/arena.cc).
-constexpr int64_t kPackAlign = 64;
-
-int64_t AlignUp(int64_t v) {
-  return (v + kPackAlign - 1) / kPackAlign * kPackAlign;
-}
-
-bool IsQuantDense(OpKind kind) {
-  return kind == OpKind::kDenseInt8 || kind == OpKind::kDenseInt4;
-}
 
 bool IsDense(OpKind kind) {
   return kind == OpKind::kDense || IsQuantDense(kind);
@@ -207,7 +197,8 @@ int64_t PackLiveRanges(const std::vector<LiveBuffer>& buffers,
   offsets->assign(buffers.size(), 0);
   int64_t total = 0;
   for (size_t b = 0; b < buffers.size(); ++b) {
-    const int64_t bytes = AlignUp(std::max<int64_t>(buffers[b].bytes, 1));
+    const int64_t bytes =
+        TensorArena::AlignUp(std::max<int64_t>(buffers[b].bytes, 1));
     // Obstacles: already-placed buffers whose live interval overlaps.
     std::vector<Placed> obstacles;
     for (const Placed& p : placed) {
@@ -223,13 +214,13 @@ int64_t PackLiveRanges(const std::vector<LiveBuffer>& buffers,
     int64_t offset = 0;
     for (const Placed& p : obstacles) {
       if (offset + bytes <= p.offset) break;
-      offset = std::max(offset, AlignUp(p.offset + p.bytes));
+      offset = std::max(offset, TensorArena::AlignUp(p.offset + p.bytes));
     }
     (*offsets)[b] = offset;
     placed.push_back(Placed{offset, bytes, buffers[b].begin, buffers[b].end});
     total = std::max(total, offset + bytes);
   }
-  return AlignUp(std::max<int64_t>(total, 1));
+  return TensorArena::AlignUp(std::max<int64_t>(total, 1));
 }
 
 }  // namespace infer

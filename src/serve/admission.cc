@@ -90,20 +90,6 @@ Status ValidateServerConfig(const ServerConfig& config) {
   return Status::OK();
 }
 
-const char* ShedReasonName(ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      return "queue_full";
-    case ShedReason::kDeadlineInfeasible:
-      return "deadline_infeasible";
-    case ShedReason::kDraining:
-      return "draining";
-    case ShedReason::kUnhealthyReplica:
-      return "unhealthy_replica";
-  }
-  return "unknown";
-}
-
 AdmissionDecision DecideAdmission(const AdmissionInputs& in) {
   if (in.draining) {
     return AdmissionDecision::kShedDraining;

@@ -118,27 +118,15 @@ struct ServerConfig {
 /// not DLSYS_CHECK aborts.
 Status ValidateServerConfig(const ServerConfig& config);
 
-/// \brief Why a request was turned away. Every shed is attributed to
-/// exactly one structured reason and exported as its own
-/// `serve.shed.<reason>` counter (no aggregate shed count survives) so
-/// chaos-suite post-mortems can tell overload, infeasibility, drains,
-/// and routing blackouts apart.
-enum class ShedReason {
-  kQueueFull,           ///< the server's bounded queue is at capacity
-  kDeadlineInfeasible,  ///< predicted completion already misses the deadline
-  kDraining,            ///< the replica is draining ahead of scale-down
-  kUnhealthyReplica,    ///< the router found no healthy replica to take it
-};
-
-/// \brief Stable counter-key suffix for \p reason ("queue_full", ...).
-const char* ShedReasonName(ShedReason reason);
-
-/// \brief Verdict of the admission test for one arriving request.
+/// \brief Verdict of the admission test for one arriving request. Every
+/// shed is attributed to exactly one reason and counted under its own
+/// `serve.shed.<reason>` counter (no aggregate shed count survives), so
+/// post-mortems can tell overload, infeasibility and drains apart.
 enum class AdmissionDecision {
   kAdmit,
-  kShedQueueFull,  ///< ShedReason::kQueueFull
-  kShedDeadline,   ///< ShedReason::kDeadlineInfeasible
-  kShedDraining,   ///< ShedReason::kDraining
+  kShedQueueFull,  ///< the server's bounded queue is at capacity
+  kShedDeadline,   ///< predicted completion already misses the deadline
+  kShedDraining,   ///< the replica is draining ahead of scale-down
 };
 
 /// \brief Everything the admission policy looks at, all simulated.

@@ -303,14 +303,7 @@ TEST(ServerTest, ShedsWhenPredictedFinishMissesDeadline) {
   EXPECT_EQ(server->metrics().Get("serve.deadline_missed"), 0.0);
 }
 
-TEST(AdmissionTest, StructuredShedReasonsAndNames) {
-  EXPECT_STREQ(ShedReasonName(ShedReason::kQueueFull), "queue_full");
-  EXPECT_STREQ(ShedReasonName(ShedReason::kDeadlineInfeasible),
-               "deadline_infeasible");
-  EXPECT_STREQ(ShedReasonName(ShedReason::kDraining), "draining");
-  EXPECT_STREQ(ShedReasonName(ShedReason::kUnhealthyReplica),
-               "unhealthy_replica");
-
+TEST(AdmissionTest, StructuredShedReasons) {
   // The pure decision function attributes each shed to exactly one
   // reason, tested in priority order: draining trumps queue state,
   // queue bound trumps deadline feasibility.
